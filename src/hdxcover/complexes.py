@@ -192,6 +192,8 @@ def build_complex(dim, faces, weights=None):
         weights = np.asarray(list(weights), dtype=float)
         if len(weights) != len(faces):
             raise ValueError("weights length does not match faces")
+        if not np.isfinite(weights).all():
+            raise ValueError("non-finite face weight")
         if (weights < 0).any():
             raise ValueError("negative face weight")
     if len(set(faces)) != len(faces):
@@ -209,6 +211,8 @@ def build_complex(dim, faces, weights=None):
     faces = tuple(faces[i] for i in order)
     weights = weights[order]
     total = weights.sum()
+    if not math.isfinite(total):
+        raise ValueError("face weights overflow when summed")
     weights = weights / total
     assert abs(weights.sum() - 1.0) < 1e-12
     return PureComplex(dim, faces, weights)

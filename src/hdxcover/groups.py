@@ -395,6 +395,15 @@ def _inverse_pair_classes(group):
     return classes
 
 
+def _adds_mod_n(group):
+    """Whether the element ids multiply as addition mod the order, so that
+    multiplying ids by a unit mod n is an automorphism."""
+    idx = np.arange(group.order)
+    return bool(
+        np.array_equal(group.mul_table, (idx[:, None] + idx[None, :]) % group.order)
+    )
+
+
 def _cyclic_canonical(n, elems):
     """Canonical form of a subset of Z/n under multiplication by units."""
     best = None
@@ -430,9 +439,10 @@ def scan_gensets(groups, d, eta_target=None, max_size=8, dedupe=True, workers=0)
     The score is the worst two-sided expansion over all proper links of
     the d-dimensional Cayley clique complex (the global skeleton is not
     scored).  Impure candidates are skipped; candidates come back sorted
-    by score.  For cyclic groups, candidates equivalent under a group
-    automorphism are deduplicated.  Scoring is independent per candidate
-    and runs concurrently when workers > 1.
+    by score.  When the group's element ids add mod n, candidates equivalent
+    under multiplication by a unit (an automorphism) are deduplicated.
+    Scoring is independent per candidate and runs concurrently when
+    workers > 1.
     """
     if isinstance(groups, GroupTable):
         groups = [groups]
@@ -440,7 +450,7 @@ def scan_gensets(groups, d, eta_target=None, max_size=8, dedupe=True, workers=0)
     for group in groups:
         classes = _inverse_pair_classes(group)
         seen_canon = set()
-        is_cyclic = group.name.startswith("Z") and group.is_abelian()
+        by_units = dedupe and _adds_mod_n(group)
         for k in range(1, len(classes) + 1):
             for picked in itertools.combinations(classes, k):
                 elems = tuple(sorted(e for cls in picked for e in cls))
@@ -448,7 +458,7 @@ def scan_gensets(groups, d, eta_target=None, max_size=8, dedupe=True, workers=0)
                     continue
                 if len(subgroup_closure(group, elems)) != group.order:
                     continue
-                if dedupe and is_cyclic:
+                if by_units:
                     canon = _cyclic_canonical(group.order, elems)
                     if canon in seen_canon:
                         continue

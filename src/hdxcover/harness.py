@@ -224,10 +224,13 @@ def _prune_stages(report, params, seed):
         ],
         "status": outcome.status,
     }
-    return X, group, gens, cayley, config, outcome
+    return pruner, outcome
 
 
-def _audit_clean_prune(report, X, group, gens, cayley, config, outcome):
+def _audit_clean_prune(report, pruner, outcome):
+    X, group, gens, cayley, config = (
+        pruner.X, pruner.group, pruner.gens, pruner.cayley, pruner.config
+    )
     y = outcome.y
     lam = config.lambda_target
     hdx = is_hdx(y, lam)
@@ -292,13 +295,13 @@ def _audit_clean_prune(report, X, group, gens, cayley, config, outcome):
     worst_ratio = 1.0
     bound = config.r ** (15 * d)
     f_arr = outcome.labeling
-    pruner = pruning_mod.Pruner(X, group, gens, config, cayley=cayley)
     for ell in range(0, d - 1):
         for sigma in X.faces(ell):
             if not pruner.face_satisfied(sigma, f_arr):
                 continue
             ratio = pruning_mod.measure_ratio_audit(
-                X, y, f_arr, group, gens, sigma, cayley=cayley, config=config
+                X, y, f_arr, group, gens, sigma, cayley=cayley, config=config,
+                _pruner=pruner,
             )
             if not ratio.support_matches:
                 report.add_audit("measure_ratio", False, {"sigma": list(sigma)})
@@ -312,12 +315,12 @@ def _audit_clean_prune(report, X, group, gens, cayley, config, outcome):
 
 
 def run_prune(report, params, seed):
-    X, group, gens, cayley, config, outcome = _prune_stages(report, params, seed)
+    pruner, outcome = _prune_stages(report, params, seed)
     if outcome.status != "clean":
         report.status = "budget_exhausted"
         report.exit_code = EXIT_BUDGET
         return report.finish(), outcome
-    _audit_clean_prune(report, X, group, gens, cayley, config, outcome)
+    _audit_clean_prune(report, pruner, outcome)
     return report.finish(), outcome
 
 

@@ -180,17 +180,12 @@ class Pruner:
         tops = np.array(X.top_faces, dtype=np.int64)
         self.tops = tops
         self.top_pos = {f: i for i, f in enumerate(X.top_faces)}
-        tri = list(itertools.combinations(range(self.d + 1), 3))
-        tri_eidx = np.empty((len(tops), len(tri), 3), dtype=np.intp)
-        for t, (a, b, c) in enumerate(tri):
-            for n, face in enumerate(X.top_faces):
-                tri_eidx[n, t, 0] = self.edge_pos[(face[a], face[b])]
-                tri_eidx[n, t, 1] = self.edge_pos[(face[b], face[c])]
-                tri_eidx[n, t, 2] = self.edge_pos[(face[a], face[c])]
-        self.tri_eidx = tri_eidx
+        self.tri_eidx = self._tri_index(X.top_faces, self.d + 1)
 
         self._at_tables = {}
         self._bc_tables = {}
+        self._link_tables = {}
+        self._cayley_links = {}
         self._ec_setup()
         self._events = None
 
@@ -216,24 +211,37 @@ class Pruner:
         lab = f[self.edge_pos[edge_key(u, v)]]
         return int(self.s_elems[lab] if u < v else self.inv_elems[lab])
 
-    def satisfied_mask(self, f):
-        el = self.s_elems[f[self.tri_eidx]]
+    def _tri_index(self, faces, size):
+        """Edge positions (ab, bc, ac) of every triangle a < b < c of each
+        sorted face of the given size; shape (faces, triangles, 3)."""
+        tri = list(itertools.combinations(range(size), 3))
+        out = np.empty((len(faces), len(tri), 3), dtype=np.intp)
+        for n, face in enumerate(faces):
+            for t, (a, b, c) in enumerate(tri):
+                out[n, t, 0] = self.edge_pos[(face[a], face[b])]
+                out[n, t, 1] = self.edge_pos[(face[b], face[c])]
+                out[n, t, 2] = self.edge_pos[(face[a], face[c])]
+        return out
+
+    def _tri_ok(self, f, eidx):
+        """Whether every triangle of each face in a _tri_index table
+        multiplies consistently under f."""
+        el = self.s_elems[f[eidx]]
         ok = self.group.mul_table[el[..., 0], el[..., 1]] == el[..., 2]
-        return ok.all(axis=1)
+        return ok.all(axis=-1)
+
+    def satisfied_mask(self, f):
+        return self._tri_ok(f, self.tri_eidx)
 
     def face_satisfied(self, face, f):
         face = tuple(sorted(face))
         if not self.X.has_face(face):
             raise NotAFace(f"{face!r} is not a face")
         if len(face) == self.d + 1:
-            return bool(self.satisfied_mask(f)[self.top_pos[face]])
-        for i, j, k in itertools.combinations(face, 3):
-            a = self.s_elems[f[self.edge_pos[(i, j)]]]
-            b = self.s_elems[f[self.edge_pos[(j, k)]]]
-            c = self.s_elems[f[self.edge_pos[(i, k)]]]
-            if self.group.mul(int(a), int(b)) != int(c):
-                return False
-        return True
+            eidx = self.tri_eidx[self.top_pos[face]]
+        else:
+            eidx = self._tri_index([face], len(face))[0]
+        return bool(self._tri_ok(f, eidx))
 
     # --- precomputed event tables ---
 
@@ -282,10 +290,62 @@ class Pruner:
             self._bc_tables[v] = (eidx, fwd)
         return self._bc_tables[v]
 
+    def _link_table(self, sigma):
+        """Cached link structure of sigma for satisfaction graphs.
+
+        Link vertices (sorted) with the triangles of sigma + v; link edges
+        in first-seen coface order with their mass, summed over cofaces in
+        coface order; and per edge either the top face sigma + edge (when
+        that is a top face) or the triangles of sigma + edge.
+        """
+        tab = self._link_tables.get(sigma)
+        if tab is None:
+            sset = set(sigma)
+            verts = set()
+            keys, key_id, key_top, row_key, row_w = [], {}, [], [], []
+            for i in self.X.cofaces(sigma):
+                rest = [v for v in self.X.top_faces[i] if v not in sset]
+                verts.update(rest)
+                for key in itertools.combinations(rest, 2):
+                    k = key_id.get(key)
+                    if k is None:
+                        k = key_id[key] = len(keys)
+                        keys.append(key)
+                        key_top.append(i)
+                    row_key.append(k)
+                    row_w.append(self.X.weights[i])
+            verts = sorted(verts)
+            key_mass = np.bincount(row_key, weights=row_w, minlength=len(keys))
+            key_uv = np.array(keys, dtype=np.int64).reshape(-1, 2).T
+            size = len(sigma) + 2
+            if size == self.d + 1:
+                key_top, key_tri = np.array(key_top, dtype=np.intp), None
+            else:
+                key_top = None
+                key_tri = self._tri_index([tuple(sorted(sigma + k)) for k in keys], size)
+            vert_tri = self._tri_index(
+                [tuple(sorted(sigma + (v,))) for v in verts], size - 1
+            )
+            tab = (verts, vert_tri, key_uv, key_mass, key_top, key_tri)
+            self._link_tables[sigma] = tab
+        return tab
+
+    def _cayley_link(self, a):
+        """Link of the Cayley face a and its 1-skeleton, cached; both None
+        when a is not a face."""
+        if a not in self._cayley_links:
+            target = tskel = None
+            if self.cayley.complex.has_face(a):
+                target = self.cayley.complex.link(a)
+                tskel = target.one_skeleton()
+            self._cayley_links[a] = (target, tskel)
+        return self._cayley_links[a]
+
     def _ec_setup(self):
         dfaces = self.X.faces(self.d - 1)
         self.dfaces = dfaces
         dpos = {s: i for i, s in enumerate(dfaces)}
+        self.dpos = dpos
         cover = np.empty((len(self.tops), self.d + 1), dtype=np.intp)
         for n, face in enumerate(self.X.top_faces):
             for j, sub in enumerate(itertools.combinations(face, self.d)):
@@ -352,12 +412,7 @@ class Pruner:
     def eval_ec(self, sigma, f, satisfied=None):
         if satisfied is None:
             satisfied = self.satisfied_mask(f)
-        return not bool(self.covered_dfaces(satisfied)[self._dpos_cache()[sigma]])
-
-    def _dpos_cache(self):
-        if not hasattr(self, "_dpos"):
-            self._dpos = {s: i for i, s in enumerate(self.dfaces)}
-        return self._dpos
+        return not bool(self.covered_dfaces(satisfied)[self.dpos[sigma]])
 
     def satisfaction_graph(self, sigma, f, satisfied=None):
         """Vertices and edges of the link whose union with sigma is satisfied.
@@ -374,40 +429,23 @@ class Pruner:
             return SatisfactionGraph(sigma, skel, skel, None, None, False, None, ())
         if not self.face_satisfied(sigma, f):
             raise UnsatisfiedBase(f"{sigma!r} is not satisfied")
-        if satisfied is None:
-            satisfied = self.satisfied_mask(f)
-
-        sset = set(sigma)
-        vert_ok = {}
-        edge_mass = {}
-        for i in self.X.cofaces(sigma):
-            face = self.X.top_faces[i]
-            rest = [v for v in face if v not in sset]
-            for v in rest:
-                if v not in vert_ok:
-                    vert_ok[v] = self.face_satisfied(tuple(sorted(sigma + (v,))), f)
-            for u, w in itertools.combinations(rest, 2):
-                key = (u, w) if u < w else (w, u)
-                if key not in edge_mass:
-                    if self.face_satisfied(tuple(sorted(sigma + key)), f):
-                        edge_mass[key] = 0.0
-                    else:
-                        edge_mass[key] = None
-        for i in self.X.cofaces(sigma):
-            face = self.X.top_faces[i]
-            rest = [v for v in face if v not in sset]
-            for u, w in itertools.combinations(rest, 2):
-                key = (u, w) if u < w else (w, u)
-                if edge_mass.get(key) is not None:
-                    edge_mass[key] += self.X.weights[i]
-        edges = {k: m for k, m in edge_mass.items() if m is not None and m > 0}
-        good_vertices = tuple(sorted(v for v, ok in vert_ok.items() if ok))
+        verts, vert_tri, key_uv, key_mass, key_top, key_tri = self._link_table(sigma)
+        if key_top is not None:
+            if satisfied is None:
+                satisfied = self.satisfied_mask(f)
+            key_ok = satisfied[key_top]
+        else:
+            key_ok = self._tri_ok(f, key_tri)
+        keep = key_ok & (key_mass > 0)
+        ends = key_uv[:, keep].tolist()
+        edges = dict(zip(zip(*ends), key_mass[keep].tolist()))
+        good_vertices = tuple(
+            v for v, ok in zip(verts, self._tri_ok(f, vert_tri).tolist()) if ok
+        )
 
         u0 = sigma[0]
         a = tuple(sorted({0} | {self.directed_element(f, u0, u) for u in sigma[1:]}))
-        target = None
-        if self.cayley.complex.has_face(a):
-            target = self.cayley.complex.link(a)
+        target, tskel = self._cayley_link(a)
         coloring = {v: self.directed_element(f, u0, v) for v in good_vertices}
 
         if not edges:
@@ -415,13 +453,13 @@ class Pruner:
                 sigma, None, None, coloring, target, True, None, good_vertices
             )
         link_graph = WGraph([(u, v, m) for (u, v), m in edges.items()])
-        dropped = tuple(v for v in good_vertices if v not in set(link_graph.vertices))
+        kept = set(link_graph.vertices)
+        dropped = tuple(v for v in good_vertices if v not in kept)
 
         if target is None:
             return SatisfactionGraph(
                 sigma, None, link_graph, coloring, None, True, a, dropped
             )
-        tskel = target.one_skeleton()
         fiber_mass = {}
         for (u, v), m in edges.items():
             key = tuple(sorted((coloring[u], coloring[v])))
@@ -529,7 +567,7 @@ class Pruner:
             elif kind == "EC":
                 if covered is None:
                     covered = self.covered_dfaces(satisfied)
-                hit = not bool(covered[self._dpos_cache()[face]])
+                hit = not bool(covered[self.dpos[face]])
             else:
                 hit = self.eval_ne(face, f, satisfied=satisfied)
             if hit:
@@ -583,7 +621,7 @@ class Pruner:
         out = []
         for kind, face in self.events():
             if kind == "EC":
-                hit = not bool(covered[self._dpos_cache()[face]])
+                hit = not bool(covered[self.dpos[face]])
             elif kind == "NE":
                 hit = self.eval_ne(face, f, satisfied=satisfied)
             else:
@@ -666,7 +704,10 @@ def dependency_scope(X, tau):
     )
     bound = X.dim * 2 ** X.dim * q * (1 + r_edges + r_edges**2)
     report = ScopeReport(tau, tuple(sorted(mine)), count, bound)
-    assert report.within_bound, "dependency count exceeds the crude bound"
+    if not report.within_bound:
+        raise RuntimeError(
+            f"dependency count {count} at {tau!r} exceeds the crude bound {bound}"
+        )
     return report
 
 
@@ -740,7 +781,9 @@ class RatioReport:
         return self.support_matches and self.max_ratio <= self.bound
 
 
-def measure_ratio_audit(X, Y, f, group, gens, sigma, cayley=None, r=None, config=None):
+def measure_ratio_audit(
+    X, Y, f, group, gens, sigma, cayley=None, r=None, config=None, _pruner=None
+):
     """Compare the pruned link measure at sigma with the coloring measure.
 
     Reports the worst multiplicative gap over link vertices and edges and
@@ -750,7 +793,9 @@ def measure_ratio_audit(X, Y, f, group, gens, sigma, cayley=None, r=None, config
         r = config.r
     if r is None:
         raise ValueError("pass r or a config")
-    pruner = Pruner(X, group, gens, config or PruneConfig(0.5, r=r), cayley=cayley)
+    pruner = _pruner or Pruner(
+        X, group, gens, config or PruneConfig(0.5, r=r), cayley=cayley
+    )
     sg = pruner.satisfaction_graph(tuple(sorted(sigma)), pruner.as_array(f))
     if sg.graph is None:
         raise Unmeasurable(f"satisfaction graph at {sigma!r} has no edges")

@@ -61,6 +61,19 @@ class TestBuild:
         with pytest.raises(ValueError):
             build_complex(1, [(0, 1)], [-1.0])
 
+    def test_infinite_weight_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            build_complex(1, [(0, 1), (1, 2)], [1.0, np.inf])
+
+    def test_nan_weight_rejected(self):
+        # nan fails `weights > 0`, so without the check the face is dropped
+        with pytest.raises(ValueError, match="non-finite"):
+            build_complex(1, [(0, 1), (1, 2)], [1.0, np.nan])
+
+    def test_overflowing_weights_rejected(self):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflow"):
+            build_complex(1, [(0, 1), (1, 2)], [1e308, 1e308])
+
     def test_json_roundtrip(self):
         X = random_complex(np.random.default_rng(3), 6, 2)
         Y = complex_from_dict(complex_to_dict(X))

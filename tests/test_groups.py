@@ -234,6 +234,20 @@ class TestScan:
         rep = is_hdx(cc.complex, 1.0, include_empty_face=False)
         assert rep.worst_value == pytest.approx(best.worst_link_lambda, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "group", [product_group(cyclic(3), cyclic(4)), cyclic(13)], ids=lambda g: g.name
+    )
+    def test_dedupe_keeps_scores(self, group):
+        # Z3xZ4 is cyclic and has an element of order 12, but its element ids
+        # do not add mod 12, so multiplying ids by a unit is no automorphism
+        kept = [c.worst_link_lambda for c in scan_gensets(group, 2)]
+        full = [c.worst_link_lambda for c in scan_gensets(group, 2, dedupe=False)]
+        for a, b in ((kept, full), (full, kept)):
+            assert all(min(abs(x - y) for y in b) <= 1e-9 for x in a)
+        assert kept[0] == pytest.approx(full[0], abs=1e-9)
+        if group.name == "Z13":
+            assert len(kept) < len(full)
+
     def test_group_without_pure_candidates(self):
         assert scan_gensets(cyclic(2), 2) == []
 

@@ -12,10 +12,12 @@ from hdxcover.errors import (
     Unmeasurable,
     UnsatisfiedBase,
 )
+from hdxcover.graphs import WGraph
 from hdxcover.groups import cayley_clique_complex, cyclic, validate_genset
 from hdxcover.pruning import (
     PruneConfig,
     Pruner,
+    SatisfactionGraph,
     dependency_scope,
     eval_event,
     f_pruning,
@@ -28,6 +30,8 @@ from hdxcover.pruning import (
     satisfaction_graph,
 )
 from hdxcover.spectral import is_hdx
+
+from helpers import random_complex
 
 Z5 = cyclic(5)
 Z5_GENS = validate_genset(Z5, [1, 2, 3, 4])
@@ -43,6 +47,72 @@ def coboundary_indices(X, potential):
     elems = coboundary_labeling(X, Z5, potential)
     rank = {e: i for i, e in enumerate(Z5_GENS)}
     return {edge: rank[g] for edge, g in elems.items()}
+
+
+def plain_face_satisfied(pruner, face, f):
+    """Triangle-by-triangle check of one face, the reference for the mask."""
+    for i, j, k in itertools.combinations(sorted(face), 3):
+        a = pruner.s_elems[f[pruner.edge_pos[(i, j)]]]
+        b = pruner.s_elems[f[pruner.edge_pos[(j, k)]]]
+        c = pruner.s_elems[f[pruner.edge_pos[(i, k)]]]
+        if pruner.group.mul(int(a), int(b)) != int(c):
+            return False
+    return True
+
+
+def plain_satisfaction_graph(pruner, sigma, f):
+    """Reference satisfaction graph: one face check per link vertex and link
+    edge, with edge masses summed into a dict over the cofaces of sigma."""
+    X = pruner.X
+    sset = set(sigma)
+    vert_ok = {}
+    edge_mass = {}
+    for i in X.cofaces(sigma):
+        rest = [v for v in X.top_faces[i] if v not in sset]
+        for v in rest:
+            if v not in vert_ok:
+                vert_ok[v] = plain_face_satisfied(pruner, sigma + (v,), f)
+        for key in itertools.combinations(rest, 2):
+            if key not in edge_mass:
+                ok = plain_face_satisfied(pruner, sigma + key, f)
+                edge_mass[key] = 0.0 if ok else None
+    for i in X.cofaces(sigma):
+        rest = [v for v in X.top_faces[i] if v not in sset]
+        for key in itertools.combinations(rest, 2):
+            if edge_mass[key] is not None:
+                edge_mass[key] += X.weights[i]
+    edges = {k: m for k, m in edge_mass.items() if m is not None and m > 0}
+    good = tuple(sorted(v for v, ok in vert_ok.items() if ok))
+
+    u0 = sigma[0]
+    a = tuple(sorted({0} | {pruner.directed_element(f, u0, u) for u in sigma[1:]}))
+    cc = pruner.cayley.complex
+    target = cc.link(a) if cc.has_face(a) else None
+    coloring = {v: pruner.directed_element(f, u0, v) for v in good}
+    if not edges:
+        return SatisfactionGraph(sigma, None, None, coloring, target, True, None, good)
+    link_graph = WGraph([(u, v, m) for (u, v), m in edges.items()])
+    dropped = tuple(v for v in good if v not in set(link_graph.vertices))
+    if target is None:
+        return SatisfactionGraph(sigma, None, link_graph, coloring, None, True, a, dropped)
+    tskel = target.one_skeleton()
+    fiber_mass = {}
+    for (u, v), m in edges.items():
+        key = tuple(sorted((coloring[u], coloring[v])))
+        fiber_mass[key] = fiber_mass.get(key, 0.0) + m
+    missing = next((e for e in tskel.edges if e not in fiber_mass), None)
+    if missing is not None:
+        return SatisfactionGraph(
+            sigma, None, link_graph, coloring, target, True, missing, dropped
+        )
+    tw = dict(zip(tskel.edges, tskel.weights))
+    colored = []
+    for (u, v), m in edges.items():
+        key = tuple(sorted((coloring[u], coloring[v])))
+        colored.append((u, v, tw[key] * m / fiber_mass[key]))
+    return SatisfactionGraph(
+        sigma, WGraph(colored), link_graph, coloring, target, False, None, dropped
+    )
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +257,138 @@ class TestSatisfactionGraph:
         pruner = z5_pruner(X)
         sg = pruner.satisfaction_graph((7,), f)
         assert set(sg.coloring.values()) <= set(Z5_GENS)
+
+
+Z13 = cyclic(13)
+Z13_GENS = tuple(range(1, 13))
+
+
+def perturbed_coboundary(X, pruner, rng, flip):
+    """Z13 coboundary of an injective potential with a share of edges
+    relabeled at random, so top and lower faces are mixed satisfied."""
+    elems = coboundary_labeling(X, Z13, {v: v % 13 for v in X.vertices})
+    f = np.array([elems[e] - 1 for e in pruner.edges], dtype=np.int64)
+    hit = rng.random(len(f)) < flip
+    f[hit] = rng.integers(0, 12, size=int(hit.sum()))
+    return f
+
+
+def multipartite_case(rng, dim, size, flip):
+    """Top faces across dim + 1 of five vertex classes, with the Z5
+    coboundary of the class index relabeled on a share of edges; links of
+    such faces color onto complete Cayley links, so many are not degenerate."""
+    faces = [
+        face
+        for parts in itertools.combinations(range(5), dim + 1)
+        for face in itertools.product(*(range(p * size, (p + 1) * size) for p in parts))
+    ]
+    X = build_complex(dim, faces, 0.2 + rng.random(len(faces)))
+    pruner = Pruner(X, Z5, Z5_GENS, PruneConfig(0.5))
+    f = np.array([(w // size - u // size) % 5 - 1 for u, w in pruner.edges])
+    hit = rng.random(len(f)) < flip
+    f[hit] = rng.integers(0, 4, size=int(hit.sum()))
+    return pruner, f
+
+
+def assert_same_graph(got, want):
+    assert got.sigma == want.sigma
+    for name in ("graph", "link_graph"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert (g is None) == (w is None), name
+        if g is not None:
+            assert g.vertices == w.vertices
+            assert g.edges == w.edges
+            assert np.abs(g.weights - w.weights).max() <= 1e-12
+    assert got.coloring == want.coloring
+    assert (got.target is None) == (want.target is None)
+    if got.target is not None:
+        assert got.target.top_faces == want.target.top_faces
+    assert got.degenerate == want.degenerate
+    assert got.missing == want.missing
+    assert got.dropped_vertices == want.dropped_vertices
+
+
+class TestSatisfactionGraphFastPath:
+    """The cached-table path against the face-by-face reference."""
+
+    def check_all_bases(self, pruner, f):
+        seen = 0
+        for ell in range(0, pruner.d - 1):
+            for sigma in pruner.X.faces(ell):
+                if not plain_face_satisfied(pruner, sigma, f):
+                    continue
+                want = plain_satisfaction_graph(pruner, sigma, f)
+                assert_same_graph(pruner.satisfaction_graph(sigma, f), want)
+                seen += 1
+        return seen
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_k12_random_labelings(self, seed):
+        X = complete_complex(12, 2)
+        pruner = z5_pruner(X)
+        assert self.check_all_bases(pruner, sample_labeling(X, 4, seed)) == 12
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_k12_mixed_coboundary(self, seed):
+        X = complete_complex(12, 2)
+        pruner = Pruner(X, Z13, Z13_GENS, PruneConfig(0.5))
+        f = perturbed_coboundary(X, pruner, np.random.default_rng(seed), 0.1)
+        mask = pruner.satisfied_mask(f)
+        assert 0 < mask.sum() < len(mask)
+        assert self.check_all_bases(pruner, f) == 12
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_random_dim3_complexes(self, seed):
+        rng = np.random.default_rng(seed)
+        X = random_complex(rng, 9, dim=3, keep=0.5)
+        pruner = Pruner(X, Z13, Z13_GENS, PruneConfig(0.5))
+        f = perturbed_coboundary(X, pruner, rng, 0.1)
+        # vertices and edges are always satisfied bases
+        n_bases = len(X.vertices) + len(X.faces(1))
+        assert self.check_all_bases(pruner, f) == n_bases
+
+    @pytest.mark.parametrize("dim,seed", [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
+    def test_multipartite_colorings(self, dim, seed):
+        pruner, f = multipartite_case(np.random.default_rng(seed), dim, 3, 0.08)
+        assert self.check_all_bases(pruner, f) > 0
+
+    def test_dim4_triangle_bases(self):
+        X = complete_complex(7, 4)
+        pruner = Pruner(X, Z13, Z13_GENS, PruneConfig(0.5))
+        f = perturbed_coboundary(X, pruner, np.random.default_rng(5), 0.05)
+        assert self.check_all_bases(pruner, f) > len(X.vertices) + len(X.faces(1))
+
+    def test_face_satisfied_matches_reference(self):
+        X = complete_complex(12, 2)
+        pruner = Pruner(X, Z13, Z13_GENS, PruneConfig(0.5))
+        f = perturbed_coboundary(X, pruner, np.random.default_rng(7), 0.1)
+        mask = pruner.satisfied_mask(f)
+        for n, face in enumerate(X.top_faces):
+            want = plain_face_satisfied(pruner, face, f)
+            assert pruner.face_satisfied(face, f) == want == mask[n]
+
+    def test_mask_computed_at_most_once(self, monkeypatch):
+        X = complete_complex(12, 2)
+        pruner = z5_pruner(X)
+        f = sample_labeling(X, 4, 3)
+        mask = pruner.satisfied_mask(f)
+        calls = []
+        real = Pruner.satisfied_mask
+
+        def counted(self, f):
+            calls.append(1)
+            return real(self, f)
+
+        monkeypatch.setattr(Pruner, "satisfied_mask", counted)
+        for v in X.vertices:
+            calls.clear()
+            pruner.satisfaction_graph((v,), f)
+            assert len(calls) <= 1
+        calls.clear()
+        pruner.satisfaction_graph((0,), f, satisfied=mask)
+        for face in X.top_faces:
+            pruner.face_satisfied(face, f)
+        assert calls == []
 
 
 class TestEvalEvent:
