@@ -46,7 +46,10 @@ class PureComplex:
     read and safe to call from multiple threads.
     """
 
-    __slots__ = ("dim", "top_faces", "weights", "vertices", "_cofaces", "_levels")
+    __slots__ = (
+        "dim", "top_faces", "weights", "vertices", "_cofaces", "_levels", "_tops",
+        "_vpos",
+    )
 
     def __init__(self, dim, top_faces, weights):
         """Use :func:`build_complex` instead of calling this directly."""
@@ -61,6 +64,8 @@ class PureComplex:
         self._cofaces = {s: np.array(ix, dtype=np.intp) for s, ix in cofaces.items()}
         self.vertices = tuple(sorted({v for f in top_faces for v in f}))
         self._levels = {}
+        self._tops = None
+        self._vpos = None
 
     # --- structure ---
 
@@ -86,6 +91,21 @@ class PureComplex:
     def has_face(self, s):
         s = _canon(s)
         return s == () or s in self._cofaces
+
+    def top_positions(self):
+        """The top faces as an int array of positions into ``vertices``.
+
+        Row i is top face i; rows are increasing because faces and
+        vertices are both sorted.
+        """
+        if self._tops is None:
+            pos = self._vpos = {v: i for i, v in enumerate(self.vertices)}
+            self._tops = np.fromiter(
+                (pos[v] for f in self.top_faces for v in f),
+                dtype=np.intp,
+                count=len(self.top_faces) * (self.dim + 1),
+            ).reshape(len(self.top_faces), self.dim + 1)
+        return self._tops
 
     def cofaces(self, s):
         """Indices of the top faces containing s."""
@@ -131,12 +151,44 @@ class PureComplex:
         tops = [tuple(v for v in self.top_faces[i] if v not in sset) for i in idx]
         return build_complex(self.dim - len(s), tops, self.weights[idx])
 
+    def link_skeleton(self, s):
+        """The weighted 1-skeleton of link(s), read off the top faces.
+
+        The cofaces of s, less the columns of s, are the link's top faces;
+        each pair of their columns is a link edge, and an edge's mass sums
+        over the link top faces containing it.  Builds no complex, and
+        equals ``link(s).one_skeleton()`` up to the order of summation.
+        """
+        s = _canon(s)
+        idx = self.cofaces(s)
+        k = self.dim - len(s)  # dimension of the link
+        if k < 0:
+            raise TopFace(f"{s!r} is a top face; its link is empty")
+        if k == 0:
+            raise BadLevel("a 0-dimensional complex has no 1-skeleton")
+        tops = self.top_positions()[idx]
+        if s:
+            spos = np.array([self._vpos[v] for v in s])
+            keep = (tops[:, :, None] != spos).all(axis=2)
+            tops = tops[keep].reshape(len(idx), k + 1)
+        w = self.weights[idx]
+        verts, local = np.unique(tops, return_inverse=True)
+        local = local.reshape(tops.shape)
+        a, b = np.triu_indices(k + 1, 1)
+        n = len(verts)
+        keys, edge = np.unique(local[:, a] * n + local[:, b], return_inverse=True)
+        mass = np.bincount(
+            edge.ravel(), weights=np.repeat(w / w.sum(), len(a)), minlength=len(keys)
+        )
+        return WGraph.from_arrays(
+            tuple(self.vertices[i] for i in verts),
+            np.stack([keys // n, keys % n]),
+            mass / math.comb(k + 1, 2),
+        )
+
     def one_skeleton(self):
         """The weighted graph on X(0) and X(1)."""
-        if self.dim < 1:
-            raise BadLevel("a 0-dimensional complex has no 1-skeleton")
-        edges = [(u, v, self.face_measure((u, v))) for u, v in self.faces(1)]
-        return WGraph(edges)
+        return self.link_skeleton(())
 
     def degree(self, s, level):
         """Number of level-dimensional faces containing s."""
@@ -338,24 +390,27 @@ def check_suitable(X, c, r, eta):
     weight_ok, weight_witness = True, None
     for ell in range(0, X.dim - 1):
         for sigma in X.faces(ell):
-            skel = X.link(sigma).one_skeleton()
-            for v in skel.vertices:
-                deg = len(skel.neighbors(v))
-                if deg < bound and degree_ok:
-                    degree_ok, degree_witness = False, (sigma, v, deg)
-            m = skel.m
-            lo_e, hi_e = 1.0 / (r * m), r / m
-            for (u, v), w in zip(skel.edges, skel.weights):
-                if not (lo_e - TOL <= w <= hi_e + TOL) and weight_ok:
+            skel = X.link_skeleton(sigma)
+            if degree_ok:
+                deg = np.bincount(skel.ends.ravel(), minlength=skel.n)
+                low = np.flatnonzero(deg < bound)
+                if len(low):
+                    i = low[0]
+                    degree_ok = False
+                    degree_witness = (sigma, skel.vertices[i], int(deg[i]))
+            if not weight_ok:
+                continue
+            for kind, items, w in (
+                ("edge", skel.edges, skel.weights),
+                ("vertex", skel.vertices, skel.vertex_measures()),
+            ):
+                lo, hi = 1.0 / (r * len(items)), r / len(items)
+                bad = np.flatnonzero((w < lo - TOL) | (w > hi + TOL))
+                if len(bad):
+                    i = bad[0]
                     weight_ok = False
-                    weight_witness = (sigma, "edge", (u, v), float(w), lo_e, hi_e)
-            nn = skel.n
-            lo_v, hi_v = 1.0 / (r * nn), r / nn
-            for v in skel.vertices:
-                w = skel.vertex_measure(v)
-                if not (lo_v - TOL <= w <= hi_v + TOL) and weight_ok:
-                    weight_ok = False
-                    weight_witness = (sigma, "vertex", v, float(w), lo_v, hi_v)
+                    weight_witness = (sigma, kind, items[i], float(w[i]), lo, hi)
+                    break
 
     return SuitabilityReport(
         c=c,

@@ -8,12 +8,13 @@ which controls how many components the cover splits into.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .complexes import PureComplex, build_complex
-from .errors import Disconnected, NotACocycle, NotAnEdge
+from .errors import Disconnected, NotACocycle, NotAnEdge, TooLarge
 
 TOL = 1e-9
 
@@ -181,66 +182,135 @@ class CoverReport:
     violations: tuple  # (face, reason) pairs
 
 
+def _row_codes(rows, n):
+    """One int64 per row of entries in 0..n-1, ordered like the rows."""
+    width = rows.shape[1]
+    if n**width >= 2**63:
+        raise TooLarge(f"{width}-vertex faces over {n} vertices overflow int64 codes")
+    return rows.astype(np.int64) @ (n ** np.arange(width - 1, -1, -1, dtype=np.int64))
+
+
+def _lookup(codes, table):
+    """Position of each code in the sorted array table, or -1."""
+    pos = np.minimum(np.searchsorted(table, codes), len(table) - 1)
+    return np.where(table[pos] == codes, pos, -1)
+
+
 def verify_cover(cover, tol=TOL):
     """Audit that the projection is a genuine cover of the base.
 
     Checks surjectivity on vertices and top faces, and for every nonempty
     lifted face that the projection restricts to a weighted isomorphism
-    between its link and the link of its image.
+    between its link and the link of its image.  Works level by level on
+    the top-face arrays: in a pure complex each (face, top face) pair
+    names one top face of the face's link.
     """
     tilde, base = cover.complex, cover.base
-    violations = []
-
     surj = set(cover.phi(v) for v in tilde.vertices) == set(base.vertices)
-    image_tops = {cover.phi_face(f) for f in tilde.top_faces}
-    surj = surj and image_tops == set(base.top_faces)
 
-    base_tops = {f: i for i, f in enumerate(base.top_faces)}
+    # phi as base positions; an image outside the base gets a code past them
+    code = {v: i for i, v in enumerate(base.vertices)}
+    phi = np.array(
+        [code.setdefault(cover.phi(v), len(code)) for v in tilde.vertices],
+        dtype=np.int64,
+    )
+    nc = len(code)
+    T, B = tilde.top_positions(), base.top_positions()
+    # the base top under each lifted top, -1 if its image is none
+    top_img = _lookup(_row_codes(np.sort(phi[T], axis=1), nc), _row_codes(B, nc))
+    surj = surj and bool((top_img >= 0).all()) and len(np.unique(top_img)) == len(B)
+
+    violations = []
     checked = 0
-    for k in range(0, tilde.dim + 1):
-        for face in tilde.faces(k):
-            checked += 1
-            img = cover.phi_face(face)
-            if len(set(img)) != len(face) or not base.has_face(img):
-                violations.append((face, "image is not a face"))
-                continue
-            if k == tilde.dim:
-                continue  # links of top faces are empty
-            idx = tilde.cofaces(face)
-            fset = set(face)
-            link_w = {}
-            for i in idx:
-                rest = tuple(v for v in tilde.top_faces[i] if v not in fset)
-                link_w[rest] = link_w.get(rest, 0.0) + tilde.weights[i]
-            lvs = {v for rest in link_w for v in rest}
-            phi_v = {v: cover.phi(v) for v in lvs}
-            if len(set(phi_v.values())) != len(lvs):
-                violations.append((face, "projection not injective on the link"))
-                continue
-            bidx = base.cofaces(img)
-            iset = set(img)
-            base_w = {}
-            for i in bidx:
-                rest = tuple(v for v in base.top_faces[i] if v not in iset)
-                base_w[rest] = base_w.get(rest, 0.0) + base.weights[i]
-            mapped = {
-                tuple(sorted(phi_v[v] for v in rest)): w for rest, w in link_w.items()
-            }
-            if set(mapped) != set(base_w):
-                violations.append((face, "link faces do not correspond"))
-                continue
-            ts = sum(link_w.values())
-            bs = sum(base_w.values())
-            for rest, w in mapped.items():
-                if abs(w / ts - base_w[rest] / bs) > tol:
-                    violations.append((face, f"link weight mismatch at {rest}"))
-                    break
+    for k in range(tilde.dim + 1):
+        n_faces, found = _level_violations(cover, k, phi, nc, top_img, tol)
+        checked += n_faces
+        violations.extend(found)
     return CoverReport(
         ok=surj and not violations,
         surjective=surj,
         faces_checked=checked,
         violations=tuple(violations),
     )
+
+
+_IMAGE, _NOT_INJECTIVE, _NO_MATCH, _WEIGHT = 1, 2, 3, 4
+_FAULTS = {
+    _IMAGE: "image is not a face",
+    _NOT_INJECTIVE: "projection not injective on the link",
+    _NO_MATCH: "link faces do not correspond",
+}
+
+
+def _level_violations(cover, k, phi, nc, top_img, tol):
+    """Face count and (face, reason) violations, in face order, of the
+    k-dimensional lifted faces."""
+    tilde, base = cover.complex, cover.base
+    d = tilde.dim
+    T, B = tilde.top_positions(), base.top_positions()
+    nt = len(tilde.vertices)
+    cols = list(itertools.combinations(range(d + 1), k + 1))
+    rest_cols = [[c for c in range(d + 1) if c not in cs] for cs in cols]
+    c = len(cols)
+    # pair p is (top face p // c, its face on columns cols[p % c]); inv maps
+    # pairs to faces, and a face's pairs come in coface order
+    faces = T[:, cols].reshape(-1, k + 1)
+    _, first, inv = np.unique(
+        _row_codes(faces, nt), return_index=True, return_inverse=True
+    )
+    faces = faces[first]
+    nf = len(faces)
+    bfaces, binv = np.unique(
+        _row_codes(B[:, cols].reshape(-1, k + 1), nc), return_inverse=True
+    )
+    img = _lookup(_row_codes(np.sort(phi[faces], axis=1), nc), bfaces)
+    reason = np.where(img < 0, _IMAGE, 0)
+    if k < d:
+        ok = img >= 0
+        injective = _injective_on_links(inv, T[:, rest_cols].reshape(-1, d - k), phi)
+        reason[ok & ~injective] = _NOT_INJECTIVE
+        ok &= injective
+        # each link face maps to a link face of the image, and onto them:
+        # its lifted top maps to a base top, and the coface counts agree
+        n_off = np.bincount(inv, weights=np.repeat(top_img < 0, c), minlength=nf)
+        n_base = np.bincount(binv)[np.maximum(img, 0)]
+        match = (n_off == 0) & (np.bincount(inv, minlength=nf) == n_base)
+        reason[ok & ~match] = _NO_MATCH
+        ok &= match
+        # normalized link weights, each sum taken in coface order
+        tw = np.repeat(tilde.weights, c)
+        ts = np.bincount(inv, weights=tw, minlength=nf)
+        bs = np.bincount(binv, weights=np.repeat(base.weights, c))
+        pair_ok = ok[inv]
+        f = inv[pair_ok]
+        bw = base.weights[np.repeat(top_img, c)[pair_ok]]
+        bad = np.zeros(len(inv), dtype=bool)
+        bad[pair_ok] = np.abs(tw[pair_ok] / ts[f] - bw / bs[img[f]]) > tol
+        bad_face, first_bad = np.unique(inv[bad], return_index=True)
+        reason[bad_face] = _WEIGHT
+        bad_pair = dict(zip(bad_face.tolist(), np.flatnonzero(bad)[first_bad].tolist()))
+    found = []
+    for f in np.flatnonzero(reason).tolist():
+        face = tuple(tilde.vertices[x] for x in faces[f])
+        if reason[f] == _WEIGHT:
+            p = bad_pair[f]
+            lifted = (tilde.vertices[x] for x in T[p // c, rest_cols[p % c]])
+            at = tuple(sorted(cover.phi(v) for v in lifted))
+            found.append((face, f"link weight mismatch at {at}"))
+        else:
+            found.append((face, _FAULTS[int(reason[f])]))
+    return nf, found
+
+
+def _injective_on_links(inv, rest, phi):
+    """Per face, whether phi is injective on its link's vertices: the
+    (face, vertex) pairs and the (face, image) pairs are equally many."""
+    nf = int(inv.max()) + 1
+    n, nc = int(rest.max()) + 1, int(phi.max()) + 1
+    link = np.unique(inv[:, None] * n + rest)
+    face = link // n
+    n_img = np.bincount(np.unique(face * nc + phi[link % n]) // nc, minlength=nf)
+    return np.bincount(face, minlength=nf) == n_img
 
 
 def cover_to_dict(cover):

@@ -19,11 +19,14 @@ class WGraph:
     """Undirected weighted graph, immutable after construction.
 
     Edges are stored as sorted vertex pairs with strictly positive weights
-    normalized to sum one.  Isolated vertices are not representable: the
-    vertex set is the union of edge endpoints.
+    normalized to sum one, and as ``ends``, the (2, m) int array of their
+    endpoint positions in ``vertices``.  Isolated vertices are not
+    representable: the vertex set is the union of edge endpoints.
     """
 
-    __slots__ = ("vertices", "edges", "weights", "sides", "_pos", "_adj", "_vmass")
+    __slots__ = (
+        "vertices", "edges", "weights", "ends", "sides", "_pos", "_adj", "_vmass"
+    )
 
     def __init__(self, edges, sides=None):
         """``edges`` is an iterable of (u, v, weight) triples.
@@ -44,22 +47,12 @@ class WGraph:
         if not cleaned:
             raise EmptyGraph("graph has no edges")
 
-        self.edges = tuple(sorted(cleaned))
-        weights = np.array([cleaned[e] for e in self.edges], dtype=float)
-        self.weights = weights / weights.sum()
-        self.vertices = tuple(sorted({x for e in self.edges for x in e}))
-        self._pos = {v: i for i, v in enumerate(self.vertices)}
-
-        self._adj = {v: [] for v in self.vertices}
-        for i, (u, v) in enumerate(self.edges):
-            self._adj[u].append((v, i))
-            self._adj[v].append((u, i))
-
-        vmass = np.zeros(len(self.vertices))
-        for i, (u, v) in enumerate(self.edges):
-            vmass[self._pos[u]] += self.weights[i]
-            vmass[self._pos[v]] += self.weights[i]
-        self._vmass = vmass  # twice the vertex measure
+        keys = tuple(sorted(cleaned))
+        vertices = tuple(sorted({x for e in keys for x in e}))
+        pos = {v: i for i, v in enumerate(vertices)}
+        ends = np.array([(pos[u], pos[v]) for u, v in keys], dtype=np.intp).T
+        weights = np.array([cleaned[e] for e in keys], dtype=float)
+        self._setup(vertices, keys, ends, weights, pos)
 
         if sides is not None:
             left, right = frozenset(sides[0]), frozenset(sides[1])
@@ -75,6 +68,45 @@ class WGraph:
             self.sides = (left & set(self.vertices), right & set(self.vertices))
         else:
             self.sides = None
+
+    @classmethod
+    def from_arrays(cls, vertices, ends, weights):
+        """Graph from endpoint positions, without the per-edge checks.
+
+        ``ends`` is a (2, m) int array of positions into the sorted tuple
+        ``vertices``: each column is a distinct pair with ends[0] < ends[1],
+        the columns sorted, every vertex an endpoint, and every weight
+        positive.
+        """
+        g = cls.__new__(cls)
+        u, v = ends[0].tolist(), ends[1].tolist()
+        edges = tuple(zip(map(vertices.__getitem__, u), map(vertices.__getitem__, v)))
+        g._setup(tuple(vertices), edges, ends, np.asarray(weights, dtype=float))
+        g.sides = None
+        return g
+
+    def _setup(self, vertices, edges, ends, weights, pos=None):
+        self.vertices = vertices
+        self.edges = edges
+        self.ends = ends
+        self.weights = weights / weights.sum()
+        self._pos = pos if pos is not None else {x: i for i, x in enumerate(vertices)}
+        self._adj = None
+        # twice the vertex measure, summed edge by edge in edge order
+        self._vmass = np.bincount(
+            ends.T.ravel(), weights=np.repeat(self.weights, 2), minlength=len(vertices)
+        )
+
+    @property
+    def _adjacency(self):
+        """vertex -> list of (neighbor, edge index), built on first use."""
+        if self._adj is None:
+            adj = {v: [] for v in self.vertices}
+            for i, (u, v) in enumerate(self.edges):
+                adj[u].append((v, i))
+                adj[v].append((u, i))
+            self._adj = adj
+        return self._adj
 
     # --- basic accessors ---
 
@@ -103,22 +135,22 @@ class WGraph:
         return self._vmass[self._pos[v]]
 
     def neighbors(self, v):
-        return [u for u, _ in self._adj[v]]
+        return [u for u, _ in self._adjacency[v]]
 
     def incident(self, v):
         """List of (neighbor, edge index) pairs."""
-        return list(self._adj[v])
+        return list(self._adjacency[v])
 
     def edge_weight(self, u, v):
         key = (u, v) if u < v else (v, u)
-        for w, i in self._adj.get(key[0], ()):
+        for w, i in self._adjacency.get(key[0], ()):
             if w == key[1]:
                 return self.weights[i]
         raise KeyError(f"{key!r} is not an edge")
 
     def has_edge(self, u, v):
         key = (u, v) if u < v else (v, u)
-        return any(w == key[1] for w, _ in self._adj.get(key[0], ()))
+        return any(w == key[1] for w, _ in self._adjacency.get(key[0], ()))
 
     def connected_components(self):
         """List of vertex sets, one per component of the graph."""
@@ -132,7 +164,7 @@ class WGraph:
             seen.add(start)
             while stack:
                 x = stack.pop()
-                for y, _ in self._adj[x]:
+                for y, _ in self._adjacency[x]:
                     if y not in comp:
                         comp.add(y)
                         seen.add(y)

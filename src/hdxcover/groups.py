@@ -164,20 +164,27 @@ def group_from_table(rows, name="table", cap=DEFAULT_ORDER_CAP):
 def make_group(spec, cap=DEFAULT_ORDER_CAP):
     """Build a group from a JSON-style description."""
     kind = spec.get("kind")
+
+    def field(key):
+        try:
+            return spec[key]
+        except KeyError:
+            raise NotAGroup(f"group of kind {kind!r} needs {key!r}") from None
+
     if kind == "cyclic":
-        return cyclic(int(spec["n"]), cap)
+        return cyclic(int(field("n")), cap)
     if kind == "dihedral":
-        return dihedral(int(spec["n"]), cap)
+        return dihedral(int(field("n")), cap)
     if kind == "symmetric":
-        return symmetric_group(int(spec["k"]), cap)
+        return symmetric_group(int(field("k")), cap)
     if kind == "product":
-        factors = [make_group(s, cap) for s in spec["factors"]]
+        factors = [make_group(s, cap) for s in field("factors")]
         out = factors[0]
         for g in factors[1:]:
             out = product_group(out, g, cap)
         return out
     if kind == "table":
-        return group_from_table(spec["mul"], spec.get("name", "table"), cap)
+        return group_from_table(field("mul"), spec.get("name", "table"), cap)
     raise NotAGroup(f"unknown group kind {kind!r}")
 
 

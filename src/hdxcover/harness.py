@@ -95,6 +95,14 @@ def _jsonify(obj):
 # --- input loading ---
 
 
+def _field(obj, key):
+    """obj[key] for a spec object; a missing key is bad input."""
+    try:
+        return obj[key]
+    except KeyError:
+        raise InputError(f"spec object is missing {key!r}") from None
+
+
 def _maybe_inline(obj):
     """File path, or inline JSON when the string looks like JSON."""
     if isinstance(obj, str) and obj.lstrip()[:1] in ("{", "["):
@@ -108,7 +116,7 @@ def _load_complex_input(obj):
         with open(obj) as fh:
             obj = json.load(fh)
     if obj.get("kind") == "complete":
-        return complete_complex(int(obj["n"]), int(obj["dim"]))
+        return complete_complex(int(_field(obj, "n")), int(_field(obj, "dim")))
     return complex_from_dict(obj)
 
 
@@ -126,10 +134,10 @@ def _load_graph_input(obj):
         with open(obj) as fh:
             obj = json.load(fh)
     if obj.get("kind") == "complete":
-        n = int(obj["n"])
+        n = int(_field(obj, "n"))
         return WGraph([(i, j, 1.0) for i in range(n) for j in range(i + 1, n)])
     if obj.get("kind") == "edges" or "edges" in obj:
-        return WGraph([tuple(e) for e in obj["edges"]])
+        return WGraph([tuple(e) for e in _field(obj, "edges")])
     raise InputError(f"unrecognized graph object: {sorted(obj)}")
 
 
@@ -139,7 +147,7 @@ def _load_genset_input(obj):
         with open(obj) as fh:
             obj = json.load(fh)
     if isinstance(obj, dict):
-        obj = obj["generators"]
+        obj = _field(obj, "generators")
     return [int(x) for x in obj]
 
 
@@ -172,9 +180,11 @@ def _transcript_digest(transcript):
 
 
 def _prune_stages(report, params, seed):
-    X = _load_complex_input(params["complex"])
-    group = _load_group_input(params["group"])
-    gens = groups_mod.validate_genset(group, _load_genset_input(params["genset"]))
+    X = _load_complex_input(_field(params, "complex"))
+    group = _load_group_input(_field(params, "group"))
+    gens = groups_mod.validate_genset(
+        group, _load_genset_input(_field(params, "genset"))
+    )
     config = _prune_config(params)
 
     t0 = time.perf_counter()
@@ -227,6 +237,21 @@ def _prune_stages(report, params, seed):
     return pruner, outcome
 
 
+def cover_link_gap(cover):
+    """Largest eigenvalue gap between a cover vertex's link skeleton and
+    the link skeleton of its image in the base."""
+    base_spec = {
+        v: adjacency_spectrum(cover.base.link_skeleton((v,))).eigenvalues
+        for v in cover.base.vertices
+    }
+    worst_gap = 0.0
+    for vid in cover.complex.vertices:
+        ev = adjacency_spectrum(cover.complex.link_skeleton((vid,))).eigenvalues
+        gap = max(abs(a - b) for a, b in zip(ev, base_spec[cover.phi(vid)]))
+        worst_gap = max(worst_gap, gap)
+    return worst_gap
+
+
 def _audit_clean_prune(report, pruner, outcome):
     X, group, gens, cayley, config = (
         pruner.X, pruner.group, pruner.gens, pruner.cayley, pruner.config
@@ -273,18 +298,7 @@ def _audit_clean_prune(report, pruner, outcome):
     )
     report.cover_export = covers_mod.cover_to_dict(cover)
 
-    worst_gap = 0.0
-    base_spec = {
-        v: adjacency_spectrum(y.link((v,)).one_skeleton()).eigenvalues
-        for v in y.vertices
-    }
-    for vid in cover.complex.vertices:
-        bv = cover.phi(vid)
-        ev = adjacency_spectrum(
-            cover.complex.link((vid,)).one_skeleton()
-        ).eigenvalues
-        gap = max(abs(a - b) for a, b in zip(ev, base_spec[bv]))
-        worst_gap = max(worst_gap, gap)
+    worst_gap = cover_link_gap(cover)
     report.add_audit("cover_link_spectra", worst_gap <= 1e-9, {"worst_gap": worst_gap})
 
     pm = pruning_mod.pruned_measure(y, outcome.labeling_dict(), group, gens, cayley)
@@ -315,21 +329,22 @@ def _audit_clean_prune(report, pruner, outcome):
 
 
 def run_prune(report, params, seed):
+    """The prune pipeline; returns the finished report, the Pruner and the
+    outcome."""
     pruner, outcome = _prune_stages(report, params, seed)
     if outcome.status != "clean":
         report.status = "budget_exhausted"
         report.exit_code = EXIT_BUDGET
-        return report.finish(), outcome
+        return report.finish(), pruner, outcome
     _audit_clean_prune(report, pruner, outcome)
-    return report.finish(), outcome
+    return report.finish(), pruner, outcome
 
 
 def run_cover_family(report, params, seed):
-    report, outcome = run_prune(report, params, seed)
+    report, pruner, outcome = run_prune(report, params, seed)
     if outcome.status != "clean":
         return report
-    group = _load_group_input(params["group"])
-    gens = groups_mod.validate_genset(group, _load_genset_input(params["genset"]))
+    group, gens = pruner.group, pruner.gens
     y = outcome.y
     f_elems = outcome.labeling_elements(gens)
     index_cap = int(params.get("index_cap", 64))
@@ -364,7 +379,7 @@ def run_cover_family(report, params, seed):
 
 
 def run_sparsify(report, params, seed):
-    G = _load_graph_input(params["graph"])
+    G = _load_graph_input(_field(params, "graph"))
     trial = sparsify_mod.sparsify_trial(
         G,
         float(params.get("p_split", 0.3)),
@@ -386,8 +401,8 @@ def run_sparsify(report, params, seed):
 
 
 def run_combine(report, params, seed):
-    X = _load_complex_input(params["complex"])
-    C = _load_complex_input(params["target"])
+    X = _load_complex_input(_field(params, "complex"))
+    C = _load_complex_input(_field(params, "target"))
     lam = params.get("lambda")
     if lam is None:
         lam = is_hdx(C, 1.0).worst_value
@@ -430,7 +445,7 @@ def run_combine(report, params, seed):
 
 
 def run_scan(report, params, seed):
-    group = _load_group_input(params["group"])
+    group = _load_group_input(_field(params, "group"))
     dim = int(params.get("dim", 2))
     candidates = groups_mod.scan_gensets(
         group,
@@ -485,7 +500,7 @@ def run_experiment(spec):
     t0 = time.perf_counter()
     try:
         PIPELINES[kind](report, params, seed)
-    except (OSError, json.JSONDecodeError, KeyError, InputError) as exc:
+    except (OSError, json.JSONDecodeError, InputError) as exc:
         report.status = "input_error"
         report.exit_code = EXIT_INPUT
         report.add_stage("error", {"message": str(exc)})

@@ -799,8 +799,7 @@ def measure_ratio_audit(
     sg = pruner.satisfaction_graph(tuple(sorted(sigma)), pruner.as_array(f))
     if sg.graph is None:
         raise Unmeasurable(f"satisfaction graph at {sigma!r} has no edges")
-    ylink = Y.link(tuple(sorted(sigma)))
-    yskel = ylink.one_skeleton()
+    yskel = Y.link_skeleton(sigma)
     bound = float(r) ** (15 * X.dim)
 
     same = set(yskel.vertices) == set(sg.graph.vertices) and set(

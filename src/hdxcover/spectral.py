@@ -9,7 +9,6 @@ of the analogously symmetrized side-to-side operator.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,15 +50,12 @@ class SpectralReport:
 
 
 def _symmetrized_matrix(G):
-    n = G.n
-    vm = G.vertex_measures()
-    M = np.zeros((n, n))
-    root = np.sqrt(vm)
-    for (u, v), w in zip(G.edges, G.weights):
-        iu, iv = G.vertex_index(u), G.vertex_index(v)
-        val = 0.5 * w / (root[iu] * root[iv])
-        M[iu, iv] = val
-        M[iv, iu] = val
+    M = np.zeros((G.n, G.n))
+    root = np.sqrt(G.vertex_measures())
+    iu, iv = G.ends
+    val = 0.5 * G.weights / (root[iu] * root[iv])
+    M[iu, iv] = val
+    M[iv, iu] = val
     return M
 
 
@@ -71,6 +67,22 @@ def adjacency_spectrum(G):
     return SpectralReport(tuple(float(e) for e in eigs), bipartite_lambda=bip)
 
 
+def _side_arrays(G):
+    """Side measures of the sorted left and right sides, and the positions
+    within them of each edge's left and right ends."""
+    # vertices are sorted, so each side in vertex order is that side sorted
+    is_left = np.zeros(G.n, dtype=bool)
+    is_left[[G.vertex_index(v) for v in G.sides[0]]] = True
+    rank = np.empty(G.n, dtype=np.intp)
+    rank[is_left] = np.arange(np.count_nonzero(is_left))
+    rank[~is_left] = np.arange(G.n - np.count_nonzero(is_left))
+    mass = 2.0 * G.vertex_measures()  # the side measures
+    u, v = G.ends
+    u_left = is_left[u]
+    a, b = rank[np.where(u_left, u, v)], rank[np.where(u_left, v, u)]
+    return mass[is_left], mass[~is_left], a, b
+
+
 def bipartite_lambda(G):
     """lambda(B): the norm of the side-to-side operator off the constants.
 
@@ -79,19 +91,9 @@ def bipartite_lambda(G):
     """
     if G.sides is None:
         raise NotBipartite("graph has no declared bipartition")
-    left = sorted(G.sides[0])
-    right = sorted(G.sides[1])
-    lpos = {v: i for i, v in enumerate(left)}
-    rpos = {v: i for i, v in enumerate(right)}
-    lmass = np.array([G.side_measure(v) for v in left])
-    rmass = np.array([G.side_measure(v) for v in right])
-    M = np.zeros((len(right), len(left)))
-    for (u, v), w in zip(G.edges, G.weights):
-        if u in lpos:
-            a, b = lpos[u], rpos[v]
-        else:
-            a, b = lpos[v], rpos[u]
-        M[b, a] = w / math.sqrt(lmass[a] * rmass[b])
+    lmass, rmass, a, b = _side_arrays(G)
+    M = np.zeros((len(rmass), len(lmass)))
+    M[b, a] = G.weights / np.sqrt(lmass[a] * rmass[b])
     sv = np.linalg.svd(M, compute_uv=False)
     return float(sv[1]) if len(sv) > 1 else 0.0
 
@@ -143,27 +145,21 @@ class HdxReport:
 
 
 def _link_row(X, face, mode):
-    rep = adjacency_spectrum(X.link(face).one_skeleton())
+    rep = adjacency_spectrum(X.link_skeleton(face))
     value = rep.one_sided if mode == "one_sided" else rep.two_sided
     ev = rep.eigenvalues
     lam2 = ev[1] if len(ev) > 1 else -1.0
     return HdxRow(face, float(lam2), float(ev[-1]), float(value))
 
 
-def is_hdx(X, lam, mode="two_sided", workers=0, include_empty_face=True):
+def is_hdx(X, lam, mode="two_sided", include_empty_face=True):
     """Certify link expansion for every face of dimension -1..d-2.
 
     Every link skeleton (including the complex's own, unless
-    include_empty_face is False) must have expansion at most lam.  Link
-    evaluations are independent; workers > 1 runs them concurrently.
+    include_empty_face is False) must have expansion at most lam.
     """
     lo = -1 if include_empty_face else 0
-    faces = [s for k in range(lo, X.dim - 1) for s in X.faces(k)]
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda s: _link_row(X, s, mode), faces))
-    else:
-        rows = [_link_row(X, s, mode) for s in faces]
+    rows = [_link_row(X, s, mode) for k in range(lo, X.dim - 1) for s in X.faces(k)]
     worst = max(rows, key=lambda r: r.value)
     # comparisons share the library-wide 1e-9 measure tolerance
     return HdxReport(
@@ -250,16 +246,9 @@ def _eml_exact_bipartite(G, limit):
         raise TooLargeForExact(
             f"sides {len(left)}x{len(right)} exceed the exact limit {limit}"
         )
-    lmass = np.array([G.side_measure(v) for v in left])
-    rmass = np.array([G.side_measure(v) for v in right])
+    lmass, rmass, a, b = _side_arrays(G)
     W = np.zeros((len(left), len(right)))
-    rpos = {v: i for i, v in enumerate(right)}
-    lpos = {v: i for i, v in enumerate(left)}
-    for (u, v), w in zip(G.edges, G.weights):
-        if u in lpos:
-            W[lpos[u], rpos[v]] = w
-        else:
-            W[lpos[v], rpos[u]] = w
+    W[a, b] = G.weights
     t_sums = _subset_sums(rmass)
     best = (-1.0, None, None)
     best_ratio = (-1.0, None, None)
@@ -290,9 +279,9 @@ def _eml_exact(G, limit):
         raise TooLargeForExact(f"{n} vertices exceed the exact limit {limit}")
     vmass = G.vertex_measures()
     W = np.zeros((n, n))
-    for (u, v), w in zip(G.edges, G.weights):
-        iu, iv = G.vertex_index(u), G.vertex_index(v)
-        W[iu, iv] = W[iv, iu] = w
+    iu, iv = G.ends
+    W[iu, iv] = G.weights
+    W[iv, iu] = G.weights
     best = (-1.0, None, None)
     best_ratio = (-1.0, None, None)
     pairs = 0

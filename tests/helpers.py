@@ -10,7 +10,8 @@ import math
 
 import numpy as np
 
-from hdxcover.complexes import build_complex
+from hdxcover.complexes import TOL, build_complex
+from hdxcover.covers import CoverReport
 from hdxcover.graphs import WGraph
 
 
@@ -134,3 +135,97 @@ def brute_face_measure(X, s):
         if set(s) <= set(face):
             total += w
     return total / math.comb(X.dim + 1, len(s))
+
+
+def plain_link_skeleton(X, s):
+    """Reference link skeleton: build the link complex, then one
+    face_measure per edge."""
+    L = X.link(s)
+    return WGraph([(u, v, L.face_measure((u, v))) for u, v in L.faces(1)])
+
+
+def plain_verify_cover(cover, tol=1e-9):
+    """Reference cover audit: a dict of link weights per lifted face."""
+    tilde, base = cover.complex, cover.base
+    violations = []
+
+    surj = set(cover.phi(v) for v in tilde.vertices) == set(base.vertices)
+    image_tops = {cover.phi_face(f) for f in tilde.top_faces}
+    surj = surj and image_tops == set(base.top_faces)
+
+    checked = 0
+    for k in range(0, tilde.dim + 1):
+        for face in tilde.faces(k):
+            checked += 1
+            img = cover.phi_face(face)
+            if len(set(img)) != len(face) or not base.has_face(img):
+                violations.append((face, "image is not a face"))
+                continue
+            if k == tilde.dim:
+                continue  # links of top faces are empty
+            idx = tilde.cofaces(face)
+            fset = set(face)
+            link_w = {}
+            for i in idx:
+                rest = tuple(v for v in tilde.top_faces[i] if v not in fset)
+                link_w[rest] = link_w.get(rest, 0.0) + tilde.weights[i]
+            lvs = {v for rest in link_w for v in rest}
+            phi_v = {v: cover.phi(v) for v in lvs}
+            if len(set(phi_v.values())) != len(lvs):
+                violations.append((face, "projection not injective on the link"))
+                continue
+            bidx = base.cofaces(img)
+            iset = set(img)
+            base_w = {}
+            for i in bidx:
+                rest = tuple(v for v in base.top_faces[i] if v not in iset)
+                base_w[rest] = base_w.get(rest, 0.0) + base.weights[i]
+            mapped = {
+                tuple(sorted(phi_v[v] for v in rest)): w for rest, w in link_w.items()
+            }
+            if set(mapped) != set(base_w):
+                violations.append((face, "link faces do not correspond"))
+                continue
+            ts = sum(link_w.values())
+            bs = sum(base_w.values())
+            for rest, w in mapped.items():
+                if abs(w / ts - base_w[rest] / bs) > tol:
+                    violations.append((face, f"link weight mismatch at {rest}"))
+                    break
+    return CoverReport(
+        ok=surj and not violations,
+        surjective=surj,
+        faces_checked=checked,
+        violations=tuple(violations),
+    )
+
+
+def plain_check_suitable(X, c, r):
+    """Reference degree and weight conditions of check_suitable, vertex by
+    vertex and edge by edge over reference link skeletons; returns
+    (degree_ok, degree_witness, weight_ok, weight_witness)."""
+    q = max(len(X.cofaces((v,))) for v in X.vertices)
+    bound = c * (1.0 + math.log(q))
+    degree_ok, degree_witness = True, None
+    weight_ok, weight_witness = True, None
+    for ell in range(0, X.dim - 1):
+        for sigma in X.faces(ell):
+            skel = plain_link_skeleton(X, sigma)
+            for v in skel.vertices:
+                deg = len(skel.neighbors(v))
+                if deg < bound and degree_ok:
+                    degree_ok, degree_witness = False, (sigma, v, deg)
+            m = skel.m
+            lo_e, hi_e = 1.0 / (r * m), r / m
+            for (u, v), w in zip(skel.edges, skel.weights):
+                if not (lo_e - TOL <= w <= hi_e + TOL) and weight_ok:
+                    weight_ok = False
+                    weight_witness = (sigma, "edge", (u, v), float(w), lo_e, hi_e)
+            nn = skel.n
+            lo_v, hi_v = 1.0 / (r * nn), r / nn
+            for v in skel.vertices:
+                w = skel.vertex_measure(v)
+                if not (lo_v - TOL <= w <= hi_v + TOL) and weight_ok:
+                    weight_ok = False
+                    weight_witness = (sigma, "vertex", v, float(w), lo_v, hi_v)
+    return degree_ok, degree_witness, weight_ok, weight_witness

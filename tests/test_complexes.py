@@ -24,8 +24,16 @@ from hdxcover.errors import (
     TopFace,
     ZeroMeasure,
 )
+from hdxcover.covers import build_cover, coboundary_labeling
+from hdxcover.groups import cayley_clique_complex, cyclic, dihedral, symmetric_group
+from hdxcover.spectral import adjacency_spectrum
 
-from helpers import brute_face_measure, random_complex
+from helpers import (
+    brute_face_measure,
+    plain_check_suitable,
+    plain_link_skeleton,
+    random_complex,
+)
 
 
 class TestBuild:
@@ -203,6 +211,66 @@ class TestOneSkeleton:
             X.one_skeleton()
 
 
+def _skeleton_inputs():
+    rng = np.random.default_rng(11)
+    out = []
+    for dim, n in ((2, 8), (3, 8), (4, 8)):
+        for i in range(2):
+            out.append((f"random-d{dim}-{i}", random_complex(rng, n, dim, keep=0.6)))
+    for name, g, seeds, dim in (
+        ("Z7", cyclic(7), (1, 2), 2),
+        ("D5", dihedral(5), (1, 5, 6), 2),
+        ("S4", symmetric_group(4), (1, 2, 3, 5), 3),
+    ):
+        gens = sorted({h for x in seeds for h in (x, g.inv(x))})
+        out.append((f"cayley-{name}", cayley_clique_complex(g, gens, dim).complex))
+    for dim in (2, 3):
+        X = random_complex(rng, 7, dim, keep=0.7)
+        g = cyclic(3)
+        f = coboundary_labeling(X, g, {v: int(rng.integers(3)) for v in X.vertices})
+        out.append((f"cover-d{dim}", build_cover(X, f, g).complex))
+    return out
+
+
+SKELETON_INPUTS = _skeleton_inputs()
+
+
+class TestLinkSkeleton:
+    """The top-face-array skeleton against the link-complex reference."""
+
+    @pytest.mark.parametrize(
+        "X", [x for _, x in SKELETON_INPUTS], ids=[i for i, _ in SKELETON_INPUTS]
+    )
+    def test_matches_reference(self, X):
+        faces = [s for k in range(-1, X.dim - 1) for s in X.faces(k)]
+        assert () in faces
+        for s in faces:
+            new, ref = X.link_skeleton(s), plain_link_skeleton(X, s)
+            assert new.vertices == ref.vertices
+            assert new.edges == ref.edges
+            assert np.abs(new.weights - ref.weights).max() <= 1e-12
+            assert np.abs(new.vertex_measures() - ref.vertex_measures()).max() <= 1e-12
+            ev_new = np.array(adjacency_spectrum(new).eigenvalues)
+            ev_ref = np.array(adjacency_spectrum(ref).eigenvalues)
+            assert np.abs(ev_new - ev_ref).max() <= 1e-12
+
+    def test_one_skeleton_is_the_empty_face(self):
+        X = random_complex(np.random.default_rng(4), 7, 3)
+        G = X.one_skeleton()
+        assert G.edges == X.faces(1)
+        for e, w in zip(G.edges, G.weights):
+            assert w == pytest.approx(X.face_measure(e), abs=1e-12)
+
+    def test_errors_match_link(self):
+        X = complete_complex(5, 2)
+        with pytest.raises(TopFace):
+            X.link_skeleton((0, 1, 2))
+        with pytest.raises(BadLevel):
+            X.link_skeleton((0, 1))
+        with pytest.raises(NotAFace):
+            X.link_skeleton((0, 9))
+
+
 class TestDegree:
     def test_complete_vertex(self):
         X = complete_complex(8, 2)
@@ -298,3 +366,19 @@ class TestSuitability:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             check_suitable(complete_complex(5, 2), c=0.5, r=1.5, eta=0.3)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("keep", [0.6, 1.0])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_witnesses_match_reference(self, seed, keep, dim):
+        X = random_complex(np.random.default_rng(seed), 8, dim, keep=keep)
+        for c, r in ((1.1, 1.5), (1.5, 3.0), (1.01, 10.0)):
+            rep = check_suitable(X, c=c, r=r, eta=0.5)
+            ref = plain_check_suitable(X, c, r)
+            assert (rep.degree_ok, rep.degree_witness) == ref[:2]
+            assert rep.weight_ok == ref[2]
+            if ref[3] is None:
+                assert rep.weight_witness is None
+            else:
+                assert rep.weight_witness[:3] == ref[3][:3]
+                assert rep.weight_witness[3:] == pytest.approx(ref[3][3:], abs=1e-12)

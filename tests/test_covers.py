@@ -232,6 +232,56 @@ class TestVerifyCover:
         rep = verify_cover(build_cover(X, f, g))
         assert rep.ok
 
+    @pytest.mark.parametrize(
+        "damage", ["none", "delete", "unhit", "reweight", "merge", "outside"]
+    )
+    @pytest.mark.parametrize("case", ["annulus-Z4", "K6-Z3", "K7-d3-Z2"])
+    def test_matches_reference(self, case, damage):
+        from hdxcover.covers import CoverComplex
+
+        from helpers import plain_verify_cover
+
+        rng = np.random.default_rng(len(case) + len(damage))
+        if case == "annulus-Z4":
+            g = cyclic(4)
+            X, f = annulus_cocycle(g, 1)
+        else:
+            n, dim, order = {"K6-Z3": (6, 2, 3), "K7-d3-Z2": (7, 3, 2)}[case]
+            g = cyclic(order)
+            X = complete_complex(n, dim)
+            potential = {v: int(rng.integers(order)) for v in X.vertices}
+            f = coboundary_labeling(X, g, potential)
+        cover = build_cover(X, f, g)
+        tops, weights = list(cover.complex.top_faces), cover.complex.weights.copy()
+        legend = dict(cover.legend)
+        i = int(rng.integers(len(tops)))
+        if damage == "delete":
+            del tops[i]
+            weights = np.delete(weights, i)
+        elif damage == "unhit":
+            # every lift of one base top face goes
+            lost = [j for j, t in enumerate(tops) if cover.phi_face(t) == X.top_faces[0]]
+            tops = [t for j, t in enumerate(tops) if j not in lost]
+            weights = np.delete(weights, lost)
+        elif damage == "reweight":
+            weights[i] *= 3.0
+        elif damage == "merge":
+            # two vertices of one top face's link over distinct base
+            # vertices now project to the same one
+            y, z = tops[i][1:3]
+            legend[z] = (legend[y][0], legend[z][1])
+        elif damage == "outside":
+            y = tops[i][0]
+            legend[y] = (max(X.vertices) + 100, legend[y][1])
+        tilde = build_complex(X.dim, tops, weights)
+        damaged = CoverComplex(tilde, X, g, f, legend)
+        rep, ref = verify_cover(damaged), plain_verify_cover(damaged)
+        assert rep.ok == ref.ok
+        assert rep.surjective == ref.surjective
+        assert rep.faces_checked == ref.faces_checked
+        assert rep.violations == ref.violations
+        assert rep.ok == (damage == "none")
+
     def test_link_spectra_inherited(self):
         from hdxcover.spectral import adjacency_spectrum
 

@@ -4,15 +4,21 @@ import numpy as np
 import pytest
 
 from hdxcover.cli import main
+from hdxcover import harness
+from hdxcover.complexes import PureComplex, check_suitable, complete_complex
+from hdxcover.covers import build_cover, coboundary_labeling
+from hdxcover.groups import cyclic
 from hdxcover.harness import (
     EXIT_AUDIT,
     EXIT_BUDGET,
     EXIT_CLEAN,
     EXIT_INPUT,
+    cover_link_gap,
     emit_report,
     run_experiment,
     stage_seed,
 )
+from hdxcover.spectral import is_hdx
 
 PRUNE_SPEC = {
     "kind": "prune",
@@ -223,6 +229,47 @@ class TestErrors:
         }
         rep = run_experiment(spec)
         assert rep.exit_code == EXIT_INPUT
+
+
+    def test_missing_spec_key_is_input_error(self):
+        params = dict(PRUNE_SPEC["params"])
+        del params["genset"]
+        rep = run_experiment({"kind": "prune", "params": params, "seed": 0})
+        assert rep.exit_code == EXIT_INPUT
+        assert "genset" in rep.stages[-1]["result"]["message"]
+
+    def test_missing_group_key_is_input_error(self):
+        params = dict(PRUNE_SPEC["params"], group={"kind": "cyclic"})
+        rep = run_experiment({"kind": "prune", "params": params, "seed": 0})
+        assert rep.exit_code == EXIT_INPUT
+
+    def test_internal_key_error_propagates(self, monkeypatch):
+        def broken(report, params, seed):
+            return {}["missing"]
+
+        monkeypatch.setitem(harness.PIPELINES, "prune", broken)
+        with pytest.raises(KeyError):
+            run_experiment(PRUNE_SPEC)
+
+
+class TestLinkSkeletonPath:
+    def test_certifiers_build_no_complex_per_link(self, monkeypatch):
+        X = complete_complex(9, 3)
+        g = cyclic(3)
+        f = coboundary_labeling(X, g, {v: v % 3 for v in X.vertices})
+        cover = build_cover(X, f, g)
+        built = []
+        init = PureComplex.__init__
+
+        def counting_init(self, *args):
+            built.append(args[1])
+            init(self, *args)
+
+        monkeypatch.setattr(PureComplex, "__init__", counting_init)
+        assert is_hdx(X, 0.9).passes
+        check_suitable(X, c=1.1, r=1.5, eta=0.9)
+        assert cover_link_gap(cover) <= 1e-9
+        assert built == []
 
 
 class TestStageSeeds:

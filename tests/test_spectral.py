@@ -144,12 +144,6 @@ class TestIsHdx:
             again = adjacency_spectrum(X.link(row.face).one_skeleton())
             assert row.value == pytest.approx(again.two_sided, abs=1e-12)
 
-    def test_workers_match_serial(self):
-        X = complete_complex(7, 2)
-        a = is_hdx(X, 0.5)
-        b = is_hdx(X, 0.5, workers=4)
-        assert [r.value for r in a.rows] == [r.value for r in b.rows]
-
 
 class TestEml:
     def test_complete_exact_vs_lambda(self):
