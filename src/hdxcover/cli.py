@@ -17,9 +17,8 @@ from .complexes import (
     tensor_with_complete,
 )
 from .errors import HdxError
-from .harness import emit_report, run_experiment
+from .harness import _load_graph_input, emit_report, run_experiment
 from .spectral import adjacency_spectrum, eml_discrepancy, converse_eml_bound, is_hdx
-from .graphs import WGraph
 
 
 def _add_common(p):
@@ -73,9 +72,6 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("prune")
-    _add_prune_flags(p)
-
-    p = sub.add_parser("cover", help="build and verify the cover of a clean run")
     _add_prune_flags(p)
 
     p = sub.add_parser("cover-family")
@@ -149,9 +145,7 @@ def main(argv=None):
             print(json.dumps(rep.to_dict(), sort_keys=True, indent=2))
             return 0 if rep.passes else 3
         if args.command == "eml":
-            with open(args.graph) as fh:
-                obj = json.load(fh)
-            G = WGraph([tuple(e) for e in obj["edges"]])
+            G = _load_graph_input(args.graph)
             if args.samples:
                 rep = eml_discrepancy(G, "sampled", samples=args.samples,
                                       rng=args.seed)
@@ -170,7 +164,7 @@ def main(argv=None):
             }
             print(json.dumps(out, sort_keys=True, indent=2))
             return 0
-        if args.command in ("prune", "cover"):
+        if args.command == "prune":
             return _run_and_emit("prune", _prune_params(args), args)
         if args.command == "cover-family":
             params = _prune_params(args)
@@ -205,7 +199,7 @@ def main(argv=None):
     except HdxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except OSError as exc:
+    except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     return 0

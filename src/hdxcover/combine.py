@@ -9,15 +9,23 @@ non-degenerate coloring into the target.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .complexes import PureComplex, build_complex
 from .errors import BadKindForFace, NotAFace, UnsatisfiedBase
-from .graphs import WGraph
-from .spectral import adjacency_spectrum, is_hdx
+from .pruning import (
+    build_link_table,
+    build_satisfaction_graph,
+    event_face,
+    event_list,
+    link_rows,
+    ne_violated,
+    resample,
+    target_link,
+)
+from .spectral import is_hdx
 
 
 @dataclass(frozen=True)
@@ -30,22 +38,14 @@ class CombineConfig:
     def __post_init__(self):
         if not (0.0 < self.lambda_target < 1.0):
             raise ValueError("lambda_target must lie in (0, 1)")
+        if self.max_resamples < 1:
+            raise ValueError("max_resamples must be at least 1")
 
     @property
     def resolved_ne_threshold(self):
         return (
             self.ne_threshold if self.ne_threshold is not None else self.lambda_target
         )
-
-
-@dataclass(frozen=True)
-class ColorSatGraph:
-    sigma: tuple
-    graph: WGraph | None
-    link_graph: WGraph | None
-    degenerate: bool
-    missing: tuple | None
-    dropped_vertices: tuple
 
 
 @dataclass
@@ -61,7 +61,12 @@ class CombineOutcome:
 
 
 class Combiner:
-    """Precomputed machinery for one (complex, target) pair."""
+    """Precomputed machinery for one (complex, target) pair.
+
+    The variables are vertex colors; a face is satisfied when its colors
+    are distinct and span a face of the target.  `resample` drives the
+    events.
+    """
 
     def __init__(self, X, C, config):
         if X.dim != C.dim:
@@ -73,8 +78,20 @@ class Combiner:
         self.vpos = {v: i for i, v in enumerate(X.vertices)}
         self.tops = X.top_faces
         self.c_tops = set(C.top_faces)
+        self.c_verts = np.array(C.vertices, dtype=np.int64)
+        # the faces of C per size k, as sorted base-n numbers over their
+        # vertex ranks
+        self._base = len(C.vertices) ** np.arange(self.d + 2)
+        self._c_codes = {}
+        for k in range(0, self.d + 2):
+            faces = np.array(C.faces(k - 1), dtype=np.int64)
+            codes = np.searchsorted(self.c_verts, faces) @ self._base[:k]
+            self._c_codes[k] = np.sort(codes)
         self._image_links = {}
         self._link_vertices = {}
+        self._link_tables = {}
+        # the dimensions at which each event kind is defined
+        self.kind_dims = {"AC": range(0, self.d), "NE": range(0, self.d - 1)}
         self._events = None
 
     # --- satisfaction ---
@@ -94,43 +111,38 @@ class Combiner:
         face = tuple(sorted(face))
         if not self.X.has_face(face):
             raise NotAFace(f"{face!r} is not a face")
-        img = self.image(face, col)
-        return len(set(img)) == len(face) and self.C.has_face(img)
+        rows = np.array([[self.vpos[v] for v in face]], dtype=np.intp)
+        return bool(self.rows_ok(col, rows.reshape(1, len(face)))[0])
+
+    def rows_ok(self, col, rows):
+        """Whether the colors of each row of vertex positions are distinct
+        and span a face of C; a repeated color spans no face."""
+        c = np.sort(col[rows], axis=1)
+        rank = np.searchsorted(self.c_verts, c).clip(max=len(self.c_verts) - 1)
+        k = rows.shape[1]
+        codes, code = self._c_codes[k], rank @ self._base[:k]
+        found = codes[np.searchsorted(codes, code).clip(max=len(codes) - 1)] == code
+        return (self.c_verts[rank] == c).all(axis=1) & found
 
     def satisfied_mask(self, col):
-        out = np.empty(len(self.tops), dtype=bool)
-        for i, face in enumerate(self.tops):
-            img = self.image(face, col)
-            out[i] = len(set(img)) == self.d + 1 and img in self.c_tops
-        return out
-
-    def target_link(self, image):
-        if image not in self._image_links:
-            self._image_links[image] = self.C.link(image)
-        return self._image_links[image]
+        return self.rows_ok(col, self.X.top_positions())
 
     def link_vertices(self, face):
+        """Positions of the link vertices of face, sorted; cached."""
         if face not in self._link_vertices:
-            fset = set(face)
-            seen = set()
-            for i in self.X.cofaces(face):
-                seen.update(v for v in self.X.top_faces[i] if v not in fset)
-            self._link_vertices[face] = tuple(sorted(seen))
+            self._link_vertices[face] = np.unique(link_rows(self.X, face)[2])
         return self._link_vertices[face]
+
+    def link_table(self, sigma):
+        if sigma not in self._link_tables:
+            self._link_tables[sigma] = build_link_table(self.X, sigma)
+        return self._link_tables[sigma]
 
     # --- events ---
 
     def events(self):
         if self._events is None:
-            ev = []
-            for ell in range(0, self.d):
-                for s in self.X.faces(ell):
-                    ev.append(("AC", s))
-            for ell in range(0, self.d - 1):
-                for s in self.X.faces(ell):
-                    ev.append(("NE", s))
-            ev.sort()
-            self._events = tuple(ev)
+            self._events = event_list(self.X, self.kind_dims)
         return self._events
 
     def eval_ac(self, face, col):
@@ -138,101 +150,63 @@ class Combiner:
         if not self.face_satisfied(face, col):
             return False
         img = self.image(face, col)
-        completions = set(self.target_link(img).vertices)
-        present = {int(col[self.vpos[v]]) for v in self.link_vertices(face)}
+        completions = set(target_link(self.C, img, self._image_links)[0].vertices)
+        present = set(col[self.link_vertices(face)].tolist())
         return bool(completions - present)
 
-    def satisfaction_graph(self, sigma, col):
+    def satisfaction_graph(self, sigma, col, satisfied=None):
         sigma = tuple(sorted(sigma))
         if len(sigma) - 1 > self.d - 2:
             raise BadKindForFace("satisfaction graphs exist up to dimension d-2")
-        if sigma != () and not self.face_satisfied(sigma, col):
-            raise UnsatisfiedBase(f"{sigma!r} is not satisfied")
-        sset = set(sigma)
-        vert_ok = {}
-        edge_mass = {}
-        for i in self.X.cofaces(sigma):
-            face = self.X.top_faces[i]
-            rest = [v for v in face if v not in sset]
-            for v in rest:
-                if v not in vert_ok:
-                    vert_ok[v] = self.face_satisfied(tuple(sorted(sigma + (v,))), col)
-            for u, w in itertools.combinations(rest, 2):
-                key = (u, w) if u < w else (w, u)
-                if key not in edge_mass:
-                    sat = self.face_satisfied(tuple(sorted(sigma + key)), col)
-                    edge_mass[key] = 0.0 if sat else None
-                if edge_mass[key] is not None:
-                    edge_mass[key] += self.X.weights[i]
-        edges = {k: m for k, m in edge_mass.items() if m is not None and m > 0}
-        good = tuple(sorted(v for v, ok in vert_ok.items() if ok))
-        if not edges:
-            return ColorSatGraph(sigma, None, None, True, None, good)
-        link_graph = WGraph([(u, v, m) for (u, v), m in edges.items()])
-        dropped = tuple(v for v in good if v not in set(link_graph.vertices))
-
         if sigma == ():
             # no reference link; the graph itself is the object of interest
-            return ColorSatGraph(sigma, link_graph, link_graph, False, None, dropped)
-        img = self.image(sigma, col)
-        tskel = self.target_link(img).one_skeleton()
-        fiber = {}
-        for (u, v), m in edges.items():
-            key = tuple(sorted((int(col[self.vpos[u]]), int(col[self.vpos[v]]))))
-            fiber[key] = fiber.get(key, 0.0) + m
-        for e in tskel.edges:
-            if e not in fiber:
-                return ColorSatGraph(sigma, None, link_graph, True, e, dropped)
-        tw = {e: w for e, w in zip(tskel.edges, tskel.weights)}
-        colored = []
-        for (u, v), m in edges.items():
-            key = tuple(sorted((int(col[self.vpos[u]]), int(col[self.vpos[v]]))))
-            colored.append((u, v, tw[key] * m / fiber[key]))
-        return ColorSatGraph(
-            sigma, WGraph(colored), link_graph, False, None, dropped
+            return build_satisfaction_graph(self, sigma, col, satisfied)
+        if not self.face_satisfied(sigma, col):
+            raise UnsatisfiedBase(f"{sigma!r} is not satisfied")
+        return build_satisfaction_graph(
+            self,
+            sigma,
+            col,
+            satisfied,
+            lambda v: int(col[self.vpos[v]]),
+            target_link(self.C, self.image(sigma, col), self._image_links),
         )
 
-    def eval_ne(self, sigma, col):
+    def eval_ne(self, sigma, col, satisfied=None):
         if sigma != () and not self.face_satisfied(sigma, col):
             return False
-        sg = self.satisfaction_graph(sigma, col)
-        if sg.degenerate or sg.graph is None or sg.dropped_vertices:
-            return True
-        thr = self.config.resolved_ne_threshold + 1e-9
-        if adjacency_spectrum(sg.graph).two_sided > thr:
-            return True
-        if self.config.ne_check_link_measure:
-            if adjacency_spectrum(sg.link_graph).two_sided > thr:
-                return True
-        return False
+        return ne_violated(self.satisfaction_graph(sigma, col, satisfied), self.config)
 
     def eval_event(self, kind, face, col):
-        face = tuple(sorted(face))
-        ell = len(face) - 1
+        face = event_face(self.kind_dims, kind, face)
         if kind == "AC":
-            if not 0 <= ell <= self.d - 1:
-                raise BadKindForFace(f"AC applies to dimensions 0..{self.d - 1}")
             return self.eval_ac(face, col)
-        if kind == "NE":
-            if not 0 <= ell <= self.d - 2:
-                raise BadKindForFace(f"NE applies to dimensions 0..{self.d - 2}")
-            return self.eval_ne(face, col)
-        raise BadKindForFace(f"unknown event kind {kind!r}")
+        return self.eval_ne(face, col)
 
-    def event_scope(self, face):
+    def event_scope(self, kind, face):
         """Vertex positions whose colors the events at this face read."""
-        verts = set(face) | set(self.link_vertices(face))
-        return tuple(sorted(self.vpos[v] for v in verts))
+        if kind not in self.kind_dims:
+            raise BadKindForFace(f"unknown event kind {kind!r}")
+        own = np.searchsorted(self.X.vertices, face)
+        return tuple(np.union1d(own, self.link_vertices(face)).tolist())
 
-    def first_violated(self, col):
+    def violations(self, col):
+        """The violated events in events() order, found lazily; the
+        satisfied top faces are computed once."""
+        satisfied = self.satisfied_mask(col)
         for kind, face in self.events():
             if kind == "AC":
                 hit = self.eval_ac(face, col)
             else:
-                hit = self.eval_ne(face, col)
+                hit = self.eval_ne(face, col, satisfied)
             if hit:
-                return kind, face
-        return None
+                yield kind, face
+
+    def first_violated(self, col):
+        return next(self.violations(col), None)
+
+    def all_violations(self, col):
+        return tuple(self.violations(col))
 
     # --- pruning ---
 
@@ -259,48 +233,22 @@ class Combiner:
 
     def run(self, rng):
         rng = np.random.default_rng(rng)
-        n_colors = len(self.C.vertices)
-        color_ids = np.array(self.C.vertices, dtype=np.int64)
-        col = color_ids[rng.integers(0, n_colors, size=len(self.X.vertices))]
-        transcript = []
-        resamples = 0
-        while True:
-            violated = self.first_violated(col)
-            if violated is None:
-                y, kind, _ = self.c_pruning(col)
-                return CombineOutcome(
-                    status="clean",
-                    coloring={v: int(col[self.vpos[v]]) for v in self.X.vertices},
-                    y=y,
-                    measure_kind=kind,
-                    resamples=resamples,
-                    transcript=tuple(transcript),
-                    violations_remaining=(),
-                    config=self.config,
-                )
-            if resamples >= self.config.max_resamples:
-                y, kind, _ = self.c_pruning(col)
-                remaining = tuple(
-                    (k, s) for k, s in self.events() if self.eval_event(k, s, col)
-                )
-                return CombineOutcome(
-                    status="budget_exhausted",
-                    coloring={v: int(col[self.vpos[v]]) for v in self.X.vertices},
-                    y=y,
-                    measure_kind=kind,
-                    resamples=resamples,
-                    transcript=tuple(transcript),
-                    violations_remaining=remaining,
-                    config=self.config,
-                )
-            kind, face = violated
-            scope = self.event_scope(face)
-            col = col.copy()
-            col[list(scope)] = color_ids[
-                rng.integers(0, n_colors, size=len(scope))
-            ]
-            transcript.append((resamples, kind, face, scope))
-            resamples += 1
+        colors = np.array(self.C.vertices, dtype=np.int64)
+        col = colors[rng.integers(0, len(colors), size=len(self.X.vertices))]
+        col, transcript, remaining = resample(
+            self, col, colors, rng, self.config.max_resamples
+        )
+        y, kind, _ = self.c_pruning(col)
+        return CombineOutcome(
+            status="budget_exhausted" if remaining else "clean",
+            coloring={v: int(col[self.vpos[v]]) for v in self.X.vertices},
+            y=y,
+            measure_kind=kind,
+            resamples=len(transcript),
+            transcript=transcript,
+            violations_remaining=remaining,
+            config=self.config,
+        )
 
 
 # --- module-level wrappers ---

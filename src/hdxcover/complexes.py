@@ -134,9 +134,6 @@ class PureComplex:
             raise NotAFace(f"oriented face {seq!r} has repeated vertices")
         return self.face_measure(seq) / math.factorial(len(seq))
 
-    def level_mass(self, k):
-        return sum(self.face_measure(s) for s in self.faces(k))
-
     # --- derived complexes ---
 
     def link(self, s):

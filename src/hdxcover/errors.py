@@ -137,9 +137,5 @@ class EmptyResult(HdxError):
 
 # --- harness ---
 
-class IoError(HdxError):
-    pass
-
-
 class InputError(HdxError):
     """Bad experiment spec or unreadable input file."""

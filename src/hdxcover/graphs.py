@@ -141,13 +141,6 @@ class WGraph:
         """List of (neighbor, edge index) pairs."""
         return list(self._adjacency[v])
 
-    def edge_weight(self, u, v):
-        key = (u, v) if u < v else (v, u)
-        for w, i in self._adjacency.get(key[0], ()):
-            if w == key[1]:
-                return self.weights[i]
-        raise KeyError(f"{key!r} is not an edge")
-
     def has_edge(self, u, v):
         key = (u, v) if u < v else (v, u)
         return any(w == key[1] for w, _ in self._adjacency.get(key[0], ()))
@@ -180,12 +173,6 @@ class WGraph:
         sides = None if self.sides is None else (self.sides[0], self.sides[1])
         return WGraph(
             [(u, v, w) for (u, v), w in zip(self.edges, new_weights)], sides=sides
-        )
-
-    def with_sides(self, left, right):
-        return WGraph(
-            [(u, v, w) for (u, v), w in zip(self.edges, self.weights)],
-            sides=(left, right),
         )
 
     def __repr__(self):

@@ -6,7 +6,6 @@ full associativity for orders up to 256, random triples above that.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
@@ -186,11 +185,6 @@ def make_group(spec, cap=DEFAULT_ORDER_CAP):
     if kind == "table":
         return group_from_table(field("mul"), spec.get("name", "table"), cap)
     raise NotAGroup(f"unknown group kind {kind!r}")
-
-
-def load_group(path, cap=DEFAULT_ORDER_CAP):
-    with open(path) as fh:
-        return make_group(json.load(fh), cap)
 
 
 def group_to_dict(group):
@@ -440,7 +434,7 @@ def _score_genset(group, elems, d, eta_target):
     )
 
 
-def scan_gensets(groups, d, eta_target=None, max_size=8, dedupe=True, workers=0):
+def scan_gensets(groups, d, eta_target=None, max_size=8, dedupe=True):
     """Enumerate symmetric generating sets and score their Cayley links.
 
     The score is the worst two-sided expansion over all proper links of
@@ -448,8 +442,6 @@ def scan_gensets(groups, d, eta_target=None, max_size=8, dedupe=True, workers=0)
     scored).  Impure candidates are skipped; candidates come back sorted
     by score.  When the group's element ids add mod n, candidates equivalent
     under multiplication by a unit (an automorphism) are deduplicated.
-    Scoring is independent per candidate and runs concurrently when
-    workers > 1.
     """
     if isinstance(groups, GroupTable):
         groups = [groups]
@@ -471,15 +463,7 @@ def scan_gensets(groups, d, eta_target=None, max_size=8, dedupe=True, workers=0)
                         continue
                     seen_canon.add(canon)
                 todo.append((group, elems))
-    if workers and workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            scored = list(
-                pool.map(lambda t: _score_genset(t[0], t[1], d, eta_target), todo)
-            )
-    else:
-        scored = [_score_genset(g, e, d, eta_target) for g, e in todo]
+    scored = [_score_genset(g, e, d, eta_target) for g, e in todo]
     out = [c for c in scored if c is not None]
     out.sort(key=lambda c: (c.worst_link_lambda, c.group_name, c.gens))
     return out

@@ -7,6 +7,7 @@ so identical seeds reproduce identical report bytes.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -103,36 +104,33 @@ def _field(obj, key):
         raise InputError(f"spec object is missing {key!r}") from None
 
 
-def _maybe_inline(obj):
-    """File path, or inline JSON when the string looks like JSON."""
+def _read_input(obj):
+    """A spec value as parsed JSON: inline JSON when the string looks like
+    JSON, else a file path to read; other values pass through."""
     if isinstance(obj, str) and obj.lstrip()[:1] in ("{", "["):
         return json.loads(obj)
+    if isinstance(obj, str):
+        with open(obj) as fh:
+            return json.load(fh)
     return obj
 
 
 def _load_complex_input(obj):
-    obj = _maybe_inline(obj)
-    if isinstance(obj, str):
-        with open(obj) as fh:
-            obj = json.load(fh)
+    obj = _read_input(obj)
     if obj.get("kind") == "complete":
         return complete_complex(int(_field(obj, "n")), int(_field(obj, "dim")))
     return complex_from_dict(obj)
 
 
 def _load_group_input(obj):
-    obj = _maybe_inline(obj)
-    if isinstance(obj, str):
-        with open(obj) as fh:
-            obj = json.load(fh)
+    obj = _read_input(obj)
     return groups_mod.make_group(obj)
 
 
 def _load_graph_input(obj):
-    obj = _maybe_inline(obj)
-    if isinstance(obj, str):
-        with open(obj) as fh:
-            obj = json.load(fh)
+    obj = _read_input(obj)
+    if not isinstance(obj, dict):
+        raise InputError("a graph is a JSON object")
     if obj.get("kind") == "complete":
         n = int(_field(obj, "n"))
         return WGraph([(i, j, 1.0) for i in range(n) for j in range(i + 1, n)])
@@ -142,10 +140,7 @@ def _load_graph_input(obj):
 
 
 def _load_genset_input(obj):
-    obj = _maybe_inline(obj)
-    if isinstance(obj, str):
-        with open(obj) as fh:
-            obj = json.load(fh)
+    obj = _read_input(obj)
     if isinstance(obj, dict):
         obj = _field(obj, "generators")
     return [int(x) for x in obj]
@@ -154,6 +149,20 @@ def _load_genset_input(obj):
 # --- pipelines ---
 
 
+def _spec_config(build):
+    """Wrap a config builder so that a spec value it rejects is bad input."""
+
+    @functools.wraps(build)
+    def wrapped(*args):
+        try:
+            return build(*args)
+        except ValueError as exc:
+            raise InputError(f"bad parameter: {exc}") from None
+
+    return wrapped
+
+
+@_spec_config
 def _prune_config(params):
     mode = params.get("mode", "empirical")
     kw = dict(
@@ -170,6 +179,14 @@ def _prune_config(params):
         mr = kw.pop("max_resamples")
         return pruning_mod.PruneConfig.empirical(lam, max_resamples=mr, **kw)
     raise InputError(f"unknown prune mode {mode!r}")
+
+
+@_spec_config
+def _combine_config(params, lam):
+    return combine_mod.CombineConfig(
+        lambda_target=float(lam),
+        max_resamples=int(params.get("max_resamples", 10_000)),
+    )
 
 
 def _transcript_digest(transcript):
@@ -407,10 +424,7 @@ def run_combine(report, params, seed):
     if lam is None:
         lam = is_hdx(C, 1.0).worst_value
         lam = max(min(lam, 0.999), 1e-6)
-    config = combine_mod.CombineConfig(
-        lambda_target=float(lam),
-        max_resamples=int(params.get("max_resamples", 10_000)),
-    )
+    config = _combine_config(params, lam)
     outcome = combine_mod.moser_tardos_combine(
         X, C, config, stage_seed(seed, "combine")
     )

@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,9 +38,6 @@ from .errors import (
 from .graphs import WGraph
 from .groups import cayley_clique_complex
 from .spectral import adjacency_spectrum
-
-KIND_ORDER = ("AT", "BC", "EC", "NE")
-
 
 @dataclass(frozen=True)
 class PruneConfig:
@@ -99,13 +97,6 @@ class PruneConfig:
 
 
 @dataclass(frozen=True)
-class BadEvent:
-    kind: str
-    face: tuple
-    scope: tuple  # labeling positions the event reads
-
-
-@dataclass(frozen=True)
 class SatisfactionGraph:
     """Satisfaction graph of a face with its coloring into a Cayley link."""
 
@@ -117,6 +108,178 @@ class SatisfactionGraph:
     degenerate: bool
     missing: tuple | None
     dropped_vertices: tuple
+
+
+# --- the resampling engine shared with combine ---
+
+
+class LinkTable(NamedTuple):
+    """The link of a face, read off the top faces; no labeling involved."""
+
+    verts: tuple  # link vertices, sorted
+    uv: np.ndarray  # (2, edges) link edge ends, in first-seen coface order
+    mass: np.ndarray  # per edge, its cofaces' weights summed in coface order
+    top: np.ndarray  # per edge, the first coface holding it
+    vert_rows: np.ndarray  # per vertex v, the sorted vertex positions of face + v
+    edge_rows: np.ndarray | None  # the same for face + edge; None at top faces
+
+
+def link_rows(X, sigma):
+    """The cofaces of sigma, the vertex positions of sigma, and the cofaces'
+    rows of vertex positions less the columns of sigma."""
+    idx = X.cofaces(sigma)
+    spos = np.searchsorted(X.vertices, sigma)
+    rows = X.top_positions()[idx]
+    return idx, spos, rows[~np.isin(rows, spos)].reshape(len(idx), -1)
+
+
+def build_link_table(X, sigma):
+    """The link table of sigma: the cofaces of sigma less its columns give
+    the link vertices, and each pair of their columns a link edge."""
+    idx, spos, rows = link_rows(X, sigma)
+    a, b = np.triu_indices(rows.shape[1], 1)
+    n = len(X.vertices)
+    keys, first, inv = np.unique(
+        (rows[:, a] * n + rows[:, b]).ravel(), return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    mass = np.bincount(
+        rank[inv], weights=np.repeat(X.weights[idx], len(a)), minlength=len(keys)
+    )
+    keys = keys[order]
+    ends = np.stack([keys // n, keys % n])
+    verts = np.unique(rows)
+
+    def with_sigma(cols):
+        base = np.broadcast_to(spos, (len(cols), len(spos)))
+        return np.sort(np.column_stack([base, cols]), axis=1)
+
+    labels = np.asarray(X.vertices)
+    return LinkTable(
+        tuple(labels[verts].tolist()),
+        labels[ends],
+        mass,
+        idx[first[order] // len(a)],
+        with_sigma(verts),
+        with_sigma(ends.T) if len(sigma) + 2 <= X.dim else None,
+    )
+
+
+def target_link(C, face, cache):
+    """The link of face in the target C and its 1-skeleton, memoized in
+    cache; (None, None) when face is not a face of C, and no skeleton for
+    a 0-dimensional link."""
+    if face not in cache:
+        link = C.link(face) if C.has_face(face) else None
+        skel = link.one_skeleton() if link is not None and link.dim else None
+        cache[face] = (link, skel)
+    return cache[face]
+
+
+def build_satisfaction_graph(
+    sampler, sigma, x, satisfied=None, color=None, target=(None, None), absent=None
+):
+    """Satisfaction graph of sigma under the sampler's state x.
+
+    The sampler supplies the cached link table of sigma (`link_table`) and
+    its satisfaction rule for rows of vertex positions (`rows_ok`); link
+    edges that complete top faces read the satisfied-top-face mask instead,
+    computed unless given.  color maps a satisfied link vertex into the
+    target link, given as (link, 1-skeleton); a link of None means the
+    image of sigma is no target face, reported as the missing face
+    `absent`.  With no color, sigma has no reference link and the graph is
+    the link graph itself.
+    """
+    table = sampler.link_table(sigma)
+    if table.edge_rows is None:
+        if satisfied is None:
+            satisfied = sampler.satisfied_mask(x)
+        edge_ok = satisfied[table.top]
+    else:
+        edge_ok = sampler.rows_ok(x, table.edge_rows)
+    vert_ok = sampler.rows_ok(x, table.vert_rows)
+    keep = edge_ok & (table.mass > 0)
+    ends = map(tuple, table.uv[:, keep].T.tolist())
+    edges = dict(zip(ends, table.mass[keep].tolist()))
+    good = tuple(v for v, ok in zip(table.verts, vert_ok.tolist()) if ok)
+    coloring = None if color is None else {v: color(v) for v in good}
+    link, tskel = target
+    if not edges:
+        return SatisfactionGraph(sigma, None, None, coloring, link, True, None, good)
+    link_graph = WGraph([(u, v, m) for (u, v), m in edges.items()])
+    kept = set(link_graph.vertices)
+    dropped = tuple(v for v in good if v not in kept)
+    graph, missing = link_graph, None
+    if coloring is not None and link is None:
+        graph, missing = None, absent
+    elif coloring is not None:
+        fiber = {e: tuple(sorted((coloring[e[0]], coloring[e[1]]))) for e in edges}
+        fiber_mass = {}
+        for e, m in edges.items():
+            fiber_mass[fiber[e]] = fiber_mass.get(fiber[e], 0.0) + m
+        missing = next((e for e in tskel.edges if e not in fiber_mass), None)
+        tw = dict(zip(tskel.edges, tskel.weights))
+        graph = None if missing is not None else WGraph(
+            [(u, v, tw[fiber[u, v]] * m / fiber_mass[fiber[u, v]])
+             for (u, v), m in edges.items()]
+        )
+    return SatisfactionGraph(
+        sigma, graph, link_graph, coloring, link, graph is None, missing, dropped
+    )
+
+
+def event_list(X, dims):
+    """Every (kind, face) event, sorted, for each kind at its dimensions."""
+    events = []
+    for kind, ells in dims.items():
+        events += [(kind, s) for ell in ells for s in X.faces(ell)]
+    return tuple(sorted(events))
+
+
+def event_face(dims, kind, face):
+    """The face sorted, once events of this kind are known to live at its
+    dimension."""
+    face = tuple(sorted(face))
+    if kind not in dims:
+        raise BadKindForFace(f"unknown event kind {kind!r}")
+    if len(face) - 1 not in dims[kind]:
+        raise BadKindForFace(f"{kind} applies to dimensions {list(dims[kind])}")
+    return face
+
+
+def ne_violated(sg, config):
+    """The NE event on a built satisfaction graph: degenerate, empty or
+    dropping a vertex, or expanding worse than the threshold, under the
+    coloring measure and optionally under the link measure too."""
+    if sg.degenerate or sg.graph is None or sg.dropped_vertices:
+        return True
+    thr = config.resolved_ne_threshold + 1e-9
+    graphs = (sg.graph, sg.link_graph) if config.ne_check_link_measure else (sg.graph,)
+    return any(adjacency_spectrum(g).two_sided > thr for g in graphs)
+
+
+def resample(sampler, x, values, rng, budget):
+    """The Moser-Tardos loop: while the sampler reports a violated event,
+    redraw the variables in its scope uniformly from values, for at most
+    budget resamples.
+
+    Returns the final state, the transcript of (iteration, kind, face,
+    scope) and the events still violated, which is empty when clean.
+    """
+    transcript = []
+    while True:
+        violated = sampler.first_violated(x)
+        if violated is None:
+            return x, tuple(transcript), ()
+        if len(transcript) >= budget:
+            return x, tuple(transcript), sampler.all_violations(x)
+        kind, face = violated
+        scope = sampler.event_scope(kind, face)
+        x = x.copy()
+        x[list(scope)] = values[rng.integers(0, len(values), size=len(scope))]
+        transcript.append((len(transcript), kind, face, scope))
 
 
 @dataclass
@@ -149,9 +312,8 @@ def sample_labeling(X, m, rng):
 class Pruner:
     """Precomputed machinery for one (complex, group, generators) triple.
 
-    Event evaluations are pure reads of (X, f) and safe to run
-    concurrently; the resampling loop itself alternates a read-only scan
-    with an exclusive write to the labeling.
+    The variables are edge labels (generator indices); a face is satisfied
+    when its triangles multiply consistently.  `resample` drives the events.
     """
 
     def __init__(self, X, group, gens, config, cayley=None):
@@ -170,6 +332,12 @@ class Pruner:
         self.edges = X.faces(1)
         self.edge_pos = {e: i for i, e in enumerate(self.edges)}
         self.n_edges = len(self.edges)
+        # edge position by the vertex positions of its ends, -1 off edges
+        ends = np.array(self.edges).reshape(-1, 2)
+        self.edge_ends = np.searchsorted(X.vertices, ends).T
+        self.edge_index = np.full((len(X.vertices),) * 2, -1, dtype=np.intp)
+        self.edge_index[tuple(self.edge_ends)] = np.arange(self.n_edges)
+        self.edge_index[tuple(self.edge_ends[::-1])] = np.arange(self.n_edges)
 
         self.s_elems = np.array(self.gens, dtype=np.int64)
         self.inv_elems = group.inv_table[self.s_elems].astype(np.int64)
@@ -177,16 +345,20 @@ class Pruner:
         rank[self.s_elems] = np.arange(self.m)
         self.s_rank = rank
 
-        tops = np.array(X.top_faces, dtype=np.int64)
-        self.tops = tops
-        self.top_pos = {f: i for i, f in enumerate(X.top_faces)}
-        self.tri_eidx = self._tri_index(X.top_faces, self.d + 1)
+        self.tri_eidx = self._tri_index(X.top_positions())
 
         self._at_tables = {}
         self._bc_tables = {}
         self._link_tables = {}
         self._cayley_links = {}
         self._ec_setup()
+        # the dimensions at which each event kind is defined
+        self.kind_dims = {
+            "AT": range(0, self.d),
+            "BC": range(0, 1),
+            "EC": range(self.d - 1, self.d),
+            "NE": range(0, self.d - 1),
+        }
         self._events = None
 
     @property
@@ -211,17 +383,14 @@ class Pruner:
         lab = f[self.edge_pos[edge_key(u, v)]]
         return int(self.s_elems[lab] if u < v else self.inv_elems[lab])
 
-    def _tri_index(self, faces, size):
+    def _tri_index(self, rows):
         """Edge positions (ab, bc, ac) of every triangle a < b < c of each
-        sorted face of the given size; shape (faces, triangles, 3)."""
-        tri = list(itertools.combinations(range(size), 3))
-        out = np.empty((len(faces), len(tri), 3), dtype=np.intp)
-        for n, face in enumerate(faces):
-            for t, (a, b, c) in enumerate(tri):
-                out[n, t, 0] = self.edge_pos[(face[a], face[b])]
-                out[n, t, 1] = self.edge_pos[(face[b], face[c])]
-                out[n, t, 2] = self.edge_pos[(face[a], face[c])]
-        return out
+        row of sorted vertex positions; shape (rows, triangles, 3)."""
+        tri = list(itertools.combinations(range(rows.shape[1]), 3))
+        a, b, c = np.array(tri, dtype=np.intp).reshape(-1, 3).T
+        ab, bc, ac = ((rows[:, x], rows[:, y]) for x, y in ((a, b), (b, c), (a, c)))
+        E = self.edge_index
+        return np.stack([E[ab], E[bc], E[ac]], axis=-1)
 
     def _tri_ok(self, f, eidx):
         """Whether every triangle of each face in a _tri_index table
@@ -230,6 +399,10 @@ class Pruner:
         ok = self.group.mul_table[el[..., 0], el[..., 1]] == el[..., 2]
         return ok.all(axis=-1)
 
+    def rows_ok(self, f, rows):
+        """Whether each row of sorted vertex positions spans a satisfied face."""
+        return self._tri_ok(f, self._tri_index(rows))
+
     def satisfied_mask(self, f):
         return self._tri_ok(f, self.tri_eidx)
 
@@ -237,116 +410,54 @@ class Pruner:
         face = tuple(sorted(face))
         if not self.X.has_face(face):
             raise NotAFace(f"{face!r} is not a face")
-        if len(face) == self.d + 1:
-            eidx = self.tri_eidx[self.top_pos[face]]
-        else:
-            eidx = self._tri_index([face], len(face))[0]
-        return bool(self._tri_ok(f, eidx))
+        rows = np.searchsorted(self.X.vertices, [face]).reshape(1, len(face))
+        return bool(self.rows_ok(f, rows)[0])
 
     # --- precomputed event tables ---
 
     def _link_vertices(self, sigma):
-        sset = set(sigma)
-        mass = {}
-        for i in self.X.cofaces(sigma):
-            w = self.X.weights[i]
-            for v in self.X.top_faces[i]:
-                if v not in sset:
-                    mass[v] = mass.get(v, 0.0) + w
-        verts = sorted(mass)
-        meas = np.array([mass[v] for v in verts])
+        """Positions of the link vertices of sigma, sorted, and their
+        normalized mass, summed over the cofaces in coface order."""
+        idx, _, rows = link_rows(self.X, sigma)
+        verts, inv = np.unique(rows, return_inverse=True)
+        w = np.repeat(self.X.weights[idx], rows.shape[1])
+        meas = np.bincount(inv.ravel(), weights=w)
         return verts, meas / meas.sum()
 
     def _at_table(self, sigma):
         if sigma not in self._at_tables:
             verts, vmeas = self._link_vertices(sigma)
-            ell = len(sigma) - 1
-            eidx = np.empty((len(verts), ell + 1), dtype=np.intp)
-            fwd = np.empty((len(verts), ell + 1), dtype=bool)
-            for a, v in enumerate(verts):
-                for b, u in enumerate(sigma):
-                    eidx[a, b] = self.edge_pos[edge_key(u, v)]
-                    fwd[a, b] = u < v
-            powers = self.m ** np.arange(ell + 1)
-            self._at_tables[sigma] = (verts, vmeas, eidx, fwd, powers)
+            spos = np.searchsorted(self.X.vertices, sigma)
+            eidx = self.edge_index[spos[None, :], verts[:, None]]
+            fwd = spos[None, :] < verts[:, None]
+            powers = self.m ** np.arange(len(sigma))
+            self._at_tables[sigma] = (vmeas, eidx, fwd, powers)
         return self._at_tables[sigma]
 
     def _bc_table(self, v):
+        """Edge positions and directions of the triangle v -> u -> w -> v
+        for every ordered pair u != w sharing a coface with v."""
         if v not in self._bc_tables:
-            pairs = set()
-            vset = {v}
-            for i in self.X.cofaces((v,)):
-                rest = [u for u in self.X.top_faces[i] if u != v]
-                for u, w in itertools.combinations(rest, 2):
-                    pairs.add((u, w))
-                    pairs.add((w, u))
-            pairs = sorted(pairs)
-            eidx = np.empty((len(pairs), 3), dtype=np.intp)
-            fwd = np.empty((len(pairs), 3), dtype=bool)
-            for n, (u, w) in enumerate(pairs):
-                for col, (x, y) in enumerate(((v, u), (u, w), (w, v))):
-                    eidx[n, col] = self.edge_pos[edge_key(x, y)]
-                    fwd[n, col] = x < y
-            self._bc_tables[v] = (eidx, fwd)
+            _, (p,), rows = link_rows(self.X, (v,))
+            i, j = np.nonzero(~np.eye(rows.shape[1], dtype=bool))
+            pairs = np.stack([rows[:, i], rows[:, j]], axis=-1).reshape(-1, 2)
+            pairs = np.unique(pairs, axis=0)
+            x = np.column_stack([np.full(len(pairs), p), pairs])
+            y = np.roll(x, -1, axis=1)
+            self._bc_tables[v] = (self.edge_index[x, y], x < y)
         return self._bc_tables[v]
 
-    def _link_table(self, sigma):
-        """Cached link structure of sigma for satisfaction graphs.
-
-        Link vertices (sorted) with the triangles of sigma + v; link edges
-        in first-seen coface order with their mass, summed over cofaces in
-        coface order; and per edge either the top face sigma + edge (when
-        that is a top face) or the triangles of sigma + edge.
-        """
-        tab = self._link_tables.get(sigma)
-        if tab is None:
-            sset = set(sigma)
-            verts = set()
-            keys, key_id, key_top, row_key, row_w = [], {}, [], [], []
-            for i in self.X.cofaces(sigma):
-                rest = [v for v in self.X.top_faces[i] if v not in sset]
-                verts.update(rest)
-                for key in itertools.combinations(rest, 2):
-                    k = key_id.get(key)
-                    if k is None:
-                        k = key_id[key] = len(keys)
-                        keys.append(key)
-                        key_top.append(i)
-                    row_key.append(k)
-                    row_w.append(self.X.weights[i])
-            verts = sorted(verts)
-            key_mass = np.bincount(row_key, weights=row_w, minlength=len(keys))
-            key_uv = np.array(keys, dtype=np.int64).reshape(-1, 2).T
-            size = len(sigma) + 2
-            if size == self.d + 1:
-                key_top, key_tri = np.array(key_top, dtype=np.intp), None
-            else:
-                key_top = None
-                key_tri = self._tri_index([tuple(sorted(sigma + k)) for k in keys], size)
-            vert_tri = self._tri_index(
-                [tuple(sorted(sigma + (v,))) for v in verts], size - 1
-            )
-            tab = (verts, vert_tri, key_uv, key_mass, key_top, key_tri)
-            self._link_tables[sigma] = tab
-        return tab
-
-    def _cayley_link(self, a):
-        """Link of the Cayley face a and its 1-skeleton, cached; both None
-        when a is not a face."""
-        if a not in self._cayley_links:
-            target = tskel = None
-            if self.cayley.complex.has_face(a):
-                target = self.cayley.complex.link(a)
-                tskel = target.one_skeleton()
-            self._cayley_links[a] = (target, tskel)
-        return self._cayley_links[a]
+    def link_table(self, sigma):
+        if sigma not in self._link_tables:
+            self._link_tables[sigma] = build_link_table(self.X, sigma)
+        return self._link_tables[sigma]
 
     def _ec_setup(self):
         dfaces = self.X.faces(self.d - 1)
         self.dfaces = dfaces
         dpos = {s: i for i, s in enumerate(dfaces)}
         self.dpos = dpos
-        cover = np.empty((len(self.tops), self.d + 1), dtype=np.intp)
+        cover = np.empty((len(self.X.top_faces), self.d + 1), dtype=np.intp)
         for n, face in enumerate(self.X.top_faces):
             for j, sub in enumerate(itertools.combinations(face, self.d)):
                 cover[n, j] = dpos[sub]
@@ -362,22 +473,12 @@ class Pruner:
 
     def events(self):
         if self._events is None:
-            cfg = self.config
-            ev = []
-            at_hi = self.d - 1 if cfg.at_top_level else self.d - 2
-            for ell in range(0, at_hi + 1):
-                for s in self.X.faces(ell):
-                    ev.append(("AT", s))
-            for v in self.X.vertices:
-                ev.append(("BC", (v,)))
-            if cfg.edge_cover_events:
-                for s in self.X.faces(self.d - 1):
-                    ev.append(("EC", s))
-            for ell in range(0, self.d - 1):
-                for s in self.X.faces(ell):
-                    ev.append(("NE", s))
-            ev.sort()
-            self._events = tuple(ev)
+            dims = dict(self.kind_dims)
+            if not self.config.at_top_level:
+                dims["AT"] = range(0, self.d - 1)
+            if not self.config.edge_cover_events:
+                dims["EC"] = ()
+            self._events = event_list(self.X, dims)
         return self._events
 
     def eval_at(self, sigma, f):
@@ -386,7 +487,7 @@ class Pruner:
         # Chernoff bound a violation has probability at most
         # m^(l+1) exp(-0.03 m^-(l+1) (r-1)^2 k); this only becomes small
         # once k is far larger than m^(l+1)
-        verts, vmeas, eidx, fwd, powers = self._at_table(sigma)
+        vmeas, eidx, fwd, powers = self._at_table(sigma)
         labs = f[eidx]
         elems = np.where(fwd, self.s_elems[labs], self.inv_elems[labs])
         codes = self.s_rank[elems] @ powers
@@ -429,121 +530,50 @@ class Pruner:
             return SatisfactionGraph(sigma, skel, skel, None, None, False, None, ())
         if not self.face_satisfied(sigma, f):
             raise UnsatisfiedBase(f"{sigma!r} is not satisfied")
-        verts, vert_tri, key_uv, key_mass, key_top, key_tri = self._link_table(sigma)
-        if key_top is not None:
-            if satisfied is None:
-                satisfied = self.satisfied_mask(f)
-            key_ok = satisfied[key_top]
-        else:
-            key_ok = self._tri_ok(f, key_tri)
-        keep = key_ok & (key_mass > 0)
-        ends = key_uv[:, keep].tolist()
-        edges = dict(zip(zip(*ends), key_mass[keep].tolist()))
-        good_vertices = tuple(
-            v for v, ok in zip(verts, self._tri_ok(f, vert_tri).tolist()) if ok
-        )
-
         u0 = sigma[0]
         a = tuple(sorted({0} | {self.directed_element(f, u0, u) for u in sigma[1:]}))
-        target, tskel = self._cayley_link(a)
-        coloring = {v: self.directed_element(f, u0, v) for v in good_vertices}
-
-        if not edges:
-            return SatisfactionGraph(
-                sigma, None, None, coloring, target, True, None, good_vertices
-            )
-        link_graph = WGraph([(u, v, m) for (u, v), m in edges.items()])
-        kept = set(link_graph.vertices)
-        dropped = tuple(v for v in good_vertices if v not in kept)
-
-        if target is None:
-            return SatisfactionGraph(
-                sigma, None, link_graph, coloring, None, True, a, dropped
-            )
-        fiber_mass = {}
-        for (u, v), m in edges.items():
-            key = tuple(sorted((coloring[u], coloring[v])))
-            fiber_mass[key] = fiber_mass.get(key, 0.0) + m
-        missing = None
-        for e in tskel.edges:
-            if e not in fiber_mass:
-                missing = e
-                break
-        if missing is not None:
-            return SatisfactionGraph(
-                sigma, None, link_graph, coloring, target, True, missing, dropped
-            )
-        tw = {e: w for e, w in zip(tskel.edges, tskel.weights)}
-        colored = []
-        for (u, v), m in edges.items():
-            key = tuple(sorted((coloring[u], coloring[v])))
-            colored.append((u, v, tw[key] * m / fiber_mass[key]))
-        graph = WGraph(colored)
-        return SatisfactionGraph(
-            sigma, graph, link_graph, coloring, target, False, None, dropped
+        return build_satisfaction_graph(
+            self,
+            sigma,
+            f,
+            satisfied,
+            lambda v: self.directed_element(f, u0, v),
+            target_link(self.cayley.complex, a, self._cayley_links),
+            absent=a,
         )
 
     def eval_ne(self, sigma, f, satisfied=None):
         if not self.face_satisfied(sigma, f):
             return False  # an unsatisfied face is outside the pruned complex
-        sg = self.satisfaction_graph(sigma, f, satisfied=satisfied)
-        if sg.degenerate or sg.graph is None or sg.dropped_vertices:
-            return True
-        thr = self.config.resolved_ne_threshold + 1e-9
-        if adjacency_spectrum(sg.graph).two_sided > thr:
-            return True
-        if self.config.ne_check_link_measure:
-            if adjacency_spectrum(sg.link_graph).two_sided > thr:
-                return True
-        return False
+        return ne_violated(self.satisfaction_graph(sigma, f, satisfied), self.config)
 
     def eval_event(self, kind, face, f):
-        face = tuple(sorted(face))
-        ell = len(face) - 1
+        face = event_face(self.kind_dims, kind, face)
         if kind == "AT":
-            if not 0 <= ell <= self.d - 1:
-                raise BadKindForFace(f"AT applies to dimensions 0..{self.d - 1}")
             return self.eval_at(face, f)
-        if kind == "NE":
-            if not 0 <= ell <= self.d - 2:
-                raise BadKindForFace(f"NE applies to dimensions 0..{self.d - 2}")
-            return self.eval_ne(face, f)
         if kind == "BC":
-            if ell != 0:
-                raise BadKindForFace("BC applies to vertices")
             return self.eval_bc(face[0], f)
         if kind == "EC":
-            if ell != self.d - 1:
-                raise BadKindForFace(f"EC applies to dimension {self.d - 1}")
             return self.eval_ec(face, f)
-        raise BadKindForFace(f"unknown event kind {kind!r}")
+        return self.eval_ne(face, f)
 
     # --- scopes ---
 
     def event_scope(self, kind, face):
         """Labeling positions the event reads; resampling rewrites these."""
         if kind == "AT":
-            _, _, eidx, _, _ = self._at_table(face)
-            return tuple(sorted(set(eidx.ravel().tolist())))
+            return tuple(np.unique(self._at_table(face)[1]).tolist())
         if kind == "BC":
-            eidx, _ = self._bc_table(face[0])
-            return tuple(sorted(set(eidx.ravel().tolist())))
+            return tuple(np.unique(self._bc_table(face[0])[0]).tolist())
         if kind == "EC":
-            out = set()
-            for i in self.X.cofaces(face):
-                top = self.X.top_faces[i]
-                for u, w in itertools.combinations(top, 2):
-                    out.add(self.edge_pos[(u, w)])
-            return tuple(sorted(out))
+            rows = self.X.top_positions()[self.X.cofaces(face)]
+            a, b = np.triu_indices(self.d + 1, 1)
+            return tuple(np.unique(self.edge_index[rows[:, a], rows[:, b]]).tolist())
         if kind == "NE":
-            verts, _ = self._link_vertices(face)
-            allowed = set(verts) | set(face)
-            out = [
-                i
-                for i, (u, w) in enumerate(self.edges)
-                if u in allowed and w in allowed
-            ]
-            return tuple(out)
+            allowed = np.zeros(len(self.X.vertices), dtype=bool)
+            allowed[self._link_vertices(face)[0]] = True
+            allowed[np.searchsorted(self.X.vertices, face)] = True
+            return tuple(np.nonzero(allowed[self.edge_ends].all(axis=0))[0].tolist())
         raise BadKindForFace(f"unknown event kind {kind!r}")
 
     # --- pruning and the main loop ---
@@ -556,7 +586,9 @@ class Pruner:
         isolated = tuple(sorted(set(self.X.vertices) - set(y.vertices)))
         return y, isolated, mask
 
-    def first_violated(self, f):
+    def violations(self, f):
+        """The violated events in events() order, found lazily; the
+        satisfied top faces and covered (d-1)-faces are computed once."""
         satisfied = self.satisfied_mask(f)
         covered = None
         for kind, face in self.events():
@@ -567,75 +599,43 @@ class Pruner:
             elif kind == "EC":
                 if covered is None:
                     covered = self.covered_dfaces(satisfied)
-                hit = not bool(covered[self.dpos[face]])
+                hit = not covered[self.dpos[face]]
             else:
                 hit = self.eval_ne(face, f, satisfied=satisfied)
             if hit:
-                return kind, face
-        return None
+                yield kind, face
+
+    def first_violated(self, f):
+        return next(self.violations(f), None)
+
+    def all_violations(self, f):
+        return tuple(self.violations(f))
 
     def run(self, rng):
         rng = np.random.default_rng(rng)
         f = sample_labeling(self.X, self.m, rng)
-        transcript = []
-        resamples = 0
-        while True:
-            violated = self.first_violated(f)
-            if violated is None:
-                y, isolated, _ = self.f_pruning(f)
-                return PruneOutcome(
-                    status="clean",
-                    labeling=f,
-                    edges=self.edges,
-                    y=y,
-                    isolated_vertices=isolated,
-                    resamples=resamples,
-                    transcript=tuple(transcript),
-                    violations_remaining=(),
-                    config=self.config,
-                )
-            if resamples >= self.config.max_resamples:
-                y, isolated, _ = self.f_pruning(f)
-                remaining = self.all_violations(f)
-                return PruneOutcome(
-                    status="budget_exhausted",
-                    labeling=f,
-                    edges=self.edges,
-                    y=y,
-                    isolated_vertices=isolated,
-                    resamples=resamples,
-                    transcript=tuple(transcript),
-                    violations_remaining=remaining,
-                    config=self.config,
-                )
-            kind, face = violated
-            scope = self.event_scope(kind, face)
-            f = f.copy()
-            f[list(scope)] = rng.integers(0, self.m, size=len(scope))
-            transcript.append((resamples, kind, face, scope))
-            resamples += 1
-
-    def all_violations(self, f):
-        satisfied = self.satisfied_mask(f)
-        covered = self.covered_dfaces(satisfied)
-        out = []
-        for kind, face in self.events():
-            if kind == "EC":
-                hit = not bool(covered[self.dpos[face]])
-            elif kind == "NE":
-                hit = self.eval_ne(face, f, satisfied=satisfied)
-            else:
-                hit = self.eval_event(kind, face, f)
-            if hit:
-                out.append((kind, face))
-        return tuple(out)
+        f, transcript, remaining = resample(
+            self, f, np.arange(self.m), rng, self.config.max_resamples
+        )
+        y, isolated, _ = self.f_pruning(f)
+        return PruneOutcome(
+            status="budget_exhausted" if remaining else "clean",
+            labeling=f,
+            edges=self.edges,
+            y=y,
+            isolated_vertices=isolated,
+            resamples=len(transcript),
+            transcript=transcript,
+            violations_remaining=remaining,
+            config=self.config,
+        )
 
 
 # --- module-level operation wrappers ---
 
 
-def is_satisfied(X, f, group, gens, face, cayley=None, _pruner=None):
-    pruner = _pruner or Pruner(X, group, gens, PruneConfig(0.5), cayley=cayley)
+def is_satisfied(X, f, group, gens, face, cayley=None):
+    pruner = Pruner(X, group, gens, PruneConfig(0.5), cayley=cayley)
     return pruner.face_satisfied(face, pruner.as_array(f))
 
 

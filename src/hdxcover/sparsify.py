@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyResult, EmptySide
+from .errors import EmptyResult, EmptySide, InputError
 from .graphs import WGraph
 from .spectral import adjacency_spectrum, bipartite_lambda
 
@@ -170,7 +170,6 @@ def sparsify_trial(
     split_factor=100.0,
     edge_threshold=0.95,
     eps=0.1,
-    workers=0,
 ):
     """Run the split-then-subsample pipeline and tally threshold hits.
 
@@ -179,25 +178,24 @@ def sparsify_trial(
     subsampled graph's expansion with edge_threshold.  Side masses and
     per-vertex cross masses are also checked within eps*p, mirroring the
     concentration events the analysis conditions on.  Trials draw their
-    seeds from the master stream up front, so they are independent and
-    may run concurrently (workers > 1) with deterministic aggregation.
+    seeds from the master stream up front.
     """
+    if not 0 < p_split < 0.5:
+        raise InputError("p_split must lie in (0, 1/2)")
+    if not 0 < p_edge <= 1:
+        raise InputError("p_edge must lie in (0, 1]")
+    if trials < 1:
+        raise InputError("trials must be at least 1")
     master = np.random.default_rng(rng)
     seeds = master.integers(0, 2**63 - 1, size=2 * trials)
     lam_g = adjacency_spectrum(G).two_sided
     min_degree = min(len(G.neighbors(v)) for v in G.vertices)
     split_bound = split_factor / p_split**3 * lam_g
 
-    pairs = [(seeds[2 * t], seeds[2 * t + 1]) for t in range(trials)]
-    if workers and workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(lambda sp: _one_trial(G, p_split, p_edge, eps, sp), pairs)
-            )
-    else:
-        results = [_one_trial(G, p_split, p_edge, eps, sp) for sp in pairs]
+    results = [
+        _one_trial(G, p_split, p_edge, eps, (seeds[2 * t], seeds[2 * t + 1]))
+        for t in range(trials)
+    ]
 
     split_lambdas = [r[0] for r in results if r is not None]
     edge_lambdas = [r[1] for r in results if r is not None]

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -127,6 +128,12 @@ def random_complex(rng, n, dim, keep=0.7, uniform=False):
             return X
 
 
+def relabeled(X, step=3, shift=7):
+    """X with vertex v renamed step * v + shift, so labels are no positions."""
+    faces = [tuple(step * v + shift for v in f) for f in X.top_faces]
+    return build_complex(X.dim, faces, X.weights)
+
+
 def brute_face_measure(X, s):
     """Direct summation oracle for the induced face measure."""
     s = tuple(sorted(s))
@@ -229,3 +236,161 @@ def plain_check_suitable(X, c, r):
                     weight_ok = False
                     weight_witness = (sigma, "vertex", v, float(w), lo_v, hi_v)
     return degree_ok, degree_witness, weight_ok, weight_witness
+
+
+def plain_first_violated(sampler, x):
+    """First violated event, evaluating events one by one in events() order."""
+    return next(
+        ((k, s) for k, s in sampler.events() if sampler.eval_event(k, s, x)), None
+    )
+
+
+def _plain_loop(sampler, x, draw, scope_of):
+    transcript = []
+    resamples = 0
+    while True:
+        violated = plain_first_violated(sampler, x)
+        if violated is None:
+            return "clean", x, resamples, tuple(transcript), ()
+        if resamples >= sampler.config.max_resamples:
+            remaining = tuple(
+                (k, s) for k, s in sampler.events() if sampler.eval_event(k, s, x)
+            )
+            return "budget_exhausted", x, resamples, tuple(transcript), remaining
+        kind, face = violated
+        scope = scope_of(kind, face)
+        x = x.copy()
+        x[list(scope)] = draw(len(scope))
+        transcript.append((resamples, kind, face, scope))
+        resamples += 1
+
+
+def plain_prune_run(pruner, rng):
+    """Reference prune loop, one eval_event call per event evaluated;
+    returns (status, labeling, resamples, transcript, violations_remaining)."""
+    rng = np.random.default_rng(rng)
+    f = rng.integers(0, pruner.m, size=pruner.n_edges, dtype=np.int64)
+    return _plain_loop(
+        pruner, f, lambda k: rng.integers(0, pruner.m, size=k), pruner.event_scope
+    )
+
+
+def plain_combine_run(comb, rng):
+    """Reference combine loop, one eval_event call per event evaluated and
+    scopes read off the cofaces; returns (status, colors by vertex position,
+    resamples, transcript, violations_remaining)."""
+    rng = np.random.default_rng(rng)
+    colors = np.array(comb.C.vertices, dtype=np.int64)
+    col = colors[rng.integers(0, len(colors), size=len(comb.X.vertices))]
+
+    def scope_of(kind, face):
+        verts = set(face).union(*(comb.X.top_faces[i] for i in comb.X.cofaces(face)))
+        return tuple(sorted(comb.vpos[v] for v in verts))
+
+    return _plain_loop(
+        comb, col, lambda k: colors[rng.integers(0, len(colors), size=k)], scope_of
+    )
+
+
+def plain_color_satisfied(comb, face, col):
+    """Reference combine rule: distinct colors whose set is a target face."""
+    img = comb.image(face, col)
+    return len(set(img)) == len(img) and comb.C.has_face(img)
+
+
+def plain_color_satisfaction_graph(comb, sigma, col):
+    """Reference combine satisfaction graph: a walk over the cofaces of
+    sigma with one face check per link vertex and link edge."""
+    sigma = tuple(sorted(sigma))
+    sset = set(sigma)
+    vert_ok = {}
+    edge_mass = {}
+    for i in comb.X.cofaces(sigma):
+        rest = [v for v in comb.X.top_faces[i] if v not in sset]
+        for v in rest:
+            if v not in vert_ok:
+                vert_ok[v] = plain_color_satisfied(comb, sigma + (v,), col)
+        for key in itertools.combinations(rest, 2):
+            if key not in edge_mass:
+                sat = plain_color_satisfied(comb, sigma + key, col)
+                edge_mass[key] = 0.0 if sat else None
+            if edge_mass[key] is not None:
+                edge_mass[key] += comb.X.weights[i]
+    edges = {k: m for k, m in edge_mass.items() if m is not None and m > 0}
+    good = tuple(sorted(v for v, ok in vert_ok.items() if ok))
+
+    def result(graph, link_graph, degenerate, missing, dropped):
+        return SimpleNamespace(
+            sigma=sigma, graph=graph, link_graph=link_graph, degenerate=degenerate,
+            missing=missing, dropped_vertices=dropped,
+        )
+
+    if not edges:
+        return result(None, None, True, None, good)
+    link_graph = WGraph([(u, v, m) for (u, v), m in edges.items()])
+    dropped = tuple(v for v in good if v not in set(link_graph.vertices))
+    if sigma == ():
+        return result(link_graph, link_graph, False, None, dropped)
+    color = {v: int(col[comb.vpos[v]]) for v in good}
+    tskel = comb.C.link(comb.image(sigma, col)).one_skeleton()
+    fiber = {}
+    for (u, v), m in edges.items():
+        key = tuple(sorted((color[u], color[v])))
+        fiber[key] = fiber.get(key, 0.0) + m
+    for e in tskel.edges:
+        if e not in fiber:
+            return result(None, link_graph, True, e, dropped)
+    tw = dict(zip(tskel.edges, tskel.weights))
+    colored = []
+    for (u, v), m in edges.items():
+        key = tuple(sorted((color[u], color[v])))
+        colored.append((u, v, tw[key] * m / fiber[key]))
+    return result(WGraph(colored), link_graph, False, None, dropped)
+
+
+def plain_at_table(pruner, sigma):
+    """Reference AT table of sigma: (link vertex measure, edge positions,
+    directions) built vertex by vertex over a dict of coface masses."""
+    X = pruner.X
+    mass = {}
+    for i in X.cofaces(sigma):
+        for v in X.top_faces[i]:
+            if v not in sigma:
+                mass[v] = mass.get(v, 0.0) + X.weights[i]
+    verts = sorted(mass)
+    meas = np.array([mass[v] for v in verts])
+    eidx = [[pruner.edge_pos[tuple(sorted((u, v)))] for u in sigma] for v in verts]
+    fwd = [[u < v for u in sigma] for v in verts]
+    return meas / meas.sum(), np.array(eidx), np.array(fwd)
+
+
+def plain_bc_table(pruner, v):
+    """Reference BC table of v: the edges and directions of v -> u -> w -> v
+    for each sorted ordered pair u != w that shares a coface with v."""
+    pairs = set()
+    for i in pruner.X.cofaces((v,)):
+        rest = [u for u in pruner.X.top_faces[i] if u != v]
+        pairs.update(itertools.permutations(rest, 2))
+    eidx, fwd = [], []
+    for u, w in sorted(pairs):
+        hops = ((v, u), (u, w), (w, v))
+        eidx.append([pruner.edge_pos[tuple(sorted(h))] for h in hops])
+        fwd.append([x < y for x, y in hops])
+    return np.array(eidx), np.array(fwd)
+
+
+def plain_event_scope(pruner, kind, face):
+    """Reference labeling positions read by an event, from edge labels."""
+    X = pruner.X
+    if kind == "AT":
+        return tuple(sorted(set(plain_at_table(pruner, face)[1].ravel().tolist())))
+    if kind == "BC":
+        return tuple(sorted(set(plain_bc_table(pruner, face[0])[0].ravel().tolist())))
+    if kind == "EC":
+        out = set()
+        for i in X.cofaces(face):
+            for e in itertools.combinations(X.top_faces[i], 2):
+                out.add(pruner.edge_pos[e])
+        return tuple(sorted(out))
+    near = set(face).union(*(X.top_faces[i] for i in X.cofaces(face)))
+    return tuple(i for i, (u, w) in enumerate(pruner.edges) if u in near and w in near)

@@ -29,6 +29,13 @@ class TestCSatisfied:
         coloring = {v: v % 5 for v in X.vertices}
         assert not c_satisfied(X, K5_TARGET, coloring, (0, 5, 2))
 
+    def test_color_outside_target_unsatisfied(self):
+        X = complete_complex(6, 2)
+        coloring = {v: v for v in X.vertices}  # 5 is no target vertex
+        assert c_satisfied(X, K5_TARGET, coloring, (0, 1, 2))
+        assert not c_satisfied(X, K5_TARGET, coloring, (0, 1, 5))
+        assert not c_satisfied(X, K5_TARGET, coloring, (5,))
+
     def test_missing_target_face(self):
         target = build_complex(2, [(0, 1, 2), (0, 1, 3)])  # no face (1, 2, 3)
         X = complete_complex(4, 2)

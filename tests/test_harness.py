@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -251,6 +254,33 @@ class TestErrors:
         with pytest.raises(KeyError):
             run_experiment(PRUNE_SPEC)
 
+    @pytest.mark.parametrize("kind", ["prune", "combine"])
+    def test_lambda_out_of_range_is_input_error(self, kind):
+        params = dict(PRUNE_SPEC["params"], **{"lambda": 1.5})
+        if kind == "combine":
+            params = {"complex": {"kind": "complete", "n": 8, "dim": 2},
+                      "target": {"kind": "complete", "n": 5, "dim": 2},
+                      "lambda": 1.5}
+        rep = run_experiment({"kind": kind, "params": params, "seed": 0})
+        assert rep.exit_code == EXIT_INPUT
+        assert "lambda_target" in rep.stages[-1]["result"]["message"]
+
+    def test_combine_empty_budget_is_input_error(self):
+        params = {"complex": {"kind": "complete", "n": 8, "dim": 2},
+                  "target": {"kind": "complete", "n": 5, "dim": 2},
+                  "max_resamples": 0}
+        rep = run_experiment({"kind": "combine", "params": params, "seed": 0})
+        assert rep.exit_code == EXIT_INPUT
+
+    @pytest.mark.parametrize(
+        "key, value", [("p_split", 0), ("p_split", 0.5), ("p_edge", 0), ("trials", 0)]
+    )
+    def test_bad_sparsify_numbers_are_input_errors(self, key, value):
+        params = {"graph": {"kind": "complete", "n": 20}, "trials": 2, key: value}
+        rep = run_experiment({"kind": "sparsify", "params": params, "seed": 0})
+        assert rep.exit_code == EXIT_INPUT
+        assert key in rep.stages[-1]["result"]["message"]
+
 
 class TestLinkSkeletonPath:
     def test_certifiers_build_no_complex_per_link(self, monkeypatch):
@@ -314,6 +344,23 @@ class TestCli:
         assert out["exact"]
         assert out["eml_ratio"] <= out["two_sided_lambda"] + 1e-9
 
+    def test_eml_inline_and_complete_graphs(self, capsys):
+        assert main(["eml", "--graph", '{"kind": "complete", "n": 6}']) == 0
+        complete = json.loads(capsys.readouterr().out)
+        edges = [[i, j, 1.0] for i in range(6) for j in range(i + 1, 6)]
+        assert main(["eml", "--graph", json.dumps({"edges": edges})]) == 0
+        assert json.loads(capsys.readouterr().out) == complete
+
+    @pytest.mark.parametrize("text", ['{"nodes": [1, 2]}', "{not json", "[[0, 1, 1.0]]"])
+    def test_eml_bad_graph_exit_code(self, tmp_path, text):
+        graph = tmp_path / "g.json"
+        graph.write_text(text)
+        assert main(["eml", "--graph", str(graph)]) == 4
+
+    def test_cover_subcommand_removed(self):
+        with pytest.raises(SystemExit):
+            main(["cover", "--complex", "x", "--group", "g", "--genset", "s"])
+
     def test_missing_input_exit_code(self, tmp_path):
         assert main(["verify-hdx", "--complex", "/nope.json",
                      "--lambda", "0.5"]) == 4
@@ -334,3 +381,14 @@ class TestCli:
         assert code in (EXIT_CLEAN, EXIT_BUDGET)
         assert (tmp_path / "out" / "report.json").exists()
         assert (tmp_path / "out" / "timings.json").exists()
+
+
+def test_benchmark_selftest_passes():
+    """The benchmark's tracing self-test: every traced name still resolves on
+    its own class, and a brute-force replay reproduces the loop's path."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    done = subprocess.run(
+        [sys.executable, os.path.join(root, "perfbench", "selftest.py")],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr

@@ -31,7 +31,13 @@ from hdxcover.pruning import (
 )
 from hdxcover.spectral import is_hdx
 
-from helpers import random_complex
+from helpers import (
+    plain_at_table,
+    plain_bc_table,
+    plain_event_scope,
+    random_complex,
+    relabeled,
+)
 
 Z5 = cyclic(5)
 Z5_GENS = validate_genset(Z5, [1, 2, 3, 4])
@@ -484,6 +490,31 @@ class TestDependencyScope:
         small = set(dependency_scope(X, (0,)).edges)
         large = set(dependency_scope(X, (0, 1)).edges)
         assert small <= large
+
+
+class TestEventTables:
+    """The array-built event tables and scopes against per-face loops."""
+
+    @pytest.mark.parametrize(
+        "X",
+        [
+            complete_complex(8, 2),
+            relabeled(random_complex(np.random.default_rng(2), 9, 2, keep=0.5)),
+            relabeled(random_complex(np.random.default_rng(3), 8, 3, keep=0.5)),
+        ],
+    )
+    def test_tables_and_scopes_match_loops(self, X):
+        pruner = Pruner(X, Z5, Z5_GENS, PruneConfig.formula(0.9, edge_cover_events=True))
+        for sigma in itertools.chain(*(X.faces(ell) for ell in range(X.dim))):
+            vmeas, eidx, fwd, _ = pruner._at_table(sigma)
+            want = plain_at_table(pruner, sigma)
+            assert np.array_equal(vmeas, want[0])
+            assert np.array_equal(eidx, want[1]) and np.array_equal(fwd, want[2])
+        for v in X.vertices:
+            got, want = pruner._bc_table(v), plain_bc_table(pruner, v)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        for kind, face in pruner.events():
+            assert pruner.event_scope(kind, face) == plain_event_scope(pruner, kind, face)
 
 
 class TestMoserTardos:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from hdxcover.errors import EmptyResult, EmptySide
+from hdxcover.errors import EmptyResult, EmptySide, InputError
 from hdxcover.graphs import WGraph
 from hdxcover.sparsify import (
     bipartite_vertex_split,
@@ -112,6 +112,14 @@ class TestTrialReport:
         assert max(rep.split_lambdas) <= 1e-8
         assert rep.split_ok_fraction == 1.0
         assert 0.0 <= rep.edge_ok_fraction <= 1.0
+
+    @pytest.mark.parametrize(
+        "p_split, p_edge, trials",
+        [(0, 0.5, 5), (0.5, 0.5, 5), (0.3, 0, 5), (0.3, 1.5, 5), (0.3, 0.5, 0)],
+    )
+    def test_bad_numbers_rejected_before_any_work(self, p_split, p_edge, trials):
+        with pytest.raises(InputError):
+            sparsify_trial(complete_graph(10), p_split, p_edge, trials, 0)
 
     def test_p_edge_one_keeps_lambda(self):
         G = complete_graph(40)
