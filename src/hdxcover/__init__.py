@@ -23,7 +23,6 @@ from .groups import (
     cayley_clique_complex,
     cyclic,
     dihedral,
-    link_of_identity,
     make_group,
     product_group,
     quotient_group,

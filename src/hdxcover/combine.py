@@ -14,13 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import PureComplex, build_complex
-from .errors import BadKindForFace, NotAFace, UnsatisfiedBase
+from .errors import BadKindForFace, UnsatisfiedBase
 from .pruning import (
     build_link_table,
     build_satisfaction_graph,
     event_face,
     event_list,
-    link_rows,
     ne_violated,
     resample,
     target_link,
@@ -77,16 +76,7 @@ class Combiner:
         self.d = X.dim
         self.vpos = {v: i for i, v in enumerate(X.vertices)}
         self.tops = X.top_faces
-        self.c_tops = set(C.top_faces)
         self.c_verts = np.array(C.vertices, dtype=np.int64)
-        # the faces of C per size k, as sorted base-n numbers over their
-        # vertex ranks
-        self._base = len(C.vertices) ** np.arange(self.d + 2)
-        self._c_codes = {}
-        for k in range(0, self.d + 2):
-            faces = np.array(C.faces(k - 1), dtype=np.int64)
-            codes = np.searchsorted(self.c_verts, faces) @ self._base[:k]
-            self._c_codes[k] = np.sort(codes)
         self._image_links = {}
         self._link_vertices = {}
         self._link_tables = {}
@@ -108,21 +98,21 @@ class Combiner:
         return tuple(sorted(int(col[self.vpos[v]]) for v in face))
 
     def face_satisfied(self, face, col):
-        face = tuple(sorted(face))
-        if not self.X.has_face(face):
-            raise NotAFace(f"{face!r} is not a face")
-        rows = np.array([[self.vpos[v] for v in face]], dtype=np.intp)
-        return bool(self.rows_ok(col, rows.reshape(1, len(face)))[0])
+        return bool(self.rows_ok(col, self.X.positions(face)[None, :])[0])
+
+    def image_index(self, col, rows):
+        """Index among C's faces of the colors of each row of vertex
+        positions, or -1 where they repeat or span no face of C."""
+        c = np.sort(col[rows], axis=1)
+        m = len(self.c_verts)
+        pos = np.searchsorted(self.c_verts, c)
+        pos[self.c_verts[pos.clip(max=m - 1)] != c] = m  # not a vertex of C
+        return self.C.face_index(pos)
 
     def rows_ok(self, col, rows):
         """Whether the colors of each row of vertex positions are distinct
-        and span a face of C; a repeated color spans no face."""
-        c = np.sort(col[rows], axis=1)
-        rank = np.searchsorted(self.c_verts, c).clip(max=len(self.c_verts) - 1)
-        k = rows.shape[1]
-        codes, code = self._c_codes[k], rank @ self._base[:k]
-        found = codes[np.searchsorted(codes, code).clip(max=len(codes) - 1)] == code
-        return (self.c_verts[rank] == c).all(axis=1) & found
+        and span a face of C."""
+        return self.image_index(col, rows) >= 0
 
     def satisfied_mask(self, col):
         return self.rows_ok(col, self.X.top_positions())
@@ -130,7 +120,7 @@ class Combiner:
     def link_vertices(self, face):
         """Positions of the link vertices of face, sorted; cached."""
         if face not in self._link_vertices:
-            self._link_vertices[face] = np.unique(link_rows(self.X, face)[2])
+            self._link_vertices[face] = np.unique(self.X.link_rows(face)[2])
         return self._link_vertices[face]
 
     def link_table(self, sigma):
@@ -187,8 +177,7 @@ class Combiner:
         """Vertex positions whose colors the events at this face read."""
         if kind not in self.kind_dims:
             raise BadKindForFace(f"unknown event kind {kind!r}")
-        own = np.searchsorted(self.X.vertices, face)
-        return tuple(np.union1d(own, self.link_vertices(face)).tolist())
+        return tuple(np.unique(self.X.top_positions()[self.X.cofaces(face)]).tolist())
 
     def violations(self, col):
         """The violated events in events() order, found lazily; the
@@ -216,19 +205,15 @@ class Combiner:
             return None, "empty", mask
         kept = [self.tops[i] for i in np.nonzero(mask)[0]]
         base_w = self.X.weights[mask]
-        fiber = {}
-        for face, w in zip(kept, base_w):
-            img = self.image(face, col)
-            fiber[img] = fiber.get(img, 0.0) + w
-        degenerate = any(t not in fiber for t in self.c_tops)
-        if degenerate:
+        # the target top face under each kept top face
+        img = self.image_index(col, self.X.top_positions()[mask])
+        n_c = len(self.C.top_faces)
+        if len(np.unique(img)) < n_c:
             y = build_complex(self.d, kept, base_w)
             return y, "restricted", mask
-        cw = {t: w for t, w in zip(self.C.top_faces, self.C.weights)}
-        weights = [
-            cw[self.image(face, col)] * w / fiber[self.image(face, col)]
-            for face, w in zip(kept, base_w)
-        ]
+        # bincount sums each fiber in kept-face order
+        fiber = np.bincount(img, weights=base_w, minlength=n_c)
+        weights = self.C.weights[img] * base_w / fiber[img]
         return build_complex(self.d, kept, weights), "coloring", mask
 
     def run(self, rng):
@@ -389,19 +374,15 @@ def verify_combine(X, C, outcome):
     if y is None:
         raise UnsatisfiedBase("outcome kept no top face")
 
-    hom_ok, hom_wit = True, None
-    for face in y.top_faces:
-        img = tuple(sorted(coloring[v] for v in face))
-        if len(set(img)) != len(face) or not C.has_face(img):
-            hom_ok, hom_wit = False, face
-            break
-
-    images = {tuple(sorted(coloring[v] for v in face)) for face in y.top_faces}
-    nondeg_ok, nondeg_wit = True, None
-    for t in C.top_faces:
-        if t not in images:
-            nondeg_ok, nondeg_wit = False, t
-            break
+    # the target top face under each kept top face, -1 where there is none
+    pos = {c: i for i, c in enumerate(C.vertices)}
+    rows = [[pos.get(coloring[v], len(pos)) for v in face] for face in y.top_faces]
+    img = C.face_index(np.sort(rows, axis=1))
+    bad = np.flatnonzero(img < 0)
+    hom_ok, hom_wit = not len(bad), y.top_faces[bad[0]] if len(bad) else None
+    missing = np.setdiff1d(np.arange(len(C.top_faces)), img)
+    nondeg_ok = not len(missing)
+    nondeg_wit = C.top_faces[missing[0]] if len(missing) else None
 
     if lam < 0.5:
         threshold = 2 * lam / (1 - 2 * lam)

@@ -11,10 +11,12 @@ face with k+1 vertices has measure Prob{s} / (k+1)!.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,15 +41,34 @@ def _canon(face):
     return tuple(sorted(t))
 
 
+class FaceLevel(NamedTuple):
+    """The k-faces of a complex, indexed off its top-face array.
+
+    A face is a sorted row of vertex positions.  Its code is the index of
+    its first k vertices among the (k-1)-faces, times the vertex count,
+    plus the position of its last vertex; codes sort like the rows, and
+    stay below (number of (k-1)-faces) * (number of vertices).
+    """
+
+    rows: np.ndarray  # (faces, k+1) vertex positions, rows in lexicographic order
+    codes: np.ndarray  # int64 code of each row, ascending
+    pairs: np.ndarray  # (tops, subsets) face of each top face's column subset
+    rest: np.ndarray  # (subsets, d-k) the columns outside each column subset
+    cof: np.ndarray  # top faces containing each face, grouped by face, ascending
+    sub: np.ndarray  # the column subset of each entry of cof
+    start: list  # face f's entries are cof[start[f]:start[f + 1]]
+    code_list: list  # codes as Python ints, for scalar lookups
+
+
 class PureComplex:
     """A pure d-dimensional complex with a measure on its top faces.
 
-    Instances are immutable after construction; every operation is a pure
-    read and safe to call from multiple threads.
+    Instances are immutable after construction.  Lower faces are indexed
+    level by level on first use (see :class:`FaceLevel`).
     """
 
     __slots__ = (
-        "dim", "top_faces", "weights", "vertices", "_cofaces", "_levels", "_tops",
+        "dim", "top_faces", "weights", "vertices", "_faces", "_levels", "_tops",
         "_vpos",
     )
 
@@ -56,13 +77,8 @@ class PureComplex:
         self.dim = dim
         self.top_faces = top_faces
         self.weights = weights
-        cofaces = {}
-        for i, face in enumerate(top_faces):
-            for size in range(1, dim + 2):
-                for sub in itertools.combinations(face, size):
-                    cofaces.setdefault(sub, []).append(i)
-        self._cofaces = {s: np.array(ix, dtype=np.intp) for s, ix in cofaces.items()}
         self.vertices = tuple(sorted({v for f in top_faces for v in f}))
+        self._faces = {}
         self._levels = {}
         self._tops = None
         self._vpos = None
@@ -75,22 +91,17 @@ class PureComplex:
 
     def faces(self, k):
         """Sorted tuple of the k-dimensional faces; k = -1 gives ((),)."""
-        if k == -1:
-            return ((),)
-        if k < -1 or k > self.dim:
-            raise BadLevel(f"no faces of dimension {k} in a {self.dim}-complex")
-        if k not in self._levels:
-            self._levels[k] = tuple(
-                sorted(s for s in self._cofaces if len(s) == k + 1)
-            )
-        return self._levels[k]
+        if k not in self._faces:
+            V = self.vertices
+            rows = self.level(k).rows.tolist()
+            self._faces[k] = tuple(tuple([V[i] for i in r]) for r in rows)
+        return self._faces[k]
 
     def n_faces(self, k):
-        return len(self.faces(k))
+        return len(self.level(k).codes)
 
     def has_face(self, s):
-        s = _canon(s)
-        return s == () or s in self._cofaces
+        return self._find(_canon(s)) >= 0
 
     def top_positions(self):
         """The top faces as an int array of positions into ``vertices``.
@@ -107,15 +118,105 @@ class PureComplex:
             ).reshape(len(self.top_faces), self.dim + 1)
         return self._tops
 
+    def level(self, k):
+        """The index of the k-dimensional faces, built on first use."""
+        if k < -1 or k > self.dim:
+            raise BadLevel(f"no faces of dimension {k} in a {self.dim}-complex")
+        if k in self._levels:
+            return self._levels[k]
+        T = self.top_positions()
+        nt, d, n = len(T), self.dim, len(self.vertices)
+        subsets = list(itertools.combinations(range(d + 1), k + 1))
+        if k == -1:
+            codes, pairs = np.zeros(1, dtype=np.int64), np.zeros(nt, dtype=np.intp)
+            rows = np.empty((1, 0), dtype=np.intp)
+        else:
+            prev = self.level(k - 1)
+            prefixes = list(itertools.combinations(range(d + 1), k))
+            prefix = prev.pairs[:, [prefixes.index(s[:-1]) for s in subsets]]
+            last = T[:, [s[-1] for s in subsets]]
+            codes, pairs = np.unique(
+                (prefix.astype(np.int64) * n + last).ravel(), return_inverse=True
+            )
+            rows = np.column_stack([prev.rows[codes // n], codes % n])
+        c = len(subsets)
+        order = np.argsort(pairs, kind="stable")
+        rest = [[j for j in range(d + 1) if j not in s] for s in subsets]
+        self._levels[k] = FaceLevel(
+            rows=rows,
+            codes=codes,
+            pairs=pairs.reshape(nt, c),
+            rest=np.array(rest, dtype=np.intp).reshape(c, d - k),
+            cof=order // c,
+            sub=order % c,
+            start=[0] + np.cumsum(np.bincount(pairs, minlength=len(codes))).tolist(),
+            code_list=codes.tolist(),
+        )
+        return self._levels[k]
+
+    def face_index(self, rows):
+        """Index in faces(k) of each row of k+1 vertex positions, or -1.
+
+        Rows must be increasing to name a face; a row with a repeated
+        entry or a position outside ``vertices`` is no face and gets -1.
+        """
+        rows = np.asarray(rows, dtype=np.intp)
+        n = len(self.vertices)
+        ok = ((rows >= 0) & (rows < n)).all(axis=1)
+        f = np.zeros(len(rows), dtype=np.int64)
+        for j in range(rows.shape[1]):
+            codes = self.level(j).codes
+            code = f * n + np.where(ok, rows[:, j], 0)
+            f = np.searchsorted(codes, code).clip(max=len(codes) - 1)
+            ok &= codes[f] == code
+        return np.where(ok, f, -1)
+
+    def _find(self, s):
+        """Index of the sorted face s in faces(len(s) - 1), or -1."""
+        if self._vpos is None:
+            self.top_positions()
+        if len(s) > self.dim + 1:
+            return -1
+        # every vertex is a 0-face, and a 0-face's code is its position
+        n, f = len(self.vertices), self._vpos.get(s[0], -1) if s else 0
+        for j in range(1, len(s)):
+            p = self._vpos.get(s[j])
+            if f < 0 or p is None:
+                return -1
+            codes = (self._levels.get(j) or self.level(j)).code_list
+            code = f * n + p
+            f = bisect.bisect_left(codes, code)
+            if f == len(codes) or codes[f] != code:
+                return -1
+        return f
+
+    def _entries(self, s):
+        """The level of face s, its index there, and the bounds of its
+        entries in the level's cof and sub."""
+        s = _canon(s)
+        f = self._find(s)
+        if f < 0:
+            raise NotAFace(f"{s!r} is not a face")
+        lev = self._levels.get(len(s) - 1) or self.level(len(s) - 1)
+        return lev, f, lev.start[f], lev.start[f + 1]
+
+    def positions(self, s):
+        """The vertex positions of face s, in increasing order."""
+        lev, f, _, _ = self._entries(s)
+        return lev.rows[f]
+
     def cofaces(self, s):
         """Indices of the top faces containing s."""
-        s = _canon(s)
-        if s == ():
-            return np.arange(len(self.top_faces), dtype=np.intp)
-        try:
-            return self._cofaces[s]
-        except KeyError:
-            raise NotAFace(f"{s!r} is not a face") from None
+        lev, _, lo, hi = self._entries(s)
+        return lev.cof[lo:hi]
+
+    def link_rows(self, s):
+        """The cofaces of s, the vertex positions of s, and the cofaces'
+        rows of vertex positions less the columns of s."""
+        lev, f, lo, hi = self._entries(s)
+        idx = lev.cof[lo:hi]
+        rows = self.top_positions()[idx[:, None], lev.rest[lev.sub[lo:hi]]]
+        return idx, lev.rows[f], rows
 
     # --- measures ---
 
@@ -156,18 +257,12 @@ class PureComplex:
         over the link top faces containing it.  Builds no complex, and
         equals ``link(s).one_skeleton()`` up to the order of summation.
         """
-        s = _canon(s)
-        idx = self.cofaces(s)
-        k = self.dim - len(s)  # dimension of the link
+        idx, _, tops = self.link_rows(s)
+        k = tops.shape[1] - 1  # dimension of the link
         if k < 0:
-            raise TopFace(f"{s!r} is a top face; its link is empty")
+            raise TopFace(f"{_canon(s)!r} is a top face; its link is empty")
         if k == 0:
             raise BadLevel("a 0-dimensional complex has no 1-skeleton")
-        tops = self.top_positions()[idx]
-        if s:
-            spos = np.array([self._vpos[v] for v in s])
-            keep = (tops[:, :, None] != spos).all(axis=2)
-            tops = tops[keep].reshape(len(idx), k + 1)
         w = self.weights[idx]
         verts, local = np.unique(tops, return_inverse=True)
         local = local.reshape(tops.shape)

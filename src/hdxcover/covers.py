@@ -8,13 +8,12 @@ which controls how many components the cover splits into.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .complexes import PureComplex, build_complex
-from .errors import Disconnected, NotACocycle, NotAnEdge, TooLarge
+from .errors import Disconnected, NotACocycle, NotAnEdge
 
 TOL = 1e-9
 
@@ -182,48 +181,33 @@ class CoverReport:
     violations: tuple  # (face, reason) pairs
 
 
-def _row_codes(rows, n):
-    """One int64 per row of entries in 0..n-1, ordered like the rows."""
-    width = rows.shape[1]
-    if n**width >= 2**63:
-        raise TooLarge(f"{width}-vertex faces over {n} vertices overflow int64 codes")
-    return rows.astype(np.int64) @ (n ** np.arange(width - 1, -1, -1, dtype=np.int64))
-
-
-def _lookup(codes, table):
-    """Position of each code in the sorted array table, or -1."""
-    pos = np.minimum(np.searchsorted(table, codes), len(table) - 1)
-    return np.where(table[pos] == codes, pos, -1)
-
-
 def verify_cover(cover, tol=TOL):
     """Audit that the projection is a genuine cover of the base.
 
     Checks surjectivity on vertices and top faces, and for every nonempty
     lifted face that the projection restricts to a weighted isomorphism
     between its link and the link of its image.  Works level by level on
-    the top-face arrays: in a pure complex each (face, top face) pair
-    names one top face of the face's link.
+    the face indexes of both complexes: in a pure complex each (face, top
+    face) pair names one top face of the face's link.
     """
     tilde, base = cover.complex, cover.base
     surj = set(cover.phi(v) for v in tilde.vertices) == set(base.vertices)
 
-    # phi as base positions; an image outside the base gets a code past them
-    code = {v: i for i, v in enumerate(base.vertices)}
+    # phi as base positions; an image outside the base gets a position past them
+    pos = {v: i for i, v in enumerate(base.vertices)}
     phi = np.array(
-        [code.setdefault(cover.phi(v), len(code)) for v in tilde.vertices],
-        dtype=np.int64,
+        [pos.setdefault(cover.phi(v), len(pos)) for v in tilde.vertices],
+        dtype=np.intp,
     )
-    nc = len(code)
-    T, B = tilde.top_positions(), base.top_positions()
     # the base top under each lifted top, -1 if its image is none
-    top_img = _lookup(_row_codes(np.sort(phi[T], axis=1), nc), _row_codes(B, nc))
-    surj = surj and bool((top_img >= 0).all()) and len(np.unique(top_img)) == len(B)
+    top_img = base.face_index(np.sort(phi[tilde.top_positions()], axis=1))
+    surj = surj and bool((top_img >= 0).all())
+    surj = surj and len(np.unique(top_img)) == len(base.top_faces)
 
     violations = []
     checked = 0
     for k in range(tilde.dim + 1):
-        n_faces, found = _level_violations(cover, k, phi, nc, top_img, tol)
+        n_faces, found = _level_violations(cover, k, phi, top_img, tol)
         checked += n_faces
         violations.extend(found)
     return CoverReport(
@@ -242,28 +226,21 @@ _FAULTS = {
 }
 
 
-def _level_violations(cover, k, phi, nc, top_img, tol):
+def _level_violations(cover, k, phi, top_img, tol):
     """Face count and (face, reason) violations, in face order, of the
     k-dimensional lifted faces."""
     tilde, base = cover.complex, cover.base
     d = tilde.dim
-    T, B = tilde.top_positions(), base.top_positions()
-    nt = len(tilde.vertices)
-    cols = list(itertools.combinations(range(d + 1), k + 1))
-    rest_cols = [[c for c in range(d + 1) if c not in cs] for cs in cols]
-    c = len(cols)
-    # pair p is (top face p // c, its face on columns cols[p % c]); inv maps
+    T = tilde.top_positions()
+    lev, blev = tilde.level(k), base.level(k)
+    rest_cols = lev.rest
+    c = len(rest_cols)
+    # pair p is (top face p // c, its face on column subset p % c); inv maps
     # pairs to faces, and a face's pairs come in coface order
-    faces = T[:, cols].reshape(-1, k + 1)
-    _, first, inv = np.unique(
-        _row_codes(faces, nt), return_index=True, return_inverse=True
-    )
-    faces = faces[first]
+    inv, binv = lev.pairs.ravel(), blev.pairs.ravel()
+    faces = lev.rows
     nf = len(faces)
-    bfaces, binv = np.unique(
-        _row_codes(B[:, cols].reshape(-1, k + 1), nc), return_inverse=True
-    )
-    img = _lookup(_row_codes(np.sort(phi[faces], axis=1), nc), bfaces)
+    img = base.face_index(np.sort(phi[faces], axis=1))
     reason = np.where(img < 0, _IMAGE, 0)
     if k < d:
         ok = img >= 0
@@ -273,8 +250,8 @@ def _level_violations(cover, k, phi, nc, top_img, tol):
         # each link face maps to a link face of the image, and onto them:
         # its lifted top maps to a base top, and the coface counts agree
         n_off = np.bincount(inv, weights=np.repeat(top_img < 0, c), minlength=nf)
-        n_base = np.bincount(binv)[np.maximum(img, 0)]
-        match = (n_off == 0) & (np.bincount(inv, minlength=nf) == n_base)
+        n_base = np.diff(blev.start)[np.maximum(img, 0)]
+        match = (n_off == 0) & (np.diff(lev.start) == n_base)
         reason[ok & ~match] = _NO_MATCH
         ok &= match
         # normalized link weights, each sum taken in coface order

@@ -244,6 +244,7 @@ class CayleyCliqueComplex:
     dim: int
 
     def link_of_identity(self):
+        """Representative vertex link; all links are isomorphic by transitivity."""
         return self.complex.link((0,))
 
 
@@ -277,11 +278,6 @@ def cayley_clique_complex(group, gens, d, require_generating=False):
         for combo in base:
             tops.add(tuple(sorted([g] + [int(row[s]) for s in combo])))
     return CayleyCliqueComplex(build_complex(d, sorted(tops)), group, gens, d)
-
-
-def link_of_identity(cayley):
-    """Representative vertex link; all links are isomorphic by transitivity."""
-    return cayley.link_of_identity()
 
 
 # --- quotients ---

@@ -124,19 +124,10 @@ class LinkTable(NamedTuple):
     edge_rows: np.ndarray | None  # the same for face + edge; None at top faces
 
 
-def link_rows(X, sigma):
-    """The cofaces of sigma, the vertex positions of sigma, and the cofaces'
-    rows of vertex positions less the columns of sigma."""
-    idx = X.cofaces(sigma)
-    spos = np.searchsorted(X.vertices, sigma)
-    rows = X.top_positions()[idx]
-    return idx, spos, rows[~np.isin(rows, spos)].reshape(len(idx), -1)
-
-
 def build_link_table(X, sigma):
     """The link table of sigma: the cofaces of sigma less its columns give
     the link vertices, and each pair of their columns a link edge."""
-    idx, spos, rows = link_rows(X, sigma)
+    idx, spos, rows = X.link_rows(sigma)
     a, b = np.triu_indices(rows.shape[1], 1)
     n = len(X.vertices)
     keys, first, inv = np.unique(
@@ -333,8 +324,7 @@ class Pruner:
         self.edge_pos = {e: i for i, e in enumerate(self.edges)}
         self.n_edges = len(self.edges)
         # edge position by the vertex positions of its ends, -1 off edges
-        ends = np.array(self.edges).reshape(-1, 2)
-        self.edge_ends = np.searchsorted(X.vertices, ends).T
+        self.edge_ends = X.level(1).rows.T
         self.edge_index = np.full((len(X.vertices),) * 2, -1, dtype=np.intp)
         self.edge_index[tuple(self.edge_ends)] = np.arange(self.n_edges)
         self.edge_index[tuple(self.edge_ends[::-1])] = np.arange(self.n_edges)
@@ -351,7 +341,9 @@ class Pruner:
         self._bc_tables = {}
         self._link_tables = {}
         self._cayley_links = {}
-        self._ec_setup()
+        # the (d-1)-faces of each top face, and each one's index, for EC
+        self.top_to_dfaces = X.level(self.d - 1).pairs
+        self.dpos = {s: i for i, s in enumerate(X.faces(self.d - 1))}
         # the dimensions at which each event kind is defined
         self.kind_dims = {
             "AT": range(0, self.d),
@@ -407,18 +399,14 @@ class Pruner:
         return self._tri_ok(f, self.tri_eidx)
 
     def face_satisfied(self, face, f):
-        face = tuple(sorted(face))
-        if not self.X.has_face(face):
-            raise NotAFace(f"{face!r} is not a face")
-        rows = np.searchsorted(self.X.vertices, [face]).reshape(1, len(face))
-        return bool(self.rows_ok(f, rows)[0])
+        return bool(self.rows_ok(f, self.X.positions(face)[None, :])[0])
 
     # --- precomputed event tables ---
 
     def _link_vertices(self, sigma):
         """Positions of the link vertices of sigma, sorted, and their
         normalized mass, summed over the cofaces in coface order."""
-        idx, _, rows = link_rows(self.X, sigma)
+        idx, _, rows = self.X.link_rows(sigma)
         verts, inv = np.unique(rows, return_inverse=True)
         w = np.repeat(self.X.weights[idx], rows.shape[1])
         meas = np.bincount(inv.ravel(), weights=w)
@@ -427,7 +415,7 @@ class Pruner:
     def _at_table(self, sigma):
         if sigma not in self._at_tables:
             verts, vmeas = self._link_vertices(sigma)
-            spos = np.searchsorted(self.X.vertices, sigma)
+            spos = self.X.positions(sigma)
             eidx = self.edge_index[spos[None, :], verts[:, None]]
             fwd = spos[None, :] < verts[:, None]
             powers = self.m ** np.arange(len(sigma))
@@ -438,7 +426,7 @@ class Pruner:
         """Edge positions and directions of the triangle v -> u -> w -> v
         for every ordered pair u != w sharing a coface with v."""
         if v not in self._bc_tables:
-            _, (p,), rows = link_rows(self.X, (v,))
+            _, (p,), rows = self.X.link_rows((v,))
             i, j = np.nonzero(~np.eye(rows.shape[1], dtype=bool))
             pairs = np.stack([rows[:, i], rows[:, j]], axis=-1).reshape(-1, 2)
             pairs = np.unique(pairs, axis=0)
@@ -452,19 +440,8 @@ class Pruner:
             self._link_tables[sigma] = build_link_table(self.X, sigma)
         return self._link_tables[sigma]
 
-    def _ec_setup(self):
-        dfaces = self.X.faces(self.d - 1)
-        self.dfaces = dfaces
-        dpos = {s: i for i, s in enumerate(dfaces)}
-        self.dpos = dpos
-        cover = np.empty((len(self.X.top_faces), self.d + 1), dtype=np.intp)
-        for n, face in enumerate(self.X.top_faces):
-            for j, sub in enumerate(itertools.combinations(face, self.d)):
-                cover[n, j] = dpos[sub]
-        self.top_to_dfaces = cover
-
     def covered_dfaces(self, satisfied):
-        out = np.zeros(len(self.dfaces), dtype=bool)
+        out = np.zeros(len(self.dpos), dtype=bool)
         if satisfied.any():
             out[self.top_to_dfaces[satisfied].ravel()] = True
         return out
@@ -566,13 +543,13 @@ class Pruner:
         if kind == "BC":
             return tuple(np.unique(self._bc_table(face[0])[0]).tolist())
         if kind == "EC":
-            rows = self.X.top_positions()[self.X.cofaces(face)]
-            a, b = np.triu_indices(self.d + 1, 1)
-            return tuple(np.unique(self.edge_index[rows[:, a], rows[:, b]]).tolist())
+            # edge positions are indices in faces(1), so the level reads them
+            edges = self.X.level(1).pairs[self.X.cofaces(face)]
+            return tuple(np.unique(edges).tolist())
         if kind == "NE":
             allowed = np.zeros(len(self.X.vertices), dtype=bool)
             allowed[self._link_vertices(face)[0]] = True
-            allowed[np.searchsorted(self.X.vertices, face)] = True
+            allowed[self.X.positions(face)] = True
             return tuple(np.nonzero(allowed[self.edge_ends].all(axis=0))[0].tolist())
         raise BadKindForFace(f"unknown event kind {kind!r}")
 

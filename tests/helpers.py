@@ -134,6 +134,17 @@ def relabeled(X, step=3, shift=7):
     return build_complex(X.dim, faces, X.weights)
 
 
+def plain_cofaces(X):
+    """Reference face table: every subset of every top face, mapped to the
+    indices of the top faces containing it, in ascending order."""
+    cofaces = {}
+    for i, face in enumerate(X.top_faces):
+        for size in range(1, X.dim + 2):
+            for sub in itertools.combinations(face, size):
+                cofaces.setdefault(sub, []).append(i)
+    return {s: np.array(ix, dtype=np.intp) for s, ix in cofaces.items()}
+
+
 def brute_face_measure(X, s):
     """Direct summation oracle for the induced face measure."""
     s = tuple(sorted(s))
@@ -296,6 +307,28 @@ def plain_color_satisfied(comb, face, col):
     """Reference combine rule: distinct colors whose set is a target face."""
     img = comb.image(face, col)
     return len(set(img)) == len(img) and comb.C.has_face(img)
+
+
+def plain_c_pruning(comb, col):
+    """Reference combine pruning: fiber masses summed in a dict, one image
+    per kept top face; returns (y, measure kind)."""
+    mask = comb.satisfied_mask(col)
+    if not mask.any():
+        return None, "empty"
+    kept = [comb.tops[i] for i in np.nonzero(mask)[0]]
+    base_w = comb.X.weights[mask]
+    fiber = {}
+    for face, w in zip(kept, base_w):
+        img = comb.image(face, col)
+        fiber[img] = fiber.get(img, 0.0) + w
+    if any(t not in fiber for t in comb.C.top_faces):
+        return build_complex(comb.d, kept, base_w), "restricted"
+    cw = dict(zip(comb.C.top_faces, comb.C.weights))
+    weights = [
+        cw[comb.image(face, col)] * w / fiber[comb.image(face, col)]
+        for face, w in zip(kept, base_w)
+    ]
+    return build_complex(comb.d, kept, weights), "coloring"
 
 
 def plain_color_satisfaction_graph(comb, sigma, col):

@@ -85,6 +85,26 @@ class TestCPruning:
             assert mass[t] == pytest.approx(w, abs=1e-9)
 
 
+    @pytest.mark.parametrize("case", ["coloring", "restricted", "empty"])
+    def test_matches_reference(self, case):
+        from helpers import plain_c_pruning, random_complex
+
+        rng = np.random.default_rng(7)
+        X = random_complex(rng, 20, 2)
+        comb = Combiner(X, K5_TARGET, CombineConfig(0.5))
+        n_colors = {"coloring": 5, "restricted": 3, "empty": 1}[case]
+        for _ in range(5):
+            col = rng.integers(0, n_colors, size=len(X.vertices))
+            y, kind, _ = comb.c_pruning(col)
+            y_ref, kind_ref = plain_c_pruning(comb, col)
+            assert kind == kind_ref == case
+            if case == "empty":
+                assert y is y_ref is None
+                continue
+            assert y.top_faces == y_ref.top_faces
+            assert y.weights.tobytes() == y_ref.weights.tobytes()
+
+
 class TestEvents:
     def test_ac_false_when_all_colors_present(self):
         X = complete_complex(12, 2)

@@ -31,8 +31,10 @@ from hdxcover.spectral import adjacency_spectrum
 from helpers import (
     brute_face_measure,
     plain_check_suitable,
+    plain_cofaces,
     plain_link_skeleton,
     random_complex,
+    relabeled,
 )
 
 
@@ -269,6 +271,100 @@ class TestLinkSkeleton:
             X.link_skeleton((0, 1))
         with pytest.raises(NotAFace):
             X.link_skeleton((0, 9))
+
+
+def _face_index_inputs():
+    rng = np.random.default_rng(13)
+    out = [("K12-d2", complete_complex(12, 2)), ("K9-d3", complete_complex(9, 3))]
+    for name, g, seeds, dim in (
+        ("Z13", cyclic(13), (1, 3, 4), 2),
+        ("S4", symmetric_group(4), (1, 2, 3, 5), 3),
+    ):
+        gens = sorted({h for x in seeds for h in (x, g.inv(x))})
+        out.append((f"cayley-{name}", cayley_clique_complex(g, gens, dim).complex))
+    X, z6 = random_complex(rng, 7, 2), cyclic(6)
+    f = coboundary_labeling(X, z6, {v: int(rng.integers(6)) for v in X.vertices})
+    out.append(("cover-Z6", build_cover(X, f, z6).complex))
+    out.append(("relabeled", relabeled(random_complex(rng, 8, 3, keep=0.5))))
+    faces = list(itertools.combinations(range(7), 3))
+    weights = 0.2 + rng.random(len(faces))
+    weights[::3] = 0.0
+    out.append(("zero-weights-dropped", build_complex(2, faces, weights)))
+    return out
+
+
+FACE_INDEX_INPUTS = _face_index_inputs()
+
+
+class TestFaceIndex:
+    """The lazily built face index against the subset-enumerating reference."""
+
+    @pytest.mark.parametrize(
+        "X", [x for _, x in FACE_INDEX_INPUTS], ids=[i for i, _ in FACE_INDEX_INPUTS]
+    )
+    def test_matches_reference(self, X):
+        ref = plain_cofaces(X)
+        levels = [
+            tuple(sorted(s for s in ref if len(s) == k + 1)) for k in range(X.dim + 1)
+        ]
+        for k, expected in enumerate(levels):
+            assert X.faces(k) == expected
+            assert X.n_faces(k) == len(expected)
+        for s, idx in ref.items():
+            got = X.cofaces(s)
+            assert got.dtype == np.intp
+            assert got.tolist() == idx.tolist()
+            assert X.has_face(s)
+        for faces in levels:
+            for s in faces[:3]:
+                for level in range(len(s) - 1, X.dim + 1):
+                    expected = sum(1 for t in levels[level] if set(s) <= set(t))
+                    assert X.degree(s, level) == expected
+
+    @pytest.mark.parametrize(
+        "X", [x for _, x in FACE_INDEX_INPUTS], ids=[i for i, _ in FACE_INDEX_INPUTS]
+    )
+    def test_lookups_on_random_rows(self, X):
+        ref = plain_cofaces(X)
+        rng = np.random.default_rng(2)
+        n = len(X.vertices)
+        for k in range(X.dim + 1):
+            rows = np.sort(rng.integers(0, n, size=(200, k + 1)), axis=1)
+            got = X.face_index(rows)
+            index = {s: i for i, s in enumerate(X.faces(k))}
+            for row, f in zip(rows.tolist(), got.tolist()):
+                s = tuple(X.vertices[i] for i in row)
+                assert f == index.get(s, -1)
+                if len(set(s)) == len(s):
+                    assert X.has_face(s) == (s in ref)
+            assert X.face_index(X.level(k).rows).tolist() == list(range(X.n_faces(k)))
+
+    def test_face_index_rejects_non_faces(self):
+        X = build_complex(2, [(0, 1, 2), (1, 2, 3)])
+        rows = [[0, 1, 2], [1, 2, 3], [0, 1, 3], [1, 1, 2], [0, 2, 4], [0, 1, -1]]
+        rows.append([2, 1, 0])
+        # a face, a face, a non-face, a repeat, out of range twice, unsorted
+        assert X.face_index(rows).tolist() == [0, 1, -1, -1, -1, -1, -1]
+        # (1, 2) has code 1 * 4 + 2, the code a range-blind (0, 6) would get
+        assert X.face_index([[1, 2], [0, 6], [2, 2]]).tolist() == [2, -1, -1]
+        assert X.face_index([[0], [3], [4], [-1]]).tolist() == [0, 3, -1, -1]
+        assert X.face_index(np.empty((2, 0), dtype=int)).tolist() == [0, 0]
+
+    def test_unknown_vertex_and_bad_level(self):
+        X = complete_complex(5, 2)
+        assert not X.has_face((0, 9))
+        assert not X.has_face((0, 1, 2, 3))
+        for s in ((9,), (0, 9), (0, 1, 2, 3)):
+            with pytest.raises(NotAFace):
+                X.cofaces(s)
+        for k in (-2, 3):
+            with pytest.raises(BadLevel):
+                X.faces(k)
+            with pytest.raises(BadLevel):
+                X.n_faces(k)
+        assert X.faces(-1) == ((),)
+        assert X.n_faces(-1) == 1
+        assert X.cofaces(()).tolist() == list(range(10))
 
 
 class TestDegree:

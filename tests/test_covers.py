@@ -232,6 +232,20 @@ class TestVerifyCover:
         rep = verify_cover(build_cover(X, f, g))
         assert rep.ok
 
+    def test_no_size_limit(self):
+        # 6,500 base vertices: 6500**5 exceeds int64, so base-n codes of the
+        # five-vertex faces would overflow
+        from helpers import plain_cofaces
+
+        X = build_complex(4, [tuple(range(5 * i, 5 * i + 5)) for i in range(1300)])
+        cover = build_cover(X, {e: 0 for e in X.faces(1)}, cyclic(2))
+        rep = verify_cover(cover)
+        assert rep.ok and rep.violations == ()
+        ref = plain_cofaces(X)
+        assert X.faces(4) == tuple(sorted(s for s in ref if len(s) == 5))
+        for s, idx in ref.items():
+            assert X.cofaces(s).tolist() == idx.tolist()
+
     @pytest.mark.parametrize(
         "damage", ["none", "delete", "unhit", "reweight", "merge", "outside"]
     )

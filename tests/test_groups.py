@@ -9,7 +9,6 @@ from hdxcover.groups import (
     cyclic,
     dihedral,
     group_from_table,
-    link_of_identity,
     make_group,
     normal_subgroups,
     product_group,
@@ -148,7 +147,7 @@ class TestCayley:
     def test_link_of_identity_vertices_are_generators(self):
         g = cyclic(7)
         cc = cayley_clique_complex(g, [1, 2, 5, 6], 2)
-        link = link_of_identity(cc)
+        link = cc.link_of_identity()
         assert set(link.vertices) == {1, 2, 5, 6}
 
     def test_vertex_transitivity(self):
