@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import (
     BadLevel,
+    BadMeasure,
     DuplicateFace,
     NonPure,
     NotAFace,
@@ -358,7 +359,8 @@ def build_complex(dim, faces, weights=None):
     if not math.isfinite(total):
         raise ValueError("face weights overflow when summed")
     weights = weights / total
-    assert abs(weights.sum() - 1.0) < 1e-12
+    if not abs(weights.sum() - 1.0) < 1e-12:
+        raise BadMeasure(f"normalized face weights sum to {weights.sum()!r}, not 1")
     return PureComplex(dim, faces, weights)
 
 

@@ -15,6 +15,10 @@ class ZeroMeasure(HdxError):
     """No top face carries positive weight."""
 
 
+class BadMeasure(HdxError):
+    """Top-face weights do not normalize to a probability measure."""
+
+
 class DuplicateFace(HdxError):
     pass
 

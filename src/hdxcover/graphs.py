@@ -8,6 +8,8 @@ at v.
 """
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .errors import EmptyGraph, NotBipartite
@@ -18,14 +20,16 @@ TOL = 1e-9
 class WGraph:
     """Undirected weighted graph, immutable after construction.
 
-    Edges are stored as sorted vertex pairs with strictly positive weights
-    normalized to sum one, and as ``ends``, the (2, m) int array of their
-    endpoint positions in ``vertices``.  Isolated vertices are not
+    Edges are stored as ``ends``, the (2, m) int array of their endpoint
+    positions in the sorted tuple ``vertices``, with strictly positive
+    weights normalized to sum one; ``edges``, the same edges as sorted
+    vertex pairs, is built on first read.  Isolated vertices are not
     representable: the vertex set is the union of edge endpoints.
     """
 
     __slots__ = (
-        "vertices", "edges", "weights", "ends", "sides", "_pos", "_adj", "_vmass"
+        "vertices", "_edges", "weights", "ends", "sides", "_left", "_pos", "_adj",
+        "_vmass",
     )
 
     def __init__(self, edges, sides=None):
@@ -52,42 +56,41 @@ class WGraph:
         pos = {v: i for i, v in enumerate(vertices)}
         ends = np.array([(pos[u], pos[v]) for u, v in keys], dtype=np.intp).T
         weights = np.array([cleaned[e] for e in keys], dtype=float)
-        self._setup(vertices, keys, ends, weights, pos)
+        self._setup(vertices, ends, weights, pos)
+        self._edges = keys
 
-        if sides is not None:
-            left, right = frozenset(sides[0]), frozenset(sides[1])
-            if left & right:
-                raise NotBipartite("sides overlap")
-            missing = set(self.vertices) - (left | right)
-            if missing:
-                raise NotBipartite(f"vertices outside both sides: {sorted(missing)[:4]}")
-            for u, v in self.edges:
-                if (u in left) == (v in left):
-                    raise NotBipartite(f"edge {(u, v)!r} does not cross the partition")
-            # drop side members that ended up isolated
-            self.sides = (left & set(self.vertices), right & set(self.vertices))
-        else:
-            self.sides = None
+        if sides is None:
+            self._set_sides(None)
+            return
+        left, right = frozenset(sides[0]), frozenset(sides[1])
+        if left & right:
+            raise NotBipartite("sides overlap")
+        # side members that are no edge endpoint drop out
+        self._set_sides((
+            np.fromiter((x in left for x in vertices), bool, len(vertices)),
+            np.fromiter((x in right for x in vertices), bool, len(vertices)),
+        ))
 
     @classmethod
-    def from_arrays(cls, vertices, ends, weights):
+    def from_arrays(cls, vertices, ends, weights, sides=None):
         """Graph from endpoint positions, without the per-edge checks.
 
         ``ends`` is a (2, m) int array of positions into the sorted tuple
         ``vertices``: each column is a distinct pair with ends[0] < ends[1],
         the columns sorted, every vertex an endpoint, and every weight
-        positive.
+        positive.  ``sides``, when given, is a pair of bool masks over the
+        vertex positions declaring a bipartition; every edge must cross it.
         """
+        if ends.shape[1] == 0:
+            raise EmptyGraph("graph has no edges")
         g = cls.__new__(cls)
-        u, v = ends[0].tolist(), ends[1].tolist()
-        edges = tuple(zip(map(vertices.__getitem__, u), map(vertices.__getitem__, v)))
-        g._setup(tuple(vertices), edges, ends, np.asarray(weights, dtype=float))
-        g.sides = None
+        g._setup(tuple(vertices), ends, np.asarray(weights, dtype=float))
+        g._edges = None
+        g._set_sides(sides)
         return g
 
-    def _setup(self, vertices, edges, ends, weights, pos=None):
+    def _setup(self, vertices, ends, weights, pos=None):
         self.vertices = vertices
-        self.edges = edges
         self.ends = ends
         self.weights = weights / weights.sum()
         self._pos = pos if pos is not None else {x: i for i, x in enumerate(vertices)}
@@ -95,6 +98,59 @@ class WGraph:
         # twice the vertex measure, summed edge by edge in edge order
         self._vmass = np.bincount(
             ends.T.ravel(), weights=np.repeat(self.weights, 2), minlength=len(vertices)
+        )
+
+    def _set_sides(self, masks):
+        """Check and store a bipartition given as bool masks over vertices."""
+        if masks is None:
+            self.sides = self._left = None
+            return
+        left, right = masks
+        if (left & right).any():
+            raise NotBipartite("sides overlap")
+        outside = ~(left | right)
+        if outside.any():
+            missing = list(itertools.compress(self.vertices, outside))
+            raise NotBipartite(f"vertices outside both sides: {missing[:4]}")
+        u, v = self.ends
+        flat = np.flatnonzero(left[u] == left[v])
+        if len(flat):
+            i = flat[0]
+            edge = (self.vertices[u[i]], self.vertices[v[i]])
+            raise NotBipartite(f"edge {edge!r} does not cross the partition")
+        self._left = left
+        self.sides = (
+            frozenset(itertools.compress(self.vertices, left)),
+            frozenset(itertools.compress(self.vertices, right)),
+        )
+
+    @property
+    def edges(self):
+        """The edges as sorted vertex pairs, in column order of ``ends``."""
+        if self._edges is None:
+            at = self.vertices.__getitem__
+            u, v = self.ends.tolist()
+            self._edges = tuple(zip(map(at, u), map(at, v)))
+        return self._edges
+
+    def edge_subgraph(self, keep, sides=None):
+        """The graph on the edge columns where the bool mask ``keep`` holds,
+        weights renormalized; vertices left without an edge drop out.
+
+        ``sides`` is a pair of bool masks over this graph's vertex positions
+        declaring a bipartition of the result; by default this graph's own.
+        """
+        ends = self.ends[:, keep]
+        present = np.bincount(ends.ravel(), minlength=self.n) > 0
+        if sides is None and self._left is not None:
+            sides = (self._left, ~self._left)
+        if sides is not None:
+            sides = (sides[0][present], sides[1][present])
+        return WGraph.from_arrays(
+            tuple(itertools.compress(self.vertices, present)),
+            (np.cumsum(present) - 1)[ends],
+            self.weights[keep],
+            sides=sides,
         )
 
     @property
@@ -116,7 +172,7 @@ class WGraph:
 
     @property
     def m(self):
-        return len(self.edges)
+        return self.ends.shape[1]
 
     def vertex_index(self, v):
         return self._pos[v]
@@ -178,3 +234,9 @@ class WGraph:
     def __repr__(self):
         bip = " bipartite" if self.sides is not None else ""
         return f"WGraph(n={self.n}, m={self.m}{bip})"
+
+
+def complete_graph(n):
+    """K_n on the vertices 0..n-1, every edge of weight 1/C(n, 2)."""
+    ends = np.stack(np.triu_indices(n, 1))
+    return WGraph.from_arrays(tuple(range(n)), ends, np.ones(ends.shape[1]))

@@ -23,7 +23,7 @@ from . import pruning as pruning_mod
 from . import sparsify as sparsify_mod
 from .complexes import check_suitable, complete_complex, complex_from_dict
 from .errors import HdxError, InputError
-from .graphs import WGraph
+from .graphs import WGraph, complete_graph
 from .spectral import adjacency_spectrum, is_hdx, spectra_csv
 
 EXIT_CLEAN = 0
@@ -132,8 +132,7 @@ def _load_graph_input(obj):
     if not isinstance(obj, dict):
         raise InputError("a graph is a JSON object")
     if obj.get("kind") == "complete":
-        n = int(_field(obj, "n"))
-        return WGraph([(i, j, 1.0) for i in range(n) for j in range(i + 1, n)])
+        return complete_graph(int(_field(obj, "n")))
     if obj.get("kind") == "edges" or "edges" in obj:
         return WGraph([tuple(e) for e in _field(obj, "edges")])
     raise InputError(f"unrecognized graph object: {sorted(obj)}")
@@ -502,6 +501,29 @@ PIPELINES = {
     "scan": run_scan,
 }
 
+_PRUNE_KEYS = {"complex", "group", "genset", "mode", "lambda", "r", "c", "eta",
+               "max_resamples"}
+# the params keys each pipeline reads; any other key is a misspelling
+PARAM_KEYS = {
+    "prune": frozenset(_PRUNE_KEYS),
+    "cover-family": frozenset(_PRUNE_KEYS | {"index_cap"}),
+    "sparsify": frozenset({"graph", "p_split", "p_edge", "trials", "split_factor",
+                           "edge_threshold"}),
+    "combine": frozenset({"complex", "target", "lambda", "max_resamples"}),
+    "scan": frozenset({"group", "dim", "eta", "max_size"}),
+}
+
+
+def _check_param_keys(kind, params):
+    if not isinstance(params, dict):
+        raise InputError("spec params must be a JSON object")
+    unknown = sorted(set(params) - PARAM_KEYS[kind])
+    if unknown:
+        raise InputError(
+            f"unknown {kind} parameter(s) {unknown}; "
+            f"expected some of {sorted(PARAM_KEYS[kind])}"
+        )
+
 
 def run_experiment(spec):
     """Dispatch a spec dict to its pipeline; returns a RunReport."""
@@ -513,6 +535,7 @@ def run_experiment(spec):
     report = RunReport(spec={"kind": kind, "params": params, "seed": seed})
     t0 = time.perf_counter()
     try:
+        _check_param_keys(kind, params)
         PIPELINES[kind](report, params, seed)
     except (OSError, json.JSONDecodeError, InputError) as exc:
         report.status = "input_error"

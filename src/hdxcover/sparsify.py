@@ -7,7 +7,7 @@ degenerate draws (an empty side or edge set) are discarded and counted.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -41,6 +41,8 @@ class SplitSample:
     a: frozenset
     b: frozenset
     cross_mass: float  # nu_G of the surviving edges before renormalizing
+    in_a: np.ndarray = field(repr=False, compare=False)  # over G's vertex positions
+    cross: np.ndarray = field(repr=False, compare=False)  # over G's edge columns
 
 
 def bipartite_vertex_split(G, p, rng):
@@ -48,15 +50,15 @@ def bipartite_vertex_split(G, p, rng):
     a, b = split_vertex_sets(G.vertices, p, rng)
     if not a or not b:
         raise EmptySide("a side came out empty")
-    cross = []
-    mass = 0.0
-    for (u, v), w in zip(G.edges, G.weights):
-        if (u in a and v in b) or (u in b and v in a):
-            cross.append((u, v, w))
-            mass += w
-    if not cross:
+    in_a = np.fromiter((v in a for v in G.vertices), bool, G.n)
+    in_b = np.fromiter((v in b for v in G.vertices), bool, G.n)
+    u, v = G.ends
+    cross = (in_a[u] & in_b[v]) | (in_b[u] & in_a[v])
+    if not cross.any():
         raise EmptySide("no edge crosses the sampled sides")
-    return SplitSample(WGraph(cross, sides=(a, b)), frozenset(a), frozenset(b), mass)
+    mass = np.cumsum(G.weights[cross])[-1]  # summed edge by edge, left to right
+    graph = G.edge_subgraph(cross, sides=(in_a, in_b))
+    return SplitSample(graph, frozenset(a), frozenset(b), mass, in_a, cross)
 
 
 @dataclass(frozen=True)
@@ -72,17 +74,10 @@ def edge_subsample(H, p, rng):
         raise ValueError("need 0 < p <= 1")
     rng = np.random.default_rng(rng)
     keep = rng.random(H.m) < p
-    edges = [
-        (u, v, w) for (u, v), w, k in zip(H.edges, H.weights, keep) if k
-    ]
-    if not edges:
+    if not keep.any():
         raise EmptyResult("no edge survived the subsample")
-    sides = None
-    if H.sides is not None:
-        touched = {x for u, v, _ in edges for x in (u, v)}
-        sides = (H.sides[0] & touched, H.sides[1] & touched)
-    graph = WGraph(edges, sides=sides)
-    return SubsampleResult(graph, len(edges), H.n - graph.n)
+    graph = H.edge_subgraph(keep)
+    return SubsampleResult(graph, int(np.count_nonzero(keep)), H.n - graph.n)
 
 
 @dataclass
@@ -105,35 +100,14 @@ class TrialReport:
     eps: float
 
     def to_dict(self):
-        return {
-            "trials": self.trials,
-            "discarded": self.discarded,
-            "p_split": self.p_split,
-            "p_edge": self.p_edge,
-            "lambda_g": self.lambda_g,
-            "min_degree": self.min_degree,
-            "near_uniform_r": self.near_uniform_r,
-            "split_bound": self.split_bound,
-            "edge_threshold": self.edge_threshold,
-            "split_lambdas": self.split_lambdas,
-            "edge_lambdas": self.edge_lambdas,
-            "split_ok_fraction": self.split_ok_fraction,
-            "edge_ok_fraction": self.edge_ok_fraction,
-            "side_mass_ok_fraction": self.side_mass_ok_fraction,
-            "vertex_mass_ok_fraction": self.vertex_mass_ok_fraction,
-            "eps": self.eps,
-        }
+        return asdict(self)
 
 
 def near_uniform_r(G):
     """Smallest r bracketing all edge and vertex weights around uniform."""
-    r = 1.0
-    for w in G.weights:
-        r = max(r, w * G.m, 1.0 / (w * G.m))
-    for v in G.vertices:
-        w = G.vertex_measure(v)
-        r = max(r, w * G.n, 1.0 / (w * G.n))
-    return r
+    edge = G.weights * G.m
+    vertex = G.vertex_measures() * G.n
+    return max(1.0, edge.max(), (1.0 / edge).max(), vertex.max(), (1.0 / vertex).max())
 
 
 def _one_trial(G, p_split, p_edge, eps, seed_pair):
@@ -145,19 +119,20 @@ def _one_trial(G, p_split, p_edge, eps, seed_pair):
     lam_split = float(bipartite_lambda(sample.graph))
     lam_edge = float(bipartite_lambda(sub.graph))
 
+    # summed in the sides' iteration order, since the sums meet a threshold
     mass_a = sum(G.vertex_measure(v) for v in sample.a)
     mass_b = sum(G.vertex_measure(v) for v in sample.b)
     side_ok = (
         abs(mass_a - p_split) <= eps * p_split
         and abs(mass_b - p_split) <= eps * p_split
     )
-    vertex_ok = True
-    for v in sample.a:
-        total = 2.0 * G.vertex_measure(v)
-        into_b = sum(G.weights[i] for nbr, i in G.incident(v) if nbr in sample.b)
-        if abs(into_b - p_split * total) >= eps * p_split * total:
-            vertex_ok = False
-            break
+    # mass from each A vertex into B, summed edge by edge in edge order
+    u, v = G.ends
+    a_end = np.where(sample.in_a[u], u, v)[sample.cross]
+    into_b = np.bincount(a_end, weights=G.weights[sample.cross], minlength=G.n)
+    total = 2.0 * G.vertex_measures()
+    within = np.abs(into_b - p_split * total) < eps * p_split * total
+    vertex_ok = bool(within[sample.in_a].all())
     return lam_split, lam_edge, side_ok, vertex_ok
 
 
@@ -189,7 +164,7 @@ def sparsify_trial(
     master = np.random.default_rng(rng)
     seeds = master.integers(0, 2**63 - 1, size=2 * trials)
     lam_g = adjacency_spectrum(G).two_sided
-    min_degree = min(len(G.neighbors(v)) for v in G.vertices)
+    min_degree = int(np.bincount(G.ends.ravel(), minlength=G.n).min())
     split_bound = split_factor / p_split**3 * lam_g
 
     results = [

@@ -13,7 +13,10 @@ import numpy as np
 
 from hdxcover.complexes import TOL, build_complex
 from hdxcover.covers import CoverReport
+from hdxcover.errors import EmptyResult, EmptySide
 from hdxcover.graphs import WGraph
+from hdxcover.sparsify import split_vertex_sets
+from hdxcover.spectral import bipartite_lambda
 
 
 def sym_walk_matrix(G):
@@ -427,3 +430,80 @@ def plain_event_scope(pruner, kind, face):
         return tuple(sorted(out))
     near = set(face).union(*(X.top_faces[i] for i in X.cofaces(face)))
     return tuple(i for i, (u, w) in enumerate(pruner.edges) if u in near and w in near)
+
+
+def plain_bipartite_vertex_split(G, p, rng):
+    """Reference split: the crossing edges collected edge by edge and built
+    through the (u, v, w) constructor; returns (graph, a, b, cross_mass)."""
+    a, b = split_vertex_sets(G.vertices, p, rng)
+    if not a or not b:
+        raise EmptySide("a side came out empty")
+    cross = []
+    mass = 0.0
+    for (u, v), w in zip(G.edges, G.weights):
+        if (u in a and v in b) or (u in b and v in a):
+            cross.append((u, v, w))
+            mass += w
+    if not cross:
+        raise EmptySide("no edge crosses the sampled sides")
+    return SimpleNamespace(
+        graph=WGraph(cross, sides=(a, b)), a=frozenset(a), b=frozenset(b),
+        cross_mass=mass,
+    )
+
+
+def plain_edge_subsample(H, p, rng):
+    """Reference subsample: kept edges listed one by one, sides cut down to
+    the touched vertices; returns (graph, kept_edges, dropped_vertices)."""
+    if not 0 < p <= 1:
+        raise ValueError("need 0 < p <= 1")
+    rng = np.random.default_rng(rng)
+    keep = rng.random(H.m) < p
+    edges = [(u, v, w) for (u, v), w, k in zip(H.edges, H.weights, keep) if k]
+    if not edges:
+        raise EmptyResult("no edge survived the subsample")
+    sides = None
+    if H.sides is not None:
+        touched = {x for u, v, _ in edges for x in (u, v)}
+        sides = (H.sides[0] & touched, H.sides[1] & touched)
+    graph = WGraph(edges, sides=sides)
+    return SimpleNamespace(
+        graph=graph, kept_edges=len(edges), dropped_vertices=H.n - graph.n
+    )
+
+
+def plain_near_uniform_r(G):
+    """Reference near-uniformity ratio, weight by weight."""
+    r = 1.0
+    for w in G.weights:
+        r = max(r, w * G.m, 1.0 / (w * G.m))
+    for v in G.vertices:
+        w = G.vertex_measure(v)
+        r = max(r, w * G.n, 1.0 / (w * G.n))
+    return r
+
+
+def plain_one_trial(G, p_split, p_edge, eps, seed_pair):
+    """Reference trial: per-vertex cross masses summed over incident edges."""
+    try:
+        sample = plain_bipartite_vertex_split(G, p_split, int(seed_pair[0]))
+        sub = plain_edge_subsample(sample.graph, p_edge, int(seed_pair[1]))
+    except (EmptySide, EmptyResult):
+        return None
+    lam_split = float(bipartite_lambda(sample.graph))
+    lam_edge = float(bipartite_lambda(sub.graph))
+
+    mass_a = sum(G.vertex_measure(v) for v in sample.a)
+    mass_b = sum(G.vertex_measure(v) for v in sample.b)
+    side_ok = (
+        abs(mass_a - p_split) <= eps * p_split
+        and abs(mass_b - p_split) <= eps * p_split
+    )
+    vertex_ok = True
+    for v in sample.a:
+        total = 2.0 * G.vertex_measure(v)
+        into_b = sum(G.weights[i] for nbr, i in G.incident(v) if nbr in sample.b)
+        if abs(into_b - p_split * total) >= eps * p_split * total:
+            vertex_ok = False
+            break
+    return lam_split, lam_edge, side_ok, vertex_ok

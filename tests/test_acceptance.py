@@ -19,7 +19,7 @@ from hdxcover.covers import (
     holonomy_subgroup,
     verify_cover,
 )
-from hdxcover.graphs import WGraph
+from hdxcover.graphs import WGraph, complete_graph
 from hdxcover.groups import (
     cayley_clique_complex,
     cyclic,
@@ -233,7 +233,7 @@ def test_criterion_6_measure_audits(prune_fixture):
 
 def test_criterion_7_sparsification():
     t0 = time.perf_counter()
-    G = WGraph([(i, j, 1.0) for i, j in itertools.combinations(range(300), 2)])
+    G = complete_graph(300)
     sample = bipartite_vertex_split(G, 0.3, 12345)
     min_side_degree = min(
         len(sample.graph.neighbors(v)) for v in sample.graph.vertices

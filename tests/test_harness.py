@@ -6,8 +6,8 @@ import sys
 import numpy as np
 import pytest
 
+from hdxcover import cli, harness
 from hdxcover.cli import main
-from hdxcover import harness
 from hdxcover.complexes import PureComplex, check_suitable, complete_complex
 from hdxcover.covers import build_cover, coboundary_labeling
 from hdxcover.groups import cyclic
@@ -280,6 +280,50 @@ class TestErrors:
         rep = run_experiment({"kind": "sparsify", "params": params, "seed": 0})
         assert rep.exit_code == EXIT_INPUT
         assert key in rep.stages[-1]["result"]["message"]
+
+
+class TestStrictSpecKeys:
+    @pytest.mark.parametrize(
+        "kind, params, key",
+        [
+            ("prune", dict(PRUNE_SPEC["params"], lamda=0.5), "lamda"),
+            ("sparsify", {"graph": {"kind": "complete", "n": 20}, "p_splt": 0.3},
+             "p_splt"),
+        ],
+    )
+    def test_unknown_key_is_input_error(self, kind, params, key):
+        rep = run_experiment({"kind": kind, "params": params, "seed": 0})
+        assert rep.exit_code == EXIT_INPUT
+        assert rep.stages == [rep.stages[-1]]  # rejected before any stage ran
+        assert repr(key) in rep.stages[-1]["result"]["message"]
+
+    def test_cli_specs_pass(self, tmp_path, monkeypatch):
+        built = []
+        monkeypatch.setattr(
+            cli, "_run_and_emit", lambda kind, params, _: built.append((kind, params))
+        )
+        prune = ["--complex", "x", "--group", "g", "--genset", "s"]
+        for argv in (
+            ["prune", *prune],
+            ["cover-family", *prune],
+            ["sparsify", "--graph", "g"],
+            ["combine", "--complex", "x", "--target", "t", "--lambda", "0.5"],
+            ["scan-gensets", "--group", "g", "--eta", "0.5"],
+        ):
+            main(argv)
+        assert len(built) == 5
+        for kind, params in built:
+            harness._check_param_keys(kind, params)
+
+    def test_benchmark_specs_pass(self, monkeypatch):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
+        import workloads
+
+        for name in workloads.WORKLOADS:
+            for seed_set in workloads.SEED_SETS:
+                for spec in workloads.specs(name, seed_set):
+                    harness._check_param_keys(spec["kind"], spec["params"])
 
 
 class TestLinkSkeletonPath:

@@ -1,11 +1,11 @@
-import itertools
 import math
 
 import numpy as np
 import pytest
 
+from hdxcover import sparsify
 from hdxcover.errors import EmptyResult, EmptySide, InputError
-from hdxcover.graphs import WGraph
+from hdxcover.graphs import WGraph, complete_graph
 from hdxcover.sparsify import (
     bipartite_vertex_split,
     edge_subsample,
@@ -15,9 +15,13 @@ from hdxcover.sparsify import (
 )
 from hdxcover.spectral import bipartite_lambda
 
-
-def complete_graph(n):
-    return WGraph([(i, j, 1.0) for i, j in itertools.combinations(range(n), 2)])
+from helpers import (
+    plain_bipartite_vertex_split,
+    plain_edge_subsample,
+    plain_near_uniform_r,
+    plain_one_trial,
+    random_wgraph,
+)
 
 
 class TestSplit:
@@ -184,3 +188,92 @@ class TestTrialReport:
         assert rep.side_mass_ok_fraction == again.side_mass_ok_fraction
         assert 0.0 < rep.side_mass_ok_fraction <= 1.0
         assert 0.0 <= rep.vertex_mass_ok_fraction <= 1.0
+
+
+def _string_labeled(G):
+    """G with vertex i renamed "v<i>", so label order is not position order."""
+    return WGraph([(f"v{u}", f"v{v}", w) for (u, v), w in zip(G.edges, G.weights)])
+
+
+DIFF_GRAPHS = {
+    "k40": lambda: complete_graph(40),
+    "random": lambda: random_wgraph(np.random.default_rng(11), 24, p=0.4),
+    "strings": lambda: _string_labeled(random_wgraph(np.random.default_rng(5), 20)),
+}
+
+
+def _same_graph(g, h):
+    assert g.vertices == h.vertices
+    assert g.edges == h.edges
+    assert np.array_equal(g.ends, h.ends)
+    assert np.array_equal(g.weights, h.weights)
+    assert g.sides == h.sides
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and message of the EmptySide/EmptyResult raised."""
+    try:
+        return fn(*args)
+    except (EmptySide, EmptyResult) as exc:
+        return type(exc), str(exc)
+
+
+class TestArrayPathMatchesPlain:
+    """The mask-and-bincount split, subsample and trial give the results of
+    the edge-by-edge references bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(DIFF_GRAPHS))
+    def test_split_and_subsample(self, name):
+        G = DIFF_GRAPHS[name]()
+        for seed in range(6):
+            s = bipartite_vertex_split(G, 0.3, seed)
+            ref = plain_bipartite_vertex_split(G, 0.3, seed)
+            assert (s.a, s.b) == (ref.a, ref.b)
+            _same_graph(s.graph, ref.graph)
+            assert s.cross_mass == ref.cross_mass
+            sub = edge_subsample(s.graph, 0.5, seed + 100)
+            plain = plain_edge_subsample(ref.graph, 0.5, seed + 100)
+            _same_graph(sub.graph, plain.graph)
+            assert (sub.kept_edges, sub.dropped_vertices) == (
+                plain.kept_edges, plain.dropped_vertices)
+
+    @pytest.mark.parametrize("name", sorted(DIFF_GRAPHS))
+    def test_trial_report(self, name, monkeypatch):
+        G = DIFF_GRAPHS[name]()
+        args = (G, 0.3, 0.5, 8, 3)
+        fast = sparsify_trial(*args, eps=0.4).to_dict()
+        assert fast["min_degree"] == min(len(G.neighbors(v)) for v in G.vertices)
+        assert near_uniform_r(G) == plain_near_uniform_r(G)
+        monkeypatch.setattr(sparsify, "_one_trial", plain_one_trial)
+        monkeypatch.setattr(sparsify, "near_uniform_r", plain_near_uniform_r)
+        assert fast == sparsify_trial(*args, eps=0.4).to_dict()
+
+    def test_degenerate_draws_raise_alike(self):
+        # K4 at p = 0.01 mostly leaves a side empty; two disjoint edges often
+        # give sides with no crossing edge; p_edge = 0.05 on 3 edges mostly
+        # keeps none
+        graphs = [complete_graph(4), WGraph([(0, 1, 1.0), (2, 3, 2.0)])]
+        kinds = set()
+        for G, p in ((graphs[0], 0.01), (graphs[1], 0.45)):
+            for seed in range(40):
+                fast = _outcome(bipartite_vertex_split, G, p, seed)
+                ref = _outcome(plain_bipartite_vertex_split, G, p, seed)
+                if isinstance(ref, tuple):
+                    assert fast == ref
+                    kinds.add(ref[1])
+                else:
+                    assert (fast.a, fast.b) == (ref.a, ref.b)
+        tri = complete_graph(3)
+        for seed in range(40):
+            fast = _outcome(edge_subsample, tri, 0.05, seed)
+            ref = _outcome(plain_edge_subsample, tri, 0.05, seed)
+            if isinstance(ref, tuple):
+                assert fast == ref
+                kinds.add(ref[1])
+            else:
+                _same_graph(fast.graph, ref.graph)
+        assert kinds == {
+            "a side came out empty",
+            "no edge crosses the sampled sides",
+            "no edge survived the subsample",
+        }

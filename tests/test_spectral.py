@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -12,7 +11,7 @@ from hdxcover.errors import (
     NotBipartite,
     TooLargeForExact,
 )
-from hdxcover.graphs import WGraph
+from hdxcover.graphs import WGraph, complete_graph
 from hdxcover.spectral import (
     adjacency_spectrum,
     bipartite_lambda,
@@ -31,10 +30,6 @@ from helpers import (
     sym_walk_matrix,
     two_step_second_eigenvalue,
 )
-
-
-def complete_graph(n):
-    return WGraph([(i, j, 1.0) for i, j in itertools.combinations(range(n), 2)])
 
 
 def complete_bipartite(a, b):
