@@ -20,6 +20,7 @@ from .pruning import (
     build_satisfaction_graph,
     event_face,
     event_list,
+    face_positions,
     ne_violated,
     resample,
     target_link,
@@ -82,6 +83,7 @@ class Combiner:
         self._link_tables = {}
         # the dimensions at which each event kind is defined
         self.kind_dims = {"AC": range(0, self.d), "NE": range(0, self.d - 1)}
+        self.face_pos = face_positions(X, self.d)
         self._events = None
 
     # --- satisfaction ---
@@ -135,9 +137,12 @@ class Combiner:
             self._events = event_list(self.X, self.kind_dims)
         return self._events
 
-    def eval_ac(self, face, col):
-        """Some completing color is missing around a satisfied face."""
-        if not self.face_satisfied(face, col):
+    def eval_ac(self, face, col, satisfied=None):
+        """Some completing color is missing around a satisfied face; whether
+        the face is satisfied is computed unless given."""
+        if satisfied is None:
+            satisfied = self.face_satisfied(face, col)
+        if not satisfied:
             return False
         img = self.image(face, col)
         completions = set(target_link(self.C, img, self._image_links)[0].vertices)
@@ -181,11 +186,16 @@ class Combiner:
 
     def violations(self, col):
         """The violated events in events() order, found lazily; the
-        satisfied top faces are computed once."""
+        satisfied top faces are computed once, and the satisfied faces of
+        each AC dimension once, on its first event."""
         satisfied = self.satisfied_mask(col)
+        face_ok = {}
         for kind, face in self.events():
             if kind == "AC":
-                hit = self.eval_ac(face, col)
+                k = len(face) - 1
+                if k not in face_ok:
+                    face_ok[k] = self.rows_ok(col, self.X.level(k).rows)
+                hit = self.eval_ac(face, col, bool(face_ok[k][self.face_pos[face]]))
             else:
                 hit = self.eval_ne(face, col, satisfied)
             if hit:

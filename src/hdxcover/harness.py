@@ -115,6 +115,20 @@ def _read_input(obj):
     return obj
 
 
+def _spec_config(build):
+    """Wrap a spec reader so that a value it rejects is bad input."""
+
+    @functools.wraps(build)
+    def wrapped(*args):
+        try:
+            return build(*args)
+        except ValueError as exc:
+            raise InputError(f"bad parameter: {exc}") from None
+
+    return wrapped
+
+
+@_spec_config
 def _load_complex_input(obj):
     obj = _read_input(obj)
     if obj.get("kind") == "complete":
@@ -122,11 +136,13 @@ def _load_complex_input(obj):
     return complex_from_dict(obj)
 
 
+@_spec_config
 def _load_group_input(obj):
     obj = _read_input(obj)
     return groups_mod.make_group(obj)
 
 
+@_spec_config
 def _load_graph_input(obj):
     obj = _read_input(obj)
     if not isinstance(obj, dict):
@@ -138,6 +154,7 @@ def _load_graph_input(obj):
     raise InputError(f"unrecognized graph object: {sorted(obj)}")
 
 
+@_spec_config
 def _load_genset_input(obj):
     obj = _read_input(obj)
     if isinstance(obj, dict):
@@ -146,19 +163,6 @@ def _load_genset_input(obj):
 
 
 # --- pipelines ---
-
-
-def _spec_config(build):
-    """Wrap a config builder so that a spec value it rejects is bad input."""
-
-    @functools.wraps(build)
-    def wrapped(*args):
-        try:
-            return build(*args)
-        except ValueError as exc:
-            raise InputError(f"bad parameter: {exc}") from None
-
-    return wrapped
 
 
 @_spec_config

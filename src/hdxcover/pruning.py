@@ -229,6 +229,11 @@ def event_list(X, dims):
     return tuple(sorted(events))
 
 
+def face_positions(X, top):
+    """The index of each face of dimension below top in its level's faces."""
+    return {s: i for ell in range(top) for i, s in enumerate(X.faces(ell))}
+
+
 def event_face(dims, kind, face):
     """The face sorted, once events of this kind are known to live at its
     dimension."""
@@ -335,15 +340,19 @@ class Pruner:
         rank[self.s_elems] = np.arange(self.m)
         self.s_rank = rank
 
-        self.tri_eidx = self._tri_index(X.top_positions())
+        # every triangle a < b < c once, its edge positions (ab, bc, ac),
+        # and the triangles of each top face
+        self.tri_rows = X.level(2).rows
+        self.tri_edges = self._tri_index(self.tri_rows)[:, 0]
+        self.top_to_tris = X.level(2).pairs
 
         self._at_tables = {}
-        self._bc_tables = {}
+        self._at_levels = {}
         self._link_tables = {}
         self._cayley_links = {}
-        # the (d-1)-faces of each top face, and each one's index, for EC
+        # the (d-1)-faces of each top face, for EC
         self.top_to_dfaces = X.level(self.d - 1).pairs
-        self.dpos = {s: i for i, s in enumerate(X.faces(self.d - 1))}
+        self.face_pos = face_positions(X, self.d)
         # the dimensions at which each event kind is defined
         self.kind_dims = {
             "AT": range(0, self.d),
@@ -385,18 +394,17 @@ class Pruner:
         return np.stack([E[ab], E[bc], E[ac]], axis=-1)
 
     def _tri_ok(self, f, eidx):
-        """Whether every triangle of each face in a _tri_index table
-        multiplies consistently under f."""
+        """Whether each triangle of a _tri_index table multiplies
+        consistently under f: g_ab g_bc == g_ac."""
         el = self.s_elems[f[eidx]]
-        ok = self.group.mul_table[el[..., 0], el[..., 1]] == el[..., 2]
-        return ok.all(axis=-1)
+        return self.group.mul_table[el[..., 0], el[..., 1]] == el[..., 2]
 
     def rows_ok(self, f, rows):
         """Whether each row of sorted vertex positions spans a satisfied face."""
-        return self._tri_ok(f, self._tri_index(rows))
+        return self._tri_ok(f, self._tri_index(rows)).all(axis=-1)
 
     def satisfied_mask(self, f):
-        return self._tri_ok(f, self.tri_eidx)
+        return self._tri_ok(f, self.tri_edges)[self.top_to_tris].all(axis=1)
 
     def face_satisfied(self, face, f):
         return bool(self.rows_ok(f, self.X.positions(face)[None, :])[0])
@@ -413,27 +421,26 @@ class Pruner:
         return verts, meas / meas.sum()
 
     def _at_table(self, sigma):
+        """The link vertex measure of sigma, and per link vertex v the edge
+        positions of sigma's vertices to v and whether each runs upward."""
         if sigma not in self._at_tables:
             verts, vmeas = self._link_vertices(sigma)
             spos = self.X.positions(sigma)
             eidx = self.edge_index[spos[None, :], verts[:, None]]
             fwd = spos[None, :] < verts[:, None]
-            powers = self.m ** np.arange(len(sigma))
-            self._at_tables[sigma] = (vmeas, eidx, fwd, powers)
+            self._at_tables[sigma] = (vmeas, eidx, fwd)
         return self._at_tables[sigma]
 
-    def _bc_table(self, v):
-        """Edge positions and directions of the triangle v -> u -> w -> v
-        for every ordered pair u != w sharing a coface with v."""
-        if v not in self._bc_tables:
-            _, (p,), rows = self.X.link_rows((v,))
-            i, j = np.nonzero(~np.eye(rows.shape[1], dtype=bool))
-            pairs = np.stack([rows[:, i], rows[:, j]], axis=-1).reshape(-1, 2)
-            pairs = np.unique(pairs, axis=0)
-            x = np.column_stack([np.full(len(pairs), p), pairs])
-            y = np.roll(x, -1, axis=1)
-            self._bc_tables[v] = (self.edge_index[x, y], x < y)
-        return self._bc_tables[v]
+    def _at_level(self, ell):
+        """The AT tables of every ell-face stacked in face order, and each
+        row's first histogram bin: its face's index times m^(ell+1)."""
+        if ell not in self._at_levels:
+            tables = [self._at_table(s) for s in self.X.faces(ell)]
+            vmeas, eidx, fwd = map(np.concatenate, zip(*tables))
+            sizes = [len(t[0]) for t in tables]
+            base = np.repeat(np.arange(len(tables)) * self.m ** (ell + 1), sizes)
+            self._at_levels[ell] = (vmeas, eidx, fwd, base)
+        return self._at_levels[ell]
 
     def link_table(self, sigma):
         if sigma not in self._link_tables:
@@ -441,7 +448,7 @@ class Pruner:
         return self._link_tables[sigma]
 
     def covered_dfaces(self, satisfied):
-        out = np.zeros(len(self.dpos), dtype=bool)
+        out = np.zeros(self.X.n_faces(self.d - 1), dtype=bool)
         if satisfied.any():
             out[self.top_to_dfaces[satisfied].ravel()] = True
         return out
@@ -458,39 +465,76 @@ class Pruner:
             self._events = event_list(self.X, dims)
         return self._events
 
-    def eval_at(self, sigma, f):
+    def at_sweep(self, f, ell):
+        """Whether the AT event of each ell-face is violated under f: some
+        generator tuple on the edges from the face to its link vertices has
+        link measure at most lo or at least hi.
+
+        One bincount over the stacked tables gives every face's histogram;
+        each bin sums its face's link vertices in link order, so the
+        probabilities equal a per-face bincount's bit for bit.
+        """
         # under fresh uniform labels, each of the m^(l+1) tuples holds a
         # Binomial(k, m^-(l+1)) share of the k link vertices, so by a
         # Chernoff bound a violation has probability at most
         # m^(l+1) exp(-0.03 m^-(l+1) (r-1)^2 k); this only becomes small
         # once k is far larger than m^(l+1)
-        vmeas, eidx, fwd, powers = self._at_table(sigma)
+        vmeas, eidx, fwd, base = self._at_level(ell)
         labs = f[eidx]
         elems = np.where(fwd, self.s_elems[labs], self.inv_elems[labs])
-        codes = self.s_rank[elems] @ powers
-        probs = np.bincount(codes, weights=vmeas, minlength=powers[-1] * self.m)
-        lo, hi = self.config.at_bounds(len(sigma) - 1, self.m)
-        return bool((probs <= lo).any() or (probs >= hi).any())
+        bins = self.m ** (ell + 1)
+        codes = self.s_rank[elems] @ (self.m ** np.arange(ell + 1)) + base
+        probs = np.bincount(
+            codes, weights=vmeas, minlength=self.X.n_faces(ell) * bins
+        ).reshape(-1, bins)
+        lo, hi = self.config.at_bounds(ell, self.m)
+        return (probs <= lo).any(axis=1) | (probs >= hi).any(axis=1)
 
-    def eval_bc(self, v, f):
+    def bc_sweep(self, f):
+        """Whether the BC event of each vertex is violated under f: some
+        generator is no product around a triangle through the vertex.
+
+        A triangle a < b < c with holonomy h = g_ab g_bc g_ac^-1 realizes
+        h at a, g_ab^-1 h g_ab at b and g_ac^-1 h g_ac at c, each with its
+        inverse for the reverse loop.
+        """
         # with T edge-disjoint triangles at v, a fixed generator goes
         # unrealized with probability at most (1 - 1/m^2)^T, and a union
         # bound over the m generators covers the event
-        eidx, fwd = self._bc_tables.get(v, (None, None))
-        if eidx is None:
-            eidx, fwd = self._bc_table(v)
-        labs = f[eidx]
-        elems = np.where(fwd, self.s_elems[labs], self.inv_elems[labs])
-        prods = self.group.mul_table[
-            self.group.mul_table[elems[:, 0], elems[:, 1]], elems[:, 2]
-        ]
-        realized = set(np.unique(prods).tolist())
-        return any(int(s) not in realized for s in self.s_elems)
+        n, inv, table = self.group.order, self.group.inv_table, self.group.mul_table
+
+        def mul(a, b):
+            return table.ravel()[a * n + b]
+
+        g_ab, g_bc, g_ac = self.s_elems[f[self.tri_edges]].T
+        h = mul(mul(g_ab, g_bc), inv[g_ac])
+        at_b, at_c = mul(mul(inv[g_ab], h), g_ab), mul(mul(inv[g_ac], h), g_ac)
+        loops = np.concatenate([h, at_b, at_c])
+        # cell v * n + x of the (vertex, element) table marks x realized at v
+        cells = self.tri_rows.T.ravel() * n
+        realized = np.zeros(len(self.X.vertices) * n, dtype=bool)
+        realized[cells + loops] = True
+        realized[cells + inv[loops]] = True
+        return ~realized.reshape(-1, n)[:, self.s_elems].all(axis=1)
+
+    def eval_at(self, sigma, f, hits=None):
+        """The AT event of sigma, read off at_sweep's result for its
+        dimension, which is computed unless given."""
+        if hits is None:
+            hits = self.at_sweep(f, len(sigma) - 1)
+        return bool(hits[self.face_pos[sigma]])
+
+    def eval_bc(self, v, f, hits=None):
+        """The BC event of vertex v, read off bc_sweep's result, which is
+        computed unless given."""
+        if hits is None:
+            hits = self.bc_sweep(f)
+        return bool(hits[self.face_pos[(v,)]])
 
     def eval_ec(self, sigma, f, satisfied=None):
         if satisfied is None:
             satisfied = self.satisfied_mask(f)
-        return not bool(self.covered_dfaces(satisfied)[self.dpos[sigma]])
+        return not bool(self.covered_dfaces(satisfied)[self.face_pos[sigma]])
 
     def satisfaction_graph(self, sigma, f, satisfied=None):
         """Vertices and edges of the link whose union with sigma is satisfied.
@@ -541,7 +585,9 @@ class Pruner:
         if kind == "AT":
             return tuple(np.unique(self._at_table(face)[1]).tolist())
         if kind == "BC":
-            return tuple(np.unique(self._bc_table(face[0])[0]).tolist())
+            # the edges of the triangles through the vertex
+            through = (self.tri_rows == self.face_pos[face]).any(axis=1)
+            return tuple(np.unique(self.tri_edges[through]).tolist())
         if kind == "EC":
             # edge positions are indices in faces(1), so the level reads them
             edges = self.X.level(1).pairs[self.X.cofaces(face)]
@@ -565,18 +611,25 @@ class Pruner:
 
     def violations(self, f):
         """The violated events in events() order, found lazily; the
-        satisfied top faces and covered (d-1)-faces are computed once."""
+        satisfied top faces are computed once, and the AT sweep of each
+        dimension, the BC sweep and the covered (d-1)-faces once each, on
+        the first event that reads them."""
         satisfied = self.satisfied_mask(f)
-        covered = None
+        at, bc, covered = {}, None, None
         for kind, face in self.events():
             if kind == "AT":
-                hit = self.eval_at(face, f)
+                ell = len(face) - 1
+                if ell not in at:
+                    at[ell] = self.at_sweep(f, ell)
+                hit = self.eval_at(face, f, at[ell])
             elif kind == "BC":
-                hit = self.eval_bc(face[0], f)
+                if bc is None:
+                    bc = self.bc_sweep(f)
+                hit = self.eval_bc(face[0], f, bc)
             elif kind == "EC":
                 if covered is None:
                     covered = self.covered_dfaces(satisfied)
-                hit = not covered[self.dpos[face]]
+                hit = not covered[self.face_pos[face]]
             else:
                 hit = self.eval_ne(face, f, satisfied=satisfied)
             if hit:

@@ -71,8 +71,7 @@ def _side_arrays(G):
     """Side measures of the sorted left and right sides, and the positions
     within them of each edge's left and right ends."""
     # vertices are sorted, so each side in vertex order is that side sorted
-    is_left = np.zeros(G.n, dtype=bool)
-    is_left[[G.vertex_index(v) for v in G.sides[0]]] = True
+    is_left = G._left
     rank = np.empty(G.n, dtype=np.intp)
     rank[is_left] = np.arange(np.count_nonzero(is_left))
     rank[~is_left] = np.arange(G.n - np.count_nonzero(is_left))

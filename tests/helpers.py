@@ -415,6 +415,30 @@ def plain_bc_table(pruner, v):
     return np.array(eidx), np.array(fwd)
 
 
+def plain_eval_at(pruner, sigma, f):
+    """Reference AT event: one histogram of generator tuples over the link
+    of sigma, read off plain_at_table."""
+    vmeas, eidx, fwd = plain_at_table(pruner, sigma)
+    labs = f[eidx]
+    elems = np.where(fwd, pruner.s_elems[labs], pruner.inv_elems[labs])
+    codes = pruner.s_rank[elems] @ (pruner.m ** np.arange(len(sigma)))
+    probs = np.bincount(codes, weights=vmeas, minlength=pruner.m ** len(sigma))
+    lo, hi = pruner.config.at_bounds(len(sigma) - 1, pruner.m)
+    return bool((probs <= lo).any() or (probs >= hi).any())
+
+
+def plain_eval_bc(pruner, v, f):
+    """Reference BC event: the products around v -> u -> w -> v over
+    plain_bc_table, collected in a Python set and checked generator by
+    generator."""
+    eidx, fwd = plain_bc_table(pruner, v)
+    labs = f[eidx]
+    elems = np.where(fwd, pruner.s_elems[labs], pruner.inv_elems[labs])
+    mul = pruner.group.mul_table
+    realized = set(mul[mul[elems[:, 0], elems[:, 1]], elems[:, 2]].tolist())
+    return any(int(s) not in realized for s in pruner.s_elems)
+
+
 def plain_event_scope(pruner, kind, face):
     """Reference labeling positions read by an event, from edge labels."""
     X = pruner.X

@@ -127,6 +127,25 @@ class TestEvents:
         config = CombineConfig(1 / 3)
         assert not eval_event_combine("AC", X, K5_TARGET, coloring, (0, 1), config)
 
+    @pytest.mark.parametrize("holed", [False, True])
+    def test_ac_with_passed_flags_agrees(self, holed):
+        # K20 colored onto K5, or onto K5 less one triangle
+        target = build_complex(2, K5_TARGET.top_faces[holed:])
+        X = complete_complex(20, 2)
+        comb = Combiner(X, target, CombineConfig(0.5))
+        rng = np.random.default_rng(1)
+        seen = set()
+        for _ in range(3):
+            # rare colors leave some links without a completion
+            col = rng.choice(5, size=len(X.vertices), p=[0.3, 0.3, 0.3, 0.05, 0.05])
+            for k in comb.kind_dims["AC"]:
+                flags = comb.rows_ok(col, X.level(k).rows).tolist()
+                for face, ok in zip(X.faces(k), flags):
+                    hit = comb.eval_ac(face, col, ok)
+                    assert hit == comb.eval_ac(face, col), face
+                    seen.add((ok, hit))
+        assert {(False, False), (True, False), (True, True)} <= seen
+
     def test_ne_true_on_disconnected(self):
         X = build_complex(2, [(0, 1, 2), (0, 3, 4)])
         coloring = {0: 0, 1: 1, 2: 2, 3: 3, 4: 4}

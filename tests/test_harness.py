@@ -233,6 +233,20 @@ class TestErrors:
         rep = run_experiment(spec)
         assert rep.exit_code == EXIT_INPUT
 
+    @pytest.mark.parametrize(
+        "key, value, text",
+        [
+            ("complex", {"dim": 2, "faces": [[0, 1, 2], [0, 1, 3]],
+                         "weights": [1.0, -1.0]}, "negative face weight"),
+            ("genset", ["a"], "invalid literal"),
+            ("group", {"kind": "cyclic", "n": "x"}, "invalid literal"),
+        ],
+    )
+    def test_bad_spec_value_is_input_error(self, key, value, text):
+        params = dict(PRUNE_SPEC["params"], **{key: value})
+        rep = run_experiment({"kind": "prune", "params": params, "seed": 0})
+        assert rep.exit_code == EXIT_INPUT
+        assert text in rep.stages[-1]["result"]["message"]
 
     def test_missing_spec_key_is_input_error(self):
         params = dict(PRUNE_SPEC["params"])
@@ -400,6 +414,14 @@ class TestCli:
         graph = tmp_path / "g.json"
         graph.write_text(text)
         assert main(["eml", "--graph", str(graph)]) == 4
+
+    def test_sparsify_loop_edge_exit_code(self, tmp_path):
+        graph = json.dumps({"edges": [[0, 1, 1.0], [1, 1, 1.0]]})
+        code = main(["sparsify", "--graph", graph, "--trials", "2",
+                     "--out-dir", str(tmp_path)])
+        assert code == 4
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert "loop edge" in report["stages"][-1]["result"]["message"]
 
     def test_cover_subcommand_removed(self):
         with pytest.raises(SystemExit):

@@ -13,7 +13,13 @@ from hdxcover.errors import (
     UnsatisfiedBase,
 )
 from hdxcover.graphs import WGraph
-from hdxcover.groups import cayley_clique_complex, cyclic, validate_genset
+from hdxcover.groups import (
+    cayley_clique_complex,
+    cyclic,
+    dihedral,
+    symmetric_group,
+    validate_genset,
+)
 from hdxcover.pruning import (
     PruneConfig,
     Pruner,
@@ -33,7 +39,8 @@ from hdxcover.spectral import is_hdx
 
 from helpers import (
     plain_at_table,
-    plain_bc_table,
+    plain_eval_at,
+    plain_eval_bc,
     plain_event_scope,
     random_complex,
     relabeled,
@@ -506,15 +513,118 @@ class TestEventTables:
     def test_tables_and_scopes_match_loops(self, X):
         pruner = Pruner(X, Z5, Z5_GENS, PruneConfig.formula(0.9, edge_cover_events=True))
         for sigma in itertools.chain(*(X.faces(ell) for ell in range(X.dim))):
-            vmeas, eidx, fwd, _ = pruner._at_table(sigma)
+            vmeas, eidx, fwd = pruner._at_table(sigma)
             want = plain_at_table(pruner, sigma)
             assert np.array_equal(vmeas, want[0])
             assert np.array_equal(eidx, want[1]) and np.array_equal(fwd, want[2])
+        f = sample_labeling(X, pruner.m, 0)
         for v in X.vertices:
-            got, want = pruner._bc_table(v), plain_bc_table(pruner, v)
-            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            assert pruner.eval_bc(v, f) == plain_eval_bc(pruner, v, f)
+        # the BC scopes here are read off plain_bc_table
         for kind, face in pruner.events():
             assert pruner.event_scope(kind, face) == plain_event_scope(pruner, kind, face)
+
+
+def nonidentity_pruner(X, group, max_resamples=10_000):
+    gens = validate_genset(group, range(1, group.order), require_generating=False)
+    return Pruner(X, group, gens, PruneConfig.empirical(0.9, max_resamples))
+
+
+SWEEP_GROUPS = {"S3": symmetric_group(3), "D5": dihedral(5), "Z6": cyclic(6)}
+
+
+class TestSweeps:
+    """The per-scan AT and BC sweeps and the triangle-once satisfied mask
+    against the per-face references, on every event."""
+
+    COMPLEXES = [
+        complete_complex(8, 2),
+        complete_complex(7, 3),
+        relabeled(random_complex(np.random.default_rng(4), 9, 2, keep=0.3)),
+        relabeled(random_complex(np.random.default_rng(5), 8, 3, keep=0.25)),
+    ]
+
+    @staticmethod
+    def check(pruner, f, standalone=False):
+        """Assert every AT, BC and mask answer equals the reference; returns
+        the BC outcomes seen."""
+        X = pruner.X
+        for ell in range(pruner.d):
+            hits = pruner.at_sweep(f, ell)
+            for sigma in X.faces(ell):
+                want = plain_eval_at(pruner, sigma, f)
+                assert pruner.eval_at(sigma, f, hits) == want, sigma
+                if standalone:
+                    assert pruner.eval_at(sigma, f) == want, sigma
+        hits = pruner.bc_sweep(f)
+        seen = set()
+        for v in X.vertices:
+            want = plain_eval_bc(pruner, v, f)
+            assert pruner.eval_bc(v, f, hits) == want, v
+            if standalone:
+                assert pruner.eval_bc(v, f) == want, v
+            seen.add(want)
+        want = [plain_face_satisfied(pruner, t, f) for t in X.top_faces]
+        assert pruner.satisfied_mask(f).tolist() == want
+        return seen
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_GROUPS))
+    def test_random_labelings(self, name):
+        seen = set()
+        for i, X in enumerate(self.COMPLEXES):
+            pruner = nonidentity_pruner(X, SWEEP_GROUPS[name])
+            for seed in range(2):
+                f = sample_labeling(X, pruner.m, 10 * i + seed)
+                seen |= self.check(pruner, f, standalone=seed == 0)
+        assert seen == {False, True}
+
+    def test_labelings_along_exhausted_run(self):
+        X = self.COMPLEXES[2]
+        pruner = nonidentity_pruner(X, SWEEP_GROUPS["D5"], max_resamples=12)
+        outcome = pruner.run(3)
+        assert outcome.status == "budget_exhausted"
+        # replay the run's draws to recover each labeling it scanned
+        rng = np.random.default_rng(3)
+        f = sample_labeling(X, pruner.m, rng)
+        seen = self.check(pruner, f)
+        for _, _, _, scope in outcome.transcript:
+            f = f.copy()
+            f[list(scope)] = rng.integers(0, pruner.m, size=len(scope))
+            seen |= self.check(pruner, f)
+        assert np.array_equal(f, outcome.labeling)
+        assert seen == {False, True}
+
+    def test_each_sweep_runs_at_most_once_per_scan(self, monkeypatch):
+        X = self.COMPLEXES[3]
+        pruner = Pruner(
+            X, Z5, Z5_GENS, PruneConfig.formula(0.9, edge_cover_events=True)
+        )
+        f = sample_labeling(X, pruner.m, 1)
+        want = {ev: pruner.eval_event(*ev, f) for ev in pruner.events()}
+        calls = []
+        real_at, real_bc = Pruner.at_sweep, Pruner.bc_sweep
+
+        def at_sweep(self, f, ell):
+            calls.append(("AT", ell))
+            return real_at(self, f, ell)
+
+        def bc_sweep(self, f):
+            calls.append(("BC",))
+            return real_bc(self, f)
+
+        monkeypatch.setattr(Pruner, "at_sweep", at_sweep)
+        monkeypatch.setattr(Pruner, "bc_sweep", bc_sweep)
+        found = pruner.all_violations(f)
+        assert found == tuple(ev for ev, hit in want.items() if hit)
+        assert sorted(calls) == [("AT", 0), ("AT", 1), ("AT", 2), ("BC",)]
+        calls.clear()
+        pruner.first_violated(f)
+        assert len(calls) == len(set(calls)) <= 4
+        # a standalone evaluation still runs its own sweep and agrees
+        for kind, face in (("AT", X.faces(1)[0]), ("BC", X.faces(0)[-1])):
+            calls.clear()
+            assert pruner.eval_event(kind, face, f) == want[kind, face]
+            assert len(calls) == 1
 
 
 class TestMoserTardos:
