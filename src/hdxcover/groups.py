@@ -20,9 +20,11 @@ from .errors import (
     NotSymmetricGenSet,
     TooLarge,
 )
+from .spectral import adjacency_spectrum
 
 DEFAULT_ORDER_CAP = 5040
 _FULL_ASSOC_LIMIT = 256
+_TIE_TOL = 1e-12  # well above eigensolver rounding, far below real score gaps
 
 
 class GroupTable:
@@ -118,14 +120,12 @@ def dihedral(n, cap=DEFAULT_ORDER_CAP):
 def symmetric_group(k, cap=DEFAULT_ORDER_CAP):
     order = math.factorial(k)
     _check_cap(order, cap)
-    perms = list(itertools.permutations(range(k)))
-    index = {p: i for i, p in enumerate(perms)}
-    parr = np.array(perms)
-    mul = np.zeros((order, order), dtype=np.int32)
-    for i, p in enumerate(perms):
-        composed = np.array(p)[parr]  # (p_i . p_j)(x) = p_i[p_j[x]]
-        for j in range(order):
-            mul[i, j] = index[tuple(composed[j])]
+    parr = np.array(list(itertools.permutations(range(k))), dtype=np.intp)
+    # base-k codes ascend, as permutations come in lexicographic order
+    place = k ** np.arange(k - 1, -1, -1)
+    codes = parr @ place
+    # row i: (p_i . p_j)(x) = p_i[p_j[x]]
+    mul = np.array([np.searchsorted(codes, p[parr] @ place) for p in parr])
     return GroupTable(mul, name=f"S{k}", validate=False)
 
 
@@ -195,23 +195,16 @@ def group_to_dict(group):
 
 
 def subgroup_closure(group, seeds):
-    """Smallest subgroup containing the seed elements (BFS under product)."""
-    closure = {0}
-    frontier = [0]
-    seeds = [int(s) for s in seeds]
-    for s in seeds:
-        if s not in closure:
-            closure.add(s)
-            frontier.append(s)
-    gens = list(dict.fromkeys(seeds + [group.inv(s) for s in seeds]))
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = group.mul(x, g)
-            if y not in closure:
-                closure.add(y)
-                frontier.append(y)
-    return tuple(sorted(closure))
+    """Smallest subgroup containing the seed elements: in a finite group,
+    the fixpoint of right multiplication by the seeds, over the whole set."""
+    seeds = np.asarray([int(s) for s in seeds], dtype=np.intp)
+    inside = np.zeros(group.order, dtype=bool)
+    inside[0] = True
+    inside[seeds] = True
+    count = 0
+    while count != (count := np.count_nonzero(inside)):
+        inside[group.mul_table[inside][:, seeds]] = True
+    return tuple(np.flatnonzero(inside).tolist())
 
 
 def validate_genset(group, elements, require_generating=True):
@@ -248,6 +241,21 @@ class CayleyCliqueComplex:
         return self.complex.link((0,))
 
 
+def _identity_cliques(group, gens, d):
+    """The d-sets of generators spanning a (d+1)-clique with the identity;
+    NotPure (with a witnessing edge) if some generator is in none."""
+    gset = set(gens)
+    base = [c for c in itertools.combinations(gens, d) if all(
+        group.mul(group.inv(a), b) in gset for a, b in itertools.combinations(c, 2))]
+    missing = gset - {s for combo in base for s in combo}
+    if missing:
+        s = min(missing)
+        raise NotPure(
+            f"Cayley edge (0, {s}) lies in no {d + 1}-clique", witness=(0, s)
+        )
+    return base
+
+
 def cayley_clique_complex(group, gens, d, require_generating=False):
     """Top faces are the (d+1)-cliques of the Cayley graph, uniform measure.
 
@@ -255,29 +263,30 @@ def cayley_clique_complex(group, gens, d, require_generating=False):
     no (d+1)-clique.
     """
     gens = validate_genset(group, gens, require_generating=require_generating)
-    gset = set(gens)
-    # cliques through the identity, described by d generators
-    base = []
-    for combo in itertools.combinations(gens, d):
-        ok = all(
-            group.mul(group.inv(a), b) in gset
-            for a, b in itertools.combinations(combo, 2)
-        )
-        if ok:
-            base.append(combo)
-    covered = {s for combo in base for s in combo}
-    missing = gset - covered
-    if missing:
-        s = min(missing)
-        raise NotPure(
-            f"Cayley edge (0, {s}) lies in no {d + 1}-clique", witness=(0, s)
-        )
+    base = _identity_cliques(group, gens, d)
     tops = set()
     for g in group.elements:
         row = group.mul_table[g]
         for combo in base:
             tops.add(tuple(sorted([g] + [int(row[s]) for s in combo])))
     return CayleyCliqueComplex(build_complex(d, sorted(tops)), group, gens, d)
+
+
+def identity_star_lambda(group, gens, d):
+    """Worst two-sided link expansion over the faces of dimension 0..d-2
+    of the Cayley clique complex of a symmetric set gens.
+
+    Left multiplication acts transitively and keeps the uniform measure,
+    so every link is a translate of a link at a face through 0, and the
+    star of 0 (top faces {0} + b) has those links up to a uniform scale.
+    """
+    star = build_complex(d, [(0,) + b for b in _identity_cliques(group, gens, d)])
+    return max(
+        adjacency_spectrum(star.link_skeleton(s)).two_sided
+        for k in range(d - 1)
+        for s in star.faces(k)
+        if s[0] == 0
+    )
 
 
 # --- quotients ---
@@ -306,38 +315,29 @@ def _check_subgroup(group, elems):
     return s
 
 
+def _outside_conjugates(group, sub):
+    """(g, i) for each g and sub[i] whose conjugate g sub[i] g^-1 leaves sub."""
+    inside = np.zeros(group.order, dtype=bool)
+    inside[list(sub)] = True
+    mul = group.mul_table
+    return np.argwhere(~inside[mul[mul[:, sub], group.inv_table[:, None]]])
+
+
 def quotient_group(group, normal_elems):
     """Coset group of a verified normal subgroup, with the projection map."""
-    n_set = _check_subgroup(group, normal_elems)
-    for g in group.elements:
-        g_inv = group.inv(g)
-        for x in n_set:
-            if group.mul(group.mul(g, x), g_inv) not in n_set:
-                raise NotNormal(f"conjugation by {g} leaves the subgroup at {x}")
-    seen = {}
-    cosets = []
-    for g in group.elements:
-        coset = frozenset(group.mul(g, x) for x in n_set)
-        if coset not in seen:
-            seen[coset] = len(cosets)
-            cosets.append(coset)
-    # relabel so the coset of the identity comes first
-    order = sorted(range(len(cosets)), key=lambda i: min(cosets[i]))
-    relabel = {seen[cosets[i]]: j for j, i in enumerate(order)}
-    proj = np.zeros(group.order, dtype=np.int32)
-    for coset, cid in seen.items():
-        for g in coset:
-            proj[g] = relabel[cid]
-    k = len(cosets)
-    mul = np.zeros((k, k), dtype=np.int32)
-    reps = [0] * k
-    for g in group.elements:
-        reps[proj[g]] = g
-    for i, a in enumerate(reps):
-        for j, b in enumerate(reps):
-            mul[i, j] = proj[group.mul(a, b)]
-    q = GroupTable(mul, name=f"{group.name}/N{len(n_set)}")
-    return Quotient(q, proj, tuple(sorted(n_set)))
+    sub = sorted(_check_subgroup(group, normal_elems))
+    bad = _outside_conjugates(group, sub)
+    if len(bad):
+        g, i = bad[0]
+        raise NotNormal(f"conjugation by {g} leaves the subgroup at {sub[i]}")
+    # cosets numbered by their least element, so the identity's comes first
+    _, proj = np.unique(group.mul_table[:, sub].min(axis=1), return_inverse=True)
+    proj = proj.astype(np.int32)
+    reps = np.zeros(proj.max() + 1, dtype=np.intp)
+    reps[proj] = np.arange(group.order)
+    mul = proj[group.mul_table[np.ix_(reps, reps)]]
+    q = GroupTable(mul, name=f"{group.name}/N{len(sub)}")
+    return Quotient(q, proj, tuple(sub))
 
 
 def all_subgroups(group, seed_size=3):
@@ -352,20 +352,12 @@ def all_subgroups(group, seed_size=3):
 
 def normal_subgroups(group, index_cap=None, seed_size=3):
     """Normal subgroups, optionally keeping only index <= index_cap."""
-    out = []
-    for sub in all_subgroups(group, seed_size):
-        index = group.order // len(sub)
-        if index_cap is not None and index > index_cap:
-            continue
-        s = set(sub)
-        normal = all(
-            group.mul(group.mul(g, x), group.inv(g)) in s
-            for g in group.elements
-            for x in sub
-        )
-        if normal:
-            out.append(sub)
-    return out
+    return [
+        sub
+        for sub in all_subgroups(group, seed_size)
+        if (index_cap is None or group.order // len(sub) <= index_cap)
+        and not len(_outside_conjugates(group, sub))
+    ]
 
 
 # --- generating-set scan ---
@@ -413,53 +405,76 @@ def _cyclic_canonical(n, elems):
     return best
 
 
-def _score_genset(group, elems, d, eta_target):
-    from .spectral import is_hdx
-
-    try:
-        cayley = cayley_clique_complex(group, elems, d)
-    except (NotPure, NotSymmetricGenSet):
-        return None
-    report = is_hdx(cayley.complex, 1.0, mode="two_sided", include_empty_face=False)
-    lam = float(report.worst_value)
-    return GensetCandidate(
-        group_name=group.name,
-        gens=elems,
-        worst_link_lambda=lam,
-        meets_target=(eta_target is None or lam <= eta_target),
-    )
+def _class_combos(classes, max_size):
+    """Sets of whole inverse-pair classes with at most max_size elements,
+    by class count, then in lexicographic order of class indices."""
+    level = [((), 0)]
+    while level:
+        level = [
+            (picked + (j,), size + len(classes[j]))
+            for picked, size in level
+            for j in range(picked[-1] + 1 if picked else 0, len(classes))
+            if size + len(classes[j]) <= max_size
+        ]
+        for picked, _ in level:
+            yield tuple(sorted(e for j in picked for e in classes[j]))
 
 
-def scan_gensets(groups, d, eta_target=None, max_size=8, dedupe=True):
+def _tie_stable(scored, eta_target):
+    """Candidates from (group_name, gens, score) triples in score order.
+
+    Scores chained within _TIE_TOL count as one value, reported as the
+    least of them, and candidates of one value come in (group_name, gens)
+    order, so that eigensolver rounding cannot pick the order or the best
+    set.
+    """
+    keyed, prev = [], None
+    for name, gens, lam in sorted(scored, key=lambda t: t[2]):
+        if prev is None or lam - prev > _TIE_TOL:
+            value = lam
+        keyed.append((value, name, gens))
+        prev = lam
+    return [
+        GensetCandidate(name, gens, value, eta_target is None or value <= eta_target)
+        for value, name, gens in sorted(keyed)
+    ]
+
+
+def scan_gensets(groups, d, eta_target=None, max_size=8, dedupe=True, counts=None):
     """Enumerate symmetric generating sets and score their Cayley links.
 
     The score is the worst two-sided expansion over all proper links of
     the d-dimensional Cayley clique complex (the global skeleton is not
-    scored).  Impure candidates are skipped; candidates come back sorted
-    by score.  When the group's element ids add mod n, candidates equivalent
-    under multiplication by a unit (an automorphism) are deduplicated.
+    scored), read off the star of the identity.  Impure candidates are
+    skipped; candidates come back in _tie_stable order.  When the group's
+    element ids add mod n, candidates equivalent under multiplication by a
+    unit (an automorphism) are deduplicated.  A dict passed as counts gets
+    the candidates enumerated, not generating, duplicate, impure, scored.
     """
     if isinstance(groups, GroupTable):
         groups = [groups]
-    todo = []
+    tally = dict.fromkeys(("enumerated", "not_generating", "duplicate", "impure",
+                           "scored"), 0)
+    scored = []
     for group in groups:
-        classes = _inverse_pair_classes(group)
         seen_canon = set()
         by_units = dedupe and _adds_mod_n(group)
-        for k in range(1, len(classes) + 1):
-            for picked in itertools.combinations(classes, k):
-                elems = tuple(sorted(e for cls in picked for e in cls))
-                if len(elems) > max_size:
+        for elems in _class_combos(_inverse_pair_classes(group), max_size):
+            tally["enumerated"] += 1
+            if len(subgroup_closure(group, elems)) != group.order:
+                tally["not_generating"] += 1
+                continue
+            if by_units:
+                canon = _cyclic_canonical(group.order, elems)
+                if canon in seen_canon:
+                    tally["duplicate"] += 1
                     continue
-                if len(subgroup_closure(group, elems)) != group.order:
-                    continue
-                if by_units:
-                    canon = _cyclic_canonical(group.order, elems)
-                    if canon in seen_canon:
-                        continue
-                    seen_canon.add(canon)
-                todo.append((group, elems))
-    scored = [_score_genset(g, e, d, eta_target) for g, e in todo]
-    out = [c for c in scored if c is not None]
-    out.sort(key=lambda c: (c.worst_link_lambda, c.group_name, c.gens))
-    return out
+                seen_canon.add(canon)
+            try:
+                scored.append((group.name, elems, identity_star_lambda(group, elems, d)))
+            except NotPure:
+                tally["impure"] += 1
+    tally["scored"] = len(scored)
+    if counts is not None:
+        counts.update(tally)
+    return _tie_stable(scored, eta_target)

@@ -13,10 +13,11 @@ import numpy as np
 
 from hdxcover.complexes import TOL, build_complex
 from hdxcover.covers import CoverReport
-from hdxcover.errors import EmptyResult, EmptySide
+from hdxcover.errors import EmptyResult, EmptySide, NotPure, NotSymmetricGenSet
 from hdxcover.graphs import WGraph
+from hdxcover.groups import cayley_clique_complex
 from hdxcover.sparsify import split_vertex_sets
-from hdxcover.spectral import bipartite_lambda
+from hdxcover.spectral import bipartite_lambda, is_hdx
 
 
 def sym_walk_matrix(G):
@@ -531,3 +532,71 @@ def plain_one_trial(G, p_split, p_edge, eps, seed_pair):
             vertex_ok = False
             break
     return lam_split, lam_edge, side_ok, vertex_ok
+
+
+def plain_subgroup_closure(group, seeds):
+    """Reference closure: BFS under multiplication by seeds and inverses."""
+    closure = {0}
+    frontier = [0]
+    seeds = [int(s) for s in seeds]
+    for s in seeds:
+        if s not in closure:
+            closure.add(s)
+            frontier.append(s)
+    gens = list(dict.fromkeys(seeds + [group.inv(s) for s in seeds]))
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = group.mul(x, g)
+            if y not in closure:
+                closure.add(y)
+                frontier.append(y)
+    return tuple(sorted(closure))
+
+
+def plain_normal_subgroups(group, seed_size=3):
+    """Reference normal subgroups: plain closures of small seed sets, kept
+    when every scalar conjugate g x g^-1 stays inside."""
+    found = {(0,)}
+    for size in range(1, seed_size + 1):
+        for seeds in itertools.combinations(range(1, group.order), size):
+            found.add(plain_subgroup_closure(group, seeds))
+    return [
+        sub for sub in sorted(found, key=lambda s: (len(s), s))
+        if all(group.mul(group.mul(g, x), group.inv(g)) in sub
+               for g in group.elements for x in sub)
+    ]
+
+
+def plain_quotient_group(group, normal_elems):
+    """Reference quotient of a normal subgroup: cosets as frozensets,
+    numbered by their least element; returns (mul table, projection)."""
+    cosets = {frozenset(group.mul(g, x) for x in normal_elems) for g in group.elements}
+    cosets = sorted(cosets, key=min)
+    proj = np.zeros(group.order, dtype=np.int32)
+    for cid, coset in enumerate(cosets):
+        proj[sorted(coset)] = cid
+    reps = [min(c) for c in cosets]
+    mul = np.array([[proj[group.mul(a, b)] for b in reps] for a in reps])
+    return mul, proj
+
+
+def plain_class_combos(classes, max_size):
+    """Reference enumeration: every combination of classes, by count, then
+    filtered by size."""
+    for k in range(1, len(classes) + 1):
+        for picked in itertools.combinations(classes, k):
+            elems = tuple(sorted(e for cls in picked for e in cls))
+            if len(elems) <= max_size:
+                yield elems
+
+
+def plain_score_genset(group, elems, d):
+    """Reference score: build the whole Cayley clique complex and run
+    is_hdx over all of its links; None when the complex is impure."""
+    try:
+        cayley = cayley_clique_complex(group, elems, d)
+    except (NotPure, NotSymmetricGenSet):
+        return None
+    report = is_hdx(cayley.complex, 1.0, mode="two_sided", include_empty_face=False)
+    return float(report.worst_value)

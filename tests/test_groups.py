@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from hdxcover.errors import NotAGroup, NotNormal, NotPure, NotSubgroup, NotSymmetricGenSet, TooLarge
+from hdxcover import groups
 from hdxcover.groups import (
     cayley_clique_complex,
     cyclic,
     dihedral,
     group_from_table,
+    identity_star_lambda,
     make_group,
     normal_subgroups,
     product_group,
@@ -17,6 +19,14 @@ from hdxcover.groups import (
     subgroup_closure,
     symmetric_group,
     validate_genset,
+)
+
+from helpers import (
+    plain_class_combos,
+    plain_normal_subgroups,
+    plain_quotient_group,
+    plain_score_genset,
+    plain_subgroup_closure,
 )
 
 
@@ -253,3 +263,109 @@ class TestScan:
     def test_eta_target_flag(self):
         out = scan_gensets(cyclic(5), 2, eta_target=0.5, max_size=4)
         assert any(c.meets_target for c in out)
+
+
+S4_SCAN = dict(d=2, max_size=6)  # the benchmark's S4 scan
+
+
+def _scan_combos(group, max_size):
+    return list(groups._class_combos(groups._inverse_pair_classes(group), max_size))
+
+
+class TestArrayPaths:
+    """The array closures, quotients and enumeration against the plain
+    references they replace."""
+
+    def test_closure_matches_bfs_on_s4_candidates(self):
+        g = symmetric_group(4)
+        combos = _scan_combos(g, S4_SCAN["max_size"])
+        assert len(combos) == 3258
+        for elems in combos:
+            assert subgroup_closure(g, elems) == plain_subgroup_closure(g, elems)
+
+    @pytest.mark.parametrize(
+        "group", [cyclic(6), symmetric_group(3), symmetric_group(4)],
+        ids=lambda g: g.name,
+    )
+    def test_normal_subgroups_unchanged(self, group):
+        subs = normal_subgroups(group)
+        assert subs == plain_normal_subgroups(group)
+        for sub in subs:
+            q = quotient_group(group, sub)
+            mul, proj = plain_quotient_group(group, sub)
+            assert np.array_equal(q.group.mul_table, mul)
+            assert np.array_equal(q.projection, proj)
+            assert q.projection.dtype == np.int32
+
+    @pytest.mark.parametrize("max_size", [1, 3, 6, 8])
+    def test_enumeration_order_unchanged(self, max_size):
+        for g in (symmetric_group(4), cyclic(13), dihedral(5)):
+            classes = groups._inverse_pair_classes(g)
+            assert _scan_combos(g, max_size) == list(plain_class_combos(classes, max_size))
+
+
+STAR_GROUPS = [
+    cyclic(13), dihedral(5), symmetric_group(4), product_group(cyclic(3), cyclic(4))
+]
+
+
+class TestStarScore:
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("group", STAR_GROUPS, ids=lambda g: g.name)
+    def test_star_equals_full_complex(self, group, d):
+        max_size = 6 if group.order == 24 else 8
+        full = {}
+        for elems in _scan_combos(group, max_size):
+            if len(plain_subgroup_closure(group, elems)) != group.order:
+                continue
+            full[elems] = plain_score_genset(group, elems, d)
+            if full[elems] is None:
+                with pytest.raises(NotPure):
+                    identity_star_lambda(group, elems, d)
+            else:
+                star = identity_star_lambda(group, elems, d)
+                assert abs(star - full[elems]) <= 1e-12
+        out = scan_gensets(group, d, max_size=max_size, dedupe=False)
+        assert {c.gens for c in out} == {e for e, lam in full.items() if lam is not None}
+        for c in out:
+            assert abs(c.worst_link_lambda - full[c.gens]) <= 1e-12
+
+    def test_s4_counts(self):
+        counts = {}
+        out = scan_gensets(symmetric_group(4), counts=counts, **S4_SCAN)
+        assert counts == {"enumerated": 3258, "not_generating": 294, "duplicate": 0,
+                          "impure": 2724, "scored": 240}
+        assert len(out) == 240
+
+    def test_z13_counts_add_up(self):
+        counts = {}
+        out = scan_gensets(cyclic(13), 2, counts=counts)
+        assert counts["duplicate"] > 0
+        assert counts["scored"] == len(out)
+        assert counts["enumerated"] == sum(
+            counts[k] for k in ("not_generating", "duplicate", "impure", "scored"))
+
+    def test_s4_tie_order(self, monkeypatch):
+        g = symmetric_group(4)
+        out = scan_gensets(g, **S4_SCAN)
+        own = [identity_star_lambda(g, c.gens, 2) for c in out]
+        # ties are real: few scores to 1e-9, many more bit patterns
+        assert len(set(own)) > 5
+        values = sorted(set(c.worst_link_lambda for c in out))
+        assert len(values) == 5
+        assert all(b - a > 1e-9 for a, b in zip(values, values[1:]))
+        assert [c.worst_link_lambda for c in out] == sorted(c.worst_link_lambda for c in out)
+        for v in values:
+            gens = [c.gens for c in out if c.worst_link_lambda == v]
+            assert gens == sorted(gens)
+        # each candidate reports its tie's least score
+        assert all(0 <= lam - c.worst_link_lambda <= 1e-12 for c, lam in zip(out, own))
+        # noise at the rounding scale changes neither the order nor the best set
+        rng = np.random.default_rng(0)
+        star = groups.identity_star_lambda
+        monkeypatch.setattr(
+            groups, "identity_star_lambda",
+            lambda *a: star(*a) + rng.uniform(-1e-14, 1e-14),
+        )
+        noisy = scan_gensets(g, **S4_SCAN)
+        assert [c.gens for c in noisy] == [c.gens for c in out]

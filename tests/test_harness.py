@@ -197,6 +197,52 @@ class TestScanPipeline:
         stage = next(s for s in rep.stages if s["name"] == "scan")
         assert stage["result"]["candidates"]
 
+    def test_s4_counts_and_reverification(self):
+        spec = {"kind": "scan", "seed": 0,
+                "params": {"group": {"kind": "symmetric", "k": 4}, "dim": 2,
+                           "max_size": 6}}
+        rep = run_experiment(spec)
+        assert rep.exit_code == EXIT_CLEAN
+        result = rep.stages[0]["result"]
+        assert result["counts"] == {"enumerated": 3258, "not_generating": 294,
+                                    "duplicate": 0, "impure": 2724, "scored": 240}
+        (audit,) = rep.audits
+        detail = audit["detail"]
+        best = result["candidates"][0]
+        assert audit["name"] == "scan_reverification" and audit["ok"]
+        assert detail["gens"] == best["gens"]
+        assert detail["lambda"] == best["worst_link_lambda"]
+        assert detail["bound"] == 1e-9
+        assert detail["slack"] == pytest.approx(
+            1e-9 - abs(detail["observed"] - best["worst_link_lambda"]), abs=1e-24)
+        assert detail["slack"] >= 0
+        assert rep.to_json_bytes() == run_experiment(spec).to_json_bytes()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("dim", 1), ("dim", 0), ("dim", "two"), ("dim", 2.0), ("dim", True),
+         ("max_size", 0), ("max_size", "6"), ("eta", "x"), ("eta", float("nan")),
+         ("eta", float("inf")), ("eta", False)],
+    )
+    def test_bad_scan_values_are_input_errors(self, key, value):
+        params = {"group": {"kind": "cyclic", "n": 5}, key: value}
+        rep = run_experiment({"kind": "scan", "params": params, "seed": 0})
+        assert rep.exit_code == EXIT_INPUT
+        assert f"scan {key} must be" in rep.stages[-1]["result"]["message"]
+
+    def test_scan_eta_null_and_integer_pass(self):
+        for eta in (None, 1):
+            params = {"group": {"kind": "cyclic", "n": 5}, "eta": eta, "max_size": 4}
+            rep = run_experiment({"kind": "scan", "params": params, "seed": 0})
+            assert rep.exit_code == EXIT_CLEAN
+
+    def test_cli_scan_dim_one_exit_code(self, tmp_path):
+        code = main(["scan-gensets", "--group", '{"kind": "cyclic", "n": 5}',
+                     "--dim", "1", "--out-dir", str(tmp_path)])
+        assert code == EXIT_INPUT
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert "scan dim must be" in report["stages"][-1]["result"]["message"]
+
 
 class TestErrors:
     def test_unknown_pipeline(self):
@@ -247,6 +293,33 @@ class TestErrors:
         rep = run_experiment({"kind": "prune", "params": params, "seed": 0})
         assert rep.exit_code == EXIT_INPUT
         assert text in rep.stages[-1]["result"]["message"]
+
+    @pytest.mark.parametrize(
+        "kind, key, value, text",
+        [
+            ("prune", "complex", "[[0,1,2]]", "a complex is a JSON object"),
+            ("prune", "group", [[0]], "a group is a JSON object"),
+            ("scan", "group", [[0]], "a group is a JSON object"),
+            ("combine", "target", [[0, 1, 2]], "a complex is a JSON object"),
+        ],
+    )
+    def test_array_input_is_input_error(self, kind, key, value, text):
+        params = {
+            "prune": PRUNE_SPEC["params"],
+            "scan": {"group": {"kind": "cyclic", "n": 5}},
+            "combine": {"complex": {"kind": "complete", "n": 8, "dim": 2},
+                        "target": {"kind": "complete", "n": 5, "dim": 2}},
+        }[kind]
+        params = dict(params, **{key: value})
+        rep = run_experiment({"kind": kind, "params": params, "seed": 0})
+        assert rep.exit_code == EXIT_INPUT
+        assert text in rep.stages[-1]["result"]["message"]
+
+    def test_one_dimensional_prune_is_input_error(self):
+        params = dict(PRUNE_SPEC["params"], complex={"kind": "complete", "n": 6, "dim": 1})
+        rep = run_experiment({"kind": "prune", "params": params, "seed": 0})
+        assert rep.exit_code == EXIT_INPUT
+        assert "dimension >= 2" in rep.stages[-1]["result"]["message"]
 
     def test_missing_spec_key_is_input_error(self):
         params = dict(PRUNE_SPEC["params"])
