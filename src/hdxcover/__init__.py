@@ -43,23 +43,11 @@ from .pruning import (
     PruneConfig,
     Pruner,
     dependency_scope,
-    eval_event,
-    f_pruning,
-    is_satisfied,
     measure_ratio_audit,
-    moser_tardos_prune,
     pruned_measure,
     sample_labeling,
-    satisfaction_graph,
 )
-from .combine import (
-    CombineConfig,
-    c_pruning,
-    c_satisfied,
-    eval_event_combine,
-    moser_tardos_combine,
-    verify_combine,
-)
+from .combine import CombineConfig, Combiner, verify_combine
 from .sparsify import bipartite_vertex_split, edge_subsample, sparsify_trial
 from .harness import emit_report, run_experiment
 

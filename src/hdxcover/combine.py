@@ -89,12 +89,8 @@ class Combiner:
     # --- satisfaction ---
 
     def as_array(self, coloring):
-        if isinstance(coloring, np.ndarray):
-            return coloring
-        arr = np.empty(len(self.X.vertices), dtype=np.int64)
-        for v, c in coloring.items():
-            arr[self.vpos[v]] = c
-        return arr
+        """The color array of a coloring given as a dict keyed by vertex."""
+        return np.array([coloring[v] for v in self.X.vertices], dtype=np.int64)
 
     def image(self, face, col):
         return tuple(sorted(int(col[self.vpos[v]]) for v in face))
@@ -244,29 +240,6 @@ class Combiner:
             violations_remaining=remaining,
             config=self.config,
         )
-
-
-# --- module-level wrappers ---
-
-
-def c_satisfied(X, C, coloring, face):
-    comb = Combiner(X, C, CombineConfig(0.5))
-    return comb.face_satisfied(face, comb.as_array(coloring))
-
-
-def c_pruning(X, C, coloring):
-    comb = Combiner(X, C, CombineConfig(0.5))
-    y, kind, _ = comb.c_pruning(comb.as_array(coloring))
-    return y, kind
-
-
-def eval_event_combine(kind, X, C, coloring, tau, config):
-    comb = Combiner(X, C, config)
-    return comb.eval_event(kind, tau, comb.as_array(coloring))
-
-
-def moser_tardos_combine(X, C, config, rng):
-    return Combiner(X, C, config).run(rng)
 
 
 # --- verification ---

@@ -340,23 +340,26 @@ def quotient_group(group, normal_elems):
     return Quotient(q, proj, tuple(sub))
 
 
-def all_subgroups(group, seed_size=3):
-    """Subgroups found as closures of small seed sets; exact at desk scale."""
-    found = {tuple([0])}
-    elems = list(group.elements)
-    for size in range(1, seed_size + 1):
-        for seeds in itertools.combinations(elems[1:], size):
-            found.add(subgroup_closure(group, seeds))
-    return sorted(found, key=lambda s: (len(s), s))
+def normal_subgroups(group, index_cap=None):
+    """Normal subgroups, optionally keeping only index <= index_cap.
 
-
-def normal_subgroups(group, index_cap=None, seed_size=3):
-    """Normal subgroups, optionally keeping only index <= index_cap."""
+    A normal subgroup is a union of conjugacy classes, so it is the join
+    of the normal closures of the classes it holds: start from the closure
+    of each class and join with those closures until nothing new appears.
+    """
+    mul = group.mul_table
+    conj = mul[mul, group.inv_table[:, None]]  # conj[g, x] = g x g^-1
+    closures = {subgroup_closure(group, conj[:, x]) for x in group.elements}
+    found, frontier = set(closures), list(closures)
+    while frontier:
+        sub = frontier.pop()
+        joins = {subgroup_closure(group, sub + c) for c in closures} - found
+        found |= joins
+        frontier += joins
     return [
         sub
-        for sub in all_subgroups(group, seed_size)
-        if (index_cap is None or group.order // len(sub) <= index_cap)
-        and not len(_outside_conjugates(group, sub))
+        for sub in sorted(found, key=lambda s: (len(s), s))
+        if index_cap is None or group.order // len(sub) <= index_cap
     ]
 
 

@@ -123,7 +123,7 @@ def _spec_config(build):
     def wrapped(*args):
         try:
             return build(*args)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise InputError(f"bad parameter: {exc}") from None
 
     return wrapped
@@ -183,9 +183,7 @@ def _prune_config(params):
     if mode == "formula":
         return pruning_mod.PruneConfig.formula(**kw)
     if mode == "empirical":
-        lam = kw.pop("lambda_target")
-        mr = kw.pop("max_resamples")
-        return pruning_mod.PruneConfig.empirical(lam, max_resamples=mr, **kw)
+        return pruning_mod.PruneConfig.empirical(**kw)
     raise InputError(f"unknown prune mode {mode!r}")
 
 
@@ -195,6 +193,22 @@ def _combine_config(params, lam):
         lambda_target=float(lam),
         max_resamples=int(params.get("max_resamples", 10_000)),
     )
+
+
+def _index_cap(params):
+    cap = params.get("index_cap", 64)
+    if type(cap) is not int or cap < 1:
+        raise InputError(f"cover-family index_cap must be an integer >= 1, got {cap!r}")
+    return cap
+
+
+@_spec_config
+def _sparsify_config(params):
+    """The sparsify_trial arguments of a sparsify spec but the seed, each
+    read as the type of its default."""
+    defaults = {"p_split": 0.3, "p_edge": 0.5, "trials": 50, "split_factor": 100.0,
+                "edge_threshold": 0.95}
+    return {key: type(v)(params.get(key, v)) for key, v in defaults.items()}
 
 
 def _transcript_digest(transcript):
@@ -219,7 +233,6 @@ def _prune_stages(report, params, seed):
     report.add_stage("suitability", suit.to_dict())
     report.timings["suitability"] = time.perf_counter() - t0
 
-    cayley = groups_mod.cayley_clique_complex(group, gens, X.dim)
     report.add_stage(
         "cayley",
         {
@@ -230,7 +243,7 @@ def _prune_stages(report, params, seed):
     )
 
     t0 = time.perf_counter()
-    pruner = pruning_mod.Pruner(X, group, gens, config, cayley=cayley)
+    pruner = pruning_mod.Pruner(X, group, gens, config)
     outcome = pruner.run(stage_seed(seed, "prune"))
     report.timings["prune"] = time.perf_counter() - t0
     report.add_stage(
@@ -279,10 +292,8 @@ def cover_link_gap(cover):
 
 
 def _audit_clean_prune(report, pruner, outcome):
-    X, group, gens, cayley, config = (
-        pruner.X, pruner.group, pruner.gens, pruner.cayley, pruner.config
-    )
-    y = outcome.y
+    X, group, gens, config = pruner.X, pruner.group, pruner.gens, pruner.config
+    y, f = outcome.y, outcome.labeling
     lam = config.lambda_target
     hdx = is_hdx(y, lam)
     report.add_audit("y_is_hdx", hdx.passes, hdx.to_dict())
@@ -327,22 +338,18 @@ def _audit_clean_prune(report, pruner, outcome):
     worst_gap = cover_link_gap(cover)
     report.add_audit("cover_link_spectra", worst_gap <= 1e-9, {"worst_gap": worst_gap})
 
-    pm = pruning_mod.pruned_measure(y, outcome.labeling_dict(), group, gens, cayley)
+    pm = pruning_mod.pruned_measure(pruner, y, f)
     report.add_audit(
         "pruned_measure_total", abs(pm.total - 1.0) <= 1e-9, {"total": pm.total}
     )
 
     worst_ratio = 1.0
     bound = config.r ** (15 * d)
-    f_arr = outcome.labeling
     for ell in range(0, d - 1):
         for sigma in X.faces(ell):
-            if not pruner.face_satisfied(sigma, f_arr):
+            if not pruner.face_satisfied(sigma, f):
                 continue
-            ratio = pruning_mod.measure_ratio_audit(
-                X, y, f_arr, group, gens, sigma, cayley=cayley, config=config,
-                _pruner=pruner,
-            )
+            ratio = pruning_mod.measure_ratio_audit(pruner, y, f, sigma)
             if not ratio.support_matches:
                 report.add_audit("measure_ratio", False, {"sigma": list(sigma)})
                 return
@@ -367,15 +374,15 @@ def run_prune(report, params, seed):
 
 
 def run_cover_family(report, params, seed):
+    index_cap = _index_cap(params)
     report, pruner, outcome = run_prune(report, params, seed)
     if outcome.status != "clean":
         return report
     group, gens = pruner.group, pruner.gens
     y = outcome.y
     f_elems = outcome.labeling_elements(gens)
-    index_cap = int(params.get("index_cap", 64))
     family = []
-    lam = float(params.get("lambda", 0.9))
+    lam = pruner.config.lambda_target
     for sub in groups_mod.normal_subgroups(group, index_cap=index_cap):
         quotient = groups_mod.quotient_group(group, sub)
         pushed = covers_mod.push_cocycle(y, f_elems, group, quotient)
@@ -407,13 +414,7 @@ def run_cover_family(report, params, seed):
 def run_sparsify(report, params, seed):
     G = _load_graph_input(_field(params, "graph"))
     trial = sparsify_mod.sparsify_trial(
-        G,
-        float(params.get("p_split", 0.3)),
-        float(params.get("p_edge", 0.5)),
-        int(params.get("trials", 50)),
-        stage_seed(seed, "sparsify"),
-        split_factor=float(params.get("split_factor", 100.0)),
-        edge_threshold=float(params.get("edge_threshold", 0.95)),
+        G, rng=stage_seed(seed, "sparsify"), **_sparsify_config(params)
     )
     report.add_stage("sparsify", trial.to_dict())
     report.lambda_series = sorted(trial.edge_lambdas)
@@ -434,9 +435,7 @@ def run_combine(report, params, seed):
         lam = is_hdx(C, 1.0).worst_value
         lam = max(min(lam, 0.999), 1e-6)
     config = _combine_config(params, lam)
-    outcome = combine_mod.moser_tardos_combine(
-        X, C, config, stage_seed(seed, "combine")
-    )
+    outcome = combine_mod.Combiner(X, C, config).run(stage_seed(seed, "combine"))
     report.add_stage(
         "combine",
         {

@@ -28,7 +28,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .complexes import PureComplex
-from .covers import edge_key
 from .errors import (
     BadKindForFace,
     NotAFace,
@@ -36,7 +35,7 @@ from .errors import (
     UnsatisfiedBase,
 )
 from .graphs import WGraph
-from .groups import cayley_clique_complex
+from .groups import cayley_clique_complex, validate_genset
 from .spectral import adjacency_spectrum
 
 @dataclass(frozen=True)
@@ -290,9 +289,6 @@ class PruneOutcome:
     violations_remaining: tuple
     config: PruneConfig
 
-    def labeling_dict(self):
-        return {e: int(l) for e, l in zip(self.edges, self.labeling)}
-
     def labeling_elements(self, gens):
         return {e: int(gens[l]) for e, l in zip(self.edges, self.labeling)}
 
@@ -312,16 +308,14 @@ class Pruner:
     when its triangles multiply consistently.  `resample` drives the events.
     """
 
-    def __init__(self, X, group, gens, config, cayley=None):
+    def __init__(self, X, group, gens, config):
         if X.dim < 2:
             raise BadKindForFace("pruning needs a complex of dimension >= 2")
         self.X = X
         self.group = group
         self.config = config
-        from .groups import validate_genset
-
         self.gens = validate_genset(group, gens, require_generating=False)
-        self._cayley = cayley  # built lazily; only the NE machinery needs it
+        self._cayley = None  # built lazily; only NE and the measure audits need it
         self.m = len(self.gens)
         self.d = X.dim
 
@@ -371,18 +365,15 @@ class Pruner:
     # --- labeling helpers ---
 
     def as_array(self, f):
-        if isinstance(f, np.ndarray):
-            if len(f) != self.n_edges:
-                raise ValueError("labeling length does not match the edge count")
-            return f
-        arr = np.empty(self.n_edges, dtype=np.int64)
-        for e, pos in self.edge_pos.items():
-            arr[pos] = f[e]
-        return arr
+        """The label array of a labeling given as a dict keyed by edge."""
+        return np.array([f[e] for e in self.edges], dtype=np.int64)
 
     def directed_element(self, f, u, v):
-        lab = f[self.edge_pos[edge_key(u, v)]]
-        return int(self.s_elems[lab] if u < v else self.inv_elems[lab])
+        """The element f puts on the edge from u to v: the edge's generator
+        upward, its inverse downward."""
+        if u < v:
+            return self.gens[f[self.edge_pos[u, v]]]
+        return self.group.inv(self.gens[f[self.edge_pos[v, u]]])
 
     def _tri_index(self, rows):
         """Edge positions (ab, bc, ac) of every triangle a < b < c of each
@@ -661,35 +652,6 @@ class Pruner:
         )
 
 
-# --- module-level operation wrappers ---
-
-
-def is_satisfied(X, f, group, gens, face, cayley=None):
-    pruner = Pruner(X, group, gens, PruneConfig(0.5), cayley=cayley)
-    return pruner.face_satisfied(face, pruner.as_array(f))
-
-
-def f_pruning(X, f, group, gens, cayley=None):
-    """Sub-complex of top faces satisfied by f; (Y, isolated vertices)."""
-    pruner = Pruner(X, group, gens, PruneConfig(0.5), cayley=cayley)
-    y, isolated, _ = pruner.f_pruning(pruner.as_array(f))
-    return y, isolated
-
-
-def satisfaction_graph(X, f, group, gens, sigma, cayley=None):
-    pruner = Pruner(X, group, gens, PruneConfig(0.5), cayley=cayley)
-    return pruner.satisfaction_graph(tuple(sorted(sigma)), pruner.as_array(f))
-
-
-def eval_event(kind, X, f, group, gens, tau, config, cayley=None):
-    pruner = Pruner(X, group, gens, config, cayley=cayley)
-    return pruner.eval_event(kind, tau, pruner.as_array(f))
-
-
-def moser_tardos_prune(X, group, gens, config, rng, cayley=None):
-    return Pruner(X, group, gens, config, cayley=cayley).run(rng)
-
-
 @dataclass(frozen=True)
 class ScopeReport:
     face: tuple
@@ -754,8 +716,9 @@ class PrunedMeasure:
         return float(self.weights.sum())
 
 
-def pruned_measure(Y, labeling, group, gens, cayley=None):
-    """Measure on Y(d) induced by the identity link of the Cayley complex.
+def pruned_measure(pruner, Y, f):
+    """Measure on Y(d) induced by the identity link of the pruner's Cayley
+    complex, for the pruner's label array f.
 
     Sample an oriented top face of the identity link, then a fiber face of
     Y whose directed labels from its first vertex realize that pattern,
@@ -763,14 +726,7 @@ def pruned_measure(Y, labeling, group, gens, cayley=None):
     some pattern has an empty fiber.
     """
     d = Y.dim
-    if cayley is None:
-        cayley = cayley_clique_complex(group, gens, d)
-    c_e = cayley.complex.link((0,))
-    lab = {edge_key(*e): v for e, v in labeling.items()}
-
-    def dir_el(u, v):
-        g = lab[edge_key(u, v)]
-        return int(gens[g]) if u < v else group.inv(int(gens[g]))
+    c_e = pruner.cayley.complex.link((0,))
 
     pattern_prob = {}
     for face, w in zip(c_e.top_faces, c_e.weights):
@@ -783,7 +739,7 @@ def pruned_measure(Y, labeling, group, gens, cayley=None):
     fact = math.factorial(d + 1)
     for i, (face, w) in enumerate(zip(Y.top_faces, Y.weights)):
         for perm in itertools.permutations(face):
-            pat = tuple(dir_el(perm[0], v) for v in perm[1:])
+            pat = tuple(pruner.directed_element(f, perm[0], v) for v in perm[1:])
             if pat not in pattern_prob:
                 continue  # pattern carries no reference mass
             mass = w / fact
@@ -811,30 +767,21 @@ class RatioReport:
         return self.support_matches and self.max_ratio <= self.bound
 
 
-def measure_ratio_audit(
-    X, Y, f, group, gens, sigma, cayley=None, r=None, config=None, _pruner=None
-):
-    """Compare the pruned link measure at sigma with the coloring measure.
+def measure_ratio_audit(pruner, Y, f, sigma):
+    """Compare the pruned link measure at sigma with the coloring measure
+    under the pruner's label array f.
 
     Reports the worst multiplicative gap over link vertices and edges and
-    checks it against r^(15 d).
+    checks it against r^(15 d), r from the pruner's config.
     """
-    if config is not None and r is None:
-        r = config.r
-    if r is None:
-        raise ValueError("pass r or a config")
-    pruner = _pruner or Pruner(
-        X, group, gens, config or PruneConfig(0.5, r=r), cayley=cayley
-    )
-    sg = pruner.satisfaction_graph(tuple(sorted(sigma)), pruner.as_array(f))
+    sg = pruner.satisfaction_graph(sigma, f)
     if sg.graph is None:
         raise Unmeasurable(f"satisfaction graph at {sigma!r} has no edges")
     yskel = Y.link_skeleton(sigma)
-    bound = float(r) ** (15 * X.dim)
+    bound = float(pruner.config.r) ** (15 * pruner.d)
 
-    same = set(yskel.vertices) == set(sg.graph.vertices) and set(
-        yskel.edges
-    ) == set(sg.graph.edges)
+    same = (set(yskel.vertices) == set(sg.graph.vertices)
+            and set(yskel.edges) == set(sg.graph.edges))
     worst, witness = 1.0, ()
     if same:
         for v in yskel.vertices:

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from hdxcover.combine import CombineConfig, moser_tardos_combine, verify_combine
+from hdxcover.combine import CombineConfig, Combiner, verify_combine
 from hdxcover.complexes import build_complex, complete_complex
 from hdxcover.covers import (
     build_cover,
@@ -212,15 +212,10 @@ def test_criterion_6_measure_audits(prune_fixture):
     bound = pruner.config.r ** (15 * X.dim)
     worst_ratio = 1.0
     for out in clean:
-        pm = pruned_measure(
-            out.y, out.labeling_dict(), group, gens, pruner.cayley
-        )
+        pm = pruned_measure(pruner, out.y, out.labeling)
         assert abs(pm.total - 1.0) <= 1e-9
         for v in X.vertices:
-            rep = measure_ratio_audit(
-                X, out.y, out.labeling, group, gens, (v,),
-                cayley=pruner.cayley, config=pruner.config,
-            )
+            rep = measure_ratio_audit(pruner, out.y, out.labeling, (v,))
             assert rep.support_matches and rep.max_ratio <= bound
             worst_ratio = max(worst_ratio, rep.max_ratio)
     verdict(
@@ -261,7 +256,7 @@ def test_criterion_8_combine_end_to_end():
     config = CombineConfig(lambda_target=lam, max_resamples=10_000)
     clean = 0
     for seed in range(10):
-        out = moser_tardos_combine(X, target, config, seed)
+        out = Combiner(X, target, config).run(seed)
         if out.status != "clean":
             continue
         clean += 1

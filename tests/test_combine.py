@@ -4,10 +4,6 @@ import pytest
 from hdxcover.combine import (
     CombineConfig,
     Combiner,
-    c_pruning,
-    c_satisfied,
-    eval_event_combine,
-    moser_tardos_combine,
     verify_combine,
 )
 from hdxcover.complexes import build_complex, complete_complex
@@ -18,52 +14,62 @@ from hdxcover.spectral import is_hdx
 K5_TARGET = complete_complex(5, 2)
 
 
+def combiner(X, C=K5_TARGET, config=CombineConfig(0.5)):
+    return Combiner(X, C, config)
+
+
 class TestCSatisfied:
     def test_complete_target_distinct_colors(self):
         X = complete_complex(6, 2)
-        coloring = {v: v % 5 for v in X.vertices}
-        assert c_satisfied(X, K5_TARGET, coloring, (0, 1, 2))
+        comb = combiner(X)
+        col = comb.as_array({v: v % 5 for v in X.vertices})
+        assert comb.face_satisfied((0, 1, 2), col)
 
     def test_repeated_color_unsatisfied(self):
         X = complete_complex(6, 2)
-        coloring = {v: v % 5 for v in X.vertices}
-        assert not c_satisfied(X, K5_TARGET, coloring, (0, 5, 2))
+        comb = combiner(X)
+        col = comb.as_array({v: v % 5 for v in X.vertices})
+        assert not comb.face_satisfied((0, 5, 2), col)
 
     def test_color_outside_target_unsatisfied(self):
         X = complete_complex(6, 2)
-        coloring = {v: v for v in X.vertices}  # 5 is no target vertex
-        assert c_satisfied(X, K5_TARGET, coloring, (0, 1, 2))
-        assert not c_satisfied(X, K5_TARGET, coloring, (0, 1, 5))
-        assert not c_satisfied(X, K5_TARGET, coloring, (5,))
+        comb = combiner(X)
+        col = comb.as_array({v: v for v in X.vertices})  # 5 is no target vertex
+        assert comb.face_satisfied((0, 1, 2), col)
+        assert not comb.face_satisfied((0, 1, 5), col)
+        assert not comb.face_satisfied((5,), col)
 
     def test_missing_target_face(self):
         target = build_complex(2, [(0, 1, 2), (0, 1, 3)])  # no face (1, 2, 3)
         X = complete_complex(4, 2)
-        coloring = {0: 1, 1: 2, 2: 3, 3: 0}
+        comb = combiner(X, target)
+        col = comb.as_array({0: 1, 1: 2, 2: 3, 3: 0})
         # image of (0, 1, 2) is (1, 2, 3): not a target face
-        assert not c_satisfied(X, target, coloring, (0, 1, 2))
+        assert not comb.face_satisfied((0, 1, 2), col)
         # image of (0, 1, 3) is (0, 1, 2): a target face
-        assert c_satisfied(X, target, coloring, (0, 1, 3))
+        assert comb.face_satisfied((0, 1, 3), col)
 
 
 class TestCPruning:
     def test_injective_coloring_keeps_everything(self):
         X = complete_complex(5, 2)
-        coloring = {v: v for v in X.vertices}
-        y, kind = c_pruning(X, K5_TARGET, coloring)
+        comb = combiner(X)
+        y, kind, _ = comb.c_pruning(comb.as_array({v: v for v in X.vertices}))
         assert y.top_faces == X.top_faces
         assert kind == "coloring"
 
     def test_constant_coloring_empty(self):
         X = complete_complex(5, 2)
-        y, kind = c_pruning(X, K5_TARGET, {v: 0 for v in X.vertices})
+        comb = combiner(X)
+        y, kind, _ = comb.c_pruning(comb.as_array({v: 0 for v in X.vertices}))
         assert y is None and kind == "empty"
 
     def test_satisfied_count_matches_enumeration(self):
         rng = np.random.default_rng(3)
         X = complete_complex(20, 2)
         coloring = {v: int(rng.integers(5)) for v in X.vertices}
-        y, _ = c_pruning(X, K5_TARGET, coloring)
+        comb = combiner(X)
+        y, _, _ = comb.c_pruning(comb.as_array(coloring))
         expected = sum(
             1
             for f in X.faces(2)
@@ -75,7 +81,8 @@ class TestCPruning:
         rng = np.random.default_rng(5)
         X = complete_complex(15, 2)
         coloring = {v: int(rng.integers(5)) for v in X.vertices}
-        y, kind = c_pruning(X, K5_TARGET, coloring)
+        comb = combiner(X)
+        y, kind, _ = comb.c_pruning(comb.as_array(coloring))
         assert kind == "coloring"
         mass = {}
         for face, w in zip(y.top_faces, y.weights):
@@ -108,24 +115,22 @@ class TestCPruning:
 class TestEvents:
     def test_ac_false_when_all_colors_present(self):
         X = complete_complex(12, 2)
-        coloring = {v: v % 5 for v in X.vertices}
-        config = CombineConfig(1 / 3)
+        comb = combiner(X, config=CombineConfig(1 / 3))
+        col = comb.as_array({v: v % 5 for v in X.vertices})
         for v in X.vertices:
-            assert not eval_event_combine(
-                "AC", X, K5_TARGET, coloring, (v,), config
-            )
+            assert not comb.eval_event("AC", (v,), col)
 
     def test_ac_true_when_color_missing(self):
         X = complete_complex(8, 2)
-        coloring = {v: v % 4 for v in X.vertices}  # color 4 never used
-        config = CombineConfig(1 / 3)
-        assert eval_event_combine("AC", X, K5_TARGET, coloring, (0,), config)
+        comb = combiner(X, config=CombineConfig(1 / 3))
+        col = comb.as_array({v: v % 4 for v in X.vertices})  # color 4 never used
+        assert comb.eval_event("AC", (0,), col)
 
     def test_ac_false_on_unsatisfied_face(self):
         X = complete_complex(8, 2)
-        coloring = {v: 0 for v in X.vertices}
-        config = CombineConfig(1 / 3)
-        assert not eval_event_combine("AC", X, K5_TARGET, coloring, (0, 1), config)
+        comb = combiner(X, config=CombineConfig(1 / 3))
+        col = comb.as_array({v: 0 for v in X.vertices})
+        assert not comb.eval_event("AC", (0, 1), col)
 
     @pytest.mark.parametrize("holed", [False, True])
     def test_ac_with_passed_flags_agrees(self, holed):
@@ -148,9 +153,9 @@ class TestEvents:
 
     def test_ne_true_on_disconnected(self):
         X = build_complex(2, [(0, 1, 2), (0, 3, 4)])
-        coloring = {0: 0, 1: 1, 2: 2, 3: 3, 4: 4}
-        config = CombineConfig(0.9, ne_threshold=0.9)
-        assert eval_event_combine("NE", X, K5_TARGET, coloring, (0,), config)
+        comb = combiner(X, config=CombineConfig(0.9, ne_threshold=0.9))
+        col = comb.as_array({0: 0, 1: 1, 2: 2, 3: 3, 4: 4})
+        assert comb.eval_event("NE", (0,), col)
 
     def test_ne_exact_value_on_blowup(self):
         # complete multipartite links have the target's spectrum exactly
@@ -166,33 +171,32 @@ class TestEvents:
 
     def test_kind_guard(self):
         X = complete_complex(6, 2)
-        coloring = {v: v % 5 for v in X.vertices}
+        comb = combiner(X)
+        col = comb.as_array({v: v % 5 for v in X.vertices})
         with pytest.raises(BadKindForFace):
-            eval_event_combine(
-                "NE", X, K5_TARGET, coloring, (0, 1), CombineConfig(0.5)
-            )
+            comb.eval_event("NE", (0, 1), col)
 
 
 class TestMoserTardosCombine:
     def test_clean_quickly_on_complete(self):
         X = complete_complex(25, 2)
         config = CombineConfig(1 / 3, max_resamples=5000)
-        out = moser_tardos_combine(X, K5_TARGET, config, 0)
+        out = Combiner(X, K5_TARGET, config).run(0)
         assert out.status == "clean"
         assert out.measure_kind == "coloring"
 
     def test_deterministic(self):
         X = complete_complex(20, 2)
         config = CombineConfig(1 / 3, max_resamples=5000)
-        a = moser_tardos_combine(X, K5_TARGET, config, 3)
-        b = moser_tardos_combine(X, K5_TARGET, config, 3)
+        a = Combiner(X, K5_TARGET, config).run(3)
+        b = Combiner(X, K5_TARGET, config).run(3)
         assert a.transcript == b.transcript
         assert a.coloring == b.coloring
 
     def test_clean_means_no_events(self):
         X = complete_complex(20, 2)
         config = CombineConfig(1 / 3, max_resamples=5000)
-        out = moser_tardos_combine(X, K5_TARGET, config, 1)
+        out = Combiner(X, K5_TARGET, config).run(1)
         assert out.status == "clean"
         comb = Combiner(X, K5_TARGET, config)
         col = comb.as_array(out.coloring)
@@ -202,7 +206,7 @@ class TestMoserTardosCombine:
     def test_clean_links_equal_satisfaction_graphs(self):
         X = complete_complex(20, 2)
         config = CombineConfig(1 / 3, max_resamples=5000)
-        out = moser_tardos_combine(X, K5_TARGET, config, 2)
+        out = Combiner(X, K5_TARGET, config).run(2)
         assert out.status == "clean"
         comb = Combiner(X, K5_TARGET, config)
         col = comb.as_array(out.coloring)
@@ -217,7 +221,7 @@ class TestMoserTardosCombine:
 def clean_outcome():
     X = complete_complex(25, 2)
     config = CombineConfig(1 / 3, max_resamples=5000)
-    out = moser_tardos_combine(X, K5_TARGET, config, 7)
+    out = Combiner(X, K5_TARGET, config).run(7)
     assert out.status == "clean"
     return X, out
 
@@ -262,7 +266,7 @@ class TestVerifyCombine:
         config = CombineConfig(1 / 3, max_resamples=10)
         comb = Combiner(X, K5_TARGET, config)
         coloring = {v: v for v in X.vertices}
-        y, kind = c_pruning(X, K5_TARGET, coloring)
+        y, kind, _ = comb.c_pruning(comb.as_array(coloring))
         from hdxcover.combine import CombineOutcome
 
         out = CombineOutcome(

@@ -266,6 +266,7 @@ class TestScan:
 
 
 S4_SCAN = dict(d=2, max_size=6)  # the benchmark's S4 scan
+Z2_CUBE = product_group(product_group(cyclic(2), cyclic(2)), cyclic(2))
 
 
 def _scan_combos(group, max_size):
@@ -284,7 +285,9 @@ class TestArrayPaths:
             assert subgroup_closure(g, elems) == plain_subgroup_closure(g, elems)
 
     @pytest.mark.parametrize(
-        "group", [cyclic(6), symmetric_group(3), symmetric_group(4)],
+        "group",
+        [cyclic(6), symmetric_group(3), symmetric_group(4), dihedral(6),
+         product_group(cyclic(3), cyclic(4)), Z2_CUBE],
         ids=lambda g: g.name,
     )
     def test_normal_subgroups_unchanged(self, group):
@@ -296,6 +299,21 @@ class TestArrayPaths:
             assert np.array_equal(q.group.mul_table, mul)
             assert np.array_equal(q.projection, proj)
             assert q.projection.dtype == np.int32
+
+    def test_normal_subgroups_needing_four_generators(self):
+        # (Z2)^4 itself needs four generators, so seeds of three miss it
+        group = product_group(Z2_CUBE, cyclic(2))
+        subs = normal_subgroups(group)
+        assert len(subs) == 67
+        assert subs[-1] == tuple(range(16))
+        assert subs == plain_normal_subgroups(group, seed_size=4)
+
+    def test_normal_subgroups_s5(self):
+        subs = normal_subgroups(symmetric_group(5))
+        assert [len(s) for s in subs] == [1, 60, 120]
+        for sub in subs:
+            quotient_group(symmetric_group(5), sub)  # raises unless normal
+        assert normal_subgroups(symmetric_group(5), index_cap=2) == subs[1:]
 
     @pytest.mark.parametrize("max_size", [1, 3, 6, 8])
     def test_enumeration_order_unchanged(self, max_size):

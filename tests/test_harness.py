@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from hdxcover import cli, harness
+from hdxcover import cli, combine, groups, harness, pruning
 from hdxcover.cli import main
 from hdxcover.complexes import PureComplex, check_suitable, complete_complex
 from hdxcover.covers import build_cover, coboundary_labeling
@@ -125,6 +125,43 @@ class TestCoverFamily:
             assert m["cover_vertices"] == 30 * m["quotient_order"]
             assert m["components"] == 1
             assert m["verified"]
+
+
+class TestOneSamplerPerExperiment:
+    """An experiment builds its sampler once, and a prune experiment its
+    Cayley clique complex at most once."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        counts = {"Pruner": 0, "Combiner": 0, "cayley": 0}
+
+        def counting(name, real):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+            return wrapped
+
+        for cls in (pruning.Pruner, combine.Combiner):
+            monkeypatch.setattr(cls, "__init__", counting(cls.__name__, cls.__init__))
+        cayley = counting("cayley", groups.cayley_clique_complex)
+        monkeypatch.setattr(groups, "cayley_clique_complex", cayley)
+        monkeypatch.setattr(pruning, "cayley_clique_complex", cayley)
+        return counts
+
+    @pytest.mark.parametrize("kind", ["prune", "cover-family"])
+    def test_prune_experiments(self, built, kind):
+        rep = run_experiment(dict(PRUNE_SPEC, kind=kind))
+        assert rep.status == "clean"
+        assert built["Pruner"] == 1
+        assert built["cayley"] <= 1
+        assert built["Combiner"] == 0
+
+    def test_combine_experiment(self, built):
+        params = {"complex": {"kind": "complete", "n": 12, "dim": 2},
+                  "target": {"kind": "complete", "n": 5, "dim": 2}}
+        rep = run_experiment({"kind": "combine", "params": params, "seed": 0})
+        assert rep.stages[0]["name"] == "combine"
+        assert built == {"Pruner": 0, "Combiner": 1, "cayley": 0}
 
 
 class TestSparsifyPipeline:
@@ -367,6 +404,24 @@ class TestErrors:
         rep = run_experiment({"kind": "sparsify", "params": params, "seed": 0})
         assert rep.exit_code == EXIT_INPUT
         assert key in rep.stages[-1]["result"]["message"]
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("p_split", "x"), ("trials", "x"), ("split_factor", "x"), ("p_edge", None)],
+    )
+    def test_unreadable_sparsify_values_are_input_errors(self, key, value):
+        params = {"graph": {"kind": "complete", "n": 20}, "trials": 2, key: value}
+        rep = run_experiment({"kind": "sparsify", "params": params, "seed": 0})
+        assert rep.exit_code == EXIT_INPUT
+        assert "bad parameter" in rep.stages[-1]["result"]["message"]
+
+    @pytest.mark.parametrize("value", ["x", None, 0, -3, 2.0, True])
+    def test_bad_index_cap_is_input_error(self, value):
+        params = dict(PRUNE_SPEC["params"], index_cap=value)
+        rep = run_experiment({"kind": "cover-family", "params": params, "seed": 2})
+        assert rep.exit_code == EXIT_INPUT
+        assert rep.stages == [rep.stages[-1]]  # rejected before pruning
+        assert "index_cap must be" in rep.stages[-1]["result"]["message"]
 
 
 class TestStrictSpecKeys:

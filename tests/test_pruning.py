@@ -25,15 +25,10 @@ from hdxcover.pruning import (
     Pruner,
     SatisfactionGraph,
     dependency_scope,
-    eval_event,
-    f_pruning,
     face_fraction_report,
-    is_satisfied,
     measure_ratio_audit,
-    moser_tardos_prune,
     pruned_measure,
     sample_labeling,
-    satisfaction_graph,
 )
 from hdxcover.spectral import is_hdx
 
@@ -164,13 +159,15 @@ class TestIsSatisfied:
         g = cyclic(2)
         X = build_complex(2, [(0, 1, 2)])
         f = {(0, 1): 0, (1, 2): 0, (0, 2): 0}  # every edge labeled by 1
-        assert not is_satisfied(X, f, g, (1,), (0, 1, 2))
+        pruner = Pruner(X, g, (1,), PruneConfig(0.5))
+        assert not pruner.face_satisfied((0, 1, 2), pruner.as_array(f))
 
     def test_edges_vacuous(self):
         X = complete_complex(4, 2)
-        f = {e: 0 for e in X.faces(1)}
-        assert is_satisfied(X, f, cyclic(2), (1,), (0, 1))
-        assert is_satisfied(X, f, cyclic(2), (1,), (2,))
+        pruner = Pruner(X, cyclic(2), (1,), PruneConfig(0.5))
+        f = pruner.as_array({e: 0 for e in X.faces(1)})
+        assert pruner.face_satisfied((0, 1), f)
+        assert pruner.face_satisfied((2,), f)
 
     def test_coboundary_satisfied(self):
         X = complete_complex(5, 2)
@@ -182,16 +179,18 @@ class TestIsSatisfied:
 
     def test_not_a_face(self):
         X = complete_complex(4, 2)
-        f = {e: 0 for e in X.faces(1)}
+        pruner = Pruner(X, cyclic(2), (1,), PruneConfig(0.5))
+        f = pruner.as_array({e: 0 for e in X.faces(1)})
         with pytest.raises(NotAFace):
-            is_satisfied(X, f, cyclic(2), (1,), (0, 9))
+            pruner.face_satisfied((0, 9), f)
 
 
 class TestFPruning:
     def test_coboundary_keeps_everything(self):
         X = complete_complex(5, 2)
         f = coboundary_indices(X, {i: i for i in range(5)})
-        y, isolated = f_pruning(X, f, Z5, Z5_GENS)
+        pruner = z5_pruner(X)
+        y, isolated, _ = pruner.f_pruning(pruner.as_array(f))
         assert y.top_faces == X.top_faces
         assert isolated == ()
 
@@ -202,7 +201,8 @@ class TestFPruning:
         X = complete_complex(4, 2)
         f = coboundary_indices(X, {i: i for i in range(4)})
         f[(2, 3)] = (f[(2, 3)] + 1) % 4
-        y, isolated = f_pruning(X, f, Z5, Z5_GENS)
+        pruner = z5_pruner(X)
+        y, isolated, _ = pruner.f_pruning(pruner.as_array(f))
         assert set(y.top_faces) == {(0, 1, 2), (0, 1, 3)}
         assert isolated == ()
 
@@ -210,7 +210,8 @@ class TestFPruning:
         g = cyclic(2)
         X = complete_complex(4, 2)
         f = {e: 0 for e in X.faces(1)}  # all-ones labeling over Z/2
-        y, isolated = f_pruning(X, f, g, (1,))
+        pruner = Pruner(X, g, (1,), PruneConfig(0.5))
+        y, isolated, _ = pruner.f_pruning(pruner.as_array(f))
         assert y is None
         assert isolated == tuple(X.vertices)
 
@@ -219,14 +220,15 @@ class TestSatisfactionGraph:
     def test_empty_face_full_skeleton(self):
         X = complete_complex(6, 2)
         f = sample_labeling(X, 4, 0)
-        sg = satisfaction_graph(X, f, Z5, Z5_GENS, ())
+        sg = z5_pruner(X).satisfaction_graph((), f)
         assert set(sg.graph.edges) == set(X.faces(1))
         assert sg.coloring is None
 
     def test_coboundary_full_link(self):
         X = complete_complex(5, 2)
         f = coboundary_indices(X, {i: i for i in range(5)})
-        sg = satisfaction_graph(X, f, Z5, Z5_GENS, (0,))
+        pruner = z5_pruner(X)
+        sg = pruner.satisfaction_graph((0,), pruner.as_array(f))
         assert set(sg.graph.edges) == set(X.link((0,)).faces(1))
         assert not sg.degenerate
 
@@ -409,21 +411,24 @@ class TestEvalEvent:
         g = cyclic(2)
         X = complete_complex(8, 2)
         config = PruneConfig(0.5, r=1.5)
-        f = {e: 0 for e in X.faces(1)}
+        pruner = Pruner(X, g, (1,), config)
+        f = pruner.as_array({e: 0 for e in X.faces(1)})
         for v in X.vertices:
-            assert not eval_event("AT", X, f, g, (1,), (v,), config)
+            assert not pruner.eval_event("AT", (v,), f)
 
     def test_at_fires_on_missing_tuple(self):
         X = complete_complex(8, 2)
-        f = {e: 0 for e in X.faces(1)}  # only one label used
         config = PruneConfig(0.5, r=1.5)
-        assert eval_event("AT", X, f, Z5, Z5_GENS, (0,), config)
+        pruner = Pruner(X, Z5, Z5_GENS, config)
+        f = pruner.as_array({e: 0 for e in X.faces(1)})  # only one label used
+        assert pruner.eval_event("AT", (0,), f)
 
     def test_at_top_dimension_rejected(self):
         X = complete_complex(6, 2)
         f = sample_labeling(X, 4, 0)
+        pruner = Pruner(X, Z5, Z5_GENS, PruneConfig(0.5))
         with pytest.raises(BadKindForFace):
-            eval_event("AT", X, f, Z5, Z5_GENS, (0, 1, 2), PruneConfig(0.5))
+            pruner.eval_event("AT", (0, 1, 2), f)
 
     def test_bc_matches_exhaustive_scan(self):
         group = cyclic(5)
@@ -455,14 +460,15 @@ class TestEvalEvent:
         group = cyclic(5)
         gens = validate_genset(group, [1, 4], require_generating=False)
         X = build_complex(2, [(0, 1, 2)])
-        f = {(0, 1): 0, (1, 2): 0, (0, 2): 1}
-        assert eval_event("BC", X, f, group, gens, (0,), PruneConfig(0.5))
+        pruner = Pruner(X, group, gens, PruneConfig(0.5))
+        f = pruner.as_array({(0, 1): 0, (1, 2): 0, (0, 2): 1})
+        assert pruner.eval_event("BC", (0,), f)
 
     def test_ne_disconnected_link(self):
         X = build_complex(2, [(0, 1, 2), (0, 3, 4)])
         f = coboundary_indices(X, {0: 0, 1: 1, 2: 2, 3: 3, 4: 4})
-        config = PruneConfig(0.9, ne_threshold=0.9)
-        assert eval_event("NE", X, f, Z5, Z5_GENS, (0,), config)
+        pruner = Pruner(X, Z5, Z5_GENS, PruneConfig(0.9, ne_threshold=0.9))
+        assert pruner.eval_event("NE", (0,), pruner.as_array(f))
 
     def test_ne_false_on_good_link(self, fixture30):
         X, pruner, outcome = fixture30
@@ -472,9 +478,9 @@ class TestEvalEvent:
     def test_ec_event(self):
         g = cyclic(2)
         X = complete_complex(4, 2)
-        f = {e: 0 for e in X.faces(1)}
-        config = PruneConfig(0.5, edge_cover_events=True)
-        assert eval_event("EC", X, f, g, (1,), (0, 1), config)
+        pruner = Pruner(X, g, (1,), PruneConfig(0.5, edge_cover_events=True))
+        f = pruner.as_array({e: 0 for e in X.faces(1)})
+        assert pruner.eval_event("EC", (0, 1), f)
 
 
 class TestDependencyScope:
@@ -631,8 +637,8 @@ class TestMoserTardos:
     def test_deterministic_transcript(self):
         X = complete_complex(30, 2)
         config = PruneConfig.empirical(0.9, max_resamples=10_000)
-        a = moser_tardos_prune(X, Z5, Z5_GENS, config, 1)
-        b = moser_tardos_prune(X, Z5, Z5_GENS, config, 1)
+        a = Pruner(X, Z5, Z5_GENS, config).run(1)
+        b = Pruner(X, Z5, Z5_GENS, config).run(1)
         assert a.transcript == b.transcript
         assert (a.labeling == b.labeling).all()
         assert a.status == b.status == "clean"
@@ -645,7 +651,7 @@ class TestMoserTardos:
     def test_budget_exhausted_reports_remaining(self):
         X = complete_complex(12, 2)
         config = PruneConfig.empirical(0.9, max_resamples=3)
-        out = moser_tardos_prune(X, Z5, Z5_GENS, config, 0)
+        out = Pruner(X, Z5, Z5_GENS, config).run(0)
         assert out.status == "budget_exhausted"
         assert out.resamples == 3
         assert out.violations_remaining
@@ -653,7 +659,7 @@ class TestMoserTardos:
     def test_zero_resample_seed(self):
         X = complete_complex(30, 2)
         config = PruneConfig.empirical(0.9, max_resamples=10)
-        out = moser_tardos_prune(X, Z5, Z5_GENS, config, 37)
+        out = Pruner(X, Z5, Z5_GENS, config).run(37)
         assert out.status == "clean"
         assert out.resamples == 0
 
@@ -691,7 +697,8 @@ class TestPrunedMeasure:
     def test_coboundary_measure_totals_one(self):
         X = complete_complex(5, 2)
         f = coboundary_indices(X, {i: i for i in range(5)})
-        pm = pruned_measure(X, f, Z5, Z5_GENS)
+        pruner = z5_pruner(X)
+        pm = pruned_measure(pruner, X, pruner.as_array(f))
         assert pm.total == pytest.approx(1.0, abs=1e-12)
         # every ordered identity-link pattern is realized
         cayley = cayley_clique_complex(Z5, Z5_GENS, 2)
@@ -702,15 +709,14 @@ class TestPrunedMeasure:
     def test_missing_pattern_unmeasurable(self):
         X = build_complex(2, [(0, 1, 2)])
         f = coboundary_indices(X, {0: 0, 1: 1, 2: 2})
+        pruner = z5_pruner(X)
         with pytest.raises(Unmeasurable) as err:
-            pruned_measure(X, f, Z5, Z5_GENS)
+            pruned_measure(pruner, X, pruner.as_array(f))
         assert err.value.witness is not None
 
     def test_clean_run_measures(self, fixture30):
         X, pruner, outcome = fixture30
-        pm = pruned_measure(
-            outcome.y, outcome.labeling_dict(), Z5, Z5_GENS, pruner.cayley
-        )
+        pm = pruned_measure(pruner, outcome.y, outcome.labeling)
         assert pm.total == pytest.approx(1.0, abs=1e-9)
         assert (pm.weights >= 0).all()
 
@@ -721,7 +727,8 @@ class TestPrunedMeasure:
 
         X = complete_complex(5, 2)
         f = coboundary_indices(X, {i: i for i in range(5)})
-        pm = pruned_measure(X, f, Z5, Z5_GENS)
+        pruner = z5_pruner(X)
+        pm = pruned_measure(pruner, X, pruner.as_array(f))
         lab = {e: Z5_GENS[i] for e, i in f.items()}
 
         def dir_el(u, v):
@@ -747,32 +754,25 @@ class TestMeasureRatio:
         f = coboundary_indices(X, {i: i for i in range(5)})
         pruner = z5_pruner(X)
         y, _, _ = pruner.f_pruning(pruner.as_array(f))
-        rep = measure_ratio_audit(X, y, pruner.as_array(f), Z5, Z5_GENS, (0,), r=1.5)
+        rep = measure_ratio_audit(pruner, y, pruner.as_array(f), (0,))
         assert rep.support_matches
         assert rep.max_ratio == pytest.approx(1.0, abs=1e-9)
 
     def test_clean_run_within_bound(self, fixture30):
         X, pruner, outcome = fixture30
-        rep = measure_ratio_audit(
-            X,
-            outcome.y,
-            outcome.labeling,
-            Z5,
-            Z5_GENS,
-            (4,),
-            cayley=pruner.cayley,
-            config=pruner.config,
-        )
+        rep = measure_ratio_audit(pruner, outcome.y, outcome.labeling, (4,))
         assert rep.ok
         assert rep.max_ratio <= 1.5 ** 30
 
     def test_bound_monotone_in_r(self):
         X = complete_complex(5, 2)
         f = coboundary_indices(X, {i: i for i in range(5)})
-        pruner = z5_pruner(X)
-        y, _, _ = pruner.f_pruning(pruner.as_array(f))
-        small = measure_ratio_audit(X, y, pruner.as_array(f), Z5, Z5_GENS, (0,), r=1.2)
-        large = measure_ratio_audit(X, y, pruner.as_array(f), Z5, Z5_GENS, (0,), r=2.0)
+        pruner_small = Pruner(X, Z5, Z5_GENS, PruneConfig(0.5, r=1.2))
+        pruner_large = Pruner(X, Z5, Z5_GENS, PruneConfig(0.5, r=2.0))
+        arr = pruner_small.as_array(f)
+        y, _, _ = pruner_small.f_pruning(arr)
+        small = measure_ratio_audit(pruner_small, y, arr, (0,))
+        large = measure_ratio_audit(pruner_large, y, arr, (0,))
         assert small.bound < large.bound
         assert small.max_ratio == pytest.approx(large.max_ratio)
 
