@@ -556,11 +556,11 @@ def run_experiment(spec):
     kind = spec.get("kind")
     if kind not in PIPELINES:
         raise InputError(f"unknown pipeline {kind!r}")
-    params = spec.get("params", {})
-    seed = int(spec.get("seed", 0))
+    params, seed = spec.get("params", {}), spec.get("seed", 0)
     report = RunReport(spec={"kind": kind, "params": params, "seed": seed})
     t0 = time.perf_counter()
     try:
+        seed = report.spec["seed"] = _spec_config(int)(seed)
         _check_param_keys(kind, params)
         PIPELINES[kind](report, params, seed)
     except (OSError, json.JSONDecodeError, InputError) as exc:

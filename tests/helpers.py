@@ -15,7 +15,8 @@ from hdxcover.complexes import TOL, build_complex
 from hdxcover.covers import CoverReport
 from hdxcover.errors import EmptyResult, EmptySide, NotPure, NotSymmetricGenSet
 from hdxcover.graphs import WGraph
-from hdxcover.groups import cayley_clique_complex
+from hdxcover import groups as groups_mod
+from hdxcover.groups import cayley_clique_complex, identity_star_lambda
 from hdxcover.sparsify import split_vertex_sets
 from hdxcover.spectral import bipartite_lambda, is_hdx
 
@@ -600,3 +601,36 @@ def plain_score_genset(group, elems, d):
         return None
     report = is_hdx(cayley.complex, 1.0, mode="two_sided", include_empty_face=False)
     return float(report.worst_value)
+
+
+def plain_scan_gensets(groups, d, eta_target=None, max_size=8, dedupe=True, counts=None):
+    """Reference scan: the per-candidate loop, one plain closure and one
+    identity_star_lambda call per candidate, in scan_gensets' order."""
+    if isinstance(groups, groups_mod.GroupTable):
+        groups = [groups]
+    tally = dict.fromkeys(("enumerated", "not_generating", "duplicate", "impure",
+                           "scored"), 0)
+    scored = []
+    for group in groups:
+        seen_canon = set()
+        by_units = dedupe and groups_mod._adds_mod_n(group)
+        classes = groups_mod._inverse_pair_classes(group)
+        for elems in groups_mod._class_combos(classes, max_size):
+            tally["enumerated"] += 1
+            if len(plain_subgroup_closure(group, elems)) != group.order:
+                tally["not_generating"] += 1
+                continue
+            if by_units:
+                canon = groups_mod._cyclic_canonical(group.order, elems)
+                if canon in seen_canon:
+                    tally["duplicate"] += 1
+                    continue
+                seen_canon.add(canon)
+            try:
+                scored.append((group.name, elems, identity_star_lambda(group, elems, d)))
+            except NotPure:
+                tally["impure"] += 1
+    tally["scored"] = len(scored)
+    if counts is not None:
+        counts.update(tally)
+    return groups_mod._tie_stable(scored, eta_target)

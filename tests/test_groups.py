@@ -1,7 +1,10 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdxcover.errors import NotAGroup, NotNormal, NotPure, NotSubgroup, NotSymmetricGenSet, TooLarge
 from hdxcover import groups
@@ -25,6 +28,7 @@ from helpers import (
     plain_class_combos,
     plain_normal_subgroups,
     plain_quotient_group,
+    plain_scan_gensets,
     plain_score_genset,
     plain_subgroup_closure,
 )
@@ -387,3 +391,81 @@ class TestStarScore:
         )
         noisy = scan_gensets(g, **S4_SCAN)
         assert [c.gens for c in noisy] == [c.gens for c in out]
+
+
+def _block_closures(group, sets):
+    rows, _ = groups._block_masks(group, sets)
+    return [tuple(np.flatnonzero(row).tolist()) for row in rows]
+
+
+CLOSURE_GROUPS = [
+    cyclic(1), cyclic(7), cyclic(12), dihedral(4), dihedral(7),
+    product_group(cyclic(2), dihedral(3)), Z2_CUBE,
+]
+
+
+class TestBlockScan:
+    """The scan's block masks and the batched scan against the
+    per-candidate references they replace."""
+
+    @pytest.mark.parametrize("dedupe", [True, False])
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("group", STAR_GROUPS, ids=lambda g: g.name)
+    def test_scan_equals_per_candidate_loop(self, group, d, dedupe):
+        kw = dict(eta_target=0.9, max_size=6 if group.order == 24 else 8, dedupe=dedupe)
+        counts, plain_counts = {}, {}
+        out = scan_gensets(group, d, counts=counts, **kw)
+        # dataclass equality: the same gens, lambda bit for bit and meets_target
+        assert out == plain_scan_gensets(group, d, counts=plain_counts, **kw)
+        assert counts == plain_counts
+
+    def test_block_closure_on_s4_candidates(self):
+        g = symmetric_group(4)
+        combos = _scan_combos(g, S4_SCAN["max_size"])
+        assert len(combos) == 3258
+        assert _block_closures(g, combos) == [plain_subgroup_closure(g, e) for e in combos]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(CLOSURE_GROUPS), st.data())
+    def test_block_closure_on_random_seeds(self, group, data):
+        element = st.integers(0, group.order - 1)
+        sets = data.draw(st.lists(st.lists(element, max_size=4), min_size=1, max_size=8))
+        assert _block_closures(group, sets) == [plain_subgroup_closure(group, s) for s in sets]
+
+    def test_star_purity_is_d2_purity_on_s4(self):
+        g = symmetric_group(4)
+        combos = [e for e in _scan_combos(g, S4_SCAN["max_size"])
+                  if len(plain_subgroup_closure(g, e)) == g.order]
+        expected = []
+        for elems in combos:
+            try:
+                groups._identity_cliques(g, elems, 2)
+                expected.append(True)
+            except NotPure:
+                expected.append(False)
+        assert groups._block_masks(g, combos)[1].tolist() == expected
+        assert (len(expected), expected.count(True)) == (2964, 240)
+
+    def test_s4_d3_counts(self, monkeypatch):
+        star, calls = groups.identity_star_lambda, []
+        monkeypatch.setattr(
+            groups, "identity_star_lambda", lambda *a: calls.append(a) or star(*a))
+        counts = {}
+        out = scan_gensets(symmetric_group(4), 3, max_size=6, counts=counts)
+        assert counts == {"enumerated": 3258, "not_generating": 294, "duplicate": 0,
+                          "impure": 2940, "scored": 24}
+        assert len(out) == 24
+        # the 240 sets in triangles pass the array test; 216 of them are
+        # impure at d = 3, which identity_star_lambda finds
+        assert len(calls) == 240
+
+    def test_scan_memory_is_bounded(self):
+        g = symmetric_group(4)
+        scan_gensets(g, **S4_SCAN)  # first-call imports and caches are not the scan's
+        tracemalloc.start()
+        try:
+            scan_gensets(g, **S4_SCAN)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6

@@ -415,6 +415,14 @@ class TestErrors:
         assert rep.exit_code == EXIT_INPUT
         assert "bad parameter" in rep.stages[-1]["result"]["message"]
 
+    @pytest.mark.parametrize("value", ["x", None])
+    def test_bad_seed_is_input_error(self, value):
+        params = {"graph": {"kind": "complete", "n": 20}, "trials": 2}
+        rep = run_experiment({"kind": "sparsify", "params": params, "seed": value})
+        assert (rep.status, rep.exit_code) == ("input_error", EXIT_INPUT)
+        assert rep.stages == [rep.stages[-1]]  # rejected before any stage ran
+        assert "bad parameter" in rep.stages[-1]["result"]["message"]
+
     @pytest.mark.parametrize("value", ["x", None, 0, -3, 2.0, True])
     def test_bad_index_cap_is_input_error(self, value):
         params = dict(PRUNE_SPEC["params"], index_cap=value)
