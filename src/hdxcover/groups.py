@@ -12,7 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import PureComplex, build_complex
+from . import spectral
 from .errors import (
+    BadLevel,
     NotAGroup,
     NotNormal,
     NotPure,
@@ -20,7 +22,6 @@ from .errors import (
     NotSymmetricGenSet,
     TooLarge,
 )
-from .spectral import adjacency_spectrum
 
 DEFAULT_ORDER_CAP = 5040
 _FULL_ASSOC_LIMIT = 256
@@ -245,16 +246,10 @@ class CayleyCliqueComplex:
 def _identity_cliques(group, gens, d):
     """The d-sets of generators spanning a (d+1)-clique with the identity;
     NotPure (with a witnessing edge) if some generator is in none."""
-    gset = set(gens)
-    base = [c for c in itertools.combinations(gens, d) if all(
-        group.mul(group.inv(a), b) in gset for a, b in itertools.combinations(c, 2))]
-    missing = gset - {s for combo in base for s in combo}
-    if missing:
-        s = min(missing)
-        raise NotPure(
-            f"Cayley edge (0, {s}) lies in no {d + 1}-clique", witness=(0, s)
-        )
-    return base
+    S, owner, tops, (impure,) = _star_cliques(group, [tuple(sorted(set(gens)))], d)
+    if impure is not None:
+        raise impure
+    return [tuple(c) for c in S[0, tops].tolist()]
 
 
 def cayley_clique_complex(group, gens, d, require_generating=False):
@@ -275,19 +270,147 @@ def cayley_clique_complex(group, gens, d, require_generating=False):
 
 def identity_star_lambda(group, gens, d):
     """Worst two-sided link expansion over the faces of dimension 0..d-2
-    of the Cayley clique complex of a symmetric set gens.
+    of the Cayley clique complex of a symmetric set gens: star_scores of
+    the one set, raising its NotPure."""
+    (lam,) = star_scores(group, [tuple(sorted(set(gens)))], d)
+    if isinstance(lam, NotPure):
+        raise lam
+    return lam
+
+
+def _check_star_dim(d):
+    if d < 2:
+        raise BadLevel(f"d must be at least 2 to have links to score, got {d}")
+
+
+def _star_cliques(group, sets, d):
+    """The d-cliques of generators of each sorted set, whose tops with 0
+    are the star of 0: an (n_sets, width) table of the sets, padded; for
+    each clique its set and its d column positions, in lexicographic order
+    per set; and per set the NotPure it is, with a witnessing edge, when
+    some generator lies in no clique, or None."""
+    n_sets, width = len(sets), max(len(s) for s in sets)
+    sizes = [len(s) for s in sets]
+    rows = np.repeat(np.arange(n_sets), sizes)
+    cols = np.arange(len(rows)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    S = np.zeros((n_sets, width), dtype=np.intp)
+    S[rows, cols] = list(itertools.chain.from_iterable(sets))
+    real = np.zeros((n_sets, width), dtype=bool)
+    real[rows, cols] = True
+    member = np.zeros((n_sets, group.order), dtype=bool)
+    member[rows, S[rows, cols]] = True
+    # adj[i, a, b]: the a-th element of set i times its b-th lies in set i
+    steps = group.mul_table[group.inv_table[S][:, :, None], S[:, None, :]]
+    adj = member[np.arange(n_sets)[:, None, None], steps]
+    adj &= real[:, :, None] & real[:, None, :]
+    combos = np.array(list(itertools.combinations(range(width), d)), dtype=np.intp)
+    combos = combos.reshape(math.comb(width, d), d)
+    clique = np.ones((n_sets, len(combos)), dtype=bool)
+    for p, q in itertools.combinations(range(d), 2):
+        clique &= adj[:, combos[:, p], combos[:, q]]
+    owner, which = np.nonzero(clique)
+    lack = real.copy()
+    lack[owner[:, None], combos[which]] = False
+    impure = [None] * n_sets
+    for i in np.flatnonzero(lack.any(axis=1)).tolist():
+        s = int(S[i, lack[i].argmax()])
+        impure[i] = NotPure(f"Cayley edge (0, {s}) lies in no {d + 1}-clique",
+                            witness=(0, s))
+    return S, owner, combos[which], impure
+
+
+def _star_links(owner, tops, n_tops, d, width):
+    """The 1-skeletons of the links of the faces {0} + c of each star, c a
+    k-subset of a clique for k <= d - 2, as PureComplex.link_skeleton
+    weighs them: per link, its set; per link edge, sorted by link and then
+    by ends, its link and its ends' column positions, and its mass."""
+    link_set, keys, share, comb = [], [], [], []
+    n_links = 0
+    for k in range(d - 1):
+        # one occurrence of each face per clique holding it, with the
+        # clique's other columns as a top face of the face's link
+        subs = list(itertools.combinations(range(d), k))
+        face = np.repeat(owner, len(subs)).reshape(-1, len(subs))
+        for j in range(k):
+            face = face * width + tops[:, [q[j] for q in subs]]
+        codes, link, cofaces = np.unique(
+            face.ravel(), return_inverse=True, return_counts=True)
+        sets = codes // width**k
+        # each coface weighs the star's 1/T, renormalized over the link's
+        # cofaces by a pairwise sum, as numpy sums them
+        tc = list(zip(n_tops[sets].tolist(), cofaces.tolist()))
+        sums = {(t, c): np.full(c, 1.0 / t).sum() for t, c in set(tc)}
+        top_share = np.array([1.0 / t / sums[t, c] for t, c in tc])
+        rest = tops[:, [[j for j in range(d) if j not in q] for q in subs]]
+        rest = rest.reshape(-1, d - k)
+        a, b = np.triu_indices(d - k, 1)
+        keys.append((((link[:, None] + n_links) * width + rest[:, a]) * width
+                     + rest[:, b]).ravel())
+        share.append(np.repeat(top_share[link], len(a)))
+        link_set.append(sets)
+        comb.append(np.full(len(codes), math.comb(d - k, 2)))
+        n_links += len(codes)
+    keys, edge = np.unique(np.concatenate(keys), return_inverse=True)
+    elink = keys // width**2
+    # each edge's coface shares summed one by one, then over C(k + 1, 2)
+    mass = np.bincount(edge, weights=np.concatenate(share)) / np.concatenate(comb)[elink]
+    return np.concatenate(link_set), elink, keys // width % width, keys % width, mass
+
+
+def star_scores(group, sets, d):
+    """identity_star_lambda of each sorted symmetric set in sets, or the
+    NotPure it raises, in one pass over all the sets.
 
     Left multiplication acts transitively and keeps the uniform measure,
     so every link is a translate of a link at a face through 0, and the
-    star of 0 (top faces {0} + b) has those links up to a uniform scale.
+    star of 0 (top faces {0} + c for the d-cliques c of generators) has
+    those links up to a uniform scale.  Each link's 1-skeleton and
+    operator take the float steps of PureComplex.link_skeleton,
+    WGraph.from_arrays and spectral._symmetrized_matrix, so the scores are
+    theirs bit for bit; links of one vertex count share one eigensolve.
     """
-    star = build_complex(d, [(0,) + b for b in _identity_cliques(group, gens, d)])
-    return max(
-        adjacency_spectrum(star.link_skeleton(s)).two_sided
-        for k in range(d - 1)
-        for s in star.faces(k)
-        if s[0] == 0
-    )
+    _check_star_dim(d)
+    if not sets:
+        return []
+    S, owner, tops, out = _star_cliques(group, sets, d)
+    keep = np.array([lam is None for lam in out])
+    owner, tops = owner[keep[owner]], tops[keep[owner]]
+    if not len(owner):
+        return out
+    width = S.shape[1]
+    link_set, elink, u, v, mass = _star_links(
+        owner, tops, np.bincount(owner, minlength=len(sets)), d, width)
+
+    # WGraph.from_arrays: weights over their pairwise sum per link, and
+    # twice each vertex measure summed edge by edge
+    bounds = np.searchsorted(elink, np.arange(len(link_set) + 1)).tolist()
+    total = np.array([mass[lo:hi].sum() for lo, hi in zip(bounds, bounds[1:])])
+    weights = mass / total[elink]
+    ends = np.stack([elink * width + u, elink * width + v])
+    verts, at = np.unique(ends.T.ravel(), return_inverse=True)
+    root = np.sqrt(0.5 * np.bincount(at, weights=np.repeat(weights, 2)))
+    eu, ev = at[0::2], at[1::2]
+    vlink = verts // width
+    local = np.arange(len(verts)) - np.searchsorted(vlink, vlink)
+    n_verts = np.bincount(vlink)
+    lam = np.empty(len(link_set))
+    slot = np.empty(len(link_set), dtype=np.intp)
+    for n in np.unique(n_verts).tolist():
+        links = np.flatnonzero(n_verts == n)
+        slot[links] = np.arange(len(links))
+        sel = n_verts[elink] == n
+        lam[links] = spectral.two_sided_stack(
+            (len(links), n, n),
+            (slot[elink[sel]], local[eu[sel]], local[ev[sel]]),
+            weights[sel],
+            root,
+            (eu[sel], ev[sel]),
+        )
+    worst = np.full(len(sets), -np.inf)
+    np.maximum.at(worst, link_set, lam)
+    for i in np.flatnonzero(keep).tolist():
+        out[i] = float(worst[i])
+    return out
 
 
 # --- quotients ---
@@ -477,10 +600,11 @@ def scan_gensets(groups, d, eta_target=None, max_size=8, dedupe=True, counts=Non
     the candidates enumerated, not generating, duplicate, impure, scored.
 
     Candidates go through in blocks of _SCAN_BLOCK: one fixpoint closes a
-    block's sets at once, and its triangle test (_block_masks) is purity
-    at d = 2 and necessary for it at d >= 3, where identity_star_lambda
-    still raises NotPure.
+    block's sets at once, its triangle test (_block_masks) is purity at
+    d = 2 and necessary for it at d >= 3, and one star_scores call scores
+    the sets that pass it, giving NotPure for those impure at d >= 3.
     """
+    _check_star_dim(d)
     if isinstance(groups, GroupTable):
         groups = [groups]
     tally = dict.fromkeys(("enumerated", "not_generating", "duplicate", "impure",
@@ -493,6 +617,7 @@ def scan_gensets(groups, d, eta_target=None, max_size=8, dedupe=True, counts=Non
         while block := list(itertools.islice(combos, _SCAN_BLOCK)):
             inside, in_triangles = _block_masks(group, block)
             generates = inside.all(axis=1).tolist()
+            survivors = []
             for elems, gen, tri in zip(block, generates, in_triangles.tolist()):
                 tally["enumerated"] += 1
                 if not gen:
@@ -507,11 +632,12 @@ def scan_gensets(groups, d, eta_target=None, max_size=8, dedupe=True, counts=Non
                 if not tri:
                     tally["impure"] += 1
                     continue
-                try:
-                    scored.append(
-                        (group.name, elems, identity_star_lambda(group, elems, d)))
-                except NotPure:
+                survivors.append(elems)
+            for elems, lam in zip(survivors, star_scores(group, survivors, d)):
+                if isinstance(lam, NotPure):
                     tally["impure"] += 1
+                else:
+                    scored.append((group.name, elems, lam))
     tally["scored"] = len(scored)
     if counts is not None:
         counts.update(tally)

@@ -116,7 +116,8 @@ class LinkTable(NamedTuple):
     """The link of a face, read off the top faces; no labeling involved."""
 
     verts: tuple  # link vertices, sorted
-    uv: np.ndarray  # (2, edges) link edge ends, in first-seen coface order
+    uv: np.ndarray  # (2, edges) link edge ends as positions in verts, u < v,
+    #                 edges in first-seen coface order
     mass: np.ndarray  # per edge, its cofaces' weights summed in coface order
     top: np.ndarray  # per edge, the first coface holding it
     vert_rows: np.ndarray  # per vertex v, the sorted vertex positions of face + v
@@ -149,7 +150,7 @@ def build_link_table(X, sigma):
     labels = np.asarray(X.vertices)
     return LinkTable(
         tuple(labels[verts].tolist()),
-        labels[ends],
+        np.searchsorted(verts, ends),
         mass,
         idx[first[order] // len(a)],
         with_sigma(verts),
@@ -191,33 +192,58 @@ def build_satisfaction_graph(
         edge_ok = sampler.rows_ok(x, table.edge_rows)
     vert_ok = sampler.rows_ok(x, table.vert_rows)
     keep = edge_ok & (table.mass > 0)
-    ends = map(tuple, table.uv[:, keep].T.tolist())
-    edges = dict(zip(ends, table.mass[keep].tolist()))
-    good = tuple(v for v, ok in zip(table.verts, vert_ok.tolist()) if ok)
+    good = tuple(itertools.compress(table.verts, vert_ok.tolist()))
     coloring = None if color is None else {v: color(v) for v in good}
     link, tskel = target
-    if not edges:
+    if not keep.any():
         return SatisfactionGraph(sigma, None, None, coloring, link, True, None, good)
-    link_graph = WGraph([(u, v, m) for (u, v), m in edges.items()])
-    kept = set(link_graph.vertices)
-    dropped = tuple(v for v in good if v not in kept)
+    uv, mass = table.uv[:, keep], table.mass[keep]
+    # the link graph's edges sorted, on the link vertices they touch
+    order = np.lexsort(uv[::-1])
+    present = np.zeros(len(table.verts), dtype=bool)
+    present[uv.ravel()] = True
+    vertices = tuple(itertools.compress(table.verts, present.tolist()))
+    ends = (np.cumsum(present) - 1)[uv[:, order]]
+    link_graph = WGraph.from_arrays(vertices, ends, mass[order])
+    dropped = tuple(itertools.compress(table.verts, (vert_ok & ~present).tolist()))
     graph, missing = link_graph, None
     if coloring is not None and link is None:
         graph, missing = None, absent
     elif coloring is not None:
-        fiber = {e: tuple(sorted((coloring[e[0]], coloring[e[1]]))) for e in edges}
-        fiber_mass = {}
-        for e, m in edges.items():
-            fiber_mass[fiber[e]] = fiber_mass.get(fiber[e], 0.0) + m
-        missing = next((e for e in tskel.edges if e not in fiber_mass), None)
-        tw = dict(zip(tskel.edges, tskel.weights))
-        graph = None if missing is not None else WGraph(
-            [(u, v, tw[fiber[u, v]] * m / fiber_mass[fiber[u, v]])
-             for (u, v), m in edges.items()]
-        )
+        fiber = _fiber_codes(tskel, table, vert_ok, coloring, uv)
+        # each target edge's mass summed edge by edge in table order; the
+        # masses are positive, so an empty fiber is a zero
+        fiber_mass = np.bincount(fiber, weights=mass, minlength=tskel.m)
+        empty = np.flatnonzero(fiber_mass == 0)
+        if len(empty):
+            graph, missing = None, tskel.edges[empty[0]]
+        else:
+            colored = tskel.weights[fiber] * mass / fiber_mass[fiber]
+            graph = WGraph.from_arrays(vertices, ends, colored[order])
     return SatisfactionGraph(
         sigma, graph, link_graph, coloring, link, graph is None, missing, dropped
     )
+
+
+def _fiber_codes(tskel, table, vert_ok, coloring, uv):
+    """The column in tskel.ends of the target edge that each link edge of
+    uv maps to, by the coloring of the satisfied link vertices."""
+    tverts = np.asarray(tskel.vertices)
+    n = len(tverts)
+    colors = np.zeros(len(table.verts), dtype=tverts.dtype)
+    colors[vert_ok] = list(coloring.values())
+    pos = np.searchsorted(tverts, colors).clip(max=n - 1)
+    found = vert_ok & (tverts[pos] == colors)
+    a, b = pos[uv]
+    codes = np.minimum(a, b) * n + np.maximum(a, b)
+    tcodes = tskel.ends[0] * n + tskel.ends[1]
+    fiber = np.searchsorted(tcodes, codes).clip(max=len(tcodes) - 1)
+    bad = ~found[uv].all(axis=0) | (tcodes[fiber] != codes)
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
+        edge = (table.verts[uv[0, i]], table.verts[uv[1, i]])
+        raise ValueError(f"link edge {edge!r} maps to no target edge")
+    return fiber
 
 
 def event_list(X, dims):

@@ -15,10 +15,11 @@ from hdxcover.complexes import TOL, build_complex
 from hdxcover.covers import CoverReport
 from hdxcover.errors import EmptyResult, EmptySide, NotPure, NotSymmetricGenSet
 from hdxcover.graphs import WGraph
+from hdxcover.pruning import SatisfactionGraph
 from hdxcover import groups as groups_mod
-from hdxcover.groups import cayley_clique_complex, identity_star_lambda
+from hdxcover.groups import cayley_clique_complex
 from hdxcover.sparsify import split_vertex_sets
-from hdxcover.spectral import bipartite_lambda, is_hdx
+from hdxcover.spectral import adjacency_spectrum, bipartite_lambda, is_hdx
 
 
 def sym_walk_matrix(G):
@@ -386,6 +387,52 @@ def plain_color_satisfaction_graph(comb, sigma, col):
     return result(WGraph(colored), link_graph, False, None, dropped)
 
 
+def plain_build_satisfaction_graph(
+    sampler, sigma, x, satisfied=None, color=None, target=(None, None), absent=None
+):
+    """Reference for pruning.build_satisfaction_graph, on the same link
+    table: the kept link edges go through an edge dict, the fiber masses
+    through a dict summed edge by edge, and both graphs through
+    WGraph.__init__."""
+    table = sampler.link_table(sigma)
+    if table.edge_rows is None:
+        if satisfied is None:
+            satisfied = sampler.satisfied_mask(x)
+        edge_ok = satisfied[table.top]
+    else:
+        edge_ok = sampler.rows_ok(x, table.edge_rows)
+    vert_ok = sampler.rows_ok(x, table.vert_rows)
+    keep = edge_ok & (table.mass > 0)
+    at = table.verts.__getitem__
+    ends = ((at(u), at(v)) for u, v in table.uv[:, keep].T.tolist())
+    edges = dict(zip(ends, table.mass[keep].tolist()))
+    good = tuple(v for v, ok in zip(table.verts, vert_ok.tolist()) if ok)
+    coloring = None if color is None else {v: color(v) for v in good}
+    link, tskel = target
+    if not edges:
+        return SatisfactionGraph(sigma, None, None, coloring, link, True, None, good)
+    link_graph = WGraph([(u, v, m) for (u, v), m in edges.items()])
+    kept = set(link_graph.vertices)
+    dropped = tuple(v for v in good if v not in kept)
+    graph, missing = link_graph, None
+    if coloring is not None and link is None:
+        graph, missing = None, absent
+    elif coloring is not None:
+        fiber = {e: tuple(sorted((coloring[e[0]], coloring[e[1]]))) for e in edges}
+        fiber_mass = {}
+        for e, m in edges.items():
+            fiber_mass[fiber[e]] = fiber_mass.get(fiber[e], 0.0) + m
+        missing = next((e for e in tskel.edges if e not in fiber_mass), None)
+        tw = dict(zip(tskel.edges, tskel.weights))
+        graph = None if missing is not None else WGraph(
+            [(u, v, tw[fiber[u, v]] * m / fiber_mass[fiber[u, v]])
+             for (u, v), m in edges.items()]
+        )
+    return SatisfactionGraph(
+        sigma, graph, link_graph, coloring, link, graph is None, missing, dropped
+    )
+
+
 def plain_at_table(pruner, sigma):
     """Reference AT table of sigma: (link vertex measure, edge positions,
     directions) built vertex by vertex over a dict of coface masses."""
@@ -603,9 +650,38 @@ def plain_score_genset(group, elems, d):
     return float(report.worst_value)
 
 
+def plain_identity_cliques(group, gens, d):
+    """Reference clique search: the d-sets of generators spanning a
+    (d+1)-clique with the identity, pair by pair; NotPure (with a
+    witnessing edge) if some generator is in none."""
+    gset = set(gens)
+    base = [c for c in itertools.combinations(gens, d) if all(
+        group.mul(group.inv(a), b) in gset for a, b in itertools.combinations(c, 2))]
+    missing = gset - {s for combo in base for s in combo}
+    if missing:
+        s = min(missing)
+        raise NotPure(
+            f"Cayley edge (0, {s}) lies in no {d + 1}-clique", witness=(0, s)
+        )
+    return base
+
+
+def plain_identity_star_lambda(group, gens, d):
+    """Reference star score: build the star of the identity as a complex
+    and take the worst two-sided spectrum over the link skeletons of its
+    faces through 0 of dimension 0..d-2."""
+    star = build_complex(d, [(0,) + b for b in plain_identity_cliques(group, gens, d)])
+    return max(
+        adjacency_spectrum(star.link_skeleton(s)).two_sided
+        for k in range(d - 1)
+        for s in star.faces(k)
+        if s[0] == 0
+    )
+
+
 def plain_scan_gensets(groups, d, eta_target=None, max_size=8, dedupe=True, counts=None):
     """Reference scan: the per-candidate loop, one plain closure and one
-    identity_star_lambda call per candidate, in scan_gensets' order."""
+    plain_identity_star_lambda call per candidate, in scan_gensets' order."""
     if isinstance(groups, groups_mod.GroupTable):
         groups = [groups]
     tally = dict.fromkeys(("enumerated", "not_generating", "duplicate", "impure",
@@ -627,7 +703,8 @@ def plain_scan_gensets(groups, d, eta_target=None, max_size=8, dedupe=True, coun
                     continue
                 seen_canon.add(canon)
             try:
-                scored.append((group.name, elems, identity_star_lambda(group, elems, d)))
+                scored.append(
+                    (group.name, elems, plain_identity_star_lambda(group, elems, d)))
             except NotPure:
                 tally["impure"] += 1
     tally["scored"] = len(scored)

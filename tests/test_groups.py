@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdxcover.errors import NotAGroup, NotNormal, NotPure, NotSubgroup, NotSymmetricGenSet, TooLarge
+from hdxcover.errors import (
+    BadLevel, HdxError, NotAGroup, NotNormal, NotPure, NotSubgroup, NotSymmetricGenSet,
+    TooLarge,
+)
 from hdxcover import groups
 from hdxcover.groups import (
     cayley_clique_complex,
@@ -19,6 +22,7 @@ from hdxcover.groups import (
     product_group,
     quotient_group,
     scan_gensets,
+    star_scores,
     subgroup_closure,
     symmetric_group,
     validate_genset,
@@ -26,6 +30,8 @@ from hdxcover.groups import (
 
 from helpers import (
     plain_class_combos,
+    plain_identity_cliques,
+    plain_identity_star_lambda,
     plain_normal_subgroups,
     plain_quotient_group,
     plain_scan_gensets,
@@ -352,6 +358,56 @@ class TestStarScore:
         for c in out:
             assert abs(c.worst_link_lambda - full[c.gens]) <= 1e-12
 
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("group", STAR_GROUPS, ids=lambda g: g.name)
+    def test_scores_equal_plain_star(self, group, d):
+        sets = [e for e in _scan_combos(group, 6 if group.order == 24 else 8)
+                if len(plain_subgroup_closure(group, e)) == group.order]
+        scores = star_scores(group, sets, d)
+        assert len(scores) == len(sets)
+        pure = 0
+        for elems, lam in zip(sets, scores):
+            try:
+                want = plain_identity_star_lambda(group, elems, d)
+            except NotPure as err:
+                assert isinstance(lam, NotPure)
+                assert (str(lam), lam.witness) == (str(err), err.witness)
+                continue
+            assert type(lam) is float and lam == want  # bit for bit
+            pure += 1
+        assert 0 < pure < len(sets)
+        # the one-set call is the same score, and raises the same NotPure
+        elems = sets[-1]
+        if isinstance(scores[-1], NotPure):
+            with pytest.raises(NotPure) as err:
+                identity_star_lambda(group, elems, d)
+            assert err.value.witness == scores[-1].witness
+        else:
+            assert identity_star_lambda(group, elems, d) == scores[-1]
+
+    @pytest.mark.parametrize("d", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("group", STAR_GROUPS, ids=lambda g: g.name)
+    def test_cliques_equal_plain_search(self, group, d):
+        for elems in _scan_combos(group, 6):
+            try:
+                want = plain_identity_cliques(group, elems, d)
+            except NotPure as err:
+                with pytest.raises(NotPure) as got:
+                    groups._identity_cliques(group, elems, d)
+                assert (str(got.value), got.value.witness) == (str(err), err.witness)
+                continue
+            assert groups._identity_cliques(group, elems, d) == want
+
+    @pytest.mark.parametrize("d", [0, 1])
+    def test_d_below_two_is_bad_level(self, d):
+        g = cyclic(5)
+        for call in (lambda: scan_gensets(g, d),
+                     lambda: identity_star_lambda(g, (1, 2, 3, 4), d),
+                     lambda: star_scores(g, [], d)):
+            with pytest.raises(BadLevel, match="at least 2") as err:
+                call()
+            assert isinstance(err.value, HdxError)
+
     def test_s4_counts(self):
         counts = {}
         out = scan_gensets(symmetric_group(4), counts=counts, **S4_SCAN)
@@ -384,12 +440,17 @@ class TestStarScore:
         assert all(0 <= lam - c.worst_link_lambda <= 1e-12 for c, lam in zip(out, own))
         # noise at the rounding scale changes neither the order nor the best set
         rng = np.random.default_rng(0)
-        star = groups.identity_star_lambda
-        monkeypatch.setattr(
-            groups, "identity_star_lambda",
-            lambda *a: star(*a) + rng.uniform(-1e-14, 1e-14),
-        )
+        star, noised = groups.star_scores, []
+
+        def noisy_scores(*a):
+            lams = star(*a)
+            noised.extend(lam for lam in lams if not isinstance(lam, NotPure))
+            return [lam if isinstance(lam, NotPure) else lam + rng.uniform(-1e-14, 1e-14)
+                    for lam in lams]
+
+        monkeypatch.setattr(groups, "star_scores", noisy_scores)
         noisy = scan_gensets(g, **S4_SCAN)
+        assert len(noised) == 240
         assert [c.gens for c in noisy] == [c.gens for c in out]
 
 
@@ -439,7 +500,7 @@ class TestBlockScan:
         expected = []
         for elems in combos:
             try:
-                groups._identity_cliques(g, elems, 2)
+                plain_identity_cliques(g, elems, 2)
                 expected.append(True)
             except NotPure:
                 expected.append(False)
@@ -447,17 +508,23 @@ class TestBlockScan:
         assert (len(expected), expected.count(True)) == (2964, 240)
 
     def test_s4_d3_counts(self, monkeypatch):
-        star, calls = groups.identity_star_lambda, []
-        monkeypatch.setattr(
-            groups, "identity_star_lambda", lambda *a: calls.append(a) or star(*a))
+        star, scored = groups.star_scores, []
+
+        def counted(*a):
+            lams = star(*a)
+            scored.extend(lams)
+            return lams
+
+        monkeypatch.setattr(groups, "star_scores", counted)
         counts = {}
         out = scan_gensets(symmetric_group(4), 3, max_size=6, counts=counts)
         assert counts == {"enumerated": 3258, "not_generating": 294, "duplicate": 0,
                           "impure": 2940, "scored": 24}
         assert len(out) == 24
         # the 240 sets in triangles pass the array test; 216 of them are
-        # impure at d = 3, which identity_star_lambda finds
-        assert len(calls) == 240
+        # impure at d = 3, which star_scores finds
+        assert len(scored) == 240
+        assert sum(isinstance(lam, NotPure) for lam in scored) == 216
 
     def test_scan_memory_is_bounded(self):
         g = symmetric_group(4)

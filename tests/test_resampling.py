@@ -1,15 +1,20 @@
 """The shared resampling engine against the plain references it replaced."""
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from hdxcover import combine, pruning
 from hdxcover.combine import CombineConfig, Combiner
 from hdxcover.complexes import build_complex, complete_complex
 from hdxcover.groups import cyclic, validate_genset
-from hdxcover.pruning import PruneConfig, Pruner
+from hdxcover.harness import stage_seed
+from hdxcover.pruning import PruneConfig, Pruner, build_satisfaction_graph
+from hdxcover.spectral import adjacency_spectrum, is_hdx
 
 from helpers import (
+    plain_build_satisfaction_graph,
     plain_color_satisfaction_graph,
     plain_combine_run,
     plain_prune_run,
@@ -96,18 +101,51 @@ class TestCombineLoop:
             CombineConfig(0.5, max_resamples=budget)
 
 
+def assert_same_build(got, want):
+    """The same satisfaction graph field by field, with weights and the
+    spectra of both graphs equal bit for bit."""
+    assert got.sigma == want.sigma
+    assert got.coloring == want.coloring
+    assert got.target is want.target
+    assert got.degenerate == want.degenerate
+    assert got.missing == want.missing
+    assert got.dropped_vertices == want.dropped_vertices
+    for name in ("graph", "link_graph"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert (g is None) == (w is None), name
+        if g is not None:
+            assert g.vertices == w.vertices
+            assert g.edges == w.edges
+            assert np.array_equal(g.weights, w.weights)
+            assert adjacency_spectrum(g).eigenvalues == adjacency_spectrum(w).eigenvalues
+
+
 def compare_all_bases(X, C, seed, palette):
     """Compare the builder with the coface walk on every satisfied face of
     dimension at most d-2, the empty face included, under a random coloring
-    from the first `palette` target vertices; returns the outcome kinds."""
+    from the first `palette` target vertices, and with the dict builder
+    too, also as if the face's image were no target face (`absent`);
+    returns the outcome kinds."""
     comb = Combiner(X, C, CombineConfig(0.5))
     rng = np.random.default_rng(seed)
     col = np.array(C.vertices[:palette])[rng.integers(0, palette, len(X.vertices))]
+
+    def color(v):
+        return int(col[comb.vpos[v]])
+
     kinds = set()
     for ell in range(-1, X.dim - 1):
         for sigma in X.faces(ell):
             if sigma and not comb.face_satisfied(sigma, col):
                 continue
+            if sigma:
+                target = pruning.target_link(C, comb.image(sigma, col), {})
+                for args in ((comb, sigma, col, None, color, target),
+                             (comb, sigma, col, None, color, (None, None), "absent")):
+                    sg = build_satisfaction_graph(*args)
+                    assert_same_build(sg, plain_build_satisfaction_graph(*args))
+                if sg.missing == "absent":
+                    kinds.add("absent")
             got = comb.satisfaction_graph(sigma, col)
             want = plain_color_satisfaction_graph(comb, sigma, col)
             for name in ("graph", "link_graph"):
@@ -154,4 +192,73 @@ class TestColorSatisfactionGraph:
 
     def test_cases_reach_every_outcome(self):
         kinds = set().union(*(compare_all_bases(*case) for case in SAT_CASES))
-        assert kinds == {"no edges", "missing", "dropped", "graph"}
+        assert kinds == {"no edges", "missing", "dropped", "graph", "absent"}
+
+
+def recorded_builds(monkeypatch, run):
+    """The arguments and result of every satisfaction graph that run()
+    builds through a Pruner or a Combiner."""
+    calls = []
+
+    def record(*args, **kw):
+        args = tuple(a.copy() if isinstance(a, np.ndarray) else a for a in args)
+        calls.append((args, kw, build_satisfaction_graph(*args, **kw)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(pruning, "build_satisfaction_graph", record)
+    monkeypatch.setattr(combine, "build_satisfaction_graph", record)
+    run()
+    return calls
+
+
+K40 = complete_complex(40, 2)
+
+
+def k40_combiner():
+    """K40 onto K5 at the target's own link expansion, as the harness runs it."""
+    lam = max(min(is_hdx(K5, 1.0).worst_value, 0.999), 1e-6)
+    return Combiner(K40, K5, CombineConfig(lam))
+
+
+class TestArrayBuilder:
+    """build_satisfaction_graph against the dict builder it replaced, on
+    every satisfaction graph two full NE scans build, and by hand."""
+
+    def test_k30_over_z6_prune(self, monkeypatch):
+        z6 = cyclic(6)
+        pruner = Pruner(complete_complex(30, 2), z6, validate_genset(z6, [1, 2, 3, 4, 5]),
+                        PruneConfig.empirical(0.9, r=2.0))
+        calls = recorded_builds(monkeypatch, lambda: pruner.run(stage_seed(1, "prune")))
+        assert len(calls) == 390  # one per NE event the 765 resamples evaluate
+        for args, kw, got in calls:
+            assert_same_build(got, plain_build_satisfaction_graph(*args, **kw))
+
+    def test_k40_onto_k5_combine(self, monkeypatch):
+        comb = k40_combiner()
+        calls = recorded_builds(monkeypatch, lambda: comb.run(stage_seed(0, "combine")))
+        assert len(calls) == 40
+        for args, kw, got in calls:
+            assert_same_build(got, plain_build_satisfaction_graph(*args, **kw))
+
+    def test_edge_to_no_target_edge_raises(self):
+        comb = Combiner(complete_complex(9, 2), K5, CombineConfig(0.5))
+        col = comb.as_array({v: v % 5 for v in range(9)})
+        target = pruning.target_link(K5, (0,), {})
+        with pytest.raises(ValueError, match="maps to no target edge"):
+            build_satisfaction_graph(comb, (0,), col, None, lambda v: 1, target)
+
+    def test_memory_is_bounded(self):
+        comb = k40_combiner()
+        col = comb.as_array({v: v % 5 for v in K40.vertices})
+        args = (comb, (0,), col, comb.satisfied_mask(col), lambda v: int(col[v]),
+                pruning.target_link(K5, (0,), {}))
+        build_satisfaction_graph(*args)  # the link table is cached, as in a scan
+        tracemalloc.start()
+        try:
+            sg = build_satisfaction_graph(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 32 link vertices of colors 1-4, joined across colors
+        assert sg.graph.m == 32 * 31 // 2 - 4 * (8 * 7 // 2)
+        assert peak < 1e6

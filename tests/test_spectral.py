@@ -11,7 +11,9 @@ from hdxcover.errors import (
     NotBipartite,
     TooLargeForExact,
 )
+from hdxcover import spectral
 from hdxcover.graphs import WGraph, complete_graph
+from hdxcover.groups import cyclic, identity_star_lambda, scan_gensets, symmetric_group
 from hdxcover.spectral import (
     adjacency_spectrum,
     bipartite_lambda,
@@ -74,6 +76,23 @@ class TestAdjacencySpectrum:
                 w / total for (a, b), w in zip(G.edges, G.weights) if v in (a, b)
             )
             assert row == pytest.approx(1.0, abs=1e-9)
+
+    def test_mis_scaled_operator_raises(self, monkeypatch):
+        # 2M has top eigenvalue 2, which clipping would pass off as 1
+        fill = spectral._symmetrized_matrix
+        monkeypatch.setattr(spectral, "_symmetrized_matrix", lambda *a: 2 * fill(*a))
+        with pytest.raises(AssertionError, match="top eigenvalue (2|1.99)"):
+            adjacency_spectrum(complete_graph(5))
+        # the stacked eigensolve of the star scores checks the same way
+        with pytest.raises(AssertionError, match="top eigenvalue (2|1.99)"):
+            identity_star_lambda(cyclic(7), (1, 2, 5, 6), 2)
+        with pytest.raises(AssertionError, match="top eigenvalue (2|1.99)"):
+            scan_gensets(symmetric_group(4), 2, max_size=6)
+
+    def test_eigenvalue_outside_unit_interval_raises(self):
+        for M in (np.diag([1.0, -1.5]), np.stack([np.eye(2), np.diag([1.0, -1.5])])):
+            with pytest.raises(AssertionError, match=r"outside \[-1, 1\]"):
+                spectral._checked_spectra(M)
 
     def test_self_adjoint(self):
         rng = np.random.default_rng(5)
