@@ -16,7 +16,6 @@ from .spectral import (
     converse_eml_bound,
     eml_discrepancy,
     is_hdx,
-    lambda_report,
 )
 from .groups import (
     GroupTable,
@@ -42,7 +41,6 @@ from .covers import (
 from .pruning import (
     PruneConfig,
     Pruner,
-    dependency_scope,
     measure_ratio_audit,
     pruned_measure,
     sample_labeling,

@@ -15,6 +15,7 @@ import numpy as np
 
 from .complexes import PureComplex, build_complex
 from .errors import BadKindForFace, UnsatisfiedBase
+from .graphs import coloring_weights
 from .pruning import (
     build_link_table,
     build_satisfaction_graph,
@@ -164,9 +165,11 @@ class Combiner:
         )
 
     def eval_ne(self, sigma, col, satisfied=None):
-        if sigma != () and not self.face_satisfied(sigma, col):
+        try:
+            sg = self.satisfaction_graph(sigma, col, satisfied)
+        except UnsatisfiedBase:
             return False
-        return ne_violated(self.satisfaction_graph(sigma, col, satisfied), self.config)
+        return ne_violated(sg, self.config)
 
     def eval_event(self, kind, face, col):
         face = event_face(self.kind_dims, kind, face)
@@ -213,13 +216,9 @@ class Combiner:
         base_w = self.X.weights[mask]
         # the target top face under each kept top face
         img = self.image_index(col, self.X.top_positions()[mask])
-        n_c = len(self.C.top_faces)
-        if len(np.unique(img)) < n_c:
-            y = build_complex(self.d, kept, base_w)
-            return y, "restricted", mask
-        # bincount sums each fiber in kept-face order
-        fiber = np.bincount(img, weights=base_w, minlength=n_c)
-        weights = self.C.weights[img] * base_w / fiber[img]
+        weights, fiber_mass = coloring_weights(img, base_w, self.C.weights)
+        if not fiber_mass.all():  # some target top face has no preimage
+            return build_complex(self.d, kept, base_w), "restricted", mask
         return build_complex(self.d, kept, weights), "coloring", mask
 
     def run(self, rng):

@@ -224,13 +224,6 @@ class WGraph:
     def is_connected(self):
         return len(self.connected_components()) == 1
 
-    def reweighted(self, new_weights):
-        """Same edge set with a different weight vector."""
-        sides = None if self.sides is None else (self.sides[0], self.sides[1])
-        return WGraph(
-            [(u, v, w) for (u, v), w in zip(self.edges, new_weights)], sides=sides
-        )
-
     def __repr__(self):
         bip = " bipartite" if self.sides is not None else ""
         return f"WGraph(n={self.n}, m={self.m}{bip})"
@@ -240,3 +233,34 @@ def complete_graph(n):
     """K_n on the vertices 0..n-1, every edge of weight 1/C(n, 2)."""
     ends = np.stack(np.triu_indices(n, 1))
     return WGraph.from_arrays(tuple(range(n)), ends, np.ones(ends.shape[1]))
+
+
+def fiber_codes(H, colors, ends):
+    """The column in ``H.ends`` of the edge of H that each edge maps to, or
+    -1 where its image is a loop or no edge of H.
+
+    ``colors`` holds each vertex's image among the labels ``H.vertices``,
+    and ``ends`` is a (2, m) array of each edge's end positions in colors.
+    """
+    hv = np.asarray(H.vertices)
+    n = len(hv)
+    pos = np.searchsorted(hv, colors).clip(max=n - 1)
+    pos[hv[pos] != colors] = n  # not a vertex of H
+    a, b = pos[ends]
+    codes = np.minimum(a, b) * (n + 1) + np.maximum(a, b)
+    hcodes = H.ends[0] * (n + 1) + H.ends[1]
+    j = np.searchsorted(hcodes, codes).clip(max=len(hcodes) - 1)
+    return np.where(hcodes[j] == codes, j, -1)
+
+
+def coloring_weights(codes, weights, target_weights):
+    """The coloring measure: each item's weight rescaled so that the items
+    over each target carry that target's weight.
+
+    ``codes`` gives each item's target, an index into ``target_weights``.
+    Returns the rescaled weights, target_weights[code] * weight / fiber
+    mass, and each target's fiber mass, summed item by item in item order;
+    with positive weights, a target that no item maps to has mass 0.
+    """
+    fiber_mass = np.bincount(codes, weights=weights, minlength=len(target_weights))
+    return target_weights[codes] * weights / fiber_mass[codes], fiber_mass

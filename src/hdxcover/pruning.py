@@ -34,7 +34,7 @@ from .errors import (
     Unmeasurable,
     UnsatisfiedBase,
 )
-from .graphs import WGraph
+from .graphs import WGraph, coloring_weights, fiber_codes
 from .groups import cayley_clique_complex, validate_genset
 from .spectral import adjacency_spectrum
 
@@ -210,40 +210,22 @@ def build_satisfaction_graph(
     if coloring is not None and link is None:
         graph, missing = None, absent
     elif coloring is not None:
-        fiber = _fiber_codes(tskel, table, vert_ok, coloring, uv)
-        # each target edge's mass summed edge by edge in table order; the
-        # masses are positive, so an empty fiber is a zero
-        fiber_mass = np.bincount(fiber, weights=mass, minlength=tskel.m)
+        colors = np.zeros(len(table.verts), dtype=np.asarray(tskel.vertices).dtype)
+        colors[vert_ok] = list(coloring.values())
+        fiber = fiber_codes(tskel, colors, uv)
+        bad = np.flatnonzero((fiber < 0) | ~vert_ok[uv].all(axis=0))
+        if len(bad):
+            edge = (table.verts[uv[0, bad[0]]], table.verts[uv[1, bad[0]]])
+            raise ValueError(f"link edge {edge!r} maps to no target edge")
+        colored, fiber_mass = coloring_weights(fiber, mass, tskel.weights)
         empty = np.flatnonzero(fiber_mass == 0)
         if len(empty):
             graph, missing = None, tskel.edges[empty[0]]
         else:
-            colored = tskel.weights[fiber] * mass / fiber_mass[fiber]
             graph = WGraph.from_arrays(vertices, ends, colored[order])
     return SatisfactionGraph(
         sigma, graph, link_graph, coloring, link, graph is None, missing, dropped
     )
-
-
-def _fiber_codes(tskel, table, vert_ok, coloring, uv):
-    """The column in tskel.ends of the target edge that each link edge of
-    uv maps to, by the coloring of the satisfied link vertices."""
-    tverts = np.asarray(tskel.vertices)
-    n = len(tverts)
-    colors = np.zeros(len(table.verts), dtype=tverts.dtype)
-    colors[vert_ok] = list(coloring.values())
-    pos = np.searchsorted(tverts, colors).clip(max=n - 1)
-    found = vert_ok & (tverts[pos] == colors)
-    a, b = pos[uv]
-    codes = np.minimum(a, b) * n + np.maximum(a, b)
-    tcodes = tskel.ends[0] * n + tskel.ends[1]
-    fiber = np.searchsorted(tcodes, codes).clip(max=len(tcodes) - 1)
-    bad = ~found[uv].all(axis=0) | (tcodes[fiber] != codes)
-    if bad.any():
-        i = np.flatnonzero(bad)[0]
-        edge = (table.verts[uv[0, i]], table.verts[uv[1, i]])
-        raise ValueError(f"link edge {edge!r} maps to no target edge")
-    return fiber
 
 
 def event_list(X, dims):
@@ -581,9 +563,11 @@ class Pruner:
         )
 
     def eval_ne(self, sigma, f, satisfied=None):
-        if not self.face_satisfied(sigma, f):
+        try:
+            sg = self.satisfaction_graph(sigma, f, satisfied)
+        except UnsatisfiedBase:
             return False  # an unsatisfied face is outside the pruned complex
-        return ne_violated(self.satisfaction_graph(sigma, f, satisfied), self.config)
+        return ne_violated(sg, self.config)
 
     def eval_event(self, kind, face, f):
         face = event_face(self.kind_dims, kind, face)
@@ -678,57 +662,6 @@ class Pruner:
         )
 
 
-@dataclass(frozen=True)
-class ScopeReport:
-    face: tuple
-    edges: tuple
-    neighbor_events: int
-    bound: float
-
-    @property
-    def within_bound(self):
-        return self.neighbor_events <= self.bound
-
-
-def dependency_scope(X, tau):
-    """Conservative variable scope of the events at tau, and how many other
-    event faces share an edge with it, against the crude degree bound."""
-    tau = tuple(sorted(tau))
-    if not X.has_face(tau):
-        raise NotAFace(f"{tau!r} is not a face")
-
-    def scope_of(face):
-        fset = set(face)
-        near = set(face)
-        for i in X.cofaces(face):
-            near.update(X.top_faces[i])
-        out = set()
-        for u, v in X.faces(1):
-            if u in fset or v in fset or u in near or v in near:
-                out.add((u, v))
-        return out
-
-    mine = scope_of(tau)
-    count = 0
-    for k in range(0, X.dim):
-        for other in X.faces(k):
-            if other == tau:
-                continue
-            if scope_of(other) & mine:
-                count += 1
-    q = max(len(X.cofaces((v,))) for v in X.vertices)
-    r_edges = max(
-        sum(1 for e in X.faces(1) if v in e) for v in X.vertices
-    )
-    bound = X.dim * 2 ** X.dim * q * (1 + r_edges + r_edges**2)
-    report = ScopeReport(tau, tuple(sorted(mine)), count, bound)
-    if not report.within_bound:
-        raise RuntimeError(
-            f"dependency count {count} at {tau!r} exceeds the crude bound {bound}"
-        )
-    return report
-
-
 # --- pruned measure and audits ---
 
 
@@ -753,31 +686,42 @@ def pruned_measure(pruner, Y, f):
     """
     d = Y.dim
     c_e = pruner.cayley.complex.link((0,))
-
-    pattern_prob = {}
-    for face, w in zip(c_e.top_faces, c_e.weights):
-        share = w / math.factorial(d)
-        for perm in itertools.permutations(face):
-            pattern_prob[perm] = share
-
-    fiber_mass = {}
-    contributions = []
-    fact = math.factorial(d + 1)
-    for i, (face, w) in enumerate(zip(Y.top_faces, Y.weights)):
-        for perm in itertools.permutations(face):
-            pat = tuple(pruner.directed_element(f, perm[0], v) for v in perm[1:])
-            if pat not in pattern_prob:
-                continue  # pattern carries no reference mass
-            mass = w / fact
-            fiber_mass[pat] = fiber_mass.get(pat, 0.0) + mass
-            contributions.append((i, pat, mass))
-    for pat, prob in pattern_prob.items():
-        if prob > 0 and pat not in fiber_mass:
-            raise Unmeasurable(f"no face of Y realizes {pat!r}", witness=pat)
-    weights = np.zeros(len(Y.top_faces))
-    for i, pat, mass in contributions:
-        weights[i] += pattern_prob[pat] * mass / fiber_mass[pat]
-    return PrunedMeasure(weights, fiber_mass)
+    # Y's top faces as rows of positions in the pruner's complex
+    xv = np.asarray(pruner.X.vertices)
+    pos = np.searchsorted(xv, Y.vertices).clip(max=len(xv) - 1)
+    tops = np.where(xv[pos] == Y.vertices, pos, -1)[Y.top_positions()]
+    # the element on the edge from column p to column q of each top face:
+    # the edge's generator upward, its inverse downward
+    p, q = np.nonzero(~np.eye(d + 1, dtype=bool))
+    pairs = np.stack([np.minimum(p, q), np.maximum(p, q)], axis=1)
+    edge = pruner.X.face_index(tops[:, pairs].reshape(-1, 2)).reshape(len(tops), -1)
+    if (edge < 0).any():
+        raise NotAFace("Y is not a subcomplex of the pruner's complex")
+    elems = np.where(p < q, pruner.s_elems[f[edge]], pruner.inv_elems[f[edge]])
+    # The d! orientations of a face with first vertex p realize patterns
+    # exactly when p's elements to the other vertices form a top face of c_e,
+    # and then realize each of that face's d! patterns once.
+    sets = np.sort(elems.reshape(-1, d), axis=1)
+    cv = np.asarray(c_e.vertices)
+    at = np.searchsorted(cv, sets).clip(max=len(cv) - 1)
+    target = c_e.face_index(np.where(cv[at] == sets, at, -1))
+    hit = np.flatnonzero(target >= 0)
+    face = hit // (d + 1)
+    weights, fiber_mass = coloring_weights(
+        target[hit], Y.weights[face] / math.factorial(d + 1),
+        c_e.weights / math.factorial(d),
+    )
+    empty = np.flatnonzero(fiber_mass == 0)
+    if len(empty):
+        pat = c_e.top_faces[empty[0]]
+        raise Unmeasurable(f"no face of Y realizes {pat!r}", witness=pat)
+    # a hit's d! equal shares, added one by one as a sum over orientations
+    k = math.factorial(d)
+    patterns = {o: m for t, m in zip(c_e.top_faces, fiber_mass)
+                for o in itertools.permutations(t)}
+    return PrunedMeasure(
+        np.bincount(np.repeat(face, k), np.repeat(weights, k), len(tops)), patterns
+    )
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from .errors import (
     NotBipartite,
     TooLargeForExact,
 )
-from .graphs import WGraph
+from .graphs import WGraph, coloring_weights, fiber_codes
 
 TOL = 1e-9
 
@@ -29,7 +29,6 @@ class SpectralReport:
     """Eigenvalues of the normalized adjacency operator, sorted descending."""
 
     eigenvalues: tuple
-    bipartite_lambda: float | None = None
 
     @property
     def one_sided(self):
@@ -86,8 +85,7 @@ def adjacency_spectrum(G):
     root = np.sqrt(G.vertex_measures())
     eigs = _checked_spectra(
         _symmetrized_matrix((G.n, G.n), G.ends, G.weights, root, G.ends))
-    bip = bipartite_lambda(G) if G.sides is not None else None
-    return SpectralReport(tuple(float(e) for e in eigs), bipartite_lambda=bip)
+    return SpectralReport(tuple(float(e) for e in eigs))
 
 
 def _side_arrays(G):
@@ -118,21 +116,6 @@ def bipartite_lambda(G):
     M[b, a] = G.weights / np.sqrt(lmass[a] * rmass[b])
     sv = np.linalg.svd(M, compute_uv=False)
     return float(sv[1]) if len(sv) > 1 else 0.0
-
-
-def lambda_report(G, mode):
-    """The requested expansion constant of G.
-
-    mode is one of "one_sided", "two_sided", "bipartite".
-    """
-    if mode == "bipartite":
-        return bipartite_lambda(G)
-    rep = adjacency_spectrum(G)
-    if mode == "one_sided":
-        return rep.one_sided
-    if mode == "two_sided":
-        return rep.two_sided
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 # --- high-dimensional expansion ---
@@ -384,6 +367,25 @@ def converse_eml_bound(alpha):
 # --- colorings and composition ---
 
 
+def _colored(G, H, f):
+    """coloring_measure's graph, with each G-vertex's color, each G-edge's
+    column in H.ends and each H-edge's fiber mass."""
+    colors = np.array([f[v] for v in G.vertices])
+    codes = fiber_codes(H, colors, G.ends)
+    bad = np.flatnonzero(codes < 0)
+    if len(bad):
+        u, v = G.edges[bad[0]]
+        raise ValueError(f"edge {(u, v)!r} maps to non-edge {(f[u], f[v])!r}")
+    weights, fiber_mass = coloring_weights(codes, G.weights, H.weights)
+    empty = np.flatnonzero(fiber_mass == 0)
+    if len(empty):
+        e = H.edges[empty[0]]
+        raise DegenerateColoring(f"target edge {e!r} has an empty fiber", witness=e)
+    sides = None if G._left is None else (G._left, ~G._left)
+    colored = WGraph.from_arrays(G.vertices, G.ends, weights, sides=sides)
+    return colors, codes, fiber_mass, colored
+
+
 def coloring_measure(G, H, f):
     """Reweight G so edge fibers carry the measure of their target edges.
 
@@ -391,26 +393,7 @@ def coloring_measure(G, H, f):
     every H-edge needs a nonempty fiber, otherwise the coloring is
     degenerate and the missing edge is reported.
     """
-    fiber_mass = {}
-    images = []
-    for (u, v), w in zip(G.edges, G.weights):
-        a, b = f[u], f[v]
-        if a == b or not H.has_edge(a, b):
-            raise ValueError(f"edge {(u, v)!r} maps to non-edge {(a, b)!r}")
-        key = (a, b) if a < b else (b, a)
-        images.append(key)
-        fiber_mass[key] = fiber_mass.get(key, 0.0) + w
-    for (a, b), w in zip(H.edges, H.weights):
-        if (a, b) not in fiber_mass:
-            raise DegenerateColoring(
-                f"target edge {(a, b)!r} has an empty fiber", witness=(a, b)
-            )
-    hw = {e: w for e, w in zip(H.edges, H.weights)}
-    new = [
-        hw[img] * w / fiber_mass[img]
-        for img, w in zip(images, G.weights)
-    ]
-    return G.reweighted(new)
+    return _colored(G, H, f)[3]
 
 
 @dataclass(frozen=True)
@@ -426,7 +409,7 @@ class CompositionReport:
     ok: bool
 
 
-def composition_check(G, H, f, mode="two_sided"):
+def composition_check(G, H, f):
     """Verify the composed expansion bound max(lambda(H), eta).
 
     eta is the worst bipartite expansion over the per-target-edge fiber
@@ -442,36 +425,27 @@ def composition_check(G, H, f, mode="two_sided"):
     lambda(colored) <= bound + 1e-7, and ok requires both.  A fiber that
     is disconnected has eta = 1, which makes the bound vacuous.
     """
-    colored = coloring_measure(G, H, f)  # raises if degenerate
-    lam_h = lambda_report(H, mode if mode != "bipartite" else "two_sided")
-    fibers, share = {}, {}
-    for (u, v), w in zip(G.edges, G.weights):
-        a, b = f[u], f[v]
-        key = (a, b) if a < b else (b, a)
-        fibers.setdefault(key, []).append((u, v, w))
-        for x in (u, v):
-            share[x, key] = share.get((x, key), 0.0) + w
+    colors, codes, fiber_mass, colored = _colored(G, H, f)  # raises if degenerate
+    lam_h = adjacency_spectrum(H).two_sided
     eta, eta_witness = -1.0, ()
-    for a, b in H.edges:
-        fiber = fibers[a, b]
-        left = {x for u, v, _ in fiber for x in (u, v) if f[x] == a}
-        right = {x for u, v, _ in fiber for x in (u, v) if f[x] == b}
-        lam_fiber = bipartite_lambda(WGraph(fiber, sides=(left, right)))
+    for j, (a, b) in enumerate(H.edges):
+        fiber = G.edge_subgraph(codes == j, sides=(colors == a, colors == b))
+        lam_fiber = bipartite_lambda(fiber)
         if lam_fiber > eta:
             eta, eta_witness = lam_fiber, (a, b)
-    fiber_mass = {key: sum(w for _, _, w in fiber) for key, fiber in fibers.items()}
+    # each vertex's share of each fiber: its edges' mass there, edge by edge
+    share = np.bincount(
+        (G.ends * H.m + codes).T.ravel(), weights=np.repeat(G.weights, 2),
+        minlength=G.n * H.m,
+    ).reshape(G.n, H.m)
     gap, gap_witness = 0.0, ()
-    for x in G.vertices:
-        a = f[x]
-        pi = {}
-        for b in H.neighbors(a):
-            key = (a, b) if a < b else (b, a)
-            pi[key] = share.get((x, key), 0.0) / fiber_mass[key]
-        hi = max(pi, key=pi.get)
-        lo = min(pi, key=pi.get)
-        if pi[hi] - pi[lo] > gap:
-            gap, gap_witness = pi[hi] - pi[lo], (x, hi, lo)
-    lam_colored = lambda_report(colored, mode)
+    for x, c in enumerate(colors.tolist()):
+        at = [j for _, j in H.incident(c)]  # the fibers at x's color, in order
+        pi = share[x, at] / fiber_mass[at]
+        if pi.max() - pi.min() > gap:
+            hi, lo = H.edges[at[pi.argmax()]], H.edges[at[pi.argmin()]]
+            gap, gap_witness = pi.max() - pi.min(), (G.vertices[x], hi, lo)
+    lam_colored = adjacency_spectrum(colored).two_sided
     bound = max(lam_h, eta)
     hypothesis_ok = bool(gap <= 1e-9)
     return CompositionReport(

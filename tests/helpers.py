@@ -13,13 +13,25 @@ import numpy as np
 
 from hdxcover.complexes import TOL, build_complex
 from hdxcover.covers import CoverReport
-from hdxcover.errors import EmptyResult, EmptySide, NotPure, NotSymmetricGenSet
+from hdxcover.errors import (
+    DegenerateColoring,
+    EmptyResult,
+    EmptySide,
+    NotPure,
+    NotSymmetricGenSet,
+    Unmeasurable,
+)
 from hdxcover.graphs import WGraph
-from hdxcover.pruning import SatisfactionGraph
+from hdxcover.pruning import PrunedMeasure, SatisfactionGraph
 from hdxcover import groups as groups_mod
 from hdxcover.groups import cayley_clique_complex
 from hdxcover.sparsify import split_vertex_sets
-from hdxcover.spectral import adjacency_spectrum, bipartite_lambda, is_hdx
+from hdxcover.spectral import (
+    CompositionReport,
+    adjacency_spectrum,
+    bipartite_lambda,
+    is_hdx,
+)
 
 
 def sym_walk_matrix(G):
@@ -711,3 +723,136 @@ def plain_scan_gensets(groups, d, eta_target=None, max_size=8, dedupe=True, coun
     if counts is not None:
         counts.update(tally)
     return groups_mod._tie_stable(scored, eta_target)
+
+
+def plain_coloring_measure(G, H, f):
+    """Reference coloring measure: fiber masses in a dict keyed by target
+    edge, summed edge by edge, and the graph rebuilt through WGraph.__init__."""
+    fiber_mass = {}
+    images = []
+    for (u, v), w in zip(G.edges, G.weights):
+        a, b = f[u], f[v]
+        if a == b or not H.has_edge(a, b):
+            raise ValueError(f"edge {(u, v)!r} maps to non-edge {(a, b)!r}")
+        key = (a, b) if a < b else (b, a)
+        images.append(key)
+        fiber_mass[key] = fiber_mass.get(key, 0.0) + w
+    for (a, b), w in zip(H.edges, H.weights):
+        if (a, b) not in fiber_mass:
+            raise DegenerateColoring(
+                f"target edge {(a, b)!r} has an empty fiber", witness=(a, b)
+            )
+    hw = {e: w for e, w in zip(H.edges, H.weights)}
+    new = [hw[img] * w / fiber_mass[img] for img, w in zip(images, G.weights)]
+    return WGraph([(u, v, w) for (u, v), w in zip(G.edges, new)], sides=G.sides)
+
+
+def plain_composition_check(G, H, f):
+    """Reference composition check: per-fiber edge lists and side shares in
+    dicts, one WGraph.__init__ per fiber, and the marginals compared vertex
+    by vertex over the target neighbours of its color."""
+    colored = plain_coloring_measure(G, H, f)
+    lam_h = adjacency_spectrum(H).two_sided
+    fibers, share = {}, {}
+    for (u, v), w in zip(G.edges, G.weights):
+        a, b = f[u], f[v]
+        key = (a, b) if a < b else (b, a)
+        fibers.setdefault(key, []).append((u, v, w))
+        for x in (u, v):
+            share[x, key] = share.get((x, key), 0.0) + w
+    eta, eta_witness = -1.0, ()
+    for a, b in H.edges:
+        fiber = fibers[a, b]
+        left = {x for u, v, _ in fiber for x in (u, v) if f[x] == a}
+        right = {x for u, v, _ in fiber for x in (u, v) if f[x] == b}
+        lam_fiber = bipartite_lambda(WGraph(fiber, sides=(left, right)))
+        if lam_fiber > eta:
+            eta, eta_witness = lam_fiber, (a, b)
+    fiber_mass = {key: sum(w for _, _, w in fiber) for key, fiber in fibers.items()}
+    gap, gap_witness = 0.0, ()
+    for x in G.vertices:
+        a = f[x]
+        pi = {}
+        for b in H.neighbors(a):
+            key = (a, b) if a < b else (b, a)
+            pi[key] = share.get((x, key), 0.0) / fiber_mass[key]
+        hi = max(pi, key=pi.get)
+        lo = min(pi, key=pi.get)
+        if pi[hi] - pi[lo] > gap:
+            gap, gap_witness = pi[hi] - pi[lo], (x, hi, lo)
+    lam_colored = adjacency_spectrum(colored).two_sided
+    bound = max(lam_h, eta)
+    hypothesis_ok = bool(gap <= 1e-9)
+    return CompositionReport(
+        lambda_target=float(lam_h),
+        eta=float(eta),
+        eta_witness=eta_witness,
+        lambda_colored=float(lam_colored),
+        bound=float(bound),
+        hypothesis_ok=hypothesis_ok,
+        marginal_gap=float(gap),
+        gap_witness=gap_witness,
+        ok=hypothesis_ok and bool(lam_colored <= bound + 1e-7),
+    )
+
+
+def plain_pruned_measure(pruner, Y, f):
+    """Reference pruned measure: every permutation of every top face of Y
+    and of the identity link walked in Python, fiber masses in a dict keyed
+    by pattern tuple."""
+    d = Y.dim
+    c_e = pruner.cayley.complex.link((0,))
+    pattern_prob = {}
+    for face, w in zip(c_e.top_faces, c_e.weights):
+        share = w / math.factorial(d)
+        for perm in itertools.permutations(face):
+            pattern_prob[perm] = share
+    fiber_mass = {}
+    contributions = []
+    fact = math.factorial(d + 1)
+    for i, (face, w) in enumerate(zip(Y.top_faces, Y.weights)):
+        for perm in itertools.permutations(face):
+            pat = tuple(pruner.directed_element(f, perm[0], v) for v in perm[1:])
+            if pat not in pattern_prob:
+                continue  # pattern carries no reference mass
+            mass = w / fact
+            fiber_mass[pat] = fiber_mass.get(pat, 0.0) + mass
+            contributions.append((i, pat, mass))
+    for pat, prob in pattern_prob.items():
+        if prob > 0 and pat not in fiber_mass:
+            raise Unmeasurable(f"no face of Y realizes {pat!r}", witness=pat)
+    weights = np.zeros(len(Y.top_faces))
+    for i, pat, mass in contributions:
+        weights[i] += pattern_prob[pat] * mass / fiber_mass[pat]
+    return PrunedMeasure(weights, fiber_mass)
+
+
+def same_graph(a, b):
+    """Equal vertices, edges and sides, and weights equal bit for bit."""
+    return (a.vertices == b.vertices and a.edges == b.edges and a.sides == b.sides
+            and a.weights.tobytes() == b.weights.tobytes())
+
+
+def same_measure(a, b):
+    """Pruned measures with weights equal bit for bit and equal patterns."""
+    return a.weights.tobytes() == b.weights.tobytes() and a.patterns == b.patterns
+
+
+def checked(fast, plain, same, *args):
+    """fast(*args), asserting that plain(*args) returns a result equal under
+    same, or raises the same exception type, message and witness; the fast
+    path's exception is re-raised."""
+    try:
+        want = plain(*args)
+    except Exception as exc:
+        want = exc
+    try:
+        got = fast(*args)
+    except Exception as exc:
+        assert type(exc) is type(want), (exc, want)
+        assert str(exc) == str(want)
+        assert getattr(exc, "witness", None) == getattr(want, "witness", None)
+        raise
+    assert not isinstance(want, Exception), f"plain raised {want!r}"
+    assert same(got, want)
+    return got

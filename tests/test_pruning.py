@@ -20,11 +20,11 @@ from hdxcover.groups import (
     symmetric_group,
     validate_genset,
 )
+from hdxcover.harness import stage_seed
 from hdxcover.pruning import (
     PruneConfig,
     Pruner,
     SatisfactionGraph,
-    dependency_scope,
     face_fraction_report,
     measure_ratio_audit,
     pruned_measure,
@@ -33,12 +33,15 @@ from hdxcover.pruning import (
 from hdxcover.spectral import is_hdx
 
 from helpers import (
+    checked,
     plain_at_table,
     plain_eval_at,
     plain_eval_bc,
     plain_event_scope,
+    plain_pruned_measure,
     random_complex,
     relabeled,
+    same_measure,
 )
 
 Z5 = cyclic(5)
@@ -483,28 +486,6 @@ class TestEvalEvent:
         assert pruner.eval_event("EC", (0, 1), f)
 
 
-class TestDependencyScope:
-    def test_complete_k4_vertex_scope_is_everything(self):
-        X = complete_complex(4, 2)
-        rep = dependency_scope(X, (0,))
-        assert set(rep.edges) == set(X.faces(1))
-        assert rep.within_bound
-
-    def test_far_faces_excluded(self):
-        X = build_complex(2, [(0, 1, 2), (3, 4, 5)])
-        rep = dependency_scope(X, (0,))
-        assert (3, 4) not in rep.edges
-        assert rep.neighbor_events == len(
-            [s for k in range(2) for s in X.faces(k) if set(s) <= {0, 1, 2}]
-        ) - 1
-
-    def test_monotone_in_face(self):
-        X = complete_complex(6, 2)
-        small = set(dependency_scope(X, (0,)).edges)
-        large = set(dependency_scope(X, (0, 1)).edges)
-        assert small <= large
-
-
 class TestEventTables:
     """The array-built event tables and scopes against per-face loops."""
 
@@ -693,12 +674,48 @@ class TestMoserTardos:
         assert rep.passes
 
 
+def measured(pruner, Y, f):
+    """pruned_measure, checked bit for bit against the dict reference."""
+    return checked(pruned_measure, plain_pruned_measure, same_measure, pruner, Y, f)
+
+
 class TestPrunedMeasure:
+    @pytest.mark.parametrize(
+        "n, gens, r, seed",
+        [(6, [1, 2, 3, 4, 5], 2.0, 1), (5, [1, 2, 3, 4], 1.5, 2)],
+        ids=["cover-family-z6", "prune-k30"],
+    )
+    def test_benchmark_clean_outcomes(self, n, gens, r, seed):
+        # the K30 prunes of the cover-family-z6 and prune-k30 benchmarks
+        group = cyclic(n)
+        pruner = Pruner(complete_complex(30, 2), group, validate_genset(group, gens),
+                        PruneConfig.empirical(0.9, r=r))
+        outcome = pruner.run(stage_seed(seed, "prune"))
+        assert outcome.status == "clean"
+        assert measured(pruner, outcome.y, outcome.labeling).total == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_three_dimensional_weighted(self, seed):
+        # at d = 3 each orientation adds one of 3! equal shares in turn, and
+        # uneven weights make that sum differ from 6 times the share
+        rng = np.random.default_rng(seed)
+        X = build_complex(3, list(itertools.combinations(range(5), 4)),
+                          0.2 + rng.random(5))
+        f = coboundary_indices(X, dict(enumerate(rng.permutation(5).tolist())))
+        pruner = z5_pruner(X)
+        assert measured(pruner, X, pruner.as_array(f)).total == pytest.approx(1.0)
+
+    def test_face_outside_the_complex_raises(self):
+        pruner = z5_pruner(complete_complex(5, 2))
+        f = np.zeros(pruner.n_edges, dtype=np.int64)
+        with pytest.raises(NotAFace):
+            pruned_measure(pruner, build_complex(2, [(3, 4, 5)]), f)
+
     def test_coboundary_measure_totals_one(self):
         X = complete_complex(5, 2)
         f = coboundary_indices(X, {i: i for i in range(5)})
         pruner = z5_pruner(X)
-        pm = pruned_measure(pruner, X, pruner.as_array(f))
+        pm = measured(pruner, X, pruner.as_array(f))
         assert pm.total == pytest.approx(1.0, abs=1e-12)
         # every ordered identity-link pattern is realized
         cayley = cayley_clique_complex(Z5, Z5_GENS, 2)
@@ -711,12 +728,12 @@ class TestPrunedMeasure:
         f = coboundary_indices(X, {0: 0, 1: 1, 2: 2})
         pruner = z5_pruner(X)
         with pytest.raises(Unmeasurable) as err:
-            pruned_measure(pruner, X, pruner.as_array(f))
+            measured(pruner, X, pruner.as_array(f))
         assert err.value.witness is not None
 
     def test_clean_run_measures(self, fixture30):
         X, pruner, outcome = fixture30
-        pm = pruned_measure(pruner, outcome.y, outcome.labeling)
+        pm = measured(pruner, outcome.y, outcome.labeling)
         assert pm.total == pytest.approx(1.0, abs=1e-9)
         assert (pm.weights >= 0).all()
 
@@ -728,7 +745,7 @@ class TestPrunedMeasure:
         X = complete_complex(5, 2)
         f = coboundary_indices(X, {i: i for i in range(5)})
         pruner = z5_pruner(X)
-        pm = pruned_measure(pruner, X, pruner.as_array(f))
+        pm = measured(pruner, X, pruner.as_array(f))
         lab = {e: Z5_GENS[i] for e, i in f.items()}
 
         def dir_el(u, v):

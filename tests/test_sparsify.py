@@ -1,4 +1,5 @@
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -13,10 +14,12 @@ from hdxcover.sparsify import (
     split_vertex_sets,
     sparsify_trial,
 )
-from hdxcover.spectral import bipartite_lambda
+from hdxcover.spectral import bipartite_lambda, composition_check
 
 from helpers import (
+    checked,
     plain_bipartite_vertex_split,
+    plain_composition_check,
     plain_edge_subsample,
     plain_near_uniform_r,
     plain_one_trial,
@@ -144,8 +147,6 @@ class TestTrialReport:
         # only where every vertex has equal side marginals in all its fibers.
         # Independently subsampled blocks break that hypothesis and, here,
         # the bound itself; the check must say so.  Complete blocks keep it.
-        from hdxcover.spectral import composition_check
-
         groups = [list(range(10 * a, 10 * (a + 1))) for a in range(3)]
         target = WGraph([(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)])
 
@@ -162,7 +163,9 @@ class TestTrialReport:
                     edges.append((u, v, w))
             G = WGraph(edges)
             f = {v: v // 10 for v in G.vertices}
-            return composition_check(G, target, f), f
+            rep = checked(composition_check, plain_composition_check, operator.eq,
+                          G, target, f)
+            return rep, f
 
         rep, f = check(0.6)
         assert not rep.hypothesis_ok

@@ -1,7 +1,11 @@
+import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hdxcover.complexes import build_complex, complete_complex, cycle_complex
 from hdxcover.errors import (
@@ -22,14 +26,17 @@ from hdxcover.spectral import (
     converse_eml_bound,
     eml_discrepancy,
     is_hdx,
-    lambda_report,
 )
 
 from helpers import (
+    checked,
+    plain_coloring_measure,
+    plain_composition_check,
     random_bipartite_wgraph,
     random_wgraph,
     power_iteration_spectrum,
     sym_walk_matrix,
+    same_graph,
     two_step_second_eigenvalue,
 )
 
@@ -113,17 +120,20 @@ class TestAdjacencySpectrum:
 
 
 class TestLambdaReport:
+    """The expansion constants: two- and one-sided from adjacency_spectrum,
+    bipartite from bipartite_lambda."""
+
     @pytest.mark.parametrize("a,b", [(2, 3), (4, 4), (1, 5)])
     def test_complete_bipartite(self, a, b):
-        assert lambda_report(complete_bipartite(a, b), "bipartite") <= 1e-8
+        assert bipartite_lambda(complete_bipartite(a, b)) <= 1e-8
 
     def test_cycle_two_sided_is_one(self):
         G = cycle_complex(6).one_skeleton()
-        assert lambda_report(G, "two_sided") == pytest.approx(1.0, abs=1e-9)
+        assert adjacency_spectrum(G).two_sided == pytest.approx(1.0, abs=1e-9)
 
     def test_bipartite_requires_sides(self):
         with pytest.raises(NotBipartite):
-            lambda_report(complete_graph(4), "bipartite")
+            bipartite_lambda(complete_graph(4))
 
     def test_bipartite_squares_to_two_step_walk(self):
         G = random_bipartite_wgraph(np.random.default_rng(9), 5, 5, p=0.7)
@@ -133,7 +143,7 @@ class TestLambdaReport:
     def test_bipartite_equals_one_sided(self):
         G = random_bipartite_wgraph(np.random.default_rng(10), 4, 6, p=0.7)
         assert bipartite_lambda(G) == pytest.approx(
-            lambda_report(G, "one_sided"), abs=1e-9
+            adjacency_spectrum(G).one_sided, abs=1e-9
         )
 
 
@@ -226,18 +236,54 @@ class TestConverseEml:
             assert lam <= converse_eml_bound(rep.alpha) + 1e-9
 
 
+def colored(G, H, f):
+    """coloring_measure, checked bit for bit against the dict reference."""
+    return checked(coloring_measure, plain_coloring_measure, same_graph, G, H, f)
+
+
+def composed(G, H, f):
+    """composition_check, checked against the dict reference."""
+    return checked(composition_check, plain_composition_check, operator.eq, G, H, f)
+
+
+@st.composite
+def colorings(draw):
+    """(G, H, f): a target H on some of the colors 0..k-1 and a graph G
+    colored from 0..k, where k is no vertex of H.  G's edges mostly run along
+    H's edges, so most draws are homomorphisms; small integer weights make
+    fiber masses and marginals tie.  G is declared bipartite, by the parity
+    of its colors, when a draw asks for it and every edge crosses."""
+    weight = st.integers(1, 3).map(float)
+    k = draw(st.integers(2, 4))
+    hedges = draw(st.lists(
+        st.sampled_from(list(itertools.combinations(range(k), 2))), min_size=1,
+        unique=True))
+    H = WGraph([(a, b, draw(weight)) for a, b in hedges])
+    n = draw(st.integers(2, 10))
+    f = {v: draw(st.integers(0, k)) for v in range(n)}
+    pairs = list(itertools.combinations(range(n), 2))
+    along = [(u, v) for u, v in pairs if (min(f[u], f[v]), max(f[u], f[v])) in hedges]
+    edges = set(draw(st.lists(st.sampled_from(along), unique=True)) if along else ())
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=1)))
+    assume(edges)
+    sides = None
+    if draw(st.booleans()) and all(f[u] % 2 != f[v] % 2 for u, v in edges):
+        sides = ([v for v in f if f[v] % 2 == 0], [v for v in f if f[v] % 2])
+    return WGraph([(u, v, draw(weight)) for u, v in sorted(edges)], sides=sides), H, f
+
+
 class TestColoringMeasure:
     def test_single_edge_target(self):
         H = WGraph([(0, 1, 1.0)])
         G = complete_bipartite(3, 3)
         f = {v: 0 if v < 3 else 1 for v in range(6)}
-        got = coloring_measure(G, H, f)
+        got = colored(G, H, f)
         assert np.allclose(got.weights, G.weights)
 
     def test_isomorphism_pulls_back(self):
         H = random_wgraph(np.random.default_rng(1), 6, p=0.7)
         f = {v: v for v in H.vertices}
-        got = coloring_measure(H, H, f)
+        got = colored(H, H, f)
         assert np.allclose(got.weights, H.weights)
 
     def test_fiber_masses_match_target(self):
@@ -251,7 +297,7 @@ class TestColoringMeasure:
                     edges.append((3 * a + i, 3 * b + j, 0.2 + rng.random()))
         G = WGraph(edges)
         f = {v: v // 3 for v in G.vertices}
-        got = coloring_measure(G, H, f)
+        got = colored(G, H, f)
         for a in range(3):
             fiber = [v for v in G.vertices if f[v] == a]
             mass = sum(got.vertex_measure(v) for v in fiber)
@@ -262,8 +308,16 @@ class TestColoringMeasure:
         G = WGraph([(0, 1, 1.0)])
         f = {0: 0, 1: 1}
         with pytest.raises(DegenerateColoring) as err:
-            coloring_measure(G, H, f)
+            colored(G, H, f)
         assert err.value.witness is not None
+
+    @settings(max_examples=150, deadline=None)
+    @given(colorings())
+    def test_drawn_colorings_match_plain(self, case):
+        try:
+            colored(*case)
+        except (ValueError, DegenerateColoring):
+            pass
 
 
 class TestComposition:
@@ -276,7 +330,7 @@ class TestComposition:
                     edges.append((3 * a + i, 3 * b + j, 1.0))
         G = WGraph(edges)
         f = {v: v // 3 for v in G.vertices}
-        rep = composition_check(G, H, f)
+        rep = composed(G, H, f)
         assert rep.eta == pytest.approx(0.0, abs=1e-9)
         assert rep.lambda_colored == pytest.approx(0.5, abs=1e-9)
         assert rep.hypothesis_ok
@@ -286,7 +340,7 @@ class TestComposition:
     def test_isomorphism(self):
         H = random_wgraph(np.random.default_rng(2), 7, p=0.6)
         f = {v: v for v in H.vertices}
-        rep = composition_check(H, H, f)
+        rep = composed(H, H, f)
         assert rep.hypothesis_ok
         assert rep.marginal_gap <= 1e-9
         assert rep.lambda_colored == pytest.approx(rep.lambda_target, abs=1e-9)
@@ -310,11 +364,19 @@ class TestComposition:
                 edges.append((k * a + i, k * b + int(sigma[cycle[i]]), 1.0))
         G = WGraph(edges)
         f = {v: v // k for v in G.vertices}
-        rep = composition_check(G, H, f)
+        rep = composed(G, H, f)
         assert rep.hypothesis_ok
         assert rep.eta < 1
         assert rep.eta == pytest.approx(math.cos(math.pi / k), abs=1e-9)
         assert rep.ok
+
+    @settings(max_examples=150, deadline=None)
+    @given(colorings())
+    def test_drawn_colorings_match_plain(self, case):
+        try:
+            composed(*case)
+        except (ValueError, DegenerateColoring):
+            pass
 
 
 class TestTrickleDown:
