@@ -5,6 +5,9 @@ on every 2-face determines a cover: vertices are (base vertex, element)
 pairs and top faces lift base top faces consistently with the labels.
 Cycle label-products at a fixed vertex generate the holonomy subgroup,
 which controls how many components the cover splits into.
+
+A labeling is an int array of group elements, one per edge, aligned with
+X.faces(1); the edge from u to v carries f(uv) if u < v, else its inverse.
 """
 from __future__ import annotations
 
@@ -12,43 +15,51 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import PureComplex, build_complex
-from .errors import Disconnected, NotACocycle, NotAnEdge
+from .complexes import PureComplex, build_complex, complex_to_dict
+from .errors import BadLabeling, Disconnected, NotACocycle
+from .groups import group_to_dict, subgroup_closure
 
 TOL = 1e-9
 
 
-def edge_key(u, v):
-    return (u, v) if u < v else (v, u)
-
-
-def directed_label(group, labeling, u, v):
-    """Label of the oriented edge (u, v): f(uv) if u < v, else its inverse."""
-    key = edge_key(u, v)
-    try:
-        g = labeling[key]
-    except KeyError:
-        raise NotAnEdge(f"{key!r} carries no label") from None
-    return g if u < v else group.inv(g)
+def _elements(values, n, group, what):
+    """values as an int array of n group elements, or BadLabeling."""
+    values = np.asarray(values)
+    if values.shape != (n,) or values.dtype.kind not in "iu":
+        raise BadLabeling(f"{what} must be {n} integer group elements, got "
+                          f"shape {values.shape} and dtype {values.dtype}")
+    if n and not 0 <= values.min() <= values.max() < group.order:
+        raise BadLabeling(f"{what} holds an element outside 0..{group.order - 1}")
+    return values
 
 
 def coboundary_labeling(X, group, potential):
-    """f(uv) = potential(u)^-1 * potential(v) on every edge; always a cocycle."""
-    out = {}
-    for u, v in X.faces(1):
-        out[(u, v)] = group.mul(group.inv(potential[u]), potential[v])
-    return out
+    """f(uv) = potential(u)^-1 * potential(v) on every edge; always a cocycle.
+    The potential is one element per vertex, aligned with X.vertices."""
+    pot = _elements(potential, len(X.vertices), group, "a potential")
+    u, v = X.level(1).rows.T
+    return group.mul_table[group.inv_table[pot[u]], pot[v]]
 
 
-def is_cocycle(X, labeling, group):
-    """Check the triangle condition on all 2-faces; returns (ok, witness)."""
+def is_cocycle(X, labels, group):
+    """Check the triangle condition on all 2-faces; returns (ok, witness),
+    the witness being the first failing 2-face in faces(2) order."""
+    labels = _elements(labels, X.n_faces(1), group, "a labeling")
     if X.dim < 2:
         return True, None
-    for i, j, k in X.faces(2):
-        lhs = group.mul(labeling[(i, j)], labeling[(j, k)])
-        if lhs != labeling[(i, k)]:
-            return False, (i, j, k)
+    rows = X.level(2).rows
+    ij, jk, ik = (labels[X.face_index(rows[:, c])] for c in ([0, 1], [1, 2], [0, 2]))
+    bad = np.flatnonzero(group.mul_table[ij, jk] != ik)
+    if len(bad):
+        return False, tuple(X.vertices[x] for x in rows[bad[0]])
     return True, None
+
+
+def _checked_cocycle(X, labels, group, fault):
+    ok, witness = is_cocycle(X, labels, group)
+    if not ok:
+        raise NotACocycle(f"{fault} at {witness}", witness=witness)
+    return np.asarray(labels)
 
 
 @dataclass(frozen=True)
@@ -58,7 +69,7 @@ class CoverComplex:
     complex: PureComplex
     base: PureComplex
     group: object
-    labeling: dict
+    labeling: np.ndarray  # one element per edge of base, aligned with faces(1)
     legend: dict  # lifted vertex id -> (base vertex, group element)
 
     def phi(self, vid):
@@ -73,72 +84,52 @@ class CoverComplex:
         )
 
 
-def build_cover(X, labeling, group):
+def build_cover(X, labels, group):
     """Construct the cover of X determined by a cocycle labeling.
 
-    Lifted top faces fix the element at the least vertex and propagate
-    along directed labels; each carries 1/|group| of its base weight.
+    Lifted vertex p * |group| + g is (vertex at position p, element g).  The
+    lift of a top face at g puts g at its least vertex and g f(v0 v) at each
+    other vertex v; each lift carries 1/|group| of its base weight.
     """
     if X.dim < 2:
         raise NotACocycle("covers are built over complexes of dimension >= 2")
-    ok, witness = is_cocycle(X, labeling, group)
-    if not ok:
-        raise NotACocycle(f"triangle condition fails at {witness}", witness=witness)
+    labels = _checked_cocycle(X, labels, group, "triangle condition fails")
     n_g = group.order
-    pos = {v: i for i, v in enumerate(X.vertices)}
-
-    def vid(v, g):
-        return pos[v] * n_g + g
-
-    legend = {vid(v, g): (v, g) for v in X.vertices for g in range(n_g)}
-    tops = []
-    weights = []
-    for face, w in zip(X.top_faces, X.weights):
-        v0 = face[0]
-        shifts = [
-            0 if v == v0 else directed_label(group, labeling, v0, v) for v in face
-        ]
-        share = w / n_g
-        for g in range(n_g):
-            row = group.mul_table[g]
-            tops.append(tuple(sorted(vid(v, int(row[s])) for v, s in zip(face, shifts))))
-            weights.append(share)
-    cover = build_complex(X.dim, tops, weights)
-    return CoverComplex(cover, X, group, dict(labeling), legend)
+    T = X.top_positions()
+    # the edges from column 0 to columns 1..d come first among the pairs
+    shift = np.zeros_like(T)
+    shift[:, 1:] = labels[X.level(1).pairs[:, : X.dim]]
+    lifted = T[:, None, :] * n_g + np.moveaxis(group.mul_table[:, shift], 0, 1)
+    legend = {
+        p * n_g + g: (v, g) for p, v in enumerate(X.vertices) for g in range(n_g)
+    }
+    cover = build_complex(
+        X.dim, lifted.reshape(-1, X.dim + 1).tolist(), np.repeat(X.weights / n_g, n_g)
+    )
+    return CoverComplex(cover, X, group, labels, legend)
 
 
-def holonomy_subgroup(X, labeling, group, v, order="bfs"):
+def holonomy_subgroup(X, labels, group, v):
     """Subgroup of cycle label-products at v, via a spanning tree.
 
-    Tree paths assign each vertex a potential; every non-tree edge then
-    contributes one generator.  The traversal order only changes the
-    generators, not the subgroup (checked by tests).
+    Potentials spread from v over the edges, one tree layer at a time; every
+    edge uw then contributes pot(u) f(uw) pot(w)^-1, which is the identity
+    on tree edges.  Which tree is taken changes the generators only.
     """
-    from .groups import subgroup_closure
-
-    skel = X.one_skeleton()
-    if not skel.is_connected():
+    labels = _elements(labels, X.n_faces(1), group, "a labeling")
+    mul, inv = group.mul_table, group.inv_table
+    u, w = X.level(1).rows.T
+    # each edge both ways, with the element it carries that way
+    tail, head = np.concatenate([u, w]), np.concatenate([w, u])
+    step_el = np.concatenate([labels, inv[labels]])
+    pot = np.full(len(X.vertices), -1, dtype=np.intp)
+    pot[X.positions((v,))[0]] = 0
+    while (step := (pot[tail] >= 0) & (pot[head] < 0)).any():
+        pot[head[step]] = mul[pot[tail[step]], step_el[step]]
+    if (pot < 0).any():
         raise Disconnected("holonomy needs a connected 1-skeleton")
-    pot = {v: 0}
-    frontier = [v]
-    tree_edges = set()
-    while frontier:
-        x = frontier.pop(0 if order == "bfs" else -1)
-        for y in sorted(skel.neighbors(x)):
-            if y not in pot:
-                pot[y] = group.mul(pot[x], directed_label(group, labeling, x, y))
-                tree_edges.add(edge_key(x, y))
-                frontier.append(y)
-    gens = set()
-    for u, w in skel.edges:
-        if (u, w) in tree_edges:
-            continue
-        g = group.mul(
-            group.mul(pot[u], directed_label(group, labeling, u, w)),
-            group.inv(pot[w]),
-        )
-        gens.add(g)
-    return subgroup_closure(group, gens)
+    gens = mul[mul[pot[u], labels], inv[pot[w]]]
+    return subgroup_closure(group, np.unique(gens))
 
 
 def connected_components(X):
@@ -292,9 +283,6 @@ def _injective_on_links(inv, rest, phi):
 
 def cover_to_dict(cover):
     """JSON form: base and group references plus lifted faces as pairs."""
-    from .complexes import complex_to_dict
-    from .groups import group_to_dict
-
     return {
         "base": complex_to_dict(cover.base),
         "group": group_to_dict(cover.group),
@@ -306,10 +294,6 @@ def cover_to_dict(cover):
     }
 
 
-def push_cocycle(X, labeling, group, quotient):
+def push_cocycle(X, labels, group, quotient):
     """Project a cocycle through a quotient map; the image is again a cocycle."""
-    ok, witness = is_cocycle(X, labeling, group)
-    if not ok:
-        raise NotACocycle(f"input fails the triangle condition at {witness}",
-                          witness=witness)
-    return {e: quotient.project(g) for e, g in labeling.items()}
+    return quotient.projection[_checked_cocycle(X, labels, group, "input fails the triangle condition")]

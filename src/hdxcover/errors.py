@@ -115,8 +115,8 @@ class Unmeasurable(HdxError):
 
 # --- covers ---
 
-class NotAnEdge(HdxError):
-    pass
+class BadLabeling(HdxError):
+    """A labeling or potential is not one group element per edge or vertex."""
 
 
 class NotACocycle(HdxError):

@@ -23,7 +23,7 @@ from . import groups as groups_mod
 from . import pruning as pruning_mod
 from . import sparsify as sparsify_mod
 from .complexes import check_suitable, complete_complex, complex_from_dict
-from .errors import HdxError, InputError
+from .errors import HdxError, InputError, UnsatisfiedBase
 from .graphs import WGraph, complete_graph
 from .spectral import adjacency_spectrum, is_hdx, spectra_csv
 
@@ -262,7 +262,7 @@ def _prune_stages(report, params, seed):
     report.outcome = {
         "labeling": [
             [int(u), int(v), int(l)]
-            for (u, v), l in zip(outcome.edges, outcome.labeling)
+            for (u, v), l in zip(pruner.edges, outcome.labeling)
         ],
         "y_top_faces": []
         if outcome.y is None
@@ -313,14 +313,12 @@ def _audit_clean_prune(report, pruner, outcome):
         {"fractions": {str(k): v for k, v in fractions.items()}, "bound": uniform_bound},
     )
 
-    f_elems = outcome.labeling_elements(gens)
-    hol = covers_mod.holonomy_subgroup(y, f_elems, group, y.vertices[0])
-    report.add_audit(
-        "holonomy_full", len(hol) == group.order, {"subgroup_order": len(hol)}
-    )
-
-    cover = covers_mod.build_cover(y, f_elems, group)
+    cover = covers_mod.build_cover(y, pruner.elements_on(y, f), group)
     comp = covers_mod.cover_components(cover)
+    hol_order = group.order // comp.expected_index
+    report.add_audit(
+        "holonomy_full", hol_order == group.order, {"subgroup_order": hol_order}
+    )
     report.add_audit(
         "cover_connected",
         comp.count == 1 and comp.matches,
@@ -347,9 +345,10 @@ def _audit_clean_prune(report, pruner, outcome):
     bound = config.r ** (15 * d)
     for ell in range(0, d - 1):
         for sigma in X.faces(ell):
-            if not pruner.face_satisfied(sigma, f):
+            try:
+                ratio = pruning_mod.measure_ratio_audit(pruner, y, f, sigma)
+            except UnsatisfiedBase:
                 continue
-            ratio = pruning_mod.measure_ratio_audit(pruner, y, f, sigma)
             if not ratio.support_matches:
                 report.add_audit("measure_ratio", False, {"sigma": list(sigma)})
                 return
@@ -378,14 +377,13 @@ def run_cover_family(report, params, seed):
     report, pruner, outcome = run_prune(report, params, seed)
     if outcome.status != "clean":
         return report
-    group, gens = pruner.group, pruner.gens
-    y = outcome.y
-    f_elems = outcome.labeling_elements(gens)
+    group, y = pruner.group, outcome.y
+    labels = pruner.elements_on(y, outcome.labeling)
     family = []
     lam = pruner.config.lambda_target
     for sub in groups_mod.normal_subgroups(group, index_cap=index_cap):
         quotient = groups_mod.quotient_group(group, sub)
-        pushed = covers_mod.push_cocycle(y, f_elems, group, quotient)
+        pushed = covers_mod.push_cocycle(y, labels, group, quotient)
         cover = covers_mod.build_cover(y, pushed, quotient.group)
         comp = covers_mod.cover_components(cover)
         vc = covers_mod.verify_cover(cover)

@@ -288,17 +288,13 @@ def resample(sampler, x, values, rng, budget):
 @dataclass
 class PruneOutcome:
     status: str  # "clean" | "budget_exhausted"
-    labeling: np.ndarray
-    edges: tuple
+    labeling: np.ndarray  # generator indices aligned with X.faces(1)
     y: PureComplex | None
     isolated_vertices: tuple
     resamples: int
     transcript: tuple
     violations_remaining: tuple
     config: PruneConfig
-
-    def labeling_elements(self, gens):
-        return {e: int(gens[l]) for e, l in zip(self.edges, self.labeling)}
 
 
 def sample_labeling(X, m, rng):
@@ -372,16 +368,23 @@ class Pruner:
 
     # --- labeling helpers ---
 
-    def as_array(self, f):
-        """The label array of a labeling given as a dict keyed by edge."""
-        return np.array([f[e] for e in self.edges], dtype=np.int64)
-
     def directed_element(self, f, u, v):
         """The element f puts on the edge from u to v: the edge's generator
         upward, its inverse downward."""
         if u < v:
             return self.gens[f[self.edge_pos[u, v]]]
         return self.group.inv(self.gens[f[self.edge_pos[v, u]]])
+
+    def elements_on(self, Y, f):
+        """The group element f puts on each edge of the subcomplex Y,
+        aligned with Y.faces(1): the labeling the covers of Y take."""
+        xv = np.asarray(self.X.vertices)
+        pos = np.searchsorted(xv, Y.vertices).clip(max=len(xv) - 1)
+        rows = np.where(xv[pos] == Y.vertices, pos, -1)[Y.level(1).rows]
+        edge = self.X.face_index(rows)
+        if (edge < 0).any():
+            raise NotAFace("Y is not a subcomplex of the pruner's complex")
+        return self.s_elems[f[edge]]
 
     def _tri_index(self, rows):
         """Edge positions (ab, bc, ac) of every triangle a < b < c of each
@@ -652,7 +655,6 @@ class Pruner:
         return PruneOutcome(
             status="budget_exhausted" if remaining else "clean",
             labeling=f,
-            edges=self.edges,
             y=y,
             isolated_vertices=isolated,
             resamples=len(transcript),
@@ -686,18 +688,13 @@ def pruned_measure(pruner, Y, f):
     """
     d = Y.dim
     c_e = pruner.cayley.complex.link((0,))
-    # Y's top faces as rows of positions in the pruner's complex
-    xv = np.asarray(pruner.X.vertices)
-    pos = np.searchsorted(xv, Y.vertices).clip(max=len(xv) - 1)
-    tops = np.where(xv[pos] == Y.vertices, pos, -1)[Y.top_positions()]
     # the element on the edge from column p to column q of each top face:
-    # the edge's generator upward, its inverse downward
+    # the edge's element upward, its inverse downward
     p, q = np.nonzero(~np.eye(d + 1, dtype=bool))
-    pairs = np.stack([np.minimum(p, q), np.maximum(p, q)], axis=1)
-    edge = pruner.X.face_index(tops[:, pairs].reshape(-1, 2)).reshape(len(tops), -1)
-    if (edge < 0).any():
-        raise NotAFace("Y is not a subcomplex of the pruner's complex")
-    elems = np.where(p < q, pruner.s_elems[f[edge]], pruner.inv_elems[f[edge]])
+    subsets = list(itertools.combinations(range(d + 1), 2))
+    cols = [subsets.index((min(a, b), max(a, b))) for a, b in zip(p, q)]
+    up = pruner.elements_on(Y, f)[Y.level(1).pairs[:, cols]]
+    elems = np.where(p < q, up, pruner.group.inv_table[up])
     # The d! orientations of a face with first vertex p realize patterns
     # exactly when p's elements to the other vertices form a top face of c_e,
     # and then realize each of that face's d! patterns once.
@@ -719,9 +716,8 @@ def pruned_measure(pruner, Y, f):
     k = math.factorial(d)
     patterns = {o: m for t, m in zip(c_e.top_faces, fiber_mass)
                 for o in itertools.permutations(t)}
-    return PrunedMeasure(
-        np.bincount(np.repeat(face, k), np.repeat(weights, k), len(tops)), patterns
-    )
+    weights = np.bincount(np.repeat(face, k), np.repeat(weights, k), len(Y.top_faces))
+    return PrunedMeasure(weights, patterns)
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,13 @@ from types import SimpleNamespace
 import numpy as np
 
 from hdxcover.complexes import TOL, build_complex
-from hdxcover.covers import CoverReport
+from hdxcover.covers import CoverComplex, CoverReport
 from hdxcover.errors import (
     DegenerateColoring,
+    Disconnected,
     EmptyResult,
     EmptySide,
+    NotACocycle,
     NotPure,
     NotSymmetricGenSet,
     Unmeasurable,
@@ -234,6 +236,107 @@ def plain_verify_cover(cover, tol=1e-9):
         faces_checked=checked,
         violations=tuple(violations),
     )
+
+
+def label_dict(X, labels):
+    """A label array as the dict keyed by edge that the plain covers read."""
+    return {e: int(g) for e, g in zip(X.faces(1), labels)}
+
+
+def plain_directed_label(group, labeling, u, v):
+    """Label of the oriented edge (u, v): f(uv) if u < v, else its inverse."""
+    g = labeling[(u, v) if u < v else (v, u)]
+    return g if u < v else group.inv(g)
+
+
+def plain_is_cocycle(X, labels, group):
+    """Reference triangle check: one dict lookup per edge of each 2-face."""
+    labeling = label_dict(X, labels)
+    if X.dim < 2:
+        return True, None
+    for i, j, k in X.faces(2):
+        lhs = group.mul(labeling[(i, j)], labeling[(j, k)])
+        if lhs != labeling[(i, k)]:
+            return False, (i, j, k)
+    return True, None
+
+
+def plain_build_cover(X, labels, group):
+    """Reference cover: each top face lifted in Python, one directed label
+    and one tuple sort per lifted face."""
+    if X.dim < 2:
+        raise NotACocycle("covers are built over complexes of dimension >= 2")
+    ok, witness = plain_is_cocycle(X, labels, group)
+    if not ok:
+        raise NotACocycle(f"triangle condition fails at {witness}", witness=witness)
+    labeling = label_dict(X, labels)
+    n_g = group.order
+    pos = {v: i for i, v in enumerate(X.vertices)}
+
+    def vid(v, g):
+        return pos[v] * n_g + g
+
+    legend = {vid(v, g): (v, g) for v in X.vertices for g in range(n_g)}
+    tops = []
+    weights = []
+    for face, w in zip(X.top_faces, X.weights):
+        v0 = face[0]
+        shifts = [
+            0 if v == v0 else plain_directed_label(group, labeling, v0, v)
+            for v in face
+        ]
+        share = w / n_g
+        for g in range(n_g):
+            row = group.mul_table[g]
+            tops.append(tuple(sorted(vid(v, int(row[s])) for v, s in zip(face, shifts))))
+            weights.append(share)
+    cover = build_complex(X.dim, tops, weights)
+    return CoverComplex(cover, X, group, labeling, legend)
+
+
+def same_cover(a, b):
+    """Equal top faces and legends, and weights equal bit for bit."""
+    return (a.complex.top_faces == b.complex.top_faces
+            and a.complex.weights.tobytes() == b.complex.weights.tobytes()
+            and a.legend == b.legend)
+
+
+def plain_holonomy_subgroup(X, labels, group, v, order="bfs"):
+    """Reference holonomy: a bfs or dfs spanning tree walked vertex by
+    vertex, one generator per non-tree edge."""
+    labeling = label_dict(X, labels)
+    skel = X.one_skeleton()
+    if not skel.is_connected():
+        raise Disconnected("holonomy needs a connected 1-skeleton")
+    pot = {v: 0}
+    frontier = [v]
+    tree_edges = set()
+    while frontier:
+        x = frontier.pop(0 if order == "bfs" else -1)
+        for y in sorted(skel.neighbors(x)):
+            if y not in pot:
+                pot[y] = group.mul(pot[x], plain_directed_label(group, labeling, x, y))
+                tree_edges.add((x, y) if x < y else (y, x))
+                frontier.append(y)
+    gens = set()
+    for u, w in skel.edges:
+        if (u, w) in tree_edges:
+            continue
+        g = group.mul(
+            group.mul(pot[u], plain_directed_label(group, labeling, u, w)),
+            group.inv(pot[w]),
+        )
+        gens.add(g)
+    return groups_mod.subgroup_closure(group, gens)
+
+
+def plain_push_cocycle(X, labels, group, quotient):
+    """Reference push: the checked labeling projected edge by edge, as a dict."""
+    ok, witness = plain_is_cocycle(X, labels, group)
+    if not ok:
+        raise NotACocycle(f"input fails the triangle condition at {witness}",
+                          witness=witness)
+    return {e: quotient.project(g) for e, g in label_dict(X, labels).items()}
 
 
 def plain_check_suitable(X, c, r):

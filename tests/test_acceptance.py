@@ -141,7 +141,7 @@ def test_criterion_4_cover_soundness():
         group = groups[seed % len(groups)]
         n = int(rng.integers(5, 11))
         X = complete_complex(n, 2)
-        potential = {v: int(rng.integers(group.order)) for v in X.vertices}
+        potential = [int(rng.integers(group.order)) for v in X.vertices]
         f = coboundary_labeling(X, group, potential)
         cover = build_cover(X, f, group)
 
@@ -178,11 +178,11 @@ def test_criterion_5_pruning_end_to_end(prune_fixture):
         bound = (1 / (2 * m**2)) ** 2
         assert all(fr[k] >= bound for k in fr)
 
-        f_elems = out.labeling_elements(gens)
-        hol = holonomy_subgroup(y, f_elems, group, y.vertices[0])
+        labels = pruner.elements_on(y, out.labeling)
+        hol = holonomy_subgroup(y, labels, group, y.vertices[0])
         assert len(hol) == group.order
 
-        cover = build_cover(y, f_elems, group)
+        cover = build_cover(y, labels, group)
         comp = cover_components(cover)
         assert comp.count == 1 and comp.matches
 

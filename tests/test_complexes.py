@@ -229,7 +229,7 @@ def _skeleton_inputs():
     for dim in (2, 3):
         X = random_complex(rng, 7, dim, keep=0.7)
         g = cyclic(3)
-        f = coboundary_labeling(X, g, {v: int(rng.integers(3)) for v in X.vertices})
+        f = coboundary_labeling(X, g, [int(rng.integers(3)) for v in X.vertices])
         out.append((f"cover-d{dim}", build_cover(X, f, g).complex))
     return out
 
@@ -283,7 +283,7 @@ def _face_index_inputs():
         gens = sorted({h for x in seeds for h in (x, g.inv(x))})
         out.append((f"cayley-{name}", cayley_clique_complex(g, gens, dim).complex))
     X, z6 = random_complex(rng, 7, 2), cyclic(6)
-    f = coboundary_labeling(X, z6, {v: int(rng.integers(6)) for v in X.vertices})
+    f = coboundary_labeling(X, z6, [int(rng.integers(6)) for v in X.vertices])
     out.append(("cover-Z6", build_cover(X, f, z6).complex))
     out.append(("relabeled", relabeled(random_complex(rng, 8, 3, keep=0.5))))
     faces = list(itertools.combinations(range(7), 3))

@@ -1,5 +1,10 @@
+import functools
+import operator
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdxcover.complexes import build_complex, complete_complex
 from hdxcover.covers import (
@@ -7,14 +12,40 @@ from hdxcover.covers import (
     coboundary_labeling,
     connected_components,
     cover_components,
-    directed_label,
     holonomy_subgroup,
     is_cocycle,
     push_cocycle,
     verify_cover,
 )
-from hdxcover.errors import Disconnected, NotACocycle, NotAnEdge
-from hdxcover.groups import cyclic, quotient_group, symmetric_group
+from hdxcover.errors import BadLabeling, Disconnected, HdxError, NotACocycle
+from hdxcover.groups import (
+    cyclic,
+    dihedral,
+    normal_subgroups,
+    product_group,
+    quotient_group,
+    symmetric_group,
+    validate_genset,
+)
+from hdxcover.harness import stage_seed
+from hdxcover.pruning import PruneConfig, Pruner
+
+from helpers import (
+    checked,
+    label_dict,
+    plain_build_cover,
+    plain_holonomy_subgroup,
+    plain_is_cocycle,
+    plain_push_cocycle,
+    random_complex,
+    relabeled,
+    same_cover,
+)
+
+
+def labels_of(X, f):
+    """A labeling given edge by edge, as the label array over X.faces(1)."""
+    return np.array([f[e] for e in X.faces(1)], dtype=np.int64)
 
 
 def annulus_complex():
@@ -29,60 +60,140 @@ def annulus_cocycle(group, hole_element):
     f[(0, 2)] = hole_element  # chord of the free cycle 0-2-4-0
     # keep the triangles consistent: (0,1,2) forces f(01)*f(12) = f(02)
     f[(1, 2)] = hole_element
-    return X, f
+    return X, labels_of(X, f)
+
+
+def triangle_cover(group, f):
+    """The cover of one triangle under labels given edge by edge."""
+    X = build_complex(2, [tuple(sorted({v for e in f for v in e}))])
+    return build_cover(X, labels_of(X, f), group)
+
+
+def lift_step(cover, u, g, v):
+    """The element over v of the cover vertex next to the lift of u at g."""
+    skel = cover.complex.one_skeleton()
+    (start,) = [x for x, pair in cover.legend.items() if pair == (u, g)]
+    (h,) = [cover.legend[y][1] for y in skel.neighbors(start) if cover.phi(y) == v]
+    return h
 
 
 class TestDirectedLabels:
+    """The edge from u to v carries f(uv) if u < v and its inverse if not;
+    the cover's edges and the holonomy read labels by that rule."""
+
     def test_self_inverse_same_both_ways(self):
         g = cyclic(2)
-        f = {(1, 3): 1}
-        assert directed_label(g, f, 1, 3) == directed_label(g, f, 3, 1) == 1
+        cover = triangle_cover(g, {(1, 2): 1, (1, 3): 1, (2, 3): 0})
+        assert lift_step(cover, 1, 0, 3) == lift_step(cover, 3, 0, 1) == 1
 
     def test_inverse_arithmetic(self):
         g = cyclic(5)
-        f = {(1, 3): 2}
-        assert directed_label(g, f, 3, 1) == 3
+        cover = triangle_cover(g, {(1, 2): 2, (1, 3): 2, (2, 3): 0})
+        assert lift_step(cover, 1, 0, 3) == 2
+        assert lift_step(cover, 3, 0, 1) == 3
 
     def test_round_trip_is_identity(self):
         g = cyclic(7)
-        f = {(0, 4): 3}
-        assert g.mul(directed_label(g, f, 0, 4), directed_label(g, f, 4, 0)) == 0
+        cover = triangle_cover(g, {(0, 2): 3, (0, 4): 3, (2, 4): 0})
+        for h in range(7):
+            assert lift_step(cover, 4, lift_step(cover, 0, h, 4), 0) == h
+        assert holonomy_subgroup(cover.base, cover.labeling, g, 0) == (0,)
 
     def test_not_an_edge(self):
-        with pytest.raises(NotAnEdge):
-            directed_label(cyclic(3), {}, 0, 1)
+        # a labeling that leaves an edge without a label is rejected
+        X = build_complex(2, [(0, 1, 2)])
+        short = np.zeros(2, dtype=np.int64)
+        for call in (is_cocycle, build_cover):
+            with pytest.raises(BadLabeling):
+                call(X, short, cyclic(3))
+        with pytest.raises(BadLabeling):
+            holonomy_subgroup(X, short, cyclic(3), 0)
 
 
 class TestCocycles:
     def test_coboundary_is_cocycle(self):
         g = cyclic(5)
         X = complete_complex(5, 2)
-        f = coboundary_labeling(X, g, {i: (2 * i + 1) % 5 for i in range(5)})
+        f = coboundary_labeling(X, g, [(2 * i + 1) % 5 for i in range(5)])
         ok, witness = is_cocycle(X, f, g)
         assert ok and witness is None
 
     def test_constant_one_fails_with_witness(self):
         g = cyclic(2)
         X = complete_complex(4, 2)
-        f = {e: 1 for e in X.faces(1)}
+        f = np.ones(X.n_faces(1), dtype=np.int64)
         ok, witness = is_cocycle(X, f, g)
         assert not ok
         assert witness in X.faces(2)
 
     def test_no_triangles_vacuous(self):
         g = cyclic(2)
-        X = annulus_complex()
-        f, _ = {}, None
         # a labeling violating nothing because we only flip a chordless cycle
         X2, f = annulus_cocycle(g, 1)
         assert is_cocycle(X2, f, g)[0]
+
+
+K4 = complete_complex(4, 2)
+
+
+def k4_labels(f01):
+    """f(0,1) = f01, f(1,2) = f(1,3) = 1 and 0 elsewhere: over Z3 a cocycle
+    exactly when f01 is 2."""
+    return labels_of(K4, {(0, 1): f01, (0, 2): 0, (0, 3): 0, (1, 2): 1, (1, 3): 1,
+                          (2, 3): 0})
+
+
+K4_LABELS = k4_labels(2)
+MALFORMED = {
+    "2-D": K4_LABELS.reshape(2, 3),
+    "float": K4_LABELS.astype(float),
+    "bool": K4_LABELS.astype(bool),
+    "dict": label_dict(K4, K4_LABELS),
+    "short": K4_LABELS[:-1],
+    "long": np.append(K4_LABELS, 0),
+    "negative": k4_labels(-1),
+    "too-large": k4_labels(5),
+}
+ENTRY_POINTS = {
+    "is_cocycle": lambda f: is_cocycle(K4, f, cyclic(3)),
+    "build_cover": lambda f: build_cover(K4, f, cyclic(3)),
+    "holonomy_subgroup": lambda f: holonomy_subgroup(K4, f, cyclic(3), 0),
+    "push_cocycle": lambda f: push_cocycle(
+        K4, f, cyclic(3), quotient_group(cyclic(3), [0])),
+}
+
+
+class TestMalformedLabels:
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_rejected(self, case, entry):
+        with pytest.raises(BadLabeling):
+            ENTRY_POINTS[entry](MALFORMED[case])
+
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    def test_well_formed_accepted(self, entry):
+        ENTRY_POINTS[entry](K4_LABELS)
+
+    def test_negative_label_does_not_wrap(self):
+        # read modulo 3, f(0,1) = -1 would be the cocycle K4_LABELS, whose
+        # 12-vertex cover verify_cover accepts
+        cover = build_cover(K4, K4_LABELS, cyclic(3))
+        assert len(cover.complex.vertices) == 12 and verify_cover(cover).ok
+        with pytest.raises(BadLabeling):
+            is_cocycle(K4, k4_labels(-1), cyclic(3))
+
+    @pytest.mark.parametrize("potential", [[0, 1, 2], [0, 1, 2, 3], [0, -1, 2, 1],
+                                           [0.0, 1.0, 2.0, 1.0]])
+    def test_bad_potential(self, potential):
+        with pytest.raises(BadLabeling):
+            coboundary_labeling(K4, cyclic(3), potential)
 
 
 class TestBuildCover:
     def test_trivial_group(self):
         g = cyclic(1)
         X = complete_complex(5, 2)
-        f = {e: 0 for e in X.faces(1)}
+        f = np.zeros(X.n_faces(1), dtype=np.int64)
         cover = build_cover(X, f, g)
         assert len(cover.complex.top_faces) == len(X.top_faces)
         assert cover_components(cover).count == 1
@@ -90,7 +201,7 @@ class TestBuildCover:
     def test_three_disjoint_triangles(self):
         g = cyclic(3)
         X = build_complex(2, [(0, 1, 2)])
-        f = {e: 0 for e in X.faces(1)}
+        f = np.zeros(X.n_faces(1), dtype=np.int64)
         cover = build_cover(X, f, g)
         assert len(cover.complex.top_faces) == 3
         count, _ = connected_components(cover.complex)
@@ -99,7 +210,7 @@ class TestBuildCover:
     def test_vertex_count_scales(self):
         g = symmetric_group(3)
         X = complete_complex(6, 2)
-        f = coboundary_labeling(X, g, {i: i for i in range(6)})
+        f = coboundary_labeling(X, g, list(range(6)))
         cover = build_cover(X, f, g)
         assert len(cover.complex.vertices) == 6 * 6
         assert len(cover.complex.top_faces) == len(X.top_faces) * 6
@@ -107,14 +218,14 @@ class TestBuildCover:
     def test_rejects_non_cocycle(self):
         g = cyclic(2)
         X = complete_complex(4, 2)
-        f = {e: 1 for e in X.faces(1)}
+        f = np.ones(X.n_faces(1), dtype=np.int64)
         with pytest.raises(NotACocycle):
             build_cover(X, f, g)
 
     def test_fiber_sizes(self):
         g = cyclic(4)
         X = complete_complex(4, 2)
-        f = coboundary_labeling(X, g, {i: i % 4 for i in range(4)})
+        f = coboundary_labeling(X, g, [i % 4 for i in range(4)])
         cover = build_cover(X, f, g)
         for v in X.vertices:
             assert len(cover.fiber(v)) == 4
@@ -127,7 +238,7 @@ class TestBuildCover:
             rng.random(4) + 0.2,
         )
         g = cyclic(3)
-        f = coboundary_labeling(X, g, {i: int(rng.integers(3)) for i in range(4)})
+        f = coboundary_labeling(X, g, [int(rng.integers(3)) for i in range(4)])
         cover = build_cover(X, f, g)
         push = {}
         for face, w in zip(cover.complex.top_faces, cover.complex.weights):
@@ -141,7 +252,7 @@ class TestHolonomy:
     def test_coboundary_trivial(self):
         g = cyclic(6)
         X = complete_complex(5, 2)
-        f = coboundary_labeling(X, g, {i: (i * 5) % 6 for i in range(5)})
+        f = coboundary_labeling(X, g, [(i * 5) % 6 for i in range(5)])
         assert holonomy_subgroup(X, f, g, 0) == (0,)
 
     def test_complete_complex_always_trivial(self):
@@ -149,7 +260,7 @@ class TestHolonomy:
         g = symmetric_group(3)
         X = complete_complex(5, 2)
         rng = np.random.default_rng(1)
-        f = coboundary_labeling(X, g, {i: int(rng.integers(6)) for i in range(5)})
+        f = coboundary_labeling(X, g, [int(rng.integers(6)) for i in range(5)])
         assert holonomy_subgroup(X, f, g, 0) == (0,)
 
     def test_annulus_full_holonomy(self):
@@ -164,11 +275,14 @@ class TestHolonomy:
         assert holonomy_subgroup(X, f, g, 0) == (0, 2, 4)
 
     def test_tree_choice_irrelevant(self):
+        # the layered array tree gives the subgroup of a bfs and a dfs tree
         g = cyclic(6)
-        X, f = annulus_cocycle(g, 3)
-        assert holonomy_subgroup(X, f, g, 0, order="bfs") == holonomy_subgroup(
-            X, f, g, 0, order="dfs"
-        )
+        for hole in range(6):
+            X, f = annulus_cocycle(g, hole)
+            for order in ("bfs", "dfs"):
+                assert holonomy_subgroup(X, f, g, 0) == plain_holonomy_subgroup(
+                    X, f, g, 0, order
+                )
 
     def test_root_choice_gives_same_index(self):
         g = cyclic(6)
@@ -178,7 +292,7 @@ class TestHolonomy:
 
     def test_disconnected_raises(self):
         X = build_complex(2, [(0, 1, 2), (3, 4, 5)])
-        f = {e: 0 for e in X.faces(1)}
+        f = np.zeros(X.n_faces(1), dtype=np.int64)
         with pytest.raises(Disconnected):
             holonomy_subgroup(X, f, cyclic(2), 0)
 
@@ -214,7 +328,7 @@ class TestVerifyCover:
 
         g = cyclic(3)
         X = complete_complex(4, 2)
-        f = coboundary_labeling(X, g, {i: i % 3 for i in range(4)})
+        f = coboundary_labeling(X, g, [i % 3 for i in range(4)])
         cover = build_cover(X, f, g)
         tops = list(cover.complex.top_faces)
         broken = build_complex(
@@ -228,7 +342,7 @@ class TestVerifyCover:
     def test_trivial_cover_is_global_isomorphism(self):
         g = cyclic(1)
         X = complete_complex(5, 2)
-        f = {e: 0 for e in X.faces(1)}
+        f = np.zeros(X.n_faces(1), dtype=np.int64)
         rep = verify_cover(build_cover(X, f, g))
         assert rep.ok
 
@@ -238,7 +352,7 @@ class TestVerifyCover:
         from helpers import plain_cofaces
 
         X = build_complex(4, [tuple(range(5 * i, 5 * i + 5)) for i in range(1300)])
-        cover = build_cover(X, {e: 0 for e in X.faces(1)}, cyclic(2))
+        cover = build_cover(X, np.zeros(X.n_faces(1), dtype=np.int64), cyclic(2))
         rep = verify_cover(cover)
         assert rep.ok and rep.violations == ()
         ref = plain_cofaces(X)
@@ -263,7 +377,7 @@ class TestVerifyCover:
             n, dim, order = {"K6-Z3": (6, 2, 3), "K7-d3-Z2": (7, 3, 2)}[case]
             g = cyclic(order)
             X = complete_complex(n, dim)
-            potential = {v: int(rng.integers(order)) for v in X.vertices}
+            potential = [int(rng.integers(order)) for v in X.vertices]
             f = coboundary_labeling(X, g, potential)
         cover = build_cover(X, f, g)
         tops, weights = list(cover.complex.top_faces), cover.complex.weights.copy()
@@ -354,7 +468,7 @@ class TestPushCocycle:
         X, f = annulus_cocycle(g, 1)
         q = quotient_group(g, list(range(6)))
         pushed = push_cocycle(X, f, g, q)
-        assert set(pushed.values()) == {0}
+        assert set(pushed.tolist()) == {0}
         cover = build_cover(X, pushed, q.group)
         assert len(cover.complex.top_faces) == len(X.top_faces)
 
@@ -363,8 +477,7 @@ class TestPushCocycle:
         X, f = annulus_cocycle(g, 5)
         q = quotient_group(g, [0])
         pushed = push_cocycle(X, f, g, q)
-        relabel = {q.project(v): k for v, k in enumerate(range(6))}
-        assert all(pushed[e] == q.project(f[e]) for e in f)
+        assert pushed.tolist() == [q.project(h) for h in f]
 
     def test_z6_to_z3_cover(self):
         g = cyclic(6)
@@ -380,4 +493,121 @@ class TestPushCocycle:
         X = complete_complex(4, 2)
         q = quotient_group(g, [0])
         with pytest.raises(NotACocycle):
-            push_cocycle(X, {e: 1 for e in X.faces(1)}, g, q)
+            push_cocycle(X, np.ones(X.n_faces(1), dtype=np.int64), g, q)
+
+
+def agree(fast, plain, same, *args):
+    """checked, counting a library error that both raise alike as agreement;
+    returns the fast result, or None on such an error."""
+    try:
+        return checked(fast, plain, same, *args)
+    except HdxError:
+        return None
+
+
+def assert_matches_plain(X, labels, group, quotients=()):
+    """The array cocycle layer against the dict references: the cocycle
+    check and its witness, the cover, the holonomy under both tree orders,
+    and the pushed labeling with everything built from it."""
+    agree(is_cocycle, plain_is_cocycle, operator.eq, X, labels, group)
+    agree(build_cover, plain_build_cover, same_cover, X, labels, group)
+    for order in ("bfs", "dfs"):
+        plain = functools.partial(plain_holonomy_subgroup, order=order)
+        for root in (X.vertices[0], X.vertices[len(X.vertices) // 2], X.vertices[-1]):
+            agree(holonomy_subgroup, plain, operator.eq, X, labels, group, root)
+    for q in quotients:
+        pushed = agree(push_cocycle, plain_push_cocycle,
+                       lambda got, want: label_dict(X, got) == want,
+                       X, labels, group, q)
+        if pushed is not None:
+            assert_matches_plain(X, pushed, q.group)
+
+
+DIFF_GROUPS = [cyclic(2), cyclic(5), cyclic(6), dihedral(3), symmetric_group(3),
+               product_group(cyclic(2), cyclic(2))]
+
+
+def quotients_of(group):
+    return [quotient_group(group, sub) for sub in normal_subgroups(group)]
+
+
+class TestArrayCocycles:
+    """The array cocycle layer against the dict code it replaced."""
+
+    @pytest.mark.parametrize(
+        "n, gens, r, seed",
+        [(6, [1, 2, 3, 4, 5], 2.0, 1), (5, [1, 2, 3, 4], 1.5, 2)],
+        ids=["cover-family-z6", "prune-k30"],
+    )
+    def test_benchmark_clean_y(self, n, gens, r, seed):
+        # the K30 prunes of the cover-family-z6 and prune-k30 benchmarks
+        group = cyclic(n)
+        pruner = Pruner(complete_complex(30, 2), group, validate_genset(group, gens),
+                        PruneConfig.empirical(0.9, r=r))
+        outcome = pruner.run(stage_seed(seed, "prune"))
+        assert outcome.status == "clean"
+        y = outcome.y
+        labels = pruner.elements_on(y, outcome.labeling)
+        on_x = dict(zip(pruner.edges, pruner.s_elems[outcome.labeling].tolist()))
+        assert label_dict(y, labels) == {e: on_x[e] for e in y.faces(1)}
+        assert is_cocycle(y, labels, group) == (True, None)
+        assert_matches_plain(y, labels, group, quotients_of(group))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_relabeled_complexes(self, seed):
+        # vertex labels that are no positions, cocycles and not
+        rng = np.random.default_rng(seed)
+        group = DIFF_GROUPS[seed % len(DIFF_GROUPS)]
+        X = relabeled(random_complex(rng, 7, 2 + seed % 2, keep=0.6))
+        potential = rng.integers(group.order, size=len(X.vertices))
+        f = coboundary_labeling(X, group, potential)
+        assert_matches_plain(X, f, group, quotients_of(group))
+        noise = rng.integers(group.order, size=len(f))
+        assert_matches_plain(X, np.where(rng.random(len(f)) < 0.2, noise, f), group,
+                             quotients_of(group))
+
+    def test_witness_is_first_bad_triangle(self):
+        g = cyclic(5)
+        X = relabeled(complete_complex(6, 3))
+        f = coboundary_labeling(X, g, [1, 4, 0, 2, 3, 1])
+        for e in (0, 7, len(f) - 1):
+            bad = f.copy()
+            bad[e] = (bad[e] + 1) % 5
+            ok, witness = is_cocycle(X, bad, g)
+            assert not ok and (ok, witness) == plain_is_cocycle(X, bad, g)
+            with pytest.raises(NotACocycle) as err:
+                build_cover(X, bad, g)
+            assert err.value.witness == witness
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(DIFF_GROUPS), st.integers(4, 7), st.integers(2, 3),
+           st.data())
+    def test_drawn_coboundaries(self, group, n, dim, data):
+        X = complete_complex(n, dim)
+        potential = data.draw(st.lists(st.integers(0, group.order - 1),
+                                       min_size=n, max_size=n))
+        f = coboundary_labeling(X, group, potential)
+        flip = data.draw(st.none() | st.integers(0, len(f) - 1))
+        if flip is not None:
+            f[flip] = data.draw(st.integers(0, group.order - 1))
+        assert_matches_plain(X, f, group, quotients_of(group))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(DIFF_GROUPS), st.booleans(), st.data())
+    def test_drawn_annulus_cocycles(self, group, strip, data):
+        # the annulus cocycle, or the zero labeling of a strip of triangles,
+        # changed by the gauge f(uv) -> p(u)^-1 f(uv) p(v): labels on every
+        # edge, and potentials that spread several layers from most roots
+        if strip:
+            X = relabeled(build_complex(2, [(i, i + 1, i + 2) for i in range(8)]))
+            f = np.zeros(X.n_faces(1), dtype=np.int64)
+        else:
+            X, f = annulus_cocycle(group, data.draw(st.integers(0, group.order - 1)))
+        p = data.draw(st.lists(st.integers(0, group.order - 1),
+                               min_size=len(X.vertices), max_size=len(X.vertices)))
+        p = np.array(p)
+        u, v = X.level(1).rows.T
+        mul = group.mul_table
+        f = mul[group.inv_table[p[u]], mul[f, p[v]]]
+        assert is_cocycle(X, f, group) == (True, None)
+        assert_matches_plain(X, f, group, quotients_of(group))

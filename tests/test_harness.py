@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from hdxcover import cli, combine, groups, harness, pruning
+from hdxcover import cli, combine, covers, groups, harness, pruning
 from hdxcover.cli import main
 from hdxcover.complexes import PureComplex, check_suitable, complete_complex
 from hdxcover.covers import build_cover, coboundary_labeling
@@ -162,6 +162,41 @@ class TestOneSamplerPerExperiment:
         rep = run_experiment({"kind": "combine", "params": params, "seed": 0})
         assert rep.stages[0]["name"] == "combine"
         assert built == {"Pruner": 0, "Combiner": 1, "cayley": 0}
+
+
+class TestCleanPruneAudit:
+    """The clean-prune audit computes the holonomy once and checks each
+    measure-ratio face once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"holonomy_subgroup": 0, "face_satisfied": 0, "satisfaction_graph": 0}
+
+        def counting(name, real):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(covers, "holonomy_subgroup", counting(
+            "holonomy_subgroup", covers.holonomy_subgroup))
+        for name in ("face_satisfied", "satisfaction_graph"):
+            real = getattr(pruning.Pruner, name)
+            monkeypatch.setattr(pruning.Pruner, name, counting(name, real))
+        return counts
+
+    def test_holonomy_computed_once(self, calls):
+        rep = run_experiment(PRUNE_SPEC)
+        assert rep.status == "clean"
+        assert calls["holonomy_subgroup"] == 1
+        (audit,) = [a for a in rep.audits if a["name"] == "holonomy_full"]
+        assert audit["detail"] == {"subgroup_order": 5} and audit["ok"]
+
+    def test_each_face_checked_once(self, calls):
+        # every base face is checked by the satisfaction graph built on it,
+        # NE evaluations and the measure-ratio audit alike
+        assert run_experiment(PRUNE_SPEC).status == "clean"
+        assert calls["face_satisfied"] == calls["satisfaction_graph"] > 0
 
 
 class TestSparsifyPipeline:
@@ -480,7 +515,7 @@ class TestLinkSkeletonPath:
     def test_certifiers_build_no_complex_per_link(self, monkeypatch):
         X = complete_complex(9, 3)
         g = cyclic(3)
-        f = coboundary_labeling(X, g, {v: v % 3 for v in X.vertices})
+        f = coboundary_labeling(X, g, [v % 3 for v in X.vertices])
         cover = build_cover(X, f, g)
         built = []
         init = PureComplex.__init__

@@ -35,6 +35,7 @@ from hdxcover.spectral import is_hdx
 from helpers import (
     checked,
     plain_at_table,
+    plain_directed_label,
     plain_eval_at,
     plain_eval_bc,
     plain_event_scope,
@@ -54,10 +55,15 @@ def z5_pruner(X, **cfg):
 
 
 def coboundary_indices(X, potential):
-    """Coboundary labeling expressed as generator indices for Z5_GENS."""
-    elems = coboundary_labeling(X, Z5, potential)
-    rank = {e: i for i, e in enumerate(Z5_GENS)}
-    return {edge: rank[g] for edge, g in elems.items()}
+    """Coboundary labeling of a potential keyed by vertex, expressed as
+    generator indices for Z5_GENS over X.faces(1)."""
+    elems = coboundary_labeling(X, Z5, [potential[v] for v in X.vertices])
+    return np.searchsorted(Z5_GENS, elems)
+
+
+def label_array(X, f):
+    """Generator indices given edge by edge, as the array over X.faces(1)."""
+    return np.array([f[e] for e in X.faces(1)], dtype=np.int64)
 
 
 def plain_face_satisfied(pruner, face, f):
@@ -163,12 +169,12 @@ class TestIsSatisfied:
         X = build_complex(2, [(0, 1, 2)])
         f = {(0, 1): 0, (1, 2): 0, (0, 2): 0}  # every edge labeled by 1
         pruner = Pruner(X, g, (1,), PruneConfig(0.5))
-        assert not pruner.face_satisfied((0, 1, 2), pruner.as_array(f))
+        assert not pruner.face_satisfied((0, 1, 2), label_array(X, f))
 
     def test_edges_vacuous(self):
         X = complete_complex(4, 2)
         pruner = Pruner(X, cyclic(2), (1,), PruneConfig(0.5))
-        f = pruner.as_array({e: 0 for e in X.faces(1)})
+        f = np.zeros(X.n_faces(1), dtype=np.int64)
         assert pruner.face_satisfied((0, 1), f)
         assert pruner.face_satisfied((2,), f)
 
@@ -176,14 +182,14 @@ class TestIsSatisfied:
         X = complete_complex(5, 2)
         f = coboundary_indices(X, {i: i for i in range(5)})
         pruner = z5_pruner(X)
-        arr = pruner.as_array(f)
+        arr = f
         for face in X.faces(2):
             assert pruner.face_satisfied(face, arr)
 
     def test_not_a_face(self):
         X = complete_complex(4, 2)
         pruner = Pruner(X, cyclic(2), (1,), PruneConfig(0.5))
-        f = pruner.as_array({e: 0 for e in X.faces(1)})
+        f = np.zeros(X.n_faces(1), dtype=np.int64)
         with pytest.raises(NotAFace):
             pruner.face_satisfied((0, 9), f)
 
@@ -193,7 +199,7 @@ class TestFPruning:
         X = complete_complex(5, 2)
         f = coboundary_indices(X, {i: i for i in range(5)})
         pruner = z5_pruner(X)
-        y, isolated, _ = pruner.f_pruning(pruner.as_array(f))
+        y, isolated, _ = pruner.f_pruning(f)
         assert y.top_faces == X.top_faces
         assert isolated == ()
 
@@ -203,9 +209,10 @@ class TestFPruning:
         # triangles through one vertex hold, the fourth telescopes)
         X = complete_complex(4, 2)
         f = coboundary_indices(X, {i: i for i in range(4)})
-        f[(2, 3)] = (f[(2, 3)] + 1) % 4
+        e = X.faces(1).index((2, 3))
+        f[e] = (f[e] + 1) % 4
         pruner = z5_pruner(X)
-        y, isolated, _ = pruner.f_pruning(pruner.as_array(f))
+        y, isolated, _ = pruner.f_pruning(f)
         assert set(y.top_faces) == {(0, 1, 2), (0, 1, 3)}
         assert isolated == ()
 
@@ -214,7 +221,7 @@ class TestFPruning:
         X = complete_complex(4, 2)
         f = {e: 0 for e in X.faces(1)}  # all-ones labeling over Z/2
         pruner = Pruner(X, g, (1,), PruneConfig(0.5))
-        y, isolated, _ = pruner.f_pruning(pruner.as_array(f))
+        y, isolated, _ = pruner.f_pruning(label_array(X, f))
         assert y is None
         assert isolated == tuple(X.vertices)
 
@@ -231,7 +238,7 @@ class TestSatisfactionGraph:
         X = complete_complex(5, 2)
         f = coboundary_indices(X, {i: i for i in range(5)})
         pruner = z5_pruner(X)
-        sg = pruner.satisfaction_graph((0,), pruner.as_array(f))
+        sg = pruner.satisfaction_graph((0,), f)
         assert set(sg.graph.edges) == set(X.link((0,)).faces(1))
         assert not sg.degenerate
 
@@ -258,7 +265,7 @@ class TestSatisfactionGraph:
         X = complete_complex(6, 4)
         f = {e: 0 for e in X.faces(1)}
         pruner = Pruner(X, g, (1,), PruneConfig(0.5))
-        arr = pruner.as_array(f)
+        arr = label_array(X, f)
         with pytest.raises(UnsatisfiedBase):
             pruner.satisfaction_graph((0, 1, 2), arr)
 
@@ -284,8 +291,8 @@ Z13_GENS = tuple(range(1, 13))
 def perturbed_coboundary(X, pruner, rng, flip):
     """Z13 coboundary of an injective potential with a share of edges
     relabeled at random, so top and lower faces are mixed satisfied."""
-    elems = coboundary_labeling(X, Z13, {v: v % 13 for v in X.vertices})
-    f = np.array([elems[e] - 1 for e in pruner.edges], dtype=np.int64)
+    elems = coboundary_labeling(X, Z13, [v % 13 for v in X.vertices])
+    f = elems.astype(np.int64) - 1
     hit = rng.random(len(f)) < flip
     f[hit] = rng.integers(0, 12, size=int(hit.sum()))
     return f
@@ -415,7 +422,7 @@ class TestEvalEvent:
         X = complete_complex(8, 2)
         config = PruneConfig(0.5, r=1.5)
         pruner = Pruner(X, g, (1,), config)
-        f = pruner.as_array({e: 0 for e in X.faces(1)})
+        f = np.zeros(X.n_faces(1), dtype=np.int64)
         for v in X.vertices:
             assert not pruner.eval_event("AT", (v,), f)
 
@@ -423,7 +430,7 @@ class TestEvalEvent:
         X = complete_complex(8, 2)
         config = PruneConfig(0.5, r=1.5)
         pruner = Pruner(X, Z5, Z5_GENS, config)
-        f = pruner.as_array({e: 0 for e in X.faces(1)})  # only one label used
+        f = np.zeros(X.n_faces(1), dtype=np.int64)  # only one label used
         assert pruner.eval_event("AT", (0,), f)
 
     def test_at_top_dimension_rejected(self):
@@ -445,18 +452,16 @@ class TestEvalEvent:
             realized = set()
             lab = {e: elems[i] for e, i in f.items()}
             for u, w in [(1, 2), (2, 1)]:
-                from hdxcover.covers import directed_label
-
                 prod = group.mul(
                     group.mul(
-                        directed_label(group, lab, 0, u),
-                        directed_label(group, lab, u, w),
+                        plain_directed_label(group, lab, 0, u),
+                        plain_directed_label(group, lab, u, w),
                     ),
-                    directed_label(group, lab, w, 0),
+                    plain_directed_label(group, lab, w, 0),
                 )
                 realized.add(prod)
             expected = any(s not in realized for s in (1, 4))
-            assert pruner.eval_bc(0, pruner.as_array(f)) == expected
+            assert pruner.eval_bc(0, label_array(X, f)) == expected
 
     def test_bc_true_case_exists(self):
         # labels 1,1,4 on the triangle realize only {2,3}, missing S
@@ -464,14 +469,14 @@ class TestEvalEvent:
         gens = validate_genset(group, [1, 4], require_generating=False)
         X = build_complex(2, [(0, 1, 2)])
         pruner = Pruner(X, group, gens, PruneConfig(0.5))
-        f = pruner.as_array({(0, 1): 0, (1, 2): 0, (0, 2): 1})
+        f = label_array(X, {(0, 1): 0, (1, 2): 0, (0, 2): 1})
         assert pruner.eval_event("BC", (0,), f)
 
     def test_ne_disconnected_link(self):
         X = build_complex(2, [(0, 1, 2), (0, 3, 4)])
         f = coboundary_indices(X, {0: 0, 1: 1, 2: 2, 3: 3, 4: 4})
         pruner = Pruner(X, Z5, Z5_GENS, PruneConfig(0.9, ne_threshold=0.9))
-        assert pruner.eval_event("NE", (0,), pruner.as_array(f))
+        assert pruner.eval_event("NE", (0,), f)
 
     def test_ne_false_on_good_link(self, fixture30):
         X, pruner, outcome = fixture30
@@ -482,7 +487,7 @@ class TestEvalEvent:
         g = cyclic(2)
         X = complete_complex(4, 2)
         pruner = Pruner(X, g, (1,), PruneConfig(0.5, edge_cover_events=True))
-        f = pruner.as_array({e: 0 for e in X.faces(1)})
+        f = np.zeros(X.n_faces(1), dtype=np.int64)
         assert pruner.eval_event("EC", (0, 1), f)
 
 
@@ -703,7 +708,7 @@ class TestPrunedMeasure:
                           0.2 + rng.random(5))
         f = coboundary_indices(X, dict(enumerate(rng.permutation(5).tolist())))
         pruner = z5_pruner(X)
-        assert measured(pruner, X, pruner.as_array(f)).total == pytest.approx(1.0)
+        assert measured(pruner, X, f).total == pytest.approx(1.0)
 
     def test_face_outside_the_complex_raises(self):
         pruner = z5_pruner(complete_complex(5, 2))
@@ -715,7 +720,7 @@ class TestPrunedMeasure:
         X = complete_complex(5, 2)
         f = coboundary_indices(X, {i: i for i in range(5)})
         pruner = z5_pruner(X)
-        pm = measured(pruner, X, pruner.as_array(f))
+        pm = measured(pruner, X, f)
         assert pm.total == pytest.approx(1.0, abs=1e-12)
         # every ordered identity-link pattern is realized
         cayley = cayley_clique_complex(Z5, Z5_GENS, 2)
@@ -728,7 +733,7 @@ class TestPrunedMeasure:
         f = coboundary_indices(X, {0: 0, 1: 1, 2: 2})
         pruner = z5_pruner(X)
         with pytest.raises(Unmeasurable) as err:
-            measured(pruner, X, pruner.as_array(f))
+            measured(pruner, X, f)
         assert err.value.witness is not None
 
     def test_clean_run_measures(self, fixture30):
@@ -745,8 +750,8 @@ class TestPrunedMeasure:
         X = complete_complex(5, 2)
         f = coboundary_indices(X, {i: i for i in range(5)})
         pruner = z5_pruner(X)
-        pm = measured(pruner, X, pruner.as_array(f))
-        lab = {e: Z5_GENS[i] for e, i in f.items()}
+        pm = measured(pruner, X, f)
+        lab = {e: Z5_GENS[i] for e, i in zip(X.faces(1), f)}
 
         def dir_el(u, v):
             g = lab[tuple(sorted((u, v)))]
@@ -770,8 +775,8 @@ class TestMeasureRatio:
         X = complete_complex(5, 2)
         f = coboundary_indices(X, {i: i for i in range(5)})
         pruner = z5_pruner(X)
-        y, _, _ = pruner.f_pruning(pruner.as_array(f))
-        rep = measure_ratio_audit(pruner, y, pruner.as_array(f), (0,))
+        y, _, _ = pruner.f_pruning(f)
+        rep = measure_ratio_audit(pruner, y, f, (0,))
         assert rep.support_matches
         assert rep.max_ratio == pytest.approx(1.0, abs=1e-9)
 
@@ -786,7 +791,7 @@ class TestMeasureRatio:
         f = coboundary_indices(X, {i: i for i in range(5)})
         pruner_small = Pruner(X, Z5, Z5_GENS, PruneConfig(0.5, r=1.2))
         pruner_large = Pruner(X, Z5, Z5_GENS, PruneConfig(0.5, r=2.0))
-        arr = pruner_small.as_array(f)
+        arr = f
         y, _, _ = pruner_small.f_pruning(arr)
         small = measure_ratio_audit(pruner_small, y, arr, (0,))
         large = measure_ratio_audit(pruner_large, y, arr, (0,))
