@@ -33,6 +33,7 @@ from .errors import (
 from .graphs import WGraph
 
 TOL = 1e-9
+_LINK_BLOCK = 32  # faces per block of link_blocks, which bounds its temporaries
 
 
 def _canon(face):
@@ -251,33 +252,54 @@ class PureComplex:
         return build_complex(self.dim - len(s), tops, self.weights[idx])
 
     def link_skeleton(self, s):
-        """The weighted 1-skeleton of link(s), read off the top faces.
-
-        The cofaces of s, less the columns of s, are the link's top faces;
-        each pair of their columns is a link edge, and an edge's mass sums
-        over the link top faces containing it.  Builds no complex, and
-        equals ``link(s).one_skeleton()`` up to the order of summation.
-        """
-        idx, _, tops = self.link_rows(s)
-        k = tops.shape[1] - 1  # dimension of the link
+        """The weighted 1-skeleton of link(s), read off the top faces by
+        _link_arrays; equals ``link(s).one_skeleton()`` up to the order of
+        summation."""
+        lev, f, _, _ = self._entries(s)
+        k = self.dim - lev.rows.shape[1]  # dimension of the link
         if k < 0:
             raise TopFace(f"{_canon(s)!r} is a top face; its link is empty")
         if k == 0:
             raise BadLevel("a 0-dimensional complex has no 1-skeleton")
-        w = self.weights[idx]
-        verts, local = np.unique(tops, return_inverse=True)
-        local = local.reshape(tops.shape)
-        a, b = np.triu_indices(k + 1, 1)
-        n = len(verts)
-        keys, edge = np.unique(local[:, a] * n + local[:, b], return_inverse=True)
-        mass = np.bincount(
-            edge.ravel(), weights=np.repeat(w / w.sum(), len(a)), minlength=len(keys)
-        )
+        verts, _, ends, mass = self._link_arrays(lev, f, f + 1)
         return WGraph.from_arrays(
-            tuple(self.vertices[i] for i in verts),
-            np.stack([keys // n, keys % n]),
-            mass / math.comb(k + 1, 2),
+            tuple(self.vertices[i] for i in verts.tolist()), ends, mass)
+
+    def link_blocks(self, k):
+        """_link_arrays of the k-faces (k <= dim - 2), _LINK_BLOCK faces at
+        a time in faces(k) order, each after the index of its first face."""
+        if k > self.dim - 2:
+            raise BadLevel(f"links of {k}-faces of a {self.dim}-complex have no edges")
+        lev = self.level(k)
+        n = len(lev.codes)
+        for lo in range(0, n, _LINK_BLOCK):
+            yield lo, *self._link_arrays(lev, lo, min(lo + _LINK_BLOCK, n))
+
+    def _link_arrays(self, lev, lo, hi):
+        """The link skeletons of faces lo..hi-1 of a level: each link
+        vertex's position in ``vertices``, by link and ascending; its link,
+        counted from lo; each link edge's ends, sorted, as indices into
+        those vertices; and its mass, the shares (weight over the link's
+        pairwise weight sum) of the cofaces holding it, less the face's
+        columns, over C(k + 1, 2) for a k-dimensional link."""
+        start = lev.start[lo:hi + 1]
+        e0, e1 = start[0], start[-1]
+        idx = lev.cof[e0:e1]
+        tops = self.top_positions()[idx[:, None], lev.rest[lev.sub[e0:e1]]]
+        face = np.repeat(np.arange(hi - lo), np.diff(start))
+        w = self.weights[idx]
+        total = np.array([w[i - e0:j - e0].sum() for i, j in zip(start, start[1:])])
+        n = len(self.vertices)
+        keys, vert = np.unique(face[:, None] * n + tops, return_inverse=True)
+        vert = vert.reshape(tops.shape)
+        a, b = np.triu_indices(tops.shape[1], 1)
+        nv = len(keys)
+        edges, at = np.unique(vert[:, a] * nv + vert[:, b], return_inverse=True)
+        mass = np.bincount(
+            at.ravel(), weights=np.repeat(w / total[face], len(a)), minlength=len(edges)
         )
+        return (keys % n, keys // n, np.stack([edges // nv, edges % nv]),
+                mass / math.comb(tops.shape[1], 2))
 
     def one_skeleton(self):
         """The weighted graph on X(0) and X(1)."""
@@ -475,36 +497,31 @@ def check_suitable(X, c, r, eta):
 
     if not (c > 1 and r > 1 and eta > 0):
         raise ValueError("need c > 1, r > 1, eta > 0")
-    q = max(len(X.cofaces((v,))) for v in X.vertices)
+    q = int(np.diff(X.level(0).start).max())
     bound = c * (1.0 + math.log(q))
+    found = {}  # the first degree and weight witnesses
 
-    hdx = is_hdx(X, eta, mode="two_sided")
+    def witnesses(k, first, verts, vlink, ends, weights, vmass):
+        if k < 0:
+            return
+        faces, at = X.faces(k), X.vertices
+        deg = np.bincount(ends.ravel(), minlength=len(verts))
+        for i in np.flatnonzero(deg < bound)[:1]:
+            found.setdefault("degree", (faces[first + vlink[i]], at[verts[i]], int(deg[i])))
+        bad = []  # per kind its first item outside the bracket; edges go first
+        for kind, link, w in (("edge", vlink[ends[0]], weights),
+                              ("vertex", vlink, 0.5 * vmass)):
+            size = np.bincount(link)[link]
+            out = np.flatnonzero((w < 1.0 / (r * size) - TOL) | (w > r / size + TOL))
+            bad += [(link[i], kind, i, float(w[i]), int(size[i])) for i in out[:1]]
+        if bad:
+            f, kind, i, w, size = min(bad)
+            item = (at[verts[i]] if kind == "vertex"
+                    else tuple(at[x] for x in verts[ends[:, i]]))
+            found.setdefault("weight", (faces[first + f], kind, item, w,
+                                        1.0 / (r * size), r / size))
 
-    degree_ok, degree_witness = True, None
-    weight_ok, weight_witness = True, None
-    for ell in range(0, X.dim - 1):
-        for sigma in X.faces(ell):
-            skel = X.link_skeleton(sigma)
-            if degree_ok:
-                deg = np.bincount(skel.ends.ravel(), minlength=skel.n)
-                low = np.flatnonzero(deg < bound)
-                if len(low):
-                    i = low[0]
-                    degree_ok = False
-                    degree_witness = (sigma, skel.vertices[i], int(deg[i]))
-            if not weight_ok:
-                continue
-            for kind, items, w in (
-                ("edge", skel.edges, skel.weights),
-                ("vertex", skel.vertices, skel.vertex_measures()),
-            ):
-                lo, hi = 1.0 / (r * len(items)), r / len(items)
-                bad = np.flatnonzero((w < lo - TOL) | (w > hi + TOL))
-                if len(bad):
-                    i = bad[0]
-                    weight_ok = False
-                    weight_witness = (sigma, kind, items[i], float(w[i]), lo, hi)
-                    break
+    hdx = is_hdx(X, eta, mode="two_sided", visit=witnesses)
 
     return SuitabilityReport(
         c=c,
@@ -515,10 +532,10 @@ def check_suitable(X, c, r, eta):
         hdx_ok=hdx.passes,
         hdx_worst_face=hdx.worst_face,
         hdx_worst_value=hdx.worst_value,
-        degree_ok=degree_ok,
-        degree_witness=degree_witness,
-        weight_ok=weight_ok,
-        weight_witness=weight_witness,
+        degree_ok="degree" not in found,
+        degree_witness=found.get("degree"),
+        weight_ok="weight" not in found,
+        weight_witness=found.get("weight"),
     )
 
 

@@ -365,9 +365,9 @@ def star_scores(group, sets, d):
     so every link is a translate of a link at a face through 0, and the
     star of 0 (top faces {0} + c for the d-cliques c of generators) has
     those links up to a uniform scale.  Each link's 1-skeleton and
-    operator take the float steps of PureComplex.link_skeleton,
-    WGraph.from_arrays and spectral._symmetrized_matrix, so the scores are
-    theirs bit for bit; links of one vertex count share one eigensolve.
+    weights take the float steps of PureComplex.link_skeleton, and
+    spectral.link_spectra solves them, so the scores are theirs bit for
+    bit.
     """
     _check_star_dim(d)
     if not sets:
@@ -381,31 +381,10 @@ def star_scores(group, sets, d):
     link_set, elink, u, v, mass = _star_links(
         owner, tops, np.bincount(owner, minlength=len(sets)), d, width)
 
-    # WGraph.from_arrays: weights over their pairwise sum per link, and
-    # twice each vertex measure summed edge by edge
-    bounds = np.searchsorted(elink, np.arange(len(link_set) + 1)).tolist()
-    total = np.array([mass[lo:hi].sum() for lo, hi in zip(bounds, bounds[1:])])
-    weights = mass / total[elink]
     ends = np.stack([elink * width + u, elink * width + v])
-    verts, at = np.unique(ends.T.ravel(), return_inverse=True)
-    root = np.sqrt(0.5 * np.bincount(at, weights=np.repeat(weights, 2)))
-    eu, ev = at[0::2], at[1::2]
-    vlink = verts // width
-    local = np.arange(len(verts)) - np.searchsorted(vlink, vlink)
-    n_verts = np.bincount(vlink)
-    lam = np.empty(len(link_set))
-    slot = np.empty(len(link_set), dtype=np.intp)
-    for n in np.unique(n_verts).tolist():
-        links = np.flatnonzero(n_verts == n)
-        slot[links] = np.arange(len(links))
-        sel = n_verts[elink] == n
-        lam[links] = spectral.two_sided_stack(
-            (len(links), n, n),
-            (slot[elink[sel]], local[eu[sel]], local[ev[sel]]),
-            weights[sel],
-            root,
-            (eu[sel], ev[sel]),
-        )
+    verts, at = np.unique(ends, return_inverse=True)
+    _, _, eigs = spectral.link_spectra(verts // width, at.reshape(ends.shape), mass)
+    lam = np.array([max(abs(e[1]), abs(e[-1])) for e in eigs])
     worst = np.full(len(sets), -np.inf)
     np.maximum.at(worst, link_set, lam)
     for i in np.flatnonzero(keep).tolist():
@@ -578,10 +557,16 @@ def _block_masks(group, block):
     present = np.flatnonzero(S.any(axis=0))
     inside = S.copy()
     inside[:, 0] = True
-    count = 0
-    while count != (count := np.count_nonzero(inside)):
-        for s in present:  # a row holding s takes in x.s for each x it holds
-            inside |= S[:, s, None] & inside[:, mul[:, inv[s]]]
+    # a row takes in x.s for its x and seeds s; only rows that grew can grow
+    step = mul[:, inv[present]]
+    rows = np.arange(len(block))
+    while len(rows):
+        part = inside[rows]
+        reach = part[:, step]
+        reach &= S[rows][:, None, present]
+        grown = part | reach.any(axis=2)
+        inside[rows] = grown
+        rows = rows[(grown != part).any(axis=1)]
     in_tri = ~S
     for a in present:
         in_tri[:, a] |= (S & S[:, mul[inv[a]]]).any(axis=1)

@@ -25,7 +25,7 @@ from . import sparsify as sparsify_mod
 from .complexes import check_suitable, complete_complex, complex_from_dict
 from .errors import HdxError, InputError, UnsatisfiedBase
 from .graphs import WGraph, complete_graph
-from .spectral import adjacency_spectrum, is_hdx, spectra_csv
+from .spectral import adjacency_spectrum, is_hdx, link_spectra, spectra_csv
 
 EXIT_CLEAN = 0
 EXIT_BUDGET = 2
@@ -278,17 +278,22 @@ def _prune_stages(report, params, seed):
 
 def cover_link_gap(cover):
     """Largest eigenvalue gap between a cover vertex's link skeleton and
-    the link skeleton of its image in the base."""
-    base_spec = {
-        v: adjacency_spectrum(cover.base.link_skeleton((v,))).eigenvalues
-        for v in cover.base.vertices
-    }
-    worst_gap = 0.0
-    for vid in cover.complex.vertices:
-        ev = adjacency_spectrum(cover.complex.link_skeleton((vid,))).eigenvalues
-        gap = max(abs(a - b) for a, b in zip(ev, base_spec[cover.phi(vid)]))
-        worst_gap = max(worst_gap, gap)
-    return worst_gap
+    the link skeleton of its image in the base, and the first cover vertex
+    whose link has another vertex count than its image's (its gap is not
+    taken), or None."""
+    def spectra(X):  # each vertex link's eigenvalues, in vertex order
+        return [ev for _, _, vlink, ends, mass in X.link_blocks(0)
+                for ev in link_spectra(vlink, ends, mass)[2]]
+
+    base_spec = dict(zip(cover.base.vertices, spectra(cover.base)))
+    worst_gap, mismatch = 0.0, None
+    for vid, ev in zip(cover.complex.vertices, spectra(cover.complex)):
+        down = base_spec[cover.phi(vid)]
+        if len(ev) == len(down):
+            worst_gap = max(worst_gap, float(np.abs(ev - down).max()))
+        elif mismatch is None:
+            mismatch = vid
+    return worst_gap, mismatch
 
 
 def _audit_clean_prune(report, pruner, outcome):
@@ -333,8 +338,12 @@ def _audit_clean_prune(report, pruner, outcome):
     )
     report.cover_export = covers_mod.cover_to_dict(cover)
 
-    worst_gap = cover_link_gap(cover)
-    report.add_audit("cover_link_spectra", worst_gap <= 1e-9, {"worst_gap": worst_gap})
+    worst_gap, mismatch = cover_link_gap(cover)
+    detail = {"worst_gap": worst_gap}
+    if mismatch is not None:
+        detail["size_mismatch"] = mismatch
+    report.add_audit(
+        "cover_link_spectra", mismatch is None and worst_gap <= 1e-9, detail)
 
     pm = pruning_mod.pruned_measure(pruner, y, f)
     report.add_audit(

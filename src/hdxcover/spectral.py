@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BadLevel,
     DegenerateColoring,
     NonPositiveAlpha,
     NotBipartite,
@@ -73,19 +74,41 @@ def _checked_spectra(M):
     return np.clip(eigs, -1.0, 1.0)
 
 
-def two_sided_stack(shape, at, weights, root, ends):
-    """Two-sided expansion of each graph of a stack of graphs on n >= 2
-    vertices, from _symmetrized_matrix's arguments for the stack."""
-    eigs = _checked_spectra(_symmetrized_matrix(shape, at, weights, root, ends))
-    return np.maximum(np.abs(eigs[:, 1]), np.abs(eigs[:, -1]))
-
-
 def adjacency_spectrum(G):
     """Full spectrum of the normalized adjacency operator of G."""
     root = np.sqrt(G.vertex_measures())
     eigs = _checked_spectra(
         _symmetrized_matrix((G.n, G.n), G.ends, G.weights, root, G.ends))
     return SpectralReport(tuple(float(e) for e in eigs))
+
+
+def link_spectra(vlink, ends, mass):
+    """WGraph.from_arrays and adjacency_spectrum of many graphs at once:
+    the weights, normalized per graph, twice the vertex measures, and the
+    list of each graph's _checked_spectra.
+
+    Graph vlink[x] holds vertex x; ends holds the (2, m) edge ends as
+    vertex indices, each graph's vertices and edges consecutive and sorted.
+    Each graph takes the float steps of its own from_arrays and
+    _symmetrized_matrix, and graphs of one vertex count share one stacked
+    eigensolve, so every value is the graph's own bit for bit."""
+    elink = vlink[ends[0]]
+    n_verts = np.bincount(vlink)
+    bounds = np.searchsorted(elink, np.arange(len(n_verts) + 1)).tolist()
+    weights = mass / np.array([mass[i:j].sum() for i, j in zip(bounds, bounds[1:])])[elink]
+    vmass = np.bincount(ends.T.ravel(), weights=np.repeat(weights, 2), minlength=len(vlink))
+    root = np.sqrt(0.5 * vmass)
+    local = np.arange(len(vlink)) - np.searchsorted(vlink, vlink)
+    eigs = [None] * len(n_verts)
+    for n in np.unique(n_verts).tolist():
+        links = np.flatnonzero(n_verts == n)
+        sel = n_verts[elink] == n
+        eu, ev = ends[:, sel]
+        at = (np.searchsorted(links, elink[sel]), local[eu], local[ev])
+        M = _symmetrized_matrix((len(links), n, n), at, weights[sel], root, (eu, ev))
+        for i, e in zip(links.tolist(), _checked_spectra(M)):
+            eigs[i] = e
+    return weights, vmass, eigs
 
 
 def _side_arrays(G):
@@ -149,22 +172,28 @@ class HdxReport:
         }
 
 
-def _link_row(X, face, mode):
-    rep = adjacency_spectrum(X.link_skeleton(face))
-    value = rep.one_sided if mode == "one_sided" else rep.two_sided
-    ev = rep.eigenvalues
-    lam2 = ev[1] if len(ev) > 1 else -1.0
-    return HdxRow(face, float(lam2), float(ev[-1]), float(value))
-
-
-def is_hdx(X, lam, mode="two_sided", include_empty_face=True):
+def is_hdx(X, lam, mode="two_sided", include_empty_face=True, visit=None):
     """Certify link expansion for every face of dimension -1..d-2.
 
     Every link skeleton (including the complex's own, unless
-    include_empty_face is False) must have expansion at most lam.
-    """
+    include_empty_face is False) must have expansion at most lam.  Links
+    come from PureComplex.link_blocks and link_spectra; visit, if given,
+    gets each block's level, its arrays and link_spectra's weights and
+    vertex masses, so that check_suitable reads the same skeletons."""
     lo = -1 if include_empty_face else 0
-    rows = [_link_row(X, s, mode) for k in range(lo, X.dim - 1) for s in X.faces(k)]
+    if lo > X.dim - 2:
+        raise BadLevel(f"a {X.dim}-complex has no link with edges at dimension {lo}")
+    rows = []
+    for k in range(lo, X.dim - 1):
+        faces = X.faces(k)
+        for first, verts, vlink, ends, mass in X.link_blocks(k):
+            weights, vmass, eigs = link_spectra(vlink, ends, mass)
+            if visit is not None:
+                visit(k, first, verts, vlink, ends, weights, vmass)
+            for i, ev in enumerate(eigs, first):
+                lam2, lam_min = float(ev[1]), float(ev[-1])
+                value = lam2 if mode == "one_sided" else max(abs(lam2), abs(lam_min))
+                rows.append(HdxRow(faces[i], lam2, lam_min, value))
     worst = max(rows, key=lambda r: r.value)
     # comparisons share the library-wide 1e-9 measure tolerance
     return HdxReport(

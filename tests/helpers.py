@@ -11,9 +11,10 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from hdxcover.complexes import TOL, build_complex
+from hdxcover.complexes import TOL, SuitabilityReport, build_complex
 from hdxcover.covers import CoverComplex, CoverReport
 from hdxcover.errors import (
+    BadLevel,
     DegenerateColoring,
     Disconnected,
     EmptyResult,
@@ -21,6 +22,7 @@ from hdxcover.errors import (
     NotACocycle,
     NotPure,
     NotSymmetricGenSet,
+    TopFace,
     Unmeasurable,
 )
 from hdxcover.graphs import WGraph
@@ -30,6 +32,8 @@ from hdxcover.groups import cayley_clique_complex
 from hdxcover.sparsify import split_vertex_sets
 from hdxcover.spectral import (
     CompositionReport,
+    HdxReport,
+    HdxRow,
     adjacency_spectrum,
     bipartite_lambda,
     is_hdx,
@@ -180,6 +184,120 @@ def plain_link_skeleton(X, s):
     face_measure per edge."""
     L = X.link(s)
     return WGraph([(u, v, L.face_measure((u, v))) for u, v in L.faces(1)])
+
+
+def per_face_link_skeleton(X, s):
+    """Reference link skeleton of one face, as link_skeleton built it face
+    by face: the face's cofaces less its columns, one np.unique each for
+    the link's vertices and its edges."""
+    idx, _, tops = X.link_rows(s)
+    k = tops.shape[1] - 1  # dimension of the link
+    if k < 0:
+        raise TopFace(f"{tuple(s)!r} is a top face; its link is empty")
+    if k == 0:
+        raise BadLevel("a 0-dimensional complex has no 1-skeleton")
+    w = X.weights[idx]
+    verts, local = np.unique(tops, return_inverse=True)
+    local = local.reshape(tops.shape)
+    a, b = np.triu_indices(k + 1, 1)
+    n = len(verts)
+    keys, edge = np.unique(local[:, a] * n + local[:, b], return_inverse=True)
+    mass = np.bincount(
+        edge.ravel(), weights=np.repeat(w / w.sum(), len(a)), minlength=len(keys)
+    )
+    return WGraph.from_arrays(
+        tuple(X.vertices[i] for i in verts),
+        np.stack([keys // n, keys % n]),
+        mass / math.comb(k + 1, 2),
+    )
+
+
+def _plain_link_row(X, face, mode):
+    rep = adjacency_spectrum(per_face_link_skeleton(X, face))
+    value = rep.one_sided if mode == "one_sided" else rep.two_sided
+    ev = rep.eigenvalues
+    lam2 = ev[1] if len(ev) > 1 else -1.0
+    return HdxRow(face, float(lam2), float(ev[-1]), float(value))
+
+
+def plain_is_hdx(X, lam, mode="two_sided", include_empty_face=True):
+    """Reference is_hdx: one link skeleton and one eigensolve per face."""
+    lo = -1 if include_empty_face else 0
+    rows = [_plain_link_row(X, s, mode) for k in range(lo, X.dim - 1) for s in X.faces(k)]
+    worst = max(rows, key=lambda r: r.value)
+    return HdxReport(
+        threshold=float(lam),
+        mode=mode,
+        rows=tuple(rows),
+        passes=worst.value <= lam + TOL,
+        worst_face=worst.face,
+        worst_value=worst.value,
+    )
+
+
+def plain_check_suitable(X, c, r, eta):
+    """Reference check_suitable: plain_is_hdx, then each link skeleton
+    built again face by face for the degree and weight conditions."""
+    q = max(len(X.cofaces((v,))) for v in X.vertices)
+    bound = c * (1.0 + math.log(q))
+
+    hdx = plain_is_hdx(X, eta, mode="two_sided")
+
+    degree_ok, degree_witness = True, None
+    weight_ok, weight_witness = True, None
+    for ell in range(0, X.dim - 1):
+        for sigma in X.faces(ell):
+            skel = per_face_link_skeleton(X, sigma)
+            if degree_ok:
+                deg = np.bincount(skel.ends.ravel(), minlength=skel.n)
+                low = np.flatnonzero(deg < bound)
+                if len(low):
+                    i = low[0]
+                    degree_ok = False
+                    degree_witness = (sigma, skel.vertices[i], int(deg[i]))
+            if not weight_ok:
+                continue
+            for kind, items, w in (
+                ("edge", skel.edges, skel.weights),
+                ("vertex", skel.vertices, skel.vertex_measures()),
+            ):
+                lo, hi = 1.0 / (r * len(items)), r / len(items)
+                bad = np.flatnonzero((w < lo - TOL) | (w > hi + TOL))
+                if len(bad):
+                    i = bad[0]
+                    weight_ok = False
+                    weight_witness = (sigma, kind, items[i], float(w[i]), lo, hi)
+                    break
+
+    return SuitabilityReport(
+        c=c,
+        r=r,
+        eta=eta,
+        q=q,
+        degree_bound=bound,
+        hdx_ok=hdx.passes,
+        hdx_worst_face=hdx.worst_face,
+        hdx_worst_value=hdx.worst_value,
+        degree_ok=degree_ok,
+        degree_witness=degree_witness,
+        weight_ok=weight_ok,
+        weight_witness=weight_witness,
+    )
+
+
+def plain_cover_link_gap(cover):
+    """Reference cover_link_gap: one skeleton and one eigensolve per base
+    vertex and per cover vertex, spectra paired by zip."""
+    base_spec = {
+        v: adjacency_spectrum(per_face_link_skeleton(cover.base, (v,))).eigenvalues
+        for v in cover.base.vertices
+    }
+    worst_gap = 0.0
+    for vid in cover.complex.vertices:
+        ev = adjacency_spectrum(per_face_link_skeleton(cover.complex, (vid,))).eigenvalues
+        gap = max(abs(a - b) for a, b in zip(ev, base_spec[cover.phi(vid)]))
+        worst_gap = max(worst_gap, gap)
+    return worst_gap
 
 
 def plain_verify_cover(cover, tol=1e-9):
@@ -339,9 +457,9 @@ def plain_push_cocycle(X, labels, group, quotient):
     return {e: quotient.project(g) for e, g in label_dict(X, labels).items()}
 
 
-def plain_check_suitable(X, c, r):
-    """Reference degree and weight conditions of check_suitable, vertex by
-    vertex and edge by edge over reference link skeletons; returns
+def brute_check_suitable(X, c, r):
+    """First-principles degree and weight conditions of check_suitable,
+    vertex by vertex and edge by edge over reference link skeletons; returns
     (degree_ok, degree_witness, weight_ok, weight_witness)."""
     q = max(len(X.cofaces((v,))) for v in X.vertices)
     bound = c * (1.0 + math.log(q))

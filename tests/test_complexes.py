@@ -29,8 +29,9 @@ from hdxcover.groups import cayley_clique_complex, cyclic, dihedral, symmetric_g
 from hdxcover.spectral import adjacency_spectrum
 
 from helpers import (
+    brute_check_suitable,
     brute_face_measure,
-    plain_check_suitable,
+    per_face_link_skeleton,
     plain_cofaces,
     plain_link_skeleton,
     random_complex,
@@ -256,6 +257,18 @@ class TestLinkSkeleton:
             ev_ref = np.array(adjacency_spectrum(ref).eigenvalues)
             assert np.abs(ev_new - ev_ref).max() <= 1e-12
 
+    @pytest.mark.parametrize(
+        "X", [x for _, x in SKELETON_INPUTS], ids=[i for i, _ in SKELETON_INPUTS]
+    )
+    def test_bit_for_bit_per_face(self, X):
+        # link_skeleton is the one-face block of link_blocks' arrays
+        for s in (s for k in range(-1, X.dim - 1) for s in X.faces(k)):
+            new, ref = X.link_skeleton(s), per_face_link_skeleton(X, s)
+            assert new.vertices == ref.vertices
+            assert np.array_equal(new.ends, ref.ends)
+            assert new.weights.tobytes() == ref.weights.tobytes()
+            assert new.vertex_measures().tobytes() == ref.vertex_measures().tobytes()
+
     def test_one_skeleton_is_the_empty_face(self):
         X = random_complex(np.random.default_rng(4), 7, 3)
         G = X.one_skeleton()
@@ -470,7 +483,7 @@ class TestSuitability:
         X = random_complex(np.random.default_rng(seed), 8, dim, keep=keep)
         for c, r in ((1.1, 1.5), (1.5, 3.0), (1.01, 10.0)):
             rep = check_suitable(X, c=c, r=r, eta=0.5)
-            ref = plain_check_suitable(X, c, r)
+            ref = brute_check_suitable(X, c, r)
             assert (rep.degree_ok, rep.degree_witness) == ref[:2]
             assert rep.weight_ok == ref[2]
             if ref[3] is None:

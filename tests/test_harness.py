@@ -8,8 +8,8 @@ import pytest
 
 from hdxcover import cli, combine, covers, groups, harness, pruning
 from hdxcover.cli import main
-from hdxcover.complexes import PureComplex, check_suitable, complete_complex
-from hdxcover.covers import build_cover, coboundary_labeling
+from hdxcover.complexes import PureComplex, build_complex, check_suitable, complete_complex
+from hdxcover.covers import CoverComplex, build_cover, coboundary_labeling
 from hdxcover.groups import cyclic
 from hdxcover.harness import (
     EXIT_AUDIT,
@@ -527,8 +527,31 @@ class TestLinkSkeletonPath:
         monkeypatch.setattr(PureComplex, "__init__", counting_init)
         assert is_hdx(X, 0.9).passes
         check_suitable(X, c=1.1, r=1.5, eta=0.9)
-        assert cover_link_gap(cover) <= 1e-9
+        gap, mismatch = cover_link_gap(cover)
+        assert gap <= 1e-9 and mismatch is None
         assert built == []
+
+
+class TestCoverLinkSpectra:
+    def test_link_size_mismatch_is_witnessed(self):
+        # not a cover: vertex 2's link is one edge, its image's a triangle
+        base = complete_complex(4, 2)
+        bad = build_complex(2, [(0, 1, 2), (0, 1, 3)])
+        cover = CoverComplex(bad, base, cyclic(1), np.zeros(6, dtype=np.int64),
+                             {v: (v, 0) for v in bad.vertices})
+        gap, mismatch = cover_link_gap(cover)
+        assert mismatch == 2
+        # vertices 0 and 1 link a path (spectrum 1, 0, -1) over a triangle's
+        # (1, -1/2, -1/2)
+        assert gap == pytest.approx(0.5, abs=1e-12)
+
+    def test_mismatch_fails_the_audit(self, monkeypatch):
+        monkeypatch.setattr(harness, "cover_link_gap", lambda cover: (0.0, 17))
+        rep = run_experiment(PRUNE_SPEC)
+        audit = next(a for a in rep.audits if a["name"] == "cover_link_spectra")
+        assert not audit["ok"]
+        assert audit["detail"] == {"worst_gap": 0.0, "size_mismatch": 17}
+        assert rep.exit_code == EXIT_AUDIT
 
 
 class TestStageSeeds:

@@ -1,14 +1,23 @@
 import itertools
 import math
 import operator
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hdxcover.complexes import build_complex, complete_complex, cycle_complex
+from hdxcover import complexes
+from hdxcover.complexes import (
+    build_complex,
+    check_suitable,
+    complete_complex,
+    cycle_complex,
+)
+from hdxcover.covers import build_cover, coboundary_labeling, push_cocycle
 from hdxcover.errors import (
+    BadLevel,
     DegenerateColoring,
     EmptyGraph,
     NonPositiveAlpha,
@@ -17,7 +26,18 @@ from hdxcover.errors import (
 )
 from hdxcover import spectral
 from hdxcover.graphs import WGraph, complete_graph
-from hdxcover.groups import cyclic, identity_star_lambda, scan_gensets, symmetric_group
+from hdxcover.groups import (
+    cyclic,
+    dihedral,
+    identity_star_lambda,
+    normal_subgroups,
+    quotient_group,
+    scan_gensets,
+    symmetric_group,
+    validate_genset,
+)
+from hdxcover.harness import cover_link_gap, stage_seed
+from hdxcover.pruning import PruneConfig, Pruner
 from hdxcover.spectral import (
     adjacency_spectrum,
     bipartite_lambda,
@@ -30,8 +50,13 @@ from hdxcover.spectral import (
 
 from helpers import (
     checked,
+    per_face_link_skeleton,
+    plain_check_suitable,
     plain_coloring_measure,
     plain_composition_check,
+    plain_cover_link_gap,
+    plain_is_hdx,
+    random_complex,
     random_bipartite_wgraph,
     random_wgraph,
     power_iteration_spectrum,
@@ -95,6 +120,13 @@ class TestAdjacencySpectrum:
             identity_star_lambda(cyclic(7), (1, 2, 5, 6), 2)
         with pytest.raises(AssertionError, match="top eigenvalue (2|1.99)"):
             scan_gensets(symmetric_group(4), 2, max_size=6)
+        # and so do the stacked solves of the certifiers' level path
+        X = complete_complex(6, 2)
+        with pytest.raises(AssertionError, match="top eigenvalue (2|1.99)"):
+            is_hdx(X, 0.9)
+        cover = build_cover(X, coboundary_labeling(X, cyclic(2), [0] * 6), cyclic(2))
+        with pytest.raises(AssertionError, match="top eigenvalue (2|1.99)"):
+            cover_link_gap(cover)
 
     def test_eigenvalue_outside_unit_interval_raises(self):
         for M in (np.diag([1.0, -1.5]), np.stack([np.eye(2), np.diag([1.0, -1.5])])):
@@ -167,6 +199,155 @@ class TestIsHdx:
         for row in rep.rows:
             again = adjacency_spectrum(X.link(row.face).one_skeleton())
             assert row.value == pytest.approx(again.two_sided, abs=1e-12)
+
+
+@pytest.fixture(scope="module")
+def benchmark_ys():
+    """The clean K30 prunes of the cover-family-z6 and prune-k30 benchmarks,
+    each with its labels and group."""
+    out = {}
+    for name, n, gens, r, seed in (("cover-family-z6", 6, [1, 2, 3, 4, 5], 2.0, 1),
+                                   ("prune-k30", 5, [1, 2, 3, 4], 1.5, 2)):
+        group = cyclic(n)
+        pruner = Pruner(complete_complex(30, 2), group, validate_genset(group, gens),
+                        PruneConfig.empirical(0.9, r=r))
+        outcome = pruner.run(stage_seed(seed, "prune"))
+        out[name] = (outcome.y, pruner.elements_on(outcome.y, outcome.labeling), group)
+    return out
+
+
+@pytest.fixture(scope="module")
+def benchmark_covers(benchmark_ys):
+    """Each benchmark Y with its full cover and its quotient covers."""
+    out = {}
+    for name, (y, labels, group) in benchmark_ys.items():
+        covers = [build_cover(y, labels, group)]
+        for sub in normal_subgroups(group):
+            q = quotient_group(group, sub)
+            covers.append(build_cover(y, push_cocycle(y, labels, group, q), q.group))
+        out[name] = (y, covers)
+    return out
+
+
+def assert_level_path_matches(X, suitability=((1.1, 1.5, 0.5),)):
+    """is_hdx and check_suitable equal their per-face references bit for
+    bit: rows, worst face and value, witnesses and bounds."""
+    for mode in ("two_sided", "one_sided"):
+        for empty in (True, False) if X.dim >= 2 else (True,):
+            new = is_hdx(X, 0.5, mode=mode, include_empty_face=empty)
+            ref = plain_is_hdx(X, 0.5, mode=mode, include_empty_face=empty)
+            assert new == ref and repr(new) == repr(ref)
+    for c, r, eta in suitability:
+        new, ref = check_suitable(X, c, r, eta), plain_check_suitable(X, c, r, eta)
+        assert new == ref and repr(new) == repr(ref)
+
+
+# (c, r, eta) that pass, fail on degree, fail on weights, or fail everything
+SUITABILITY = ((1.1, 1.5, 0.5), (1.01, 10.0, 0.99), (3.0, 1.01, 0.2), (1.5, 3.0, 0.3))
+
+
+def _link_sizes(X, k):
+    return [per_face_link_skeleton(X, s).n for s in X.faces(k)]
+
+
+class TestLevelPath:
+    """is_hdx, check_suitable and cover_link_gap on link_blocks and
+    link_spectra against the per-face references they replace."""
+
+    @pytest.mark.parametrize("n, dim", [(4, 2), (6, 2), (12, 2), (30, 2), (7, 3)])
+    def test_complete(self, n, dim):
+        assert_level_path_matches(complete_complex(n, dim), SUITABILITY)
+
+    @pytest.mark.parametrize("name", ["cover-family-z6", "prune-k30"])
+    def test_benchmark_ys_and_covers(self, benchmark_covers, name):
+        y, covers = benchmark_covers[name]
+        assert_level_path_matches(y, SUITABILITY)
+        for cover in covers:
+            assert_level_path_matches(cover.complex)
+            assert cover_link_gap(cover) == (plain_cover_link_gap(cover), None)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_dim3_uneven_weights(self, seed):
+        # is_hdx certifies levels -1, 0 and 1, check_suitable reads 0 and 1
+        rng = np.random.default_rng(seed)
+        X = random_complex(rng, 8, 3, keep=0.6)
+        assert len(set(X.weights.tolist())) > 1
+        rep = check_suitable(X, 3.0, 1.01, 0.2)
+        assert rep.degree_witness is not None and rep.weight_witness[1] == "edge"
+        assert_level_path_matches(X, SUITABILITY)
+
+    def test_vertex_weight_witness(self):
+        # vertex 0's link is a star on equal edges: every edge lies in
+        # [2/9, 1/2], but the centre's measure 1/2 is outside [1/6, 3/8]
+        X = build_complex(2, [(0, 1, 2), (0, 1, 3), (0, 1, 4)])
+        assert check_suitable(X, 1.01, 1.5, 0.99).weight_witness[:4] == (
+            (0,), "vertex", 1, 0.5)
+        assert_level_path_matches(X, ((1.01, 1.5, 0.99),))
+
+    def test_one_edge_links(self):
+        for X in (build_complex(2, [(1, 2, 3), (1, 2, 4)], [1.0, 3.0]),
+                  build_complex(3, [(0, 1, 2, 3), (0, 1, 2, 4), (1, 2, 3, 5)],
+                                [0.5, 1.0, 2.0])):
+            assert 2 in _link_sizes(X, X.dim - 2)
+            assert_level_path_matches(X, SUITABILITY)
+
+    @pytest.mark.parametrize("n, dim, k, keep",
+                             [(45, 2, 0, 0.04), (11, 3, 1, 0.3), (36, 3, 0, 0.004)])
+    def test_levels_past_one_block(self, n, dim, k, keep):
+        # mixed link vertex counts within and across the block boundaries
+        X = random_complex(np.random.default_rng(n + k), n, dim, keep=keep)
+        block = complexes._LINK_BLOCK
+        sizes = _link_sizes(X, k)
+        assert len(sizes) > block
+        assert len(set(sizes[:block])) > 1 and len(set(sizes[block:2 * block])) > 1
+        assert_level_path_matches(X, SUITABILITY)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_covers(self, seed):
+        rng = np.random.default_rng(seed)
+        X = random_complex(rng, 7, 2 + seed % 2, keep=0.7)
+        for group in (cyclic(3), dihedral(3)):
+            f = coboundary_labeling(X, group, rng.integers(group.order, size=7))
+            cover = build_cover(X, f, group)
+            assert cover_link_gap(cover) == (plain_cover_link_gap(cover), None)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 3), st.integers(4, 8), st.data())
+    def test_drawn_weighted_complexes(self, dim, n, data):
+        tops = list(itertools.combinations(range(n), dim + 1))
+        keep = data.draw(st.lists(st.booleans(), min_size=len(tops), max_size=len(tops)))
+        assume(any(keep))
+        faces = [f for f, k in zip(tops, keep) if k]
+        weights = data.draw(st.lists(st.floats(0.05, 20.0), min_size=len(faces),
+                                     max_size=len(faces)))
+        X = build_complex(dim, faces, weights)
+        c, r = data.draw(st.sampled_from([(1.01, 10.0), (1.1, 1.5), (2.0, 1.05)]))
+        assert_level_path_matches(X, ((c, r, 0.5),))
+
+    def test_errors(self):
+        # no face to certify: a 1-complex without its empty face, a 0-complex
+        with pytest.raises(BadLevel):
+            is_hdx(cycle_complex(5), 0.5, include_empty_face=False)
+        with pytest.raises(BadLevel):
+            is_hdx(build_complex(0, [(0,), (1,)]), 0.5)
+        X = complete_complex(5, 2)
+        for k in (1, 2):
+            with pytest.raises(BadLevel):
+                list(X.link_blocks(k))
+
+    def test_memory_of_the_z5_cover(self, benchmark_ys):
+        # face blocks bound the temporaries: one block for the whole level
+        # of 150 vertex links reads about 2.7 MB more at its peak
+        y, labels, group = benchmark_ys["prune-k30"]
+        cover = build_cover(y, labels, group).complex
+        assert len(cover.vertices) == 150
+        tracemalloc.start()
+        try:
+            is_hdx(cover, 0.9, include_empty_face=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
 
 
 class TestEml:
