@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import PureComplex, build_complex
-from .errors import BadKindForFace, UnsatisfiedBase
-from .graphs import coloring_weights
+from .errors import BadKindForFace, NotAFace, UnsatisfiedBase
+from .graphs import coloring_weights, component_labels
 from .pruning import (
     build_link_table,
     build_satisfaction_graph,
@@ -288,57 +288,68 @@ class CombineReport:
         }
 
 
-def _path_argument(X, C, coloring, y_edges):
-    """Replay the descent that connects endpoints of unsatisfied edges."""
-    cskel = C.one_skeleton()
-    dist = {}
-    for src in cskel.vertices:
-        seen = {src: 0}
-        queue = [src]
-        while queue:
-            x = queue.pop(0)
-            for nb in cskel.neighbors(x):
-                if nb not in seen:
-                    seen[nb] = seen[x] + 1
-                    queue.append(nb)
-        dist[src] = seen
-    xskel_edges = set(X.faces(1))
-    neighbors = {v: set() for v in X.vertices}
-    for u, v in xskel_edges:
-        neighbors[u].add(v)
-        neighbors[v].add(u)
-    y_edge_set = set(y_edges)
+def _path_argument(X, C, col, y_codes):
+    """Replay the descent that connects endpoints of unsatisfied edges.
 
-    for u, v in xskel_edges:
-        if (u, v) in y_edge_set:
-            continue
-        cur, steps = u, 0
-        ok = False
-        while steps <= len(X.vertices):
-            if tuple(sorted((cur, v))) in y_edge_set:
-                ok = True
-                break
-            cu, cv = coloring[cur], coloring[v]
-            if cv not in dist.get(cu, {}):
-                break
-            gap = dist[cu][cv]
-            nxt, best = None, np.inf
-            for cand in sorted(neighbors[cur] & neighbors[v]):
-                if tuple(sorted((cur, cand))) not in y_edge_set:
-                    continue
-                score = dist[coloring[cand]].get(cv, np.inf)
-                # strict descent; from a zero gap any step with a finite
-                # color distance makes the next edge satisfiable
-                if (gap > 0 and score < min(gap, best)) or (
-                    gap == 0 and score < best
-                ):
-                    nxt, best = cand, score
-            if nxt is None:
-                break
-            cur, steps = nxt, steps + 1
-        if not ok:
-            return False, (u, v)
-    return True, None
+    col gives X's colors as positions in C.vertices (past them for none),
+    y_codes the kept edges' ascending codes u * n + v over X's n vertex
+    positions.  From each unkept edge uv, a walk steps from u to the least
+    common neighbor over a kept edge whose color is nearest v's, strictly
+    nearer than u's unless that is v's, until its edge to v is kept; all
+    walks step at once.  Gives (True, None) or (False, the first failing
+    edge in faces(1) order)."""
+    # hop distances of C's vertices by one BFS from all of them; the extra
+    # last row and column, a color outside C, stay unreachable
+    m = len(C.vertices)
+    adj = np.zeros((m + 1, m + 1), dtype=bool)
+    cu, cv = C.level(1).rows.T
+    adj[cu, cv] = adj[cv, cu] = True
+    dist = np.where(np.eye(m + 1, dtype=bool), 0.0, np.inf)
+    dist[m, m] = np.inf
+    for step in range(1, m):
+        dist[((dist < step) @ adj) & (dist == np.inf)] = step
+
+    n = len(X.vertices)
+    x_ends = X.level(1).rows.T
+    x_codes = x_ends[0] * n + x_ends[1]
+
+    def among(codes, a, b):  # whether each pair a, b is an edge among codes
+        c = np.minimum(a, b) * n + np.maximum(a, b)
+        return codes[np.searchsorted(codes, c).clip(max=len(codes) - 1)] == c
+
+    # each vertex's kept neighbors, ascending
+    yu, yv = np.divmod(y_codes, n)
+    tail, head = np.concatenate([yu, yv]), np.concatenate([yv, yu])
+    order = np.lexsort((head, tail))
+    nbr, first = head[order], np.searchsorted(tail[order], np.arange(n + 1))
+    edge = np.flatnonzero(~among(y_codes, *x_ends))
+    cur, tgt = x_ends[:, edge]
+    failed = []
+    for _ in range(n + 1):
+        left = ~among(y_codes, cur, tgt)
+        edge, cur, tgt = edge[left], cur[left], tgt[left]
+        if not len(edge):
+            break
+        deg = first[cur + 1] - first[cur]
+        walk = np.repeat(np.arange(len(edge)), deg)
+        cand = nbr[np.repeat(first[cur] - (np.cumsum(deg) - deg), deg) + np.arange(deg.sum())]
+        score = dist[col[cand], col[tgt[walk]]]
+        # a step must get below the gap; from an unreachable color none can,
+        # and from a zero gap any finite color distance will do
+        gap = dist[col[cur], col[tgt]]
+        bar = np.select([gap == 0, gap == np.inf], [np.inf, 0], gap)
+        ok = among(x_codes, cand, tgt[walk]) & (score < bar[walk])
+        walk, cand, score = walk[ok], cand[ok], score[ok]
+        best = np.lexsort((score, walk))  # stable, so ties keep ascending cand
+        best = best[np.unique(walk[best], return_index=True)[1]]
+        moved = np.zeros(len(edge), dtype=bool)
+        moved[walk[best]] = True
+        failed.append(edge[~moved])
+        edge, cur, tgt = edge[moved], cand[best], tgt[moved]
+    failed = np.concatenate(failed + [edge])
+    if not len(failed):
+        return True, None
+    return False, tuple(X.vertices[x] for x in x_ends[:, failed.min()])
 
 
 def verify_combine(X, C, outcome):
@@ -356,10 +367,14 @@ def verify_combine(X, C, outcome):
     if y is None:
         raise UnsatisfiedBase("outcome kept no top face")
 
-    # the target top face under each kept top face, -1 where there is none
+    # X's colors as positions in C.vertices (past them for none), and the
+    # target top face under each kept top face, -1 where there is none
     pos = {c: i for i, c in enumerate(C.vertices)}
-    rows = [[pos.get(coloring[v], len(pos)) for v in face] for face in y.top_faces]
-    img = C.face_index(np.sort(rows, axis=1))
+    col = np.array([pos.get(coloring[v], len(pos)) for v in X.vertices], dtype=np.intp)
+    y_in_x = X.vertex_positions(y.vertices)
+    if (y_in_x < 0).any():
+        raise NotAFace("the outcome's complex is not a subcomplex of X")
+    img = C.face_index(np.sort(col[y_in_x[y.top_positions()]], axis=1))
     bad = np.flatnonzero(img < 0)
     hom_ok, hom_wit = not len(bad), y.top_faces[bad[0]] if len(bad) else None
     missing = np.setdiff1d(np.arange(len(C.top_faces)), img)
@@ -373,9 +388,11 @@ def verify_combine(X, C, outcome):
     threshold_alt = 2 * lam / (1 - lam) if lam < 1 else 1.0
     hdx = is_hdx(y, min(threshold, 1.0))
 
-    skel = y.one_skeleton()
-    connected = skel.is_connected() and set(skel.vertices) == set(X.vertices)
-    path_ok, _ = _path_argument(X, C, coloring, y.faces(1))
+    y_ends = y.level(1).rows.T
+    connected = (len(y.vertices) == len(X.vertices)
+                 and not component_labels(len(y.vertices), y_ends).any())
+    u, v = y_in_x[y_ends]  # ascending codes, as y's vertices are X's in order
+    path_ok, _ = _path_argument(X, C, col, u * len(X.vertices) + v)
 
     m = len(C.vertices)
     bound = (1.0 / (2 * m**X.dim)) ** X.dim

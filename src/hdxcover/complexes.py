@@ -173,6 +173,13 @@ class PureComplex:
             ok &= codes[f] == code
         return np.where(ok, f, -1)
 
+    def vertex_positions(self, labels):
+        """The position in ``vertices`` of each entry of a label array, or -1
+        where it is no vertex."""
+        v = np.asarray(self.vertices)
+        pos = np.searchsorted(v, labels).clip(max=len(v) - 1)
+        return np.where(v[pos] == labels, pos, -1)
+
     def _find(self, s):
         """Index of the sorted face s in faces(len(s) - 1), or -1."""
         if self._vpos is None:
@@ -229,13 +236,6 @@ class PureComplex:
             return 1.0
         idx = self.cofaces(s)
         return float(self.weights[idx].sum()) / math.comb(self.dim + 1, len(s))
-
-    def oriented_face_measure(self, seq):
-        """Prob of an ordered face: Prob{underlying set} / (k+1)!."""
-        seq = tuple(seq)
-        if len(set(seq)) != len(seq):
-            raise NotAFace(f"oriented face {seq!r} has repeated vertices")
-        return self.face_measure(seq) / math.factorial(len(seq))
 
     # --- derived complexes ---
 
@@ -305,24 +305,6 @@ class PureComplex:
         """The weighted graph on X(0) and X(1)."""
         return self.link_skeleton(())
 
-    def degree(self, s, level):
-        """Number of level-dimensional faces containing s."""
-        s = _canon(s)
-        if not self.has_face(s):
-            raise NotAFace(f"{s!r} is not a face")
-        if level < len(s) - 1 or level > self.dim:
-            raise BadLevel(f"level {level} out of range for face of size {len(s)}")
-        if s == ():
-            return self.n_faces(level)
-        sset = set(s)
-        need = level + 1 - len(s)
-        seen = set()
-        for i in self.cofaces(s):
-            rest = [v for v in self.top_faces[i] if v not in sset]
-            for extra in itertools.combinations(rest, need):
-                seen.add(tuple(sorted(s + extra)))
-        return len(seen)
-
     def restrict(self, top_indices):
         """Sub-complex on a subset of top faces, measure renormalized."""
         idx = np.asarray(top_indices, dtype=np.intp)
@@ -391,11 +373,6 @@ def complete_complex(n, dim, weights=None):
     if n < dim + 1:
         raise NonPure(f"need at least {dim + 1} vertices")
     return build_complex(dim, itertools.combinations(range(n), dim + 1), weights)
-
-
-def cycle_complex(n):
-    """The n-cycle as a 1-dimensional complex."""
-    return build_complex(1, [tuple(sorted((i, (i + 1) % n))) for i in range(n)])
 
 
 # --- tensoring with a complete complex ---

@@ -17,6 +17,7 @@ import numpy as np
 
 from .complexes import PureComplex, build_complex, complex_to_dict
 from .errors import BadLabeling, Disconnected, NotACocycle
+from .graphs import component_labels
 from .groups import group_to_dict, subgroup_closure
 
 TOL = 1e-9
@@ -31,14 +32,6 @@ def _elements(values, n, group, what):
     if n and not 0 <= values.min() <= values.max() < group.order:
         raise BadLabeling(f"{what} holds an element outside 0..{group.order - 1}")
     return values
-
-
-def coboundary_labeling(X, group, potential):
-    """f(uv) = potential(u)^-1 * potential(v) on every edge; always a cocycle.
-    The potential is one element per vertex, aligned with X.vertices."""
-    pot = _elements(potential, len(X.vertices), group, "a potential")
-    u, v = X.level(1).rows.T
-    return group.mul_table[group.inv_table[pot[u]], pot[v]]
 
 
 def is_cocycle(X, labels, group):
@@ -74,14 +67,6 @@ class CoverComplex:
 
     def phi(self, vid):
         return self.legend[vid][0]
-
-    def phi_face(self, face):
-        return tuple(sorted(self.legend[v][0] for v in face))
-
-    def fiber(self, base_vertex):
-        return tuple(
-            sorted(v for v, (b, _) in self.legend.items() if b == base_vertex)
-        )
 
 
 def build_cover(X, labels, group):
@@ -133,18 +118,11 @@ def holonomy_subgroup(X, labels, group, v):
 
 
 def connected_components(X):
-    """Component count and a vertex -> component-id labeling of a complex."""
-    if X.dim >= 1:
-        skel = X.one_skeleton()
-        comps = skel.connected_components()
-    else:
-        comps = [{v} for v in X.vertices]
-    comps = sorted(comps, key=min)
-    labels = {}
-    for cid, comp in enumerate(comps):
-        for v in comp:
-            labels[v] = cid
-    return len(comps), labels
+    """Component count and a vertex -> component-id labeling of a complex,
+    ids ordered by least vertex."""
+    ends = X.level(1).rows.T if X.dim >= 1 else np.empty((2, 0), dtype=np.intp)
+    comp = component_labels(len(X.vertices), ends)
+    return int(comp.max()) + 1, dict(zip(X.vertices, comp.tolist()))
 
 
 @dataclass(frozen=True)
@@ -282,15 +260,17 @@ def _injective_on_links(inv, rest, phi):
 
 
 def cover_to_dict(cover):
-    """JSON form: base and group references plus lifted faces as pairs."""
+    """JSON form: base and group references plus lifted faces as pairs
+    (base vertex, element), read off build_cover's vertex ids."""
+    tilde, n_g = cover.complex, cover.group.order
+    ids = np.asarray(tilde.vertices)[tilde.top_positions()].ravel()
+    at = cover.base.vertices
+    pairs = [[at[p], g] for p, g in zip((ids // n_g).tolist(), (ids % n_g).tolist())]
     return {
         "base": complex_to_dict(cover.base),
         "group": group_to_dict(cover.group),
-        "faces": [
-            [list(cover.legend[v]) for v in face]
-            for face in cover.complex.top_faces
-        ],
-        "weights": [float(w) for w in cover.complex.weights],
+        "faces": list(map(list, zip(*[iter(pairs)] * (tilde.dim + 1)))),  # d + 1 per face
+        "weights": tilde.weights.tolist(),
     }
 
 

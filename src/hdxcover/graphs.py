@@ -28,8 +28,7 @@ class WGraph:
     """
 
     __slots__ = (
-        "vertices", "_edges", "weights", "ends", "sides", "_left", "_pos", "_adj",
-        "_vmass",
+        "vertices", "_edges", "weights", "ends", "sides", "_left", "_pos", "_vmass",
     )
 
     def __init__(self, edges, sides=None):
@@ -94,7 +93,6 @@ class WGraph:
         self.ends = ends
         self.weights = weights / weights.sum()
         self._pos = pos if pos is not None else {x: i for i, x in enumerate(vertices)}
-        self._adj = None
         # twice the vertex measure, summed edge by edge in edge order
         self._vmass = np.bincount(
             ends.T.ravel(), weights=np.repeat(self.weights, 2), minlength=len(vertices)
@@ -153,17 +151,6 @@ class WGraph:
             sides=sides,
         )
 
-    @property
-    def _adjacency(self):
-        """vertex -> list of (neighbor, edge index), built on first use."""
-        if self._adj is None:
-            adj = {v: [] for v in self.vertices}
-            for i, (u, v) in enumerate(self.edges):
-                adj[u].append((v, i))
-                adj[v].append((u, i))
-            self._adj = adj
-        return self._adj
-
     # --- basic accessors ---
 
     @property
@@ -190,43 +177,33 @@ class WGraph:
             raise NotBipartite("graph has no declared bipartition")
         return self._vmass[self._pos[v]]
 
-    def neighbors(self, v):
-        return [u for u, _ in self._adjacency[v]]
-
-    def incident(self, v):
-        """List of (neighbor, edge index) pairs."""
-        return list(self._adjacency[v])
-
-    def has_edge(self, u, v):
-        key = (u, v) if u < v else (v, u)
-        return any(w == key[1] for w, _ in self._adjacency.get(key[0], ()))
-
     def connected_components(self):
-        """List of vertex sets, one per component of the graph."""
-        seen = set()
-        comps = []
-        for start in self.vertices:
-            if start in seen:
-                continue
-            stack = [start]
-            comp = {start}
-            seen.add(start)
-            while stack:
-                x = stack.pop()
-                for y, _ in self._adjacency[x]:
-                    if y not in comp:
-                        comp.add(y)
-                        seen.add(y)
-                        stack.append(y)
-            comps.append(comp)
-        return comps
+        """List of vertex sets, one per component, ordered by least vertex."""
+        comp = component_labels(self.n, self.ends)
+        return [set(itertools.compress(self.vertices, comp == c))
+                for c in range(comp.max() + 1)]
 
     def is_connected(self):
-        return len(self.connected_components()) == 1
+        return not component_labels(self.n, self.ends).any()
 
     def __repr__(self):
         bip = " bipartite" if self.sides is not None else ""
         return f"WGraph(n={self.n}, m={self.m}{bip})"
+
+
+def component_labels(n, ends):
+    """The component of each of n vertices joined by the edges of the (2, m)
+    position array ends, numbered by least vertex: each pass takes a
+    vertex's label to the least at it or a neighbor, then to that label's
+    own, until every label in a component names its least vertex."""
+    label = np.arange(n)
+    while True:
+        new = label.copy()
+        np.minimum.at(new, ends, label[ends[::-1]])
+        new = new[new]
+        if (new == label).all():
+            return np.unique(label, return_inverse=True)[1]
+        label = new
 
 
 def complete_graph(n):

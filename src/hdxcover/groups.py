@@ -90,9 +90,6 @@ class GroupTable:
     def elements(self):
         return range(self.order)
 
-    def is_abelian(self):
-        return bool((self.mul_table == self.mul_table.T).all())
-
     def __repr__(self):
         return f"GroupTable({self.name}, order={self.order})"
 
@@ -237,10 +234,6 @@ class CayleyCliqueComplex:
     group: GroupTable
     gens: tuple
     dim: int
-
-    def link_of_identity(self):
-        """Representative vertex link; all links are isomorphic by transitivity."""
-        return self.complex.link((0,))
 
 
 def _identity_cliques(group, gens, d):
@@ -400,9 +393,6 @@ class Quotient:
     group: GroupTable
     projection: np.ndarray  # element id -> coset id
     subgroup: tuple
-
-    def project(self, g):
-        return int(self.projection[g])
 
 
 def _check_subgroup(group, elems):

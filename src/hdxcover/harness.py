@@ -7,6 +7,7 @@ so identical seeds reproduce identical report bytes.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
@@ -23,7 +24,7 @@ from . import groups as groups_mod
 from . import pruning as pruning_mod
 from . import sparsify as sparsify_mod
 from .complexes import check_suitable, complete_complex, complex_from_dict
-from .errors import HdxError, InputError, UnsatisfiedBase
+from .errors import HdxError, InputError, Unmeasurable
 from .graphs import WGraph, complete_graph
 from .spectral import adjacency_spectrum, is_hdx, link_spectra, spectra_csv
 
@@ -80,6 +81,28 @@ class RunReport:
             json.dumps(self.payload(), sort_keys=True, indent=2, default=_jsonify)
             + "\n"
         ).encode()
+
+
+@contextlib.contextmanager
+def timed(report, name):
+    """Record the wall time of the with-block as report.timings[name]."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        report.timings[name] = time.perf_counter() - t0
+
+
+@contextlib.contextmanager
+def _audit(report, name):
+    """Time a measure audit as audit.<name>; an Unmeasurable raised in it
+    fails the audit with the exception's witness."""
+    with timed(report, f"audit.{name}"):
+        try:
+            yield
+        except Unmeasurable as exc:
+            report.add_audit(name, False, {"error": type(exc).__name__, "message": str(exc),
+                                           "witness": list(exc.witness)})
 
 
 def _jsonify(obj):
@@ -228,10 +251,9 @@ def _prune_stages(report, params, seed):
     )
     config = _prune_config(params)
 
-    t0 = time.perf_counter()
-    suit = check_suitable(X, config.c, config.r, config.eta)
+    with timed(report, "suitability"):
+        suit = check_suitable(X, config.c, config.r, config.eta)
     report.add_stage("suitability", suit.to_dict())
-    report.timings["suitability"] = time.perf_counter() - t0
 
     report.add_stage(
         "cayley",
@@ -242,10 +264,9 @@ def _prune_stages(report, params, seed):
         },
     )
 
-    t0 = time.perf_counter()
-    pruner = pruning_mod.Pruner(X, group, gens, config)
-    outcome = pruner.run(stage_seed(seed, "prune"))
-    report.timings["prune"] = time.perf_counter() - t0
+    with timed(report, "prune"):
+        pruner = pruning_mod.Pruner(X, group, gens, config)
+        outcome = pruner.run(stage_seed(seed, "prune"))
     report.add_stage(
         "prune",
         {
@@ -300,7 +321,8 @@ def _audit_clean_prune(report, pruner, outcome):
     X, group, gens, config = pruner.X, pruner.group, pruner.gens, pruner.config
     y, f = outcome.y, outcome.labeling
     lam = config.lambda_target
-    hdx = is_hdx(y, lam)
+    with timed(report, "audit.y_is_hdx"):
+        hdx = is_hdx(y, lam)
     report.add_audit("y_is_hdx", hdx.passes, hdx.to_dict())
     report.spectra = spectra_csv(hdx)
     report.lambda_series = sorted(row.value for row in hdx.rows)
@@ -308,7 +330,8 @@ def _audit_clean_prune(report, pruner, outcome):
     m = len(gens)
     d = X.dim
     uniform_bound = (1.0 / (2 * m**d)) ** d
-    fractions = pruning_mod.face_fraction_report(X, y)
+    with timed(report, "audit.face_fraction"):
+        fractions = pruning_mod.face_fraction_report(X, y)
     frac_ok = all(v >= uniform_bound for v in fractions.values())
     for ell in range(0, d):
         frac_ok = frac_ok and fractions[ell] >= (1.0 / (2 * m**d)) ** (d - ell)
@@ -318,8 +341,10 @@ def _audit_clean_prune(report, pruner, outcome):
         {"fractions": {str(k): v for k, v in fractions.items()}, "bound": uniform_bound},
     )
 
-    cover = covers_mod.build_cover(y, pruner.elements_on(y, f), group)
-    comp = covers_mod.cover_components(cover)
+    with timed(report, "audit.build_cover"):
+        cover = covers_mod.build_cover(y, pruner.elements_on(y, f), group)
+    with timed(report, "audit.cover_components"):
+        comp = covers_mod.cover_components(cover)
     hol_order = group.order // comp.expected_index
     report.add_audit(
         "holonomy_full", hol_order == group.order, {"subgroup_order": hol_order}
@@ -329,44 +354,45 @@ def _audit_clean_prune(report, pruner, outcome):
         comp.count == 1 and comp.matches,
         {"components": comp.count, "expected_index": comp.expected_index},
     )
-    cover_report = covers_mod.verify_cover(cover)
+    with timed(report, "audit.verify_cover"):
+        cover_report = covers_mod.verify_cover(cover)
     report.add_audit(
         "verify_cover",
         cover_report.ok,
         {"faces_checked": cover_report.faces_checked,
          "violations": len(cover_report.violations)},
     )
-    report.cover_export = covers_mod.cover_to_dict(cover)
+    with timed(report, "audit.cover_export"):
+        report.cover_export = covers_mod.cover_to_dict(cover)
 
-    worst_gap, mismatch = cover_link_gap(cover)
+    with timed(report, "audit.cover_link_spectra"):
+        worst_gap, mismatch = cover_link_gap(cover)
     detail = {"worst_gap": worst_gap}
     if mismatch is not None:
         detail["size_mismatch"] = mismatch
     report.add_audit(
         "cover_link_spectra", mismatch is None and worst_gap <= 1e-9, detail)
 
-    pm = pruning_mod.pruned_measure(pruner, y, f)
-    report.add_audit(
-        "pruned_measure_total", abs(pm.total - 1.0) <= 1e-9, {"total": pm.total}
-    )
+    with _audit(report, "pruned_measure_total"):
+        pm = pruning_mod.pruned_measure(pruner, y, f)
+        report.add_audit(
+            "pruned_measure_total", abs(pm.total - 1.0) <= 1e-9, {"total": pm.total}
+        )
 
-    worst_ratio = 1.0
-    bound = config.r ** (15 * d)
-    for ell in range(0, d - 1):
-        for sigma in X.faces(ell):
-            try:
-                ratio = pruning_mod.measure_ratio_audit(pruner, y, f, sigma)
-            except UnsatisfiedBase:
-                continue
-            if not ratio.support_matches:
-                report.add_audit("measure_ratio", False, {"sigma": list(sigma)})
-                return
-            worst_ratio = max(worst_ratio, ratio.max_ratio)
-    report.add_audit(
-        "measure_ratio",
-        worst_ratio <= bound,
-        {"max_ratio": worst_ratio, "bound": bound},
-    )
+    with _audit(report, "measure_ratio"):
+        worst_ratio = 1.0
+        bound = config.r ** (15 * d)
+        for ell in range(0, d - 1):
+            for ratio in pruning_mod.measure_ratio_audit(pruner, y, f, ell):
+                if not ratio.support_matches:
+                    report.add_audit("measure_ratio", False, {"sigma": list(ratio.sigma)})
+                    return
+                worst_ratio = max(worst_ratio, ratio.max_ratio)
+        report.add_audit(
+            "measure_ratio",
+            worst_ratio <= bound,
+            {"max_ratio": worst_ratio, "bound": bound},
+        )
 
 
 def run_prune(report, params, seed):
@@ -392,12 +418,13 @@ def run_cover_family(report, params, seed):
     lam = pruner.config.lambda_target
     for sub in groups_mod.normal_subgroups(group, index_cap=index_cap):
         quotient = groups_mod.quotient_group(group, sub)
-        pushed = covers_mod.push_cocycle(y, labels, group, quotient)
-        cover = covers_mod.build_cover(y, pushed, quotient.group)
-        comp = covers_mod.cover_components(cover)
-        vc = covers_mod.verify_cover(cover)
-        links = is_hdx(cover.complex, lam, include_empty_face=False)
-        skeleton = adjacency_spectrum(cover.complex.one_skeleton()).two_sided
+        with timed(report, f"cover_family.index_{quotient.group.order}"):
+            pushed = covers_mod.push_cocycle(y, labels, group, quotient)
+            cover = covers_mod.build_cover(y, pushed, quotient.group)
+            comp = covers_mod.cover_components(cover)
+            vc = covers_mod.verify_cover(cover)
+            links = is_hdx(cover.complex, lam, include_empty_face=False)
+            skeleton = adjacency_spectrum(cover.complex.one_skeleton()).two_sided
         family.append(
             {
                 "subgroup_order": len(sub),
@@ -442,7 +469,8 @@ def run_combine(report, params, seed):
         lam = is_hdx(C, 1.0).worst_value
         lam = max(min(lam, 0.999), 1e-6)
     config = _combine_config(params, lam)
-    outcome = combine_mod.Combiner(X, C, config).run(stage_seed(seed, "combine"))
+    with timed(report, "combine"):
+        outcome = combine_mod.Combiner(X, C, config).run(stage_seed(seed, "combine"))
     report.add_stage(
         "combine",
         {
@@ -468,7 +496,8 @@ def run_combine(report, params, seed):
         report.status = "budget_exhausted"
         report.exit_code = EXIT_BUDGET
         return report.finish()
-    verdict = combine_mod.verify_combine(X, C, outcome)
+    with timed(report, "audit.verify_combine"):
+        verdict = combine_mod.verify_combine(X, C, outcome)
     report.add_audit("verify_combine", verdict.ok, verdict.to_dict())
     return report.finish()
 
@@ -491,9 +520,10 @@ def run_scan(report, params, seed):
     group = _load_group_input(_field(params, "group"))
     dim, max_size, eta = _scan_config(params)
     counts = {}
-    candidates = groups_mod.scan_gensets(
-        group, dim, eta_target=eta, max_size=max_size, counts=counts
-    )
+    with timed(report, "scan"):
+        candidates = groups_mod.scan_gensets(
+            group, dim, eta_target=eta, max_size=max_size, counts=counts
+        )
     report.add_stage(
         "scan",
         {
@@ -513,8 +543,9 @@ def run_scan(report, params, seed):
     if candidates:
         # the one full-complex check of the star score
         best = candidates[0]
-        cayley = groups_mod.cayley_clique_complex(group, best.gens, dim)
-        full = is_hdx(cayley.complex, 1.0, include_empty_face=False).worst_value
+        with timed(report, "audit.scan_reverification"):
+            cayley = groups_mod.cayley_clique_complex(group, best.gens, dim)
+            full = is_hdx(cayley.complex, 1.0, include_empty_face=False).worst_value
         bound = 1e-9
         slack = bound - abs(full - best.worst_link_lambda)
         report.add_audit(
@@ -565,20 +596,19 @@ def run_experiment(spec):
         raise InputError(f"unknown pipeline {kind!r}")
     params, seed = spec.get("params", {}), spec.get("seed", 0)
     report = RunReport(spec={"kind": kind, "params": params, "seed": seed})
-    t0 = time.perf_counter()
-    try:
-        seed = report.spec["seed"] = _spec_config(int)(seed)
-        _check_param_keys(kind, params)
-        PIPELINES[kind](report, params, seed)
-    except (OSError, json.JSONDecodeError, InputError) as exc:
-        report.status = "input_error"
-        report.exit_code = EXIT_INPUT
-        report.add_stage("error", {"message": str(exc)})
-    except HdxError as exc:
-        report.status = "input_error"
-        report.exit_code = EXIT_INPUT
-        report.add_stage("error", {"type": type(exc).__name__, "message": str(exc)})
-    report.timings["total"] = time.perf_counter() - t0
+    with timed(report, "total"):
+        try:
+            seed = report.spec["seed"] = _spec_config(int)(seed)
+            _check_param_keys(kind, params)
+            PIPELINES[kind](report, params, seed)
+        except (OSError, json.JSONDecodeError, InputError) as exc:
+            report.status = "input_error"
+            report.exit_code = EXIT_INPUT
+            report.add_stage("error", {"message": str(exc)})
+        except HdxError as exc:
+            report.status = "input_error"
+            report.exit_code = EXIT_INPUT
+            report.add_stage("error", {"type": type(exc).__name__, "message": str(exc)})
     return report
 
 

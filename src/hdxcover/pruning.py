@@ -36,7 +36,7 @@ from .errors import (
 )
 from .graphs import WGraph, coloring_weights, fiber_codes
 from .groups import cayley_clique_complex, validate_genset
-from .spectral import adjacency_spectrum
+from .spectral import adjacency_spectrum, link_measures
 
 @dataclass(frozen=True)
 class PruneConfig:
@@ -378,10 +378,7 @@ class Pruner:
     def elements_on(self, Y, f):
         """The group element f puts on each edge of the subcomplex Y,
         aligned with Y.faces(1): the labeling the covers of Y take."""
-        xv = np.asarray(self.X.vertices)
-        pos = np.searchsorted(xv, Y.vertices).clip(max=len(xv) - 1)
-        rows = np.where(xv[pos] == Y.vertices, pos, -1)[Y.level(1).rows]
-        edge = self.X.face_index(rows)
+        edge = self.X.face_index(self.X.vertex_positions(Y.vertices)[Y.level(1).rows])
         if (edge < 0).any():
             raise NotAFace("Y is not a subcomplex of the pruner's complex")
         return self.s_elems[f[edge]]
@@ -699,9 +696,7 @@ def pruned_measure(pruner, Y, f):
     # exactly when p's elements to the other vertices form a top face of c_e,
     # and then realize each of that face's d! patterns once.
     sets = np.sort(elems.reshape(-1, d), axis=1)
-    cv = np.asarray(c_e.vertices)
-    at = np.searchsorted(cv, sets).clip(max=len(cv) - 1)
-    target = c_e.face_index(np.where(cv[at] == sets, at, -1))
+    target = c_e.face_index(c_e.vertex_positions(sets))
     hit = np.flatnonzero(target >= 0)
     face = hit // (d + 1)
     weights, fiber_mass = coloring_weights(
@@ -733,35 +728,59 @@ class RatioReport:
         return self.support_matches and self.max_ratio <= self.bound
 
 
-def measure_ratio_audit(pruner, Y, f, sigma):
-    """Compare the pruned link measure at sigma with the coloring measure
-    under the pruner's label array f.
+def measure_ratio_audit(pruner, Y, f, ell):
+    """Compare, at every satisfied ell-face sigma of the pruner's complex
+    (ell <= d - 2), Y's link measure with the coloring measure of sigma's
+    satisfaction graph under the pruner's label array f.
 
-    Reports the worst multiplicative gap over link vertices and edges and
-    checks it against r^(15 d), r from the pruner's config.
-    """
-    sg = pruner.satisfaction_graph(sigma, f)
-    if sg.graph is None:
-        raise Unmeasurable(f"satisfaction graph at {sigma!r} has no edges")
-    yskel = Y.link_skeleton(sigma)
+    One RatioReport per satisfied face, in faces(ell) order, ending with
+    the first whose graph has another support than Y's link: the worst
+    multiplicative gap against r^(15 d), r from the pruner's config, and
+    the first link vertex, else edge, attaining it if it exceeds 1.  A
+    face whose graph has no edge raises Unmeasurable, and one that is no
+    face of Y fails as Y.link_skeleton does."""
+    X = pruner.X
     bound = float(pruner.config.r) ** (15 * pruner.d)
-
-    same = (set(yskel.vertices) == set(sg.graph.vertices)
-            and set(yskel.edges) == set(sg.graph.edges))
-    worst, witness = 1.0, ()
-    if same:
-        for v in yskel.vertices:
-            a = yskel.vertex_measure(v)
-            b = sg.graph.vertex_measure(v)
-            ratio = max(a / b, b / a)
-            if ratio > worst:
-                worst, witness = ratio, ("vertex", v)
-        gw = {e: w for e, w in zip(sg.graph.edges, sg.graph.weights)}
-        for e, w in zip(yskel.edges, yskel.weights):
-            ratio = max(w / gw[e], gw[e] / w)
-            if ratio > worst:
-                worst, witness = ratio, ("edge", e)
-    return RatioReport(tuple(sorted(sigma)), float(worst), bound, witness, same)
+    satisfied = pruner.satisfied_mask(f)
+    yv = np.asarray(Y.vertices)
+    yface = np.full(X.n_faces(ell), -1)
+    if Y.dim >= ell + 2:
+        yface = Y.face_index(Y.vertex_positions(X.vertices)[X.level(ell).rows])
+        # Y's links, their vertices and edges in face order
+        parts, shift = [], 0
+        for lo, verts, vlink, ends, mass in Y.link_blocks(ell):
+            w, vmass = link_measures(vlink, ends, mass)
+            parts.append((verts, vlink + lo, ends + shift, w, 0.5 * vmass))
+            shift += len(verts)
+        verts, vlink, ends, w, vm = (np.concatenate(p, axis=-1) for p in zip(*parts))
+        vs, es = (np.searchsorted(x, np.arange(Y.n_faces(ell) + 1))
+                  for x in (vlink, vlink[ends[0]]))
+    at, reports = Y.vertices.__getitem__, []
+    for i, sigma in enumerate(X.faces(ell)):
+        try:
+            g = pruner.satisfaction_graph(sigma, f, satisfied).graph
+        except UnsatisfiedBase:
+            continue
+        if g is None:
+            raise Unmeasurable(f"satisfaction graph at {sigma!r} has no edges",
+                               witness=sigma)
+        j = yface[i]
+        if j < 0:
+            Y.link_skeleton(sigma)  # raises, as sigma is no face of Y
+            raise NotAFace(f"{sigma!r} is not a face of Y")
+        link, edges = slice(vs[j], vs[j + 1]), ends[:, es[j]:es[j + 1]]
+        if not (np.array_equal(yv[verts[link]], g.vertices)
+                and np.array_equal(edges - vs[j], g.ends)):
+            reports.append(RatioReport(sigma, 1.0, bound, (), False))
+            break
+        a = np.concatenate([vm[link], w[es[j]:es[j + 1]]])  # vertices, then edges
+        b = np.concatenate([g.vertex_measures(), g.weights])
+        ratio = np.maximum(a / b, b / a)
+        k, n = int(ratio.argmax()), len(g.vertices)
+        witness = (() if ratio[k] <= 1.0 else ("vertex", at(verts[vs[j] + k])) if k < n
+                   else ("edge", tuple(map(at, verts[edges[:, k - n]]))))
+        reports.append(RatioReport(sigma, max(float(ratio[k]), 1.0), bound, witness, True))
+    return tuple(reports)
 
 
 def face_fraction_report(X, Y):

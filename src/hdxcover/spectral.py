@@ -82,6 +82,18 @@ def adjacency_spectrum(G):
     return SpectralReport(tuple(float(e) for e in eigs))
 
 
+def link_measures(vlink, ends, mass):
+    """The edge weights and twice the vertex measures of many graphs, laid
+    out as for link_spectra, each graph's as its own WGraph.from_arrays
+    holds them: weights over the graph's own sum, vertex masses summed
+    edge by edge."""
+    elink = vlink[ends[0]]
+    bounds = np.searchsorted(elink, np.arange(vlink[-1] + 2)).tolist()
+    weights = mass / np.array([mass[i:j].sum() for i, j in zip(bounds, bounds[1:])])[elink]
+    vmass = np.bincount(ends.T.ravel(), weights=np.repeat(weights, 2), minlength=len(vlink))
+    return weights, vmass
+
+
 def link_spectra(vlink, ends, mass):
     """WGraph.from_arrays and adjacency_spectrum of many graphs at once:
     the weights, normalized per graph, twice the vertex measures, and the
@@ -94,9 +106,7 @@ def link_spectra(vlink, ends, mass):
     eigensolve, so every value is the graph's own bit for bit."""
     elink = vlink[ends[0]]
     n_verts = np.bincount(vlink)
-    bounds = np.searchsorted(elink, np.arange(len(n_verts) + 1)).tolist()
-    weights = mass / np.array([mass[i:j].sum() for i, j in zip(bounds, bounds[1:])])[elink]
-    vmass = np.bincount(ends.T.ravel(), weights=np.repeat(weights, 2), minlength=len(vlink))
+    weights, vmass = link_measures(vlink, ends, mass)
     root = np.sqrt(0.5 * vmass)
     local = np.arange(len(vlink)) - np.searchsorted(vlink, vlink)
     eigs = [None] * len(n_verts)
@@ -469,7 +479,7 @@ def composition_check(G, H, f):
     ).reshape(G.n, H.m)
     gap, gap_witness = 0.0, ()
     for x, c in enumerate(colors.tolist()):
-        at = [j for _, j in H.incident(c)]  # the fibers at x's color, in order
+        at = np.flatnonzero((H.ends == H.vertex_index(c)).any(axis=0))  # fibers at c
         pi = share[x, at] / fiber_mass[at]
         if pi.max() - pi.min() > gap:
             hi, lo = H.edges[at[pi.argmax()]], H.edges[at[pi.argmin()]]

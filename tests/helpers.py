@@ -11,8 +11,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from hdxcover.complexes import TOL, SuitabilityReport, build_complex
-from hdxcover.covers import CoverComplex, CoverReport
+from hdxcover.complexes import TOL, SuitabilityReport, build_complex, complex_to_dict
+from hdxcover.covers import CoverComplex, CoverReport, _elements
 from hdxcover.errors import (
     BadLevel,
     DegenerateColoring,
@@ -20,13 +20,14 @@ from hdxcover.errors import (
     EmptyResult,
     EmptySide,
     NotACocycle,
+    NotAFace,
     NotPure,
     NotSymmetricGenSet,
     TopFace,
     Unmeasurable,
 )
 from hdxcover.graphs import WGraph
-from hdxcover.pruning import PrunedMeasure, SatisfactionGraph
+from hdxcover.pruning import PrunedMeasure, RatioReport, SatisfactionGraph
 from hdxcover import groups as groups_mod
 from hdxcover.groups import cayley_clique_complex
 from hdxcover.sparsify import split_vertex_sets
@@ -103,6 +104,128 @@ def two_step_second_eigenvalue(G):
                 P[lpos[a], lpos[a2]] += (w1 / lmass[a]) * (w2 / rmass[b])
     eigs = np.sort(np.real(np.linalg.eigvals(P)))[::-1]
     return float(eigs[1]) if len(eigs) > 1 else 0.0
+
+
+def cycle_complex(n):
+    """The n-cycle as a 1-dimensional complex."""
+    return build_complex(1, [tuple(sorted((i, (i + 1) % n))) for i in range(n)])
+
+
+def oriented_face_measure(X, seq):
+    """Prob of an ordered face: Prob{underlying set} / (k+1)!."""
+    seq = tuple(seq)
+    if len(set(seq)) != len(seq):
+        raise NotAFace(f"oriented face {seq!r} has repeated vertices")
+    return X.face_measure(seq) / math.factorial(len(seq))
+
+
+def coboundary_labeling(X, group, potential):
+    """f(uv) = potential(u)^-1 * potential(v) on every edge; always a cocycle.
+    The potential is one element per vertex, aligned with X.vertices."""
+    pot = _elements(potential, len(X.vertices), group, "a potential")
+    u, v = X.level(1).rows.T
+    return group.mul_table[group.inv_table[pot[u]], pot[v]]
+
+
+def degree(X, s, level):
+    """Number of level-dimensional faces of X containing s."""
+    s = tuple(sorted(s))
+    if not X.has_face(s):
+        raise NotAFace(f"{s!r} is not a face")
+    if level < len(s) - 1 or level > X.dim:
+        raise BadLevel(f"level {level} out of range for face of size {len(s)}")
+    if s == ():
+        return X.n_faces(level)
+    sset = set(s)
+    need = level + 1 - len(s)
+    seen = set()
+    for i in X.cofaces(s):
+        rest = [v for v in X.top_faces[i] if v not in sset]
+        for extra in itertools.combinations(rest, need):
+            seen.add(tuple(sorted(s + extra)))
+    return len(seen)
+
+
+def fiber(cover, base_vertex):
+    """The lifted vertices over base_vertex, sorted."""
+    return tuple(sorted(v for v, (b, _) in cover.legend.items() if b == base_vertex))
+
+
+def phi_face(cover, face):
+    """The image of a lifted face in the base, sorted."""
+    return tuple(sorted(cover.legend[v][0] for v in face))
+
+
+def is_abelian(group):
+    return bool((group.mul_table == group.mul_table.T).all())
+
+
+def neighbors(G, v):
+    """The neighbors of v in G, in edge order."""
+    return [b if a == v else a for a, b in G.edges if v in (a, b)]
+
+
+def incident(G, v):
+    """The (neighbor, edge index) pairs at v, in edge order."""
+    return [(b if a == v else a, i) for i, (a, b) in enumerate(G.edges) if v in (a, b)]
+
+
+def has_edge(G, u, v):
+    return ((u, v) if u < v else (v, u)) in set(G.edges)
+
+
+def plain_graph_components(G):
+    """Reference components: a dict DFS from each vertex in order, over an
+    adjacency built edge by edge."""
+    adj = {v: [] for v in G.vertices}
+    for u, v in G.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen = set()
+    comps = []
+    for start in G.vertices:
+        if start in seen:
+            continue
+        stack = [start]
+        comp = {start}
+        seen.add(start)
+        while stack:
+            x = stack.pop()
+            for y in adj[x]:
+                if y not in comp:
+                    comp.add(y)
+                    seen.add(y)
+                    stack.append(y)
+        comps.append(comp)
+    return comps
+
+
+def plain_connected_components(X):
+    """Reference component count and vertex -> component-id labeling of a
+    complex: the DFS components of its 1-skeleton sorted by least vertex."""
+    if X.dim >= 1:
+        comps = plain_graph_components(X.one_skeleton())
+    else:
+        comps = [{v} for v in X.vertices]
+    comps = sorted(comps, key=min)
+    labels = {}
+    for cid, comp in enumerate(comps):
+        for v in comp:
+            labels[v] = cid
+    return len(comps), labels
+
+
+def plain_cover_to_dict(cover):
+    """Reference cover export: each lifted face's pairs read off the legend."""
+    return {
+        "base": complex_to_dict(cover.base),
+        "group": groups_mod.group_to_dict(cover.group),
+        "faces": [
+            [list(cover.legend[v]) for v in face]
+            for face in cover.complex.top_faces
+        ],
+        "weights": [float(w) for w in cover.complex.weights],
+    }
 
 
 def random_wgraph(rng, n, p=0.5, connected=True):
@@ -306,14 +429,14 @@ def plain_verify_cover(cover, tol=1e-9):
     violations = []
 
     surj = set(cover.phi(v) for v in tilde.vertices) == set(base.vertices)
-    image_tops = {cover.phi_face(f) for f in tilde.top_faces}
+    image_tops = {phi_face(cover, f) for f in tilde.top_faces}
     surj = surj and image_tops == set(base.top_faces)
 
     checked = 0
     for k in range(0, tilde.dim + 1):
         for face in tilde.faces(k):
             checked += 1
-            img = cover.phi_face(face)
+            img = phi_face(cover, face)
             if len(set(img)) != len(face) or not base.has_face(img):
                 violations.append((face, "image is not a face"))
                 continue
@@ -431,7 +554,7 @@ def plain_holonomy_subgroup(X, labels, group, v, order="bfs"):
     tree_edges = set()
     while frontier:
         x = frontier.pop(0 if order == "bfs" else -1)
-        for y in sorted(skel.neighbors(x)):
+        for y in sorted(neighbors(skel, x)):
             if y not in pot:
                 pot[y] = group.mul(pot[x], plain_directed_label(group, labeling, x, y))
                 tree_edges.add((x, y) if x < y else (y, x))
@@ -454,7 +577,7 @@ def plain_push_cocycle(X, labels, group, quotient):
     if not ok:
         raise NotACocycle(f"input fails the triangle condition at {witness}",
                           witness=witness)
-    return {e: quotient.project(g) for e, g in label_dict(X, labels).items()}
+    return {e: int(quotient.projection[g]) for e, g in label_dict(X, labels).items()}
 
 
 def brute_check_suitable(X, c, r):
@@ -469,7 +592,7 @@ def brute_check_suitable(X, c, r):
         for sigma in X.faces(ell):
             skel = plain_link_skeleton(X, sigma)
             for v in skel.vertices:
-                deg = len(skel.neighbors(v))
+                deg = len(neighbors(skel, v))
                 if deg < bound and degree_ok:
                     degree_ok, degree_witness = False, (sigma, v, deg)
             m = skel.m
@@ -808,7 +931,7 @@ def plain_one_trial(G, p_split, p_edge, eps, seed_pair):
     vertex_ok = True
     for v in sample.a:
         total = 2.0 * G.vertex_measure(v)
-        into_b = sum(G.weights[i] for nbr, i in G.incident(v) if nbr in sample.b)
+        into_b = sum(G.weights[i] for nbr, i in incident(G, v) if nbr in sample.b)
         if abs(into_b - p_split * total) >= eps * p_split * total:
             vertex_ok = False
             break
@@ -953,7 +1076,7 @@ def plain_coloring_measure(G, H, f):
     images = []
     for (u, v), w in zip(G.edges, G.weights):
         a, b = f[u], f[v]
-        if a == b or not H.has_edge(a, b):
+        if a == b or not has_edge(H, a, b):
             raise ValueError(f"edge {(u, v)!r} maps to non-edge {(a, b)!r}")
         key = (a, b) if a < b else (b, a)
         images.append(key)
@@ -994,7 +1117,7 @@ def plain_composition_check(G, H, f):
     for x in G.vertices:
         a = f[x]
         pi = {}
-        for b in H.neighbors(a):
+        for b in neighbors(H, a):
             key = (a, b) if a < b else (b, a)
             pi[key] = share.get((x, key), 0.0) / fiber_mass[key]
         hi = max(pi, key=pi.get)
@@ -1046,6 +1169,87 @@ def plain_pruned_measure(pruner, Y, f):
     for i, pat, mass in contributions:
         weights[i] += pattern_prob[pat] * mass / fiber_mass[pat]
     return PrunedMeasure(weights, fiber_mass)
+
+
+def plain_measure_ratio_audit(pruner, Y, f, sigma):
+    """Reference measure ratio at one face: Y's link skeleton built alone,
+    vertex measures looked up one by one and edge weights through a dict."""
+    sg = pruner.satisfaction_graph(sigma, f)
+    if sg.graph is None:
+        raise Unmeasurable(f"satisfaction graph at {sigma!r} has no edges")
+    yskel = Y.link_skeleton(sigma)
+    bound = float(pruner.config.r) ** (15 * pruner.d)
+
+    same = (set(yskel.vertices) == set(sg.graph.vertices)
+            and set(yskel.edges) == set(sg.graph.edges))
+    worst, witness = 1.0, ()
+    if same:
+        for v in yskel.vertices:
+            a = yskel.vertex_measure(v)
+            b = sg.graph.vertex_measure(v)
+            ratio = max(a / b, b / a)
+            if ratio > worst:
+                worst, witness = ratio, ("vertex", v)
+        gw = {e: w for e, w in zip(sg.graph.edges, sg.graph.weights)}
+        for e, w in zip(yskel.edges, yskel.weights):
+            ratio = max(w / gw[e], gw[e] / w)
+            if ratio > worst:
+                worst, witness = ratio, ("edge", e)
+    return RatioReport(tuple(sorted(sigma)), float(worst), bound, witness, same)
+
+
+def plain_path_argument(X, C, coloring, y_edges):
+    """Reference descent: a dict BFS per target color, neighbor sets from
+    X.faces(1), and each step's candidates tested as sorted tuples.  The
+    edges are walked in sorted order, so that the first failing edge is
+    the witness (the original walked them in set order)."""
+    cskel = C.one_skeleton()
+    dist = {}
+    for src in cskel.vertices:
+        seen = {src: 0}
+        queue = [src]
+        while queue:
+            x = queue.pop(0)
+            for nb in neighbors(cskel, x):
+                if nb not in seen:
+                    seen[nb] = seen[x] + 1
+                    queue.append(nb)
+        dist[src] = seen
+    xskel_edges = set(X.faces(1))
+    nbrs = {v: set() for v in X.vertices}
+    for u, v in xskel_edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    y_edge_set = set(y_edges)
+
+    for u, v in sorted(xskel_edges):
+        if (u, v) in y_edge_set:
+            continue
+        cur, steps = u, 0
+        ok = False
+        while steps <= len(X.vertices):
+            if tuple(sorted((cur, v))) in y_edge_set:
+                ok = True
+                break
+            cu, cv = coloring[cur], coloring[v]
+            if cv not in dist.get(cu, {}):
+                break
+            gap = dist[cu][cv]
+            nxt, best = None, np.inf
+            for cand in sorted(nbrs[cur] & nbrs[v]):
+                if tuple(sorted((cur, cand))) not in y_edge_set:
+                    continue
+                score = dist[coloring[cand]].get(cv, np.inf)
+                if (gap > 0 and score < min(gap, best)) or (
+                    gap == 0 and score < best
+                ):
+                    nxt, best = cand, score
+            if nxt is None:
+                break
+            cur, steps = nxt, steps + 1
+        if not ok:
+            return False, (u, v)
+    return True, None
 
 
 def same_graph(a, b):

@@ -14,7 +14,6 @@ from hdxcover.combine import CombineConfig, Combiner, verify_combine
 from hdxcover.complexes import build_complex, complete_complex
 from hdxcover.covers import (
     build_cover,
-    coboundary_labeling,
     cover_components,
     holonomy_subgroup,
     verify_cover,
@@ -45,7 +44,13 @@ from hdxcover.spectral import (
     is_hdx,
 )
 
-from helpers import random_bipartite_wgraph, random_wgraph
+from helpers import (
+    coboundary_labeling,
+    neighbors,
+    phi_face,
+    random_bipartite_wgraph,
+    random_wgraph,
+)
 
 
 def verdict(n, ok, detail):
@@ -154,7 +159,7 @@ def test_criterion_4_cover_soundness():
 
         push = {}
         for face, w in zip(cover.complex.top_faces, cover.complex.weights):
-            img = cover.phi_face(face)
+            img = phi_face(cover, face)
             push[img] = push.get(img, 0.0) + w
         for face, w in zip(X.top_faces, X.weights):
             assert abs(push[face] - w) <= 1e-12
@@ -214,8 +219,9 @@ def test_criterion_6_measure_audits(prune_fixture):
     for out in clean:
         pm = pruned_measure(pruner, out.y, out.labeling)
         assert abs(pm.total - 1.0) <= 1e-9
-        for v in X.vertices:
-            rep = measure_ratio_audit(pruner, out.y, out.labeling, (v,))
+        reports = measure_ratio_audit(pruner, out.y, out.labeling, 0)
+        assert tuple(rep.sigma for rep in reports) == X.faces(0)
+        for rep in reports:
             assert rep.support_matches and rep.max_ratio <= bound
             worst_ratio = max(worst_ratio, rep.max_ratio)
     verdict(
@@ -231,7 +237,7 @@ def test_criterion_7_sparsification():
     G = complete_graph(300)
     sample = bipartite_vertex_split(G, 0.3, 12345)
     min_side_degree = min(
-        len(sample.graph.neighbors(v)) for v in sample.graph.vertices
+        len(neighbors(sample.graph, v)) for v in sample.graph.vertices
     )
     assert min_side_degree >= 40, "split fixture is not >= 40-regular"
 

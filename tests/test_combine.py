@@ -6,9 +6,13 @@ from hdxcover.combine import (
     Combiner,
     verify_combine,
 )
+from hdxcover.combine import _path_argument
 from hdxcover.complexes import build_complex, complete_complex
 from hdxcover.errors import BadKindForFace
+from hdxcover.harness import stage_seed
 from hdxcover.spectral import is_hdx
+
+from helpers import plain_path_argument
 
 
 K5_TARGET = complete_complex(5, 2)
@@ -282,3 +286,59 @@ class TestVerifyCombine:
         rep = verify_combine(X, K5_TARGET, out)
         direct = is_hdx(y, min(rep.hdx_threshold, 1.0))
         assert rep.hdx_ok == direct.passes
+
+
+def path_argument(X, C, coloring, y):
+    """_path_argument on a coloring dict and a subcomplex y of X."""
+    pos = {c: i for i, c in enumerate(C.vertices)}
+    col = np.array([pos.get(coloring[v], len(pos)) for v in X.vertices])
+    u, v = np.searchsorted(X.vertices, y.vertices)[y.level(1).rows.T]
+    return _path_argument(X, C, col, u * len(X.vertices) + v)
+
+
+def path_matches(X, C, coloring, y):
+    got = path_argument(X, C, coloring, y)
+    assert got == plain_path_argument(X, C, coloring, y.faces(1))
+    return got
+
+
+class TestPathArgument:
+    """The descent on arrays against the dict reference, witness included."""
+
+    def test_clean_outcomes(self, clean_outcome):
+        X, out = clean_outcome
+        assert path_matches(X, K5_TARGET, out.coloring, out.y) == (True, None)
+        X = complete_complex(40, 2)
+        lam = is_hdx(K5_TARGET, 1.0).worst_value
+        out = Combiner(X, K5_TARGET, CombineConfig(lam)).run(stage_seed(0, "combine"))
+        assert out.status == "clean"
+        assert path_matches(X, K5_TARGET, out.coloring, out.y) == (True, None)
+
+    def test_failing_descent(self):
+        # y keeps one triangle of K5: edge 34 has no kept edge at 3
+        X = complete_complex(5, 2)
+        y = build_complex(2, [(0, 1, 2)])
+        coloring = {v: v for v in X.vertices}
+        assert path_matches(X, K5_TARGET, coloring, y) == (False, (0, 3))
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_random_subcomplexes(self, seed):
+        # colors at distance 0, 1, 2 and none (two disjoint target triangles),
+        # kept faces dense and sparse
+        rng = np.random.default_rng(seed)
+        C = K5_TARGET if seed % 2 else build_complex(2, [(0, 1, 2), (2, 3, 4), (5, 6, 7)])
+        X = complete_complex(6 + seed % 5, 2)
+        coloring = {v: int(rng.choice(C.vertices)) for v in X.vertices}
+        keep = np.flatnonzero(rng.random(len(X.top_faces)) < (0.3, 0.6, 0.9)[seed % 3])
+        y = X.restrict(keep if len(keep) else [0])
+        path_matches(X, C, coloring, y)
+
+    def test_both_verdicts_drawn(self):
+        verdicts = set()
+        for seed in range(24):
+            rng = np.random.default_rng(seed)
+            X = complete_complex(7, 2)
+            coloring = {v: int(rng.integers(5)) for v in X.vertices}
+            keep = np.flatnonzero(rng.random(len(X.top_faces)) < 0.5)
+            verdicts.add(path_matches(X, K5_TARGET, coloring, X.restrict(keep))[0])
+        assert verdicts == {True, False}

@@ -1,4 +1,5 @@
 import functools
+import json
 import operator
 
 import numpy as np
@@ -9,9 +10,9 @@ from hypothesis import strategies as st
 from hdxcover.complexes import build_complex, complete_complex
 from hdxcover.covers import (
     build_cover,
-    coboundary_labeling,
     connected_components,
     cover_components,
+    cover_to_dict,
     holonomy_subgroup,
     is_cocycle,
     push_cocycle,
@@ -27,13 +28,20 @@ from hdxcover.groups import (
     symmetric_group,
     validate_genset,
 )
-from hdxcover.harness import stage_seed
+from hdxcover.harness import _jsonify, stage_seed
 from hdxcover.pruning import PruneConfig, Pruner
 
 from helpers import (
     checked,
+    fiber,
+    coboundary_labeling,
     label_dict,
+    neighbors,
+    phi_face,
     plain_build_cover,
+    plain_connected_components,
+    plain_cover_to_dict,
+    plain_graph_components,
     plain_holonomy_subgroup,
     plain_is_cocycle,
     plain_push_cocycle,
@@ -73,7 +81,7 @@ def lift_step(cover, u, g, v):
     """The element over v of the cover vertex next to the lift of u at g."""
     skel = cover.complex.one_skeleton()
     (start,) = [x for x, pair in cover.legend.items() if pair == (u, g)]
-    (h,) = [cover.legend[y][1] for y in skel.neighbors(start) if cover.phi(y) == v]
+    (h,) = [cover.legend[y][1] for y in neighbors(skel, start) if cover.phi(y) == v]
     return h
 
 
@@ -228,7 +236,7 @@ class TestBuildCover:
         f = coboundary_labeling(X, g, [i % 4 for i in range(4)])
         cover = build_cover(X, f, g)
         for v in X.vertices:
-            assert len(cover.fiber(v)) == 4
+            assert len(fiber(cover, v)) == 4
 
     def test_measure_pushforward(self):
         rng = np.random.default_rng(0)
@@ -242,7 +250,7 @@ class TestBuildCover:
         cover = build_cover(X, f, g)
         push = {}
         for face, w in zip(cover.complex.top_faces, cover.complex.weights):
-            img = cover.phi_face(face)
+            img = phi_face(cover, face)
             push[img] = push.get(img, 0.0) + w
         for face, w in zip(X.top_faces, X.weights):
             assert push[face] == pytest.approx(w, abs=1e-12)
@@ -312,6 +320,19 @@ class TestComponents:
         X, f = annulus_cocycle(g, 1)
         cover = build_cover(X, f, g)
         assert cover_components(cover).count == 1
+
+    def test_components_match_plain(self):
+        # covers of two, three and six components, disjoint triangles in
+        # label order and not, and a 0-complex
+        g = cyclic(6)
+        for hole in (0, 1, 2, 3):
+            X, f = annulus_cocycle(g, hole)
+            assert_components_match(build_cover(X, f, g).complex)
+        assert_components_match(build_complex(2, [(7, 8, 9), (0, 4, 5), (1, 2, 3)]))
+        assert_components_match(build_complex(1, [(5, 9), (0, 9), (1, 2), (3, 4), (2, 4)]))
+        X = build_complex(0, [(3,), (1,), (2,)])
+        assert connected_components(X) == plain_connected_components(X) == (
+            3, {1: 0, 2: 1, 3: 2})
 
 
 class TestVerifyCover:
@@ -388,7 +409,7 @@ class TestVerifyCover:
             weights = np.delete(weights, i)
         elif damage == "unhit":
             # every lift of one base top face goes
-            lost = [j for j, t in enumerate(tops) if cover.phi_face(t) == X.top_faces[0]]
+            lost = [j for j, t in enumerate(tops) if phi_face(cover, t) == X.top_faces[0]]
             tops = [t for j, t in enumerate(tops) if j not in lost]
             weights = np.delete(weights, lost)
         elif damage == "reweight":
@@ -461,6 +482,16 @@ class TestCoverExport:
         pair = obj["faces"][0][0]
         assert len(pair) == 2  # (base vertex, group element)
 
+    @pytest.mark.parametrize("name", [lambda v: f"v{v:02d}", lambda v: ("v", v),
+                                      lambda v: 0.5 * v - 3])
+    def test_labels_that_are_no_ints(self, name):
+        g = symmetric_group(3)
+        X0, f = annulus_cocycle(g, 1)
+        X = build_complex(2, [tuple(name(v) for v in t) for t in X0.top_faces])
+        cover = build_cover(X, f, g)
+        assert exported(cover, cover_to_dict) == exported(cover, plain_cover_to_dict)
+        assert cover_to_dict(cover)["faces"][0][0][0] in X.vertices
+
 
 class TestPushCocycle:
     def test_full_quotient_trivializes(self):
@@ -477,7 +508,7 @@ class TestPushCocycle:
         X, f = annulus_cocycle(g, 5)
         q = quotient_group(g, [0])
         pushed = push_cocycle(X, f, g, q)
-        assert pushed.tolist() == [q.project(h) for h in f]
+        assert pushed.tolist() == [int(q.projection[h]) for h in f]
 
     def test_z6_to_z3_cover(self):
         g = cyclic(6)
@@ -505,12 +536,31 @@ def agree(fast, plain, same, *args):
         return None
 
 
+def exported(cover, to_dict):
+    return json.dumps(to_dict(cover), sort_keys=True, indent=2, default=_jsonify)
+
+
+def assert_components_match(X):
+    """Array components of X and of its 1-skeleton equal the DFS references."""
+    assert connected_components(X) == plain_connected_components(X)
+    if X.dim >= 1:
+        skel = X.one_skeleton()
+        comps = plain_graph_components(skel)
+        assert skel.connected_components() == comps
+        assert skel.is_connected() == (len(comps) == 1)
+
+
 def assert_matches_plain(X, labels, group, quotients=()):
     """The array cocycle layer against the dict references: the cocycle
-    check and its witness, the cover, the holonomy under both tree orders,
-    and the pushed labeling with everything built from it."""
+    check and its witness, the cover with its components and export, the
+    holonomy under both tree orders, and the pushed labeling with
+    everything built from it."""
     agree(is_cocycle, plain_is_cocycle, operator.eq, X, labels, group)
-    agree(build_cover, plain_build_cover, same_cover, X, labels, group)
+    cover = agree(build_cover, plain_build_cover, same_cover, X, labels, group)
+    assert_components_match(X)
+    if cover is not None:
+        assert_components_match(cover.complex)
+        assert exported(cover, cover_to_dict) == exported(cover, plain_cover_to_dict)
     for order in ("bfs", "dfs"):
         plain = functools.partial(plain_holonomy_subgroup, order=order)
         for root in (X.vertices[0], X.vertices[len(X.vertices) // 2], X.vertices[-1]):

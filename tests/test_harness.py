@@ -9,7 +9,7 @@ import pytest
 from hdxcover import cli, combine, covers, groups, harness, pruning
 from hdxcover.cli import main
 from hdxcover.complexes import PureComplex, build_complex, check_suitable, complete_complex
-from hdxcover.covers import CoverComplex, build_cover, coboundary_labeling
+from hdxcover.covers import CoverComplex, build_cover
 from hdxcover.groups import cyclic
 from hdxcover.harness import (
     EXIT_AUDIT,
@@ -22,6 +22,8 @@ from hdxcover.harness import (
     stage_seed,
 )
 from hdxcover.spectral import is_hdx
+
+from helpers import coboundary_labeling
 
 PRUNE_SPEC = {
     "kind": "prune",
@@ -197,6 +199,67 @@ class TestCleanPruneAudit:
         # NE evaluations and the measure-ratio audit alike
         assert run_experiment(PRUNE_SPEC).status == "clean"
         assert calls["face_satisfied"] == calls["satisfaction_graph"] > 0
+
+    def test_no_per_face_skeletons(self, benchmark_prunes, monkeypatch):
+        # the audits read Y's links by the level and the satisfied top faces
+        # once per measure-ratio level, never a skeleton per face
+        pruner, outcome = benchmark_prunes["prune-k30"]
+        counts = {"link_skeleton": 0, "satisfied_mask": 0}
+        for cls, name in ((PureComplex, "link_skeleton"), (pruning.Pruner, "satisfied_mask")):
+            def wrapped(*args, _real=getattr(cls, name), _name=name):
+                counts[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(cls, name, wrapped)
+        report = harness.RunReport(spec={})
+        harness._audit_clean_prune(report, pruner, outcome)
+        assert all(a["ok"] for a in report.finish().audits)
+        assert counts == {"link_skeleton": 0, "satisfied_mask": pruner.d - 1}
+
+    def test_unmeasurable_is_a_failing_audit(self, monkeypatch):
+        # one triangle under a coboundary labeling is clean, but it realizes
+        # 3 of the identity link's 6 patterns, and each vertex link, one edge,
+        # covers one of its target link's 6 edges
+        spec = json.loads(json.dumps(PRUNE_SPEC))
+        spec["params"]["complex"] = {"dim": 2, "faces": [[0, 1, 2]]}
+
+        def crafted_run(self, rng):
+            return pruning.PruneOutcome("clean", np.array([0, 1, 0]), self.X, (), 0, (),
+                                        (), self.config)
+
+        monkeypatch.setattr(pruning.Pruner, "run", crafted_run)
+        rep = run_experiment(spec)
+        assert (rep.status, rep.exit_code) == ("audit_failure", EXIT_AUDIT)
+        audits = {a["name"]: a for a in rep.audits}
+        for name, witness in (("pruned_measure_total", [1, 3]), ("measure_ratio", [0])):
+            assert not audits[name]["ok"]
+            assert audits[name]["detail"]["error"] == "Unmeasurable"
+            assert audits[name]["detail"]["witness"] == witness
+        assert "audit.measure_ratio" in rep.timings
+
+
+class TestTimings:
+    def test_every_audit_and_stage_is_timed(self, prune_report):
+        assert set(prune_report.timings) == {
+            "suitability", "prune", "total", "audit.y_is_hdx", "audit.face_fraction",
+            "audit.build_cover", "audit.cover_components", "audit.verify_cover",
+            "audit.cover_export", "audit.cover_link_spectra",
+            "audit.pruned_measure_total", "audit.measure_ratio",
+        }
+        assert "timings" not in prune_report.payload()
+
+    def test_combine_scan_and_cover_family(self):
+        params = {"complex": {"kind": "complete", "n": 12, "dim": 2},
+                  "target": {"kind": "complete", "n": 5, "dim": 2}}
+        rep = run_experiment({"kind": "combine", "params": params, "seed": 0})
+        assert {"combine", "audit.verify_combine", "total"} <= set(rep.timings)
+        rep = run_experiment({"kind": "scan", "params": {
+            "group": {"kind": "cyclic", "n": 13}, "max_size": 4}, "seed": 0})
+        assert {"scan", "audit.scan_reverification"} <= set(rep.timings)
+        spec = json.loads(json.dumps(PRUNE_SPEC))
+        spec["kind"] = "cover-family"
+        rep = run_experiment(spec)
+        members = [k for k in rep.timings if k.startswith("cover_family.index_")]
+        assert sorted(members) == ["cover_family.index_1", "cover_family.index_5"]
 
 
 class TestSparsifyPipeline:

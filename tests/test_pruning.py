@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from hdxcover.complexes import build_complex, complete_complex
-from hdxcover.covers import coboundary_labeling
 from hdxcover.errors import (
     BadKindForFace,
+    HdxError,
     NotAFace,
     Unmeasurable,
     UnsatisfiedBase,
@@ -34,11 +34,13 @@ from hdxcover.spectral import is_hdx
 
 from helpers import (
     checked,
+    coboundary_labeling,
     plain_at_table,
     plain_directed_label,
     plain_eval_at,
     plain_eval_bc,
     plain_event_scope,
+    plain_measure_ratio_audit,
     plain_pruned_measure,
     random_complex,
     relabeled,
@@ -770,19 +772,74 @@ class TestPrunedMeasure:
         assert pm.weights[idx] == pytest.approx(6 * per_orientation[0])
 
 
+def face_report(reports, sigma):
+    (rep,) = [r for r in reports if r.sigma == sigma]
+    return rep
+
+
+def plain_ratio_level(pruner, Y, f, ell):
+    """The per-face reference over faces(ell) as the clean-prune audit took
+    it: unsatisfied faces skipped, ending at the first support mismatch."""
+    out = []
+    for sigma in pruner.X.faces(ell):
+        try:
+            rep = plain_measure_ratio_audit(pruner, Y, f, sigma)
+        except UnsatisfiedBase:
+            continue
+        out.append(rep)
+        if not rep.support_matches:
+            break
+    return tuple(out)
+
+
+def ratio_level_matches(pruner, Y, f, ell):
+    """measure_ratio_audit at level ell equals the per-face reference bit for
+    bit (repr shows every float exactly), or raises its exception type with
+    its message; returns the reports or the exception."""
+    try:
+        want = plain_ratio_level(pruner, Y, f, ell)
+    except HdxError as exc:
+        with pytest.raises(type(exc)) as err:
+            measure_ratio_audit(pruner, Y, f, ell)
+        assert str(err.value) == str(exc)
+        return err.value
+    got = measure_ratio_audit(pruner, Y, f, ell)
+    assert got == want and repr(got) == repr(want)
+    return got
+
+
+def z7_pruner(X, r=1.5):
+    group = cyclic(7)
+    return Pruner(X, group, validate_genset(group, range(1, 7)),
+                  PruneConfig.empirical(0.9, r=r))
+
+
+def z7_coboundary(X):
+    """Generator indices of the coboundary of v -> v in Z7 (gens 1..6):
+    every face is satisfied."""
+    u, v = X.level(1).rows.T
+    return (np.asarray(X.vertices)[v] - np.asarray(X.vertices)[u]) % 7 - 1
+
+
+def uneven_complete(n, dim, seed):
+    rng = np.random.default_rng(seed)
+    faces = list(itertools.combinations(range(n), dim + 1))
+    return build_complex(dim, faces, 0.2 + rng.random(len(faces)))
+
+
 class TestMeasureRatio:
     def test_coboundary_uniform_ratio_one(self):
         X = complete_complex(5, 2)
         f = coboundary_indices(X, {i: i for i in range(5)})
         pruner = z5_pruner(X)
         y, _, _ = pruner.f_pruning(f)
-        rep = measure_ratio_audit(pruner, y, f, (0,))
+        rep = face_report(measure_ratio_audit(pruner, y, f, 0), (0,))
         assert rep.support_matches
         assert rep.max_ratio == pytest.approx(1.0, abs=1e-9)
 
     def test_clean_run_within_bound(self, fixture30):
         X, pruner, outcome = fixture30
-        rep = measure_ratio_audit(pruner, outcome.y, outcome.labeling, (4,))
+        rep = face_report(measure_ratio_audit(pruner, outcome.y, outcome.labeling, 0), (4,))
         assert rep.ok
         assert rep.max_ratio <= 1.5 ** 30
 
@@ -793,10 +850,87 @@ class TestMeasureRatio:
         pruner_large = Pruner(X, Z5, Z5_GENS, PruneConfig(0.5, r=2.0))
         arr = f
         y, _, _ = pruner_small.f_pruning(arr)
-        small = measure_ratio_audit(pruner_small, y, arr, (0,))
-        large = measure_ratio_audit(pruner_large, y, arr, (0,))
+        small = face_report(measure_ratio_audit(pruner_small, y, arr, 0), (0,))
+        large = face_report(measure_ratio_audit(pruner_large, y, arr, 0), (0,))
         assert small.bound < large.bound
         assert small.max_ratio == pytest.approx(large.max_ratio)
+
+    @pytest.mark.parametrize("name", ["cover-family-z6", "prune-k30"])
+    def test_level_pass_on_benchmark_ys(self, benchmark_prunes, name):
+        pruner, out = benchmark_prunes[name]
+        reports = ratio_level_matches(pruner, out.y, out.labeling, 0)
+        assert len(reports) == 30 and all(r.support_matches for r in reports)
+        assert any(r.witness for r in reports)
+
+    @pytest.mark.parametrize("dim, seed", [(2, 0), (2, 1), (3, 2), (3, 3)])
+    def test_level_pass_uneven_weights(self, dim, seed):
+        X = uneven_complete(7, dim, seed)
+        pruner = z7_pruner(X)
+        f = z7_coboundary(X)
+        for ell in range(dim - 1):
+            reports = ratio_level_matches(pruner, X, f, ell)
+            assert len(reports) == X.n_faces(ell)
+            assert all(r.support_matches and r.witness for r in reports)
+        # break a few labels: unsatisfied faces drop out, and the rest
+        # match, mismatch or fail as face by face
+        rng = np.random.default_rng(seed)
+        for _ in range(4):
+            g = f.copy()
+            g[rng.choice(len(g), 2, replace=False)] = rng.integers(0, 6, 2)
+            y, _, _ = pruner.f_pruning(g)
+            for ell in range(dim - 1):
+                ratio_level_matches(pruner, y, g, ell)
+
+    def test_level_pass_off_a_subcomplex(self):
+        X = uneven_complete(7, 2, 4)
+        pruner, f = z7_pruner(X), z7_coboundary(X)
+        # relabeled: no face of X is a face of Y
+        err = ratio_level_matches(pruner, relabeled(X), f, 0)
+        assert isinstance(err, NotAFace)
+        # one extra top face on a new vertex: vertex 0's link differs
+        Y = build_complex(2, list(X.top_faces) + [(0, 1, 9)])
+        reports = ratio_level_matches(pruner, Y, f, 0)
+        assert [r.support_matches for r in reports] == [False]
+        # Y misses vertex 0, the first face
+        Y = X.restrict([i for i, t in enumerate(X.top_faces) if 0 not in t])
+        assert isinstance(ratio_level_matches(pruner, Y, f, 0), NotAFace)
+
+    def test_level_pass_support_mismatch(self):
+        X = uneven_complete(7, 2, 5)
+        pruner, f = z7_pruner(X), z7_coboundary(X)
+        # without top face (2, 3, 4) the links of 2, 3 and 4 lose an edge
+        Y = X.restrict([i for i, t in enumerate(X.top_faces) if t != (2, 3, 4)])
+        reports = ratio_level_matches(pruner, Y, f, 0)
+        assert [r.sigma for r in reports] == [(0,), (1,), (2,)]
+        assert [r.support_matches for r in reports] == [True, True, False]
+        assert reports[-1].witness == () and reports[-1].max_ratio == 1.0
+
+    def test_level_pass_witness_tie(self):
+        # vertex 0's link edges 12 and 34 are equally heavy; every link
+        # vertex meets one of them, so vertex ratios are 1 and the first
+        # heavy edge is the witness
+        faces = list(itertools.combinations(range(5), 3))
+        heavy = {(0, 1, 2), (0, 3, 4)}
+        X = build_complex(2, faces, [3.0 if t in heavy else 1.0 for t in faces])
+        f = coboundary_indices(X, {i: i for i in range(5)})
+        pruner = z5_pruner(X)
+        rep = face_report(ratio_level_matches(pruner, X, f, 0), (0,))
+        skel = X.link_skeleton((0,))
+        sg = pruner.satisfaction_graph((0,), f).graph
+        ratios = np.maximum(skel.weights / sg.weights, sg.weights / skel.weights)
+        assert list(ratios).count(rep.max_ratio) == 2
+        assert rep.witness == ("edge", (1, 2))
+
+    def test_level_pass_unmeasurable(self):
+        X = build_complex(2, [(0, 1, 2)])
+        f = coboundary_indices(X, {0: 0, 1: 1, 2: 2})
+        err = ratio_level_matches(z5_pruner(X), X, f, 0)
+        assert isinstance(err, Unmeasurable) and err.witness == (0,)
+
+    def test_level_pass_above_d_minus_2(self):
+        X = complete_complex(5, 2)
+        with pytest.raises(BadKindForFace):
+            measure_ratio_audit(z5_pruner(X), X, np.zeros(10, dtype=int), 1)
 
 
 class TestFractions:

@@ -13,9 +13,8 @@ from hdxcover.complexes import (
     build_complex,
     check_suitable,
     complete_complex,
-    cycle_complex,
 )
-from hdxcover.covers import build_cover, coboundary_labeling, push_cocycle
+from hdxcover.covers import build_cover, push_cocycle
 from hdxcover.errors import (
     BadLevel,
     DegenerateColoring,
@@ -34,10 +33,8 @@ from hdxcover.groups import (
     quotient_group,
     scan_gensets,
     symmetric_group,
-    validate_genset,
 )
-from hdxcover.harness import cover_link_gap, stage_seed
-from hdxcover.pruning import PruneConfig, Pruner
+from hdxcover.harness import cover_link_gap
 from hdxcover.spectral import (
     adjacency_spectrum,
     bipartite_lambda,
@@ -50,18 +47,20 @@ from hdxcover.spectral import (
 
 from helpers import (
     checked,
+    coboundary_labeling,
+    cycle_complex,
     per_face_link_skeleton,
     plain_check_suitable,
     plain_coloring_measure,
     plain_composition_check,
     plain_cover_link_gap,
     plain_is_hdx,
-    random_complex,
-    random_bipartite_wgraph,
-    random_wgraph,
     power_iteration_spectrum,
-    sym_walk_matrix,
+    random_bipartite_wgraph,
+    random_complex,
+    random_wgraph,
     same_graph,
+    sym_walk_matrix,
     two_step_second_eigenvalue,
 )
 
@@ -199,21 +198,6 @@ class TestIsHdx:
         for row in rep.rows:
             again = adjacency_spectrum(X.link(row.face).one_skeleton())
             assert row.value == pytest.approx(again.two_sided, abs=1e-12)
-
-
-@pytest.fixture(scope="module")
-def benchmark_ys():
-    """The clean K30 prunes of the cover-family-z6 and prune-k30 benchmarks,
-    each with its labels and group."""
-    out = {}
-    for name, n, gens, r, seed in (("cover-family-z6", 6, [1, 2, 3, 4, 5], 2.0, 1),
-                                   ("prune-k30", 5, [1, 2, 3, 4], 1.5, 2)):
-        group = cyclic(n)
-        pruner = Pruner(complete_complex(30, 2), group, validate_genset(group, gens),
-                        PruneConfig.empirical(0.9, r=r))
-        outcome = pruner.run(stage_seed(seed, "prune"))
-        out[name] = (outcome.y, pruner.elements_on(outcome.y, outcome.labeling), group)
-    return out
 
 
 @pytest.fixture(scope="module")
