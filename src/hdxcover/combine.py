@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import PureComplex, build_complex
+from .complexes import PureComplex
 from .errors import BadKindForFace, NotAFace, UnsatisfiedBase
 from .graphs import coloring_weights, component_labels
 from .pruning import (
@@ -77,8 +77,6 @@ class Combiner:
         self.config = config
         self.d = X.dim
         self.vpos = {v: i for i, v in enumerate(X.vertices)}
-        self.tops = X.top_faces
-        self.c_verts = np.array(C.vertices, dtype=np.int64)
         self._image_links = {}
         self._link_vertices = {}
         self._link_tables = {}
@@ -102,11 +100,7 @@ class Combiner:
     def image_index(self, col, rows):
         """Index among C's faces of the colors of each row of vertex
         positions, or -1 where they repeat or span no face of C."""
-        c = np.sort(col[rows], axis=1)
-        m = len(self.c_verts)
-        pos = np.searchsorted(self.c_verts, c)
-        pos[self.c_verts[pos.clip(max=m - 1)] != c] = m  # not a vertex of C
-        return self.C.face_index(pos)
+        return self.C.face_index(self.C.vertex_positions(np.sort(col[rows], axis=1)))
 
     def rows_ok(self, col, rows):
         """Whether the colors of each row of vertex positions are distinct
@@ -212,14 +206,13 @@ class Combiner:
         mask = self.satisfied_mask(col)
         if not mask.any():
             return None, "empty", mask
-        kept = [self.tops[i] for i in np.nonzero(mask)[0]]
-        base_w = self.X.weights[mask]
+        kept = np.flatnonzero(mask)
         # the target top face under each kept top face
-        img = self.image_index(col, self.X.top_positions()[mask])
-        weights, fiber_mass = coloring_weights(img, base_w, self.C.weights)
+        img = self.image_index(col, self.X.top_positions()[kept])
+        weights, fiber_mass = coloring_weights(img, self.X.weights[kept], self.C.weights)
         if not fiber_mass.all():  # some target top face has no preimage
-            return build_complex(self.d, kept, base_w), "restricted", mask
-        return build_complex(self.d, kept, weights), "coloring", mask
+            return self.X.restrict(kept), "restricted", mask
+        return self.X.restrict(kept, weights), "coloring", mask
 
     def run(self, rng):
         rng = np.random.default_rng(rng)
@@ -377,7 +370,7 @@ def verify_combine(X, C, outcome):
     img = C.face_index(np.sort(col[y_in_x[y.top_positions()]], axis=1))
     bad = np.flatnonzero(img < 0)
     hom_ok, hom_wit = not len(bad), y.top_faces[bad[0]] if len(bad) else None
-    missing = np.setdiff1d(np.arange(len(C.top_faces)), img)
+    missing = np.setdiff1d(np.arange(len(C.weights)), img)
     nondeg_ok = not len(missing)
     nondeg_wit = C.top_faces[missing[0]] if len(missing) else None
 

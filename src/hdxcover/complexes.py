@@ -1,8 +1,8 @@
 """Pure weighted simplicial complexes and their derived measures.
 
-A complex is stored by its top faces and a probability measure on them.
-Lower faces are implicit (every subset of a top face is a face) and get
-the induced measure
+A complex is stored by its sorted vertex labels, its top faces as rows of
+vertex positions, and a probability measure on them.  Lower faces are
+implicit (every subset of a top face is a face) and get the induced measure
 
     Prob{s} = binom(d+1, |s|)^{-1} * sum of top weights over cofaces of s,
 
@@ -30,7 +30,7 @@ from .errors import (
     TopFace,
     ZeroMeasure,
 )
-from .graphs import WGraph
+from .graphs import WGraph, label_positions
 
 TOL = 1e-9
 _LINK_BLOCK = 32  # faces per block of link_blocks, which bounds its temporaries
@@ -69,34 +69,32 @@ class PureComplex:
     level by level on first use (see :class:`FaceLevel`).
     """
 
-    __slots__ = (
-        "dim", "top_faces", "weights", "vertices", "_faces", "_levels", "_tops",
-        "_vpos",
-    )
+    __slots__ = ("dim", "vertices", "weights", "_tops", "_faces", "_levels", "_vpos")
 
-    def __init__(self, dim, top_faces, weights):
+    def __init__(self, dim, vertices, tops, weights):
         """Use :func:`build_complex` instead of calling this directly."""
         self.dim = dim
-        self.top_faces = top_faces
+        self.vertices = vertices
         self.weights = weights
-        self.vertices = tuple(sorted({v for f in top_faces for v in f}))
+        self._tops = tops
         self._faces = {}
         self._levels = {}
-        self._tops = None
         self._vpos = None
 
     # --- structure ---
 
     @property
-    def n_vertices(self):
-        return len(self.vertices)
+    def top_faces(self):
+        """faces(dim): the top faces as sorted tuples of vertex labels, built
+        on first read; row i of ``top_positions()`` is top face i."""
+        return self.faces(self.dim)
 
     def faces(self, k):
         """Sorted tuple of the k-dimensional faces; k = -1 gives ((),)."""
         if k not in self._faces:
             V = self.vertices
-            rows = self.level(k).rows.tolist()
-            self._faces[k] = tuple(tuple([V[i] for i in r]) for r in rows)
+            rows = self._tops if k == self.dim else self.level(k).rows
+            self._faces[k] = tuple(tuple([V[i] for i in r]) for r in rows.tolist())
         return self._faces[k]
 
     def n_faces(self, k):
@@ -108,16 +106,9 @@ class PureComplex:
     def top_positions(self):
         """The top faces as an int array of positions into ``vertices``.
 
-        Row i is top face i; rows are increasing because faces and
-        vertices are both sorted.
+        Row i is top face i; rows are increasing and in lexicographic
+        order, because faces and vertices are both sorted.
         """
-        if self._tops is None:
-            pos = self._vpos = {v: i for i, v in enumerate(self.vertices)}
-            self._tops = np.fromiter(
-                (pos[v] for f in self.top_faces for v in f),
-                dtype=np.intp,
-                count=len(self.top_faces) * (self.dim + 1),
-            ).reshape(len(self.top_faces), self.dim + 1)
         return self._tops
 
     def level(self, k):
@@ -176,14 +167,12 @@ class PureComplex:
     def vertex_positions(self, labels):
         """The position in ``vertices`` of each entry of a label array, or -1
         where it is no vertex."""
-        v = np.asarray(self.vertices)
-        pos = np.searchsorted(v, labels).clip(max=len(v) - 1)
-        return np.where(v[pos] == labels, pos, -1)
+        return label_positions(self.vertices, labels)
 
     def _find(self, s):
         """Index of the sorted face s in faces(len(s) - 1), or -1."""
         if self._vpos is None:
-            self.top_positions()
+            self._vpos = {v: i for i, v in enumerate(self.vertices)}
         if len(s) > self.dim + 1:
             return -1
         # every vertex is a 0-face, and a 0-face's code is its position
@@ -244,12 +233,10 @@ class PureComplex:
         s = _canon(s)
         if s == ():
             return self
-        idx = self.cofaces(s)
+        idx, _, rows = self.link_rows(s)
         if len(s) == self.dim + 1:
             raise TopFace(f"{s!r} is a top face; its link is empty")
-        sset = set(s)
-        tops = [tuple(v for v in self.top_faces[i] if v not in sset) for i in idx]
-        return build_complex(self.dim - len(s), tops, self.weights[idx])
+        return _from_positions(self.dim - len(s), self.vertices, rows, self.weights[idx])
 
     def link_skeleton(self, s):
         """The weighted 1-skeleton of link(s), read off the top faces by
@@ -305,24 +292,62 @@ class PureComplex:
         """The weighted graph on X(0) and X(1)."""
         return self.link_skeleton(())
 
-    def restrict(self, top_indices):
-        """Sub-complex on a subset of top faces, measure renormalized."""
+    def restrict(self, top_indices, weights=None):
+        """Sub-complex on a subset of top faces, with the given weights (by
+        default the faces' own), normalized."""
         idx = np.asarray(top_indices, dtype=np.intp)
-        if len(idx) == 0:
-            raise ZeroMeasure("restriction keeps no top face")
-        return build_complex(
-            self.dim, [self.top_faces[i] for i in idx], self.weights[idx]
-        )
+        return _from_positions(self.dim, self.vertices, self._tops[idx],
+                               self.weights[idx] if weights is None else weights)
 
     def __repr__(self):
         return (
-            f"PureComplex(dim={self.dim}, vertices={self.n_vertices}, "
-            f"tops={len(self.top_faces)})"
+            f"PureComplex(dim={self.dim}, vertices={len(self.vertices)}, "
+            f"tops={len(self.weights)})"
         )
 
 
+def _from_positions(dim, labels, rows, weights=None):
+    """The pure complex whose top faces are the rows of positions into the
+    sorted sequence ``labels``, checked and normalized as build_complex
+    describes; labels no kept row uses are dropped."""
+    if not len(rows):
+        raise ZeroMeasure("complex needs at least one top face")
+    tops = np.sort(rows, axis=1)
+    weights = np.ones(len(tops)) if weights is None else np.asarray(
+        weights if isinstance(weights, np.ndarray) else list(weights), dtype=float)
+    if len(weights) != len(tops):
+        raise ValueError("weights length does not match faces")
+    if not np.isfinite(weights).all():
+        raise ValueError("non-finite face weight")
+    if (weights < 0).any():
+        raise ValueError("negative face weight")
+    order = np.lexsort(tops.T[::-1])  # stable, so equal rows keep input order
+    tops, weights = tops[order], weights[order]
+    repeats = (tops[1:] == tops[:-1]).all(axis=1)
+    if repeats.any():
+        first = order[1:][repeats].min()  # the first face, in input order, repeating one
+        face = tuple(labels[p] for p in np.sort(rows[first]).tolist())
+        raise DuplicateFace(f"face {face!r} appears twice")
+    keep = weights > 0
+    if not keep.any():
+        raise ZeroMeasure("all top faces have zero weight")
+    tops, weights = tops[keep], weights[keep]
+    total = weights.sum()
+    if not math.isfinite(total):
+        raise ValueError("face weights overflow when summed")
+    weights = weights / total
+    if not abs(weights.sum() - 1.0) < 1e-12:
+        raise BadMeasure(f"normalized face weights sum to {weights.sum()!r}, not 1")
+    used = np.bincount(tops.ravel(), minlength=len(labels)) > 0
+    if not used.all():
+        tops = (np.cumsum(used) - 1)[tops]
+        labels = list(itertools.compress(labels, used))
+    return PureComplex(dim, tuple(labels), tops, weights)
+
+
 def build_complex(dim, faces, weights=None):
-    """Validate and construct a pure complex.
+    """Validate and construct a pure complex from faces given by their
+    vertex labels.
 
     Every face must have dim+1 vertices.  Weights default to uniform; they
     are normalized to sum one.  Faces given with weight zero are dropped
@@ -330,49 +355,23 @@ def build_complex(dim, faces, weights=None):
     construction fails with ZeroMeasure.
     """
     faces = [_canon(f) for f in faces]
-    if not faces:
-        raise ZeroMeasure("complex needs at least one top face")
     for f in faces:
         if len(f) != dim + 1:
             raise NonPure(f"face {f!r} has size {len(f)}, expected {dim + 1}")
-    if weights is None:
-        weights = np.ones(len(faces))
-    else:
-        weights = np.asarray(list(weights), dtype=float)
-        if len(weights) != len(faces):
-            raise ValueError("weights length does not match faces")
-        if not np.isfinite(weights).all():
-            raise ValueError("non-finite face weight")
-        if (weights < 0).any():
-            raise ValueError("negative face weight")
-    if len(set(faces)) != len(faces):
-        seen = set()
-        for f in faces:
-            if f in seen:
-                raise DuplicateFace(f"face {f!r} appears twice")
-            seen.add(f)
-    keep = weights > 0
-    if not keep.any():
-        raise ZeroMeasure("all top faces have zero weight")
-    faces = [f for f, k in zip(faces, keep) if k]
-    weights = weights[keep]
-    order = sorted(range(len(faces)), key=lambda i: faces[i])
-    faces = tuple(faces[i] for i in order)
-    weights = weights[order]
-    total = weights.sum()
-    if not math.isfinite(total):
-        raise ValueError("face weights overflow when summed")
-    weights = weights / total
-    if not abs(weights.sum() - 1.0) < 1e-12:
-        raise BadMeasure(f"normalized face weights sum to {weights.sum()!r}, not 1")
-    return PureComplex(dim, faces, weights)
+    labels = sorted(set(itertools.chain.from_iterable(faces)))
+    pos = {v: i for i, v in enumerate(labels)}
+    rows = np.fromiter((pos[v] for f in faces for v in f), dtype=np.intp,
+                       count=len(faces) * (dim + 1)).reshape(len(faces), dim + 1)
+    return _from_positions(dim, labels, rows, weights)
 
 
 def complete_complex(n, dim, weights=None):
     """The complete dim-dimensional complex on vertices 0..n-1."""
     if n < dim + 1:
         raise NonPure(f"need at least {dim + 1} vertices")
-    return build_complex(dim, itertools.combinations(range(n), dim + 1), weights)
+    combos = itertools.chain.from_iterable(itertools.combinations(range(n), dim + 1))
+    rows = np.fromiter(combos, dtype=np.intp, count=math.comb(n, dim + 1) * (dim + 1))
+    return _from_positions(dim, range(n), rows.reshape(-1, dim + 1), weights)
 
 
 # --- tensoring with a complete complex ---
@@ -398,23 +397,18 @@ def tensor_with_complete(X, t):
     d = X.dim
     if t < d + 1:
         raise TooSmallT(f"need t >= {d + 1}, got {t}")
-    base_pos = {v: i for i, v in enumerate(X.vertices)}
     nv = len(X.vertices)
-
-    def vid(col, v):
-        return (col - 1) * nv + base_pos[v]
-
-    legend = {vid(c, v): (c, v) for c in range(1, t + 1) for v in X.vertices}
-    tops = []
-    weights = []
-    denom = math.comb(t, d + 1) * math.factorial(d + 1)
-    for face, w in zip(X.top_faces, X.weights):
-        share = w / denom
-        for cols in itertools.combinations(range(1, t + 1), d + 1):
-            for perm in itertools.permutations(face):
-                tops.append(tuple(sorted(vid(c, v) for c, v in zip(cols, perm))))
-                weights.append(share)
-    return TensorComplex(build_complex(d, tops, weights), legend, t)
+    # vertex (col - 1) * nv + p is (column col, the vertex at position p)
+    legend = {(c - 1) * nv + p: (c, v) for c in range(1, t + 1)
+              for p, v in enumerate(X.vertices)}
+    cols = np.array(list(itertools.combinations(range(t), d + 1)), dtype=np.intp)
+    perms = np.array(list(itertools.permutations(range(d + 1))), dtype=np.intp)
+    # row (face f, subset c, matching m): column cols[c, j] on f's perms[m, j]
+    rows = cols[None, :, None, :] * nv + X.top_positions()[:, None, perms]
+    share = X.weights / (math.comb(t, d + 1) * math.factorial(d + 1))
+    weights = np.repeat(share, len(cols) * len(perms))
+    tensor = _from_positions(d, range(t * nv), rows.reshape(-1, d + 1), weights)
+    return TensorComplex(tensor, legend, t)
 
 
 # --- suitability ---

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import PureComplex, build_complex, complex_to_dict
+from .complexes import PureComplex, _from_positions, complex_to_dict
 from .errors import BadLabeling, Disconnected, NotACocycle
 from .graphs import component_labels
 from .groups import group_to_dict, subgroup_closure
@@ -88,9 +88,8 @@ def build_cover(X, labels, group):
     legend = {
         p * n_g + g: (v, g) for p, v in enumerate(X.vertices) for g in range(n_g)
     }
-    cover = build_complex(
-        X.dim, lifted.reshape(-1, X.dim + 1).tolist(), np.repeat(X.weights / n_g, n_g)
-    )
+    cover = _from_positions(X.dim, range(len(X.vertices) * n_g),
+                            lifted.reshape(-1, X.dim + 1), np.repeat(X.weights / n_g, n_g))
     return CoverComplex(cover, X, group, labels, legend)
 
 
@@ -171,7 +170,7 @@ def verify_cover(cover, tol=TOL):
     # the base top under each lifted top, -1 if its image is none
     top_img = base.face_index(np.sort(phi[tilde.top_positions()], axis=1))
     surj = surj and bool((top_img >= 0).all())
-    surj = surj and len(np.unique(top_img)) == len(base.top_faces)
+    surj = surj and len(np.unique(top_img)) == len(base.weights)
 
     violations = []
     checked = 0

@@ -212,6 +212,13 @@ def complete_graph(n):
     return WGraph.from_arrays(tuple(range(n)), ends, np.ones(ends.shape[1]))
 
 
+def label_positions(labels, query):
+    """Each entry of the array ``query``'s position in the sorted ``labels``, or -1."""
+    labels = np.asarray(labels)
+    pos = np.searchsorted(labels, query).clip(max=len(labels) - 1)
+    return np.where(labels[pos] == query, pos, -1)
+
+
 def fiber_codes(H, colors, ends):
     """The column in ``H.ends`` of the edge of H that each edge maps to, or
     -1 where its image is a loop or no edge of H.
@@ -219,13 +226,11 @@ def fiber_codes(H, colors, ends):
     ``colors`` holds each vertex's image among the labels ``H.vertices``,
     and ``ends`` is a (2, m) array of each edge's end positions in colors.
     """
-    hv = np.asarray(H.vertices)
-    n = len(hv)
-    pos = np.searchsorted(hv, colors).clip(max=n - 1)
-    pos[hv[pos] != colors] = n  # not a vertex of H
-    a, b = pos[ends]
-    codes = np.minimum(a, b) * (n + 1) + np.maximum(a, b)
-    hcodes = H.ends[0] * (n + 1) + H.ends[1]
+    n = len(H.vertices)
+    a, b = label_positions(H.vertices, colors)[ends]
+    # an end that is no vertex of H (-1) makes the code negative
+    codes = np.minimum(a, b) * n + np.maximum(a, b)
+    hcodes = H.ends[0] * n + H.ends[1]
     j = np.searchsorted(hcodes, codes).clip(max=len(hcodes) - 1)
     return np.where(hcodes[j] == codes, j, -1)
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import PureComplex, build_complex
+from .complexes import PureComplex, _from_positions
 from . import spectral
 from .errors import (
     BadLevel,
@@ -237,12 +237,13 @@ class CayleyCliqueComplex:
 
 
 def _identity_cliques(group, gens, d):
-    """The d-sets of generators spanning a (d+1)-clique with the identity;
-    NotPure (with a witnessing edge) if some generator is in none."""
+    """The d-sets of generators spanning a (d+1)-clique with the identity,
+    as rows of an int array; NotPure (with a witnessing edge) if some
+    generator is in none."""
     S, owner, tops, (impure,) = _star_cliques(group, [tuple(sorted(set(gens)))], d)
     if impure is not None:
         raise impure
-    return [tuple(c) for c in S[0, tops].tolist()]
+    return S[0, tops]
 
 
 def cayley_clique_complex(group, gens, d, require_generating=False):
@@ -253,12 +254,11 @@ def cayley_clique_complex(group, gens, d, require_generating=False):
     """
     gens = validate_genset(group, gens, require_generating=require_generating)
     base = _identity_cliques(group, gens, d)
-    tops = set()
-    for g in group.elements:
-        row = group.mul_table[g]
-        for combo in base:
-            tops.add(tuple(sorted([g] + [int(row[s]) for s in combo])))
-    return CayleyCliqueComplex(build_complex(d, sorted(tops)), group, gens, d)
+    # each element g with g times each identity clique's generators
+    g = np.repeat(np.arange(group.order), len(base))
+    rows = np.column_stack([g, group.mul_table[g[:, None], np.tile(base, (group.order, 1))]])
+    tops = np.unique(np.sort(rows, axis=1), axis=0)
+    return CayleyCliqueComplex(_from_positions(d, group.elements, tops), group, gens, d)
 
 
 def identity_star_lambda(group, gens, d):

@@ -343,6 +343,7 @@ def _audit_clean_prune(report, pruner, outcome):
 
     with timed(report, "audit.build_cover"):
         cover = covers_mod.build_cover(y, pruner.elements_on(y, f), group)
+        cover.complex.level(1)  # read by both audits below, so built here
     with timed(report, "audit.cover_components"):
         comp = covers_mod.cover_components(cover)
     hol_order = group.order // comp.expected_index

@@ -711,7 +711,7 @@ def pruned_measure(pruner, Y, f):
     k = math.factorial(d)
     patterns = {o: m for t, m in zip(c_e.top_faces, fiber_mass)
                 for o in itertools.permutations(t)}
-    weights = np.bincount(np.repeat(face, k), np.repeat(weights, k), len(Y.top_faces))
+    weights = np.bincount(np.repeat(face, k), np.repeat(weights, k), len(Y.weights))
     return PrunedMeasure(weights, patterns)
 
 

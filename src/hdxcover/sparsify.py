@@ -42,6 +42,7 @@ class SplitSample:
     b: frozenset
     cross_mass: float  # nu_G of the surviving edges before renormalizing
     in_a: np.ndarray = field(repr=False, compare=False)  # over G's vertex positions
+    in_b: np.ndarray = field(repr=False, compare=False)
     cross: np.ndarray = field(repr=False, compare=False)  # over G's edge columns
 
 
@@ -58,7 +59,7 @@ def bipartite_vertex_split(G, p, rng):
         raise EmptySide("no edge crosses the sampled sides")
     mass = np.cumsum(G.weights[cross])[-1]  # summed edge by edge, left to right
     graph = G.edge_subgraph(cross, sides=(in_a, in_b))
-    return SplitSample(graph, frozenset(a), frozenset(b), mass, in_a, cross)
+    return SplitSample(graph, frozenset(a), frozenset(b), mass, in_a, in_b, cross)
 
 
 @dataclass(frozen=True)
@@ -119,9 +120,9 @@ def _one_trial(G, p_split, p_edge, eps, seed_pair):
     lam_split = float(bipartite_lambda(sample.graph))
     lam_edge = float(bipartite_lambda(sub.graph))
 
-    # summed in the sides' iteration order, since the sums meet a threshold
-    mass_a = sum(G.vertex_measure(v) for v in sample.a)
-    mass_b = sum(G.vertex_measure(v) for v in sample.b)
+    # summed vertex by vertex in vertex order, since the sums meet a threshold
+    vm = G.vertex_measures()
+    mass_a, mass_b = (float(np.cumsum(vm[m])[-1]) for m in (sample.in_a, sample.in_b))
     side_ok = (
         abs(mass_a - p_split) <= eps * p_split
         and abs(mass_b - p_split) <= eps * p_split
@@ -130,7 +131,7 @@ def _one_trial(G, p_split, p_edge, eps, seed_pair):
     u, v = G.ends
     a_end = np.where(sample.in_a[u], u, v)[sample.cross]
     into_b = np.bincount(a_end, weights=G.weights[sample.cross], minlength=G.n)
-    total = 2.0 * G.vertex_measures()
+    total = 2.0 * vm
     within = np.abs(into_b - p_split * total) < eps * p_split * total
     vertex_ok = bool(within[sample.in_a].all())
     return lam_split, lam_edge, side_ok, vertex_ok

@@ -15,16 +15,20 @@ from hdxcover.complexes import TOL, SuitabilityReport, build_complex, complex_to
 from hdxcover.covers import CoverComplex, CoverReport, _elements
 from hdxcover.errors import (
     BadLevel,
+    BadMeasure,
     DegenerateColoring,
     Disconnected,
+    DuplicateFace,
     EmptyResult,
     EmptySide,
+    NonPure,
     NotACocycle,
     NotAFace,
     NotPure,
     NotSymmetricGenSet,
     TopFace,
     Unmeasurable,
+    ZeroMeasure,
 )
 from hdxcover.graphs import WGraph
 from hdxcover.pruning import PrunedMeasure, RatioReport, SatisfactionGraph
@@ -104,6 +108,74 @@ def two_step_second_eigenvalue(G):
                 P[lpos[a], lpos[a2]] += (w1 / lmass[a]) * (w2 / rmass[b])
     eigs = np.sort(np.real(np.linalg.eigvals(P)))[::-1]
     return float(eigs[1]) if len(eigs) > 1 else 0.0
+
+
+def _plain_canon(face):
+    t = tuple(face)
+    if len(set(t)) != len(t):
+        raise NonPure(f"face {t!r} has repeated vertices")
+    return tuple(sorted(t))
+
+
+def plain_build_complex(dim, faces, weights=None):
+    """Reference build: each face canonicalized as a tuple, duplicates found
+    with a set and faces sorted as tuples; the vertices collected with a set
+    over every face and the top positions looked up in a dict.  Returns the
+    dim, vertices, top_faces, weights and top_positions() of the complex."""
+    faces = [_plain_canon(f) for f in faces]
+    if not faces:
+        raise ZeroMeasure("complex needs at least one top face")
+    for f in faces:
+        if len(f) != dim + 1:
+            raise NonPure(f"face {f!r} has size {len(f)}, expected {dim + 1}")
+    if weights is None:
+        weights = np.ones(len(faces))
+    else:
+        weights = np.asarray(list(weights), dtype=float)
+        if len(weights) != len(faces):
+            raise ValueError("weights length does not match faces")
+        if not np.isfinite(weights).all():
+            raise ValueError("non-finite face weight")
+        if (weights < 0).any():
+            raise ValueError("negative face weight")
+    if len(set(faces)) != len(faces):
+        seen = set()
+        for f in faces:
+            if f in seen:
+                raise DuplicateFace(f"face {f!r} appears twice")
+            seen.add(f)
+    keep = weights > 0
+    if not keep.any():
+        raise ZeroMeasure("all top faces have zero weight")
+    faces = [f for f, k in zip(faces, keep) if k]
+    weights = weights[keep]
+    order = sorted(range(len(faces)), key=lambda i: faces[i])
+    faces = tuple(faces[i] for i in order)
+    weights = weights[order]
+    total = weights.sum()
+    if not math.isfinite(total):
+        raise ValueError("face weights overflow when summed")
+    weights = weights / total
+    if not abs(weights.sum() - 1.0) < 1e-12:
+        raise BadMeasure(f"normalized face weights sum to {weights.sum()!r}, not 1")
+    vertices = tuple(sorted({v for f in faces for v in f}))
+    pos = {v: i for i, v in enumerate(vertices)}
+    tops = np.fromiter(
+        (pos[v] for f in faces for v in f), dtype=np.intp, count=len(faces) * (dim + 1)
+    ).reshape(len(faces), dim + 1)
+    return SimpleNamespace(dim=dim, vertices=vertices, top_faces=faces,
+                           weights=weights, top_positions=lambda: tops)
+
+
+def assert_same_complex(X, ref):
+    """X equals a plain_build_complex result: the same vertices, top faces
+    and top positions, and weights equal bit for bit."""
+    assert X.dim == ref.dim
+    assert X.vertices == ref.vertices
+    assert X.top_faces == ref.top_faces
+    got, want = X.top_positions(), ref.top_positions()
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert X.weights.tobytes() == ref.weights.tobytes()
 
 
 def cycle_complex(n):
@@ -531,14 +603,17 @@ def plain_build_cover(X, labels, group):
             row = group.mul_table[g]
             tops.append(tuple(sorted(vid(v, int(row[s])) for v, s in zip(face, shifts))))
             weights.append(share)
-    cover = build_complex(X.dim, tops, weights)
+    cover = plain_build_complex(X.dim, tops, weights)
     return CoverComplex(cover, X, group, labeling, legend)
 
 
 def same_cover(a, b):
-    """Equal top faces and legends, and weights equal bit for bit."""
-    return (a.complex.top_faces == b.complex.top_faces
-            and a.complex.weights.tobytes() == b.complex.weights.tobytes()
+    """Equal vertices, top faces, top positions and legends, and weights
+    equal bit for bit."""
+    x, y = a.complex, b.complex
+    return (x.vertices == y.vertices and x.top_faces == y.top_faces
+            and np.array_equal(x.top_positions(), y.top_positions())
+            and x.weights.tobytes() == y.weights.tobytes()
             and a.legend == b.legend)
 
 
@@ -677,20 +752,20 @@ def plain_c_pruning(comb, col):
     mask = comb.satisfied_mask(col)
     if not mask.any():
         return None, "empty"
-    kept = [comb.tops[i] for i in np.nonzero(mask)[0]]
+    kept = [comb.X.top_faces[i] for i in np.nonzero(mask)[0]]
     base_w = comb.X.weights[mask]
     fiber = {}
     for face, w in zip(kept, base_w):
         img = comb.image(face, col)
         fiber[img] = fiber.get(img, 0.0) + w
     if any(t not in fiber for t in comb.C.top_faces):
-        return build_complex(comb.d, kept, base_w), "restricted"
+        return plain_build_complex(comb.d, kept, base_w), "restricted"
     cw = dict(zip(comb.C.top_faces, comb.C.weights))
     weights = [
         cw[comb.image(face, col)] * w / fiber[comb.image(face, col)]
         for face, w in zip(kept, base_w)
     ]
-    return build_complex(comb.d, kept, weights), "coloring"
+    return plain_build_complex(comb.d, kept, weights), "coloring"
 
 
 def plain_color_satisfaction_graph(comb, sigma, col):
@@ -922,8 +997,8 @@ def plain_one_trial(G, p_split, p_edge, eps, seed_pair):
     lam_split = float(bipartite_lambda(sample.graph))
     lam_edge = float(bipartite_lambda(sub.graph))
 
-    mass_a = sum(G.vertex_measure(v) for v in sample.a)
-    mass_b = sum(G.vertex_measure(v) for v in sample.b)
+    mass_a = sum(G.vertex_measure(v) for v in sorted(sample.a))
+    mass_b = sum(G.vertex_measure(v) for v in sorted(sample.b))
     side_ok = (
         abs(mass_a - p_split) <= eps * p_split
         and abs(mass_b - p_split) <= eps * p_split

@@ -252,6 +252,29 @@ class TestArrayPathMatchesPlain:
         monkeypatch.setattr(sparsify, "near_uniform_r", plain_near_uniform_r)
         assert fast == sparsify_trial(*args, eps=0.4).to_dict()
 
+    def test_side_masses_summed_in_vertex_order(self):
+        # Int labels whose set order is often not vertex order, and uneven
+        # vertex measures.  With eps put at each draw's boundary, a side
+        # mass summed in set order lands one ulp across it on some draws.
+        G = random_wgraph(np.random.default_rng(0), 40, p=0.6)
+        p, set_order_differs, checked_draws = 0.3, False, 0
+        for seed in range(120):
+            try:
+                s = bipartite_vertex_split(G, p, seed)
+            except EmptySide:
+                continue
+            ordered = [sum(G.vertex_measure(v) for v in sorted(x)) for x in (s.a, s.b)]
+            in_set = [sum(G.vertex_measure(v) for v in x) for x in (s.a, s.b)]
+            if ordered == in_set:
+                continue
+            eps = max(abs(m - p) for m in ordered) / p
+            want = all(abs(m - p) <= eps * p for m in ordered)
+            set_order_differs |= want != all(abs(m - p) <= eps * p for m in in_set)
+            assert sparsify._one_trial(G, p, 0.5, eps, (seed, seed))[2] == want
+            assert plain_one_trial(G, p, 0.5, eps, (seed, seed))[2] == want
+            checked_draws += 1
+        assert checked_draws and set_order_differs
+
     def test_degenerate_draws_raise_alike(self):
         # K4 at p = 0.01 mostly leaves a side empty; two disjoint edges often
         # give sides with no crossing edge; p_edge = 0.05 on 3 edges mostly
