@@ -3,9 +3,9 @@
 Vertices get colors in the target's vertex set; a face is satisfied when
 its colors are distinct and form a face of the target.  Resampling drives
 two event families to false: a satisfied face whose link misses a color
-completing it (AC), and a satisfaction graph that fails the expansion
-threshold (NE).  A clean outcome yields a sub-complex with a
-non-degenerate coloring into the target.
+completing it (AC), and a satisfaction graph that expands worse than the
+target lambda under the coloring measure (NE).  A clean outcome yields a
+sub-complex with a non-degenerate coloring into the target.
 """
 from __future__ import annotations
 
@@ -32,8 +32,6 @@ from .spectral import is_hdx
 @dataclass(frozen=True)
 class CombineConfig:
     lambda_target: float
-    ne_threshold: float | None = None  # defaults to lambda_target
-    ne_check_link_measure: bool = False
     max_resamples: int = 10_000
 
     def __post_init__(self):
@@ -41,12 +39,6 @@ class CombineConfig:
             raise ValueError("lambda_target must lie in (0, 1)")
         if self.max_resamples < 1:
             raise ValueError("max_resamples must be at least 1")
-
-    @property
-    def resolved_ne_threshold(self):
-        return (
-            self.ne_threshold if self.ne_threshold is not None else self.lambda_target
-        )
 
 
 @dataclass
@@ -163,7 +155,7 @@ class Combiner:
             sg = self.satisfaction_graph(sigma, col, satisfied)
         except UnsatisfiedBase:
             return False
-        return ne_violated(sg, self.config)
+        return ne_violated(sg, self.config.lambda_target)
 
     def eval_event(self, kind, face, col):
         face = event_face(self.kind_dims, kind, face)
@@ -284,7 +276,7 @@ class CombineReport:
 def _path_argument(X, C, col, y_codes):
     """Replay the descent that connects endpoints of unsatisfied edges.
 
-    col gives X's colors as positions in C.vertices (past them for none),
+    col gives X's colors as positions in C.vertices (-1 for none),
     y_codes the kept edges' ascending codes u * n + v over X's n vertex
     positions.  From each unkept edge uv, a walk steps from u to the least
     common neighbor over a kept edge whose color is nearest v's, strictly
@@ -292,7 +284,7 @@ def _path_argument(X, C, col, y_codes):
     walks step at once.  Gives (True, None) or (False, the first failing
     edge in faces(1) order)."""
     # hop distances of C's vertices by one BFS from all of them; the extra
-    # last row and column, a color outside C, stay unreachable
+    # last row and column, read by a color outside C (-1), stay unreachable
     m = len(C.vertices)
     adj = np.zeros((m + 1, m + 1), dtype=bool)
     cu, cv = C.level(1).rows.T
@@ -360,10 +352,9 @@ def verify_combine(X, C, outcome):
     if y is None:
         raise UnsatisfiedBase("outcome kept no top face")
 
-    # X's colors as positions in C.vertices (past them for none), and the
-    # target top face under each kept top face, -1 where there is none
-    pos = {c: i for i, c in enumerate(C.vertices)}
-    col = np.array([pos.get(coloring[v], len(pos)) for v in X.vertices], dtype=np.intp)
+    # X's colors as positions in C.vertices (-1 for none), and the target
+    # top face under each kept top face, -1 where there is none
+    col = C.vertex_positions(np.array([coloring[v] for v in X.vertices]))
     y_in_x = X.vertex_positions(y.vertices)
     if (y_in_x < 0).any():
         raise NotAFace("the outcome's complex is not a subcomplex of X")

@@ -149,7 +149,7 @@ class CoverReport:
     violations: tuple  # (face, reason) pairs
 
 
-def verify_cover(cover, tol=TOL):
+def verify_cover(cover):
     """Audit that the projection is a genuine cover of the base.
 
     Checks surjectivity on vertices and top faces, and for every nonempty
@@ -175,7 +175,7 @@ def verify_cover(cover, tol=TOL):
     violations = []
     checked = 0
     for k in range(tilde.dim + 1):
-        n_faces, found = _level_violations(cover, k, phi, top_img, tol)
+        n_faces, found = _level_violations(cover, k, phi, top_img)
         checked += n_faces
         violations.extend(found)
     return CoverReport(
@@ -194,7 +194,7 @@ _FAULTS = {
 }
 
 
-def _level_violations(cover, k, phi, top_img, tol):
+def _level_violations(cover, k, phi, top_img):
     """Face count and (face, reason) violations, in face order, of the
     k-dimensional lifted faces."""
     tilde, base = cover.complex, cover.base
@@ -230,7 +230,7 @@ def _level_violations(cover, k, phi, top_img, tol):
         f = inv[pair_ok]
         bw = base.weights[np.repeat(top_img, c)[pair_ok]]
         bad = np.zeros(len(inv), dtype=bool)
-        bad[pair_ok] = np.abs(tw[pair_ok] / ts[f] - bw / bs[img[f]]) > tol
+        bad[pair_ok] = np.abs(tw[pair_ok] / ts[f] - bw / bs[img[f]]) > TOL
         bad_face, first_bad = np.unique(inv[bad], return_index=True)
         reason[bad_face] = _WEIGHT
         bad_pair = dict(zip(bad_face.tolist(), np.flatnonzero(bad)[first_bad].tolist()))

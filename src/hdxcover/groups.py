@@ -23,7 +23,7 @@ from .errors import (
     TooLarge,
 )
 
-DEFAULT_ORDER_CAP = 5040
+ORDER_CAP = 5040  # the largest group order built
 _FULL_ASSOC_LIMIT = 256
 _TIE_TOL = 1e-12  # well above eigensolver rounding, far below real score gaps
 _SCAN_BLOCK = 512  # scan candidates per block: bounds the scan's arrays
@@ -34,7 +34,7 @@ class GroupTable:
 
     __slots__ = ("mul_table", "inv_table", "order", "name")
 
-    def __init__(self, mul_table, name="group", validate=True, rng=None):
+    def __init__(self, mul_table, name="group", validate=True):
         mul = np.asarray(mul_table, dtype=np.int32)
         n = mul.shape[0]
         if mul.shape != (n, n):
@@ -45,7 +45,7 @@ class GroupTable:
         self.order = n
         self.name = name
         if validate:
-            self._validate(rng)
+            self._validate()
         inv = np.full(n, -1, dtype=np.int32)
         rows, cols = np.nonzero(mul == 0)
         inv[rows] = cols
@@ -55,7 +55,7 @@ class GroupTable:
             raise NotAGroup("left and right inverses disagree")
         self.inv_table = inv
 
-    def _validate(self, rng):
+    def _validate(self):
         mul, n = self.mul_table, self.order
         if (mul[0] != np.arange(n)).any() or (mul[:, 0] != np.arange(n)).any():
             raise NotAGroup("element 0 is not a two-sided identity")
@@ -74,7 +74,7 @@ class GroupTable:
                 if (lhs != rhs).any():
                     raise NotAGroup("multiplication is not associative")
         else:
-            rng = np.random.default_rng(rng if rng is not None else 0)
+            rng = np.random.default_rng(0)
             trips = rng.integers(0, n, size=(512, 3))
             for a, b, c in trips:
                 if mul[mul[a, b], c] != mul[a, mul[b, c]]:
@@ -94,20 +94,20 @@ class GroupTable:
         return f"GroupTable({self.name}, order={self.order})"
 
 
-def _check_cap(order, cap):
-    if order > cap:
-        raise TooLarge(f"group order {order} exceeds the cap {cap}")
+def _check_cap(order):
+    if order > ORDER_CAP:
+        raise TooLarge(f"group order {order} exceeds the cap {ORDER_CAP}")
 
 
-def cyclic(n, cap=DEFAULT_ORDER_CAP):
-    _check_cap(n, cap)
+def cyclic(n):
+    _check_cap(n)
     idx = np.arange(n)
     return GroupTable((idx[:, None] + idx[None, :]) % n, name=f"Z{n}", validate=False)
 
 
-def dihedral(n, cap=DEFAULT_ORDER_CAP):
+def dihedral(n):
     """Symmetries of the n-gon, order 2n; (i, j) encoded as i + n*j."""
-    _check_cap(2 * n, cap)
+    _check_cap(2 * n)
     mul = np.zeros((2 * n, 2 * n), dtype=np.int32)
     for i1, j1, i2, j2 in itertools.product(range(n), (0, 1), range(n), (0, 1)):
         i = (i1 + (i2 if j1 == 0 else -i2)) % n
@@ -116,9 +116,9 @@ def dihedral(n, cap=DEFAULT_ORDER_CAP):
     return GroupTable(mul, name=f"D{n}", validate=False)
 
 
-def symmetric_group(k, cap=DEFAULT_ORDER_CAP):
+def symmetric_group(k):
     order = math.factorial(k)
-    _check_cap(order, cap)
+    _check_cap(order)
     parr = np.array(list(itertools.permutations(range(k))), dtype=np.intp)
     # base-k codes ascend, as permutations come in lexicographic order
     place = k ** np.arange(k - 1, -1, -1)
@@ -128,9 +128,9 @@ def symmetric_group(k, cap=DEFAULT_ORDER_CAP):
     return GroupTable(mul, name=f"S{k}", validate=False)
 
 
-def product_group(g1, g2, cap=DEFAULT_ORDER_CAP):
+def product_group(g1, g2):
     n1, n2 = g1.order, g2.order
-    _check_cap(n1 * n2, cap)
+    _check_cap(n1 * n2)
     a = np.arange(n1 * n2)
     a1, a2 = a // n2, a % n2
     mul = (
@@ -139,11 +139,11 @@ def product_group(g1, g2, cap=DEFAULT_ORDER_CAP):
     return GroupTable(mul, name=f"{g1.name}x{g2.name}", validate=False)
 
 
-def group_from_table(rows, name="table", cap=DEFAULT_ORDER_CAP):
+def group_from_table(rows, name="table"):
     """Validate a raw table and relabel so the identity gets id 0."""
     mul = np.asarray(rows, dtype=np.int32)
     n = mul.shape[0]
-    _check_cap(n, cap)
+    _check_cap(n)
     ident = None
     for e in range(n):
         if (mul[e] == np.arange(n)).all() and (mul[:, e] == np.arange(n)).all():
@@ -159,7 +159,7 @@ def group_from_table(rows, name="table", cap=DEFAULT_ORDER_CAP):
     return GroupTable(mul, name=name)
 
 
-def make_group(spec, cap=DEFAULT_ORDER_CAP):
+def make_group(spec):
     """Build a group from a JSON-style description."""
     kind = spec.get("kind")
 
@@ -170,19 +170,19 @@ def make_group(spec, cap=DEFAULT_ORDER_CAP):
             raise NotAGroup(f"group of kind {kind!r} needs {key!r}") from None
 
     if kind == "cyclic":
-        return cyclic(int(field("n")), cap)
+        return cyclic(int(field("n")))
     if kind == "dihedral":
-        return dihedral(int(field("n")), cap)
+        return dihedral(int(field("n")))
     if kind == "symmetric":
-        return symmetric_group(int(field("k")), cap)
+        return symmetric_group(int(field("k")))
     if kind == "product":
-        factors = [make_group(s, cap) for s in field("factors")]
+        factors = [make_group(s) for s in field("factors")]
         out = factors[0]
         for g in factors[1:]:
-            out = product_group(out, g, cap)
+            out = product_group(out, g)
         return out
     if kind == "table":
-        return group_from_table(field("mul"), spec.get("name", "table"), cap)
+        return group_from_table(field("mul"), spec.get("name", "table"))
     raise NotAGroup(f"unknown group kind {kind!r}")
 
 
@@ -246,13 +246,13 @@ def _identity_cliques(group, gens, d):
     return S[0, tops]
 
 
-def cayley_clique_complex(group, gens, d, require_generating=False):
+def cayley_clique_complex(group, gens, d):
     """Top faces are the (d+1)-cliques of the Cayley graph, uniform measure.
 
     Fails with NotPure (and a witnessing edge) if some Cayley edge lies in
     no (d+1)-clique.
     """
-    gens = validate_genset(group, gens, require_generating=require_generating)
+    gens = validate_genset(group, gens, require_generating=False)
     base = _identity_cliques(group, gens, d)
     # each element g with g times each identity clique's generators
     g = np.repeat(np.arange(group.order), len(base))
@@ -461,7 +461,6 @@ def normal_subgroups(group, index_cap=None):
 
 @dataclass(frozen=True)
 class GensetCandidate:
-    group_name: str
     gens: tuple
     worst_link_lambda: float
     meets_target: bool
@@ -517,22 +516,21 @@ def _class_combos(classes, max_size):
 
 
 def _tie_stable(scored, eta_target):
-    """Candidates from (group_name, gens, score) triples in score order.
+    """Candidates from (gens, score) pairs in score order.
 
     Scores chained within _TIE_TOL count as one value, reported as the
-    least of them, and candidates of one value come in (group_name, gens)
-    order, so that eigensolver rounding cannot pick the order or the best
-    set.
+    least of them, and candidates of one value come in gens order, so that
+    eigensolver rounding cannot pick the order or the best set.
     """
     keyed, prev = [], None
-    for name, gens, lam in sorted(scored, key=lambda t: t[2]):
+    for gens, lam in sorted(scored, key=lambda t: t[1]):
         if prev is None or lam - prev > _TIE_TOL:
             value = lam
-        keyed.append((value, name, gens))
+        keyed.append((value, gens))
         prev = lam
     return [
-        GensetCandidate(name, gens, value, eta_target is None or value <= eta_target)
-        for value, name, gens in sorted(keyed)
+        GensetCandidate(gens, value, eta_target is None or value <= eta_target)
+        for value, gens in sorted(keyed)
     ]
 
 
@@ -563,8 +561,9 @@ def _block_masks(group, block):
     return inside, in_tri.all(axis=1)
 
 
-def scan_gensets(groups, d, eta_target=None, max_size=8, dedupe=True, counts=None):
-    """Enumerate symmetric generating sets and score their Cayley links.
+def scan_gensets(group, d, eta_target=None, max_size=8, dedupe=True, counts=None):
+    """Enumerate symmetric generating sets of group and score their Cayley
+    links.
 
     The score is the worst two-sided expansion over all proper links of
     the d-dimensional Cayley clique complex (the global skeleton is not
@@ -580,39 +579,36 @@ def scan_gensets(groups, d, eta_target=None, max_size=8, dedupe=True, counts=Non
     the sets that pass it, giving NotPure for those impure at d >= 3.
     """
     _check_star_dim(d)
-    if isinstance(groups, GroupTable):
-        groups = [groups]
     tally = dict.fromkeys(("enumerated", "not_generating", "duplicate", "impure",
                            "scored"), 0)
     scored = []
-    for group in groups:
-        seen_canon = set()
-        by_units = dedupe and _adds_mod_n(group)
-        combos = _class_combos(_inverse_pair_classes(group), max_size)
-        while block := list(itertools.islice(combos, _SCAN_BLOCK)):
-            inside, in_triangles = _block_masks(group, block)
-            generates = inside.all(axis=1).tolist()
-            survivors = []
-            for elems, gen, tri in zip(block, generates, in_triangles.tolist()):
-                tally["enumerated"] += 1
-                if not gen:
-                    tally["not_generating"] += 1
+    seen_canon = set()
+    by_units = dedupe and _adds_mod_n(group)
+    combos = _class_combos(_inverse_pair_classes(group), max_size)
+    while block := list(itertools.islice(combos, _SCAN_BLOCK)):
+        inside, in_triangles = _block_masks(group, block)
+        generates = inside.all(axis=1).tolist()
+        survivors = []
+        for elems, gen, tri in zip(block, generates, in_triangles.tolist()):
+            tally["enumerated"] += 1
+            if not gen:
+                tally["not_generating"] += 1
+                continue
+            if by_units:
+                canon = _cyclic_canonical(group.order, elems)
+                if canon in seen_canon:
+                    tally["duplicate"] += 1
                     continue
-                if by_units:
-                    canon = _cyclic_canonical(group.order, elems)
-                    if canon in seen_canon:
-                        tally["duplicate"] += 1
-                        continue
-                    seen_canon.add(canon)
-                if not tri:
-                    tally["impure"] += 1
-                    continue
-                survivors.append(elems)
-            for elems, lam in zip(survivors, star_scores(group, survivors, d)):
-                if isinstance(lam, NotPure):
-                    tally["impure"] += 1
-                else:
-                    scored.append((group.name, elems, lam))
+                seen_canon.add(canon)
+            if not tri:
+                tally["impure"] += 1
+                continue
+            survivors.append(elems)
+        for elems, lam in zip(survivors, star_scores(group, survivors, d)):
+            if isinstance(lam, NotPure):
+                tally["impure"] += 1
+            else:
+                scored.append((elems, lam))
     tally["scored"] = len(scored)
     if counts is not None:
         counts.update(tally)

@@ -196,18 +196,16 @@ def _load_genset_input(obj):
 @_spec_config
 def _prune_config(params):
     mode = params.get("mode", "empirical")
-    kw = dict(
+    if mode not in pruning_mod.MODES:
+        raise InputError(f"unknown prune mode {mode!r}")
+    return pruning_mod.PruneConfig(
         lambda_target=float(params.get("lambda", 0.9)),
         r=float(params.get("r", 1.5)),
         c=float(params.get("c", 1.1)),
         eta=float(params.get("eta", 0.3)),
+        mode=mode,
         max_resamples=int(params.get("max_resamples", 10_000)),
     )
-    if mode == "formula":
-        return pruning_mod.PruneConfig.formula(**kw)
-    if mode == "empirical":
-        return pruning_mod.PruneConfig.empirical(**kw)
-    raise InputError(f"unknown prune mode {mode!r}")
 
 
 @_spec_config
@@ -613,7 +611,7 @@ def run_experiment(spec):
     return report
 
 
-def emit_report(report, out_dir, formats=("json", "csv", "plot")):
+def emit_report(report, out_dir):
     """Write the report files; returns the list of paths written."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
@@ -623,7 +621,7 @@ def emit_report(report, out_dir, formats=("json", "csv", "plot")):
         fh.write(report.to_json_bytes())
     written.append(path)
 
-    if "csv" in formats and report.spectra:
+    if report.spectra:
         path = os.path.join(out_dir, "spectra.csv")
         with open(path, "w") as fh:
             fh.write(report.spectra)
@@ -645,7 +643,7 @@ def emit_report(report, out_dir, formats=("json", "csv", "plot")):
             fh.write("\n")
         written.append(path)
 
-    if "plot" in formats and report.lambda_series:
+    if report.lambda_series:
         path = os.path.join(out_dir, "lambda_series.dat")
         with open(path, "w") as fh:
             for i, v in enumerate(report.lambda_series):

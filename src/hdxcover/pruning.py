@@ -7,16 +7,17 @@ frequencies, non-expanding satisfaction graphs, unrealizable generators
 at a vertex) is driven to "all false" by resampling the violated event's
 variable scope, after which the pruned complex is certified directly.
 
-Two threshold regimes are available.  The formula regime derives every
-threshold from r (tuple frequencies bracketed by r^2 around uniform at
-every level up to d-1, satisfaction graphs at half the target); it is
-the asymptotically justified regime and does not terminate on small
-instances.  The empirical regime keeps the event structure but moves
-the thresholds to values small instances can meet: tuple frequencies
-are checked through dimension d-2, level d-1 is covered by the weaker
-"every (d-1)-face keeps a satisfied top face" event, and satisfaction
-graphs are checked at the full target under both the coloring measure
-and the pruned link measure.
+Two threshold regimes are available, named by PruneConfig's mode (one of
+MODES).  The formula regime, the default, derives every threshold from r
+(tuple frequencies bracketed by r^2 around uniform at every level up to
+d-1, satisfaction graphs at half the target under the coloring measure);
+it is the asymptotically justified regime and does not terminate on small
+instances.  The empirical regime (PruneConfig.empirical) keeps the event
+structure but moves the thresholds to values small instances can meet:
+tuple frequencies are checked through dimension d-2, level d-1 is covered
+by the weaker "every (d-1)-face keeps a satisfied top face" event (EC),
+and satisfaction graphs are checked at the full target under both the
+coloring measure and the pruned link measure.
 """
 from __future__ import annotations
 
@@ -38,26 +39,23 @@ from .graphs import WGraph, coloring_weights, fiber_codes
 from .groups import cayley_clique_complex, validate_genset
 from .spectral import adjacency_spectrum, link_measures
 
+MODES = ("formula", "empirical")
+
+
 @dataclass(frozen=True)
 class PruneConfig:
     """Thresholds and budget for the resampling loop.
 
-    at_top_level includes dimension d-1 in the tuple-frequency events
-    (the formula regime); edge_cover_events adds the EC surrogate for
-    that level instead.  ne_threshold defaults to half the target when
-    unset.  ne_check_link_measure additionally bounds the satisfaction
-    graph under the pruned link measure, which makes a clean outcome
-    certify the pruned links at the target by construction.
+    mode names the threshold regime of the module docstring.  The
+    empirical regime's NE bound on the pruned link measure makes a clean
+    outcome certify the pruned links at the target by construction.
     """
 
     lambda_target: float
     r: float = 1.5
     c: float = 1.1
     eta: float = 0.3
-    at_top_level: bool = True
-    edge_cover_events: bool = False
-    ne_threshold: float | None = None
-    ne_check_link_measure: bool = False
+    mode: str = "formula"
     max_resamples: int = 10_000
 
     def __post_init__(self):
@@ -65,34 +63,18 @@ class PruneConfig:
             raise ValueError("lambda_target must lie in (0, 1)")
         if self.r <= 1.0:
             raise ValueError("r must exceed 1")
+        if self.mode not in MODES:
+            raise ValueError(f"unknown prune mode {self.mode!r}")
         if self.max_resamples < 1:
             raise ValueError("max_resamples must be at least 1")
-
-    @property
-    def resolved_ne_threshold(self):
-        if self.ne_threshold is not None:
-            return self.ne_threshold
-        return self.lambda_target / 2.0
 
     def at_bounds(self, ell, m):
         scale = float(m) ** (ell + 1)
         return 1.0 / (self.r**2 * scale), self.r**2 / scale
 
     @classmethod
-    def formula(cls, lambda_target, **kw):
-        return cls(lambda_target=lambda_target, **kw)
-
-    @classmethod
     def empirical(cls, lambda_target, max_resamples=10_000, **kw):
-        return cls(
-            lambda_target=lambda_target,
-            at_top_level=False,
-            edge_cover_events=True,
-            ne_threshold=lambda_target,
-            ne_check_link_measure=True,
-            max_resamples=max_resamples,
-            **kw,
-        )
+        return cls(lambda_target, mode="empirical", max_resamples=max_resamples, **kw)
 
 
 @dataclass(frozen=True)
@@ -252,15 +234,14 @@ def event_face(dims, kind, face):
     return face
 
 
-def ne_violated(sg, config):
+def ne_violated(sg, threshold, link_measure=False):
     """The NE event on a built satisfaction graph: degenerate, empty or
-    dropping a vertex, or expanding worse than the threshold, under the
-    coloring measure and optionally under the link measure too."""
+    dropping a vertex, or expanding worse than threshold, under the
+    coloring measure and, if link_measure, under the link measure too."""
     if sg.degenerate or sg.graph is None or sg.dropped_vertices:
         return True
-    thr = config.resolved_ne_threshold + 1e-9
-    graphs = (sg.graph, sg.link_graph) if config.ne_check_link_measure else (sg.graph,)
-    return any(adjacency_spectrum(g).two_sided > thr for g in graphs)
+    graphs = (sg.graph, sg.link_graph) if link_measure else (sg.graph,)
+    return any(adjacency_spectrum(g).two_sided > threshold + 1e-9 for g in graphs)
 
 
 def resample(sampler, x, values, rng, budget):
@@ -456,11 +437,12 @@ class Pruner:
 
     def events(self):
         if self._events is None:
+            # the regimes differ at level d-1: AT in formula, EC in empirical
             dims = dict(self.kind_dims)
-            if not self.config.at_top_level:
-                dims["AT"] = range(0, self.d - 1)
-            if not self.config.edge_cover_events:
+            if self.config.mode == "formula":
                 dims["EC"] = ()
+            else:
+                dims["AT"] = range(0, self.d - 1)
             self._events = event_list(self.X, dims)
         return self._events
 
@@ -567,7 +549,10 @@ class Pruner:
             sg = self.satisfaction_graph(sigma, f, satisfied)
         except UnsatisfiedBase:
             return False  # an unsatisfied face is outside the pruned complex
-        return ne_violated(sg, self.config)
+        lam = self.config.lambda_target
+        if self.config.mode == "formula":
+            return ne_violated(sg, lam / 2.0)
+        return ne_violated(sg, lam, link_measure=True)
 
     def eval_event(self, kind, face, f):
         face = event_face(self.kind_dims, kind, face)

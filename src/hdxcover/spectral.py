@@ -8,6 +8,7 @@ of the analogously symmetrized side-to-side operator.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -360,40 +361,43 @@ def _eml_sampled(G, samples, rng):
     rng = np.random.default_rng(rng)
     best = (-1.0, ((), ()))
     best_ratio = (-1.0, ((), ()))
+    n, (u, v) = G.n, G.ends
+    mass = G.vertex_measures()
     if G.sides is not None:
-        left, right = sorted(G.sides[0]), sorted(G.sides[1])
-    verts = list(G.vertices)
-    vmass_of = {v: G.vertex_measures()[G.vertex_index(v)] for v in verts}
+        mass = 2.0 * mass  # the side measures
+        left, right = ([G.vertex_index(x) for x in sorted(side)] for side in G.sides)
     for _ in range(samples):
+        in_s, in_t = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
         if G.sides is not None:
-            s = {v for v in left if rng.random() < 0.5}
-            t = {v for v in right if rng.random() < 0.5}
-            nu_s = sum(G.side_measure(v) for v in s)
-            nu_t = sum(G.side_measure(v) for v in t)
+            in_s[left] = [rng.random() < 0.5 for _ in left]
+            in_t[right] = [rng.random() < 0.5 for _ in right]
         else:
-            s = {v for v in verts if rng.random() < 0.5}
-            t = {v for v in verts if v not in s and rng.random() < 0.5}
-            nu_s = sum(vmass_of[v] for v in s)
-            nu_t = sum(vmass_of[v] for v in t)
-        if not s or not t:
+            in_s[:] = [rng.random() < 0.5 for _ in range(n)]
+            in_t[:] = [not x and rng.random() < 0.5 for x in in_s]
+        if not in_s.any() or not in_t.any():
             continue
-        cut = sum(
-            w
-            for (u, v), w in zip(G.edges, G.weights)
-            if (u in s and v in t) or (v in s and u in t)
-        )
+        # summed one by one in vertex and edge order, so that no hash order
+        # moves the scores
+        nu_s, nu_t = (float(np.cumsum(mass[m])[-1]) for m in (in_s, in_t))
+        cross = (in_s[u] & in_t[v]) | (in_s[v] & in_t[u])
+        cut = float(np.cumsum(G.weights[cross])[-1]) if cross.any() else 0.0
         if G.sides is None:
             cut *= 0.5  # oriented convention off the bipartite case
         diff = abs(cut - nu_s * nu_t)
         alpha = diff / math.sqrt(nu_s * nu_t)
         if alpha > best[0]:
-            best = (alpha, (tuple(sorted(s)), tuple(sorted(t))))
+            best = (alpha, (in_s, in_t))
         denom = nu_s * nu_t * (1 - nu_s) * (1 - nu_t)
         if denom > 0:
             ratio = diff / math.sqrt(denom)
             if ratio > best_ratio[0]:
-                best_ratio = (ratio, (tuple(sorted(s)), tuple(sorted(t))))
-    return EmlReport(best[0], best[1], best_ratio[0], best_ratio[1], False, samples)
+                best_ratio = (ratio, (in_s, in_t))
+
+    def decode(masks):
+        return tuple(tuple(itertools.compress(G.vertices, m)) for m in masks)
+
+    return EmlReport(best[0], decode(best[1]), best_ratio[0], decode(best_ratio[1]),
+                     False, samples)
 
 
 def converse_eml_bound(alpha):

@@ -1110,34 +1110,30 @@ def plain_identity_star_lambda(group, gens, d):
     )
 
 
-def plain_scan_gensets(groups, d, eta_target=None, max_size=8, dedupe=True, counts=None):
+def plain_scan_gensets(group, d, eta_target=None, max_size=8, dedupe=True, counts=None):
     """Reference scan: the per-candidate loop, one plain closure and one
     plain_identity_star_lambda call per candidate, in scan_gensets' order."""
-    if isinstance(groups, groups_mod.GroupTable):
-        groups = [groups]
     tally = dict.fromkeys(("enumerated", "not_generating", "duplicate", "impure",
                            "scored"), 0)
     scored = []
-    for group in groups:
-        seen_canon = set()
-        by_units = dedupe and groups_mod._adds_mod_n(group)
-        classes = groups_mod._inverse_pair_classes(group)
-        for elems in groups_mod._class_combos(classes, max_size):
-            tally["enumerated"] += 1
-            if len(plain_subgroup_closure(group, elems)) != group.order:
-                tally["not_generating"] += 1
+    seen_canon = set()
+    by_units = dedupe and groups_mod._adds_mod_n(group)
+    classes = groups_mod._inverse_pair_classes(group)
+    for elems in groups_mod._class_combos(classes, max_size):
+        tally["enumerated"] += 1
+        if len(plain_subgroup_closure(group, elems)) != group.order:
+            tally["not_generating"] += 1
+            continue
+        if by_units:
+            canon = groups_mod._cyclic_canonical(group.order, elems)
+            if canon in seen_canon:
+                tally["duplicate"] += 1
                 continue
-            if by_units:
-                canon = groups_mod._cyclic_canonical(group.order, elems)
-                if canon in seen_canon:
-                    tally["duplicate"] += 1
-                    continue
-                seen_canon.add(canon)
-            try:
-                scored.append(
-                    (group.name, elems, plain_identity_star_lambda(group, elems, d)))
-            except NotPure:
-                tally["impure"] += 1
+            seen_canon.add(canon)
+        try:
+            scored.append((elems, plain_identity_star_lambda(group, elems, d)))
+        except NotPure:
+            tally["impure"] += 1
     tally["scored"] = len(scored)
     if counts is not None:
         counts.update(tally)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -156,7 +158,7 @@ class TestEvents:
 
     def test_ne_true_on_disconnected(self):
         X = build_complex(2, [(0, 1, 2), (0, 3, 4)])
-        comb = combiner(X, config=CombineConfig(0.9, ne_threshold=0.9))
+        comb = combiner(X, config=CombineConfig(0.9))
         col = comb.as_array({0: 0, 1: 1, 2: 2, 3: 3, 4: 4})
         assert comb.eval_event("NE", (0,), col)
 
@@ -257,12 +259,24 @@ class TestVerifyCombine:
             for i, face in enumerate(out.y.top_faces)
             if tuple(sorted(out.coloring[v] for v in face)) != bad
         ]
-        from dataclasses import replace
-
         hacked = replace(out, y=out.y.restrict(keep))
         rep = verify_combine(X, K5_TARGET, hacked)
         assert not rep.nondegenerate_ok
         assert rep.nondegenerate_witness == bad
+
+    @pytest.mark.parametrize("colors", [{3: 99}, {3: -1, 7: 99}])
+    def test_color_outside_target(self, clean_outcome, colors):
+        # a color that is no target vertex maps no face through it and lies
+        # at no distance from any color, so only the first and the descent
+        # checks change: the first fails at the first kept face through a
+        # recolored vertex, the second at an unkept edge there
+        X, out = clean_outcome
+        hacked = replace(out, coloring={**out.coloring, **colors})
+        rep = verify_combine(X, K5_TARGET, hacked)
+        first = next(f for f in out.y.top_faces if set(f) & set(colors))
+        assert rep == replace(verify_combine(X, K5_TARGET, out), homomorphism_ok=False,
+                              homomorphism_witness=first, path_argument_ok=False)
+        assert not plain_path_argument(X, K5_TARGET, hacked.coloring, out.y.faces(1))[0]
 
     def test_identity_case_matches_is_hdx(self):
         X = complete_complex(5, 2)
@@ -289,8 +303,7 @@ class TestVerifyCombine:
 
 def path_argument(X, C, coloring, y):
     """_path_argument on a coloring dict and a subcomplex y of X."""
-    pos = {c: i for i, c in enumerate(C.vertices)}
-    col = np.array([pos.get(coloring[v], len(pos)) for v in X.vertices])
+    col = C.vertex_positions(np.array([coloring[v] for v in X.vertices]))
     u, v = np.searchsorted(X.vertices, y.vertices)[y.level(1).rows.T]
     return _path_argument(X, C, col, u * len(X.vertices) + v)
 

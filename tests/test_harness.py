@@ -530,6 +530,49 @@ class TestErrors:
         assert "index_cap must be" in rep.stages[-1]["result"]["message"]
 
 
+class TestPruneModes:
+    """A spec's prune mode against the regime the resampling loop runs."""
+
+    def test_unknown_mode_is_input_error(self):
+        params = dict(PRUNE_SPEC["params"], mode="exact")
+        rep = run_experiment({"kind": "prune", "params": params, "seed": 0})
+        assert rep.exit_code == EXIT_INPUT
+        assert rep.stages[-1]["result"]["message"] == "unknown prune mode 'exact'"
+
+    @pytest.mark.parametrize(
+        "mode, kinds, at_dims, ne",
+        [
+            ("formula", {"AT", "BC", "NE"}, {0, 1}, (0.9 / 2, False)),
+            ("empirical", {"AT", "BC", "EC", "NE"}, {0}, (0.9, True)),
+        ],
+        ids=pruning.MODES,
+    )
+    def test_mode_picks_events_and_ne_threshold(self, monkeypatch, mode, kinds, at_dims, ne):
+        pruners, thresholds = [], set()
+        run, ne_violated = pruning.Pruner.run, pruning.ne_violated
+
+        def spy_run(self, rng):
+            pruners.append(self)
+            return run(self, rng)
+
+        def spy_ne(sg, threshold, link_measure=False):
+            thresholds.add((threshold, link_measure))
+            return ne_violated(sg, threshold, link_measure)
+
+        monkeypatch.setattr(pruning.Pruner, "run", spy_run)
+        monkeypatch.setattr(pruning, "ne_violated", spy_ne)
+        params = dict(PRUNE_SPEC["params"], complex={"kind": "complete", "n": 8, "dim": 2},
+                      mode=mode, max_resamples=1)
+        # an exhausted budget evaluates every event, NE included
+        assert run_experiment({"kind": "prune", "params": params, "seed": 0}).exit_code \
+            == EXIT_BUDGET
+        (pruner,) = pruners
+        assert pruner.config.mode == mode
+        assert {kind for kind, _ in pruner.events()} == kinds
+        assert {len(face) - 1 for kind, face in pruner.events() if kind == "AT"} == at_dims
+        assert thresholds == {ne}
+
+
 class TestStrictSpecKeys:
     @pytest.mark.parametrize(
         "kind, params, key",
@@ -679,6 +722,13 @@ class TestCli:
         assert code == 4
         report = json.loads((tmp_path / "report.json").read_text())
         assert "loop edge" in report["stages"][-1]["result"]["message"]
+
+    def test_mode_choices_are_the_prune_modes(self):
+        parser = cli.build_parser()
+        (commands,) = [a.choices for a in parser._actions if a.dest == "command"]
+        for command in ("prune", "cover-family"):
+            (mode,) = [a for a in commands[command]._actions if a.dest == "mode"]
+            assert tuple(mode.choices) == pruning.MODES
 
     def test_cover_subcommand_removed(self):
         with pytest.raises(SystemExit):

@@ -22,6 +22,7 @@ from hdxcover.groups import (
 )
 from hdxcover.harness import stage_seed
 from hdxcover.pruning import (
+    MODES,
     PruneConfig,
     Pruner,
     SatisfactionGraph,
@@ -477,7 +478,7 @@ class TestEvalEvent:
     def test_ne_disconnected_link(self):
         X = build_complex(2, [(0, 1, 2), (0, 3, 4)])
         f = coboundary_indices(X, {0: 0, 1: 1, 2: 2, 3: 3, 4: 4})
-        pruner = Pruner(X, Z5, Z5_GENS, PruneConfig(0.9, ne_threshold=0.9))
+        pruner = Pruner(X, Z5, Z5_GENS, PruneConfig.empirical(0.9))
         assert pruner.eval_event("NE", (0,), f)
 
     def test_ne_false_on_good_link(self, fixture30):
@@ -488,7 +489,7 @@ class TestEvalEvent:
     def test_ec_event(self):
         g = cyclic(2)
         X = complete_complex(4, 2)
-        pruner = Pruner(X, g, (1,), PruneConfig(0.5, edge_cover_events=True))
+        pruner = Pruner(X, g, (1,), PruneConfig.empirical(0.5))
         f = np.zeros(X.n_faces(1), dtype=np.int64)
         assert pruner.eval_event("EC", (0, 1), f)
 
@@ -505,7 +506,7 @@ class TestEventTables:
         ],
     )
     def test_tables_and_scopes_match_loops(self, X):
-        pruner = Pruner(X, Z5, Z5_GENS, PruneConfig.formula(0.9, edge_cover_events=True))
+        pruner = Pruner(X, Z5, Z5_GENS, PruneConfig(0.9))
         for sigma in itertools.chain(*(X.faces(ell) for ell in range(X.dim))):
             vmeas, eidx, fwd = pruner._at_table(sigma)
             want = plain_at_table(pruner, sigma)
@@ -514,9 +515,13 @@ class TestEventTables:
         f = sample_labeling(X, pruner.m, 0)
         for v in X.vertices:
             assert pruner.eval_bc(v, f) == plain_eval_bc(pruner, v, f)
-        # the BC scopes here are read off plain_bc_table
-        for kind, face in pruner.events():
-            assert pruner.event_scope(kind, face) == plain_event_scope(pruner, kind, face)
+        # AT scopes at d-1 in the formula regime, EC scopes in the empirical
+        # one; the BC scopes here are read off plain_bc_table
+        for mode in MODES:
+            pruner = Pruner(X, Z5, Z5_GENS, PruneConfig(0.9, mode=mode))
+            for kind, face in pruner.events():
+                want = plain_event_scope(pruner, kind, face)
+                assert pruner.event_scope(kind, face) == want
 
 
 def nonidentity_pruner(X, group, max_resamples=10_000):
@@ -590,11 +595,7 @@ class TestSweeps:
 
     def test_each_sweep_runs_at_most_once_per_scan(self, monkeypatch):
         X = self.COMPLEXES[3]
-        pruner = Pruner(
-            X, Z5, Z5_GENS, PruneConfig.formula(0.9, edge_cover_events=True)
-        )
-        f = sample_labeling(X, pruner.m, 1)
-        want = {ev: pruner.eval_event(*ev, f) for ev in pruner.events()}
+        f = sample_labeling(X, len(Z5_GENS), 1)
         calls = []
         real_at, real_bc = Pruner.at_sweep, Pruner.bc_sweep
 
@@ -608,17 +609,22 @@ class TestSweeps:
 
         monkeypatch.setattr(Pruner, "at_sweep", at_sweep)
         monkeypatch.setattr(Pruner, "bc_sweep", bc_sweep)
-        found = pruner.all_violations(f)
-        assert found == tuple(ev for ev, hit in want.items() if hit)
-        assert sorted(calls) == [("AT", 0), ("AT", 1), ("AT", 2), ("BC",)]
-        calls.clear()
-        pruner.first_violated(f)
-        assert len(calls) == len(set(calls)) <= 4
-        # a standalone evaluation still runs its own sweep and agrees
-        for kind, face in (("AT", X.faces(1)[0]), ("BC", X.faces(0)[-1])):
+        # AT runs through d-1 = 2 in the formula regime, through 1 otherwise
+        for mode, top in (("formula", 2), ("empirical", 1)):
+            pruner = Pruner(X, Z5, Z5_GENS, PruneConfig(0.9, mode=mode))
+            want = {ev: pruner.eval_event(*ev, f) for ev in pruner.events()}
             calls.clear()
-            assert pruner.eval_event(kind, face, f) == want[kind, face]
-            assert len(calls) == 1
+            found = pruner.all_violations(f)
+            assert found == tuple(ev for ev, hit in want.items() if hit)
+            assert sorted(calls) == [("AT", ell) for ell in range(top + 1)] + [("BC",)]
+            calls.clear()
+            pruner.first_violated(f)
+            assert len(calls) == len(set(calls)) <= top + 2
+            # a standalone evaluation still runs its own sweep and agrees
+            for kind, face in (("AT", X.faces(1)[0]), ("BC", X.faces(0)[-1])):
+                calls.clear()
+                assert pruner.eval_event(kind, face, f) == want[kind, face]
+                assert len(calls) == 1
 
 
 class TestMoserTardos:
@@ -950,17 +956,26 @@ class TestConfig:
             PruneConfig(lambda_target=0.5, r=0.9)
         with pytest.raises(ValueError):
             PruneConfig(lambda_target=0.5, max_resamples=0)
+        with pytest.raises(ValueError, match="unknown prune mode 'exact'"):
+            PruneConfig(lambda_target=0.5, mode="exact")
+
+    @staticmethod
+    def event_dims(config):
+        pruner = Pruner(complete_complex(6, 3), Z5, Z5_GENS, config)
+        dims = {}
+        for kind, face in pruner.events():
+            dims.setdefault(kind, set()).add(len(face) - 1)
+        return dims
 
     def test_formula_defaults(self):
-        cfg = PruneConfig.formula(0.6)
-        assert cfg.at_top_level and not cfg.edge_cover_events
-        assert cfg.resolved_ne_threshold == pytest.approx(0.3)
+        cfg = PruneConfig(0.6)
+        assert cfg.mode == "formula"
+        assert self.event_dims(cfg) == {"AT": {0, 1, 2}, "BC": {0}, "NE": {0, 1}}
 
     def test_empirical_defaults(self):
         cfg = PruneConfig.empirical(0.9)
-        assert not cfg.at_top_level and cfg.edge_cover_events
-        assert cfg.resolved_ne_threshold == pytest.approx(0.9)
-        assert cfg.ne_check_link_measure
+        assert cfg == PruneConfig(0.9, mode="empirical")
+        assert self.event_dims(cfg) == {"AT": {0, 1}, "BC": {0}, "EC": {2}, "NE": {0, 1}}
 
     def test_at_bounds(self):
         cfg = PruneConfig(0.5, r=2.0)

@@ -50,7 +50,7 @@ class TestPruneLoop:
             (complete_complex(12, 2), PruneConfig.empirical(0.9, max_resamples=200), 2),
             (relabeled(complete_complex(12, 2)), PruneConfig.empirical(0.9, 50), 3),
             (complete_complex(20, 2), PruneConfig.empirical(0.9, r=2.0), 1),
-            (complete_complex(8, 2), PruneConfig.formula(0.9, max_resamples=4), 0),
+            (complete_complex(8, 2), PruneConfig(0.9, max_resamples=4), 0),
         ],
     )
     def test_matches_plain_loop(self, X, config, seed):
@@ -59,9 +59,9 @@ class TestPruneLoop:
         assert_same_run(outcome, outcome.labeling, plain_prune_run(pruner, seed))
 
 
-# K9 onto K5 at 0.4 under both measures ends clean after 5-45 resamples;
-# K7 never does
-LINK_CONFIG = dict(lambda_target=0.4, ne_check_link_measure=True)
+# K5's vertex links are K4, of lambda 1/3: onto K5, K8 and K9 end clean at
+# 0.34 after 2-3 resamples on these seeds, and K7 and K9 never at 0.3
+CLEAN, NEVER = 0.34, 0.3
 K7, K9 = complete_complex(7, 2), complete_complex(9, 2)
 
 
@@ -69,11 +69,11 @@ class TestCombineLoop:
     @pytest.mark.parametrize(
         "X, C, config, seed",
         [
-            (K9, K5, CombineConfig(**LINK_CONFIG), 0),
-            (K9, K5, CombineConfig(**LINK_CONFIG), 3),
-            (relabeled(K9), K5, CombineConfig(**LINK_CONFIG), 1),
-            (K9, K5, CombineConfig(**LINK_CONFIG, max_resamples=3), 2),
-            (K7, K5, CombineConfig(**LINK_CONFIG, max_resamples=4), 1),
+            (K9, K5, CombineConfig(NEVER, max_resamples=5), 0),
+            (K9, K5, CombineConfig(CLEAN), 3),
+            (relabeled(complete_complex(8, 2)), K5, CombineConfig(CLEAN), 1),
+            (K9, K5, CombineConfig(NEVER, max_resamples=3), 2),
+            (K7, K5, CombineConfig(NEVER, max_resamples=4), 1),
             (complete_complex(8, 2), K5, CombineConfig(0.34), 2),
             (complete_complex(10, 2), K5_HOLED, CombineConfig(0.9, max_resamples=9), 0),
             (complete_complex(10, 3), complete_complex(5, 3), CombineConfig(0.5), 3),
@@ -86,7 +86,7 @@ class TestCombineLoop:
         assert_same_run(outcome, col, plain_combine_run(comb, seed))
 
     def test_budget_exhausted_reports_violated_events(self):
-        comb = Combiner(K7, K5, CombineConfig(**LINK_CONFIG, max_resamples=4))
+        comb = Combiner(K7, K5, CombineConfig(NEVER, max_resamples=4))
         outcome = comb.run(1)
         assert outcome.status == "budget_exhausted"
         assert outcome.resamples == 4

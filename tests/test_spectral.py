@@ -1,6 +1,9 @@
 import itertools
 import math
 import operator
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -334,6 +337,23 @@ class TestLevelPath:
         assert peak < 1.5e6
 
 
+# sampled alpha on a plain and a bipartite graph with string labels
+HASHED_LABELS_EML = """
+import numpy as np
+from hdxcover.graphs import WGraph
+from hdxcover.spectral import eml_discrepancy
+rng = np.random.default_rng(0)
+labels = [f"v{i:02d}" for i in range(30)]
+edges = [(a, b, rng.uniform(0.1, 3.0)) for i, a in enumerate(labels)
+         for b in labels[i + 1:] if rng.random() < 0.4]
+sides = (set(labels[:12]), set(labels[12:]))
+bip = [(a, b, rng.uniform(0.1, 3.0)) for a in labels[:12] for b in labels[12:]
+       if rng.random() < 0.5]
+for G in (WGraph(edges), WGraph(bip, sides=sides)):
+    print(repr(eml_discrepancy(G, "sampled", samples=200, rng=0).alpha))
+"""
+
+
 class TestEml:
     def test_complete_exact_vs_lambda(self):
         G = complete_graph(8)
@@ -363,6 +383,19 @@ class TestEml:
         sampled = eml_discrepancy(G, "sampled", samples=400, rng=1)
         assert not sampled.exact
         assert sampled.alpha <= exact.alpha + 1e-12
+
+    def test_sampled_alpha_ignores_hash_seed(self):
+        # string labels hash by PYTHONHASHSEED, so a sum over a set of them
+        # would move the last digits of alpha between interpreters
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        runs = {
+            subprocess.run(
+                [sys.executable, "-c", HASHED_LABELS_EML], capture_output=True, text=True,
+                check=True, env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            ).stdout
+            for seed in ("1", "5")
+        }
+        assert len(runs) == 1
 
     def test_witness_reproduces_alpha(self):
         G = random_wgraph(np.random.default_rng(4), 8, p=0.6)
