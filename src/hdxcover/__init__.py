@@ -11,8 +11,6 @@ from .graphs import WGraph
 from .spectral import (
     adjacency_spectrum,
     bipartite_lambda,
-    coloring_measure,
-    composition_check,
     converse_eml_bound,
     eml_discrepancy,
     is_hdx,

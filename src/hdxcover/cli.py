@@ -17,7 +17,7 @@ from .complexes import (
     tensor_with_complete,
 )
 from .errors import HdxError
-from .harness import _load_graph_input, emit_report, run_experiment
+from .harness import PRUNE_MODE, _load_graph_input, emit_report, run_experiment
 from .pruning import MODES
 from .spectral import adjacency_spectrum, eml_discrepancy, converse_eml_bound, is_hdx
 
@@ -36,7 +36,7 @@ def _add_prune_flags(p):
     p.add_argument("--c", type=float, default=1.1)
     p.add_argument("--eta", type=float, default=0.3)
     p.add_argument("--max-resamples", type=int, default=10_000)
-    p.add_argument("--mode", choices=MODES, default="empirical")
+    p.add_argument("--mode", choices=MODES, default=PRUNE_MODE)
     _add_common(p)
 
 

@@ -365,13 +365,13 @@ def build_complex(dim, faces, weights=None):
     return _from_positions(dim, labels, rows, weights)
 
 
-def complete_complex(n, dim, weights=None):
+def complete_complex(n, dim):
     """The complete dim-dimensional complex on vertices 0..n-1."""
     if n < dim + 1:
         raise NonPure(f"need at least {dim + 1} vertices")
     combos = itertools.chain.from_iterable(itertools.combinations(range(n), dim + 1))
     rows = np.fromiter(combos, dtype=np.intp, count=math.comb(n, dim + 1) * (dim + 1))
-    return _from_positions(dim, range(n), rows.reshape(-1, dim + 1), weights)
+    return _from_positions(dim, range(n), rows.reshape(-1, dim + 1))
 
 
 # --- tensoring with a complete complex ---

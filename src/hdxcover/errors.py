@@ -57,14 +57,6 @@ class NonPositiveAlpha(HdxError):
     pass
 
 
-class DegenerateColoring(HdxError):
-    """A target edge (or vertex) has an empty fiber; carries the witness."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
-
 # --- groups ---
 
 class TooLarge(HdxError):

@@ -28,7 +28,7 @@ class WGraph:
     """
 
     __slots__ = (
-        "vertices", "_edges", "weights", "ends", "sides", "_left", "_pos", "_vmass",
+        "vertices", "_edges", "weights", "ends", "sides", "_left", "_vmass",
     )
 
     def __init__(self, edges, sides=None):
@@ -55,7 +55,7 @@ class WGraph:
         pos = {v: i for i, v in enumerate(vertices)}
         ends = np.array([(pos[u], pos[v]) for u, v in keys], dtype=np.intp).T
         weights = np.array([cleaned[e] for e in keys], dtype=float)
-        self._setup(vertices, ends, weights, pos)
+        self._setup(vertices, ends, weights)
         self._edges = keys
 
         if sides is None:
@@ -88,11 +88,10 @@ class WGraph:
         g._set_sides(sides)
         return g
 
-    def _setup(self, vertices, ends, weights, pos=None):
+    def _setup(self, vertices, ends, weights):
         self.vertices = vertices
         self.ends = ends
         self.weights = weights / weights.sum()
-        self._pos = pos if pos is not None else {x: i for i, x in enumerate(vertices)}
         # twice the vertex measure, summed edge by edge in edge order
         self._vmass = np.bincount(
             ends.T.ravel(), weights=np.repeat(self.weights, 2), minlength=len(vertices)
@@ -161,30 +160,9 @@ class WGraph:
     def m(self):
         return self.ends.shape[1]
 
-    def vertex_index(self, v):
-        return self._pos[v]
-
-    def vertex_measure(self, v):
-        """nu(v) = half the total weight of edges at v."""
-        return 0.5 * self._vmass[self._pos[v]]
-
     def vertex_measures(self):
+        """nu(v), half the total weight of edges at v, in vertex order."""
         return 0.5 * self._vmass
-
-    def side_measure(self, v):
-        """Per-side vertex mass used by the bipartite operator."""
-        if self.sides is None:
-            raise NotBipartite("graph has no declared bipartition")
-        return self._vmass[self._pos[v]]
-
-    def connected_components(self):
-        """List of vertex sets, one per component, ordered by least vertex."""
-        comp = component_labels(self.n, self.ends)
-        return [set(itertools.compress(self.vertices, comp == c))
-                for c in range(comp.max() + 1)]
-
-    def is_connected(self):
-        return not component_labels(self.n, self.ends).any()
 
     def __repr__(self):
         bip = " bipartite" if self.sides is not None else ""

@@ -33,6 +33,10 @@ EXIT_BUDGET = 2
 EXIT_AUDIT = 3
 EXIT_INPUT = 4
 
+# the prune regime of the prune and cover-family pipelines when a spec names
+# none; PruneConfig's own default, "formula", serves library callers
+PRUNE_MODE = "empirical"
+
 
 def stage_seed(master, stage):
     """Deterministic per-stage seed: the stage name hashed into the stream."""
@@ -194,8 +198,17 @@ def _load_genset_input(obj):
 
 
 @_spec_config
+def _count(kind, params, key, default):
+    """params[key], or default when absent: a count, an int >= 1."""
+    value = params.get(key, default)
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{kind} {key} must be an integer >= 1, got {value!r}")
+    return value
+
+
+@_spec_config
 def _prune_config(params):
-    mode = params.get("mode", "empirical")
+    mode = params.get("mode", PRUNE_MODE)
     if mode not in pruning_mod.MODES:
         raise InputError(f"unknown prune mode {mode!r}")
     return pruning_mod.PruneConfig(
@@ -204,7 +217,7 @@ def _prune_config(params):
         c=float(params.get("c", 1.1)),
         eta=float(params.get("eta", 0.3)),
         mode=mode,
-        max_resamples=int(params.get("max_resamples", 10_000)),
+        max_resamples=_count("prune", params, "max_resamples", 10_000),
     )
 
 
@@ -212,24 +225,19 @@ def _prune_config(params):
 def _combine_config(params, lam):
     return combine_mod.CombineConfig(
         lambda_target=float(lam),
-        max_resamples=int(params.get("max_resamples", 10_000)),
+        max_resamples=_count("combine", params, "max_resamples", 10_000),
     )
-
-
-def _index_cap(params):
-    cap = params.get("index_cap", 64)
-    if type(cap) is not int or cap < 1:
-        raise InputError(f"cover-family index_cap must be an integer >= 1, got {cap!r}")
-    return cap
 
 
 @_spec_config
 def _sparsify_config(params):
-    """The sparsify_trial arguments of a sparsify spec but the seed, each
-    read as the type of its default."""
-    defaults = {"p_split": 0.3, "p_edge": 0.5, "trials": 50, "split_factor": 100.0,
+    """The sparsify_trial arguments of a sparsify spec but the seed: the
+    trial count, and the rest read as floats."""
+    defaults = {"p_split": 0.3, "p_edge": 0.5, "split_factor": 100.0,
                 "edge_threshold": 0.95}
-    return {key: type(v)(params.get(key, v)) for key, v in defaults.items()}
+    config = {key: float(params.get(key, v)) for key, v in defaults.items()}
+    config["trials"] = _count("sparsify", params, "trials", 50)
+    return config
 
 
 def _transcript_digest(transcript):
@@ -407,7 +415,7 @@ def run_prune(report, params, seed):
 
 
 def run_cover_family(report, params, seed):
-    index_cap = _index_cap(params)
+    index_cap = _count("cover-family", params, "index_cap", 64)
     report, pruner, outcome = run_prune(report, params, seed)
     if outcome.status != "clean":
         return report
@@ -501,17 +509,15 @@ def run_combine(report, params, seed):
     return report.finish()
 
 
+@_spec_config
 def _scan_config(params):
     """dim, max_size and eta of a scan spec; a bad value is bad input."""
-    dim, size, eta = params.get("dim", 2), params.get("max_size", 8), params.get("eta")
-    for key, value, ok, rule in (
-        ("dim", dim, type(dim) is int and dim >= 2, "an integer >= 2"),
-        ("max_size", size, type(size) is int and size >= 1, "an integer >= 1"),
-        ("eta", eta, eta is None or type(eta) in (int, float) and math.isfinite(eta),
-         "a finite number or null"),
-    ):
-        if not ok:
-            raise InputError(f"scan {key} must be {rule}, got {value!r}")
+    dim, eta = params.get("dim", 2), params.get("eta")
+    if type(dim) is not int or dim < 2:
+        raise ValueError(f"scan dim must be an integer >= 2, got {dim!r}")
+    size = _count("scan", params, "max_size", 8)
+    if not (eta is None or type(eta) in (int, float) and math.isfinite(eta)):
+        raise ValueError(f"scan eta must be a finite number or null, got {eta!r}")
     return dim, size, eta
 
 

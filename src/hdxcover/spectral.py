@@ -14,14 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadLevel,
-    DegenerateColoring,
-    NonPositiveAlpha,
-    NotBipartite,
-    TooLargeForExact,
-)
-from .graphs import WGraph, coloring_weights, fiber_codes
+from .errors import BadLevel, NonPositiveAlpha, NotBipartite, TooLargeForExact
 
 TOL = 1e-9
 
@@ -365,7 +358,7 @@ def _eml_sampled(G, samples, rng):
     mass = G.vertex_measures()
     if G.sides is not None:
         mass = 2.0 * mass  # the side measures
-        left, right = ([G.vertex_index(x) for x in sorted(side)] for side in G.sides)
+        left, right = np.flatnonzero(G._left), np.flatnonzero(~G._left)
     for _ in range(samples):
         in_s, in_t = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
         if G.sides is not None:
@@ -405,100 +398,3 @@ def converse_eml_bound(alpha):
     if alpha <= 0:
         raise NonPositiveAlpha(f"alpha must be positive, got {alpha}")
     return 260.0 * alpha * (1.0 + math.log2(3.0 / alpha))
-
-
-# --- colorings and composition ---
-
-
-def _colored(G, H, f):
-    """coloring_measure's graph, with each G-vertex's color, each G-edge's
-    column in H.ends and each H-edge's fiber mass."""
-    colors = np.array([f[v] for v in G.vertices])
-    codes = fiber_codes(H, colors, G.ends)
-    bad = np.flatnonzero(codes < 0)
-    if len(bad):
-        u, v = G.edges[bad[0]]
-        raise ValueError(f"edge {(u, v)!r} maps to non-edge {(f[u], f[v])!r}")
-    weights, fiber_mass = coloring_weights(codes, G.weights, H.weights)
-    empty = np.flatnonzero(fiber_mass == 0)
-    if len(empty):
-        e = H.edges[empty[0]]
-        raise DegenerateColoring(f"target edge {e!r} has an empty fiber", witness=e)
-    sides = None if G._left is None else (G._left, ~G._left)
-    colored = WGraph.from_arrays(G.vertices, G.ends, weights, sides=sides)
-    return colors, codes, fiber_mass, colored
-
-
-def coloring_measure(G, H, f):
-    """Reweight G so edge fibers carry the measure of their target edges.
-
-    f maps G-vertices onto H-vertices and must be a graph homomorphism;
-    every H-edge needs a nonempty fiber, otherwise the coloring is
-    degenerate and the missing edge is reported.
-    """
-    return _colored(G, H, f)[3]
-
-
-@dataclass(frozen=True)
-class CompositionReport:
-    lambda_target: float
-    eta: float
-    eta_witness: tuple
-    lambda_colored: float
-    bound: float
-    hypothesis_ok: bool
-    marginal_gap: float
-    gap_witness: tuple
-    ok: bool
-
-
-def composition_check(G, H, f):
-    """Verify the composed expansion bound max(lambda(H), eta).
-
-    eta is the worst bipartite expansion over the per-target-edge fiber
-    graphs under their conditional weights.  The bound
-    lambda(colored) <= max(lambda(H), eta) holds under one hypothesis:
-    every vertex v of color a carries the same side marginal
-    pi_ab(v) = (weight of v's edges in fiber (a, b)) / (fiber mass) in
-    every fiber (a, b) at a, a fiber without v's edges counting 0.
-    marginal_gap is the largest max - min of pi_ab(v) over b, taken over
-    all v; gap_witness names (v, fiber with the larger marginal, fiber
-    with the smaller marginal), or is empty when the gap is 0.  The
-    hypothesis holds when the gap is at most 1e-9, the bound when
-    lambda(colored) <= bound + 1e-7, and ok requires both.  A fiber that
-    is disconnected has eta = 1, which makes the bound vacuous.
-    """
-    colors, codes, fiber_mass, colored = _colored(G, H, f)  # raises if degenerate
-    lam_h = adjacency_spectrum(H).two_sided
-    eta, eta_witness = -1.0, ()
-    for j, (a, b) in enumerate(H.edges):
-        fiber = G.edge_subgraph(codes == j, sides=(colors == a, colors == b))
-        lam_fiber = bipartite_lambda(fiber)
-        if lam_fiber > eta:
-            eta, eta_witness = lam_fiber, (a, b)
-    # each vertex's share of each fiber: its edges' mass there, edge by edge
-    share = np.bincount(
-        (G.ends * H.m + codes).T.ravel(), weights=np.repeat(G.weights, 2),
-        minlength=G.n * H.m,
-    ).reshape(G.n, H.m)
-    gap, gap_witness = 0.0, ()
-    for x, c in enumerate(colors.tolist()):
-        at = np.flatnonzero((H.ends == H.vertex_index(c)).any(axis=0))  # fibers at c
-        pi = share[x, at] / fiber_mass[at]
-        if pi.max() - pi.min() > gap:
-            hi, lo = H.edges[at[pi.argmax()]], H.edges[at[pi.argmin()]]
-            gap, gap_witness = pi.max() - pi.min(), (G.vertices[x], hi, lo)
-    lam_colored = adjacency_spectrum(colored).two_sided
-    bound = max(lam_h, eta)
-    hypothesis_ok = bool(gap <= 1e-9)
-    return CompositionReport(
-        lambda_target=float(lam_h),
-        eta=float(eta),
-        eta_witness=eta_witness,
-        lambda_colored=float(lam_colored),
-        bound=float(bound),
-        hypothesis_ok=hypothesis_ok,
-        marginal_gap=float(gap),
-        gap_witness=gap_witness,
-        ok=hypothesis_ok and bool(lam_colored <= bound + 1e-7),
-    )

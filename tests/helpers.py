@@ -16,7 +16,6 @@ from hdxcover.covers import CoverComplex, CoverReport, _elements
 from hdxcover.errors import (
     BadLevel,
     BadMeasure,
-    DegenerateColoring,
     Disconnected,
     DuplicateFace,
     EmptyResult,
@@ -36,7 +35,6 @@ from hdxcover import groups as groups_mod
 from hdxcover.groups import cayley_clique_complex
 from hdxcover.sparsify import split_vertex_sets
 from hdxcover.spectral import (
-    CompositionReport,
     HdxReport,
     HdxRow,
     adjacency_spectrum,
@@ -45,16 +43,28 @@ from hdxcover.spectral import (
 )
 
 
+def vertex_masses(G):
+    """nu(v) of each vertex of G, keyed by vertex: half the weight of its
+    edges, summed edge by edge in edge order (twice nu(v) is v's side
+    measure in a bipartite graph)."""
+    total = dict.fromkeys(G.vertices, 0.0)
+    for (u, v), w in zip(G.edges, G.weights):
+        total[u] += w
+        total[v] += w
+    return {v: 0.5 * t for v, t in total.items()}
+
+
 def sym_walk_matrix(G):
     """Symmetrized random-walk matrix built directly from edge weights."""
     n = G.n
+    pos = {v: i for i, v in enumerate(G.vertices)}
     half = np.zeros(n)
     for (u, v), w in zip(G.edges, G.weights):
-        half[G.vertex_index(u)] += w / 2.0
-        half[G.vertex_index(v)] += w / 2.0
+        half[pos[u]] += w / 2.0
+        half[pos[v]] += w / 2.0
     M = np.zeros((n, n))
     for (u, v), w in zip(G.edges, G.weights):
-        iu, iv = G.vertex_index(u), G.vertex_index(v)
+        iu, iv = pos[u], pos[v]
         M[iu, iv] = M[iv, iu] = 0.5 * w / math.sqrt(half[iu] * half[iv])
     return M
 
@@ -90,8 +100,9 @@ def two_step_second_eigenvalue(G):
     """Second eigenvalue of the two-step walk on the left side (equals lam(B)^2)."""
     left = sorted(G.sides[0])
     right = sorted(G.sides[1])
-    lmass = {v: G.side_measure(v) for v in left}
-    rmass = {v: G.side_measure(v) for v in right}
+    nu = vertex_masses(G)
+    lmass = {v: 2.0 * nu[v] for v in left}
+    rmass = {v: 2.0 * nu[v] for v in right}
     P = np.zeros((len(left), len(left)))
     wmap = {}
     for (u, v), w in zip(G.edges, G.weights):
@@ -311,7 +322,7 @@ def random_wgraph(rng, n, p=0.5, connected=True):
         if len(touched) < n:
             continue
         G = WGraph(edges)
-        if not connected or G.is_connected():
+        if not connected or len(plain_graph_components(G)) == 1:
             return G
 
 
@@ -327,7 +338,7 @@ def random_bipartite_wgraph(rng, a, b, p=0.6):
         if len(touched) < a + b:
             continue
         G = WGraph(edges, sides=(range(a), range(a, a + b)))
-        if G.is_connected():
+        if len(plain_graph_components(G)) == 1:
             return G
 
 
@@ -622,7 +633,7 @@ def plain_holonomy_subgroup(X, labels, group, v, order="bfs"):
     vertex, one generator per non-tree edge."""
     labeling = label_dict(X, labels)
     skel = X.one_skeleton()
-    if not skel.is_connected():
+    if len(plain_graph_components(skel)) > 1:
         raise Disconnected("holonomy needs a connected 1-skeleton")
     pot = {v: 0}
     frontier = [v]
@@ -678,8 +689,7 @@ def brute_check_suitable(X, c, r):
                     weight_witness = (sigma, "edge", (u, v), float(w), lo_e, hi_e)
             nn = skel.n
             lo_v, hi_v = 1.0 / (r * nn), r / nn
-            for v in skel.vertices:
-                w = skel.vertex_measure(v)
+            for v, w in vertex_masses(skel).items():
                 if not (lo_v - TOL <= w <= hi_v + TOL) and weight_ok:
                     weight_ok = False
                     weight_witness = (sigma, "vertex", v, float(w), lo_v, hi_v)
@@ -981,8 +991,7 @@ def plain_near_uniform_r(G):
     r = 1.0
     for w in G.weights:
         r = max(r, w * G.m, 1.0 / (w * G.m))
-    for v in G.vertices:
-        w = G.vertex_measure(v)
+    for w in vertex_masses(G).values():
         r = max(r, w * G.n, 1.0 / (w * G.n))
     return r
 
@@ -997,15 +1006,16 @@ def plain_one_trial(G, p_split, p_edge, eps, seed_pair):
     lam_split = float(bipartite_lambda(sample.graph))
     lam_edge = float(bipartite_lambda(sub.graph))
 
-    mass_a = sum(G.vertex_measure(v) for v in sorted(sample.a))
-    mass_b = sum(G.vertex_measure(v) for v in sorted(sample.b))
+    nu = vertex_masses(G)
+    mass_a = sum(nu[v] for v in sorted(sample.a))
+    mass_b = sum(nu[v] for v in sorted(sample.b))
     side_ok = (
         abs(mass_a - p_split) <= eps * p_split
         and abs(mass_b - p_split) <= eps * p_split
     )
     vertex_ok = True
     for v in sample.a:
-        total = 2.0 * G.vertex_measure(v)
+        total = 2.0 * nu[v]
         into_b = sum(G.weights[i] for nbr, i in incident(G, v) if nbr in sample.b)
         if abs(into_b - p_split * total) >= eps * p_split * total:
             vertex_ok = False
@@ -1140,77 +1150,6 @@ def plain_scan_gensets(group, d, eta_target=None, max_size=8, dedupe=True, count
     return groups_mod._tie_stable(scored, eta_target)
 
 
-def plain_coloring_measure(G, H, f):
-    """Reference coloring measure: fiber masses in a dict keyed by target
-    edge, summed edge by edge, and the graph rebuilt through WGraph.__init__."""
-    fiber_mass = {}
-    images = []
-    for (u, v), w in zip(G.edges, G.weights):
-        a, b = f[u], f[v]
-        if a == b or not has_edge(H, a, b):
-            raise ValueError(f"edge {(u, v)!r} maps to non-edge {(a, b)!r}")
-        key = (a, b) if a < b else (b, a)
-        images.append(key)
-        fiber_mass[key] = fiber_mass.get(key, 0.0) + w
-    for (a, b), w in zip(H.edges, H.weights):
-        if (a, b) not in fiber_mass:
-            raise DegenerateColoring(
-                f"target edge {(a, b)!r} has an empty fiber", witness=(a, b)
-            )
-    hw = {e: w for e, w in zip(H.edges, H.weights)}
-    new = [hw[img] * w / fiber_mass[img] for img, w in zip(images, G.weights)]
-    return WGraph([(u, v, w) for (u, v), w in zip(G.edges, new)], sides=G.sides)
-
-
-def plain_composition_check(G, H, f):
-    """Reference composition check: per-fiber edge lists and side shares in
-    dicts, one WGraph.__init__ per fiber, and the marginals compared vertex
-    by vertex over the target neighbours of its color."""
-    colored = plain_coloring_measure(G, H, f)
-    lam_h = adjacency_spectrum(H).two_sided
-    fibers, share = {}, {}
-    for (u, v), w in zip(G.edges, G.weights):
-        a, b = f[u], f[v]
-        key = (a, b) if a < b else (b, a)
-        fibers.setdefault(key, []).append((u, v, w))
-        for x in (u, v):
-            share[x, key] = share.get((x, key), 0.0) + w
-    eta, eta_witness = -1.0, ()
-    for a, b in H.edges:
-        fiber = fibers[a, b]
-        left = {x for u, v, _ in fiber for x in (u, v) if f[x] == a}
-        right = {x for u, v, _ in fiber for x in (u, v) if f[x] == b}
-        lam_fiber = bipartite_lambda(WGraph(fiber, sides=(left, right)))
-        if lam_fiber > eta:
-            eta, eta_witness = lam_fiber, (a, b)
-    fiber_mass = {key: sum(w for _, _, w in fiber) for key, fiber in fibers.items()}
-    gap, gap_witness = 0.0, ()
-    for x in G.vertices:
-        a = f[x]
-        pi = {}
-        for b in neighbors(H, a):
-            key = (a, b) if a < b else (b, a)
-            pi[key] = share.get((x, key), 0.0) / fiber_mass[key]
-        hi = max(pi, key=pi.get)
-        lo = min(pi, key=pi.get)
-        if pi[hi] - pi[lo] > gap:
-            gap, gap_witness = pi[hi] - pi[lo], (x, hi, lo)
-    lam_colored = adjacency_spectrum(colored).two_sided
-    bound = max(lam_h, eta)
-    hypothesis_ok = bool(gap <= 1e-9)
-    return CompositionReport(
-        lambda_target=float(lam_h),
-        eta=float(eta),
-        eta_witness=eta_witness,
-        lambda_colored=float(lam_colored),
-        bound=float(bound),
-        hypothesis_ok=hypothesis_ok,
-        marginal_gap=float(gap),
-        gap_witness=gap_witness,
-        ok=hypothesis_ok and bool(lam_colored <= bound + 1e-7),
-    )
-
-
 def plain_pruned_measure(pruner, Y, f):
     """Reference pruned measure: every permutation of every top face of Y
     and of the identity link walked in Python, fiber masses in a dict keyed
@@ -1255,9 +1194,9 @@ def plain_measure_ratio_audit(pruner, Y, f, sigma):
             and set(yskel.edges) == set(sg.graph.edges))
     worst, witness = 1.0, ()
     if same:
+        ynu, gnu = vertex_masses(yskel), vertex_masses(sg.graph)
         for v in yskel.vertices:
-            a = yskel.vertex_measure(v)
-            b = sg.graph.vertex_measure(v)
+            a, b = ynu[v], gnu[v]
             ratio = max(a / b, b / a)
             if ratio > worst:
                 worst, witness = ratio, ("vertex", v)
@@ -1321,12 +1260,6 @@ def plain_path_argument(X, C, coloring, y_edges):
         if not ok:
             return False, (u, v)
     return True, None
-
-
-def same_graph(a, b):
-    """Equal vertices, edges and sides, and weights equal bit for bit."""
-    return (a.vertices == b.vertices and a.edges == b.edges and a.sides == b.sides
-            and a.weights.tobytes() == b.weights.tobytes())
 
 
 def same_measure(a, b):

@@ -68,16 +68,22 @@ class TestCompleteAndRestrict:
             assert_same_complex(complete_complex(n, dim), want)
 
     def test_complete_with_weights(self):
+        # a weighted complete complex is the complete one restricted to all
+        # of its top faces with the new weights
+        def weighted(n, weights):
+            X = complete_complex(n, 2)
+            return X.restrict(range(len(X.weights)), weights)
+
         rng = np.random.default_rng(3)
         w = rng.random(math.comb(9, 3))
         w[[0, 5, 17]] = 0.0
         for weights in (w, w.tolist()):
             want = plain_build_complex(2, itertools.combinations(range(9), 3), weights)
-            assert_same_complex(complete_complex(9, 2, weights), want)
+            assert_same_complex(weighted(9, weights), want)
         # faces through vertex 0 carry no weight, so vertex 0 is dropped
         w = np.array([0.0 if 0 in f else 1.0
                       for f in itertools.combinations(range(6), 3)])
-        X = complete_complex(6, 2, w)
+        X = weighted(6, w)
         assert X.vertices == (1, 2, 3, 4, 5)
         assert_same_complex(X, plain_build_complex(2, itertools.combinations(range(6), 3), w))
 

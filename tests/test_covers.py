@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 import operator
 
@@ -19,6 +20,7 @@ from hdxcover.covers import (
     verify_cover,
 )
 from hdxcover.errors import BadLabeling, Disconnected, HdxError, NotACocycle
+from hdxcover.graphs import component_labels
 from hdxcover.groups import (
     cyclic,
     dihedral,
@@ -545,9 +547,9 @@ def assert_components_match(X):
     assert connected_components(X) == plain_connected_components(X)
     if X.dim >= 1:
         skel = X.one_skeleton()
-        comps = plain_graph_components(skel)
-        assert skel.connected_components() == comps
-        assert skel.is_connected() == (len(comps) == 1)
+        labels = component_labels(skel.n, skel.ends)
+        assert [set(itertools.compress(skel.vertices, labels == c))
+                for c in range(labels.max() + 1)] == plain_graph_components(skel)
 
 
 def assert_matches_plain(X, labels, group, quotients=()):

@@ -39,6 +39,17 @@ PRUNE_SPEC = {
 }
 
 
+# params each pipeline runs on but for the count under test
+COUNT_BASE = {
+    "prune": PRUNE_SPEC["params"],
+    "cover-family": PRUNE_SPEC["params"],
+    "sparsify": {"graph": {"kind": "complete", "n": 20}},
+    "combine": {"complex": {"kind": "complete", "n": 8, "dim": 2},
+                "target": {"kind": "complete", "n": 5, "dim": 2}},
+    "scan": {"group": {"kind": "cyclic", "n": 5}},
+}
+
+
 @pytest.fixture(scope="module")
 def prune_report():
     return run_experiment(PRUNE_SPEC)
@@ -529,9 +540,29 @@ class TestErrors:
         assert rep.stages == [rep.stages[-1]]  # rejected before pruning
         assert "index_cap must be" in rep.stages[-1]["result"]["message"]
 
+    @pytest.mark.parametrize("value", [2.7, True, "5"])
+    @pytest.mark.parametrize("kind, key", [
+        ("prune", "max_resamples"), ("cover-family", "max_resamples"),
+        ("sparsify", "trials"), ("combine", "max_resamples"), ("scan", "max_size"),
+    ])
+    def test_counts_that_are_not_integers_are_input_errors(self, kind, key, value):
+        params = dict(COUNT_BASE[kind], **{key: value})
+        rep = run_experiment({"kind": kind, "params": params, "seed": 0})
+        assert (rep.status, rep.exit_code) == ("input_error", EXIT_INPUT)
+        assert rep.stages == [rep.stages[-1]]  # rejected before any stage ran
+        assert (f"{key} must be an integer >= 1, got {value!r}"
+                in rep.stages[-1]["result"]["message"])
+
 
 class TestPruneModes:
     """A spec's prune mode against the regime the resampling loop runs."""
+
+    @pytest.mark.parametrize("command", ["prune", "cover-family"])
+    def test_cli_default_mode_is_the_spec_default(self, command):
+        args = cli.build_parser().parse_args(
+            [command, "--complex", "x", "--group", "g", "--genset", "s"])
+        params = {k: v for k, v in PRUNE_SPEC["params"].items() if k != "mode"}
+        assert args.mode == harness._prune_config(params).mode
 
     def test_unknown_mode_is_input_error(self):
         params = dict(PRUNE_SPEC["params"], mode="exact")

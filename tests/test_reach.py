@@ -1,0 +1,121 @@
+"""Every function in the package is reached by some pipeline or CLI command.
+
+Small specs of all five pipelines (both prune modes, budget-exhausted
+prune and combine runs) and every CLI subcommand run under
+sys.setprofile; each function defined in src/hdxcover/ must be called,
+apart from the entries of UNREACHED, each with its reason.
+"""
+import ast
+import json
+import sys
+from pathlib import Path
+
+import hdxcover
+from hdxcover import cli
+from hdxcover.harness import EXIT_BUDGET, EXIT_CLEAN
+
+UNREACHED = {
+    # perfbench calls or wraps these by name
+    "pruning.PruneConfig.empirical": "perfbench/selftest.py builds its config with it",
+    "pruning.Pruner.eval_event": "perfbench/selftest.py replays the loop event by event",
+    "pruning.Pruner.eval_ec": "reached through Pruner.eval_event in perfbench/selftest.py",
+    "pruning.event_face": "reached through the samplers' eval_event",
+    "complexes.PureComplex.face_measure": "a traced span of perfbench/tracing.py",
+    # error paths and reprs
+    "errors.NotACocycle.__init__": "raised only on a labeling that is no cocycle",
+    "errors.NotPure.__init__": "raised only on a Cayley edge in no clique",
+    "errors.Unmeasurable.__init__": "raised only on a satisfaction graph without edges",
+    "complexes.PureComplex.__repr__": "repr",
+    "graphs.WGraph.__repr__": "repr",
+    "groups.GroupTable.__repr__": "repr",
+    "harness._jsonify": "serializes numpy values a library caller puts in a spec; "
+                        "JSON specs hold none",
+    "combine.Combiner.eval_event": "the reference resampling loops in tests replay it",
+    "spectral._eml_exact_bipartite": "bipartite mixing; no graph spec declares sides",
+    # called only by tests; open under ROADMAP D10
+    "combine.Combiner.as_array": "test-only",
+    "spectral.SpectralReport.one_sided": "test-only",
+    "pruning.RatioReport.ok": "test-only",
+}
+
+K30 = json.dumps({"kind": "complete", "n": 30, "dim": 2})
+K12 = json.dumps({"kind": "complete", "n": 12, "dim": 2})
+K5 = json.dumps({"kind": "complete", "n": 5, "dim": 2})
+Z5 = json.dumps({"kind": "cyclic", "n": 5})
+Z5_TABLE = json.dumps({"kind": "table", "mul": [[(a + b) % 5 for b in range(5)]
+                                                for a in range(5)]})
+Z2_Z3 = json.dumps({"kind": "product", "factors": [{"kind": "cyclic", "n": 2},
+                                                   {"kind": "cyclic", "n": 3}]})
+EDGES = json.dumps({"edges": [[0, 1, 1.0], [1, 2, 2.0], [2, 0, 1.0], [2, 3, 1.0]]})
+
+
+def runs(tmp):
+    """(argv, expected exit code) of every run."""
+    k7 = str(tmp / "k7.json")
+    return [
+        (["build-complete", "--n", "7", "--dim", "2", "--out", k7], EXIT_CLEAN),
+        (["tensor", "--complex", k7, "--t", "4", "--out", str(tmp / "t.json")], EXIT_CLEAN),
+        (["check-suitable", "--complex", k7], EXIT_CLEAN),
+        (["verify-hdx", "--complex", k7, "--lambda", "0.9"], EXIT_CLEAN),
+        (["eml", "--graph", '{"kind": "complete", "n": 6}'], EXIT_CLEAN),
+        (["eml", "--graph", EDGES, "--samples", "50"], EXIT_CLEAN),
+        (["prune", "--complex", K30, "--group", Z5_TABLE, "--genset", "[1, 2, 3, 4]",
+          "--seed", "2"], EXIT_CLEAN),
+        (["prune", "--complex", K30, "--group", Z5, "--genset", "[1, 2, 3, 4]",
+          "--mode", "formula", "--max-resamples", "5"], EXIT_BUDGET),
+        (["cover-family", "--complex", K30, "--group", Z2_Z3, "--genset", "[1, 2, 3, 4, 5]",
+          "--seed", "2"], EXIT_CLEAN),
+        (["sparsify", "--graph", '{"kind": "complete", "n": 30}', "--trials", "3"],
+         EXIT_CLEAN),
+        (["combine", "--complex", K12, "--target", K5], EXIT_CLEAN),
+        (["combine", "--complex", K12, "--target", K5, "--lambda", "0.001",
+          "--max-resamples", "2"], EXIT_BUDGET),
+        (["scan-gensets", "--group", '{"kind": "symmetric", "k": 3}', "--max-size", "4"],
+         EXIT_CLEAN),
+        (["scan-gensets", "--group", '{"kind": "dihedral", "n": 4}', "--max-size", "4"],
+         EXIT_CLEAN),
+        (["scan-gensets", "--group", '{"kind": "cyclic", "n": 7}', "--max-size", "4"],
+         EXIT_CLEAN),
+    ]
+
+
+def defined_functions():
+    """{(file, first line of the def or its first decorator): qualified name}
+    of every def in the package, nested ones included."""
+    out = {}
+
+    def walk(path, node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                walk(path, child, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                line = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                out[str(path), line] = f"{prefix}{child.name}"
+                walk(path, child, f"{prefix}{child.name}.")
+
+    for path in sorted(Path(hdxcover.__file__).parent.glob("*.py")):
+        walk(path, ast.parse(path.read_text()), f"{path.stem}.")
+    return out
+
+
+def test_every_function_is_reached(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the pipelines write into ./out
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        codes = [(argv[0], cli.main(argv), want) for argv, want in runs(tmp_path)]
+    finally:
+        sys.setprofile(previous)
+    capsys.readouterr()
+    assert [(cmd, got) for cmd, got, want in codes if got != want] == []
+
+    unreached = {name for key, name in defined_functions().items() if key not in called}
+    missing, stale = sorted(unreached - set(UNREACHED)), sorted(set(UNREACHED) - unreached)
+    assert not missing, f"functions no run reaches: {missing}"
+    assert not stale, f"UNREACHED entries that a run reaches: {stale}"

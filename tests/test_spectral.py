@@ -1,6 +1,5 @@
 import itertools
 import math
-import operator
 import os
 import subprocess
 import sys
@@ -20,7 +19,6 @@ from hdxcover.complexes import (
 from hdxcover.covers import build_cover, push_cocycle
 from hdxcover.errors import (
     BadLevel,
-    DegenerateColoring,
     EmptyGraph,
     NonPositiveAlpha,
     NotBipartite,
@@ -41,30 +39,25 @@ from hdxcover.harness import cover_link_gap
 from hdxcover.spectral import (
     adjacency_spectrum,
     bipartite_lambda,
-    coloring_measure,
-    composition_check,
     converse_eml_bound,
     eml_discrepancy,
     is_hdx,
 )
 
 from helpers import (
-    checked,
     coboundary_labeling,
     cycle_complex,
     per_face_link_skeleton,
     plain_check_suitable,
-    plain_coloring_measure,
-    plain_composition_check,
     plain_cover_link_gap,
     plain_is_hdx,
     power_iteration_spectrum,
     random_bipartite_wgraph,
     random_complex,
     random_wgraph,
-    same_graph,
     sym_walk_matrix,
     two_step_second_eigenvalue,
+    vertex_masses,
 )
 
 
@@ -141,8 +134,9 @@ class TestAdjacencySpectrum:
         vm = G.vertex_measures()
         n = G.n
         A = np.zeros((n, n))
+        pos = {v: i for i, v in enumerate(G.vertices)}
         for (u, v), w in zip(G.edges, G.weights):
-            iu, iv = G.vertex_index(u), G.vertex_index(v)
+            iu, iv = pos[u], pos[v]
             A[iu, iv] = 0.5 * w / vm[iu]
             A[iv, iu] = 0.5 * w / vm[iv]
         for _ in range(50):
@@ -401,8 +395,9 @@ class TestEml:
         G = random_wgraph(np.random.default_rng(4), 8, p=0.6)
         rep = eml_discrepancy(G, "exact")
         s, t = rep.witness
-        nu_s = sum(G.vertex_measure(v) for v in s)
-        nu_t = sum(G.vertex_measure(v) for v in t)
+        nu = vertex_masses(G)
+        nu_s = sum(nu[v] for v in s)
+        nu_t = sum(nu[v] for v in t)
         cut = 0.5 * sum(
             w
             for (u, v), w in zip(G.edges, G.weights)
@@ -432,149 +427,6 @@ class TestConverseEml:
             rep = eml_discrepancy(G, "exact")
             lam = bipartite_lambda(G)
             assert lam <= converse_eml_bound(rep.alpha) + 1e-9
-
-
-def colored(G, H, f):
-    """coloring_measure, checked bit for bit against the dict reference."""
-    return checked(coloring_measure, plain_coloring_measure, same_graph, G, H, f)
-
-
-def composed(G, H, f):
-    """composition_check, checked against the dict reference."""
-    return checked(composition_check, plain_composition_check, operator.eq, G, H, f)
-
-
-@st.composite
-def colorings(draw):
-    """(G, H, f): a target H on some of the colors 0..k-1 and a graph G
-    colored from 0..k, where k is no vertex of H.  G's edges mostly run along
-    H's edges, so most draws are homomorphisms; small integer weights make
-    fiber masses and marginals tie.  G is declared bipartite, by the parity
-    of its colors, when a draw asks for it and every edge crosses."""
-    weight = st.integers(1, 3).map(float)
-    k = draw(st.integers(2, 4))
-    hedges = draw(st.lists(
-        st.sampled_from(list(itertools.combinations(range(k), 2))), min_size=1,
-        unique=True))
-    H = WGraph([(a, b, draw(weight)) for a, b in hedges])
-    n = draw(st.integers(2, 10))
-    f = {v: draw(st.integers(0, k)) for v in range(n)}
-    pairs = list(itertools.combinations(range(n), 2))
-    along = [(u, v) for u, v in pairs if (min(f[u], f[v]), max(f[u], f[v])) in hedges]
-    edges = set(draw(st.lists(st.sampled_from(along), unique=True)) if along else ())
-    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=1)))
-    assume(edges)
-    sides = None
-    if draw(st.booleans()) and all(f[u] % 2 != f[v] % 2 for u, v in edges):
-        sides = ([v for v in f if f[v] % 2 == 0], [v for v in f if f[v] % 2])
-    return WGraph([(u, v, draw(weight)) for u, v in sorted(edges)], sides=sides), H, f
-
-
-class TestColoringMeasure:
-    def test_single_edge_target(self):
-        H = WGraph([(0, 1, 1.0)])
-        G = complete_bipartite(3, 3)
-        f = {v: 0 if v < 3 else 1 for v in range(6)}
-        got = colored(G, H, f)
-        assert np.allclose(got.weights, G.weights)
-
-    def test_isomorphism_pulls_back(self):
-        H = random_wgraph(np.random.default_rng(1), 6, p=0.7)
-        f = {v: v for v in H.vertices}
-        got = colored(H, H, f)
-        assert np.allclose(got.weights, H.weights)
-
-    def test_fiber_masses_match_target(self):
-        # nine vertices onto a triangle: fiber masses become 1/3 each
-        rng = np.random.default_rng(6)
-        H = complete_graph(3)
-        edges = []
-        for (a, b) in ((0, 1), (0, 2), (1, 2)):
-            for i in range(3):
-                for j in range(3):
-                    edges.append((3 * a + i, 3 * b + j, 0.2 + rng.random()))
-        G = WGraph(edges)
-        f = {v: v // 3 for v in G.vertices}
-        got = colored(G, H, f)
-        for a in range(3):
-            fiber = [v for v in G.vertices if f[v] == a]
-            mass = sum(got.vertex_measure(v) for v in fiber)
-            assert mass == pytest.approx(1 / 3, abs=1e-9)
-
-    def test_degenerate_raises(self):
-        H = complete_graph(3)
-        G = WGraph([(0, 1, 1.0)])
-        f = {0: 0, 1: 1}
-        with pytest.raises(DegenerateColoring) as err:
-            colored(G, H, f)
-        assert err.value.witness is not None
-
-    @settings(max_examples=150, deadline=None)
-    @given(colorings())
-    def test_drawn_colorings_match_plain(self, case):
-        try:
-            colored(*case)
-        except (ValueError, DegenerateColoring):
-            pass
-
-
-class TestComposition:
-    def test_triangle_with_complete_fibers(self):
-        H = complete_graph(3)
-        edges = []
-        for (a, b) in ((0, 1), (0, 2), (1, 2)):
-            for i in range(3):
-                for j in range(3):
-                    edges.append((3 * a + i, 3 * b + j, 1.0))
-        G = WGraph(edges)
-        f = {v: v // 3 for v in G.vertices}
-        rep = composed(G, H, f)
-        assert rep.eta == pytest.approx(0.0, abs=1e-9)
-        assert rep.lambda_colored == pytest.approx(0.5, abs=1e-9)
-        assert rep.hypothesis_ok
-        assert rep.marginal_gap <= 1e-9
-        assert rep.ok
-
-    def test_isomorphism(self):
-        H = random_wgraph(np.random.default_rng(2), 7, p=0.6)
-        f = {v: v for v in H.vertices}
-        rep = composed(H, H, f)
-        assert rep.hypothesis_ok
-        assert rep.marginal_gap <= 1e-9
-        assert rep.lambda_colored == pytest.approx(rep.lambda_target, abs=1e-9)
-
-    @pytest.mark.parametrize("seed", range(20))
-    def test_random_fibered_instances(self, seed):
-        # each fiber is the union of two matchings sigma and sigma o c with
-        # c a random k-cycle; they never agree, so the fiber is one
-        # 2-regular connected 2k-cycle: every side marginal is 1/k (the
-        # hypothesis holds) and eta = cos(pi/k) < 1 (the bound is not vacuous)
-        rng = np.random.default_rng(seed)
-        H = complete_graph(3)
-        k = 4
-        edges = []
-        for (a, b) in ((0, 1), (0, 2), (1, 2)):
-            sigma = rng.permutation(k)
-            order = rng.permutation(k)
-            cycle = {int(order[j]): int(order[(j + 1) % k]) for j in range(k)}
-            for i in range(k):
-                edges.append((k * a + i, k * b + int(sigma[i]), 1.0))
-                edges.append((k * a + i, k * b + int(sigma[cycle[i]]), 1.0))
-        G = WGraph(edges)
-        f = {v: v // k for v in G.vertices}
-        rep = composed(G, H, f)
-        assert rep.hypothesis_ok
-        assert rep.eta < 1
-        assert rep.eta == pytest.approx(math.cos(math.pi / k), abs=1e-9)
-        assert rep.ok
-
-    @settings(max_examples=150, deadline=None)
-    @given(colorings())
-    def test_drawn_colorings_match_plain(self, case):
-        try:
-            composed(*case)
-        except (ValueError, DegenerateColoring):
-            pass
 
 
 class TestTrickleDown:
