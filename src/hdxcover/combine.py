@@ -21,6 +21,7 @@ from .pruning import (
     build_satisfaction_graph,
     event_face,
     event_list,
+    face_fraction_report,
     face_positions,
     ne_violated,
     resample,
@@ -78,10 +79,6 @@ class Combiner:
         self._events = None
 
     # --- satisfaction ---
-
-    def as_array(self, coloring):
-        """The color array of a coloring given as a dict keyed by vertex."""
-        return np.array([coloring[v] for v in self.X.vertices], dtype=np.int64)
 
     def image(self, face, col):
         return tuple(sorted(int(col[self.vpos[v]]) for v in face))
@@ -146,7 +143,7 @@ class Combiner:
             sigma,
             col,
             satisfied,
-            lambda v: int(col[self.vpos[v]]),
+            col[self.link_table(sigma).pos],
             target_link(self.C, self.image(sigma, col), self._image_links),
         )
 
@@ -380,9 +377,7 @@ def verify_combine(X, C, outcome):
 
     m = len(C.vertices)
     bound = (1.0 / (2 * m**X.dim)) ** X.dim
-    fractions = {
-        k: y.n_faces(k) / X.n_faces(k) for k in range(0, X.dim + 1)
-    }
+    fractions = face_fraction_report(X, y)
     frac_ok = all(v >= bound for v in fractions.values())
 
     return CombineReport(

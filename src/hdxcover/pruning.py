@@ -98,6 +98,7 @@ class LinkTable(NamedTuple):
     """The link of a face, read off the top faces; no labeling involved."""
 
     verts: tuple  # link vertices, sorted
+    pos: np.ndarray  # their positions in the complex's vertices
     uv: np.ndarray  # (2, edges) link edge ends as positions in verts, u < v,
     #                 edges in first-seen coface order
     mass: np.ndarray  # per edge, its cofaces' weights summed in coface order
@@ -132,6 +133,7 @@ def build_link_table(X, sigma):
     labels = np.asarray(X.vertices)
     return LinkTable(
         tuple(labels[verts].tolist()),
+        verts,
         np.searchsorted(verts, ends),
         mass,
         idx[first[order] // len(a)],
@@ -152,18 +154,18 @@ def target_link(C, face, cache):
 
 
 def build_satisfaction_graph(
-    sampler, sigma, x, satisfied=None, color=None, target=(None, None), absent=None
+    sampler, sigma, x, satisfied=None, colors=None, target=(None, None), absent=None
 ):
     """Satisfaction graph of sigma under the sampler's state x.
 
     The sampler supplies the cached link table of sigma (`link_table`) and
     its satisfaction rule for rows of vertex positions (`rows_ok`); link
     edges that complete top faces read the satisfied-top-face mask instead,
-    computed unless given.  color maps a satisfied link vertex into the
-    target link, given as (link, 1-skeleton); a link of None means the
-    image of sigma is no target face, reported as the missing face
-    `absent`.  With no color, sigma has no reference link and the graph is
-    the link graph itself.
+    computed unless given.  colors gives each link vertex of the table, in
+    its order, a vertex of the target link, given as (link, 1-skeleton); a
+    link of None means the image of sigma is no target face, reported as
+    the missing face `absent`.  With no colors, sigma has no reference link
+    and the graph is the link graph itself.
     """
     table = sampler.link_table(sigma)
     if table.edge_rows is None:
@@ -175,7 +177,7 @@ def build_satisfaction_graph(
     vert_ok = sampler.rows_ok(x, table.vert_rows)
     keep = edge_ok & (table.mass > 0)
     good = tuple(itertools.compress(table.verts, vert_ok.tolist()))
-    coloring = None if color is None else {v: color(v) for v in good}
+    coloring = None if colors is None else dict(zip(good, colors[vert_ok].tolist()))
     link, tskel = target
     if not keep.any():
         return SatisfactionGraph(sigma, None, None, coloring, link, True, None, good)
@@ -192,8 +194,6 @@ def build_satisfaction_graph(
     if coloring is not None and link is None:
         graph, missing = None, absent
     elif coloring is not None:
-        colors = np.zeros(len(table.verts), dtype=np.asarray(tskel.vertices).dtype)
-        colors[vert_ok] = list(coloring.values())
         fiber = fiber_codes(tskel, colors, uv)
         bad = np.flatnonzero((fiber < 0) | ~vert_ok[uv].all(axis=0))
         if len(bad):
@@ -305,13 +305,7 @@ class Pruner:
         self.d = X.dim
 
         self.edges = X.faces(1)
-        self.edge_pos = {e: i for i, e in enumerate(self.edges)}
         self.n_edges = len(self.edges)
-        # edge position by the vertex positions of its ends, -1 off edges
-        self.edge_ends = X.level(1).rows.T
-        self.edge_index = np.full((len(X.vertices),) * 2, -1, dtype=np.intp)
-        self.edge_index[tuple(self.edge_ends)] = np.arange(self.n_edges)
-        self.edge_index[tuple(self.edge_ends[::-1])] = np.arange(self.n_edges)
 
         self.s_elems = np.array(self.gens, dtype=np.int64)
         self.inv_elems = group.inv_table[self.s_elems].astype(np.int64)
@@ -349,13 +343,6 @@ class Pruner:
 
     # --- labeling helpers ---
 
-    def directed_element(self, f, u, v):
-        """The element f puts on the edge from u to v: the edge's generator
-        upward, its inverse downward."""
-        if u < v:
-            return self.gens[f[self.edge_pos[u, v]]]
-        return self.group.inv(self.gens[f[self.edge_pos[v, u]]])
-
     def elements_on(self, Y, f):
         """The group element f puts on each edge of the subcomplex Y,
         aligned with Y.faces(1): the labeling the covers of Y take."""
@@ -368,10 +355,12 @@ class Pruner:
         """Edge positions (ab, bc, ac) of every triangle a < b < c of each
         row of sorted vertex positions; shape (rows, triangles, 3)."""
         tri = list(itertools.combinations(range(rows.shape[1]), 3))
-        a, b, c = np.array(tri, dtype=np.intp).reshape(-1, 3).T
-        ab, bc, ac = ((rows[:, x], rows[:, y]) for x, y in ((a, b), (b, c), (a, c)))
-        E = self.edge_index
-        return np.stack([E[ab], E[bc], E[ac]], axis=-1)
+        if not tri:
+            return np.empty((len(rows), 0, 3), dtype=np.intp)
+        a, b, c = np.array(tri, dtype=np.intp).T
+        cols = np.stack([a, b, b, c, a, c], axis=-1).reshape(-1, 2)
+        edges = self.X.face_index(rows[:, cols].reshape(-1, 2))
+        return edges.reshape(len(rows), len(tri), 3)
 
     def _tri_ok(self, f, eidx):
         """Whether each triangle of a _tri_index table multiplies
@@ -406,8 +395,9 @@ class Pruner:
         if sigma not in self._at_tables:
             verts, vmeas = self._link_vertices(sigma)
             spos = self.X.positions(sigma)
-            eidx = self.edge_index[spos[None, :], verts[:, None]]
-            fwd = spos[None, :] < verts[:, None]
+            lo, hi = np.minimum(spos, verts[:, None]), np.maximum(spos, verts[:, None])
+            eidx = self.X.face_index(np.column_stack([lo.ravel(), hi.ravel()]))
+            eidx, fwd = eidx.reshape(lo.shape), spos < verts[:, None]
             self._at_tables[sigma] = (vmeas, eidx, fwd)
         return self._at_tables[sigma]
 
@@ -532,14 +522,23 @@ class Pruner:
             return SatisfactionGraph(sigma, skel, skel, None, None, False, None, ())
         if not self.face_satisfied(sigma, f):
             raise UnsatisfiedBase(f"{sigma!r} is not satisfied")
-        u0 = sigma[0]
-        a = tuple(sorted({0} | {self.directed_element(f, u0, u) for u in sigma[1:]}))
+        # the elements on the edges from sigma[0] to the rest of sigma, all
+        # upward, and to each link vertex, upward or downward
+        a = {0}
+        if len(sigma) > 1:
+            spos = self.X.positions(sigma)
+            pairs = np.column_stack([np.full(len(spos) - 1, spos[0]), spos[1:]])
+            a.update(self.s_elems[f[self.X.face_index(pairs)]].tolist())
+        a = tuple(sorted(a))
+        _, eidx, fwd = self._at_table(sigma)
+        labs = f[eidx[:, 0]]
+        colors = np.where(fwd[:, 0], self.s_elems[labs], self.inv_elems[labs])
         return build_satisfaction_graph(
             self,
             sigma,
             f,
             satisfied,
-            lambda v: self.directed_element(f, u0, v),
+            colors,
             target_link(self.cayley.complex, a, self._cayley_links),
             absent=a,
         )
@@ -580,9 +579,10 @@ class Pruner:
             return tuple(np.unique(edges).tolist())
         if kind == "NE":
             allowed = np.zeros(len(self.X.vertices), dtype=bool)
-            allowed[self._link_vertices(face)[0]] = True
+            allowed[self.link_table(face).pos] = True
             allowed[self.X.positions(face)] = True
-            return tuple(np.nonzero(allowed[self.edge_ends].all(axis=0))[0].tolist())
+            inside = allowed[self.X.level(1).rows].all(axis=1)
+            return tuple(np.flatnonzero(inside).tolist())
         raise BadKindForFace(f"unknown event kind {kind!r}")
 
     # --- pruning and the main loop ---
@@ -707,10 +707,6 @@ class RatioReport:
     bound: float
     witness: tuple
     support_matches: bool
-
-    @property
-    def ok(self):
-        return self.support_matches and self.max_ratio <= self.bound
 
 
 def measure_ratio_audit(pruner, Y, f, ell):

@@ -26,10 +26,6 @@ class SpectralReport:
     eigenvalues: tuple
 
     @property
-    def one_sided(self):
-        return self.eigenvalues[1] if len(self.eigenvalues) > 1 else -1.0
-
-    @property
     def two_sided(self):
         if len(self.eigenvalues) < 2:
             return 0.0

@@ -243,6 +243,21 @@ def is_abelian(group):
     return bool((group.mul_table == group.mul_table.T).all())
 
 
+def one_sided(rep):
+    """A spectral report's second largest eigenvalue, -1 below two vertices."""
+    return rep.eigenvalues[1] if len(rep.eigenvalues) > 1 else -1.0
+
+
+def ratio_ok(rep):
+    """Whether a measure-ratio report matches Y's support within its bound."""
+    return rep.support_matches and rep.max_ratio <= rep.bound
+
+
+def as_array(comb, coloring):
+    """The color array of a coloring given as a dict keyed by vertex."""
+    return np.array([coloring[v] for v in comb.X.vertices], dtype=np.int64)
+
+
 def neighbors(G, v):
     """The neighbors of v in G, in edge order."""
     return [b if a == v else a for a, b in G.edges if v in (a, b)]
@@ -420,7 +435,7 @@ def per_face_link_skeleton(X, s):
 
 def _plain_link_row(X, face, mode):
     rep = adjacency_spectrum(per_face_link_skeleton(X, face))
-    value = rep.one_sided if mode == "one_sided" else rep.two_sided
+    value = one_sided(rep) if mode == "one_sided" else rep.two_sided
     ev = rep.eigenvalues
     lam2 = ev[1] if len(ev) > 1 else -1.0
     return HdxRow(face, float(lam2), float(ev[-1]), float(value))
@@ -565,6 +580,11 @@ def plain_verify_cover(cover, tol=1e-9):
 def label_dict(X, labels):
     """A label array as the dict keyed by edge that the plain covers read."""
     return {e: int(g) for e, g in zip(X.faces(1), labels)}
+
+
+def edge_positions(X):
+    """Each edge's index in X.faces(1), keyed by the edge."""
+    return {e: i for i, e in enumerate(X.faces(1))}
 
 
 def plain_directed_label(group, labeling, u, v):
@@ -829,7 +849,7 @@ def plain_color_satisfaction_graph(comb, sigma, col):
 
 
 def plain_build_satisfaction_graph(
-    sampler, sigma, x, satisfied=None, color=None, target=(None, None), absent=None
+    sampler, sigma, x, satisfied=None, colors=None, target=(None, None), absent=None
 ):
     """Reference for pruning.build_satisfaction_graph, on the same link
     table: the kept link edges go through an edge dict, the fiber masses
@@ -848,7 +868,8 @@ def plain_build_satisfaction_graph(
     ends = ((at(u), at(v)) for u, v in table.uv[:, keep].T.tolist())
     edges = dict(zip(ends, table.mass[keep].tolist()))
     good = tuple(v for v, ok in zip(table.verts, vert_ok.tolist()) if ok)
-    coloring = None if color is None else {v: color(v) for v in good}
+    coloring = None if colors is None else {
+        v: c for v, c, ok in zip(table.verts, colors.tolist(), vert_ok.tolist()) if ok}
     link, tskel = target
     if not edges:
         return SatisfactionGraph(sigma, None, None, coloring, link, True, None, good)
@@ -885,7 +906,8 @@ def plain_at_table(pruner, sigma):
                 mass[v] = mass.get(v, 0.0) + X.weights[i]
     verts = sorted(mass)
     meas = np.array([mass[v] for v in verts])
-    eidx = [[pruner.edge_pos[tuple(sorted((u, v)))] for u in sigma] for v in verts]
+    pos = edge_positions(X)
+    eidx = [[pos[tuple(sorted((u, v)))] for u in sigma] for v in verts]
     fwd = [[u < v for u in sigma] for v in verts]
     return meas / meas.sum(), np.array(eidx), np.array(fwd)
 
@@ -893,14 +915,14 @@ def plain_at_table(pruner, sigma):
 def plain_bc_table(pruner, v):
     """Reference BC table of v: the edges and directions of v -> u -> w -> v
     for each sorted ordered pair u != w that shares a coface with v."""
-    pairs = set()
+    pos, pairs = edge_positions(pruner.X), set()
     for i in pruner.X.cofaces((v,)):
         rest = [u for u in pruner.X.top_faces[i] if u != v]
         pairs.update(itertools.permutations(rest, 2))
     eidx, fwd = [], []
     for u, w in sorted(pairs):
         hops = ((v, u), (u, w), (w, v))
-        eidx.append([pruner.edge_pos[tuple(sorted(h))] for h in hops])
+        eidx.append([pos[tuple(sorted(h))] for h in hops])
         fwd.append([x < y for x, y in hops])
     return np.array(eidx), np.array(fwd)
 
@@ -937,10 +959,11 @@ def plain_event_scope(pruner, kind, face):
     if kind == "BC":
         return tuple(sorted(set(plain_bc_table(pruner, face[0])[0].ravel().tolist())))
     if kind == "EC":
+        pos = edge_positions(X)
         out = set()
         for i in X.cofaces(face):
             for e in itertools.combinations(X.top_faces[i], 2):
-                out.add(pruner.edge_pos[e])
+                out.add(pos[e])
         return tuple(sorted(out))
     near = set(face).union(*(X.top_faces[i] for i in X.cofaces(face)))
     return tuple(i for i, (u, w) in enumerate(pruner.edges) if u in near and w in near)
@@ -1161,12 +1184,14 @@ def plain_pruned_measure(pruner, Y, f):
         share = w / math.factorial(d)
         for perm in itertools.permutations(face):
             pattern_prob[perm] = share
+    labels = label_dict(pruner.X, pruner.s_elems[f])
     fiber_mass = {}
     contributions = []
     fact = math.factorial(d + 1)
     for i, (face, w) in enumerate(zip(Y.top_faces, Y.weights)):
         for perm in itertools.permutations(face):
-            pat = tuple(pruner.directed_element(f, perm[0], v) for v in perm[1:])
+            pat = tuple(plain_directed_label(pruner.group, labels, perm[0], v)
+                        for v in perm[1:])
             if pat not in pattern_prob:
                 continue  # pattern carries no reference mass
             mass = w / fact

@@ -47,6 +47,7 @@ from hdxcover.spectral import (
 from helpers import (
     coboundary_labeling,
     neighbors,
+    one_sided,
     phi_face,
     random_bipartite_wgraph,
     random_wgraph,
@@ -342,7 +343,7 @@ def test_criterion_10_trickle_down(prune_fixture):
                 skel = Xf.link(r_face).one_skeleton()
                 if component_labels(skel.n, skel.ends).any():
                     continue
-                lam2 = adjacency_spectrum(skel).one_sided
+                lam2 = one_sided(adjacency_spectrum(skel))
                 assert lam2 <= lam / (1 - lam) + 1e-7, (
                     f"trickle-down violated at {r_face} of {Xf}"
                 )

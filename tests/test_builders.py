@@ -35,6 +35,7 @@ from hdxcover.harness import run_experiment, stage_seed
 from hdxcover.spectral import is_hdx
 
 from helpers import (
+    as_array,
     assert_same_complex,
     plain_build_complex,
     plain_build_cover,
@@ -125,7 +126,7 @@ class TestBenchmarkComplexes:
         lam = max(min(is_hdx(C, 1.0).worst_value, 0.999), 1e-6)
         comb = Combiner(X, C, CombineConfig(lam))
         out = comb.run(stage_seed(0, "combine"))
-        col = comb.as_array(out.coloring)
+        col = as_array(comb, out.coloring)
         for colors, kind in ((col, "coloring"), (col % 3, "restricted")):
             y, got_kind, _ = comb.c_pruning(colors)
             want, want_kind = plain_c_pruning(comb, colors)

@@ -14,7 +14,7 @@ from hdxcover.errors import BadKindForFace
 from hdxcover.harness import stage_seed
 from hdxcover.spectral import is_hdx
 
-from helpers import plain_path_argument
+from helpers import as_array, plain_path_argument
 
 
 K5_TARGET = complete_complex(5, 2)
@@ -28,19 +28,19 @@ class TestCSatisfied:
     def test_complete_target_distinct_colors(self):
         X = complete_complex(6, 2)
         comb = combiner(X)
-        col = comb.as_array({v: v % 5 for v in X.vertices})
+        col = as_array(comb, {v: v % 5 for v in X.vertices})
         assert comb.face_satisfied((0, 1, 2), col)
 
     def test_repeated_color_unsatisfied(self):
         X = complete_complex(6, 2)
         comb = combiner(X)
-        col = comb.as_array({v: v % 5 for v in X.vertices})
+        col = as_array(comb, {v: v % 5 for v in X.vertices})
         assert not comb.face_satisfied((0, 5, 2), col)
 
     def test_color_outside_target_unsatisfied(self):
         X = complete_complex(6, 2)
         comb = combiner(X)
-        col = comb.as_array({v: v for v in X.vertices})  # 5 is no target vertex
+        col = as_array(comb, {v: v for v in X.vertices})  # 5 is no target vertex
         assert comb.face_satisfied((0, 1, 2), col)
         assert not comb.face_satisfied((0, 1, 5), col)
         assert not comb.face_satisfied((5,), col)
@@ -49,7 +49,7 @@ class TestCSatisfied:
         target = build_complex(2, [(0, 1, 2), (0, 1, 3)])  # no face (1, 2, 3)
         X = complete_complex(4, 2)
         comb = combiner(X, target)
-        col = comb.as_array({0: 1, 1: 2, 2: 3, 3: 0})
+        col = as_array(comb, {0: 1, 1: 2, 2: 3, 3: 0})
         # image of (0, 1, 2) is (1, 2, 3): not a target face
         assert not comb.face_satisfied((0, 1, 2), col)
         # image of (0, 1, 3) is (0, 1, 2): a target face
@@ -60,14 +60,14 @@ class TestCPruning:
     def test_injective_coloring_keeps_everything(self):
         X = complete_complex(5, 2)
         comb = combiner(X)
-        y, kind, _ = comb.c_pruning(comb.as_array({v: v for v in X.vertices}))
+        y, kind, _ = comb.c_pruning(as_array(comb, {v: v for v in X.vertices}))
         assert y.top_faces == X.top_faces
         assert kind == "coloring"
 
     def test_constant_coloring_empty(self):
         X = complete_complex(5, 2)
         comb = combiner(X)
-        y, kind, _ = comb.c_pruning(comb.as_array({v: 0 for v in X.vertices}))
+        y, kind, _ = comb.c_pruning(as_array(comb, {v: 0 for v in X.vertices}))
         assert y is None and kind == "empty"
 
     def test_satisfied_count_matches_enumeration(self):
@@ -75,7 +75,7 @@ class TestCPruning:
         X = complete_complex(20, 2)
         coloring = {v: int(rng.integers(5)) for v in X.vertices}
         comb = combiner(X)
-        y, _, _ = comb.c_pruning(comb.as_array(coloring))
+        y, _, _ = comb.c_pruning(as_array(comb, coloring))
         expected = sum(
             1
             for f in X.faces(2)
@@ -88,7 +88,7 @@ class TestCPruning:
         X = complete_complex(15, 2)
         coloring = {v: int(rng.integers(5)) for v in X.vertices}
         comb = combiner(X)
-        y, kind, _ = comb.c_pruning(comb.as_array(coloring))
+        y, kind, _ = comb.c_pruning(as_array(comb, coloring))
         assert kind == "coloring"
         mass = {}
         for face, w in zip(y.top_faces, y.weights):
@@ -121,20 +121,20 @@ class TestEvents:
     def test_ac_false_when_all_colors_present(self):
         X = complete_complex(12, 2)
         comb = combiner(X, config=CombineConfig(1 / 3))
-        col = comb.as_array({v: v % 5 for v in X.vertices})
+        col = as_array(comb, {v: v % 5 for v in X.vertices})
         for v in X.vertices:
             assert not comb.eval_event("AC", (v,), col)
 
     def test_ac_true_when_color_missing(self):
         X = complete_complex(8, 2)
         comb = combiner(X, config=CombineConfig(1 / 3))
-        col = comb.as_array({v: v % 4 for v in X.vertices})  # color 4 never used
+        col = as_array(comb, {v: v % 4 for v in X.vertices})  # color 4 never used
         assert comb.eval_event("AC", (0,), col)
 
     def test_ac_false_on_unsatisfied_face(self):
         X = complete_complex(8, 2)
         comb = combiner(X, config=CombineConfig(1 / 3))
-        col = comb.as_array({v: 0 for v in X.vertices})
+        col = as_array(comb, {v: 0 for v in X.vertices})
         assert not comb.eval_event("AC", (0, 1), col)
 
     @pytest.mark.parametrize("holed", [False, True])
@@ -159,7 +159,7 @@ class TestEvents:
     def test_ne_true_on_disconnected(self):
         X = build_complex(2, [(0, 1, 2), (0, 3, 4)])
         comb = combiner(X, config=CombineConfig(0.9))
-        col = comb.as_array({0: 0, 1: 1, 2: 2, 3: 3, 4: 4})
+        col = as_array(comb, {0: 0, 1: 1, 2: 2, 3: 3, 4: 4})
         assert comb.eval_event("NE", (0,), col)
 
     def test_ne_exact_value_on_blowup(self):
@@ -167,7 +167,7 @@ class TestEvents:
         X = complete_complex(20, 2)
         coloring = {v: v % 5 for v in X.vertices}
         comb = Combiner(X, K5_TARGET, CombineConfig(1 / 3))
-        sg = comb.satisfaction_graph((0,), comb.as_array(coloring))
+        sg = comb.satisfaction_graph((0,), as_array(comb, coloring))
         from hdxcover.spectral import adjacency_spectrum
 
         assert adjacency_spectrum(sg.graph).two_sided == pytest.approx(
@@ -177,7 +177,7 @@ class TestEvents:
     def test_kind_guard(self):
         X = complete_complex(6, 2)
         comb = combiner(X)
-        col = comb.as_array({v: v % 5 for v in X.vertices})
+        col = as_array(comb, {v: v % 5 for v in X.vertices})
         with pytest.raises(BadKindForFace):
             comb.eval_event("NE", (0, 1), col)
 
@@ -204,7 +204,7 @@ class TestMoserTardosCombine:
         out = Combiner(X, K5_TARGET, config).run(1)
         assert out.status == "clean"
         comb = Combiner(X, K5_TARGET, config)
-        col = comb.as_array(out.coloring)
+        col = as_array(comb, out.coloring)
         for kind, face in comb.events():
             assert not comb.eval_event(kind, face, col)
 
@@ -214,7 +214,7 @@ class TestMoserTardosCombine:
         out = Combiner(X, K5_TARGET, config).run(2)
         assert out.status == "clean"
         comb = Combiner(X, K5_TARGET, config)
-        col = comb.as_array(out.coloring)
+        col = as_array(comb, out.coloring)
         for v in X.vertices:
             sg = comb.satisfaction_graph((v,), col)
             link = out.y.link((v,))
@@ -283,7 +283,7 @@ class TestVerifyCombine:
         config = CombineConfig(1 / 3, max_resamples=10)
         comb = Combiner(X, K5_TARGET, config)
         coloring = {v: v for v in X.vertices}
-        y, kind, _ = comb.c_pruning(comb.as_array(coloring))
+        y, kind, _ = comb.c_pruning(as_array(comb, coloring))
         from hdxcover.combine import CombineOutcome
 
         out = CombineOutcome(

@@ -32,10 +32,6 @@ UNREACHED = {
                         "JSON specs hold none",
     "combine.Combiner.eval_event": "the reference resampling loops in tests replay it",
     "spectral._eml_exact_bipartite": "bipartite mixing; no graph spec declares sides",
-    # called only by tests; open under ROADMAP D10
-    "combine.Combiner.as_array": "test-only",
-    "spectral.SpectralReport.one_sided": "test-only",
-    "pruning.RatioReport.ok": "test-only",
 }
 
 K30 = json.dumps({"kind": "complete", "n": 30, "dim": 2})

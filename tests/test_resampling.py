@@ -14,6 +14,7 @@ from hdxcover.pruning import PruneConfig, Pruner, build_satisfaction_graph
 from hdxcover.spectral import adjacency_spectrum, is_hdx
 
 from helpers import (
+    as_array,
     plain_build_satisfaction_graph,
     plain_color_satisfaction_graph,
     plain_combine_run,
@@ -82,7 +83,7 @@ class TestCombineLoop:
     def test_matches_plain_loop(self, X, C, config, seed):
         comb = Combiner(X, C, config)
         outcome = comb.run(seed)
-        col = comb.as_array(outcome.coloring)
+        col = as_array(comb, outcome.coloring)
         assert_same_run(outcome, col, plain_combine_run(comb, seed))
 
     def test_budget_exhausted_reports_violated_events(self):
@@ -91,7 +92,7 @@ class TestCombineLoop:
         assert outcome.status == "budget_exhausted"
         assert outcome.resamples == 4
         assert outcome.violations_remaining
-        col = comb.as_array(outcome.coloring)
+        col = as_array(comb, outcome.coloring)
         for kind, face in outcome.violations_remaining:
             assert comb.eval_event(kind, face, col)
 
@@ -129,10 +130,6 @@ def compare_all_bases(X, C, seed, palette):
     comb = Combiner(X, C, CombineConfig(0.5))
     rng = np.random.default_rng(seed)
     col = np.array(C.vertices[:palette])[rng.integers(0, palette, len(X.vertices))]
-
-    def color(v):
-        return int(col[comb.vpos[v]])
-
     kinds = set()
     for ell in range(-1, X.dim - 1):
         for sigma in X.faces(ell):
@@ -140,8 +137,9 @@ def compare_all_bases(X, C, seed, palette):
                 continue
             if sigma:
                 target = pruning.target_link(C, comb.image(sigma, col), {})
-                for args in ((comb, sigma, col, None, color, target),
-                             (comb, sigma, col, None, color, (None, None), "absent")):
+                colors = col[comb.link_table(sigma).pos]
+                for args in ((comb, sigma, col, None, colors, target),
+                             (comb, sigma, col, None, colors, (None, None), "absent")):
                     sg = build_satisfaction_graph(*args)
                     assert_same_build(sg, plain_build_satisfaction_graph(*args))
                 if sg.missing == "absent":
@@ -242,15 +240,16 @@ class TestArrayBuilder:
 
     def test_edge_to_no_target_edge_raises(self):
         comb = Combiner(complete_complex(9, 2), K5, CombineConfig(0.5))
-        col = comb.as_array({v: v % 5 for v in range(9)})
+        col = as_array(comb, {v: v % 5 for v in range(9)})
         target = pruning.target_link(K5, (0,), {})
+        colors = np.ones(len(comb.link_table((0,)).verts), dtype=np.int64)
         with pytest.raises(ValueError, match="maps to no target edge"):
-            build_satisfaction_graph(comb, (0,), col, None, lambda v: 1, target)
+            build_satisfaction_graph(comb, (0,), col, None, colors, target)
 
     def test_memory_is_bounded(self):
         comb = k40_combiner()
-        col = comb.as_array({v: v % 5 for v in K40.vertices})
-        args = (comb, (0,), col, comb.satisfied_mask(col), lambda v: int(col[v]),
+        col = as_array(comb, {v: v % 5 for v in K40.vertices})
+        args = (comb, (0,), col, comb.satisfied_mask(col), col[comb.link_table((0,)).pos],
                 pruning.target_link(K5, (0,), {}))
         build_satisfaction_graph(*args)  # the link table is cached, as in a scan
         tracemalloc.start()
