@@ -17,12 +17,9 @@ from .complexes import PureComplex
 from .errors import BadKindForFace, NotAFace, UnsatisfiedBase
 from .graphs import coloring_weights, component_labels
 from .pruning import (
-    build_link_table,
+    Sampler,
     build_satisfaction_graph,
-    event_face,
-    event_list,
     face_fraction_report,
-    face_positions,
     ne_violated,
     resample,
     target_link,
@@ -54,7 +51,7 @@ class CombineOutcome:
     config: CombineConfig
 
 
-class Combiner:
+class Combiner(Sampler):
     """Precomputed machinery for one (complex, target) pair.
 
     The variables are vertex colors; a face is satisfied when its colors
@@ -65,18 +62,11 @@ class Combiner:
     def __init__(self, X, C, config):
         if X.dim != C.dim:
             raise BadKindForFace("complex and target must share a dimension")
-        self.X = X
+        super().__init__(X, {"AC": range(0, X.dim), "NE": range(0, X.dim - 1)})
         self.C = C
         self.config = config
-        self.d = X.dim
         self.vpos = {v: i for i, v in enumerate(X.vertices)}
         self._image_links = {}
-        self._link_vertices = {}
-        self._link_tables = {}
-        # the dimensions at which each event kind is defined
-        self.kind_dims = {"AC": range(0, self.d), "NE": range(0, self.d - 1)}
-        self.face_pos = face_positions(X, self.d)
-        self._events = None
 
     # --- satisfaction ---
 
@@ -99,23 +89,7 @@ class Combiner:
     def satisfied_mask(self, col):
         return self.rows_ok(col, self.X.top_positions())
 
-    def link_vertices(self, face):
-        """Positions of the link vertices of face, sorted; cached."""
-        if face not in self._link_vertices:
-            self._link_vertices[face] = np.unique(self.X.link_rows(face)[2])
-        return self._link_vertices[face]
-
-    def link_table(self, sigma):
-        if sigma not in self._link_tables:
-            self._link_tables[sigma] = build_link_table(self.X, sigma)
-        return self._link_tables[sigma]
-
     # --- events ---
-
-    def events(self):
-        if self._events is None:
-            self._events = event_list(self.X, self.kind_dims)
-        return self._events
 
     def eval_ac(self, face, col, satisfied=None):
         """Some completing color is missing around a satisfied face; whether
@@ -126,18 +100,15 @@ class Combiner:
             return False
         img = self.image(face, col)
         completions = set(target_link(self.C, img, self._image_links)[0].vertices)
-        present = set(col[self.link_vertices(face)].tolist())
-        return bool(completions - present)
+        start, verts, _ = self.X.link_vertices(len(face) - 1)
+        i = self.face_pos[face]
+        return bool(completions - set(col[verts[start[i]:start[i + 1]]].tolist()))
 
     def satisfaction_graph(self, sigma, col, satisfied=None):
-        sigma = tuple(sorted(sigma))
-        if len(sigma) - 1 > self.d - 2:
-            raise BadKindForFace("satisfaction graphs exist up to dimension d-2")
+        sigma = self.graph_base(sigma, col)
         if sigma == ():
             # no reference link; the graph itself is the object of interest
             return build_satisfaction_graph(self, sigma, col, satisfied)
-        if not self.face_satisfied(sigma, col):
-            raise UnsatisfiedBase(f"{sigma!r} is not satisfied")
         return build_satisfaction_graph(
             self,
             sigma,
@@ -153,12 +124,6 @@ class Combiner:
         except UnsatisfiedBase:
             return False
         return ne_violated(sg, self.config.lambda_target)
-
-    def eval_event(self, kind, face, col):
-        face = event_face(self.kind_dims, kind, face)
-        if kind == "AC":
-            return self.eval_ac(face, col)
-        return self.eval_ne(face, col)
 
     def event_scope(self, kind, face):
         """Vertex positions whose colors the events at this face read."""
@@ -185,9 +150,6 @@ class Combiner:
 
     def first_violated(self, col):
         return next(self.violations(col), None)
-
-    def all_violations(self, col):
-        return tuple(self.violations(col))
 
     # --- pruning ---
 

@@ -69,7 +69,8 @@ class PureComplex:
     level by level on first use (see :class:`FaceLevel`).
     """
 
-    __slots__ = ("dim", "vertices", "weights", "_tops", "_faces", "_levels", "_vpos")
+    __slots__ = ("dim", "vertices", "weights", "_tops", "_faces", "_levels", "_links",
+                 "_vpos")
 
     def __init__(self, dim, vertices, tops, weights):
         """Use :func:`build_complex` instead of calling this directly."""
@@ -79,6 +80,7 @@ class PureComplex:
         self._tops = tops
         self._faces = {}
         self._levels = {}
+        self._links = {}
         self._vpos = None
 
     # --- structure ---
@@ -146,6 +148,31 @@ class PureComplex:
             code_list=codes.tolist(),
         )
         return self._levels[k]
+
+    def link_vertices(self, k):
+        """The link vertices of every k-face (k < dim), indexed on first
+        use: offsets (face f's entries are start[f]:start[f + 1]), each
+        entry's position in ``vertices``, ascending within its face, and its
+        mass, the weights of the face's cofaces through it summed in coface
+        order.  The entries are the (k+1)-faces, each once per k-face it
+        holds, and each mass is the coface sum of its (k+1)-face."""
+        if k not in self._links:
+            lev, up, n = self.level(k), self.level(k + 1), len(self.vertices)
+            face = np.repeat(np.arange(len(up.codes)), np.diff(up.start))
+            mass = np.bincount(face, weights=self.weights[up.cof], minlength=len(up.codes))
+            # the k-face of each (k+1)-face less its column j, read off the
+            # pairs of the (k+1)-face's first coface
+            subs = list(itertools.combinations(range(self.dim + 1), k + 2))
+            lows = list(itertools.combinations(range(self.dim + 1), k + 1))
+            less = np.array([[lows.index(s[:j] + s[j + 1:]) for j in range(k + 2)]
+                             for s in subs])
+            first = np.asarray(up.start[:-1])
+            faces = lev.pairs[up.cof[first][:, None], less[up.sub[first]]].T.ravel()
+            verts = up.rows.T.ravel()
+            order = np.argsort(faces * n + verts)
+            start = np.searchsorted(faces[order], np.arange(len(lev.codes) + 1))
+            self._links[k] = (start, verts[order], np.tile(mass, k + 2)[order])
+        return self._links[k]
 
     def face_index(self, rows):
         """Index in faces(k) of each row of k+1 vertex positions, or -1.

@@ -247,6 +247,29 @@ def _transcript_digest(transcript):
     return h.hexdigest()
 
 
+def _sampler_record(report, name, outcome, stage, out):
+    """Write a sampler run's stage and outcome: the fields the prune and
+    combine pipelines share, each updated with the pipeline's own (stage,
+    out), and the budget-exhausted status of a run that did not end clean."""
+    report.add_stage(name, {
+        "status": outcome.status,
+        "resamples": outcome.resamples,
+        "transcript_digest": _transcript_digest(outcome.transcript),
+        "kept_top_faces": 0 if outcome.y is None else len(outcome.y.top_faces),
+        **stage,
+    })
+    report.outcome = {
+        "y_top_faces": [] if outcome.y is None else [list(f) for f in outcome.y.top_faces],
+        "transcript": [[it, kind, list(face), len(scope)]
+                       for it, kind, face, scope in outcome.transcript],
+        "status": outcome.status,
+        **out,
+    }
+    if outcome.status != "clean":
+        report.status = "budget_exhausted"
+        report.exit_code = EXIT_BUDGET
+
+
 def _prune_stages(report, params, seed):
     X = _load_complex_input(_field(params, "complex"))
     if X.dim < 2:
@@ -273,33 +296,23 @@ def _prune_stages(report, params, seed):
     with timed(report, "prune"):
         pruner = pruning_mod.Pruner(X, group, gens, config)
         outcome = pruner.run(stage_seed(seed, "prune"))
-    report.add_stage(
+    _sampler_record(
+        report,
         "prune",
+        outcome,
         {
-            "status": outcome.status,
-            "resamples": outcome.resamples,
-            "transcript_digest": _transcript_digest(outcome.transcript),
-            "kept_top_faces": 0 if outcome.y is None else len(outcome.y.top_faces),
             "isolated_vertices": list(outcome.isolated_vertices),
             "violations_remaining": [
                 [k, list(f)] for k, f in outcome.violations_remaining
             ],
         },
+        {
+            "labeling": [
+                [int(u), int(v), int(l)]
+                for (u, v), l in zip(pruner.X.faces(1), outcome.labeling)
+            ],
+        },
     )
-    report.outcome = {
-        "labeling": [
-            [int(u), int(v), int(l)]
-            for (u, v), l in zip(pruner.edges, outcome.labeling)
-        ],
-        "y_top_faces": []
-        if outcome.y is None
-        else [list(f) for f in outcome.y.top_faces],
-        "transcript": [
-            [it, kind, list(face), len(scope)]
-            for it, kind, face, scope in outcome.transcript
-        ],
-        "status": outcome.status,
-    }
     return pruner, outcome
 
 
@@ -407,8 +420,6 @@ def run_prune(report, params, seed):
     outcome."""
     pruner, outcome = _prune_stages(report, params, seed)
     if outcome.status != "clean":
-        report.status = "budget_exhausted"
-        report.exit_code = EXIT_BUDGET
         return report.finish(), pruner, outcome
     _audit_clean_prune(report, pruner, outcome)
     return report.finish(), pruner, outcome
@@ -478,30 +489,11 @@ def run_combine(report, params, seed):
     config = _combine_config(params, lam)
     with timed(report, "combine"):
         outcome = combine_mod.Combiner(X, C, config).run(stage_seed(seed, "combine"))
-    report.add_stage(
-        "combine",
-        {
-            "status": outcome.status,
-            "resamples": outcome.resamples,
-            "transcript_digest": _transcript_digest(outcome.transcript),
-            "measure_kind": outcome.measure_kind,
-            "kept_top_faces": 0 if outcome.y is None else len(outcome.y.top_faces),
-        },
+    _sampler_record(
+        report, "combine", outcome, {"measure_kind": outcome.measure_kind},
+        {"coloring": {str(v): c for v, c in sorted(outcome.coloring.items())}},
     )
-    report.outcome = {
-        "coloring": {str(v): c for v, c in sorted(outcome.coloring.items())},
-        "y_top_faces": []
-        if outcome.y is None
-        else [list(f) for f in outcome.y.top_faces],
-        "transcript": [
-            [it, kind, list(face), len(scope)]
-            for it, kind, face, scope in outcome.transcript
-        ],
-        "status": outcome.status,
-    }
     if outcome.status != "clean":
-        report.status = "budget_exhausted"
-        report.exit_code = EXIT_BUDGET
         return report.finish()
     with timed(report, "audit.verify_combine"):
         verdict = combine_mod.verify_combine(X, C, outcome)

@@ -210,30 +210,6 @@ def build_satisfaction_graph(
     )
 
 
-def event_list(X, dims):
-    """Every (kind, face) event, sorted, for each kind at its dimensions."""
-    events = []
-    for kind, ells in dims.items():
-        events += [(kind, s) for ell in ells for s in X.faces(ell)]
-    return tuple(sorted(events))
-
-
-def face_positions(X, top):
-    """The index of each face of dimension below top in its level's faces."""
-    return {s: i for ell in range(top) for i, s in enumerate(X.faces(ell))}
-
-
-def event_face(dims, kind, face):
-    """The face sorted, once events of this kind are known to live at its
-    dimension."""
-    face = tuple(sorted(face))
-    if kind not in dims:
-        raise BadKindForFace(f"unknown event kind {kind!r}")
-    if len(face) - 1 not in dims[kind]:
-        raise BadKindForFace(f"{kind} applies to dimensions {list(dims[kind])}")
-    return face
-
-
 def ne_violated(sg, threshold, link_measure=False):
     """The NE event on a built satisfaction graph: degenerate, empty or
     dropping a vertex, or expanding worse than threshold, under the
@@ -266,6 +242,62 @@ def resample(sampler, x, values, rng, budget):
         transcript.append((len(transcript), kind, face, scope))
 
 
+class Sampler:
+    """What the two samplers share.  Each subclass holds its variables and
+    defines its satisfaction rule (`rows_ok`, `satisfied_mask`,
+    `face_satisfied`), an evaluator `eval_<kind>(face, x)` per event kind,
+    `event_scope` and its own `violations` scan.
+
+    kind_dims gives the dimensions at which each event kind is defined,
+    scan_dims those that the scan evaluates (by default the same).
+    """
+
+    def __init__(self, X, kind_dims, scan_dims=None):
+        self.X = X
+        self.d = X.dim
+        self.kind_dims = kind_dims
+        self.scan_dims = kind_dims if scan_dims is None else scan_dims
+        # the index of each face of dimension below d in its level's faces
+        self.face_pos = {s: i for ell in range(self.d) for i, s in enumerate(X.faces(ell))}
+        self._events = None
+        self._link_tables = {}
+
+    def events(self):
+        """Every (kind, face) event of the scan, sorted; built once."""
+        if self._events is None:
+            self._events = tuple(sorted(
+                (kind, s) for kind, ells in self.scan_dims.items()
+                for ell in ells for s in self.X.faces(ell)))
+        return self._events
+
+    def link_table(self, sigma):
+        if sigma not in self._link_tables:
+            self._link_tables[sigma] = build_link_table(self.X, sigma)
+        return self._link_tables[sigma]
+
+    def eval_event(self, kind, face, x):
+        """Whether the event of this kind at face is violated under x."""
+        face = tuple(sorted(face))
+        if kind not in self.kind_dims:
+            raise BadKindForFace(f"unknown event kind {kind!r}")
+        if len(face) - 1 not in self.kind_dims[kind]:
+            raise BadKindForFace(f"{kind} applies to dimensions {list(self.kind_dims[kind])}")
+        return getattr(self, f"eval_{kind.lower()}")(face, x)
+
+    def all_violations(self, x):
+        return tuple(self.violations(x))
+
+    def graph_base(self, sigma, x):
+        """sigma sorted, once it is checked to carry a satisfaction graph:
+        of dimension at most d-2, and satisfied unless empty."""
+        sigma = tuple(sorted(sigma))
+        if len(sigma) - 1 > self.d - 2:
+            raise BadKindForFace("satisfaction graphs exist up to dimension d-2")
+        if sigma and not self.face_satisfied(sigma, x):
+            raise UnsatisfiedBase(f"{sigma!r} is not satisfied")
+        return sigma
+
+
 @dataclass
 class PruneOutcome:
     status: str  # "clean" | "budget_exhausted"
@@ -286,7 +318,7 @@ def sample_labeling(X, m, rng):
     return rng.integers(0, m, size=X.n_faces(1), dtype=np.int64)
 
 
-class Pruner:
+class Pruner(Sampler):
     """Precomputed machinery for one (complex, group, generators) triple.
 
     The variables are edge labels (generator indices); a face is satisfied
@@ -296,16 +328,17 @@ class Pruner:
     def __init__(self, X, group, gens, config):
         if X.dim < 2:
             raise BadKindForFace("pruning needs a complex of dimension >= 2")
-        self.X = X
+        d = X.dim
+        kind_dims = {"AT": range(0, d), "BC": range(0, 1), "EC": range(d - 1, d),
+                     "NE": range(0, d - 1)}
+        # the regimes differ at level d-1: AT in formula, EC in empirical
+        at_top = {"EC": ()} if config.mode == "formula" else {"AT": range(0, d - 1)}
+        super().__init__(X, kind_dims, {**kind_dims, **at_top})
         self.group = group
         self.config = config
         self.gens = validate_genset(group, gens, require_generating=False)
         self._cayley = None  # built lazily; only NE and the measure audits need it
         self.m = len(self.gens)
-        self.d = X.dim
-
-        self.edges = X.faces(1)
-        self.n_edges = len(self.edges)
 
         self.s_elems = np.array(self.gens, dtype=np.int64)
         self.inv_elems = group.inv_table[self.s_elems].astype(np.int64)
@@ -319,21 +352,10 @@ class Pruner:
         self.tri_edges = self._tri_index(self.tri_rows)[:, 0]
         self.top_to_tris = X.level(2).pairs
 
-        self._at_tables = {}
         self._at_levels = {}
-        self._link_tables = {}
         self._cayley_links = {}
         # the (d-1)-faces of each top face, for EC
         self.top_to_dfaces = X.level(self.d - 1).pairs
-        self.face_pos = face_positions(X, self.d)
-        # the dimensions at which each event kind is defined
-        self.kind_dims = {
-            "AT": range(0, self.d),
-            "BC": range(0, 1),
-            "EC": range(self.d - 1, self.d),
-            "NE": range(0, self.d - 1),
-        }
-        self._events = None
 
     @property
     def cayley(self):
@@ -380,42 +402,31 @@ class Pruner:
 
     # --- precomputed event tables ---
 
-    def _link_vertices(self, sigma):
-        """Positions of the link vertices of sigma, sorted, and their
-        normalized mass, summed over the cofaces in coface order."""
-        idx, _, rows = self.X.link_rows(sigma)
-        verts, inv = np.unique(rows, return_inverse=True)
-        w = np.repeat(self.X.weights[idx], rows.shape[1])
-        meas = np.bincount(inv.ravel(), weights=w)
-        return verts, meas / meas.sum()
+    def _at_level(self, ell):
+        """The AT tables of every ell-face stacked in face order: each link
+        vertex's share of its face's link mass, the edge positions from the
+        face's vertices to it and whether each runs upward, each row's first
+        histogram bin (its face's index times m^(ell+1)), and the rows'
+        offsets per face, read off the complex's link-vertex index."""
+        if ell not in self._at_levels:
+            start, verts, mass = self.X.link_vertices(ell)
+            face = np.repeat(np.arange(len(start) - 1), np.diff(start))
+            # each face's own pairwise .sum(), as a per-face table would take
+            total = np.array([mass[a:b].sum() for a, b in zip(start, start[1:])])
+            spos, v = self.X.level(ell).rows[face], verts[:, None]
+            lo, hi = np.minimum(spos, v), np.maximum(spos, v)
+            eidx = self.X.face_index(np.column_stack([lo.ravel(), hi.ravel()]))
+            self._at_levels[ell] = (mass / total[face], eidx.reshape(lo.shape),
+                                    spos < v, face * self.m ** (ell + 1), start)
+        return self._at_levels[ell]
 
     def _at_table(self, sigma):
         """The link vertex measure of sigma, and per link vertex v the edge
         positions of sigma's vertices to v and whether each runs upward."""
-        if sigma not in self._at_tables:
-            verts, vmeas = self._link_vertices(sigma)
-            spos = self.X.positions(sigma)
-            lo, hi = np.minimum(spos, verts[:, None]), np.maximum(spos, verts[:, None])
-            eidx = self.X.face_index(np.column_stack([lo.ravel(), hi.ravel()]))
-            eidx, fwd = eidx.reshape(lo.shape), spos < verts[:, None]
-            self._at_tables[sigma] = (vmeas, eidx, fwd)
-        return self._at_tables[sigma]
-
-    def _at_level(self, ell):
-        """The AT tables of every ell-face stacked in face order, and each
-        row's first histogram bin: its face's index times m^(ell+1)."""
-        if ell not in self._at_levels:
-            tables = [self._at_table(s) for s in self.X.faces(ell)]
-            vmeas, eidx, fwd = map(np.concatenate, zip(*tables))
-            sizes = [len(t[0]) for t in tables]
-            base = np.repeat(np.arange(len(tables)) * self.m ** (ell + 1), sizes)
-            self._at_levels[ell] = (vmeas, eidx, fwd, base)
-        return self._at_levels[ell]
-
-    def link_table(self, sigma):
-        if sigma not in self._link_tables:
-            self._link_tables[sigma] = build_link_table(self.X, sigma)
-        return self._link_tables[sigma]
+        vmeas, eidx, fwd, _, start = self._at_level(len(sigma) - 1)
+        i = self.face_pos[sigma]
+        rows = slice(start[i], start[i + 1])
+        return vmeas[rows], eidx[rows], fwd[rows]
 
     def covered_dfaces(self, satisfied):
         out = np.zeros(self.X.n_faces(self.d - 1), dtype=bool)
@@ -424,17 +435,6 @@ class Pruner:
         return out
 
     # --- events ---
-
-    def events(self):
-        if self._events is None:
-            # the regimes differ at level d-1: AT in formula, EC in empirical
-            dims = dict(self.kind_dims)
-            if self.config.mode == "formula":
-                dims["EC"] = ()
-            else:
-                dims["AT"] = range(0, self.d - 1)
-            self._events = event_list(self.X, dims)
-        return self._events
 
     def at_sweep(self, f, ell):
         """Whether the AT event of each ell-face is violated under f: some
@@ -450,7 +450,7 @@ class Pruner:
         # Chernoff bound a violation has probability at most
         # m^(l+1) exp(-0.03 m^-(l+1) (r-1)^2 k); this only becomes small
         # once k is far larger than m^(l+1)
-        vmeas, eidx, fwd, base = self._at_level(ell)
+        vmeas, eidx, fwd, base, _ = self._at_level(ell)
         labs = f[eidx]
         elems = np.where(fwd, self.s_elems[labs], self.inv_elems[labs])
         bins = self.m ** (ell + 1)
@@ -495,12 +495,12 @@ class Pruner:
             hits = self.at_sweep(f, len(sigma) - 1)
         return bool(hits[self.face_pos[sigma]])
 
-    def eval_bc(self, v, f, hits=None):
-        """The BC event of vertex v, read off bc_sweep's result, which is
+    def eval_bc(self, face, f, hits=None):
+        """The BC event of the 0-face, read off bc_sweep's result, which is
         computed unless given."""
         if hits is None:
             hits = self.bc_sweep(f)
-        return bool(hits[self.face_pos[(v,)]])
+        return bool(hits[self.face_pos[face]])
 
     def eval_ec(self, sigma, f, satisfied=None):
         if satisfied is None:
@@ -514,14 +514,10 @@ class Pruner:
         coloring measure and the restricted link measure.  For the empty
         face the graph is the full skeleton and there is no coloring.
         """
-        sigma = tuple(sorted(sigma))
-        if len(sigma) - 1 > self.d - 2:
-            raise BadKindForFace("satisfaction graphs exist up to dimension d-2")
+        sigma = self.graph_base(sigma, f)
         if sigma == ():
             skel = self.X.one_skeleton()
             return SatisfactionGraph(sigma, skel, skel, None, None, False, None, ())
-        if not self.face_satisfied(sigma, f):
-            raise UnsatisfiedBase(f"{sigma!r} is not satisfied")
         # the elements on the edges from sigma[0] to the rest of sigma, all
         # upward, and to each link vertex, upward or downward
         a = {0}
@@ -552,16 +548,6 @@ class Pruner:
         if self.config.mode == "formula":
             return ne_violated(sg, lam / 2.0)
         return ne_violated(sg, lam, link_measure=True)
-
-    def eval_event(self, kind, face, f):
-        face = event_face(self.kind_dims, kind, face)
-        if kind == "AT":
-            return self.eval_at(face, f)
-        if kind == "BC":
-            return self.eval_bc(face[0], f)
-        if kind == "EC":
-            return self.eval_ec(face, f)
-        return self.eval_ne(face, f)
 
     # --- scopes ---
 
@@ -611,7 +597,7 @@ class Pruner:
             elif kind == "BC":
                 if bc is None:
                     bc = self.bc_sweep(f)
-                hit = self.eval_bc(face[0], f, bc)
+                hit = self.eval_bc(face, f, bc)
             elif kind == "EC":
                 if covered is None:
                     covered = self.covered_dfaces(satisfied)
@@ -623,9 +609,6 @@ class Pruner:
 
     def first_violated(self, f):
         return next(self.violations(f), None)
-
-    def all_violations(self, f):
-        return tuple(self.violations(f))
 
     def run(self, rng):
         rng = np.random.default_rng(rng)

@@ -747,7 +747,7 @@ def plain_prune_run(pruner, rng):
     """Reference prune loop, one eval_event call per event evaluated;
     returns (status, labeling, resamples, transcript, violations_remaining)."""
     rng = np.random.default_rng(rng)
-    f = rng.integers(0, pruner.m, size=pruner.n_edges, dtype=np.int64)
+    f = rng.integers(0, pruner.m, size=pruner.X.n_faces(1), dtype=np.int64)
     return _plain_loop(
         pruner, f, lambda k: rng.integers(0, pruner.m, size=k), pruner.event_scope
     )
@@ -966,7 +966,7 @@ def plain_event_scope(pruner, kind, face):
                 out.add(pos[e])
         return tuple(sorted(out))
     near = set(face).union(*(X.top_faces[i] for i in X.cofaces(face)))
-    return tuple(i for i, (u, w) in enumerate(pruner.edges) if u in near and w in near)
+    return tuple(i for i, (u, w) in enumerate(X.faces(1)) if u in near and w in near)
 
 
 def plain_bipartite_vertex_split(G, p, rng):

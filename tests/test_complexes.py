@@ -341,6 +341,23 @@ class TestFaceIndex:
     @pytest.mark.parametrize(
         "X", [x for _, x in FACE_INDEX_INPUTS], ids=[i for i, _ in FACE_INDEX_INPUTS]
     )
+    def test_link_vertices_match_per_face(self, X):
+        """The level-wide link-vertex index against one np.unique and one
+        bincount of coface weights per face, bit for bit."""
+        for k in range(X.dim):
+            start, verts, mass = X.link_vertices(k)
+            assert len(start) == X.n_faces(k) + 1
+            for i, s in enumerate(X.faces(k)):
+                idx, _, rows = X.link_rows(s)
+                want, inv = np.unique(rows, return_inverse=True)
+                w = np.bincount(inv.ravel(), weights=np.repeat(X.weights[idx], rows.shape[1]))
+                entries = slice(start[i], start[i + 1])
+                assert verts[entries].tolist() == want.tolist()
+                assert mass[entries].tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize(
+        "X", [x for _, x in FACE_INDEX_INPUTS], ids=[i for i, _ in FACE_INDEX_INPUTS]
+    )
     def test_lookups_on_random_rows(self, X):
         ref = plain_cofaces(X)
         rng = np.random.default_rng(2)

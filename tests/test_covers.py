@@ -600,7 +600,7 @@ class TestArrayCocycles:
         assert outcome.status == "clean"
         y = outcome.y
         labels = pruner.elements_on(y, outcome.labeling)
-        on_x = dict(zip(pruner.edges, pruner.s_elems[outcome.labeling].tolist()))
+        on_x = dict(zip(pruner.X.faces(1), pruner.s_elems[outcome.labeling].tolist()))
         assert label_dict(y, labels) == {e: on_x[e] for e in y.faces(1)}
         assert is_cocycle(y, labels, group) == (True, None)
         assert_matches_plain(y, labels, group, quotients_of(group))

@@ -318,7 +318,7 @@ def multipartite_case(rng, dim, size, flip):
     ]
     X = build_complex(dim, faces, 0.2 + rng.random(len(faces)))
     pruner = Pruner(X, Z5, Z5_GENS, PruneConfig(0.5))
-    f = np.array([(w // size - u // size) % 5 - 1 for u, w in pruner.edges])
+    f = np.array([(w // size - u // size) % 5 - 1 for u, w in pruner.X.faces(1)])
     hit = rng.random(len(f)) < flip
     f[hit] = rng.integers(0, 4, size=int(hit.sum()))
     return pruner, f
@@ -484,7 +484,7 @@ class TestEvalEvent:
                 )
                 realized.add(prod)
             expected = any(s not in realized for s in (1, 4))
-            assert pruner.eval_bc(0, label_array(X, f)) == expected
+            assert pruner.eval_bc((0,), label_array(X, f)) == expected
 
     def test_bc_true_case_exists(self):
         # labels 1,1,4 on the triangle realize only {2,3}, missing S
@@ -523,6 +523,9 @@ class TestEventTables:
             complete_complex(8, 2),
             relabeled(random_complex(np.random.default_rng(2), 9, 2, keep=0.5)),
             relabeled(random_complex(np.random.default_rng(3), 8, 3, keep=0.5)),
+            # vertex links of 9 and more vertices with uneven weights, where
+            # a pairwise sum of their masses departs from a sequential one
+            random_complex(np.random.default_rng(4), 14, 2, keep=0.6),
         ],
     )
     def test_tables_and_scopes_match_loops(self, X):
@@ -534,7 +537,7 @@ class TestEventTables:
             assert np.array_equal(eidx, want[1]) and np.array_equal(fwd, want[2])
         f = sample_labeling(X, pruner.m, 0)
         for v in X.vertices:
-            assert pruner.eval_bc(v, f) == plain_eval_bc(pruner, v, f)
+            assert pruner.eval_bc((v,), f) == plain_eval_bc(pruner, v, f)
         # AT scopes at d-1 in the formula regime, EC scopes in the empirical
         # one; the BC scopes here are read off plain_bc_table
         for mode in MODES:
@@ -593,9 +596,9 @@ class TestSweeps:
         seen = set()
         for v in X.vertices:
             want = plain_eval_bc(pruner, v, f)
-            assert pruner.eval_bc(v, f, hits) == want, v
+            assert pruner.eval_bc((v,), f, hits) == want, v
             if standalone:
-                assert pruner.eval_bc(v, f) == want, v
+                assert pruner.eval_bc((v,), f) == want, v
             seen.add(want)
         want = [plain_face_satisfied(pruner, t, f) for t in X.top_faces]
         assert pruner.satisfied_mask(f).tolist() == want
@@ -754,7 +757,7 @@ class TestPrunedMeasure:
 
     def test_face_outside_the_complex_raises(self):
         pruner = z5_pruner(complete_complex(5, 2))
-        f = np.zeros(pruner.n_edges, dtype=np.int64)
+        f = np.zeros(pruner.X.n_faces(1), dtype=np.int64)
         with pytest.raises(NotAFace):
             pruned_measure(pruner, build_complex(2, [(3, 4, 5)]), f)
 

@@ -17,9 +17,8 @@ from hdxcover.harness import EXIT_BUDGET, EXIT_CLEAN
 UNREACHED = {
     # perfbench calls or wraps these by name
     "pruning.PruneConfig.empirical": "perfbench/selftest.py builds its config with it",
-    "pruning.Pruner.eval_event": "perfbench/selftest.py replays the loop event by event",
-    "pruning.Pruner.eval_ec": "reached through Pruner.eval_event in perfbench/selftest.py",
-    "pruning.event_face": "reached through the samplers' eval_event",
+    "pruning.Sampler.eval_event": "perfbench/selftest.py replays the loop event by event",
+    "pruning.Pruner.eval_ec": "reached through Sampler.eval_event in perfbench/selftest.py",
     "complexes.PureComplex.face_measure": "a traced span of perfbench/tracing.py",
     # error paths and reprs
     "errors.NotACocycle.__init__": "raised only on a labeling that is no cocycle",
@@ -30,7 +29,6 @@ UNREACHED = {
     "groups.GroupTable.__repr__": "repr",
     "harness._jsonify": "serializes numpy values a library caller puts in a spec; "
                         "JSON specs hold none",
-    "combine.Combiner.eval_event": "the reference resampling loops in tests replay it",
     "spectral._eml_exact_bipartite": "bipartite mixing; no graph spec declares sides",
 }
 
