@@ -81,7 +81,7 @@ class Combiner(Sampler):
         positions, or -1 where they repeat or span no face of C."""
         return self.C.face_index(self.C.vertex_positions(np.sort(col[rows], axis=1)))
 
-    def rows_ok(self, col, rows):
+    def keys_ok(self, col, rows):
         """Whether the colors of each row of vertex positions are distinct
         and span a face of C."""
         return self.image_index(col, rows) >= 0
@@ -109,14 +109,9 @@ class Combiner(Sampler):
         if sigma == ():
             # no reference link; the graph itself is the object of interest
             return build_satisfaction_graph(self, sigma, col, satisfied)
-        return build_satisfaction_graph(
-            self,
-            sigma,
-            col,
-            satisfied,
-            col[self.link_table(sigma).pos],
-            target_link(self.C, self.image(sigma, col), self._image_links),
-        )
+        target = target_link(self.C, self.image(sigma, col), self._image_links)
+        colors = col[self.link_table(sigma).pos]
+        return build_satisfaction_graph(self, sigma, col, satisfied, colors, target)
 
     def eval_ne(self, sigma, col, satisfied=None):
         try:
@@ -125,7 +120,7 @@ class Combiner(Sampler):
             return False
         return ne_violated(sg, self.config.lambda_target)
 
-    def event_scope(self, kind, face):
+    def scope_of(self, kind, face):
         """Vertex positions whose colors the events at this face read."""
         if kind not in self.kind_dims:
             raise BadKindForFace(f"unknown event kind {kind!r}")
@@ -216,20 +211,9 @@ class CombineReport:
         )
 
     def to_dict(self):
-        return {
-            "homomorphism_ok": self.homomorphism_ok,
-            "nondegenerate_ok": self.nondegenerate_ok,
-            "hdx_ok": self.hdx_ok,
-            "hdx_threshold": self.hdx_threshold,
-            "hdx_threshold_alt": self.hdx_threshold_alt,
-            "hdx_worst": self.hdx_worst,
-            "connected_ok": self.connected_ok,
-            "path_argument_ok": self.path_argument_ok,
-            "fraction_ok": self.fraction_ok,
-            "fractions": {str(k): v for k, v in self.fractions.items()},
-            "fraction_bound": self.fraction_bound,
-            "ok": self.ok,
-        }
+        """Every field but the witnesses, with the verdict."""
+        out = {k: v for k, v in vars(self).items() if not k.endswith("_witness")}
+        return {**out, "fractions": {str(k): v for k, v in self.fractions.items()}, "ok": self.ok}
 
 
 def _path_argument(X, C, col, y_codes):

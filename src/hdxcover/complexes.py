@@ -464,22 +464,7 @@ class SuitabilityReport:
         return self.hdx_ok and self.degree_ok and self.weight_ok
 
     def to_dict(self):
-        return {
-            "c": self.c,
-            "r": self.r,
-            "eta": self.eta,
-            "q": self.q,
-            "degree_bound": self.degree_bound,
-            "log_base": self.log_base,
-            "hdx_ok": self.hdx_ok,
-            "hdx_worst_face": list(self.hdx_worst_face),
-            "hdx_worst_value": self.hdx_worst_value,
-            "degree_ok": self.degree_ok,
-            "degree_witness": self.degree_witness,
-            "weight_ok": self.weight_ok,
-            "weight_witness": self.weight_witness,
-            "passed": self.passed,
-        }
+        return {**vars(self), "hdx_worst_face": list(self.hdx_worst_face), "passed": self.passed}
 
 
 def check_suitable(X, c, r, eta):

@@ -21,6 +21,7 @@ coloring measure and the pruned link measure.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -37,7 +38,7 @@ from .errors import (
 )
 from .graphs import WGraph, coloring_weights, fiber_codes
 from .groups import cayley_clique_complex, validate_genset
-from .spectral import adjacency_spectrum, link_measures
+from .spectral import graph_spectra, link_measures
 
 MODES = ("formula", "empirical")
 
@@ -105,9 +106,10 @@ class LinkTable(NamedTuple):
     top: np.ndarray  # per edge, the first coface holding it
     vert_rows: np.ndarray  # per vertex v, the sorted vertex positions of face + v
     edge_rows: np.ndarray | None  # the same for face + edge; None at top faces
+    #                               both as the sampler's row_keys keys them
 
 
-def build_link_table(X, sigma):
+def build_link_table(X, sigma, row_keys):
     """The link table of sigma: the cofaces of sigma less its columns give
     the link vertices, and each pair of their columns a link edge."""
     idx, spos, rows = X.link_rows(sigma)
@@ -128,7 +130,7 @@ def build_link_table(X, sigma):
 
     def with_sigma(cols):
         base = np.broadcast_to(spos, (len(cols), len(spos)))
-        return np.sort(np.column_stack([base, cols]), axis=1)
+        return row_keys(np.sort(np.column_stack([base, cols]), axis=1))
 
     labels = np.asarray(X.vertices)
     return LinkTable(
@@ -159,7 +161,7 @@ def build_satisfaction_graph(
     """Satisfaction graph of sigma under the sampler's state x.
 
     The sampler supplies the cached link table of sigma (`link_table`) and
-    its satisfaction rule for rows of vertex positions (`rows_ok`); link
+    its satisfaction rule for the table's keyed rows (`keys_ok`); link
     edges that complete top faces read the satisfied-top-face mask instead,
     computed unless given.  colors gives each link vertex of the table, in
     its order, a vertex of the target link, given as (link, 1-skeleton); a
@@ -173,8 +175,8 @@ def build_satisfaction_graph(
             satisfied = sampler.satisfied_mask(x)
         edge_ok = satisfied[table.top]
     else:
-        edge_ok = sampler.rows_ok(x, table.edge_rows)
-    vert_ok = sampler.rows_ok(x, table.vert_rows)
+        edge_ok = sampler.keys_ok(x, table.edge_rows)
+    vert_ok = sampler.keys_ok(x, table.vert_rows)
     keep = edge_ok & (table.mass > 0)
     good = tuple(itertools.compress(table.verts, vert_ok.tolist()))
     coloring = None if colors is None else dict(zip(good, colors[vert_ok].tolist()))
@@ -213,11 +215,12 @@ def build_satisfaction_graph(
 def ne_violated(sg, threshold, link_measure=False):
     """The NE event on a built satisfaction graph: degenerate, empty or
     dropping a vertex, or expanding worse than threshold, under the
-    coloring measure and, if link_measure, under the link measure too."""
+    coloring measure and, if link_measure, under the link measure too, the
+    two graphs solved in one stack."""
     if sg.degenerate or sg.graph is None or sg.dropped_vertices:
         return True
-    graphs = (sg.graph, sg.link_graph) if link_measure else (sg.graph,)
-    return any(adjacency_spectrum(g).two_sided > threshold + 1e-9 for g in graphs)
+    eigs = graph_spectra((sg.graph, sg.link_graph) if link_measure else (sg.graph,))
+    return bool((np.abs(eigs[:, [1, -1]]).max(axis=1) > threshold + 1e-9).any())
 
 
 def resample(sampler, x, values, rng, budget):
@@ -244,9 +247,9 @@ def resample(sampler, x, values, rng, budget):
 
 class Sampler:
     """What the two samplers share.  Each subclass holds its variables and
-    defines its satisfaction rule (`rows_ok`, `satisfied_mask`,
-    `face_satisfied`), an evaluator `eval_<kind>(face, x)` per event kind,
-    `event_scope` and its own `violations` scan.
+    defines its satisfaction rule (`keys_ok` on rows keyed by `row_keys`,
+    `satisfied_mask`, `face_satisfied`), an evaluator `eval_<kind>(face, x)`
+    per event kind, `scope_of` and its own `violations` scan.
 
     kind_dims gives the dimensions at which each event kind is defined,
     scan_dims those that the scan evaluates (by default the same).
@@ -261,6 +264,7 @@ class Sampler:
         self.face_pos = {s: i for ell in range(self.d) for i, s in enumerate(X.faces(ell))}
         self._events = None
         self._link_tables = {}
+        self._scopes = {}
 
     def events(self):
         """Every (kind, face) event of the scan, sorted; built once."""
@@ -272,8 +276,22 @@ class Sampler:
 
     def link_table(self, sigma):
         if sigma not in self._link_tables:
-            self._link_tables[sigma] = build_link_table(self.X, sigma)
+            self._link_tables[sigma] = build_link_table(self.X, sigma, self.row_keys)
         return self._link_tables[sigma]
+
+    def row_keys(self, rows):
+        """Rows of vertex positions as keys_ok reads them; by default themselves."""
+        return rows
+
+    def rows_ok(self, x, rows):
+        """Whether each row of sorted vertex positions spans a satisfied face."""
+        return self.keys_ok(x, self.row_keys(rows))
+
+    def event_scope(self, kind, face):
+        """The variables the event reads, resampled: scope_of, computed once."""
+        if (kind, face) not in self._scopes:
+            self._scopes[kind, face] = self.scope_of(kind, face)
+        return self._scopes[kind, face]
 
     def eval_event(self, kind, face, x):
         """Whether the event of this kind at face is violated under x."""
@@ -345,17 +363,27 @@ class Pruner(Sampler):
         rank = np.full(group.order, -1, dtype=np.int64)
         rank[self.s_elems] = np.arange(self.m)
         self.s_rank = rank
+        self.inv_rank = rank[self.inv_elems]  # the index of each generator's inverse
+        # flat products: of elements a, b at a * |G| + b, and of generators
+        # i, j at i * m + j, as g_i g_j (gen_mul) and g_i g_j^-1 (gen_div)
+        n, s = group.order, self.s_elems
+        self.mul = group.mul_table.ravel()
+        self.gen_mul = self.mul[(s[:, None] * n + s).ravel()]
+        self.gen_div = self.mul[(s[:, None] * n + self.inv_elems).ravel()]
 
         # every triangle a < b < c once, its edge positions (ab, bc, ac),
+        # the (vertex, element) cells of its vertices a, b, c for bc_sweep,
         # and the triangles of each top face
         self.tri_rows = X.level(2).rows
-        self.tri_edges = self._tri_index(self.tri_rows)[:, 0]
+        self.tri_edges = self.row_keys(self.tri_rows)[..., 0]
+        self.tri_cells = self.tri_rows.T.ravel() * n
         self.top_to_tris = X.level(2).pairs
 
         self._at_levels = {}
         self._cayley_links = {}
         # the (d-1)-faces of each top face, for EC
         self.top_to_dfaces = X.level(self.d - 1).pairs
+        self.scan_graphs = (None, {})  # the last scan's labeling and NE graphs by face
 
     @property
     def cayley(self):
@@ -373,29 +401,32 @@ class Pruner(Sampler):
             raise NotAFace("Y is not a subcomplex of the pruner's complex")
         return self.s_elems[f[edge]]
 
-    def _tri_index(self, rows):
-        """Edge positions (ab, bc, ac) of every triangle a < b < c of each
-        row of sorted vertex positions; shape (rows, triangles, 3)."""
+    def row_keys(self, rows):
+        """Edge positions ab, bc, ac of every triangle a < b < c of each
+        row of sorted vertex positions; shape (3, rows, triangles)."""
         tri = list(itertools.combinations(range(rows.shape[1]), 3))
         if not tri:
-            return np.empty((len(rows), 0, 3), dtype=np.intp)
+            return np.empty((3, len(rows), 0), dtype=np.intp)
         a, b, c = np.array(tri, dtype=np.intp).T
         cols = np.stack([a, b, b, c, a, c], axis=-1).reshape(-1, 2)
         edges = self.X.face_index(rows[:, cols].reshape(-1, 2))
-        return edges.reshape(len(rows), len(tri), 3)
+        return np.moveaxis(edges.reshape(len(rows), len(tri), 3), -1, 0)
 
-    def _tri_ok(self, f, eidx):
-        """Whether each triangle of a _tri_index table multiplies
-        consistently under f: g_ab g_bc == g_ac."""
-        el = self.s_elems[f[eidx]]
-        return self.group.mul_table[el[..., 0], el[..., 1]] == el[..., 2]
+    def triangles(self, f, keys=None):
+        """The labels ab, bc, ac under f of the triangles of a row_keys table
+        (by default the complex's), the products g_ab g_bc, and whether each
+        is consistent, g_ab g_bc == g_ac; one per scan serves both sweeps."""
+        ab, bc, ac = f[self.tri_edges if keys is None else keys]
+        prod = self.gen_mul[ab * self.m + bc]
+        return ab, bc, ac, prod, prod == self.s_elems[ac]
 
-    def rows_ok(self, f, rows):
-        """Whether each row of sorted vertex positions spans a satisfied face."""
-        return self._tri_ok(f, self._tri_index(rows)).all(axis=-1)
+    def keys_ok(self, f, keys):
+        """Whether every triangle of each row of a row_keys table is consistent."""
+        return self.triangles(f, keys)[-1].all(axis=-1)
 
-    def satisfied_mask(self, f):
-        return self._tri_ok(f, self.tri_edges)[self.top_to_tris].all(axis=1)
+    def satisfied_mask(self, f, tri=None):
+        """Whether each top face is satisfied, from triangles(f) unless given."""
+        return (self.triangles(f) if tri is None else tri)[-1][self.top_to_tris].all(axis=1)
 
     def face_satisfied(self, face, f):
         return bool(self.rows_ok(f, self.X.positions(face)[None, :])[0])
@@ -429,10 +460,9 @@ class Pruner(Sampler):
         return vmeas[rows], eidx[rows], fwd[rows]
 
     def covered_dfaces(self, satisfied):
-        out = np.zeros(self.X.n_faces(self.d - 1), dtype=bool)
-        if satisfied.any():
-            out[self.top_to_dfaces[satisfied].ravel()] = True
-        return out
+        """Whether each (d-1)-face has a satisfied top face."""
+        faces = self.top_to_dfaces[satisfied].ravel()
+        return np.bincount(faces, minlength=self.X.n_faces(self.d - 1)) > 0
 
     # --- events ---
 
@@ -452,41 +482,36 @@ class Pruner(Sampler):
         # once k is far larger than m^(l+1)
         vmeas, eidx, fwd, base, _ = self._at_level(ell)
         labs = f[eidx]
-        elems = np.where(fwd, self.s_elems[labs], self.inv_elems[labs])
         bins = self.m ** (ell + 1)
-        codes = self.s_rank[elems] @ (self.m ** np.arange(ell + 1)) + base
-        probs = np.bincount(
-            codes, weights=vmeas, minlength=self.X.n_faces(ell) * bins
-        ).reshape(-1, bins)
+        # a downward edge carries its generator's inverse
+        codes = np.where(fwd, labs, self.inv_rank[labs]) @ (self.m ** np.arange(ell + 1)) + base
+        hist = np.bincount(codes, weights=vmeas, minlength=self.X.n_faces(ell) * bins)
+        probs = hist.reshape(-1, bins)
         lo, hi = self.config.at_bounds(ell, self.m)
         return (probs <= lo).any(axis=1) | (probs >= hi).any(axis=1)
 
-    def bc_sweep(self, f):
+    def bc_sweep(self, f, tri=None):
         """Whether the BC event of each vertex is violated under f: some
-        generator is no product around a triangle through the vertex.
+        generator is no product around a triangle through the vertex;
+        triangles(f) is computed unless given.
 
         A triangle a < b < c with holonomy h = g_ab g_bc g_ac^-1 realizes
-        h at a, g_ab^-1 h g_ab at b and g_ac^-1 h g_ac at c, each with its
-        inverse for the reverse loop.
+        h at a, g_ab^-1 h g_ab = g_bc g_ac^-1 g_ab at b and g_ac^-1 h g_ac
+        = g_ac^-1 g_ab g_bc at c, each with its inverse for the reverse loop.
         """
         # with T edge-disjoint triangles at v, a fixed generator goes
         # unrealized with probability at most (1 - 1/m^2)^T, and a union
         # bound over the m generators covers the event
-        n, inv, table = self.group.order, self.group.inv_table, self.group.mul_table
-
-        def mul(a, b):
-            return table.ravel()[a * n + b]
-
-        g_ab, g_bc, g_ac = self.s_elems[f[self.tri_edges]].T
-        h = mul(mul(g_ab, g_bc), inv[g_ac])
-        at_b, at_c = mul(mul(inv[g_ab], h), g_ab), mul(mul(inv[g_ac], h), g_ac)
-        loops = np.concatenate([h, at_b, at_c])
-        # cell v * n + x of the (vertex, element) table marks x realized at v
-        cells = self.tri_rows.T.ravel() * n
-        realized = np.zeros(len(self.X.vertices) * n, dtype=bool)
-        realized[cells + loops] = True
-        realized[cells + inv[loops]] = True
-        return ~realized.reshape(-1, n)[:, self.s_elems].all(axis=1)
+        n, mul = self.group.order, self.mul
+        ab, bc, ac, prod, _ = self.triangles(f) if tri is None else tri
+        g_ab, quot = self.s_elems[ab], self.gen_div[bc * self.m + ac]
+        loops = np.concatenate(
+            [mul[g_ab * n + quot], mul[quot * n + g_ab], mul[self.inv_elems[ac] * n + prod]])
+        # cell v * n + x of the (vertex, element) table counts loops x at v;
+        # a generator is realized by a loop or by its reverse
+        realized = np.bincount(self.tri_cells + loops, minlength=len(self.X.vertices) * n)
+        realized = realized.reshape(-1, n) > 0
+        return ~(realized[:, self.s_elems] | realized[:, self.inv_elems]).all(axis=1)
 
     def eval_at(self, sigma, f, hits=None):
         """The AT event of sigma, read off at_sweep's result for its
@@ -502,10 +527,8 @@ class Pruner(Sampler):
             hits = self.bc_sweep(f)
         return bool(hits[self.face_pos[face]])
 
-    def eval_ec(self, sigma, f, satisfied=None):
-        if satisfied is None:
-            satisfied = self.satisfied_mask(f)
-        return not bool(self.covered_dfaces(satisfied)[self.face_pos[sigma]])
+    def eval_ec(self, sigma, f):
+        return not self.covered_dfaces(self.satisfied_mask(f))[self.face_pos[sigma]]
 
     def satisfaction_graph(self, sigma, f, satisfied=None):
         """Vertices and edges of the link whose union with sigma is satisfied.
@@ -529,21 +552,18 @@ class Pruner(Sampler):
         _, eidx, fwd = self._at_table(sigma)
         labs = f[eidx[:, 0]]
         colors = np.where(fwd[:, 0], self.s_elems[labs], self.inv_elems[labs])
-        return build_satisfaction_graph(
-            self,
-            sigma,
-            f,
-            satisfied,
-            colors,
-            target_link(self.cayley.complex, a, self._cayley_links),
-            absent=a,
-        )
+        target = target_link(self.cayley.complex, a, self._cayley_links)
+        return build_satisfaction_graph(self, sigma, f, satisfied, colors, target, absent=a)
 
-    def eval_ne(self, sigma, f, satisfied=None):
+    def eval_ne(self, sigma, f, satisfied=None, graphs=None):
+        """The NE event of sigma; the satisfaction graph it builds goes into
+        the dict graphs, if given, under sigma."""
         try:
             sg = self.satisfaction_graph(sigma, f, satisfied)
         except UnsatisfiedBase:
             return False  # an unsatisfied face is outside the pruned complex
+        if graphs is not None:
+            graphs[sigma] = sg
         lam = self.config.lambda_target
         if self.config.mode == "formula":
             return ne_violated(sg, lam / 2.0)
@@ -551,14 +571,14 @@ class Pruner(Sampler):
 
     # --- scopes ---
 
-    def event_scope(self, kind, face):
+    def scope_of(self, kind, face):
         """Labeling positions the event reads; resampling rewrites these."""
         if kind == "AT":
             return tuple(np.unique(self._at_table(face)[1]).tolist())
         if kind == "BC":
             # the edges of the triangles through the vertex
             through = (self.tri_rows == self.face_pos[face]).any(axis=1)
-            return tuple(np.unique(self.tri_edges[through]).tolist())
+            return tuple(np.unique(self.tri_edges[:, through]).tolist())
         if kind == "EC":
             # edge positions are indices in faces(1), so the level reads them
             edges = self.X.level(1).pairs[self.X.cofaces(face)]
@@ -582,29 +602,37 @@ class Pruner(Sampler):
         return y, isolated, mask
 
     def violations(self, f):
-        """The violated events in events() order, found lazily; the
-        satisfied top faces are computed once, and the AT sweep of each
-        dimension, the BC sweep and the covered (d-1)-faces once each, on
-        the first event that reads them."""
-        satisfied = self.satisfied_mask(f)
-        at, bc, covered = {}, None, None
-        for kind, face in self.events():
+        """The violated events in events() order, found lazily.  The
+        triangles and the satisfied top faces are computed once per scan,
+        the AT sweep of each dimension and the BC sweep once each, on the
+        first event that reads them.  The EC events, the (d-1)-faces in
+        face order since events sort by kind (AT, BC, EC, NE), then face,
+        are one block read off the covered (d-1)-faces.  The NE events keep
+        their satisfaction graphs in scan_graphs with a copy of f."""
+        events = self.events()
+        a = bisect.bisect_left(events, ("EC",))
+        b = a + sum(self.X.n_faces(ell) for ell in self.scan_dims["EC"])
+        tri = self.triangles(f)
+        satisfied = self.satisfied_mask(f, tri)
+        at, bc = {}, None
+        for kind, face in events[:a]:
             if kind == "AT":
                 ell = len(face) - 1
                 if ell not in at:
                     at[ell] = self.at_sweep(f, ell)
                 hit = self.eval_at(face, f, at[ell])
-            elif kind == "BC":
-                if bc is None:
-                    bc = self.bc_sweep(f)
-                hit = self.eval_bc(face, f, bc)
-            elif kind == "EC":
-                if covered is None:
-                    covered = self.covered_dfaces(satisfied)
-                hit = not covered[self.face_pos[face]]
             else:
-                hit = self.eval_ne(face, f, satisfied=satisfied)
+                if bc is None:
+                    bc = self.bc_sweep(f, tri)
+                hit = self.eval_bc(face, f, bc)
             if hit:
+                yield kind, face
+        if b > a:
+            for i in np.flatnonzero(~self.covered_dfaces(satisfied)).tolist():
+                yield events[a + i]
+        self.scan_graphs = f.copy(), {}
+        for kind, face in events[b:]:
+            if self.eval_ne(face, f, satisfied, self.scan_graphs[1]):
                 yield kind, face
 
     def first_violated(self, f):
@@ -702,10 +730,13 @@ def measure_ratio_audit(pruner, Y, f, ell):
     multiplicative gap against r^(15 d), r from the pruner's config, and
     the first link vertex, else edge, attaining it if it exceeds 1.  A
     face whose graph has no edge raises Unmeasurable, and one that is no
-    face of Y fails as Y.link_skeleton does."""
+    face of Y fails as Y.link_skeleton does.  Under the labeling of the
+    pruner's last scan, the graphs that scan built are read, not rebuilt."""
     X = pruner.X
     bound = float(pruner.config.r) ** (15 * pruner.d)
     satisfied = pruner.satisfied_mask(f)
+    labels, graphs = pruner.scan_graphs
+    graphs = graphs if np.array_equal(labels, f) else {}
     yv = np.asarray(Y.vertices)
     yface = np.full(X.n_faces(ell), -1)
     if Y.dim >= ell + 2:
@@ -722,7 +753,7 @@ def measure_ratio_audit(pruner, Y, f, ell):
     at, reports = Y.vertices.__getitem__, []
     for i, sigma in enumerate(X.faces(ell)):
         try:
-            g = pruner.satisfaction_graph(sigma, f, satisfied).graph
+            g = (graphs.get(sigma) or pruner.satisfaction_graph(sigma, f, satisfied)).graph
         except UnsatisfiedBase:
             continue
         if g is None:
@@ -749,7 +780,4 @@ def measure_ratio_audit(pruner, Y, f, ell):
 
 def face_fraction_report(X, Y):
     """Fraction of X's faces surviving in Y, per dimension."""
-    out = {}
-    for k in range(0, X.dim + 1):
-        out[k] = (Y.n_faces(k) / X.n_faces(k)) if Y is not None else 0.0
-    return out
+    return {k: Y.n_faces(k) / X.n_faces(k) if Y is not None else 0.0 for k in range(X.dim + 1)}

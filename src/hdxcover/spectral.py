@@ -64,6 +64,15 @@ def _checked_spectra(M):
     return np.clip(eigs, -1.0, 1.0)
 
 
+def graph_spectra(graphs):
+    """The eigenvalues adjacency_spectrum gives for each of graphs, of one
+    vertex count, one row per graph: each operator is built as there, and
+    all are solved in one stacked eigensolve, so each row is the graph's
+    own bit for bit."""
+    return _checked_spectra(np.stack([_symmetrized_matrix(
+        (g.n, g.n), g.ends, g.weights, np.sqrt(g.vertex_measures()), g.ends) for g in graphs]))
+
+
 def adjacency_spectrum(G):
     """Full spectrum of the normalized adjacency operator of G."""
     root = np.sqrt(G.vertex_measures())
@@ -162,14 +171,8 @@ class HdxReport:
     worst_value: float
 
     def to_dict(self):
-        return {
-            "threshold": self.threshold,
-            "mode": self.mode,
-            "passes": self.passes,
-            "worst_face": list(self.worst_face),
-            "worst_value": self.worst_value,
-            "n_links": len(self.rows),
-        }
+        out = {k: v for k, v in vars(self).items() if k != "rows"}
+        return {**out, "worst_face": list(self.worst_face), "n_links": len(self.rows)}
 
 
 def is_hdx(X, lam, mode="two_sided", include_empty_face=True, visit=None):

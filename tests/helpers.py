@@ -861,8 +861,8 @@ def plain_build_satisfaction_graph(
             satisfied = sampler.satisfied_mask(x)
         edge_ok = satisfied[table.top]
     else:
-        edge_ok = sampler.rows_ok(x, table.edge_rows)
-    vert_ok = sampler.rows_ok(x, table.vert_rows)
+        edge_ok = sampler.keys_ok(x, table.edge_rows)
+    vert_ok = sampler.keys_ok(x, table.vert_rows)
     keep = edge_ok & (table.mass > 0)
     at = table.verts.__getitem__
     ends = ((at(u), at(v)) for u, v in table.uv[:, keep].T.tolist())

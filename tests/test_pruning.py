@@ -27,12 +27,14 @@ from hdxcover.pruning import (
     PruneConfig,
     Pruner,
     SatisfactionGraph,
+    build_satisfaction_graph,
     face_fraction_report,
     measure_ratio_audit,
+    ne_violated,
     pruned_measure,
     sample_labeling,
 )
-from hdxcover.spectral import is_hdx
+from hdxcover.spectral import adjacency_spectrum, is_hdx
 
 from helpers import (
     checked,
@@ -43,6 +45,7 @@ from helpers import (
     plain_eval_at,
     plain_eval_bc,
     plain_event_scope,
+    plain_first_violated,
     plain_measure_ratio_audit,
     plain_pruned_measure,
     random_complex,
@@ -640,9 +643,9 @@ class TestSweeps:
             calls.append(("AT", ell))
             return real_at(self, f, ell)
 
-        def bc_sweep(self, f):
+        def bc_sweep(self, f, tri=None):
             calls.append(("BC",))
-            return real_bc(self, f)
+            return real_bc(self, f, tri)
 
         monkeypatch.setattr(Pruner, "at_sweep", at_sweep)
         monkeypatch.setattr(Pruner, "bc_sweep", bc_sweep)
@@ -662,6 +665,194 @@ class TestSweeps:
                 calls.clear()
                 assert pruner.eval_event(kind, face, f) == want[kind, face]
                 assert len(calls) == 1
+
+
+def s3_genset():
+    """S3 generated by a 3-cycle, its inverse and a transposition (its own
+    inverse), in the order of the group's elements."""
+    group = symmetric_group(3)
+    cycle = next(g for g in range(1, 6) if group.inv(g) != g)
+    swap = next(g for g in range(1, 6) if group.inv(g) == g)
+    return group, validate_genset(group, [cycle, group.inv(cycle), swap])
+
+
+class TestScanPaths:
+    """The flat group tables, the shared triangle gather, the EC block, the
+    scope memo and the stacked NE solve against their references."""
+
+    GENSETS = {
+        "Z6": (cyclic(6), (1, 2, 3, 4, 5)),
+        "S3": s3_genset(),
+        "Z6-pair": (cyclic(6), (1, 5)),  # one generator the other's inverse
+    }
+
+    @pytest.mark.parametrize("name", sorted(GENSETS))
+    def test_tables_and_sweeps(self, name):
+        group, gens = self.GENSETS[name]
+        seen = set()
+        for i, X in enumerate(TestSweeps.COMPLEXES):
+            pruner = Pruner(X, group, gens, PruneConfig.empirical(0.9))
+            s, m = pruner.s_elems.tolist(), pruner.m
+            for a, b in itertools.product(range(m), repeat=2):
+                assert pruner.gen_mul[a * m + b] == group.mul(s[a], s[b])
+                assert pruner.gen_div[a * m + b] == group.mul(s[a], group.inv(s[b]))
+            for seed in range(3):
+                f = sample_labeling(X, m, 10 * i + seed)
+                tri = pruner.triangles(f)
+                want = [plain_face_satisfied(pruner, t, f) for t in X.faces(2)]
+                assert tri[-1].tolist() == want
+                assert pruner.bc_sweep(f, tri).tolist() == pruner.bc_sweep(f).tolist()
+                assert pruner.satisfied_mask(f, tri).tolist() == pruner.satisfied_mask(f).tolist()
+                seen |= TestSweeps.check(pruner, f)
+        assert True in seen or name == "Z6-pair"  # there 1 or 5 closes nearly every loop
+
+    @pytest.mark.parametrize(
+        "X",
+        [
+            complete_complex(8, 2),
+            relabeled(random_complex(np.random.default_rng(6), 9, 2, keep=0.4)),
+            relabeled(random_complex(np.random.default_rng(7), 8, 3, keep=0.3), 5, 2),
+        ],
+    )
+    def test_ec_block_matches_event_by_event_scan(self, X):
+        pruner = nonidentity_pruner(X, cyclic(6))
+        # the block is the (d-1)-faces in face order, whatever the labels
+        assert [s for kind, s in pruner.events() if kind == "EC"] == list(X.faces(X.dim - 1))
+        seen = set()
+        for seed in range(6):
+            f = sample_labeling(X, pruner.m, seed)
+            want = tuple(ev for ev in pruner.events() if pruner.eval_event(*ev, f))
+            assert pruner.all_violations(f) == want
+            assert pruner.first_violated(f) == plain_first_violated(pruner, f)
+            seen |= {kind for kind, _ in want}
+        assert "EC" in seen
+
+    def test_ec_block_first(self):
+        """With one generator of Z2 no triangle is satisfied, while AT and
+        BC cannot fire, so every EC event is violated and the first one is
+        the scan's first violation."""
+        X = relabeled(random_complex(np.random.default_rng(8), 9, 2, keep=0.4), 7, 3)
+        pruner = Pruner(X, cyclic(2), (1,), PruneConfig.empirical(0.9))
+        f = sample_labeling(X, 1, 0)
+        ec = [ev for ev in pruner.events() if ev[0] == "EC"]
+        assert len(ec) == X.n_faces(1)
+        assert pruner.first_violated(f) == plain_first_violated(pruner, f) == ec[0]
+        # the NE events after them need a Cayley complex that Z2 lacks
+        assert list(itertools.islice(pruner.violations(f), len(ec))) == ec
+
+    def test_scopes_computed_once(self, monkeypatch):
+        X = TestSweeps.COMPLEXES[3]
+        real = Pruner.scope_of
+        for mode in MODES:
+            pruner = Pruner(X, Z5, Z5_GENS, PruneConfig(0.9, mode=mode, max_resamples=40))
+            calls = []
+
+            def scope_of(self, kind, face):
+                calls.append((kind, face))
+                return real(self, kind, face)
+
+            monkeypatch.setattr(Pruner, "scope_of", scope_of)
+            outcome = pruner.run(1)
+            monkeypatch.undo()
+            drawn = {(kind, face) for _, kind, face, _ in outcome.transcript}
+            assert outcome.resamples > len(drawn)  # some event was resampled twice
+            assert len(calls) == len(set(calls)) == len(drawn)
+            fresh = Pruner(X, Z5, Z5_GENS, PruneConfig(0.9, mode=mode))
+            for kind, face in pruner.events():
+                got = pruner.event_scope(kind, face)
+                assert got is pruner.event_scope(kind, face)
+                assert got == real(fresh, kind, face) == plain_event_scope(pruner, kind, face)
+
+    def test_stacked_ne_solve(self, fixture30):
+        """ne_violated against per-graph adjacency_spectrum verdicts at
+        thresholds on and around each graph's own value, on the clean
+        labeling of fixture30 and on copies with a few labels redrawn."""
+        X, pruner, outcome = fixture30
+        rng, verdicts = np.random.default_rng(0), set()
+        for flips in (0, 5, 40):
+            f = outcome.labeling.copy()
+            f[rng.choice(len(f), flips, replace=False)] = rng.integers(0, pruner.m, flips)
+            for sigma in X.faces(0):
+                sg = pruner.satisfaction_graph(sigma, f)
+                if sg.degenerate or sg.dropped_vertices:
+                    assert ne_violated(sg, 1.0) and ne_violated(sg, 1.0, True)
+                    continue
+                lam = [adjacency_spectrum(g).two_sided for g in (sg.graph, sg.link_graph)]
+                for t in [x + e for x in lam for e in (-2e-9, -1e-9, 0.0, 1e-9)]:
+                    assert ne_violated(sg, t) == (lam[0] > t + 1e-9)
+                    got = ne_violated(sg, t, link_measure=True)
+                    assert got == any(x > t + 1e-9 for x in lam)
+                    verdicts.add(got)
+        assert verdicts == {False, True}
+
+    @pytest.mark.parametrize("n, dim", [(8, 3), (7, 4)])
+    def test_link_tables_keep_triangle_edges(self, monkeypatch, n, dim):
+        """At d >= 3 a cached table's rows are kept as their triangles' edge
+        positions, so building a graph from it looks no edge up."""
+        X = complete_complex(n, dim)
+        pruner = Pruner(X, Z13, Z13_GENS, PruneConfig(0.5))
+        f = perturbed_coboundary(X, pruner, np.random.default_rng(3), 0.1)
+        bases = [s for ell in range(dim - 1) for s in X.faces(ell)]
+        want = {}
+        for sigma in bases:
+            table = pruner.link_table(sigma)
+            rows = [sigma + (v,) for v in table.verts]
+            assert pruner.keys_ok(f, table.vert_rows).tolist() == [
+                plain_face_satisfied(pruner, r, f) for r in rows]
+            want[sigma] = build_satisfaction_graph(pruner, sigma, f)
+        lookups = []
+        face_index = type(X).face_index
+        monkeypatch.setattr(type(X), "face_index",
+                            lambda self, rows: lookups.append(1) or face_index(self, rows))
+        for sigma in bases:
+            sg = build_satisfaction_graph(pruner, sigma, f)
+            assert sg.dropped_vertices == want[sigma].dropped_vertices
+            assert (sg.graph is None) == (want[sigma].graph is None)
+            if sg.graph is not None:
+                assert sg.graph.edges == want[sigma].graph.edges
+        assert lookups == []
+
+
+class TestAuditReadsScanGraphs:
+    """measure_ratio_audit reads the graphs of the pruner's last scan when
+    its labeling is that scan's, and rebuilds them otherwise."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls, real = [], Pruner.satisfaction_graph
+
+        def satisfaction_graph(self, sigma, f, satisfied=None):
+            calls.append(sigma)
+            return real(self, sigma, f, satisfied)
+
+        monkeypatch.setattr(Pruner, "satisfaction_graph", satisfaction_graph)
+        return calls
+
+    def test_both_branches(self, monkeypatch):
+        X = complete_complex(30, 2)
+        pruner = z5_pruner(X)
+        outcome = pruner.run(2)
+        assert outcome.status == "clean"
+        f, y = outcome.labeling, outcome.y
+        labels, graphs = pruner.scan_graphs
+        assert np.array_equal(labels, f) and labels is not f and len(graphs) == 30
+        want = plain_ratio_level(pruner, y, f, 0)
+        calls = self.counted(monkeypatch)
+        got = measure_ratio_audit(pruner, y, f.copy(), 0)
+        assert calls == [] and repr(got) == repr(want)
+        # the run's labels changed in place: the kept copy no longer equals
+        # them, so every graph is rebuilt
+        old = f[0]
+        f[0] = (old + 1) % pruner.m
+        try:
+            got = ratio_level_matches(pruner, pruner.f_pruning(f)[0], f, 0)
+            assert len(calls) >= X.n_faces(0)
+        finally:
+            f[0] = old
+        # a fresh pruner has no scan and rebuilds, to the same reports
+        calls.clear()
+        assert repr(measure_ratio_audit(z5_pruner(X), y, f, 0)) == repr(want)
+        assert len(calls) == X.n_faces(0)
 
 
 class TestMoserTardos:

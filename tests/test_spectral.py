@@ -124,6 +124,21 @@ class TestAdjacencySpectrum:
         with pytest.raises(AssertionError, match="top eigenvalue (2|1.99)"):
             cover_link_gap(cover)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_stacked_solve_is_each_graphs_own(self, seed):
+        """graph_spectra on graphs sharing their ends, with other weights,
+        against each graph's own 2-D operator and solve, bit for bit."""
+        rng = np.random.default_rng(seed)
+        G = random_wgraph(rng, 12 + seed, p=0.5)
+        H = WGraph.from_arrays(G.vertices, G.ends, 0.1 + rng.random(G.m))
+        stacked = spectral.graph_spectra([G, H, G])
+        for g, row in zip((G, H, G), stacked):
+            root = np.sqrt(g.vertex_measures())
+            own = spectral._checked_spectra(
+                spectral._symmetrized_matrix((g.n, g.n), g.ends, g.weights, root, g.ends))
+            assert row.tolist() == own.tolist()
+            assert adjacency_spectrum(g).eigenvalues == tuple(own.tolist())
+
     def test_eigenvalue_outside_unit_interval_raises(self):
         for M in (np.diag([1.0, -1.5]), np.stack([np.eye(2), np.diag([1.0, -1.5])])):
             with pytest.raises(AssertionError, match=r"outside \[-1, 1\]"):
