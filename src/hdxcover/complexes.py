@@ -23,6 +23,7 @@ import numpy as np
 from .errors import (
     BadLevel,
     BadMeasure,
+    BadParameter,
     DuplicateFace,
     NonPure,
     NotAFace,
@@ -394,6 +395,8 @@ def build_complex(dim, faces, weights=None):
 
 def complete_complex(n, dim):
     """The complete dim-dimensional complex on vertices 0..n-1."""
+    if dim < 0:
+        raise BadParameter(f"a complex has dimension >= 0, got {dim}")
     if n < dim + 1:
         raise NonPure(f"need at least {dim + 1} vertices")
     combos = itertools.chain.from_iterable(itertools.combinations(range(n), dim + 1))
@@ -479,7 +482,7 @@ def check_suitable(X, c, r, eta):
     from .spectral import is_hdx  # local import to avoid a module cycle
 
     if not (c > 1 and r > 1 and eta > 0):
-        raise ValueError("need c > 1, r > 1, eta > 0")
+        raise BadParameter("need c > 1, r > 1, eta > 0")
     q = int(np.diff(X.level(0).start).max())
     bound = c * (1.0 + math.log(q))
     found = {}  # the first degree and weight witnesses
@@ -541,11 +544,6 @@ def complex_from_dict(obj):
         raise NotAFace(f"malformed complex object: {exc}") from exc
     weights = obj.get("weights")
     return build_complex(dim, faces, weights)
-
-
-def load_complex(path):
-    with open(path) as fh:
-        return complex_from_dict(json.load(fh))
 
 
 def save_complex(X, path):

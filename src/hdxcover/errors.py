@@ -5,6 +5,18 @@ class HdxError(Exception):
     """Base class for all library errors."""
 
 
+class WitnessedError(HdxError):
+    """An error that carries the offending item as its witness."""
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
+
+
+class BadParameter(HdxError, ValueError):
+    """A numeric argument outside the range its function accepts."""
+
+
 # --- complex construction ---
 
 class NonPure(HdxError):
@@ -67,12 +79,8 @@ class NotAGroup(HdxError):
     pass
 
 
-class NotPure(HdxError):
+class NotPure(WitnessedError):
     """A Cayley graph edge lies in no (d+1)-clique; carries the edge."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class NotSymmetricGenSet(HdxError):
@@ -97,12 +105,8 @@ class UnsatisfiedBase(HdxError):
     pass
 
 
-class Unmeasurable(HdxError):
+class Unmeasurable(WitnessedError):
     """The labeling misses a pattern required by the reference link."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 # --- covers ---
@@ -111,10 +115,8 @@ class BadLabeling(HdxError):
     """A labeling or potential is not one group element per edge or vertex."""
 
 
-class NotACocycle(HdxError):
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+class NotACocycle(WitnessedError):
+    """A labeling fails the triangle condition; carries the failing 2-face."""
 
 
 class Disconnected(HdxError):

@@ -33,9 +33,8 @@ EXIT_BUDGET = 2
 EXIT_AUDIT = 3
 EXIT_INPUT = 4
 
-# the prune regime of the prune and cover-family pipelines when a spec names
-# none; PruneConfig's own default, "formula", serves library callers
-PRUNE_MODE = "empirical"
+# what a pipeline run or a CLI command reports as bad input, exit 4
+INPUT_ERRORS = (OSError, HdxError)
 
 
 def stage_seed(master, stage):
@@ -81,10 +80,7 @@ class RunReport:
         }
 
     def to_json_bytes(self):
-        return (
-            json.dumps(self.payload(), sort_keys=True, indent=2, default=_jsonify)
-            + "\n"
-        ).encode()
+        return _json_text(self.payload()).encode()
 
 
 @contextlib.contextmanager
@@ -107,6 +103,11 @@ def _audit(report, name):
         except Unmeasurable as exc:
             report.add_audit(name, False, {"error": type(exc).__name__, "message": str(exc),
                                            "witness": list(exc.witness)})
+
+
+def _json_text(obj):
+    """obj as deterministic JSON text: sorted keys, numpy values as Python's."""
+    return json.dumps(obj, sort_keys=True, indent=2, default=_jsonify) + "\n"
 
 
 def _jsonify(obj):
@@ -157,7 +158,8 @@ def _spec_config(build):
 
 
 @_spec_config
-def _load_complex_input(obj):
+def load_complex_input(obj):
+    """A complex from a file path or inline JSON, of either README form."""
     obj = _read_input(obj)
     if not isinstance(obj, dict):
         raise InputError("a complex is a JSON object")
@@ -175,7 +177,8 @@ def _load_group_input(obj):
 
 
 @_spec_config
-def _load_graph_input(obj):
+def load_graph_input(obj):
+    """A graph from a file path or inline JSON, of either README form."""
     obj = _read_input(obj)
     if not isinstance(obj, dict):
         raise InputError("a graph is a JSON object")
@@ -194,13 +197,46 @@ def _load_genset_input(obj):
     return [int(x) for x in obj]
 
 
+# --- the spec schema ---
+
+INPUT = object()  # a file path or inline JSON the spec must name
+DERIVED = None  # a number the pipeline works out when the spec leaves it out
+
+_PRUNE = pruning_mod.PruneConfig
+_PRUNE_PARAMS = {
+    "complex": INPUT, "group": INPUT, "genset": INPUT,
+    "mode": "empirical",  # PruneConfig's own "formula" serves library callers
+    "lambda": 0.9, "r": _PRUNE.r, "c": _PRUNE.c, "eta": _PRUNE.eta,
+    "max_resamples": _PRUNE.max_resamples,
+}
+# every params key of each pipeline and its default; any other key is a
+# misspelling.  The CLI builds its pipeline flags from this table.
+PARAMS = {
+    "prune": _PRUNE_PARAMS,
+    "cover-family": {**_PRUNE_PARAMS, "index_cap": 64},
+    "sparsify": {"graph": INPUT, "p_split": 0.3, "p_edge": 0.5, "trials": 50,
+                 "split_factor": 100.0, "edge_threshold": 0.95},
+    "combine": {"complex": INPUT, "target": INPUT, "lambda": DERIVED,
+                "max_resamples": combine_mod.CombineConfig.max_resamples},
+    "scan": {"group": INPUT, "dim": 2, "eta": DERIVED, "max_size": 8},
+}
+
+
+def _param(kind, params, key):
+    """params[key], or its PARAMS default; an input left out is bad input."""
+    value = params.get(key, PARAMS[kind][key])
+    if value is INPUT:
+        raise InputError(f"spec object is missing {key!r}")
+    return value
+
+
 # --- pipelines ---
 
 
 @_spec_config
-def _count(kind, params, key, default):
-    """params[key], or default when absent: a count, an int >= 1."""
-    value = params.get(key, default)
+def _count(kind, params, key):
+    """A count param, an int >= 1."""
+    value = _param(kind, params, key)
     if type(value) is not int or value < 1:
         raise ValueError(f"{kind} {key} must be an integer >= 1, got {value!r}")
     return value
@@ -208,16 +244,17 @@ def _count(kind, params, key, default):
 
 @_spec_config
 def _prune_config(params):
-    mode = params.get("mode", PRUNE_MODE)
+    get = functools.partial(_param, "prune", params)
+    mode = get("mode")
     if mode not in pruning_mod.MODES:
         raise InputError(f"unknown prune mode {mode!r}")
     return pruning_mod.PruneConfig(
-        lambda_target=float(params.get("lambda", 0.9)),
-        r=float(params.get("r", 1.5)),
-        c=float(params.get("c", 1.1)),
-        eta=float(params.get("eta", 0.3)),
+        lambda_target=float(get("lambda")),
+        r=float(get("r")),
+        c=float(get("c")),
+        eta=float(get("eta")),
         mode=mode,
-        max_resamples=_count("prune", params, "max_resamples", 10_000),
+        max_resamples=_count("prune", params, "max_resamples"),
     )
 
 
@@ -225,7 +262,7 @@ def _prune_config(params):
 def _combine_config(params, lam):
     return combine_mod.CombineConfig(
         lambda_target=float(lam),
-        max_resamples=_count("combine", params, "max_resamples", 10_000),
+        max_resamples=_count("combine", params, "max_resamples"),
     )
 
 
@@ -233,10 +270,9 @@ def _combine_config(params, lam):
 def _sparsify_config(params):
     """The sparsify_trial arguments of a sparsify spec but the seed: the
     trial count, and the rest read as floats."""
-    defaults = {"p_split": 0.3, "p_edge": 0.5, "split_factor": 100.0,
-                "edge_threshold": 0.95}
-    config = {key: float(params.get(key, v)) for key, v in defaults.items()}
-    config["trials"] = _count("sparsify", params, "trials", 50)
+    config = {key: float(_param("sparsify", params, key))
+              for key in ("p_split", "p_edge", "split_factor", "edge_threshold")}
+    config["trials"] = _count("sparsify", params, "trials")
     return config
 
 
@@ -271,12 +307,12 @@ def _sampler_record(report, name, outcome, stage, out):
 
 
 def _prune_stages(report, params, seed):
-    X = _load_complex_input(_field(params, "complex"))
+    X = load_complex_input(_param("prune", params, "complex"))
     if X.dim < 2:
         raise InputError(f"prune needs a complex of dimension >= 2, got {X.dim}")
-    group = _load_group_input(_field(params, "group"))
+    group = _load_group_input(_param("prune", params, "group"))
     gens = groups_mod.validate_genset(
-        group, _load_genset_input(_field(params, "genset"))
+        group, _load_genset_input(_param("prune", params, "genset"))
     )
     config = _prune_config(params)
 
@@ -426,7 +462,7 @@ def run_prune(report, params, seed):
 
 
 def run_cover_family(report, params, seed):
-    index_cap = _count("cover-family", params, "index_cap", 64)
+    index_cap = _count("cover-family", params, "index_cap")
     report, pruner, outcome = run_prune(report, params, seed)
     if outcome.status != "clean":
         return report
@@ -464,7 +500,7 @@ def run_cover_family(report, params, seed):
 
 
 def run_sparsify(report, params, seed):
-    G = _load_graph_input(_field(params, "graph"))
+    G = load_graph_input(_param("sparsify", params, "graph"))
     trial = sparsify_mod.sparsify_trial(
         G, rng=stage_seed(seed, "sparsify"), **_sparsify_config(params)
     )
@@ -480,10 +516,10 @@ def run_sparsify(report, params, seed):
 
 
 def run_combine(report, params, seed):
-    X = _load_complex_input(_field(params, "complex"))
-    C = _load_complex_input(_field(params, "target"))
-    lam = params.get("lambda")
-    if lam is None:
+    X = load_complex_input(_param("combine", params, "complex"))
+    C = load_complex_input(_param("combine", params, "target"))
+    lam = _param("combine", params, "lambda")
+    if lam is DERIVED:
         lam = is_hdx(C, 1.0).worst_value
         lam = max(min(lam, 0.999), 1e-6)
     config = _combine_config(params, lam)
@@ -504,17 +540,17 @@ def run_combine(report, params, seed):
 @_spec_config
 def _scan_config(params):
     """dim, max_size and eta of a scan spec; a bad value is bad input."""
-    dim, eta = params.get("dim", 2), params.get("eta")
+    dim, eta = _param("scan", params, "dim"), _param("scan", params, "eta")
     if type(dim) is not int or dim < 2:
         raise ValueError(f"scan dim must be an integer >= 2, got {dim!r}")
-    size = _count("scan", params, "max_size", 8)
+    size = _count("scan", params, "max_size")
     if not (eta is None or type(eta) in (int, float) and math.isfinite(eta)):
         raise ValueError(f"scan eta must be a finite number or null, got {eta!r}")
     return dim, size, eta
 
 
 def run_scan(report, params, seed):
-    group = _load_group_input(_field(params, "group"))
+    group = _load_group_input(_param("scan", params, "group"))
     dim, max_size, eta = _scan_config(params)
     counts = {}
     with timed(report, "scan"):
@@ -562,27 +598,14 @@ PIPELINES = {
     "scan": run_scan,
 }
 
-_PRUNE_KEYS = {"complex", "group", "genset", "mode", "lambda", "r", "c", "eta",
-               "max_resamples"}
-# the params keys each pipeline reads; any other key is a misspelling
-PARAM_KEYS = {
-    "prune": frozenset(_PRUNE_KEYS),
-    "cover-family": frozenset(_PRUNE_KEYS | {"index_cap"}),
-    "sparsify": frozenset({"graph", "p_split", "p_edge", "trials", "split_factor",
-                           "edge_threshold"}),
-    "combine": frozenset({"complex", "target", "lambda", "max_resamples"}),
-    "scan": frozenset({"group", "dim", "eta", "max_size"}),
-}
-
-
 def _check_param_keys(kind, params):
     if not isinstance(params, dict):
         raise InputError("spec params must be a JSON object")
-    unknown = sorted(set(params) - PARAM_KEYS[kind])
+    unknown = sorted(set(params) - set(PARAMS[kind]))
     if unknown:
         raise InputError(
             f"unknown {kind} parameter(s) {unknown}; "
-            f"expected some of {sorted(PARAM_KEYS[kind])}"
+            f"expected some of {sorted(PARAMS[kind])}"
         )
 
 
@@ -598,59 +621,32 @@ def run_experiment(spec):
             seed = report.spec["seed"] = _spec_config(int)(seed)
             _check_param_keys(kind, params)
             PIPELINES[kind](report, params, seed)
-        except (OSError, json.JSONDecodeError, InputError) as exc:
+        except INPUT_ERRORS as exc:
             report.status = "input_error"
             report.exit_code = EXIT_INPUT
-            report.add_stage("error", {"message": str(exc)})
-        except HdxError as exc:
-            report.status = "input_error"
-            report.exit_code = EXIT_INPUT
-            report.add_stage("error", {"type": type(exc).__name__, "message": str(exc)})
+            error = {"message": str(exc)}
+            if not isinstance(exc, (OSError, InputError)):
+                error["type"] = type(exc).__name__
+            report.add_stage("error", error)
     return report
 
 
 def emit_report(report, out_dir):
     """Write the report files; returns the list of paths written."""
     os.makedirs(out_dir, exist_ok=True)
+    files = {
+        "report.json": report.to_json_bytes().decode(),
+        "spectra.csv": report.spectra,
+        "outcome.json": None if report.outcome is None else _json_text(report.outcome),
+        "cover.json": None if report.cover_export is None else _json_text(report.cover_export),
+        "lambda_series.dat": "".join(f"{i} {v!r}\n" for i, v in enumerate(report.lambda_series)),
+        "timings.json": _json_text(report.timings),
+    }
     written = []
-
-    path = os.path.join(out_dir, "report.json")
-    with open(path, "wb") as fh:
-        fh.write(report.to_json_bytes())
-    written.append(path)
-
-    if report.spectra:
-        path = os.path.join(out_dir, "spectra.csv")
-        with open(path, "w") as fh:
-            fh.write(report.spectra)
-        written.append(path)
-
-    if report.outcome is not None:
-        path = os.path.join(out_dir, "outcome.json")
-        with open(path, "w") as fh:
-            json.dump(report.outcome, fh, sort_keys=True, indent=2,
-                      default=_jsonify)
-            fh.write("\n")
-        written.append(path)
-
-    if report.cover_export is not None:
-        path = os.path.join(out_dir, "cover.json")
-        with open(path, "w") as fh:
-            json.dump(report.cover_export, fh, sort_keys=True, indent=2,
-                      default=_jsonify)
-            fh.write("\n")
-        written.append(path)
-
-    if report.lambda_series:
-        path = os.path.join(out_dir, "lambda_series.dat")
-        with open(path, "w") as fh:
-            for i, v in enumerate(report.lambda_series):
-                fh.write(f"{i} {v!r}\n")
-        written.append(path)
-
-    path = os.path.join(out_dir, "timings.json")
-    with open(path, "w") as fh:
-        json.dump(report.timings, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    written.append(path)
+    for name, text in files.items():
+        if text:
+            path = os.path.join(out_dir, name)
+            with open(path, "w") as fh:
+                fh.write(text)
+            written.append(path)
     return written

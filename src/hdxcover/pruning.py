@@ -422,6 +422,8 @@ class Pruner(Sampler):
 
     def keys_ok(self, f, keys):
         """Whether every triangle of each row of a row_keys table is consistent."""
+        if not keys.shape[-1]:  # rows too short to hold a triangle
+            return np.ones(keys.shape[1], dtype=bool)
         return self.triangles(f, keys)[-1].all(axis=-1)
 
     def satisfied_mask(self, f, tri=None):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadLevel, NonPositiveAlpha, NotBipartite, TooLargeForExact
+from .errors import BadLevel, BadParameter, NonPositiveAlpha, NotBipartite, TooLargeForExact
 
 TOL = 1e-9
 
@@ -260,6 +260,8 @@ def eml_discrepancy(G, strategy="exact", samples=2000, rng=None, exact_limit=14)
     if strategy == "exact":
         return _eml_exact(G, exact_limit)
     if strategy == "sampled":
+        if samples < 1:
+            raise BadParameter(f"sampled mixing needs samples >= 1, got {samples}")
         return _eml_sampled(G, samples, rng)
     raise ValueError(f"unknown strategy {strategy!r}")
 

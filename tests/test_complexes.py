@@ -16,6 +16,7 @@ from hdxcover.complexes import (
 )
 from hdxcover.errors import (
     BadLevel,
+    BadParameter,
     DuplicateFace,
     NonPure,
     NotAFace,
@@ -52,6 +53,10 @@ class TestBuild:
     def test_non_pure(self):
         with pytest.raises(NonPure):
             build_complex(2, [(1, 2, 3), (1, 2, 4, 5)])
+
+    def test_negative_complete_dimension(self):
+        with pytest.raises(BadParameter, match="dimension >= 0, got -3"):
+            complete_complex(6, -3)
 
     def test_cycle(self):
         X = cycle_complex(6)
@@ -496,6 +501,11 @@ class TestSuitability:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             check_suitable(complete_complex(5, 2), c=0.5, r=1.5, eta=0.3)
+
+    @pytest.mark.parametrize("c, r, eta", [(0.5, 1.5, 0.3), (1.1, 1.0, 0.3), (1.1, 1.5, 0.0)])
+    def test_parameter_rejection_is_a_library_error(self, c, r, eta):
+        with pytest.raises(BadParameter, match="need c > 1, r > 1, eta > 0"):
+            check_suitable(complete_complex(5, 2), c=c, r=r, eta=eta)
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("keep", [0.6, 1.0])

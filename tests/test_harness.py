@@ -432,6 +432,8 @@ class TestErrors:
                          "weights": [1.0, -1.0]}, "negative face weight"),
             ("genset", ["a"], "invalid literal"),
             ("group", {"kind": "cyclic", "n": "x"}, "invalid literal"),
+            ("c", 0.5, "need c > 1, r > 1, eta > 0"),
+            ("eta", 0.0, "need c > 1, r > 1, eta > 0"),
         ],
     )
     def test_bad_spec_value_is_input_error(self, key, value, text):
@@ -604,6 +606,75 @@ class TestPruneModes:
         assert thresholds == {ne}
 
 
+def spy_specs(monkeypatch):
+    """The specs the CLI hands to run_experiment, run on none of them."""
+    specs = []
+
+    def spy(spec):
+        specs.append(spec)
+        return harness.RunReport(spec=spec)
+
+    monkeypatch.setattr(cli, "run_experiment", spy)
+    return specs
+
+
+def subcommands():
+    parser = cli.build_parser()
+    (commands,) = [a.choices for a in parser._actions if a.dest == "command"]
+    return commands
+
+
+class TestParamTable:
+    """harness.PARAMS is the one list of pipeline keys and defaults."""
+
+    @pytest.mark.parametrize("command, kind", cli.PIPELINE_COMMANDS.items())
+    def test_flags_are_the_table_keys(self, command, kind):
+        dests = {a.dest for a in subcommands()[command]._actions}
+        assert dests - {"help", "seed", "out_dir"} == set(harness.PARAMS[kind])
+
+    @pytest.mark.parametrize("command, kind", cli.PIPELINE_COMMANDS.items())
+    def test_bare_cli_run_sends_the_table_defaults(self, tmp_path, monkeypatch,
+                                                   command, kind):
+        table = harness.PARAMS[kind]
+        inputs = [a for key, v in table.items() if v is harness.INPUT
+                  for a in ("--" + key, "x")]
+        specs = spy_specs(monkeypatch)
+        main([command, *inputs, "--out-dir", str(tmp_path)])
+        (spec,) = specs
+        assert spec["kind"] == kind
+        assert spec["params"] == {key: "x" if v is harness.INPUT else v
+                                  for key, v in table.items() if v is not harness.DERIVED}
+
+    @pytest.mark.parametrize("command, kind", cli.PIPELINE_COMMANDS.items())
+    def test_every_flag_reaches_the_spec(self, tmp_path, monkeypatch, command, kind):
+        given = {key: "formula" if key == "mode" else "x" if v is harness.INPUT else 7
+                 for key, v in harness.PARAMS[kind].items()}
+        specs = spy_specs(monkeypatch)
+        main([command, *(a for key, v in given.items()
+                         for a in ("--" + key.replace("_", "-"), str(v))),
+              "--out-dir", str(tmp_path)])
+        (spec,) = specs
+        assert spec["params"] == given  # 7.0 == 7 for the float keys
+
+    def test_config_readers_take_the_table_defaults(self):
+        table = harness.PARAMS
+        config = harness._prune_config({})
+        assert (config.lambda_target, config.r, config.c, config.eta, config.mode,
+                config.max_resamples) == tuple(table["prune"][key] for key in (
+                    "lambda", "r", "c", "eta", "mode", "max_resamples"))
+        assert harness._combine_config({}, 0.5).max_resamples \
+            == table["combine"]["max_resamples"]
+        assert harness._sparsify_config({}) == {
+            key: v for key, v in table["sparsify"].items() if key != "graph"}
+        assert harness._scan_config({}) == tuple(
+            table["scan"][key] for key in ("dim", "max_size", "eta"))
+
+    def test_check_suitable_defaults_are_the_prune_defaults(self):
+        args = cli.build_parser().parse_args(["check-suitable", "--complex", "x"])
+        assert (args.c, args.r, args.eta) == tuple(
+            harness.PARAMS["prune"][key] for key in ("c", "r", "eta"))
+
+
 class TestStrictSpecKeys:
     @pytest.mark.parametrize(
         "kind, params, key",
@@ -620,10 +691,7 @@ class TestStrictSpecKeys:
         assert repr(key) in rep.stages[-1]["result"]["message"]
 
     def test_cli_specs_pass(self, tmp_path, monkeypatch):
-        built = []
-        monkeypatch.setattr(
-            cli, "_run_and_emit", lambda kind, params, _: built.append((kind, params))
-        )
+        specs = spy_specs(monkeypatch)
         prune = ["--complex", "x", "--group", "g", "--genset", "s"]
         for argv in (
             ["prune", *prune],
@@ -632,10 +700,10 @@ class TestStrictSpecKeys:
             ["combine", "--complex", "x", "--target", "t", "--lambda", "0.5"],
             ["scan-gensets", "--group", "g", "--eta", "0.5"],
         ):
-            main(argv)
-        assert len(built) == 5
-        for kind, params in built:
-            harness._check_param_keys(kind, params)
+            main([*argv, "--out-dir", str(tmp_path)])
+        assert len(specs) == 5
+        for spec in specs:
+            harness._check_param_keys(spec["kind"], spec["params"])
 
     def test_benchmark_specs_pass(self, monkeypatch):
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -755,10 +823,8 @@ class TestCli:
         assert "loop edge" in report["stages"][-1]["result"]["message"]
 
     def test_mode_choices_are_the_prune_modes(self):
-        parser = cli.build_parser()
-        (commands,) = [a.choices for a in parser._actions if a.dest == "command"]
         for command in ("prune", "cover-family"):
-            (mode,) = [a for a in commands[command]._actions if a.dest == "mode"]
+            (mode,) = [a for a in subcommands()[command]._actions if a.dest == "mode"]
             assert tuple(mode.choices) == pruning.MODES
 
     def test_cover_subcommand_removed(self):
@@ -768,6 +834,52 @@ class TestCli:
     def test_missing_input_exit_code(self, tmp_path):
         assert main(["verify-hdx", "--complex", "/nope.json",
                      "--lambda", "0.5"]) == 4
+
+    @staticmethod
+    def complex_commands(path, tmp_path):
+        return [
+            ["tensor", "--complex", path, "--t", "3", "--out", str(tmp_path / "t.json")],
+            ["check-suitable", "--complex", path, "--eta", "0.9"],
+            ["verify-hdx", "--complex", path, "--lambda", "0.9"],
+        ]
+
+    @pytest.mark.parametrize("obj", [{"kind": "complete", "n": 6, "dim": 2},
+                                     {"dim": 2, "faces": [[0, 1, 2], [0, 1, 3], [0, 2, 3],
+                                                          [1, 2, 3]]}])
+    def test_complex_commands_read_inline_json(self, tmp_path, capsys, obj):
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(obj))
+        for inline, from_file in zip(self.complex_commands(json.dumps(obj), tmp_path),
+                                     self.complex_commands(str(path), tmp_path)):
+            code = main(inline)
+            assert code in (EXIT_CLEAN, EXIT_AUDIT), inline
+            out = capsys.readouterr().out
+            assert (main(from_file), capsys.readouterr().out) == (code, out)
+
+    @pytest.mark.parametrize("obj, text", [
+        ({"dim": 2, "faces": [[0, 1, 2]], "weights": "ab"}, "could not convert"),
+        ({"dim": "x", "faces": [[0, 1, 2]]}, "invalid literal"),
+    ])
+    def test_malformed_complex_file_exit_code(self, tmp_path, capsys, obj, text):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        for argv in self.complex_commands(str(path), tmp_path):
+            assert main(argv) == EXIT_INPUT, argv
+            assert text in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, text", [
+        (["check-suitable", "--complex", '{"kind": "complete", "n": 6, "dim": 2}',
+          "--c", "0.5"], "need c > 1"),
+        (["build-complete", "--n", "6", "--dim", "-3", "--out", "x.json"],
+         "dimension >= 0"),
+        (["eml", "--graph", '{"kind": "complete", "n": 6}', "--samples", "-3"],
+         "samples >= 1"),
+    ])
+    def test_bad_flag_value_exit_code(self, tmp_path, monkeypatch, capsys, argv, text):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == EXIT_INPUT
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: ") and text in out.err
 
     def test_prune_cli(self, tmp_path):
         cx = tmp_path / "x.json"

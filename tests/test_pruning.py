@@ -785,6 +785,18 @@ class TestScanPaths:
                     verdicts.add(got)
         assert verdicts == {False, True}
 
+    def test_rows_without_triangles_gather_no_labels(self, monkeypatch):
+        """At d = 2 a vertex and the rows of a vertex link hold no triangle:
+        each is satisfied, and keys_ok reads no label for it."""
+        X = complete_complex(8, 2)
+        pruner = Pruner(X, Z13, Z13_GENS, PruneConfig(0.5))
+        f = np.random.default_rng(0).integers(0, pruner.m, X.n_faces(1))
+        tables = [pruner.link_table((v,)) for v in X.vertices]
+        monkeypatch.setattr(Pruner, "triangles", lambda *args: pytest.fail("gathered"))
+        for v, table in zip(X.vertices, tables):
+            assert pruner.keys_ok(f, table.vert_rows).tolist() == [True] * len(table.verts)
+            assert pruner.face_satisfied((v,), f)
+
     @pytest.mark.parametrize("n, dim", [(8, 3), (7, 4)])
     def test_link_tables_keep_triangle_edges(self, monkeypatch, n, dim):
         """At d >= 3 a cached table's rows are kept as their triangles' edge

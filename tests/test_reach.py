@@ -21,9 +21,8 @@ UNREACHED = {
     "pruning.Pruner.eval_ec": "reached through Sampler.eval_event in perfbench/selftest.py",
     "complexes.PureComplex.face_measure": "a traced span of perfbench/tracing.py",
     # error paths and reprs
-    "errors.NotACocycle.__init__": "raised only on a labeling that is no cocycle",
-    "errors.NotPure.__init__": "raised only on a Cayley edge in no clique",
-    "errors.Unmeasurable.__init__": "raised only on a satisfaction graph without edges",
+    "errors.WitnessedError.__init__": "raised only as NotACocycle, NotPure or "
+                                      "Unmeasurable, on inputs no run has",
     "complexes.PureComplex.__repr__": "repr",
     "graphs.WGraph.__repr__": "repr",
     "groups.GroupTable.__repr__": "repr",

@@ -19,6 +19,7 @@ from hdxcover.complexes import (
 from hdxcover.covers import build_cover, push_cocycle
 from hdxcover.errors import (
     BadLevel,
+    BadParameter,
     EmptyGraph,
     NonPositiveAlpha,
     NotBipartite,
@@ -365,6 +366,11 @@ for G in (WGraph(edges), WGraph(bip, sides=sides)):
 
 
 class TestEml:
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_sampled_needs_a_sample(self, samples):
+        with pytest.raises(BadParameter, match=f"samples >= 1, got {samples}"):
+            eml_discrepancy(complete_graph(6), "sampled", samples=samples, rng=0)
+
     def test_complete_exact_vs_lambda(self):
         G = complete_graph(8)
         rep = eml_discrepancy(G, "exact")
