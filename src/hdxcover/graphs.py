@@ -9,6 +9,7 @@ at v.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -23,16 +24,17 @@ class WGraph:
     Edges are stored as ``ends``, the (2, m) int array of their endpoint
     positions in the sorted tuple ``vertices``, with strictly positive
     weights normalized to sum one; ``edges``, the same edges as sorted
-    vertex pairs, is built on first read.  Isolated vertices are not
-    representable: the vertex set is the union of edge endpoints.
+    vertex pairs, is built on first read.  A bipartition is held only as
+    ``_left``, the bool mask of the left side over vertex positions, or
+    None.  Isolated vertices are not representable: the vertex set is the
+    union of edge endpoints.
     """
 
-    __slots__ = (
-        "vertices", "_edges", "weights", "ends", "sides", "_left", "_vmass",
-    )
+    __slots__ = ("vertices", "_edges", "weights", "ends", "_left", "_vmass")
 
     def __init__(self, edges, sides=None):
-        """``edges`` is an iterable of (u, v, weight) triples.
+        """``edges`` is an iterable of (u, v, weight) triples, each weight
+        finite and positive.
 
         ``sides``, when given, is a pair of vertex collections declaring a
         bipartition; every edge must cross it.
@@ -41,6 +43,8 @@ class WGraph:
         for u, v, w in edges:
             if u == v:
                 raise ValueError(f"loop edge at {u!r}")
+            if not math.isfinite(w):
+                raise ValueError(f"edge {(u, v)!r} has non-finite weight {w}")
             if w <= 0:
                 raise ValueError(f"edge {(u, v)!r} has non-positive weight {w}")
             key = (u, v) if u < v else (v, u)
@@ -98,9 +102,10 @@ class WGraph:
         )
 
     def _set_sides(self, masks):
-        """Check and store a bipartition given as bool masks over vertices."""
+        """Check and store a bipartition given as bool masks over vertices:
+        the left mask is kept, the right is its complement."""
         if masks is None:
-            self.sides = self._left = None
+            self._left = None
             return
         left, right = masks
         if (left & right).any():
@@ -116,10 +121,15 @@ class WGraph:
             edge = (self.vertices[u[i]], self.vertices[v[i]])
             raise NotBipartite(f"edge {edge!r} does not cross the partition")
         self._left = left
-        self.sides = (
-            frozenset(itertools.compress(self.vertices, left)),
-            frozenset(itertools.compress(self.vertices, right)),
-        )
+
+    @property
+    def sides(self):
+        """The bipartition as (left, right) label frozensets, built on each
+        read, or None for a graph without one."""
+        if self._left is None:
+            return None
+        return (frozenset(itertools.compress(self.vertices, self._left)),
+                frozenset(itertools.compress(self.vertices, ~self._left)))
 
     @property
     def edges(self):
@@ -165,7 +175,7 @@ class WGraph:
         return 0.5 * self._vmass
 
     def __repr__(self):
-        bip = " bipartite" if self.sides is not None else ""
+        bip = " bipartite" if self._left is not None else ""
         return f"WGraph(n={self.n}, m={self.m}{bip})"
 
 

@@ -362,7 +362,6 @@ class Pruner(Sampler):
         self.inv_elems = group.inv_table[self.s_elems].astype(np.int64)
         rank = np.full(group.order, -1, dtype=np.int64)
         rank[self.s_elems] = np.arange(self.m)
-        self.s_rank = rank
         self.inv_rank = rank[self.inv_elems]  # the index of each generator's inverse
         # flat products: of elements a, b at a * |G| + b, and of generators
         # i, j at i * m + j, as g_i g_j (gen_mul) and g_i g_j^-1 (gen_div)

@@ -16,8 +16,9 @@ from .graphs import WGraph
 from .spectral import adjacency_spectrum, bipartite_lambda
 
 
-def split_vertex_sets(vertices, p, rng):
-    """Two-phase disjoint sampling with marginal inclusion p on both sides.
+def split_vertex_sets(n, p, rng):
+    """Two-phase disjoint sampling with marginal inclusion p on both sides,
+    returned as two bool masks over the n vertex positions.
 
     Each vertex enters A independently with probability p; the remainder
     enter B with probability p/(1-p), so P(v in B) is exactly p as well.
@@ -25,22 +26,19 @@ def split_vertex_sets(vertices, p, rng):
     if not 0 < p < 0.5:
         raise ValueError("need 0 < p < 1/2")
     rng = np.random.default_rng(rng)
-    a, b = set(), set()
+    in_a, in_b = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
     q = p / (1.0 - p)
-    for v in vertices:
+    for i in range(n):
         if rng.random() < p:
-            a.add(v)
+            in_a[i] = True
         elif rng.random() < q:
-            b.add(v)
-    return a, b
+            in_b[i] = True
+    return in_a, in_b
 
 
 @dataclass(frozen=True)
 class SplitSample:
     graph: WGraph  # bipartite, renormalized cross-edge measure
-    a: frozenset
-    b: frozenset
-    cross_mass: float  # nu_G of the surviving edges before renormalizing
     in_a: np.ndarray = field(repr=False, compare=False)  # over G's vertex positions
     in_b: np.ndarray = field(repr=False, compare=False)
     cross: np.ndarray = field(repr=False, compare=False)  # over G's edge columns
@@ -48,18 +46,15 @@ class SplitSample:
 
 def bipartite_vertex_split(G, p, rng):
     """Sample disjoint sides and keep the crossing edges."""
-    a, b = split_vertex_sets(G.vertices, p, rng)
-    if not a or not b:
+    in_a, in_b = split_vertex_sets(G.n, p, rng)
+    if not in_a.any() or not in_b.any():
         raise EmptySide("a side came out empty")
-    in_a = np.fromiter((v in a for v in G.vertices), bool, G.n)
-    in_b = np.fromiter((v in b for v in G.vertices), bool, G.n)
     u, v = G.ends
     cross = (in_a[u] & in_b[v]) | (in_b[u] & in_a[v])
     if not cross.any():
         raise EmptySide("no edge crosses the sampled sides")
-    mass = np.cumsum(G.weights[cross])[-1]  # summed edge by edge, left to right
     graph = G.edge_subgraph(cross, sides=(in_a, in_b))
-    return SplitSample(graph, frozenset(a), frozenset(b), mass, in_a, in_b, cross)
+    return SplitSample(graph, in_a, in_b, cross)
 
 
 @dataclass(frozen=True)

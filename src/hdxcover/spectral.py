@@ -141,7 +141,7 @@ def bipartite_lambda(G):
     Computed as the second singular value of the measure-symmetrized
     bipartite operator; the first singular value is always 1.
     """
-    if G.sides is None:
+    if G._left is None:
         raise NotBipartite("graph has no declared bipartition")
     lmass, rmass, a, b = _side_arrays(G)
     M = np.zeros((len(rmass), len(lmass)))
@@ -182,7 +182,10 @@ def is_hdx(X, lam, mode="two_sided", include_empty_face=True, visit=None):
     include_empty_face is False) must have expansion at most lam.  Links
     come from PureComplex.link_blocks and link_spectra; visit, if given,
     gets each block's level, its arrays and link_spectra's weights and
-    vertex masses, so that check_suitable reads the same skeletons."""
+    vertex masses, so that check_suitable reads the same skeletons.  A
+    negative or NaN lam raises BadParameter."""
+    if not lam >= 0:
+        raise BadParameter(f"lambda must be a number >= 0, got {lam}")
     lo = -1 if include_empty_face else 0
     if lo > X.dim - 2:
         raise BadLevel(f"a {X.dim}-complex has no link with edges at dimension {lo}")
@@ -240,8 +243,10 @@ def _subset_sums(values):
     return out
 
 
-def _mask_vertices(mask, items):
-    return tuple(items[i] for i in range(len(items)) if mask >> i & 1)
+def _bits(mask, k):
+    """The k low bits of each int in mask as a bool array along a new last
+    axis, lowest first."""
+    return (mask >> np.arange(k)) & 1 == 1
 
 
 def eml_discrepancy(G, strategy="exact", samples=2000, rng=None, exact_limit=14):
@@ -278,105 +283,74 @@ def _pair_scores(cut, nu_s, nu_t):
     return alpha, ratio
 
 
-def _eml_exact_bipartite(G, limit):
-    left = sorted(G.sides[0])
-    right = sorted(G.sides[1])
-    if len(left) > limit or len(right) > limit:
-        raise TooLargeForExact(
-            f"sides {len(left)}x{len(right)} exceed the exact limit {limit}"
-        )
-    lmass, rmass, a, b = _side_arrays(G)
-    W = np.zeros((len(left), len(right)))
-    W[a, b] = G.weights
-    t_sums = _subset_sums(rmass)
-    best = (-1.0, None, None)
-    best_ratio = (-1.0, None, None)
-    pairs = 0
-    for smask in range(1, 1 << len(left)):
-        srows = [i for i in range(len(left)) if smask >> i & 1]
-        nu_s = lmass[srows].sum()
-        cut = _subset_sums(W[srows].sum(axis=0))
-        alpha, ratio = _pair_scores(cut[1:], nu_s, t_sums[1:])
-        pairs += len(alpha)
-        i = int(np.argmax(alpha))
-        if alpha[i] > best[0]:
-            best = (float(alpha[i]), smask, i + 1)
-        j = int(np.argmax(ratio))
-        if ratio[j] > best_ratio[0]:
-            best_ratio = (float(ratio[j]), smask, j + 1)
-    wit = (_mask_vertices(best[1], left), _mask_vertices(best[2], right))
-    rwit = (_mask_vertices(best_ratio[1], left), _mask_vertices(best_ratio[2], right))
-    return EmlReport(best[0], wit, best_ratio[0], rwit, True, pairs)
+def _mixing_pools(G):
+    """S's pool as a bool mask over vertex positions, T's pool (None for the
+    complement of S), the measure on both and the factor on the cut.
+
+    A bipartite graph mixes its left side against its right, with side
+    measures and the full cut; any other graph mixes all vertices, with the
+    vertex measure and half the cut, the oriented nu(u, v) = nu({u, v})/2.
+    """
+    if G._left is None:
+        return np.ones(G.n, dtype=bool), None, G.vertex_measures(), 0.5
+    return G._left, ~G._left, 2.0 * G.vertex_measures(), 1.0
 
 
 def _eml_exact(G, limit):
-    if G.sides is not None:
-        return _eml_exact_bipartite(G, limit)
-    verts = list(G.vertices)
-    n = len(verts)
-    if n > limit:
+    s_pool, t_pool, mass, factor = _mixing_pools(G)
+    n, spos = G.n, np.flatnonzero(s_pool)
+    right = None if t_pool is None else np.flatnonzero(t_pool)
+    if right is None and n > limit:
         raise TooLargeForExact(f"{n} vertices exceed the exact limit {limit}")
-    vmass = G.vertex_measures()
+    if right is not None and max(len(spos), len(right)) > limit:
+        raise TooLargeForExact(f"sides {len(spos)}x{len(right)} exceed the exact limit {limit}")
     W = np.zeros((n, n))
     iu, iv = G.ends
     W[iu, iv] = G.weights
     W[iv, iu] = G.weights
-    best = (-1.0, None, None)
-    best_ratio = (-1.0, None, None)
+    best = best_ratio = (-1.0, None, None, None)
     pairs = 0
-    for smask in range(1, (1 << n) - 1):
-        srows = [i for i in range(n) if smask >> i & 1]
-        comp = [i for i in range(n) if not smask >> i & 1]
-        nu_s = vmass[srows].sum()
-        # oriented cross mass: half of the unordered edge weight
-        cut = 0.5 * _subset_sums(W[np.ix_(srows, comp)].sum(axis=0))
-        t_sums = _subset_sums(vmass[comp])
-        alpha, ratio = _pair_scores(cut[1:], nu_s, t_sums[1:])
+    for take in _bits(np.arange(1, 1 << len(spos))[:, None], len(spos)):
+        srows = spos[take]
+        tcols = spos[~take] if right is None else right
+        if not len(tcols):
+            continue
+        nu_s = mass[srows].sum()
+        cut = factor * _subset_sums(W[np.ix_(srows, tcols)].sum(axis=0))
+        alpha, ratio = _pair_scores(cut[1:], nu_s, _subset_sums(mass[tcols])[1:])
         pairs += len(alpha)
         i = int(np.argmax(alpha))
         if alpha[i] > best[0]:
-            best = (float(alpha[i]), smask, (comp, i + 1))
+            best = (float(alpha[i]), srows, tcols, i + 1)
         j = int(np.argmax(ratio))
         if ratio[j] > best_ratio[0]:
-            best_ratio = (float(ratio[j]), smask, (comp, j + 1))
+            best_ratio = (float(ratio[j]), srows, tcols, j + 1)
 
     def decode(entry):
-        smask, (comp, tmask) = entry
-        s = _mask_vertices(smask, verts)
-        t = tuple(verts[comp[i]] for i in range(len(comp)) if tmask >> i & 1)
-        return s, t
+        _, srows, tcols, tmask = entry
+        t = tcols[_bits(tmask, len(tcols))]
+        return tuple(G.vertices[i] for i in srows), tuple(G.vertices[i] for i in t)
 
-    return EmlReport(
-        best[0], decode(best[1:]), best_ratio[0], decode(best_ratio[1:]), True, pairs
-    )
+    return EmlReport(best[0], decode(best), best_ratio[0], decode(best_ratio), True, pairs)
 
 
 def _eml_sampled(G, samples, rng):
     rng = np.random.default_rng(rng)
-    best = (-1.0, ((), ()))
-    best_ratio = (-1.0, ((), ()))
+    best = best_ratio = (-1.0, ((), ()))
     n, (u, v) = G.n, G.ends
-    mass = G.vertex_measures()
-    if G.sides is not None:
-        mass = 2.0 * mass  # the side measures
-        left, right = np.flatnonzero(G._left), np.flatnonzero(~G._left)
+    s_pool, t_pool, mass, factor = _mixing_pools(G)
     for _ in range(samples):
         in_s, in_t = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
-        if G.sides is not None:
-            in_s[left] = [rng.random() < 0.5 for _ in left]
-            in_t[right] = [rng.random() < 0.5 for _ in right]
-        else:
-            in_s[:] = [rng.random() < 0.5 for _ in range(n)]
-            in_t[:] = [not x and rng.random() < 0.5 for x in in_s]
+        in_s[s_pool] = [rng.random() < 0.5 for _ in range(s_pool.sum())]
+        pool = ~in_s if t_pool is None else t_pool
+        in_t[pool] = [rng.random() < 0.5 for _ in range(pool.sum())]
         if not in_s.any() or not in_t.any():
             continue
         # summed one by one in vertex and edge order, so that no hash order
         # moves the scores
         nu_s, nu_t = (float(np.cumsum(mass[m])[-1]) for m in (in_s, in_t))
         cross = (in_s[u] & in_t[v]) | (in_s[v] & in_t[u])
-        cut = float(np.cumsum(G.weights[cross])[-1]) if cross.any() else 0.0
-        if G.sides is None:
-            cut *= 0.5  # oriented convention off the bipartite case
+        cut = factor * float(np.cumsum(G.weights[cross])[-1]) if cross.any() else 0.0
         diff = abs(cut - nu_s * nu_t)
         alpha = diff / math.sqrt(nu_s * nu_t)
         if alpha > best[0]:

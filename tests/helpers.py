@@ -25,6 +25,7 @@ from hdxcover.errors import (
     NotAFace,
     NotPure,
     NotSymmetricGenSet,
+    TooLargeForExact,
     TopFace,
     Unmeasurable,
     ZeroMeasure,
@@ -33,10 +34,13 @@ from hdxcover.graphs import WGraph
 from hdxcover.pruning import PrunedMeasure, RatioReport, SatisfactionGraph
 from hdxcover import groups as groups_mod
 from hdxcover.groups import cayley_clique_complex
-from hdxcover.sparsify import split_vertex_sets
 from hdxcover.spectral import (
+    EmlReport,
     HdxReport,
     HdxRow,
+    _pair_scores,
+    _side_arrays,
+    _subset_sums,
     adjacency_spectrum,
     bipartite_lambda,
     is_hdx,
@@ -933,7 +937,9 @@ def plain_eval_at(pruner, sigma, f):
     vmeas, eidx, fwd = plain_at_table(pruner, sigma)
     labs = f[eidx]
     elems = np.where(fwd, pruner.s_elems[labs], pruner.inv_elems[labs])
-    codes = pruner.s_rank[elems] @ (pruner.m ** np.arange(len(sigma)))
+    rank = np.full(pruner.group.order, -1, dtype=np.int64)
+    rank[pruner.s_elems] = np.arange(pruner.m)
+    codes = rank[elems] @ (pruner.m ** np.arange(len(sigma)))
     probs = np.bincount(codes, weights=vmeas, minlength=pruner.m ** len(sigma))
     lo, hi = pruner.config.at_bounds(len(sigma) - 1, pruner.m)
     return bool((probs <= lo).any() or (probs >= hi).any())
@@ -969,24 +975,34 @@ def plain_event_scope(pruner, kind, face):
     return tuple(i for i, (u, w) in enumerate(X.faces(1)) if u in near and w in near)
 
 
+def plain_split_vertex_sets(vertices, p, rng):
+    """Reference split: the labels of the two sides collected in sets, one
+    rng.random() draw per vertex for A and one more for B if it missed A."""
+    if not 0 < p < 0.5:
+        raise ValueError("need 0 < p < 1/2")
+    rng = np.random.default_rng(rng)
+    a, b = set(), set()
+    q = p / (1.0 - p)
+    for v in vertices:
+        if rng.random() < p:
+            a.add(v)
+        elif rng.random() < q:
+            b.add(v)
+    return a, b
+
+
 def plain_bipartite_vertex_split(G, p, rng):
     """Reference split: the crossing edges collected edge by edge and built
-    through the (u, v, w) constructor; returns (graph, a, b, cross_mass)."""
-    a, b = split_vertex_sets(G.vertices, p, rng)
+    through the (u, v, w) constructor; returns (graph, a, b) with the sides
+    as label sets."""
+    a, b = plain_split_vertex_sets(G.vertices, p, rng)
     if not a or not b:
         raise EmptySide("a side came out empty")
-    cross = []
-    mass = 0.0
-    for (u, v), w in zip(G.edges, G.weights):
-        if (u in a and v in b) or (u in b and v in a):
-            cross.append((u, v, w))
-            mass += w
+    cross = [(u, v, w) for (u, v), w in zip(G.edges, G.weights)
+             if (u in a and v in b) or (u in b and v in a)]
     if not cross:
         raise EmptySide("no edge crosses the sampled sides")
-    return SimpleNamespace(
-        graph=WGraph(cross, sides=(a, b)), a=frozenset(a), b=frozenset(b),
-        cross_mass=mass,
-    )
+    return SimpleNamespace(graph=WGraph(cross, sides=(a, b)), a=frozenset(a), b=frozenset(b))
 
 
 def plain_edge_subsample(H, p, rng):
@@ -1310,3 +1326,133 @@ def checked(fast, plain, same, *args):
     assert not isinstance(want, Exception), f"plain raised {want!r}"
     assert same(got, want)
     return got
+
+
+# --- plain mixing references: the bipartite exact enumerator apart from
+# the general one, and the sampled draws in two branches ---
+
+
+def _plain_mask_vertices(mask, items):
+    return tuple(items[i] for i in range(len(items)) if mask >> i & 1)
+
+
+def plain_eml_exact_bipartite(G, limit):
+    """Reference exact mixing of a bipartite graph: S over the subsets of
+    the left side, T over those of the right, with side measures."""
+    left = sorted(G.sides[0])
+    right = sorted(G.sides[1])
+    if len(left) > limit or len(right) > limit:
+        raise TooLargeForExact(
+            f"sides {len(left)}x{len(right)} exceed the exact limit {limit}"
+        )
+    lmass, rmass, a, b = _side_arrays(G)
+    W = np.zeros((len(left), len(right)))
+    W[a, b] = G.weights
+    t_sums = _subset_sums(rmass)
+    best = (-1.0, None, None)
+    best_ratio = (-1.0, None, None)
+    pairs = 0
+    for smask in range(1, 1 << len(left)):
+        srows = [i for i in range(len(left)) if smask >> i & 1]
+        nu_s = lmass[srows].sum()
+        cut = _subset_sums(W[srows].sum(axis=0))
+        alpha, ratio = _pair_scores(cut[1:], nu_s, t_sums[1:])
+        pairs += len(alpha)
+        i = int(np.argmax(alpha))
+        if alpha[i] > best[0]:
+            best = (float(alpha[i]), smask, i + 1)
+        j = int(np.argmax(ratio))
+        if ratio[j] > best_ratio[0]:
+            best_ratio = (float(ratio[j]), smask, j + 1)
+    wit = (_plain_mask_vertices(best[1], left), _plain_mask_vertices(best[2], right))
+    rwit = (_plain_mask_vertices(best_ratio[1], left),
+            _plain_mask_vertices(best_ratio[2], right))
+    return EmlReport(best[0], wit, best_ratio[0], rwit, True, pairs)
+
+
+def plain_eml_exact(G, limit=14):
+    """Reference exact mixing: a bipartite graph goes to
+    plain_eml_exact_bipartite; otherwise S ranges over the proper subsets
+    of the vertices and T over the subsets of S's complement, with the
+    vertex measure and half the cut."""
+    if G.sides is not None:
+        return plain_eml_exact_bipartite(G, limit)
+    verts = list(G.vertices)
+    n = len(verts)
+    if n > limit:
+        raise TooLargeForExact(f"{n} vertices exceed the exact limit {limit}")
+    vmass = G.vertex_measures()
+    W = np.zeros((n, n))
+    iu, iv = G.ends
+    W[iu, iv] = G.weights
+    W[iv, iu] = G.weights
+    best = (-1.0, None, None)
+    best_ratio = (-1.0, None, None)
+    pairs = 0
+    for smask in range(1, (1 << n) - 1):
+        srows = [i for i in range(n) if smask >> i & 1]
+        comp = [i for i in range(n) if not smask >> i & 1]
+        nu_s = vmass[srows].sum()
+        cut = 0.5 * _subset_sums(W[np.ix_(srows, comp)].sum(axis=0))
+        t_sums = _subset_sums(vmass[comp])
+        alpha, ratio = _pair_scores(cut[1:], nu_s, t_sums[1:])
+        pairs += len(alpha)
+        i = int(np.argmax(alpha))
+        if alpha[i] > best[0]:
+            best = (float(alpha[i]), smask, (comp, i + 1))
+        j = int(np.argmax(ratio))
+        if ratio[j] > best_ratio[0]:
+            best_ratio = (float(ratio[j]), smask, (comp, j + 1))
+
+    def decode(entry):
+        smask, (comp, tmask) = entry
+        s = _plain_mask_vertices(smask, verts)
+        t = tuple(verts[comp[i]] for i in range(len(comp)) if tmask >> i & 1)
+        return s, t
+
+    return EmlReport(
+        best[0], decode(best[1:]), best_ratio[0], decode(best_ratio[1:]), True, pairs
+    )
+
+
+def plain_eml_sampled(G, samples, rng):
+    """Reference sampled mixing: each draw puts every pool vertex in S, then
+    in T, with probability 1/2, drawn in two branches, one per graph kind."""
+    rng = np.random.default_rng(rng)
+    best = (-1.0, ((), ()))
+    best_ratio = (-1.0, ((), ()))
+    n, (u, v) = G.n, G.ends
+    mass = G.vertex_measures()
+    if G.sides is not None:
+        mass = 2.0 * mass  # the side measures
+        left, right = np.flatnonzero(G._left), np.flatnonzero(~G._left)
+    for _ in range(samples):
+        in_s, in_t = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+        if G.sides is not None:
+            in_s[left] = [rng.random() < 0.5 for _ in left]
+            in_t[right] = [rng.random() < 0.5 for _ in right]
+        else:
+            in_s[:] = [rng.random() < 0.5 for _ in range(n)]
+            in_t[:] = [not x and rng.random() < 0.5 for x in in_s]
+        if not in_s.any() or not in_t.any():
+            continue
+        nu_s, nu_t = (float(np.cumsum(mass[m])[-1]) for m in (in_s, in_t))
+        cross = (in_s[u] & in_t[v]) | (in_s[v] & in_t[u])
+        cut = float(np.cumsum(G.weights[cross])[-1]) if cross.any() else 0.0
+        if G.sides is None:
+            cut *= 0.5
+        diff = abs(cut - nu_s * nu_t)
+        alpha = diff / math.sqrt(nu_s * nu_t)
+        if alpha > best[0]:
+            best = (alpha, (in_s, in_t))
+        denom = nu_s * nu_t * (1 - nu_s) * (1 - nu_t)
+        if denom > 0:
+            ratio = diff / math.sqrt(denom)
+            if ratio > best_ratio[0]:
+                best_ratio = (ratio, (in_s, in_t))
+
+    def decode(masks):
+        return tuple(tuple(itertools.compress(G.vertices, m)) for m in masks)
+
+    return EmlReport(best[0], decode(best[1]), best_ratio[0], decode(best_ratio[1]),
+                     False, samples)

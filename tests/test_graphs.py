@@ -54,6 +54,20 @@ class TestFromArraysSides:
                 WGraph(edges, sides=sides)
             assert str(exc.value) == message
 
+    @pytest.mark.parametrize("w", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_weight_raises(self, w):
+        with pytest.raises(ValueError, match=r"edge \(0, 1\) has non-finite weight"):
+            WGraph([(0, 1, w), (1, 2, 1.0)])
+
+    def test_sides_are_built_on_read_from_the_left_mask(self):
+        G = WGraph([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)], sides=({0, 2}, {1, 3}))
+        assert np.array_equal(G._left, [True, False, True, False])
+        assert G.sides == (frozenset({0, 2}), frozenset({1, 3}))
+        assert G.sides is not G.sides
+        assert WGraph([(0, 1, 1.0)]).sides is None
+        with pytest.raises(AttributeError):
+            G.sides = None
+
     def test_no_edges_is_empty_graph(self):
         with pytest.raises(EmptyGraph):
             WGraph.from_arrays((), np.zeros((2, 0), dtype=np.intp), np.zeros(0))

@@ -516,6 +516,14 @@ class TestErrors:
         assert rep.exit_code == EXIT_INPUT
         assert key in rep.stages[-1]["result"]["message"]
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_non_finite_sparsify_weight_is_input_error(self, weight):
+        edges = [[0, 1, weight], [1, 2, 1.0], [0, 2, 1.0]]
+        params = {"graph": {"edges": edges}, "trials": 2}
+        rep = run_experiment({"kind": "sparsify", "params": params, "seed": 0})
+        assert (rep.status, rep.exit_code) == ("input_error", EXIT_INPUT)
+        assert "non-finite weight" in rep.stages[-1]["result"]["message"]
+
     @pytest.mark.parametrize(
         "key, value",
         [("p_split", "x"), ("trials", "x"), ("split_factor", "x"), ("p_edge", None)],
@@ -821,6 +829,18 @@ class TestCli:
         assert code == 4
         report = json.loads((tmp_path / "report.json").read_text())
         assert "loop edge" in report["stages"][-1]["result"]["message"]
+
+    @pytest.mark.parametrize("weight", ["NaN", "Infinity", "-Infinity"])
+    def test_eml_non_finite_weight_exit_code(self, capsys, weight):
+        graph = f'{{"edges": [[0, 1, {weight}], [1, 2, 1.0], [0, 2, 1.0]]}}'
+        assert main(["eml", "--graph", graph]) == 4
+        assert "non-finite weight" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lam", ["-1", "nan"])
+    def test_verify_hdx_bad_lambda_exit_code(self, capsys, lam):
+        k6 = json.dumps({"kind": "complete", "n": 6, "dim": 2})
+        assert main(["verify-hdx", "--complex", k6, "--lambda", lam]) == 4
+        assert f"lambda must be a number >= 0, got {float(lam)}" in capsys.readouterr().err
 
     def test_mode_choices_are_the_prune_modes(self):
         for command in ("prune", "cover-family"):

@@ -20,6 +20,7 @@ UNREACHED = {
     "pruning.Sampler.eval_event": "perfbench/selftest.py replays the loop event by event",
     "pruning.Pruner.eval_ec": "reached through Sampler.eval_event in perfbench/selftest.py",
     "complexes.PureComplex.face_measure": "a traced span of perfbench/tracing.py",
+    "graphs.WGraph.sides": "perfbench/tracing.py's bipartite_lambda hook reads the side sizes",
     # error paths and reprs
     "errors.WitnessedError.__init__": "raised only as NotACocycle, NotPure or "
                                       "Unmeasurable, on inputs no run has",
@@ -28,7 +29,6 @@ UNREACHED = {
     "groups.GroupTable.__repr__": "repr",
     "harness._jsonify": "serializes numpy values a library caller puts in a spec; "
                         "JSON specs hold none",
-    "spectral._eml_exact_bipartite": "bipartite mixing; no graph spec declares sides",
 }
 
 K30 = json.dumps({"kind": "complete", "n": 30, "dim": 2})

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from helpers import (
     plain_edge_subsample,
     plain_near_uniform_r,
     plain_one_trial,
+    plain_split_vertex_sets,
     random_wgraph,
     vertex_masses,
 )
@@ -32,32 +34,34 @@ class TestSplit:
         rng = np.random.default_rng(0)
         hits_a = hits_b = 0
         for _ in range(trials):
-            a, b = split_vertex_sets(range(n), p, rng)
-            hits_a += 0 in a
-            hits_b += 0 in b
+            in_a, in_b = split_vertex_sets(n, p, rng)
+            hits_a += in_a[0]
+            hits_b += in_b[0]
         sigma = math.sqrt(trials * p * (1 - p))
         assert abs(hits_a - trials * p) <= 3 * sigma
         assert abs(hits_b - trials * p) <= 3 * sigma
 
     def test_sides_disjoint(self):
-        a, b = split_vertex_sets(range(50), 0.4, 1)
-        assert not a & b
+        in_a, in_b = split_vertex_sets(50, 0.4, 1)
+        assert in_a.shape == in_b.shape == (50,)
+        assert not (in_a & in_b).any()
 
     def test_seeded_reproducible(self):
         G = complete_graph(40)
         s1 = bipartite_vertex_split(G, 0.3, 5)
         s2 = bipartite_vertex_split(G, 0.3, 5)
-        assert s1.a == s2.a and s1.b == s2.b
+        assert np.array_equal(s1.in_a, s2.in_a) and np.array_equal(s1.in_b, s2.in_b)
+        _same_graph(s1.graph, s2.graph)
 
     def test_expected_size_small_p(self):
         # p = 0.01 on n = 100 gives one expected pick per side
         rng = np.random.default_rng(2)
-        sizes = [len(split_vertex_sets(range(100), 0.01, rng)[0]) for _ in range(2000)]
+        sizes = [split_vertex_sets(100, 0.01, rng)[0].sum() for _ in range(2000)]
         assert np.mean(sizes) == pytest.approx(1.0, abs=0.15)
 
     def test_invalid_p(self):
         with pytest.raises(ValueError):
-            split_vertex_sets(range(10), 0.7, 0)
+            split_vertex_sets(10, 0.7, 0)
 
     def test_empty_side_raises(self):
         # tiny p on a tiny graph virtually always leaves a side empty
@@ -69,8 +73,9 @@ class TestSplit:
     def test_split_graph_is_bipartite_cross(self):
         G = complete_graph(30)
         s = bipartite_vertex_split(G, 0.3, 3)
+        in_a = dict(zip(G.vertices, s.in_a))
         for u, v in s.graph.edges:
-            assert (u in s.a) != (v in s.a)
+            assert in_a[u] != in_a[v]
 
 
 class TestEdgeSubsample:
@@ -172,6 +177,12 @@ def _same_graph(g, h):
     assert g.sides == h.sides
 
 
+def _labels(G, sample):
+    """The sides of a SplitSample as label sets, as the reference keeps them."""
+    return tuple(frozenset(itertools.compress(G.vertices, m))
+                 for m in (sample.in_a, sample.in_b))
+
+
 def _outcome(fn, *args):
     """fn(*args), or the type and message of the EmptySide/EmptyResult raised."""
     try:
@@ -190,14 +201,21 @@ class TestArrayPathMatchesPlain:
         for seed in range(6):
             s = bipartite_vertex_split(G, 0.3, seed)
             ref = plain_bipartite_vertex_split(G, 0.3, seed)
-            assert (s.a, s.b) == (ref.a, ref.b)
+            assert _labels(G, s) == (ref.a, ref.b)
             _same_graph(s.graph, ref.graph)
-            assert s.cross_mass == ref.cross_mass
             sub = edge_subsample(s.graph, 0.5, seed + 100)
             plain = plain_edge_subsample(ref.graph, 0.5, seed + 100)
             _same_graph(sub.graph, plain.graph)
             assert (sub.kept_edges, sub.dropped_vertices) == (
                 plain.kept_edges, plain.dropped_vertices)
+
+    @pytest.mark.parametrize("p", [0.05, 0.3, 0.45])
+    def test_split_masks_match_label_sets(self, p):
+        for seed in range(20):
+            in_a, in_b = split_vertex_sets(37, p, seed)
+            a, b = plain_split_vertex_sets(range(37), p, seed)
+            assert set(np.flatnonzero(in_a).tolist()) == a
+            assert set(np.flatnonzero(in_b).tolist()) == b
 
     @pytest.mark.parametrize("name", sorted(DIFF_GRAPHS))
     def test_trial_report(self, name, monkeypatch):
@@ -222,8 +240,9 @@ class TestArrayPathMatchesPlain:
                 s = bipartite_vertex_split(G, p, seed)
             except EmptySide:
                 continue
-            ordered = [sum(nu[v] for v in sorted(x)) for x in (s.a, s.b)]
-            in_set = [sum(nu[v] for v in x) for x in (s.a, s.b)]
+            sides = _labels(G, s)
+            ordered = [sum(nu[v] for v in sorted(x)) for x in sides]
+            in_set = [sum(nu[v] for v in x) for x in sides]
             if ordered == in_set:
                 continue
             eps = max(abs(m - p) for m in ordered) / p
@@ -248,7 +267,7 @@ class TestArrayPathMatchesPlain:
                     assert fast == ref
                     kinds.add(ref[1])
                 else:
-                    assert (fast.a, fast.b) == (ref.a, ref.b)
+                    assert _labels(G, fast) == (ref.a, ref.b)
         tri = complete_graph(3)
         for seed in range(40):
             fast = _outcome(edge_subsample, tri, 0.05, seed)

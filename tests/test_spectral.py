@@ -52,6 +52,8 @@ from helpers import (
     per_face_link_skeleton,
     plain_check_suitable,
     plain_cover_link_gap,
+    plain_eml_exact,
+    plain_eml_sampled,
     plain_is_hdx,
     power_iteration_spectrum,
     random_bipartite_wgraph,
@@ -205,6 +207,14 @@ class TestIsHdx:
         assert not rep.passes
         assert rep.worst_value == pytest.approx(1.0, abs=1e-9)
         assert rep.worst_face == (1,)
+
+    @pytest.mark.parametrize("lam", [-1.0, -1e-12, float("nan")])
+    def test_negative_or_nan_lambda_is_bad_parameter(self, lam):
+        with pytest.raises(BadParameter, match="lambda must be a number >= 0"):
+            is_hdx(complete_complex(6, 2), lam)
+
+    def test_zero_lambda_is_a_threshold(self):
+        assert not is_hdx(complete_complex(6, 2), 0.0).passes
 
     def test_rows_match_recomputation(self):
         X = complete_complex(6, 2)
@@ -428,6 +438,65 @@ class TestEml:
         assert abs(cut - nu_s * nu_t) / math.sqrt(nu_s * nu_t) == pytest.approx(
             rep.alpha, abs=1e-12
         )
+
+
+def _relabeled(G, rng, strings):
+    """G with its vertices renamed by a seeded shuffle, to strings or ints,
+    so that neither side is a prefix of the vertex order."""
+    names = rng.permutation(3 * G.n)[:G.n].tolist()
+    name = {v: f"v{x}" if strings else x for v, x in zip(G.vertices, names)}
+    sides = G.sides and tuple({name[v] for v in side} for side in G.sides)
+    return WGraph([(name[u], name[v], w) for (u, v), w in zip(G.edges, G.weights)],
+                  sides=sides)
+
+
+def _mixing_graphs(seed):
+    rng = np.random.default_rng(seed)
+    general = random_wgraph(rng, int(rng.integers(3, 10)), p=0.6)
+    bip = random_bipartite_wgraph(rng, int(rng.integers(1, 6)), int(rng.integers(1, 6)))
+    return {
+        "general": general,
+        "bipartite": _relabeled(bip, rng, strings=False),
+        "strings": _relabeled(general, rng, strings=True),
+        "bipartite-strings": _relabeled(bip, rng, strings=True),
+    }
+
+
+class TestMixingMatchesPlain:
+    """One exact and one sampled routine over two vertex pools give the
+    reports of the references with a separate bipartite enumerator and two
+    draw branches bit for bit: alpha, eml_ratio, both witnesses, pairs."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_exact(self, seed):
+        for name, G in _mixing_graphs(seed).items():
+            rep, ref = eml_discrepancy(G, "exact"), plain_eml_exact(G)
+            assert rep == ref, name
+            assert repr(rep) == repr(ref)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_sampled(self, seed):
+        for name, G in _mixing_graphs(seed).items():
+            rep = eml_discrepancy(G, "sampled", samples=60, rng=seed)
+            assert rep == plain_eml_sampled(G, 60, seed), name
+            assert repr(rep) == repr(plain_eml_sampled(G, 60, seed))
+
+    def test_bipartite_witnesses_cross_the_sides(self):
+        G = _mixing_graphs(0)["bipartite-strings"]
+        left, right = G.sides
+        for rep in (eml_discrepancy(G, "exact"), eml_discrepancy(G, "sampled", rng=1)):
+            for s, t in (rep.witness, rep.eml_witness):
+                assert s and t and set(s) <= left and set(t) <= right
+
+    @pytest.mark.parametrize("G, message", [
+        (complete_graph(6), "6 vertices exceed the exact limit 5"),
+        (complete_bipartite(3, 6), "sides 3x6 exceed the exact limit 5"),
+    ])
+    def test_too_large_messages(self, G, message):
+        with pytest.raises(TooLargeForExact, match=message):
+            eml_discrepancy(G, "exact", exact_limit=5)
+        with pytest.raises(TooLargeForExact, match=message):
+            plain_eml_exact(G, 5)
 
 
 class TestConverseEml:
