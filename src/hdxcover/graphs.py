@@ -65,7 +65,7 @@ class WGraph:
         if sides is None:
             self._set_sides(None)
             return
-        left, right = frozenset(sides[0]), frozenset(sides[1])
+        left, right = map(frozenset, sides)
         if left & right:
             raise NotBipartite("sides overlap")
         # side members that are no edge endpoint drop out
@@ -141,14 +141,15 @@ class WGraph:
         return self._edges
 
     def edge_subgraph(self, keep, sides=None):
-        """The graph on the edge columns where the bool mask ``keep`` holds,
+        """The graph on the edge columns of the ascending index ``keep``,
         weights renormalized; vertices left without an edge drop out.
 
         ``sides`` is a pair of bool masks over this graph's vertex positions
         declaring a bipartition of the result; by default this graph's own.
         """
         ends = self.ends[:, keep]
-        present = np.bincount(ends.ravel(), minlength=self.n) > 0
+        present = np.zeros(self.n, dtype=bool)
+        present[ends] = True
         if sides is None and self._left is not None:
             sides = (self._left, ~self._left)
         if sides is not None:

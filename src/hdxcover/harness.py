@@ -185,7 +185,7 @@ def load_graph_input(obj):
     if obj.get("kind") == "complete":
         return complete_graph(int(_field(obj, "n")))
     if obj.get("kind") == "edges" or "edges" in obj:
-        return WGraph([tuple(e) for e in _field(obj, "edges")])
+        return WGraph([tuple(e) for e in _field(obj, "edges")], obj.get("sides"))
     raise InputError(f"unrecognized graph object: {sorted(obj)}")
 
 

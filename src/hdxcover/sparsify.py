@@ -22,18 +22,22 @@ def split_vertex_sets(n, p, rng):
 
     Each vertex enters A independently with probability p; the remainder
     enter B with probability p/(1-p), so P(v in B) is exactly p as well.
+    The 2n uniforms are drawn in one call and read in order: one for each
+    vertex, and the next one for B only when the vertex missed A; the rest
+    go unread.
     """
     if not 0 < p < 0.5:
         raise ValueError("need 0 < p < 1/2")
-    rng = np.random.default_rng(rng)
-    in_a, in_b = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    draws = np.random.default_rng(rng).random(2 * n).tolist()
     q = p / (1.0 - p)
+    side, k = [0] * n, 0  # 1 in A, 2 in B
     for i in range(n):
-        if rng.random() < p:
-            in_a[i] = True
-        elif rng.random() < q:
-            in_b[i] = True
-    return in_a, in_b
+        if draws[k] < p:
+            side[i], k = 1, k + 1
+        else:
+            side[i], k = 2 * (draws[k + 1] < q), k + 2
+    side = np.array(side)
+    return side == 1, side == 2
 
 
 @dataclass(frozen=True)
@@ -41,7 +45,7 @@ class SplitSample:
     graph: WGraph  # bipartite, renormalized cross-edge measure
     in_a: np.ndarray = field(repr=False, compare=False)  # over G's vertex positions
     in_b: np.ndarray = field(repr=False, compare=False)
-    cross: np.ndarray = field(repr=False, compare=False)  # over G's edge columns
+    cross: np.ndarray = field(repr=False, compare=False)  # G's crossing edge columns
 
 
 def bipartite_vertex_split(G, p, rng):
@@ -49,9 +53,11 @@ def bipartite_vertex_split(G, p, rng):
     in_a, in_b = split_vertex_sets(G.n, p, rng)
     if not in_a.any() or not in_b.any():
         raise EmptySide("a side came out empty")
+    # side code 1 on A and 2 on B: an edge crosses where its ends' codes sum to 3
+    code = in_a + 2 * in_b.astype(np.int8)
     u, v = G.ends
-    cross = (in_a[u] & in_b[v]) | (in_b[u] & in_a[v])
-    if not cross.any():
+    cross = np.flatnonzero(code[u] + code[v] == 3)
+    if not len(cross):
         raise EmptySide("no edge crosses the sampled sides")
     graph = G.edge_subgraph(cross, sides=(in_a, in_b))
     return SplitSample(graph, in_a, in_b, cross)
@@ -69,11 +75,11 @@ def edge_subsample(H, p, rng):
     if not 0 < p <= 1:
         raise ValueError("need 0 < p <= 1")
     rng = np.random.default_rng(rng)
-    keep = rng.random(H.m) < p
-    if not keep.any():
+    keep = np.flatnonzero(rng.random(H.m) < p)
+    if not len(keep):
         raise EmptyResult("no edge survived the subsample")
     graph = H.edge_subgraph(keep)
-    return SubsampleResult(graph, int(np.count_nonzero(keep)), H.n - graph.n)
+    return SubsampleResult(graph, len(keep), H.n - graph.n)
 
 
 @dataclass
@@ -106,7 +112,8 @@ def near_uniform_r(G):
     return max(1.0, edge.max(), (1.0 / edge).max(), vertex.max(), (1.0 / vertex).max())
 
 
-def _one_trial(G, p_split, p_edge, eps, seed_pair):
+def _one_trial(G, vm, p_split, p_edge, eps, seed_pair):
+    """Both lambdas and mass checks of one draw, or None; vm is G's vertex measures."""
     try:
         sample = bipartite_vertex_split(G, p_split, int(seed_pair[0]))
         sub = edge_subsample(sample.graph, p_edge, int(seed_pair[1]))
@@ -116,19 +123,14 @@ def _one_trial(G, p_split, p_edge, eps, seed_pair):
     lam_edge = float(bipartite_lambda(sub.graph))
 
     # summed vertex by vertex in vertex order, since the sums meet a threshold
-    vm = G.vertex_measures()
     mass_a, mass_b = (float(np.cumsum(vm[m])[-1]) for m in (sample.in_a, sample.in_b))
-    side_ok = (
-        abs(mass_a - p_split) <= eps * p_split
-        and abs(mass_b - p_split) <= eps * p_split
-    )
+    side_ok = all(abs(m - p_split) <= eps * p_split for m in (mass_a, mass_b))
     # mass from each A vertex into B, summed edge by edge in edge order
-    u, v = G.ends
-    a_end = np.where(sample.in_a[u], u, v)[sample.cross]
-    into_b = np.bincount(a_end, weights=G.weights[sample.cross], minlength=G.n)
-    total = 2.0 * vm
-    within = np.abs(into_b - p_split * total) < eps * p_split * total
-    vertex_ok = bool(within[sample.in_a].all())
+    u, v = G.ends[:, sample.cross]
+    a_end = np.where(sample.in_a[u], u, v)
+    into_b = np.bincount(a_end, weights=G.weights[sample.cross], minlength=G.n)[sample.in_a]
+    total = 2.0 * vm[sample.in_a]
+    vertex_ok = bool((np.abs(into_b - p_split * total) < eps * p_split * total).all())
     return lam_split, lam_edge, side_ok, vertex_ok
 
 
@@ -163,21 +165,18 @@ def sparsify_trial(
     min_degree = int(np.bincount(G.ends.ravel(), minlength=G.n).min())
     split_bound = split_factor / p_split**3 * lam_g
 
-    results = [
-        _one_trial(G, p_split, p_edge, eps, (seeds[2 * t], seeds[2 * t + 1]))
-        for t in range(trials)
-    ]
+    vm = G.vertex_measures()
+    kept = [r for r in (_one_trial(G, vm, p_split, p_edge, eps, seeds[2 * t:2 * t + 2])
+                        for t in range(trials)) if r is not None]
+    split_lambdas = [r[0] for r in kept]
+    edge_lambdas = [r[1] for r in kept]
 
-    split_lambdas = [r[0] for r in results if r is not None]
-    edge_lambdas = [r[1] for r in results if r is not None]
-    side_ok = sum(1 for r in results if r is not None and r[2])
-    vertex_ok = sum(1 for r in results if r is not None and r[3])
-    discarded = sum(1 for r in results if r is None)
+    def fraction(hits):
+        return sum(map(bool, hits)) / len(kept) if kept else 0.0
 
-    done = trials - discarded
     return TrialReport(
         trials=trials,
-        discarded=discarded,
+        discarded=trials - len(kept),
         p_split=p_split,
         p_edge=p_edge,
         lambda_g=float(lam_g),
@@ -187,13 +186,9 @@ def sparsify_trial(
         edge_threshold=edge_threshold,
         split_lambdas=split_lambdas,
         edge_lambdas=edge_lambdas,
-        split_ok_fraction=(
-            sum(1 for x in split_lambdas if x <= split_bound) / done if done else 0.0
-        ),
-        edge_ok_fraction=(
-            sum(1 for x in edge_lambdas if x <= edge_threshold) / done if done else 0.0
-        ),
-        side_mass_ok_fraction=side_ok / done if done else 0.0,
-        vertex_mass_ok_fraction=vertex_ok / done if done else 0.0,
+        split_ok_fraction=fraction(x <= split_bound for x in split_lambdas),
+        edge_ok_fraction=fraction(x <= edge_threshold for x in edge_lambdas),
+        side_mass_ok_fraction=fraction(r[2] for r in kept),
+        vertex_mass_ok_fraction=fraction(r[3] for r in kept),
         eps=eps,
     )

@@ -183,9 +183,11 @@ def is_hdx(X, lam, mode="two_sided", include_empty_face=True, visit=None):
     come from PureComplex.link_blocks and link_spectra; visit, if given,
     gets each block's level, its arrays and link_spectra's weights and
     vertex masses, so that check_suitable reads the same skeletons.  A
-    negative or NaN lam raises BadParameter."""
+    negative, NaN or infinite lam raises BadParameter."""
     if not lam >= 0:
         raise BadParameter(f"lambda must be a number >= 0, got {lam}")
+    if lam == math.inf:
+        raise BadParameter(f"lambda must be finite, got {lam}")
     lo = -1 if include_empty_face else 0
     if lo > X.dim - 2:
         raise BadLevel(f"a {X.dim}-complex has no link with edges at dimension {lo}")

@@ -1025,6 +1025,23 @@ def plain_edge_subsample(H, p, rng):
     )
 
 
+def mask_edge_subgraph(G, keep, sides=None):
+    """Reference subgraph on the columns where the bool mask keep holds:
+    present vertices found by counting endpoints, sides cut down to them."""
+    ends = G.ends[:, keep]
+    present = np.bincount(ends.ravel(), minlength=G.n) > 0
+    if sides is None and G._left is not None:
+        sides = (G._left, ~G._left)
+    if sides is not None:
+        sides = (sides[0][present], sides[1][present])
+    return WGraph.from_arrays(
+        tuple(itertools.compress(G.vertices, present)),
+        (np.cumsum(present) - 1)[ends],
+        G.weights[keep],
+        sides=sides,
+    )
+
+
 def plain_near_uniform_r(G):
     """Reference near-uniformity ratio, weight by weight."""
     r = 1.0

@@ -92,7 +92,7 @@ class TestLazyEdges:
 
     def test_edge_subgraph_keeps_sides_and_drops_isolated(self):
         G = WGraph([(0, 2, 1.0), (0, 3, 2.0), (1, 3, 3.0)], sides=({0, 1}, {2, 3}))
-        sub = G.edge_subgraph(np.array([True, False, True]))
+        sub = G.edge_subgraph(np.array([0, 2]))
         ref = WGraph([(0, 2, 1.0), (1, 3, 3.0)], sides=({0, 1}, {2, 3}))
         assert sub.vertices == ref.vertices
         assert sub.edges == ref.edges

@@ -836,11 +836,43 @@ class TestCli:
         assert main(["eml", "--graph", graph]) == 4
         assert "non-finite weight" in capsys.readouterr().err
 
+    def test_eml_graph_sides_mix_side_against_side(self, capsys):
+        # the path 0-1-2: as a general graph {0, 2} against {1} is a pair
+        # with discrepancy; as the bipartite graph with those sides it is
+        # complete bipartite and mixes perfectly
+        edges = [[0, 1, 1.0], [1, 2, 1.0]]
+        for sides, alpha in ((None, 0.5), ([[0, 2], [1]], 0.0)):
+            graph = {"edges": edges} if sides is None else {"edges": edges, "sides": sides}
+            assert main(["eml", "--graph", json.dumps(graph)]) == 0
+            assert json.loads(capsys.readouterr().out)["alpha"] == alpha
+        G = harness.load_graph_input(json.dumps({"edges": edges, "sides": [[0, 2], [1]]}))
+        assert G.sides == (frozenset({0, 2}), frozenset({1}))
+
+    @pytest.mark.parametrize("sides, message", [
+        ([[0, 2], [1, 2]], "sides overlap"),
+        ([[0, 1], [2]], "does not cross the partition"),
+        ([[0], [1]], "vertices outside both sides"),
+        ([[0, 2]], "bad parameter: not enough values to unpack"),
+        (5, "bad parameter"),
+    ])
+    def test_eml_bad_graph_sides_exit_code(self, capsys, sides, message):
+        graph = json.dumps({"edges": [[0, 1, 1.0], [1, 2, 1.0]], "sides": sides})
+        assert main(["eml", "--graph", graph]) == 4
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("lam", ["-1", "nan"])
     def test_verify_hdx_bad_lambda_exit_code(self, capsys, lam):
         k6 = json.dumps({"kind": "complete", "n": 6, "dim": 2})
         assert main(["verify-hdx", "--complex", k6, "--lambda", lam]) == 4
         assert f"lambda must be a number >= 0, got {float(lam)}" in capsys.readouterr().err
+
+    def test_verify_hdx_infinite_lambda_exit_code(self, capsys):
+        # an infinite threshold would pass any complex and print the
+        # non-JSON token Infinity
+        k6 = json.dumps({"kind": "complete", "n": 6, "dim": 2})
+        assert main(["verify-hdx", "--complex", k6, "--lambda", "inf"]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and "lambda must be finite, got inf" in err
 
     def test_mode_choices_are_the_prune_modes(self):
         for command in ("prune", "cover-family"):

@@ -7,6 +7,8 @@ apart from the entries of UNREACHED, each with its reason.
 """
 import ast
 import json
+import re
+import shutil
 import sys
 from pathlib import Path
 
@@ -40,6 +42,8 @@ Z5_TABLE = json.dumps({"kind": "table", "mul": [[(a + b) % 5 for b in range(5)]
 Z2_Z3 = json.dumps({"kind": "product", "factors": [{"kind": "cyclic", "n": 2},
                                                    {"kind": "cyclic", "n": 3}]})
 EDGES = json.dumps({"edges": [[0, 1, 1.0], [1, 2, 2.0], [2, 0, 1.0], [2, 3, 1.0]]})
+C4_SIDES = json.dumps({"edges": [[0, 1, 1.0], [1, 2, 2.0], [2, 3, 1.0], [0, 3, 3.0]],
+                       "sides": [[0, 2], [1, 3]]})
 
 
 def runs(tmp):
@@ -52,6 +56,7 @@ def runs(tmp):
         (["verify-hdx", "--complex", k7, "--lambda", "0.9"], EXIT_CLEAN),
         (["eml", "--graph", '{"kind": "complete", "n": 6}'], EXIT_CLEAN),
         (["eml", "--graph", EDGES, "--samples", "50"], EXIT_CLEAN),
+        (["eml", "--graph", C4_SIDES], EXIT_CLEAN),
         (["prune", "--complex", K30, "--group", Z5_TABLE, "--genset", "[1, 2, 3, 4]",
           "--seed", "2"], EXIT_CLEAN),
         (["prune", "--complex", K30, "--group", Z5, "--genset", "[1, 2, 3, 4]",
@@ -112,3 +117,26 @@ def test_every_function_is_reached(tmp_path, monkeypatch, capsys):
     missing, stale = sorted(unreached - set(UNREACHED)), sorted(set(UNREACHED) - unreached)
     assert not missing, f"functions no run reaches: {missing}"
     assert not stale, f"UNREACHED entries that a run reaches: {stale}"
+
+
+def _no_constant(token):
+    raise ValueError(f"{token} is no JSON value")
+
+
+def test_outputs_are_strict_json(tmp_path, monkeypatch, capsys):
+    """No run prints or writes NaN or Infinity: the JSON a command prints and
+    every JSON file it writes parse as strict JSON, and its other files hold
+    no nan or inf."""
+    monkeypatch.chdir(tmp_path)  # the pipelines write into ./out
+    for argv, want in runs(tmp_path):
+        shutil.rmtree("out", ignore_errors=True)
+        assert cli.main(argv) == want, argv
+        out = capsys.readouterr().out
+        if argv[0] in ("check-suitable", "verify-hdx", "eml"):
+            json.loads(out, parse_constant=_no_constant)
+        for path in sorted(tmp_path.rglob("*.*")):
+            text = path.read_text()
+            if path.suffix == ".json":
+                json.loads(text, parse_constant=_no_constant)
+            else:
+                assert not re.search(r"\b(nan|inf)\b", text, re.I), (argv, path.name)

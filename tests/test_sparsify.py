@@ -17,6 +17,8 @@ from hdxcover.sparsify import (
 from hdxcover.spectral import bipartite_lambda
 
 from helpers import (
+    incident,
+    mask_edge_subgraph,
     neighbors,
     plain_bipartite_vertex_split,
     plain_edge_subsample,
@@ -209,13 +211,33 @@ class TestArrayPathMatchesPlain:
             assert (sub.kept_edges, sub.dropped_vertices) == (
                 plain.kept_edges, plain.dropped_vertices)
 
-    @pytest.mark.parametrize("p", [0.05, 0.3, 0.45])
+    @pytest.mark.parametrize("p", [0.05, 0.3, 0.45, 0.4999])
     def test_split_masks_match_label_sets(self, p):
-        for seed in range(20):
-            in_a, in_b = split_vertex_sets(37, p, seed)
-            a, b = plain_split_vertex_sets(range(37), p, seed)
+        # the one array of 2n draws, walked, gives the sides of the scalar
+        # draw loop
+        for n, seed in itertools.product((1, 2, 37, 300), range(50)):
+            in_a, in_b = split_vertex_sets(n, p, seed)
+            a, b = plain_split_vertex_sets(range(n), p, seed)
             assert set(np.flatnonzero(in_a).tolist()) == a
             assert set(np.flatnonzero(in_b).tolist()) == b
+
+    @pytest.mark.parametrize("name", sorted(DIFF_GRAPHS))
+    def test_edge_subgraph_index_matches_mask(self, name):
+        # a graph without sides, given sides (part of a split's crossing
+        # edges) and sides inherited from the split graph
+        G = DIFF_GRAPHS[name]()
+        rng = np.random.default_rng(7)
+        for seed in range(6):
+            s = bipartite_vertex_split(G, 0.3, seed)
+            crossing = np.zeros(G.m, dtype=bool)
+            crossing[s.cross] = True
+            for H, sides, keep in (
+                (G, None, rng.random(G.m) < 0.4),
+                (G, (s.in_a, s.in_b), crossing & (rng.random(G.m) < 0.6)),
+                (s.graph, None, rng.random(s.graph.m) < 0.6),
+            ):
+                _same_graph(H.edge_subgraph(np.flatnonzero(keep), sides),
+                            mask_edge_subgraph(H, keep, sides))
 
     @pytest.mark.parametrize("name", sorted(DIFF_GRAPHS))
     def test_trial_report(self, name, monkeypatch):
@@ -224,7 +246,8 @@ class TestArrayPathMatchesPlain:
         fast = sparsify_trial(*args, eps=0.4).to_dict()
         assert fast["min_degree"] == min(len(neighbors(G, v)) for v in G.vertices)
         assert near_uniform_r(G) == plain_near_uniform_r(G)
-        monkeypatch.setattr(sparsify, "_one_trial", plain_one_trial)
+        monkeypatch.setattr(sparsify, "_one_trial",
+                            lambda G, vm, *rest: plain_one_trial(G, *rest))
         monkeypatch.setattr(sparsify, "near_uniform_r", plain_near_uniform_r)
         assert fast == sparsify_trial(*args, eps=0.4).to_dict()
 
@@ -233,7 +256,7 @@ class TestArrayPathMatchesPlain:
         # vertex measures.  With eps put at each draw's boundary, a side
         # mass summed in set order lands one ulp across it on some draws.
         G = random_wgraph(np.random.default_rng(0), 40, p=0.6)
-        nu = vertex_masses(G)
+        nu, vm = vertex_masses(G), G.vertex_measures()
         p, set_order_differs, checked_draws = 0.3, False, 0
         for seed in range(120):
             try:
@@ -248,10 +271,37 @@ class TestArrayPathMatchesPlain:
             eps = max(abs(m - p) for m in ordered) / p
             want = all(abs(m - p) <= eps * p for m in ordered)
             set_order_differs |= want != all(abs(m - p) <= eps * p for m in in_set)
-            assert sparsify._one_trial(G, p, 0.5, eps, (seed, seed))[2] == want
+            assert sparsify._one_trial(G, vm, p, 0.5, eps, (seed, seed))[2] == want
             assert plain_one_trial(G, p, 0.5, eps, (seed, seed))[2] == want
             checked_draws += 1
         assert checked_draws and set_order_differs
+
+    def test_vertex_masses_summed_in_edge_order(self):
+        # Uneven weights, with eps put within two ulps of the largest
+        # relative deviation of an A vertex's mass into B, where the strict
+        # check turns; a sum in reverse edge order lands across it on some
+        # draws.
+        G = random_wgraph(np.random.default_rng(0), 40, p=0.6)
+        nu, vm = vertex_masses(G), G.vertex_measures()
+        p, outcomes, order_differs = 0.3, set(), False
+        for seed in range(40):
+            try:
+                ref = plain_bipartite_vertex_split(G, p, seed)
+            except EmptySide:
+                continue
+            sums = []  # (into B in edge order, in reverse, 2 nu(v)) per A vertex
+            for v in ref.a:
+                into = [G.weights[i] for nbr, i in incident(G, v) if nbr in ref.b]
+                sums.append((sum(into), sum(reversed(into)), 2.0 * nu[v]))
+            dev = max(abs(x - p * t) / (p * t) for x, _, t in sums)
+            for k in range(-2, 3):
+                eps = dev * (1 + k * np.finfo(float).eps)
+                want = plain_one_trial(G, p, 0.5, eps, (seed, seed))[3]
+                assert sparsify._one_trial(G, vm, p, 0.5, eps, (seed, seed))[3] == want
+                outcomes.add(want)
+                reversed_ok = all(abs(r - p * t) < eps * p * t for _, r, t in sums)
+                order_differs |= reversed_ok != want
+        assert outcomes == {True, False} and order_differs
 
     def test_degenerate_draws_raise_alike(self):
         # K4 at p = 0.01 mostly leaves a side empty; two disjoint edges often

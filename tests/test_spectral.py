@@ -213,6 +213,10 @@ class TestIsHdx:
         with pytest.raises(BadParameter, match="lambda must be a number >= 0"):
             is_hdx(complete_complex(6, 2), lam)
 
+    def test_infinite_lambda_is_bad_parameter(self):
+        with pytest.raises(BadParameter, match="lambda must be finite, got inf"):
+            is_hdx(complete_complex(6, 2), math.inf)
+
     def test_zero_lambda_is_a_threshold(self):
         assert not is_hdx(complete_complex(6, 2), 0.0).passes
 
