@@ -69,6 +69,10 @@ class NonPositiveAlpha(HdxError):
     pass
 
 
+class MisScaled(HdxError):
+    """A normalized operator's top eigenvalue is not 1, or one leaves [-1, 1]."""
+
+
 # --- groups ---
 
 class TooLarge(HdxError):

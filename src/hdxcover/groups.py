@@ -59,19 +59,15 @@ class GroupTable:
         mul, n = self.mul_table, self.order
         if (mul[0] != np.arange(n)).any() or (mul[:, 0] != np.arange(n)).any():
             raise NotAGroup("element 0 is not a two-sided identity")
-        for row in mul:
-            if len(set(row.tolist())) != n:
-                raise NotAGroup("a row is not a permutation")
-        for col in mul.T:
-            if len(set(col.tolist())) != n:
-                raise NotAGroup("a column is not a permutation")
+        if (np.sort(mul, axis=1) != np.arange(n)).any():
+            raise NotAGroup("a row is not a permutation")
+        if (np.sort(mul, axis=0) != np.arange(n)[:, None]).any():
+            raise NotAGroup("a column is not a permutation")
         if n <= _FULL_ASSOC_LIMIT:
-            # (a*b)*c == a*(b*c), checked in chunks to bound memory
+            # (a*b)*c == a*(b*c), checked in chunks of a to bound memory
             for a0 in range(0, n, 64):
-                a1 = min(a0 + 64, n)
-                lhs = mul[mul[a0:a1], :]
-                rhs = mul[a0:a1][:, mul]
-                if (lhs != rhs).any():
+                rows = mul[a0:a0 + 64]
+                if (mul[rows] != rows[:, mul]).any():
                     raise NotAGroup("multiplication is not associative")
         else:
             rng = np.random.default_rng(0)
@@ -276,22 +272,26 @@ def _check_star_dim(d):
         raise BadLevel(f"d must be at least 2 to have links to score, got {d}")
 
 
+def _padded(sets, order):
+    """The sets as the rows of an int array, padded at the end with 0s, the
+    mask of their own entries, and their bool rows over the order elements."""
+    sizes = np.array([len(s) for s in sets], dtype=np.intp)
+    real = np.arange(sizes.max(initial=0)) < sizes[:, None]
+    S = np.zeros(real.shape, dtype=np.intp)
+    S[real] = list(itertools.chain.from_iterable(sets))
+    member = np.zeros((len(sets), order), dtype=bool)
+    member[np.nonzero(real)[0], S[real]] = True
+    return S, real, member
+
+
 def _star_cliques(group, sets, d):
     """The d-cliques of generators of each sorted set, whose tops with 0
     are the star of 0: an (n_sets, width) table of the sets, padded; for
     each clique its set and its d column positions, in lexicographic order
     per set; and per set the NotPure it is, with a witnessing edge, when
     some generator lies in no clique, or None."""
-    n_sets, width = len(sets), max(len(s) for s in sets)
-    sizes = [len(s) for s in sets]
-    rows = np.repeat(np.arange(n_sets), sizes)
-    cols = np.arange(len(rows)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    S = np.zeros((n_sets, width), dtype=np.intp)
-    S[rows, cols] = list(itertools.chain.from_iterable(sets))
-    real = np.zeros((n_sets, width), dtype=bool)
-    real[rows, cols] = True
-    member = np.zeros((n_sets, group.order), dtype=bool)
-    member[rows, S[rows, cols]] = True
+    S, real, member = _padded(sets, group.order)
+    n_sets, width = S.shape
     # adj[i, a, b]: the a-th element of set i times its b-th lies in set i
     steps = group.mul_table[group.inv_table[S][:, :, None], S[:, None, :]]
     adj = member[np.arange(n_sets)[:, None, None], steps]
@@ -395,6 +395,12 @@ class Quotient:
     subgroup: tuple
 
 
+def _conjugation_table(group):
+    """conj[g, x] = g x g^-1."""
+    mul = group.mul_table
+    return mul[mul, group.inv_table[:, None]]
+
+
 def _check_subgroup(group, elems):
     s = set(int(x) for x in elems)
     if 0 not in s:
@@ -412,8 +418,7 @@ def _outside_conjugates(group, sub):
     """(g, i) for each g and sub[i] whose conjugate g sub[i] g^-1 leaves sub."""
     inside = np.zeros(group.order, dtype=bool)
     inside[list(sub)] = True
-    mul = group.mul_table
-    return np.argwhere(~inside[mul[mul[:, sub], group.inv_table[:, None]]])
+    return np.argwhere(~inside[_conjugation_table(group)[:, sub]])
 
 
 def quotient_group(group, normal_elems):
@@ -440,8 +445,7 @@ def normal_subgroups(group, index_cap=None):
     of the normal closures of the classes it holds: start from the closure
     of each class and join with those closures until nothing new appears.
     """
-    mul = group.mul_table
-    conj = mul[mul, group.inv_table[:, None]]  # conj[g, x] = g x g^-1
+    conj = _conjugation_table(group)
     closures = {subgroup_closure(group, conj[:, x]) for x in group.elements}
     found, frontier = set(closures), list(closures)
     while frontier:
@@ -464,40 +468,29 @@ class GensetCandidate:
     gens: tuple
     worst_link_lambda: float
     meets_target: bool
+    orbit_size: int  # how many sets automorphism_table maps gens to
 
 
 def _inverse_pair_classes(group):
-    classes = []
-    seen = set()
-    for g in range(1, group.order):
-        if g in seen:
-            continue
-        gi = group.inv(g)
-        cls = (g,) if gi == g else (g, gi)
-        seen.update(cls)
-        classes.append(cls)
-    return classes
+    """The classes {g, g^-1} but the identity's, by least element."""
+    inv = group.inv_table.tolist()
+    return [(g,) if inv[g] == g else (g, inv[g]) for g in range(1, group.order) if g <= inv[g]]
 
 
-def _adds_mod_n(group):
-    """Whether the element ids multiply as addition mod the order, so that
-    multiplying ids by a unit mod n is an automorphism."""
-    idx = np.arange(group.order)
-    return bool(
-        np.array_equal(group.mul_table, (idx[:, None] + idx[None, :]) % group.order)
-    )
-
-
-def _cyclic_canonical(n, elems):
-    """Canonical form of a subset of Z/n under multiplication by units."""
-    best = None
-    for u in range(1, n):
-        if math.gcd(u, n) != 1:
-            continue
-        image = tuple(sorted((u * e) % n for e in elems))
-        if best is None or image < best:
-            best = image
-    return best
+def automorphism_table(group):
+    """Automorphisms of group as rows of element permutations, a group: the
+    inner ones, x -> g x g^-1, and for an abelian group the power maps
+    x -> x^u, u coprime to the order.  Not all of Aut(G), e.g. for D_n."""
+    mul, n = group.mul_table, group.order
+    if not np.array_equal(mul, mul.T):
+        return np.unique(_conjugation_table(group), axis=0)
+    x = np.arange(n)
+    rows, power = [], x
+    for u in range(1, n + 1):
+        if math.gcd(u, n) == 1:
+            rows.append(power)
+        power = mul[power, x]  # x^(u + 1)
+    return np.unique(rows, axis=0)
 
 
 def _class_combos(classes, max_size):
@@ -516,22 +509,36 @@ def _class_combos(classes, max_size):
 
 
 def _tie_stable(scored, eta_target):
-    """Candidates from (gens, score) pairs in score order.
+    """Candidates from (gens, score, orbit size) triples in score order.
 
     Scores chained within _TIE_TOL count as one value, reported as the
     least of them, and candidates of one value come in gens order, so that
     eigensolver rounding cannot pick the order or the best set.
     """
     keyed, prev = [], None
-    for gens, lam in sorted(scored, key=lambda t: t[1]):
+    for gens, lam, size in sorted(scored, key=lambda t: t[1]):
         if prev is None or lam - prev > _TIE_TOL:
             value = lam
-        keyed.append((value, gens))
+        keyed.append((value, gens, size))
         prev = lam
     return [
-        GensetCandidate(gens, value, eta_target is None or value <= eta_target)
-        for value, gens in sorted(keyed)
+        GensetCandidate(gens, value, eta_target is None or value <= eta_target, size)
+        for value, gens, size in sorted(keyed)
     ]
+
+
+def _orbit_forms(table, block):
+    """Each set's least sorted image under the rows of table, padded in
+    front with 0s, and its orbit size: the rows form a group, so those
+    taking a set to its least image are a coset of its stabilizer."""
+    S = _padded(block, table.shape[1])[0]
+    # 0 is fixed by every row, so each set's images keep its 0s in front
+    images = np.sort(table[:, S], axis=2)
+    least = np.ones(images.shape[:2], dtype=bool)
+    for col in np.moveaxis(images, 2, 0):
+        col = np.where(least, col, table.shape[1])
+        least &= col == col.min(axis=0)
+    return images[least.argmax(axis=0), np.arange(len(block))], len(table) // least.sum(axis=0)
 
 
 def _block_masks(group, block):
@@ -539,9 +546,7 @@ def _block_masks(group, block):
     and whether each element a of the set lies in a triangle {0, a, b} of
     its Cayley graph, that is a^-1 b in the set for some b in the set."""
     mul, inv = group.mul_table, group.inv_table
-    S = np.zeros((len(block), group.order), dtype=bool)
-    S[np.repeat(np.arange(len(block)), [len(e) for e in block]),
-      list(itertools.chain.from_iterable(block))] = True
+    S = _padded(block, group.order)[2]
     present = np.flatnonzero(S.any(axis=0))
     inside = S.copy()
     inside[:, 0] = True
@@ -561,54 +566,51 @@ def _block_masks(group, block):
     return inside, in_tri.all(axis=1)
 
 
-def scan_gensets(group, d, eta_target=None, max_size=8, dedupe=True, counts=None):
-    """Enumerate symmetric generating sets of group and score their Cayley
-    links.
+def scan_gensets(group, d, eta_target=None, max_size=8, counts=None):
+    """Enumerate symmetric generating sets of group and score their Cayley links.
 
     The score is the worst two-sided expansion over all proper links of
     the d-dimensional Cayley clique complex (the global skeleton is not
-    scored), read off the star of the identity.  Impure candidates are
-    skipped; candidates come back in _tie_stable order.  When the group's
-    element ids add mod n, candidates equivalent under multiplication by a
-    unit (an automorphism) are deduplicated.  A dict passed as counts gets
-    the candidates enumerated, not generating, duplicate, impure, scored.
+    scored), read off the star of the identity.  An automorphism relabels
+    the complex, so each orbit under automorphism_table is taken once, as
+    its least sorted image, the set scored and reported with its orbit
+    size; later members are duplicates.  Impure candidates are skipped;
+    candidates come back in _tie_stable order.  A dict passed as counts
+    gets the sets enumerated and duplicate, and the orbits not generating,
+    impure and scored.
 
-    Candidates go through in blocks of _SCAN_BLOCK: one fixpoint closes a
-    block's sets at once, its triangle test (_block_masks) is purity at
-    d = 2 and necessary for it at d >= 3, and one star_scores call scores
-    the sets that pass it, giving NotPure for those impure at d >= 3.
+    Candidates go through in blocks of _SCAN_BLOCK: one gather and sort
+    (_orbit_forms) gives their least images, one fixpoint closes the new
+    ones at once, its triangle test (_block_masks) is purity at d = 2 and
+    necessary for it at d >= 3, and one star_scores call scores the sets
+    that pass it, giving NotPure for those impure at d >= 3.
     """
     _check_star_dim(d)
-    tally = dict.fromkeys(("enumerated", "not_generating", "duplicate", "impure",
-                           "scored"), 0)
-    scored = []
-    seen_canon = set()
-    by_units = dedupe and _adds_mod_n(group)
+    tally = dict.fromkeys(("enumerated", "not_generating", "duplicate", "impure", "scored"), 0)
+    table = automorphism_table(group)
+    seen, scored = set(), []
     combos = _class_combos(_inverse_pair_classes(group), max_size)
     while block := list(itertools.islice(combos, _SCAN_BLOCK)):
-        inside, in_triangles = _block_masks(group, block)
-        generates = inside.all(axis=1).tolist()
-        survivors = []
-        for elems, gen, tri in zip(block, generates, in_triangles.tolist()):
-            tally["enumerated"] += 1
-            if not gen:
-                tally["not_generating"] += 1
-                continue
-            if by_units:
-                canon = _cyclic_canonical(group.order, elems)
-                if canon in seen_canon:
-                    tally["duplicate"] += 1
-                    continue
-                seen_canon.add(canon)
-            if not tri:
-                tally["impure"] += 1
-                continue
-            survivors.append(elems)
-        for elems, lam in zip(survivors, star_scores(group, survivors, d)):
+        forms, sizes = (a.tolist() for a in _orbit_forms(table, block))
+        fresh = {}  # each new least image and its orbit size
+        for elems, form, size in zip(block, forms, sizes):
+            form = tuple(form[len(form) - len(elems):])
+            if form not in seen:
+                fresh[form] = size
+        seen.update(fresh)
+        sets = list(fresh)
+        inside, in_triangles = _block_masks(group, sets)
+        generates = inside.all(axis=1)
+        passing = [sets[i] for i in np.flatnonzero(generates & in_triangles)]
+        tally["enumerated"] += len(block)
+        tally["duplicate"] += len(block) - len(sets)
+        tally["not_generating"] += len(sets) - int(generates.sum())
+        tally["impure"] += int(generates.sum()) - len(passing)
+        for elems, lam in zip(passing, star_scores(group, passing, d)):
             if isinstance(lam, NotPure):
                 tally["impure"] += 1
             else:
-                scored.append((elems, lam))
+                scored.append((elems, lam, fresh[elems]))
     tally["scored"] = len(scored)
     if counts is not None:
         counts.update(tally)

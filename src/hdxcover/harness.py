@@ -14,7 +14,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -206,7 +206,8 @@ _PRUNE = pruning_mod.PruneConfig
 _PRUNE_PARAMS = {
     "complex": INPUT, "group": INPUT, "genset": INPUT,
     "mode": "empirical",  # PruneConfig's own "formula" serves library callers
-    "lambda": 0.9, "r": _PRUNE.r, "c": _PRUNE.c, "eta": _PRUNE.eta,
+    "lambda": 0.9, "r": _PRUNE.r,
+    "c": 1.1, "eta": 0.3,  # only check_suitable reads these
     "max_resamples": _PRUNE.max_resamples,
 }
 # every params key of each pipeline and its default; any other key is a
@@ -251,11 +252,15 @@ def _prune_config(params):
     return pruning_mod.PruneConfig(
         lambda_target=float(get("lambda")),
         r=float(get("r")),
-        c=float(get("c")),
-        eta=float(get("eta")),
         mode=mode,
         max_resamples=_count("prune", params, "max_resamples"),
     )
+
+
+@_spec_config
+def _suitability_config(params):
+    """c and eta of a prune spec, which only check_suitable reads."""
+    return float(_param("prune", params, "c")), float(_param("prune", params, "eta"))
 
 
 @_spec_config
@@ -315,9 +320,10 @@ def _prune_stages(report, params, seed):
         group, _load_genset_input(_param("prune", params, "genset"))
     )
     config = _prune_config(params)
+    c, eta = _suitability_config(params)
 
     with timed(report, "suitability"):
-        suit = check_suitable(X, config.c, config.r, config.eta)
+        suit = check_suitable(X, c, config.r, eta)
     report.add_stage("suitability", suit.to_dict())
 
     report.add_stage(
@@ -557,21 +563,11 @@ def run_scan(report, params, seed):
         candidates = groups_mod.scan_gensets(
             group, dim, eta_target=eta, max_size=max_size, counts=counts
         )
-    report.add_stage(
-        "scan",
-        {
-            "group": group.name,
-            "counts": counts,
-            "candidates": [
-                {
-                    "gens": list(c.gens),
-                    "worst_link_lambda": c.worst_link_lambda,
-                    "meets_target": c.meets_target,
-                }
-                for c in candidates
-            ],
-        },
-    )
+    report.add_stage("scan", {
+        "group": group.name,
+        "counts": counts,
+        "candidates": [{**asdict(c), "gens": list(c.gens)} for c in candidates],
+    })
     report.lambda_series = sorted(c.worst_link_lambda for c in candidates)
     if candidates:
         # the one full-complex check of the star score

@@ -54,8 +54,6 @@ class PruneConfig:
 
     lambda_target: float
     r: float = 1.5
-    c: float = 1.1
-    eta: float = 0.3
     mode: str = "formula"
     max_resamples: int = 10_000
 

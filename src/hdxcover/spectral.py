@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadLevel, BadParameter, NonPositiveAlpha, NotBipartite, TooLargeForExact
+from .errors import (BadLevel, BadParameter, MisScaled, NonPositiveAlpha, NotBipartite,
+                     TooLargeForExact)
 
 TOL = 1e-9
 
@@ -58,9 +59,9 @@ def _checked_spectra(M):
     eigs = np.linalg.eigvalsh(M)[..., ::-1]
     bad = np.abs(eigs[..., 0] - 1.0) > 1e-8
     if bad.any():
-        raise AssertionError(f"top eigenvalue {eigs[..., 0][bad][0]} != 1")
+        raise MisScaled(f"top eigenvalue {eigs[..., 0][bad][0]} != 1")
     if (np.abs(eigs) > 1.0 + 1e-8).any():
-        raise AssertionError("eigenvalue outside [-1, 1]")
+        raise MisScaled("eigenvalue outside [-1, 1]")
     return np.clip(eigs, -1.0, 1.0)
 
 
@@ -353,21 +354,18 @@ def _eml_sampled(G, samples, rng):
         nu_s, nu_t = (float(np.cumsum(mass[m])[-1]) for m in (in_s, in_t))
         cross = (in_s[u] & in_t[v]) | (in_s[v] & in_t[u])
         cut = factor * float(np.cumsum(G.weights[cross])[-1]) if cross.any() else 0.0
-        diff = abs(cut - nu_s * nu_t)
-        alpha = diff / math.sqrt(nu_s * nu_t)
+        alpha, ratio = map(float, _pair_scores(np.float64(cut), nu_s, nu_t))
         if alpha > best[0]:
             best = (alpha, (in_s, in_t))
-        denom = nu_s * nu_t * (1 - nu_s) * (1 - nu_t)
-        if denom > 0:
-            ratio = diff / math.sqrt(denom)
-            if ratio > best_ratio[0]:
-                best_ratio = (ratio, (in_s, in_t))
+        if ratio > best_ratio[0]:
+            best_ratio = (ratio, (in_s, in_t))
 
     def decode(masks):
         return tuple(tuple(itertools.compress(G.vertices, m)) for m in masks)
 
-    return EmlReport(best[0], decode(best[1]), best_ratio[0], decode(best_ratio[1]),
-                     False, samples)
+    # with no draw giving both sides a vertex, 0.0 and an empty witness
+    return EmlReport(max(best[0], 0.0), decode(best[1]), max(best_ratio[0], 0.0),
+                     decode(best_ratio[1]), False, samples)
 
 
 def converse_eml_bound(alpha):

@@ -1176,28 +1176,55 @@ def plain_identity_star_lambda(group, gens, d):
     )
 
 
-def plain_scan_gensets(group, d, eta_target=None, max_size=8, dedupe=True, counts=None):
-    """Reference scan: the per-candidate loop, one plain closure and one
-    plain_identity_star_lambda call per candidate, in scan_gensets' order."""
+def plain_automorphism_rows(group):
+    """Reference automorphism table, as a set of tuples: each conjugation
+    x -> g x g^-1 one element at a time, and for an abelian group each
+    power map x -> x^u, u coprime to the order, by repeated products."""
+    n = group.order
+    if not is_abelian(group):
+        return {tuple(group.mul(group.mul(g, x), group.inv(g)) for x in range(n))
+                for g in range(n)}
+    rows = set()
+    for u in range(1, n + 1):
+        if math.gcd(u, n) == 1:
+            row = []
+            for x in range(n):
+                p = 0
+                for _ in range(u):
+                    p = group.mul(p, x)
+                row.append(p)
+            rows.add(tuple(row))
+    return rows
+
+
+def plain_orbit(table, elems):
+    """The sorted images of a set under each row of an automorphism table."""
+    return {tuple(sorted(int(row[e]) for e in elems)) for row in table}
+
+
+def plain_scan_gensets(group, d, eta_target=None, max_size=8, counts=None):
+    """Reference scan: the per-candidate loop, one plain minimum over the
+    automorphism table's rows, one plain closure and one
+    plain_identity_star_lambda call per orbit, in scan_gensets' order."""
     tally = dict.fromkeys(("enumerated", "not_generating", "duplicate", "impure",
                            "scored"), 0)
     scored = []
-    seen_canon = set()
-    by_units = dedupe and groups_mod._adds_mod_n(group)
+    seen = set()
+    table = groups_mod.automorphism_table(group)
     classes = groups_mod._inverse_pair_classes(group)
     for elems in groups_mod._class_combos(classes, max_size):
         tally["enumerated"] += 1
-        if len(plain_subgroup_closure(group, elems)) != group.order:
+        orbit = plain_orbit(table, elems)
+        form = min(orbit)
+        if form in seen:
+            tally["duplicate"] += 1
+            continue
+        seen.add(form)
+        if len(plain_subgroup_closure(group, form)) != group.order:
             tally["not_generating"] += 1
             continue
-        if by_units:
-            canon = groups_mod._cyclic_canonical(group.order, elems)
-            if canon in seen_canon:
-                tally["duplicate"] += 1
-                continue
-            seen_canon.add(canon)
         try:
-            scored.append((elems, plain_identity_star_lambda(group, elems, d)))
+            scored.append((form, plain_identity_star_lambda(group, form, d), len(orbit)))
         except NotPure:
             tally["impure"] += 1
     tally["scored"] = len(scored)
@@ -1463,10 +1490,11 @@ def plain_eml_sampled(G, samples, rng):
         if alpha > best[0]:
             best = (alpha, (in_s, in_t))
         denom = nu_s * nu_t * (1 - nu_s) * (1 - nu_t)
-        if denom > 0:
-            ratio = diff / math.sqrt(denom)
-            if ratio > best_ratio[0]:
-                best_ratio = (ratio, (in_s, in_t))
+        ratio = diff / math.sqrt(denom) if denom > 0 else 0.0  # as the exact scan
+        if ratio > best_ratio[0]:
+            best_ratio = (ratio, (in_s, in_t))
+    if best[0] < 0:  # no draw gave both sides a vertex
+        best = best_ratio = (0.0, ((), ()))
 
     def decode(masks):
         return tuple(tuple(itertools.compress(G.vertices, m)) for m in masks)

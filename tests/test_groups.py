@@ -30,10 +30,12 @@ from hdxcover.groups import (
 
 from helpers import (
     is_abelian,
+    plain_automorphism_rows,
     plain_class_combos,
     plain_identity_cliques,
     plain_identity_star_lambda,
     plain_normal_subgroups,
+    plain_orbit,
     plain_quotient_group,
     plain_scan_gensets,
     plain_score_genset,
@@ -238,10 +240,17 @@ class TestQuotient:
         assert sorted(len(s) for s in subs) == [1, 3, 6]
 
 
+STAR_GROUPS = [
+    cyclic(13), dihedral(5), symmetric_group(4), product_group(cyclic(3), cyclic(4))
+]
+
+
 class TestScan:
     def test_z13_has_candidates(self):
         out = scan_gensets(cyclic(13), 2, max_size=6)
-        assert out
+        # the sets the scan kept when it took unit multiples of Z13 ids as one
+        assert [c.gens for c in out] == [(1, 2, 3, 10, 11, 12), (1, 2, 4, 9, 11, 12),
+                                         (1, 2, 11, 12), (1, 3, 4, 9, 10, 12)]
         assert all(c.worst_link_lambda >= 0 for c in out)
         assert out == sorted(out, key=lambda c: c.worst_link_lambda)
 
@@ -254,19 +263,30 @@ class TestScan:
         rep = is_hdx(cc.complex, 1.0, include_empty_face=False)
         assert rep.worst_value == pytest.approx(best.worst_link_lambda, abs=1e-9)
 
-    @pytest.mark.parametrize(
-        "group", [product_group(cyclic(3), cyclic(4)), cyclic(13)], ids=lambda g: g.name
-    )
-    def test_dedupe_keeps_scores(self, group):
-        # Z3xZ4 is cyclic and has an element of order 12, but its element ids
-        # do not add mod 12, so multiplying ids by a unit is no automorphism
-        kept = [c.worst_link_lambda for c in scan_gensets(group, 2)]
-        full = [c.worst_link_lambda for c in scan_gensets(group, 2, dedupe=False)]
-        for a, b in ((kept, full), (full, kept)):
-            assert all(min(abs(x - y) for y in b) <= 1e-9 for x in a)
-        assert kept[0] == pytest.approx(full[0], abs=1e-9)
-        if group.name == "Z13":
-            assert len(kept) < len(full)
+    @pytest.mark.parametrize("group", STAR_GROUPS, ids=lambda g: g.name)
+    def test_orbit_keeps_scores(self, group):
+        # Z3xZ4 is cyclic, but its element ids do not add mod 12: its power
+        # maps, not multiplication of ids by units, are the automorphisms
+        table = groups.automorphism_table(group)
+        max_size = 6 if group.order == 24 else 8
+        sets = [e for e in _scan_combos(group, max_size)
+                if len(plain_subgroup_closure(group, e)) == group.order]
+        for d in (2, 3):
+            own = dict(zip(sets, star_scores(group, sets, d)))
+            forms = {}  # each pure orbit's least member and its size
+            for elems, lam in own.items():
+                orbit = plain_orbit(table, elems)
+                rep = own[min(orbit)]
+                if isinstance(lam, NotPure):
+                    assert isinstance(rep, NotPure)
+                else:
+                    assert abs(lam - rep) <= 1e-12
+                    forms[min(orbit)] = len(orbit)
+            out = scan_gensets(group, d, max_size=max_size)
+            assert {c.gens: c.orbit_size for c in out} == forms
+            pure = [lam for lam in own.values() if not isinstance(lam, NotPure)]
+            assert sum(forms.values()) == len(pure)
+            assert out[0].worst_link_lambda == pytest.approx(min(pure), abs=1e-12)
 
     def test_group_without_pure_candidates(self):
         assert scan_gensets(cyclic(2), 2) == []
@@ -333,9 +353,45 @@ class TestArrayPaths:
             assert _scan_combos(g, max_size) == list(plain_class_combos(classes, max_size))
 
 
-STAR_GROUPS = [
-    cyclic(13), dihedral(5), symmetric_group(4), product_group(cyclic(3), cyclic(4))
+TABLE_GROUPS = [
+    cyclic(1), cyclic(12), cyclic(13), dihedral(5), dihedral(6), symmetric_group(4),
+    product_group(cyclic(3), cyclic(4)), Z2_CUBE,
 ]
+
+
+class TestAutomorphismTable:
+    @pytest.mark.parametrize("group", TABLE_GROUPS, ids=lambda g: g.name)
+    def test_table_equals_plain_rows(self, group):
+        table = groups.automorphism_table(group)
+        rows = set(map(tuple, table.tolist()))
+        assert len(rows) == len(table) and rows == plain_automorphism_rows(group)
+        mul = group.mul_table
+        # each row is an automorphism, and the rows are closed under composition
+        assert (np.sort(table, axis=1) == np.arange(group.order)).all()
+        assert (table[:, mul] == mul[table[:, :, None], table[:, None, :]]).all()
+        assert {tuple(p[q]) for p in table for q in table} == rows
+
+    def test_sizes(self):
+        # inner automorphisms are G over its centre; an abelian group has
+        # one power map per unit class that acts differently
+        sizes = [len(groups.automorphism_table(g)) for g in TABLE_GROUPS]
+        assert sizes == [1, 4, 12, 10, 6, 24, 4, 1]
+
+    @pytest.mark.parametrize("n", [5, 12, 13])
+    def test_cyclic_power_maps_are_unit_multiplications(self, n):
+        x = np.arange(n)
+        units = {tuple(u * x % n) for u in range(1, n) if np.gcd(u, n) == 1}
+        assert set(map(tuple, groups.automorphism_table(cyclic(n)).tolist())) == units
+
+    @pytest.mark.parametrize("group", TABLE_GROUPS[1:], ids=lambda g: g.name)
+    def test_orbit_forms_equal_plain_minimum(self, group):
+        table = groups.automorphism_table(group)
+        block = _scan_combos(group, 6)
+        forms, sizes = groups._orbit_forms(table, block)
+        for elems, form, size in zip(block, forms.tolist(), sizes.tolist()):
+            orbit = plain_orbit(table, elems)
+            assert tuple(form[len(form) - len(elems):]) == min(orbit)
+            assert size == len(orbit)
 
 
 class TestStarScore:
@@ -354,8 +410,11 @@ class TestStarScore:
             else:
                 star = identity_star_lambda(group, elems, d)
                 assert abs(star - full[elems]) <= 1e-12
-        out = scan_gensets(group, d, max_size=max_size, dedupe=False)
-        assert {c.gens for c in out} == {e for e, lam in full.items() if lam is not None}
+        out = scan_gensets(group, d, max_size=max_size)
+        table = groups.automorphism_table(group)
+        pure = [e for e, lam in full.items() if lam is not None]
+        assert {c.gens for c in out} == {min(plain_orbit(table, e)) for e in pure}
+        assert sum(c.orbit_size for c in out) == len(pure)
         for c in out:
             assert abs(c.worst_link_lambda - full[c.gens]) <= 1e-12
 
@@ -413,9 +472,12 @@ class TestStarScore:
     def test_s4_counts(self):
         counts = {}
         out = scan_gensets(symmetric_group(4), counts=counts, **S4_SCAN)
-        assert counts == {"enumerated": 3258, "not_generating": 294, "duplicate": 0,
-                          "impure": 2724, "scored": 240}
-        assert len(out) == 240
+        assert counts == {"enumerated": 3258, "not_generating": 47, "duplicate": 3011,
+                          "impure": 184, "scored": 16}
+        assert len(out) == 16
+        assert sum(c.orbit_size for c in out) == 240
+        assert out[0].gens == (1, 2, 9, 11, 18, 19)
+        assert out[0].worst_link_lambda == pytest.approx(0.7953336454431277, abs=1e-9)
 
     def test_z13_counts_add_up(self):
         counts = {}
@@ -452,7 +514,7 @@ class TestStarScore:
 
         monkeypatch.setattr(groups, "star_scores", noisy_scores)
         noisy = scan_gensets(g, **S4_SCAN)
-        assert len(noised) == 240
+        assert len(noised) == 16
         assert [c.gens for c in noisy] == [c.gens for c in out]
 
 
@@ -471,11 +533,13 @@ class TestBlockScan:
     """The scan's block masks and the batched scan against the
     per-candidate references they replace."""
 
-    @pytest.mark.parametrize("dedupe", [True, False])
+    @pytest.mark.parametrize("small_blocks", [True, False])
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("group", STAR_GROUPS, ids=lambda g: g.name)
-    def test_scan_equals_per_candidate_loop(self, group, d, dedupe):
-        kw = dict(eta_target=0.9, max_size=6 if group.order == 24 else 8, dedupe=dedupe)
+    def test_scan_equals_per_candidate_loop(self, monkeypatch, group, d, small_blocks):
+        if small_blocks:  # orbits spread over blocks, and some blocks hold no new one
+            monkeypatch.setattr(groups, "_SCAN_BLOCK", 3)
+        kw = dict(eta_target=0.9, max_size=6 if group.order == 24 else 8)
         counts, plain_counts = {}, {}
         out = scan_gensets(group, d, counts=counts, **kw)
         # dataclass equality: the same gens, lambda bit for bit and meets_target
@@ -520,13 +584,14 @@ class TestBlockScan:
         monkeypatch.setattr(groups, "star_scores", counted)
         counts = {}
         out = scan_gensets(symmetric_group(4), 3, max_size=6, counts=counts)
-        assert counts == {"enumerated": 3258, "not_generating": 294, "duplicate": 0,
-                          "impure": 2940, "scored": 24}
-        assert len(out) == 24
-        # the 240 sets in triangles pass the array test; 216 of them are
+        assert counts == {"enumerated": 3258, "not_generating": 47, "duplicate": 3011,
+                          "impure": 196, "scored": 4}
+        assert len(out) == 4
+        assert sum(c.orbit_size for c in out) == 24
+        # the 16 orbits in triangles pass the array test; 12 of them are
         # impure at d = 3, which star_scores finds
-        assert len(scored) == 240
-        assert sum(isinstance(lam, NotPure) for lam in scored) == 216
+        assert len(scored) == 16
+        assert sum(isinstance(lam, NotPure) for lam in scored) == 12
 
     def test_scan_memory_is_bounded(self):
         g = symmetric_group(4)

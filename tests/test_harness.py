@@ -350,8 +350,10 @@ class TestScanPipeline:
         rep = run_experiment(spec)
         assert rep.exit_code == EXIT_CLEAN
         result = rep.stages[0]["result"]
-        assert result["counts"] == {"enumerated": 3258, "not_generating": 294,
-                                    "duplicate": 0, "impure": 2724, "scored": 240}
+        assert result["counts"] == {"enumerated": 3258, "not_generating": 47,
+                                    "duplicate": 3011, "impure": 184, "scored": 16}
+        assert sum(c["orbit_size"] for c in result["candidates"]) == 240
+        assert len(rep.lambda_series) == 16
         (audit,) = rep.audits
         detail = audit["detail"]
         best = result["candidates"][0]
@@ -434,6 +436,8 @@ class TestErrors:
             ("group", {"kind": "cyclic", "n": "x"}, "invalid literal"),
             ("c", 0.5, "need c > 1, r > 1, eta > 0"),
             ("eta", 0.0, "need c > 1, r > 1, eta > 0"),
+            ("c", "x", "bad parameter: could not convert"),
+            ("eta", [1], "bad parameter: float() argument"),
         ],
     )
     def test_bad_spec_value_is_input_error(self, key, value, text):
@@ -667,9 +671,11 @@ class TestParamTable:
     def test_config_readers_take_the_table_defaults(self):
         table = harness.PARAMS
         config = harness._prune_config({})
-        assert (config.lambda_target, config.r, config.c, config.eta, config.mode,
+        assert (config.lambda_target, config.r, config.mode,
                 config.max_resamples) == tuple(table["prune"][key] for key in (
-                    "lambda", "r", "c", "eta", "mode", "max_resamples"))
+                    "lambda", "r", "mode", "max_resamples"))
+        assert harness._suitability_config({}) == (table["prune"]["c"],
+                                                    table["prune"]["eta"])
         assert harness._combine_config({}, 0.5).max_resamples \
             == table["combine"]["max_resamples"]
         assert harness._sparsify_config({}) == {

@@ -42,6 +42,10 @@ Z5_TABLE = json.dumps({"kind": "table", "mul": [[(a + b) % 5 for b in range(5)]
 Z2_Z3 = json.dumps({"kind": "product", "factors": [{"kind": "cyclic", "n": 2},
                                                    {"kind": "cyclic", "n": 3}]})
 EDGES = json.dumps({"edges": [[0, 1, 1.0], [1, 2, 2.0], [2, 0, 1.0], [2, 3, 1.0]]})
+Z3_Z4 = json.dumps({"kind": "product", "factors": [{"kind": "cyclic", "n": 3},
+                                                   {"kind": "cyclic", "n": 4}]})
+# every sampled pair of the path's sides has a zero mixing denominator
+PATH_SIDES = json.dumps({"edges": [[0, 1, 1.0], [1, 2, 1.0]], "sides": [[0, 2], [1]]})
 C4_SIDES = json.dumps({"edges": [[0, 1, 1.0], [1, 2, 2.0], [2, 3, 1.0], [0, 3, 3.0]],
                        "sides": [[0, 2], [1, 3]]})
 
@@ -57,6 +61,7 @@ def runs(tmp):
         (["eml", "--graph", '{"kind": "complete", "n": 6}'], EXIT_CLEAN),
         (["eml", "--graph", EDGES, "--samples", "50"], EXIT_CLEAN),
         (["eml", "--graph", C4_SIDES], EXIT_CLEAN),
+        (["eml", "--graph", PATH_SIDES, "--samples", "30"], EXIT_CLEAN),
         (["prune", "--complex", K30, "--group", Z5_TABLE, "--genset", "[1, 2, 3, 4]",
           "--seed", "2"], EXIT_CLEAN),
         (["prune", "--complex", K30, "--group", Z5, "--genset", "[1, 2, 3, 4]",
@@ -74,6 +79,7 @@ def runs(tmp):
          EXIT_CLEAN),
         (["scan-gensets", "--group", '{"kind": "cyclic", "n": 7}', "--max-size", "4"],
          EXIT_CLEAN),
+        (["scan-gensets", "--group", Z3_Z4, "--max-size", "5"], EXIT_CLEAN),
     ]
 
 

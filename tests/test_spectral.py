@@ -21,6 +21,8 @@ from hdxcover.errors import (
     BadLevel,
     BadParameter,
     EmptyGraph,
+    HdxError,
+    MisScaled,
     NonPositiveAlpha,
     NotBipartite,
     TooLargeForExact,
@@ -112,19 +114,19 @@ class TestAdjacencySpectrum:
         # 2M has top eigenvalue 2, which clipping would pass off as 1
         fill = spectral._symmetrized_matrix
         monkeypatch.setattr(spectral, "_symmetrized_matrix", lambda *a: 2 * fill(*a))
-        with pytest.raises(AssertionError, match="top eigenvalue (2|1.99)"):
+        with pytest.raises(MisScaled, match="top eigenvalue (2|1.99)"):
             adjacency_spectrum(complete_graph(5))
         # the stacked eigensolve of the star scores checks the same way
-        with pytest.raises(AssertionError, match="top eigenvalue (2|1.99)"):
+        with pytest.raises(MisScaled, match="top eigenvalue (2|1.99)"):
             identity_star_lambda(cyclic(7), (1, 2, 5, 6), 2)
-        with pytest.raises(AssertionError, match="top eigenvalue (2|1.99)"):
+        with pytest.raises(MisScaled, match="top eigenvalue (2|1.99)"):
             scan_gensets(symmetric_group(4), 2, max_size=6)
         # and so do the stacked solves of the certifiers' level path
         X = complete_complex(6, 2)
-        with pytest.raises(AssertionError, match="top eigenvalue (2|1.99)"):
+        with pytest.raises(MisScaled, match="top eigenvalue (2|1.99)"):
             is_hdx(X, 0.9)
         cover = build_cover(X, coboundary_labeling(X, cyclic(2), [0] * 6), cyclic(2))
-        with pytest.raises(AssertionError, match="top eigenvalue (2|1.99)"):
+        with pytest.raises(MisScaled, match="top eigenvalue (2|1.99)"):
             cover_link_gap(cover)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -142,9 +144,15 @@ class TestAdjacencySpectrum:
             assert row.tolist() == own.tolist()
             assert adjacency_spectrum(g).eigenvalues == tuple(own.tolist())
 
+    def test_mis_scaled_stack_is_a_library_error(self):
+        for M in (2 * np.eye(3), np.stack([np.eye(2), np.diag([2.0, 0.5])])):
+            with pytest.raises(MisScaled, match="top eigenvalue 2") as err:
+                spectral._checked_spectra(M)
+            assert isinstance(err.value, HdxError)
+
     def test_eigenvalue_outside_unit_interval_raises(self):
         for M in (np.diag([1.0, -1.5]), np.stack([np.eye(2), np.diag([1.0, -1.5])])):
-            with pytest.raises(AssertionError, match=r"outside \[-1, 1\]"):
+            with pytest.raises(MisScaled, match=r"outside \[-1, 1\]"):
                 spectral._checked_spectra(M)
 
     def test_self_adjoint(self):
@@ -426,6 +434,24 @@ class TestEml:
             for seed in ("1", "5")
         }
         assert len(runs) == 1
+
+    def test_sampled_zero_denominator_scores_zero(self):
+        # T is always the whole right side, so every pair's mixing
+        # denominator has the factor 1 - nu(T) = 0
+        G = WGraph([(0, 1, 1.0), (1, 2, 1.0)], sides=({0, 2}, {1}))
+        exact = eml_discrepancy(G, "exact")
+        sampled = eml_discrepancy(G, "sampled", samples=30, rng=0)
+        assert sampled.eml_ratio == exact.eml_ratio == 0.0
+        assert all(sampled.eml_witness)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_sampled_alpha_without_a_pair_is_zero(self, seed):
+        # one draw on one edge leaves S or T empty on some seeds
+        G = WGraph([(0, 1, 1.0)], sides=({0}, {1}))
+        rep = eml_discrepancy(G, "sampled", samples=1, rng=seed)
+        assert rep.alpha >= 0 and rep.eml_ratio >= 0
+        if not all(rep.witness):
+            assert (rep.alpha, rep.witness, rep.eml_ratio) == (0.0, ((), ()), 0.0)
 
     def test_witness_reproduces_alpha(self):
         G = random_wgraph(np.random.default_rng(4), 8, p=0.6)
