@@ -1,11 +1,12 @@
 """Pruning a complex against a fixed target complex via vertex colorings.
 
-Vertices get colors in the target's vertex set; a face is satisfied when
-its colors are distinct and form a face of the target.  Resampling drives
-two event families to false: a satisfied face whose link misses a color
-completing it (AC), and a satisfaction graph that expands worse than the
-target lambda under the coloring measure (NE).  A clean outcome yields a
-sub-complex with a non-degenerate coloring into the target.
+Vertices get colors in the target's vertex set, held as positions in its
+sorted vertices; a face is satisfied when its colors are distinct and
+form a face of the target.  Resampling drives two event families to
+false: a satisfied face whose link misses a color completing it (AC),
+and a satisfaction graph that expands worse than the target lambda under
+the coloring measure (NE).  A clean outcome yields a sub-complex with a
+non-degenerate coloring into the target.
 """
 from __future__ import annotations
 
@@ -42,7 +43,7 @@ class CombineConfig:
 @dataclass
 class CombineOutcome:
     status: str
-    coloring: dict  # X vertex -> C vertex
+    coloring: dict  # X vertex -> C vertex, by label
     y: PureComplex | None
     measure_kind: str  # "coloring" | "restricted" | "empty"
     resamples: int
@@ -54,9 +55,9 @@ class CombineOutcome:
 class Combiner(Sampler):
     """Precomputed machinery for one (complex, target) pair.
 
-    The variables are vertex colors; a face is satisfied when its colors
-    are distinct and span a face of the target.  `resample` drives the
-    events.
+    The variables are vertex colors, positions in C.vertices; a face is
+    satisfied when its colors are distinct and span a face of the target.
+    `resample` drives the events.
     """
 
     def __init__(self, X, C, config):
@@ -65,13 +66,13 @@ class Combiner(Sampler):
         super().__init__(X, {"AC": range(0, X.dim), "NE": range(0, X.dim - 1)})
         self.C = C
         self.config = config
-        self.vpos = {v: i for i, v in enumerate(X.vertices)}
         self._image_links = {}
 
     # --- satisfaction ---
 
     def image(self, face, col):
-        return tuple(sorted(int(col[self.vpos[v]]) for v in face))
+        """The labels of the colors of face, sorted."""
+        return tuple(self.C.vertices[c] for c in np.sort(col[self.X.positions(face)]).tolist())
 
     def face_satisfied(self, face, col):
         return bool(self.rows_ok(col, self.X.positions(face)[None, :])[0])
@@ -79,7 +80,7 @@ class Combiner(Sampler):
     def image_index(self, col, rows):
         """Index among C's faces of the colors of each row of vertex
         positions, or -1 where they repeat or span no face of C."""
-        return self.C.face_index(self.C.vertex_positions(np.sort(col[rows], axis=1)))
+        return self.C.face_index(np.sort(col[rows], axis=1))
 
     def keys_ok(self, col, rows):
         """Whether the colors of each row of vertex positions are distinct
@@ -91,27 +92,43 @@ class Combiner(Sampler):
 
     # --- events ---
 
-    def eval_ac(self, face, col, satisfied=None):
-        """Some completing color is missing around a satisfied face; whether
-        the face is satisfied is computed unless given."""
-        if satisfied is None:
-            satisfied = self.face_satisfied(face, col)
-        if not satisfied:
-            return False
-        img = self.image(face, col)
-        completions = set(target_link(self.C, img, self._image_links)[0].vertices)
-        start, verts, _ = self.X.link_vertices(len(face) - 1)
-        i = self.face_pos[face]
-        return bool(completions - set(col[verts[start[i]:start[i + 1]]].tolist()))
+    def ac_sweep(self, col, k):
+        """Whether the AC event of each k-face is violated under col: the
+        face is satisfied and some link vertex of its image in C is no
+        color of its own link vertices.
+
+        Over both complexes' link-vertex indices, one scatter gives the
+        colors present around each face of X and one the link vertices
+        each face of C needs, each face's row with a spare last cell; a
+        color outside C (-1) lands in a spare cell, the one before its
+        face's row, which no face needs.
+        """
+        m = len(self.C.vertices)
+
+        def colors_around(K, colors):
+            start, verts, _ = K.link_vertices(k)
+            cells = np.repeat(np.arange(len(start) - 1) * (m + 1), np.diff(start))
+            cells += colors[verts]
+            table = np.zeros((len(start) - 1, m + 1), dtype=bool)
+            table.ravel()[cells] = True
+            return table
+
+        present, needed = colors_around(self.X, col), colors_around(self.C, np.arange(m))
+        img = self.image_index(col, self.X.level(k).rows)
+        return (img >= 0) & (needed[img] & ~present).any(axis=1)
+
+    def eval_ac(self, face, col, hits=None):
+        """The AC event of the face, read off ac_sweep's result for its
+        dimension, which is computed unless given."""
+        if hits is None:
+            hits = self.ac_sweep(col, len(face) - 1)
+        return bool(hits[self.face_pos[face]])
 
     def satisfaction_graph(self, sigma, col, satisfied=None):
         sigma = self.graph_base(sigma, col)
-        if sigma == ():
-            # no reference link; the graph itself is the object of interest
-            return build_satisfaction_graph(self, sigma, col, satisfied)
-        target = target_link(self.C, self.image(sigma, col), self._image_links)
-        colors = col[self.link_table(sigma).pos]
-        return build_satisfaction_graph(self, sigma, col, satisfied, colors, target)
+        tskel = target_link(self.C, self.image(sigma, col), self._image_links)
+        colors = np.asarray(self.C.vertices)[col[self.link_table(sigma).pos]]
+        return build_satisfaction_graph(self, sigma, col, satisfied, colors, tskel)
 
     def eval_ne(self, sigma, col, satisfied=None):
         try:
@@ -128,16 +145,16 @@ class Combiner(Sampler):
 
     def violations(self, col):
         """The violated events in events() order, found lazily; the
-        satisfied top faces are computed once, and the satisfied faces of
-        each AC dimension once, on its first event."""
+        satisfied top faces are computed once, and the AC sweep of each
+        dimension once, on its first event."""
         satisfied = self.satisfied_mask(col)
-        face_ok = {}
+        ac = {}
         for kind, face in self.events():
             if kind == "AC":
                 k = len(face) - 1
-                if k not in face_ok:
-                    face_ok[k] = self.rows_ok(col, self.X.level(k).rows)
-                hit = self.eval_ac(face, col, bool(face_ok[k][self.face_pos[face]]))
+                if k not in ac:
+                    ac[k] = self.ac_sweep(col, k)
+                hit = self.eval_ac(face, col, ac[k])
             else:
                 hit = self.eval_ne(face, col, satisfied)
             if hit:
@@ -162,15 +179,15 @@ class Combiner(Sampler):
 
     def run(self, rng):
         rng = np.random.default_rng(rng)
-        colors = np.array(self.C.vertices, dtype=np.int64)
-        col = colors[rng.integers(0, len(colors), size=len(self.X.vertices))]
+        m = len(self.C.vertices)
+        col = rng.integers(0, m, size=len(self.X.vertices))
         col, transcript, remaining = resample(
-            self, col, colors, rng, self.config.max_resamples
+            self, col, np.arange(m), rng, self.config.max_resamples
         )
         y, kind, _ = self.c_pruning(col)
         return CombineOutcome(
             status="budget_exhausted" if remaining else "clean",
-            coloring={v: int(col[self.vpos[v]]) for v in self.X.vertices},
+            coloring={v: self.C.vertices[c] for v, c in zip(self.X.vertices, col.tolist())},
             y=y,
             measure_kind=kind,
             resamples=len(transcript),

@@ -350,7 +350,7 @@ def _prune_stages(report, params, seed):
         },
         {
             "labeling": [
-                [int(u), int(v), int(l)]
+                [u, v, int(l)]
                 for (u, v), l in zip(pruner.X.faces(1), outcome.labeling)
             ],
         },

@@ -78,15 +78,12 @@ class PruneConfig:
 
 @dataclass(frozen=True)
 class SatisfactionGraph:
-    """Satisfaction graph of a face with its coloring into a Cayley link."""
+    """Satisfaction graph of a face with its coloring into a target link."""
 
     sigma: tuple
-    graph: WGraph | None  # coloring measure; None when no edge survives
+    graph: WGraph | None  # coloring measure; None when it is degenerate
     link_graph: WGraph | None  # same edges under the restricted link measure
-    coloring: dict | None  # link vertex -> group element
-    target: PureComplex | None  # the Cayley link the coloring maps into
-    degenerate: bool
-    missing: tuple | None
+    missing: tuple | None  # the target face or edge nothing maps to, if any
     dropped_vertices: tuple
 
 
@@ -143,29 +140,23 @@ def build_link_table(X, sigma, row_keys):
 
 
 def target_link(C, face, cache):
-    """The link of face in the target C and its 1-skeleton, memoized in
-    cache; (None, None) when face is not a face of C, and no skeleton for
-    a 0-dimensional link."""
+    """The 1-skeleton of the link of face in the target C, memoized in
+    cache; None when face is not a face of C."""
     if face not in cache:
-        link = C.link(face) if C.has_face(face) else None
-        skel = link.one_skeleton() if link is not None and link.dim else None
-        cache[face] = (link, skel)
+        cache[face] = C.link(face).one_skeleton() if C.has_face(face) else None
     return cache[face]
 
 
-def build_satisfaction_graph(
-    sampler, sigma, x, satisfied=None, colors=None, target=(None, None), absent=None
-):
+def build_satisfaction_graph(sampler, sigma, x, satisfied, colors, tskel, absent=None):
     """Satisfaction graph of sigma under the sampler's state x.
 
     The sampler supplies the cached link table of sigma (`link_table`) and
     its satisfaction rule for the table's keyed rows (`keys_ok`); link
     edges that complete top faces read the satisfied-top-face mask instead,
-    computed unless given.  colors gives each link vertex of the table, in
-    its order, a vertex of the target link, given as (link, 1-skeleton); a
-    link of None means the image of sigma is no target face, reported as
-    the missing face `absent`.  With no colors, sigma has no reference link
-    and the graph is the link graph itself.
+    computed if None.  colors gives each link vertex of the table, in its
+    order, a vertex label of the target link, whose 1-skeleton is tskel; a
+    tskel of None means the image of sigma is no target face, reported as
+    the missing face `absent`.
     """
     table = sampler.link_table(sigma)
     if table.edge_rows is None:
@@ -176,11 +167,9 @@ def build_satisfaction_graph(
         edge_ok = sampler.keys_ok(x, table.edge_rows)
     vert_ok = sampler.keys_ok(x, table.vert_rows)
     keep = edge_ok & (table.mass > 0)
-    good = tuple(itertools.compress(table.verts, vert_ok.tolist()))
-    coloring = None if colors is None else dict(zip(good, colors[vert_ok].tolist()))
-    link, tskel = target
     if not keep.any():
-        return SatisfactionGraph(sigma, None, None, coloring, link, True, None, good)
+        good = tuple(itertools.compress(table.verts, vert_ok.tolist()))
+        return SatisfactionGraph(sigma, None, None, None, good)
     uv, mass = table.uv[:, keep], table.mass[keep]
     # the link graph's edges sorted, on the link vertices they touch
     order = np.lexsort(uv[::-1])
@@ -190,32 +179,27 @@ def build_satisfaction_graph(
     ends = (np.cumsum(present) - 1)[uv[:, order]]
     link_graph = WGraph.from_arrays(vertices, ends, mass[order])
     dropped = tuple(itertools.compress(table.verts, (vert_ok & ~present).tolist()))
-    graph, missing = link_graph, None
-    if coloring is not None and link is None:
-        graph, missing = None, absent
-    elif coloring is not None:
-        fiber = fiber_codes(tskel, colors, uv)
-        bad = np.flatnonzero((fiber < 0) | ~vert_ok[uv].all(axis=0))
-        if len(bad):
-            edge = (table.verts[uv[0, bad[0]]], table.verts[uv[1, bad[0]]])
-            raise ValueError(f"link edge {edge!r} maps to no target edge")
-        colored, fiber_mass = coloring_weights(fiber, mass, tskel.weights)
-        empty = np.flatnonzero(fiber_mass == 0)
-        if len(empty):
-            graph, missing = None, tskel.edges[empty[0]]
-        else:
-            graph = WGraph.from_arrays(vertices, ends, colored[order])
-    return SatisfactionGraph(
-        sigma, graph, link_graph, coloring, link, graph is None, missing, dropped
-    )
+    if tskel is None:
+        return SatisfactionGraph(sigma, None, link_graph, absent, dropped)
+    fiber = fiber_codes(tskel, colors, uv)
+    bad = np.flatnonzero((fiber < 0) | ~vert_ok[uv].all(axis=0))
+    if len(bad):
+        edge = (table.verts[uv[0, bad[0]]], table.verts[uv[1, bad[0]]])
+        raise ValueError(f"link edge {edge!r} maps to no target edge")
+    colored, fiber_mass = coloring_weights(fiber, mass, tskel.weights)
+    empty = np.flatnonzero(fiber_mass == 0)
+    if len(empty):
+        return SatisfactionGraph(sigma, None, link_graph, tskel.edges[empty[0]], dropped)
+    graph = WGraph.from_arrays(vertices, ends, colored[order])
+    return SatisfactionGraph(sigma, graph, link_graph, None, dropped)
 
 
 def ne_violated(sg, threshold, link_measure=False):
-    """The NE event on a built satisfaction graph: degenerate, empty or
-    dropping a vertex, or expanding worse than threshold, under the
-    coloring measure and, if link_measure, under the link measure too, the
-    two graphs solved in one stack."""
-    if sg.degenerate or sg.graph is None or sg.dropped_vertices:
+    """The NE event on a built satisfaction graph: degenerate or dropping a
+    vertex, or expanding worse than threshold, under the coloring measure
+    and, if link_measure, under the link measure too, the two graphs solved
+    in one stack."""
+    if sg.graph is None or sg.dropped_vertices:
         return True
     eigs = graph_spectra((sg.graph, sg.link_graph) if link_measure else (sg.graph,))
     return bool((np.abs(eigs[:, [1, -1]]).max(axis=1) > threshold + 1e-9).any())
@@ -305,11 +289,11 @@ class Sampler:
 
     def graph_base(self, sigma, x):
         """sigma sorted, once it is checked to carry a satisfaction graph:
-        of dimension at most d-2, and satisfied unless empty."""
+        of dimension 0 to d-2, and satisfied."""
         sigma = tuple(sorted(sigma))
-        if len(sigma) - 1 > self.d - 2:
-            raise BadKindForFace("satisfaction graphs exist up to dimension d-2")
-        if sigma and not self.face_satisfied(sigma, x):
+        if not 0 < len(sigma) < self.d:
+            raise BadKindForFace("satisfaction graphs exist at dimensions 0 to d-2")
+        if not self.face_satisfied(sigma, x):
             raise UnsatisfiedBase(f"{sigma!r} is not satisfied")
         return sigma
 
@@ -529,30 +513,28 @@ class Pruner(Sampler):
     def eval_ec(self, sigma, f):
         return not self.covered_dfaces(self.satisfied_mask(f))[self.face_pos[sigma]]
 
-    def satisfaction_graph(self, sigma, f, satisfied=None):
-        """Vertices and edges of the link whose union with sigma is satisfied.
-
-        Carries the coloring into the appropriate Cayley link and both the
-        coloring measure and the restricted link measure.  For the empty
-        face the graph is the full skeleton and there is no coloring.
-        """
-        sigma = self.graph_base(sigma, f)
-        if sigma == ():
-            skel = self.X.one_skeleton()
-            return SatisfactionGraph(sigma, skel, skel, None, None, False, None, ())
-        # the elements on the edges from sigma[0] to the rest of sigma, all
-        # upward, and to each link vertex, upward or downward
+    def link_colors(self, sigma, f):
+        """The Cayley face of the elements on the edges from sigma[0] to the
+        rest of sigma, all upward, with the identity, and the element on the
+        edge from sigma[0] to each link vertex of sigma, upward or downward,
+        in link table order."""
         a = {0}
         if len(sigma) > 1:
             spos = self.X.positions(sigma)
             pairs = np.column_stack([np.full(len(spos) - 1, spos[0]), spos[1:]])
             a.update(self.s_elems[f[self.X.face_index(pairs)]].tolist())
-        a = tuple(sorted(a))
         _, eidx, fwd = self._at_table(sigma)
         labs = f[eidx[:, 0]]
-        colors = np.where(fwd[:, 0], self.s_elems[labs], self.inv_elems[labs])
-        target = target_link(self.cayley.complex, a, self._cayley_links)
-        return build_satisfaction_graph(self, sigma, f, satisfied, colors, target, absent=a)
+        return tuple(sorted(a)), np.where(fwd[:, 0], self.s_elems[labs], self.inv_elems[labs])
+
+    def satisfaction_graph(self, sigma, f, satisfied=None):
+        """Vertices and edges of the link whose union with sigma is
+        satisfied, under the coloring measure of link_colors into the
+        Cayley link and under the restricted link measure."""
+        sigma = self.graph_base(sigma, f)
+        a, colors = self.link_colors(sigma, f)
+        tskel = target_link(self.cayley.complex, a, self._cayley_links)
+        return build_satisfaction_graph(self, sigma, f, satisfied, colors, tskel, absent=a)
 
     def eval_ne(self, sigma, f, satisfied=None, graphs=None):
         """The NE event of sigma; the satisfaction graph it builds goes into

@@ -258,8 +258,9 @@ def ratio_ok(rep):
 
 
 def as_array(comb, coloring):
-    """The color array of a coloring given as a dict keyed by vertex."""
-    return np.array([coloring[v] for v in comb.X.vertices], dtype=np.int64)
+    """The color array of a coloring given as a dict keyed by vertex: each
+    vertex's color as its position in the target's vertices, -1 for none."""
+    return comb.C.vertex_positions(np.array([coloring[v] for v in comb.X.vertices]))
 
 
 def neighbors(G, v):
@@ -762,16 +763,28 @@ def plain_combine_run(comb, rng):
     scopes read off the cofaces; returns (status, colors by vertex position,
     resamples, transcript, violations_remaining)."""
     rng = np.random.default_rng(rng)
-    colors = np.array(comb.C.vertices, dtype=np.int64)
-    col = colors[rng.integers(0, len(colors), size=len(comb.X.vertices))]
+    m = len(comb.C.vertices)
+    col = rng.integers(0, m, size=len(comb.X.vertices))
+    pos = {v: i for i, v in enumerate(comb.X.vertices)}
 
     def scope_of(kind, face):
         verts = set(face).union(*(comb.X.top_faces[i] for i in comb.X.cofaces(face)))
-        return tuple(sorted(comb.vpos[v] for v in verts))
+        return tuple(sorted(pos[v] for v in verts))
 
-    return _plain_loop(
-        comb, col, lambda k: colors[rng.integers(0, len(colors), size=k)], scope_of
-    )
+    return _plain_loop(comb, col, lambda k: rng.integers(0, m, size=k), scope_of)
+
+
+def plain_eval_ac(comb, face, col):
+    """Reference AC event, one face at a time: a satisfied face whose
+    image's link in the target has a vertex that colors none of the face's
+    own link vertices."""
+    if not comb.face_satisfied(face, col):
+        return False
+    completions = set(comb.C.link(comb.image(face, col)).vertices)
+    start, verts, _ = comb.X.link_vertices(len(face) - 1)
+    i = comb.face_pos[face]
+    around = col[verts[start[i]:start[i + 1]]].tolist()
+    return bool(completions - {comb.C.vertices[c] for c in around if c >= 0})
 
 
 def plain_color_satisfied(comb, face, col):
@@ -823,19 +836,16 @@ def plain_color_satisfaction_graph(comb, sigma, col):
     edges = {k: m for k, m in edge_mass.items() if m is not None and m > 0}
     good = tuple(sorted(v for v, ok in vert_ok.items() if ok))
 
-    def result(graph, link_graph, degenerate, missing, dropped):
-        return SimpleNamespace(
-            sigma=sigma, graph=graph, link_graph=link_graph, degenerate=degenerate,
-            missing=missing, dropped_vertices=dropped,
-        )
+    def result(graph, link_graph, missing, dropped):
+        return SimpleNamespace(sigma=sigma, graph=graph, link_graph=link_graph,
+                               missing=missing, dropped_vertices=dropped)
 
     if not edges:
-        return result(None, None, True, None, good)
+        return result(None, None, None, good)
     link_graph = WGraph([(u, v, m) for (u, v), m in edges.items()])
     dropped = tuple(v for v in good if v not in set(link_graph.vertices))
-    if sigma == ():
-        return result(link_graph, link_graph, False, None, dropped)
-    color = {v: int(col[comb.vpos[v]]) for v in good}
+    pos = {v: i for i, v in enumerate(comb.X.vertices)}
+    color = {v: comb.C.vertices[col[pos[v]]] for v in good}
     tskel = comb.C.link(comb.image(sigma, col)).one_skeleton()
     fiber = {}
     for (u, v), m in edges.items():
@@ -843,18 +853,16 @@ def plain_color_satisfaction_graph(comb, sigma, col):
         fiber[key] = fiber.get(key, 0.0) + m
     for e in tskel.edges:
         if e not in fiber:
-            return result(None, link_graph, True, e, dropped)
+            return result(None, link_graph, e, dropped)
     tw = dict(zip(tskel.edges, tskel.weights))
     colored = []
     for (u, v), m in edges.items():
         key = tuple(sorted((color[u], color[v])))
         colored.append((u, v, tw[key] * m / fiber[key]))
-    return result(WGraph(colored), link_graph, False, None, dropped)
+    return result(WGraph(colored), link_graph, None, dropped)
 
 
-def plain_build_satisfaction_graph(
-    sampler, sigma, x, satisfied=None, colors=None, target=(None, None), absent=None
-):
+def plain_build_satisfaction_graph(sampler, sigma, x, satisfied, colors, tskel, absent=None):
     """Reference for pruning.build_satisfaction_graph, on the same link
     table: the kept link edges go through an edge dict, the fiber masses
     through a dict summed edge by edge, and both graphs through
@@ -872,31 +880,24 @@ def plain_build_satisfaction_graph(
     ends = ((at(u), at(v)) for u, v in table.uv[:, keep].T.tolist())
     edges = dict(zip(ends, table.mass[keep].tolist()))
     good = tuple(v for v, ok in zip(table.verts, vert_ok.tolist()) if ok)
-    coloring = None if colors is None else {
-        v: c for v, c, ok in zip(table.verts, colors.tolist(), vert_ok.tolist()) if ok}
-    link, tskel = target
     if not edges:
-        return SatisfactionGraph(sigma, None, None, coloring, link, True, None, good)
+        return SatisfactionGraph(sigma, None, None, None, good)
     link_graph = WGraph([(u, v, m) for (u, v), m in edges.items()])
     kept = set(link_graph.vertices)
     dropped = tuple(v for v in good if v not in kept)
-    graph, missing = link_graph, None
-    if coloring is not None and link is None:
-        graph, missing = None, absent
-    elif coloring is not None:
-        fiber = {e: tuple(sorted((coloring[e[0]], coloring[e[1]]))) for e in edges}
-        fiber_mass = {}
-        for e, m in edges.items():
-            fiber_mass[fiber[e]] = fiber_mass.get(fiber[e], 0.0) + m
-        missing = next((e for e in tskel.edges if e not in fiber_mass), None)
-        tw = dict(zip(tskel.edges, tskel.weights))
-        graph = None if missing is not None else WGraph(
-            [(u, v, tw[fiber[u, v]] * m / fiber_mass[fiber[u, v]])
-             for (u, v), m in edges.items()]
-        )
-    return SatisfactionGraph(
-        sigma, graph, link_graph, coloring, link, graph is None, missing, dropped
+    if tskel is None:
+        return SatisfactionGraph(sigma, None, link_graph, absent, dropped)
+    coloring = dict(zip(table.verts, colors.tolist()))
+    fiber = {e: tuple(sorted((coloring[e[0]], coloring[e[1]]))) for e in edges}
+    fiber_mass = {}
+    for e, m in edges.items():
+        fiber_mass[fiber[e]] = fiber_mass.get(fiber[e], 0.0) + m
+    missing = next((e for e in tskel.edges if e not in fiber_mass), None)
+    tw = dict(zip(tskel.edges, tskel.weights))
+    graph = None if missing is not None else WGraph(
+        [(u, v, tw[fiber[u, v]] * m / fiber_mass[fiber[u, v]]) for (u, v), m in edges.items()]
     )
+    return SatisfactionGraph(sigma, graph, link_graph, missing, dropped)
 
 
 def plain_at_table(pruner, sigma):

@@ -264,17 +264,19 @@ class TestLabelPositions:
         C = build_complex(2, [(1, 3, 5), (3, 5, 7), (1, 5, 7)])
         X = complete_complex(6, 2)
         comb = Combiner(X, C, CombineConfig(0.5))
-        col = np.array([1, 3, 5, 7, 0, 9])  # vertices 4 and 5 get no vertex of C
+        labels = [1, 3, 5, 7, 0, 9]  # vertices 4 and 5 get no vertex of C
+        col = C.vertex_positions(np.array(labels))
+        assert col.tolist() == [0, 1, 2, 3, -1, -1]
         for k in range(3):
             rows = X.level(k).rows
             faces = list(C.faces(k))
             want = []
             for r in rows.tolist():
-                img = tuple(sorted(int(col[p]) for p in r))
+                img = tuple(sorted(labels[p] for p in r))
                 want.append(faces.index(img) if img in faces else -1)
             assert comb.image_index(col, rows).tolist() == want
         assert comb.satisfied_mask(col).tolist() == [
-            tuple(sorted(int(col[p]) for p in f)) in C.top_faces for f in X.top_faces]
+            tuple(sorted(labels[p] for p in f)) in C.top_faces for f in X.top_faces]
 
 
 def test_pipelines_build_no_complex_from_labels(monkeypatch):

@@ -150,8 +150,9 @@ class TestEvents:
             col = rng.choice(5, size=len(X.vertices), p=[0.3, 0.3, 0.3, 0.05, 0.05])
             for k in comb.kind_dims["AC"]:
                 flags = comb.rows_ok(col, X.level(k).rows).tolist()
+                hits = comb.ac_sweep(col, k)
                 for face, ok in zip(X.faces(k), flags):
-                    hit = comb.eval_ac(face, col, ok)
+                    hit = comb.eval_ac(face, col, hits)
                     assert hit == comb.eval_ac(face, col), face
                     seen.add((ok, hit))
         assert {(False, False), (True, False), (True, True)} <= seen

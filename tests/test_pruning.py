@@ -118,11 +118,11 @@ def plain_satisfaction_graph(pruner, sigma, f):
     target = cc.link(a) if cc.has_face(a) else None
     coloring = {v: element(v) for v in good}
     if not edges:
-        return SatisfactionGraph(sigma, None, None, coloring, target, True, None, good)
+        return SatisfactionGraph(sigma, None, None, None, good)
     link_graph = WGraph([(u, v, m) for (u, v), m in edges.items()])
     dropped = tuple(v for v in good if v not in set(link_graph.vertices))
     if target is None:
-        return SatisfactionGraph(sigma, None, link_graph, coloring, None, True, a, dropped)
+        return SatisfactionGraph(sigma, None, link_graph, a, dropped)
     tskel = target.one_skeleton()
     fiber_mass = {}
     for (u, v), m in edges.items():
@@ -130,17 +130,13 @@ def plain_satisfaction_graph(pruner, sigma, f):
         fiber_mass[key] = fiber_mass.get(key, 0.0) + m
     missing = next((e for e in tskel.edges if e not in fiber_mass), None)
     if missing is not None:
-        return SatisfactionGraph(
-            sigma, None, link_graph, coloring, target, True, missing, dropped
-        )
+        return SatisfactionGraph(sigma, None, link_graph, missing, dropped)
     tw = dict(zip(tskel.edges, tskel.weights))
     colored = []
     for (u, v), m in edges.items():
         key = tuple(sorted((coloring[u], coloring[v])))
         colored.append((u, v, tw[key] * m / fiber_mass[key]))
-    return SatisfactionGraph(
-        sigma, WGraph(colored), link_graph, coloring, target, False, None, dropped
-    )
+    return SatisfactionGraph(sigma, WGraph(colored), link_graph, None, dropped)
 
 
 @pytest.fixture(scope="module")
@@ -238,12 +234,11 @@ class TestFPruning:
 
 
 class TestSatisfactionGraph:
-    def test_empty_face_full_skeleton(self):
+    def test_empty_face_raises(self):
         X = complete_complex(6, 2)
         f = sample_labeling(X, 4, 0)
-        sg = z5_pruner(X).satisfaction_graph((), f)
-        assert set(sg.graph.edges) == set(X.faces(1))
-        assert sg.coloring is None
+        with pytest.raises(BadKindForFace):
+            z5_pruner(X).satisfaction_graph((), f)
 
     def test_coboundary_full_link(self):
         X = complete_complex(5, 2)
@@ -251,15 +246,15 @@ class TestSatisfactionGraph:
         pruner = z5_pruner(X)
         sg = pruner.satisfaction_graph((0,), f)
         assert set(sg.graph.edges) == set(X.link((0,)).faces(1))
-        assert not sg.degenerate
+        assert sg.missing is None
 
     def test_vertex_partition_matches_census(self):
         X = complete_complex(40, 2)
         f = sample_labeling(X, 4, 11)
         pruner = z5_pruner(X)
-        sg = pruner.satisfaction_graph((3,), f)
+        _, colors = pruner.link_colors((3,), f)
         by_color = {}
-        for v, c in sg.coloring.items():
+        for v, c in zip(pruner.link_table((3,)).verts, colors.tolist()):
             by_color.setdefault(c, set()).add(v)
         # direct enumeration of directed labels out of vertex 3
         expected, labels = {}, label_dict(X, pruner.s_elems[f])
@@ -292,8 +287,9 @@ class TestSatisfactionGraph:
         X = complete_complex(12, 2)
         f = sample_labeling(X, 4, 5)
         pruner = z5_pruner(X)
-        sg = pruner.satisfaction_graph((7,), f)
-        assert set(sg.coloring.values()) <= set(Z5_GENS)
+        a, colors = pruner.link_colors((7,), f)
+        assert a == (0,)
+        assert set(colors.tolist()) <= set(Z5_GENS)
 
 
 Z13 = cyclic(13)
@@ -336,11 +332,6 @@ def assert_same_graph(got, want):
             assert g.vertices == w.vertices
             assert g.edges == w.edges
             assert np.abs(g.weights - w.weights).max() <= 1e-12
-    assert got.coloring == want.coloring
-    assert (got.target is None) == (want.target is None)
-    if got.target is not None:
-        assert got.target.top_faces == want.target.top_faces
-    assert got.degenerate == want.degenerate
     assert got.missing == want.missing
     assert got.dropped_vertices == want.dropped_vertices
 
@@ -774,7 +765,7 @@ class TestScanPaths:
             f[rng.choice(len(f), flips, replace=False)] = rng.integers(0, pruner.m, flips)
             for sigma in X.faces(0):
                 sg = pruner.satisfaction_graph(sigma, f)
-                if sg.degenerate or sg.dropped_vertices:
+                if sg.graph is None or sg.dropped_vertices:
                     assert ne_violated(sg, 1.0) and ne_violated(sg, 1.0, True)
                     continue
                 lam = [adjacency_spectrum(g).two_sided for g in (sg.graph, sg.link_graph)]
@@ -811,17 +802,17 @@ class TestScanPaths:
             rows = [sigma + (v,) for v in table.verts]
             assert pruner.keys_ok(f, table.vert_rows).tolist() == [
                 plain_face_satisfied(pruner, r, f) for r in rows]
-            want[sigma] = build_satisfaction_graph(pruner, sigma, f)
+            want[sigma] = build_satisfaction_graph(pruner, sigma, f, None, None, None)
         lookups = []
         face_index = type(X).face_index
         monkeypatch.setattr(type(X), "face_index",
                             lambda self, rows: lookups.append(1) or face_index(self, rows))
         for sigma in bases:
-            sg = build_satisfaction_graph(pruner, sigma, f)
+            sg = build_satisfaction_graph(pruner, sigma, f, None, None, None)
             assert sg.dropped_vertices == want[sigma].dropped_vertices
-            assert (sg.graph is None) == (want[sigma].graph is None)
-            if sg.graph is not None:
-                assert sg.graph.edges == want[sigma].graph.edges
+            assert (sg.link_graph is None) == (want[sigma].link_graph is None)
+            if sg.link_graph is not None:
+                assert sg.link_graph.edges == want[sigma].link_graph.edges
         assert lookups == []
 
 

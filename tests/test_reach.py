@@ -1,11 +1,12 @@
 """Every function in the package is reached by some pipeline or CLI command.
 
 Small specs of all five pipelines (both prune modes, budget-exhausted
-prune and combine runs) and every CLI subcommand run under
-sys.setprofile; each function defined in src/hdxcover/ must be called,
-apart from the entries of UNREACHED, each with its reason.
+prune and combine runs, string vertex labels) and every CLI subcommand
+run under sys.setprofile; each function defined in src/hdxcover/ must be
+called, apart from the entries of UNREACHED, each with its reason.
 """
 import ast
+import itertools
 import json
 import re
 import shutil
@@ -46,6 +47,14 @@ Z3_Z4 = json.dumps({"kind": "product", "factors": [{"kind": "cyclic", "n": 3},
                                                    {"kind": "cyclic", "n": 4}]})
 # every sampled pair of the path's sides has a zero mixing denominator
 PATH_SIDES = json.dumps({"edges": [[0, 1, 1.0], [1, 2, 1.0]], "sides": [[0, 2], [1]]})
+
+
+def named(n, prefix):
+    """The complete 2-complex on n vertices labelled by strings."""
+    faces = itertools.combinations([f"{prefix}{v:02d}" for v in range(n)], 3)
+    return json.dumps({"dim": 2, "faces": [list(f) for f in faces]})
+
+
 C4_SIDES = json.dumps({"edges": [[0, 1, 1.0], [1, 2, 2.0], [2, 3, 1.0], [0, 3, 3.0]],
                        "sides": [[0, 2], [1, 3]]})
 
@@ -66,11 +75,14 @@ def runs(tmp):
           "--seed", "2"], EXIT_CLEAN),
         (["prune", "--complex", K30, "--group", Z5, "--genset", "[1, 2, 3, 4]",
           "--mode", "formula", "--max-resamples", "5"], EXIT_BUDGET),
+        (["prune", "--complex", named(30, "v"), "--group", Z5, "--genset", "[1, 2, 3, 4]",
+          "--seed", "2"], EXIT_CLEAN),
         (["cover-family", "--complex", K30, "--group", Z2_Z3, "--genset", "[1, 2, 3, 4, 5]",
           "--seed", "2"], EXIT_CLEAN),
         (["sparsify", "--graph", '{"kind": "complete", "n": 30}', "--trials", "3"],
          EXIT_CLEAN),
         (["combine", "--complex", K12, "--target", K5], EXIT_CLEAN),
+        (["combine", "--complex", named(12, "v"), "--target", named(5, "c")], EXIT_CLEAN),
         (["combine", "--complex", K12, "--target", K5, "--lambda", "0.001",
           "--max-resamples", "2"], EXIT_BUDGET),
         (["scan-gensets", "--group", '{"kind": "symmetric", "k": 3}', "--max-size", "4"],

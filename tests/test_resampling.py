@@ -18,6 +18,7 @@ from helpers import (
     plain_build_satisfaction_graph,
     plain_color_satisfaction_graph,
     plain_combine_run,
+    plain_eval_ac,
     plain_prune_run,
     random_complex,
     relabeled,
@@ -106,9 +107,6 @@ def assert_same_build(got, want):
     """The same satisfaction graph field by field, with weights and the
     spectra of both graphs equal bit for bit."""
     assert got.sigma == want.sigma
-    assert got.coloring == want.coloring
-    assert got.target is want.target
-    assert got.degenerate == want.degenerate
     assert got.missing == want.missing
     assert got.dropped_vertices == want.dropped_vertices
     for name in ("graph", "link_graph"):
@@ -123,27 +121,24 @@ def assert_same_build(got, want):
 
 def compare_all_bases(X, C, seed, palette):
     """Compare the builder with the coface walk on every satisfied face of
-    dimension at most d-2, the empty face included, under a random coloring
-    from the first `palette` target vertices, and with the dict builder
-    too, also as if the face's image were no target face (`absent`);
-    returns the outcome kinds."""
+    dimension 0 to d-2, under a random coloring from the first `palette`
+    target vertices, and with the dict builder too, also as if the face's
+    image were no target face (`absent`); returns the outcome kinds."""
     comb = Combiner(X, C, CombineConfig(0.5))
-    rng = np.random.default_rng(seed)
-    col = np.array(C.vertices[:palette])[rng.integers(0, palette, len(X.vertices))]
+    col = np.random.default_rng(seed).integers(0, palette, len(X.vertices))
     kinds = set()
-    for ell in range(-1, X.dim - 1):
+    for ell in range(X.dim - 1):
         for sigma in X.faces(ell):
-            if sigma and not comb.face_satisfied(sigma, col):
+            if not comb.face_satisfied(sigma, col):
                 continue
-            if sigma:
-                target = pruning.target_link(C, comb.image(sigma, col), {})
-                colors = col[comb.link_table(sigma).pos]
-                for args in ((comb, sigma, col, None, colors, target),
-                             (comb, sigma, col, None, colors, (None, None), "absent")):
-                    sg = build_satisfaction_graph(*args)
-                    assert_same_build(sg, plain_build_satisfaction_graph(*args))
-                if sg.missing == "absent":
-                    kinds.add("absent")
+            tskel = pruning.target_link(C, comb.image(sigma, col), {})
+            colors = np.asarray(C.vertices)[col[comb.link_table(sigma).pos]]
+            for args in ((comb, sigma, col, None, colors, tskel),
+                         (comb, sigma, col, None, colors, None, "absent")):
+                sg = build_satisfaction_graph(*args)
+                assert_same_build(sg, plain_build_satisfaction_graph(*args))
+            if sg.missing == "absent":
+                kinds.add("absent")
             got = comb.satisfaction_graph(sigma, col)
             want = plain_color_satisfaction_graph(comb, sigma, col)
             for name in ("graph", "link_graph"):
@@ -153,7 +148,6 @@ def compare_all_bases(X, C, seed, palette):
                     assert g.vertices == w.vertices
                     assert g.edges == w.edges
                     assert np.array_equal(g.weights, w.weights)
-            assert got.degenerate == want.degenerate
             assert got.missing == want.missing
             assert got.dropped_vertices == want.dropped_vertices
             if got.link_graph is None:
@@ -180,6 +174,8 @@ SAT_CASES = [
     (random_complex(np.random.default_rng(0), 12, 2, keep=0.3), K5, 0, 5),
     # unevenly weighted at d = 3, where cofaces meet link edges out of order
     (random_complex(np.random.default_rng(1), 9, 3, keep=0.6), K5_3, 1, 5),
+    # labels that are no positions, so colors are no labels
+    (complete_complex(12, 2), relabeled(K5), 9, 5),
 ]
 
 
@@ -191,6 +187,29 @@ class TestColorSatisfactionGraph:
     def test_cases_reach_every_outcome(self):
         kinds = set().union(*(compare_all_bases(*case) for case in SAT_CASES))
         assert kinds == {"no edges", "missing", "dropped", "graph", "absent"}
+
+
+class TestAcSweep:
+    """ac_sweep against the face-by-face AC event it replaced."""
+
+    @staticmethod
+    def compare(X, C, seed, palette):
+        comb = Combiner(X, C, CombineConfig(0.5))
+        col = np.random.default_rng(seed).integers(0, palette, len(X.vertices))
+        hits = []
+        for k in range(X.dim):
+            got = comb.ac_sweep(col, k).tolist()
+            assert got == [plain_eval_ac(comb, face, col) for face in X.faces(k)], k
+            hits += got
+        return hits
+
+    @pytest.mark.parametrize("X, C, seed, palette", SAT_CASES)
+    def test_matches_plain_eval_ac(self, X, C, seed, palette):
+        self.compare(X, C, seed, palette)
+
+    def test_cases_reach_hits_and_misses(self):
+        hits = [h for case in SAT_CASES for h in self.compare(*case)]
+        assert 0 < sum(hits) < len(hits)
 
 
 def recorded_builds(monkeypatch, run):
@@ -241,10 +260,10 @@ class TestArrayBuilder:
     def test_edge_to_no_target_edge_raises(self):
         comb = Combiner(complete_complex(9, 2), K5, CombineConfig(0.5))
         col = as_array(comb, {v: v % 5 for v in range(9)})
-        target = pruning.target_link(K5, (0,), {})
+        tskel = pruning.target_link(K5, (0,), {})
         colors = np.ones(len(comb.link_table((0,)).verts), dtype=np.int64)
         with pytest.raises(ValueError, match="maps to no target edge"):
-            build_satisfaction_graph(comb, (0,), col, None, colors, target)
+            build_satisfaction_graph(comb, (0,), col, None, colors, tskel)
 
     def test_memory_is_bounded(self):
         comb = k40_combiner()
