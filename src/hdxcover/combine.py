@@ -122,7 +122,7 @@ class Combiner(Sampler):
         dimension, which is computed unless given."""
         if hits is None:
             hits = self.ac_sweep(col, len(face) - 1)
-        return bool(hits[self.face_pos[face]])
+        return bool(hits[self.X.face_pos(len(face) - 1)[face]])
 
     def satisfaction_graph(self, sigma, col, satisfied=None):
         sigma = self.graph_base(sigma, col)

@@ -11,7 +11,6 @@ face with k+1 vertices has measure Prob{s} / (k+1)!.
 """
 from __future__ import annotations
 
-import bisect
 import itertools
 import json
 import math
@@ -59,8 +58,7 @@ class FaceLevel(NamedTuple):
     rest: np.ndarray  # (subsets, d-k) the columns outside each column subset
     cof: np.ndarray  # top faces containing each face, grouped by face, ascending
     sub: np.ndarray  # the column subset of each entry of cof
-    start: list  # face f's entries are cof[start[f]:start[f + 1]]
-    code_list: list  # codes as Python ints, for scalar lookups
+    start: np.ndarray  # face f's entries are cof[start[f]:start[f + 1]]
 
 
 class PureComplex:
@@ -70,8 +68,8 @@ class PureComplex:
     level by level on first use (see :class:`FaceLevel`).
     """
 
-    __slots__ = ("dim", "vertices", "weights", "_tops", "_faces", "_levels", "_links",
-                 "_vpos")
+    __slots__ = ("dim", "vertices", "weights", "_tops", "_faces", "_pos", "_levels",
+                 "_links")
 
     def __init__(self, dim, vertices, tops, weights):
         """Use :func:`build_complex` instead of calling this directly."""
@@ -80,9 +78,9 @@ class PureComplex:
         self.weights = weights
         self._tops = tops
         self._faces = {}
+        self._pos = {}
         self._levels = {}
         self._links = {}
-        self._vpos = None
 
     # --- structure ---
 
@@ -99,6 +97,14 @@ class PureComplex:
             rows = self._tops if k == self.dim else self.level(k).rows
             self._faces[k] = tuple(tuple([V[i] for i in r]) for r in rows.tolist())
         return self._faces[k]
+
+    def face_pos(self, k):
+        """The index in faces(k) of each k-face, a dict keyed by the face's
+        sorted label tuple; built on first use, for that level only."""
+        pos = self._pos.get(k)
+        if pos is None:
+            pos = self._pos[k] = {s: i for i, s in enumerate(self.faces(k))}
+        return pos
 
     def n_faces(self, k):
         return len(self.level(k).codes)
@@ -145,8 +151,7 @@ class PureComplex:
             rest=np.array(rest, dtype=np.intp).reshape(c, d - k),
             cof=order // c,
             sub=order % c,
-            start=[0] + np.cumsum(np.bincount(pairs, minlength=len(codes))).tolist(),
-            code_list=codes.tolist(),
+            start=np.append(0, np.cumsum(np.bincount(pairs, minlength=len(codes)))),
         )
         return self._levels[k]
 
@@ -167,7 +172,7 @@ class PureComplex:
             lows = list(itertools.combinations(range(self.dim + 1), k + 1))
             less = np.array([[lows.index(s[:j] + s[j + 1:]) for j in range(k + 2)]
                              for s in subs])
-            first = np.asarray(up.start[:-1])
+            first = up.start[:-1]
             faces = lev.pairs[up.cof[first][:, None], less[up.sub[first]]].T.ravel()
             verts = up.rows.T.ravel()
             order = np.argsort(faces * n + verts)
@@ -199,22 +204,9 @@ class PureComplex:
 
     def _find(self, s):
         """Index of the sorted face s in faces(len(s) - 1), or -1."""
-        if self._vpos is None:
-            self._vpos = {v: i for i, v in enumerate(self.vertices)}
         if len(s) > self.dim + 1:
             return -1
-        # every vertex is a 0-face, and a 0-face's code is its position
-        n, f = len(self.vertices), self._vpos.get(s[0], -1) if s else 0
-        for j in range(1, len(s)):
-            p = self._vpos.get(s[j])
-            if f < 0 or p is None:
-                return -1
-            codes = (self._levels.get(j) or self.level(j)).code_list
-            code = f * n + p
-            f = bisect.bisect_left(codes, code)
-            if f == len(codes) or codes[f] != code:
-                return -1
-        return f
+        return self.face_pos(len(s) - 1).get(s, -1)
 
     def _entries(self, s):
         """The level of face s, its index there, and the bounds of its
@@ -223,7 +215,7 @@ class PureComplex:
         f = self._find(s)
         if f < 0:
             raise NotAFace(f"{s!r} is not a face")
-        lev = self._levels.get(len(s) - 1) or self.level(len(s) - 1)
+        lev = self.level(len(s) - 1)
         return lev, f, lev.start[f], lev.start[f + 1]
 
     def positions(self, s):
@@ -297,7 +289,7 @@ class PureComplex:
         those vertices; and its mass, the shares (weight over the link's
         pairwise weight sum) of the cofaces holding it, less the face's
         columns, over C(k + 1, 2) for a k-dimensional link."""
-        start = lev.start[lo:hi + 1]
+        start = lev.start[lo:hi + 1].tolist()
         e0, e1 = start[0], start[-1]
         idx = lev.cof[e0:e1]
         tops = self.top_positions()[idx[:, None], lev.rest[lev.sub[e0:e1]]]

@@ -242,8 +242,6 @@ class Sampler:
         self.d = X.dim
         self.kind_dims = kind_dims
         self.scan_dims = kind_dims if scan_dims is None else scan_dims
-        # the index of each face of dimension below d in its level's faces
-        self.face_pos = {s: i for ell in range(self.d) for i, s in enumerate(X.faces(ell))}
         self._events = None
         self._link_tables = {}
         self._scopes = {}
@@ -282,6 +280,8 @@ class Sampler:
             raise BadKindForFace(f"unknown event kind {kind!r}")
         if len(face) - 1 not in self.kind_dims[kind]:
             raise BadKindForFace(f"{kind} applies to dimensions {list(self.kind_dims[kind])}")
+        if face not in self.X.face_pos(len(face) - 1):
+            raise NotAFace(f"{face!r} is not a face")
         return getattr(self, f"eval_{kind.lower()}")(face, x)
 
     def all_violations(self, x):
@@ -438,7 +438,7 @@ class Pruner(Sampler):
         """The link vertex measure of sigma, and per link vertex v the edge
         positions of sigma's vertices to v and whether each runs upward."""
         vmeas, eidx, fwd, _, start = self._at_level(len(sigma) - 1)
-        i = self.face_pos[sigma]
+        i = self.X.face_pos(len(sigma) - 1)[sigma]
         rows = slice(start[i], start[i + 1])
         return vmeas[rows], eidx[rows], fwd[rows]
 
@@ -501,17 +501,18 @@ class Pruner(Sampler):
         dimension, which is computed unless given."""
         if hits is None:
             hits = self.at_sweep(f, len(sigma) - 1)
-        return bool(hits[self.face_pos[sigma]])
+        return bool(hits[self.X.face_pos(len(sigma) - 1)[sigma]])
 
     def eval_bc(self, face, f, hits=None):
         """The BC event of the 0-face, read off bc_sweep's result, which is
         computed unless given."""
         if hits is None:
             hits = self.bc_sweep(f)
-        return bool(hits[self.face_pos[face]])
+        return bool(hits[self.X.face_pos(len(face) - 1)[face]])
 
     def eval_ec(self, sigma, f):
-        return not self.covered_dfaces(self.satisfied_mask(f))[self.face_pos[sigma]]
+        covered = self.covered_dfaces(self.satisfied_mask(f))
+        return not covered[self.X.face_pos(len(sigma) - 1)[sigma]]
 
     def link_colors(self, sigma, f):
         """The Cayley face of the elements on the edges from sigma[0] to the
@@ -558,7 +559,7 @@ class Pruner(Sampler):
             return tuple(np.unique(self._at_table(face)[1]).tolist())
         if kind == "BC":
             # the edges of the triangles through the vertex
-            through = (self.tri_rows == self.face_pos[face]).any(axis=1)
+            through = (self.tri_rows == self.X.face_pos(len(face) - 1)[face]).any(axis=1)
             return tuple(np.unique(self.tri_edges[:, through]).tolist())
         if kind == "EC":
             # edge positions are indices in faces(1), so the level reads them

@@ -184,7 +184,10 @@ def is_hdx(X, lam, mode="two_sided", include_empty_face=True, visit=None):
     come from PureComplex.link_blocks and link_spectra; visit, if given,
     gets each block's level, its arrays and link_spectra's weights and
     vertex masses, so that check_suitable reads the same skeletons.  A
-    negative, NaN or infinite lam raises BadParameter."""
+    negative, NaN or infinite lam, or a mode other than two_sided or
+    one_sided, raises BadParameter."""
+    if mode not in ("two_sided", "one_sided"):
+        raise BadParameter(f"mode must be 'two_sided' or 'one_sided', got {mode!r}")
     if not lam >= 0:
         raise BadParameter(f"lambda must be a number >= 0, got {lam}")
     if lam == math.inf:

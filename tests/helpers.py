@@ -782,7 +782,7 @@ def plain_eval_ac(comb, face, col):
         return False
     completions = set(comb.C.link(comb.image(face, col)).vertices)
     start, verts, _ = comb.X.link_vertices(len(face) - 1)
-    i = comb.face_pos[face]
+    i = comb.X.face_pos(len(face) - 1)[face]
     around = col[verts[start[i]:start[i + 1]]].tolist()
     return bool(completions - {comb.C.vertices[c] for c in around if c >= 0})
 

@@ -406,6 +406,64 @@ class TestFaceIndex:
         assert X.cofaces(()).tolist() == list(range(10))
 
 
+def _face_pos_inputs():
+    rng = np.random.default_rng(17)
+    K8 = complete_complex(8, 2)
+    keep = [i for i, t in enumerate(K8.top_faces) if 0 not in t and 5 not in t and i % 3]
+    words = [("a", "b", "c"), ("a", "c", "d"), ("b", "c", "e"), ("c", "d", "e"), ("d", "e", "f")]
+    X, z4 = random_complex(rng, 7, 2), cyclic(4)
+    f = coboundary_labeling(X, z4, [int(rng.integers(4)) for v in X.vertices])
+    return [("K7-d3", complete_complex(7, 3)), ("strings", build_complex(2, words)),
+            ("restricted", K8.restrict(keep)), ("cover-Z4", build_cover(X, f, z4).complex)]
+
+
+FACE_POS_INPUTS = _face_pos_inputs()
+
+
+class TestFacePos:
+    """The scalar lookups (face_pos, has_face, positions) against the array
+    lookup face_index, at every level from -1 to d."""
+
+    @pytest.mark.parametrize(
+        "X", [x for _, x in FACE_POS_INPUTS], ids=[i for i, _ in FACE_POS_INPUTS]
+    )
+    def test_faces(self, X):
+        for k in range(-1, X.dim + 1):
+            pos = X.face_pos(k)
+            assert len(pos) == X.n_faces(k)
+            for i, s in enumerate(X.faces(k)):
+                assert X.has_face(s)
+                assert pos[s] == i
+                rows = X.positions(s)
+                assert [X.vertices[p] for p in rows.tolist()] == list(s)
+                assert X.face_index(rows[None, :]).tolist() == [i]
+
+    @pytest.mark.parametrize(
+        "X", [x for _, x in FACE_POS_INPUTS], ids=[i for i, _ in FACE_POS_INPUTS]
+    )
+    def test_non_faces(self, X):
+        V, d = X.vertices, X.dim
+        unknown = (["zz"] if isinstance(V[0], str)
+                   else [v for v in (0, 5, max(V) + 1) if v not in V])
+        missing = [next((s for s in itertools.combinations(V, k + 1)
+                         if s not in X.face_pos(k)), None) for k in range(1, d + 1)]
+        cases = [(u,) for u in unknown] + [(V[0], u) for u in unknown]
+        cases += [s for s in missing if s is not None]
+        if X.n_faces(d) < math.comb(len(V), d + 1):
+            assert any(s is not None for s in missing)
+        for s in cases:
+            assert not X.has_face(s)
+            assert X.face_pos(len(s) - 1).get(s, -1) == -1
+            rows = X.vertex_positions(np.array(s))[None, :]
+            assert X.face_index(rows).tolist() == [-1]
+            with pytest.raises(NotAFace):
+                X.positions(s)
+        longer = V[:d + 2]
+        assert not X.has_face(longer)
+        with pytest.raises(NotAFace):
+            X.cofaces(longer)
+
+
 class TestDegree:
     def test_complete_vertex(self):
         X = complete_complex(8, 2)

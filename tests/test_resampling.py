@@ -8,6 +8,7 @@ import pytest
 from hdxcover import combine, pruning
 from hdxcover.combine import CombineConfig, Combiner
 from hdxcover.complexes import build_complex, complete_complex
+from hdxcover.errors import NotAFace
 from hdxcover.groups import cyclic, validate_genset
 from hdxcover.harness import stage_seed
 from hdxcover.pruning import PruneConfig, Pruner, build_satisfaction_graph
@@ -101,6 +102,25 @@ class TestCombineLoop:
     def test_config_rejects_empty_budget(self, budget):
         with pytest.raises(ValueError):
             CombineConfig(0.5, max_resamples=budget)
+
+
+class TestEvalEvent:
+    @pytest.mark.parametrize("name", ["prune", "combine"])
+    def test_non_face_raises_for_every_kind(self, name):
+        X = complete_complex(8, 2)
+        if name == "prune":
+            sampler = Pruner(X, Z5, Z5_GENS, PruneConfig.empirical(0.9))
+            x = np.zeros(X.n_faces(1), dtype=np.int64)
+        else:
+            sampler = Combiner(X, K5, CombineConfig(0.9))
+            x = np.arange(len(X.vertices)) % 5
+        for kind, dims in sampler.kind_dims.items():
+            for ell in dims:
+                # an unknown vertex, and from dimension 1 a repeated one
+                unknown, repeated = tuple(range(ell)) + (99,), (0,) * (ell + 1)
+                for face in (unknown, repeated) if ell else (unknown,):
+                    with pytest.raises(NotAFace):
+                        sampler.eval_event(kind, face, x)
 
 
 def assert_same_build(got, want):

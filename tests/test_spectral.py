@@ -225,6 +225,11 @@ class TestIsHdx:
         with pytest.raises(BadParameter, match="lambda must be finite, got inf"):
             is_hdx(complete_complex(6, 2), math.inf)
 
+    @pytest.mark.parametrize("mode", ["one-sided", "two-sided", "", None])
+    def test_unknown_mode_is_bad_parameter(self, mode):
+        with pytest.raises(BadParameter, match="mode must be 'two_sided' or 'one_sided'"):
+            is_hdx(complete_complex(6, 2), 0.5, mode=mode)
+
     def test_zero_lambda_is_a_threshold(self):
         assert not is_hdx(complete_complex(6, 2), 0.0).passes
 
