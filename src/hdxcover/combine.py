@@ -10,6 +10,7 @@ non-degenerate coloring into the target.
 """
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,14 +18,7 @@ import numpy as np
 from .complexes import PureComplex
 from .errors import BadKindForFace, NotAFace, UnsatisfiedBase
 from .graphs import coloring_weights, component_labels
-from .pruning import (
-    Sampler,
-    build_satisfaction_graph,
-    face_fraction_report,
-    ne_violated,
-    resample,
-    target_link,
-)
+from .pruning import Sampler, face_fraction_report, resample
 from .spectral import is_hdx
 
 
@@ -64,18 +58,16 @@ class Combiner(Sampler):
         if X.dim != C.dim:
             raise BadKindForFace("complex and target must share a dimension")
         super().__init__(X, {"AC": range(0, X.dim), "NE": range(0, X.dim - 1)})
-        self.C = C
+        self.C = self.target = C
         self.config = config
-        self._image_links = {}
+        self.ne_rule = (config.lambda_target, False)
 
     # --- satisfaction ---
 
-    def image(self, face, col):
-        """The labels of the colors of face, sorted."""
-        return tuple(self.C.vertices[c] for c in np.sort(col[self.X.positions(face)]).tolist())
-
-    def face_satisfied(self, face, col):
-        return bool(self.rows_ok(col, self.X.positions(face)[None, :])[0])
+    # defined on each sampler's own class, where perfbench/tracing.py finds them
+    face_satisfied = Sampler.face_satisfied
+    satisfaction_graph = Sampler.satisfaction_graph
+    eval_ne = Sampler.eval_ne
 
     def image_index(self, col, rows):
         """Index among C's faces of the colors of each row of vertex
@@ -124,18 +116,12 @@ class Combiner(Sampler):
             hits = self.ac_sweep(col, len(face) - 1)
         return bool(hits[self.X.face_pos(len(face) - 1)[face]])
 
-    def satisfaction_graph(self, sigma, col, satisfied=None):
-        sigma = self.graph_base(sigma, col)
-        tskel = target_link(self.C, self.image(sigma, col), self._image_links)
-        colors = np.asarray(self.C.vertices)[col[self.link_table(sigma).pos]]
-        return build_satisfaction_graph(self, sigma, col, satisfied, colors, tskel)
-
-    def eval_ne(self, sigma, col, satisfied=None):
-        try:
-            sg = self.satisfaction_graph(sigma, col, satisfied)
-        except UnsatisfiedBase:
-            return False
-        return ne_violated(sg, self.config.lambda_target)
+    def link_colors(self, ell, faces, entries, col):
+        """Per face of the index array faces, its colors' labels, sorted; per
+        link vertex entry in entries, its color."""
+        images = np.sort(col[self.X.level(ell).rows[faces]], axis=1).tolist()
+        return ([tuple(self.C.vertices[c] for c in row) for row in images],
+                col[self.level_table(ell).pos[entries]])
 
     def scope_of(self, kind, face):
         """Vertex positions whose colors the events at this face read."""
@@ -144,21 +130,18 @@ class Combiner(Sampler):
         return tuple(np.unique(self.X.top_positions()[self.X.cofaces(face)]).tolist())
 
     def violations(self, col):
-        """The violated events in events() order, found lazily; the
-        satisfied top faces are computed once, and the AC sweep of each
-        dimension once, on its first event."""
-        satisfied = self.satisfied_mask(col)
-        ac = {}
-        for kind, face in self.events():
-            if kind == "AC":
-                k = len(face) - 1
-                if k not in ac:
-                    ac[k] = self.ac_sweep(col, k)
-                hit = self.eval_ac(face, col, ac[k])
-            else:
-                hit = self.eval_ne(face, col, satisfied)
-            if hit:
+        """The violated events in events() order, found lazily; the AC
+        sweep of each dimension runs once, on its first event, and the NE
+        events, which sort after every AC event, go through ne_violations."""
+        events, ac = self.events(), {}
+        b = bisect.bisect_left(events, ("NE",))
+        for kind, face in events[:b]:
+            k = len(face) - 1
+            if k not in ac:
+                ac[k] = self.ac_sweep(col, k)
+            if self.eval_ac(face, col, ac[k]):
                 yield kind, face
+        yield from self.ne_violations(events[b:], col, self.satisfied_mask(col))
 
     def first_violated(self, col):
         return next(self.violations(col), None)

@@ -208,22 +208,6 @@ def label_positions(labels, query):
     return np.where(labels[pos] == query, pos, -1)
 
 
-def fiber_codes(H, colors, ends):
-    """The column in ``H.ends`` of the edge of H that each edge maps to, or
-    -1 where its image is a loop or no edge of H.
-
-    ``colors`` holds each vertex's image among the labels ``H.vertices``,
-    and ``ends`` is a (2, m) array of each edge's end positions in colors.
-    """
-    n = len(H.vertices)
-    a, b = label_positions(H.vertices, colors)[ends]
-    # an end that is no vertex of H (-1) makes the code negative
-    codes = np.minimum(a, b) * n + np.maximum(a, b)
-    hcodes = H.ends[0] * n + H.ends[1]
-    j = np.searchsorted(hcodes, codes).clip(max=len(hcodes) - 1)
-    return np.where(hcodes[j] == codes, j, -1)
-
-
 def coloring_weights(codes, weights, target_weights):
     """The coloring measure: each item's weight rescaled so that the items
     over each target carry that target's weight.

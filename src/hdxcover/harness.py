@@ -80,7 +80,9 @@ class RunReport:
         }
 
     def to_json_bytes(self):
-        return _json_text(self.payload()).encode()
+        """The payload as deterministic JSON: sorted keys, numpy values as Python's."""
+        return (json.dumps(self.payload(), sort_keys=True, indent=2, default=_jsonify)
+                + "\n").encode()
 
 
 @contextlib.contextmanager
@@ -103,11 +105,6 @@ def _audit(report, name):
         except Unmeasurable as exc:
             report.add_audit(name, False, {"error": type(exc).__name__, "message": str(exc),
                                            "witness": list(exc.witness)})
-
-
-def _json_text(obj):
-    """obj as deterministic JSON text: sorted keys, numpy values as Python's."""
-    return json.dumps(obj, sort_keys=True, indent=2, default=_jsonify) + "\n"
 
 
 def _jsonify(obj):
@@ -628,21 +625,21 @@ def run_experiment(spec):
 
 
 def emit_report(report, out_dir):
-    """Write the report files; returns the list of paths written."""
+    """Write the report files, each as soon as it is ready, and return the
+    paths written.  JSON streams through json.dump with to_json_bytes'
+    settings; a None payload or an empty text is not written."""
     os.makedirs(out_dir, exist_ok=True)
-    files = {
-        "report.json": report.to_json_bytes().decode(),
-        "spectra.csv": report.spectra,
-        "outcome.json": None if report.outcome is None else _json_text(report.outcome),
-        "cover.json": None if report.cover_export is None else _json_text(report.cover_export),
-        "lambda_series.dat": "".join(f"{i} {v!r}\n" for i, v in enumerate(report.lambda_series)),
-        "timings.json": _json_text(report.timings),
-    }
+    series = "".join(f"{i} {v!r}\n" for i, v in enumerate(report.lambda_series))
     written = []
-    for name, text in files.items():
-        if text:
-            path = os.path.join(out_dir, name)
-            with open(path, "w") as fh:
-                fh.write(text)
-            written.append(path)
+    for name, content in [("report.json", report.payload()), ("spectra.csv", report.spectra),
+                          ("outcome.json", report.outcome), ("cover.json", report.cover_export),
+                          ("lambda_series.dat", series), ("timings.json", report.timings)]:
+        if content is None or content == "":
+            continue
+        written.append(os.path.join(out_dir, name))
+        with open(written[-1], "w") as fh:
+            if name.endswith(".json"):
+                json.dump(content, fh, sort_keys=True, indent=2, default=_jsonify)
+                content = "\n"
+            fh.write(content)
     return written

@@ -36,9 +36,9 @@ from .errors import (
     Unmeasurable,
     UnsatisfiedBase,
 )
-from .graphs import WGraph, coloring_weights, fiber_codes
+from .graphs import WGraph, coloring_weights
 from .groups import cayley_clique_complex, validate_genset
-from .spectral import graph_spectra, link_measures
+from .spectral import link_measures, link_spectra
 
 MODES = ("formula", "empirical")
 
@@ -90,119 +90,120 @@ class SatisfactionGraph:
 # --- the resampling engine shared with combine ---
 
 
-class LinkTable(NamedTuple):
-    """The link of a face, read off the top faces; no labeling involved."""
+class LevelTable(NamedTuple):
+    """The link tables of a level's faces stacked in face order, with the
+    faces' own rows keyed: face f's link vertices are entries vstart[f]:
+    vstart[f + 1] of pos, vface and vert_rows, its edges entries estart[f]:
+    estart[f + 1] of the rest, uv as vertex entries, and srt lists each
+    face's edges in sorted order.  Edge indices are int32, to halve it."""
 
-    verts: tuple  # link vertices, sorted
-    pos: np.ndarray  # their positions in the complex's vertices
-    uv: np.ndarray  # (2, edges) link edge ends as positions in verts, u < v,
-    #                 edges in first-seen coface order
-    mass: np.ndarray  # per edge, its cofaces' weights summed in coface order
-    top: np.ndarray  # per edge, the first coface holding it
-    vert_rows: np.ndarray  # per vertex v, the sorted vertex positions of face + v
-    edge_rows: np.ndarray | None  # the same for face + edge; None at top faces
-    #                               both as the sampler's row_keys keys them
+    face_rows: np.ndarray
+    vstart: np.ndarray
+    pos: np.ndarray
+    vface: np.ndarray
+    estart: np.ndarray
+    eface: np.ndarray
+    uv: np.ndarray
+    mass: np.ndarray
+    top: np.ndarray
+    srt: np.ndarray
+    vert_rows: np.ndarray
+    edge_rows: np.ndarray | None
 
 
-def build_link_table(X, sigma, row_keys):
-    """The link table of sigma: the cofaces of sigma less its columns give
-    the link vertices, and each pair of their columns a link edge."""
-    idx, spos, rows = X.link_rows(sigma)
+def build_level_table(X, ell, row_keys):
+    """The LevelTable of the ell-faces, from one np.unique over the (face,
+    u, v) codes of the cofaces' link edges: a face's edges keep their
+    first-seen order and coface-order mass sums, so each slice is the table
+    of its face built alone.  Large temporaries go early, to bound the peak."""
+    lev, n = X.level(ell), np.int64(len(X.vertices))  # every code stays int64
+    vstart, pos, _ = X.link_vertices(ell)
+    faces = len(lev.codes)
+    rows = X.top_positions()[lev.cof[:, None], lev.rest[lev.sub]]
     a, b = np.triu_indices(rows.shape[1], 1)
-    n = len(X.vertices)
-    keys, first, inv = np.unique(
-        (rows[:, a] * n + rows[:, b]).ravel(), return_index=True, return_inverse=True
-    )
+    codes = np.repeat(np.arange(faces), np.diff(lev.start))[:, None] * n + rows[:, a]
+    codes = (codes * n + rows[:, b]).ravel()
+    del rows
+    keys, first, inv = np.unique(codes, return_index=True, return_inverse=True)
+    del codes
     order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    mass = np.bincount(
-        rank[inv], weights=np.repeat(X.weights[idx], len(a)), minlength=len(keys)
-    )
-    keys = keys[order]
-    ends = np.stack([keys // n, keys % n])
-    verts = np.unique(rows)
+    srt = np.empty(len(order), dtype=np.int32)
+    srt[order] = np.arange(len(order))
+    mass = np.bincount(srt[inv], np.repeat(X.weights[lev.cof], len(a)), len(keys))
+    top = lev.cof[first[order] // len(a)].astype(np.int32)
+    eface, u, v = (w.astype(np.int32) for w in np.unravel_index(keys[order], (faces, n, n)))
+    del inv, keys, first, order
+    vface = np.repeat(np.arange(faces), np.diff(vstart))
+    uv = np.searchsorted(vface * n + pos, np.stack([eface * n + u, eface * n + v]))
 
-    def with_sigma(cols):
-        base = np.broadcast_to(spos, (len(cols), len(spos)))
-        return row_keys(np.sort(np.column_stack([base, cols]), axis=1))
+    def with_face(fs, *cols):
+        return row_keys(np.sort(np.column_stack([lev.rows[fs], *cols]), axis=1))
 
-    labels = np.asarray(X.vertices)
-    return LinkTable(
-        tuple(labels[verts].tolist()),
-        verts,
-        np.searchsorted(verts, ends),
-        mass,
-        idx[first[order] // len(a)],
-        with_sigma(verts),
-        with_sigma(ends.T) if len(sigma) + 2 <= X.dim else None,
-    )
+    return LevelTable(
+        row_keys(lev.rows), vstart, pos, vface, np.searchsorted(eface, np.arange(faces + 1)),
+        eface, uv.astype(np.int32), mass, top, srt, with_face(vface, pos),
+        with_face(eface, u, v) if ell + 3 <= X.dim else None)
 
 
 def target_link(C, face, cache):
-    """The 1-skeleton of the link of face in the target C, memoized in
-    cache; None when face is not a face of C."""
+    """The 1-skeleton of the link of face in the target C and its edges'
+    codes u * n + v over C's n vertex positions, ascending as its edges,
+    memoized in cache; None and no codes when face is not a face of C."""
     if face not in cache:
-        cache[face] = C.link(face).one_skeleton() if C.has_face(face) else None
+        skel, codes = None, np.zeros(0, dtype=np.int64)
+        if C.has_face(face):
+            skel = C.link(face).one_skeleton()
+            u, v = C.vertex_positions(np.asarray(skel.vertices))[skel.ends]
+            codes = u * len(C.vertices) + v
+        cache[face] = skel, codes
     return cache[face]
 
 
-def build_satisfaction_graph(sampler, sigma, x, satisfied, colors, tskel, absent=None):
-    """Satisfaction graph of sigma under the sampler's state x.
+class SatArrays(NamedTuple):
+    """The satisfaction graphs of a slice of a level's faces under one
+    state.  Per face (from the slice's first): ok (satisfied), graph (kept
+    edges, an image that is a target face, no empty fiber), dropped (a
+    satisfied link vertex meets no kept edge), missing (the target face or
+    edge nothing maps to).  Per vertex a kept edge meets: pos and vface;
+    lost, the dropped ones' positions.  Per kept edge (of positive mass,
+    spanning a satisfied face), sorted within its face: eface, ends (into
+    pos), link mass and colored (its coloring measure, if its face has one)."""
 
-    The sampler supplies the cached link table of sigma (`link_table`) and
-    its satisfaction rule for the table's keyed rows (`keys_ok`); link
-    edges that complete top faces read the satisfied-top-face mask instead,
-    computed if None.  colors gives each link vertex of the table, in its
-    order, a vertex label of the target link, whose 1-skeleton is tskel; a
-    tskel of None means the image of sigma is no target face, reported as
-    the missing face `absent`.
-    """
-    table = sampler.link_table(sigma)
-    if table.edge_rows is None:
-        if satisfied is None:
-            satisfied = sampler.satisfied_mask(x)
-        edge_ok = satisfied[table.top]
-    else:
-        edge_ok = sampler.keys_ok(x, table.edge_rows)
-    vert_ok = sampler.keys_ok(x, table.vert_rows)
-    keep = edge_ok & (table.mass > 0)
-    if not keep.any():
-        good = tuple(itertools.compress(table.verts, vert_ok.tolist()))
-        return SatisfactionGraph(sigma, None, None, None, good)
-    uv, mass = table.uv[:, keep], table.mass[keep]
-    # the link graph's edges sorted, on the link vertices they touch
-    order = np.lexsort(uv[::-1])
-    present = np.zeros(len(table.verts), dtype=bool)
-    present[uv.ravel()] = True
-    vertices = tuple(itertools.compress(table.verts, present.tolist()))
-    ends = (np.cumsum(present) - 1)[uv[:, order]]
-    link_graph = WGraph.from_arrays(vertices, ends, mass[order])
-    dropped = tuple(itertools.compress(table.verts, (vert_ok & ~present).tolist()))
-    if tskel is None:
-        return SatisfactionGraph(sigma, None, link_graph, absent, dropped)
-    fiber = fiber_codes(tskel, colors, uv)
-    bad = np.flatnonzero((fiber < 0) | ~vert_ok[uv].all(axis=0))
-    if len(bad):
-        edge = (table.verts[uv[0, bad[0]]], table.verts[uv[1, bad[0]]])
-        raise ValueError(f"link edge {edge!r} maps to no target edge")
-    colored, fiber_mass = coloring_weights(fiber, mass, tskel.weights)
-    empty = np.flatnonzero(fiber_mass == 0)
-    if len(empty):
-        return SatisfactionGraph(sigma, None, link_graph, tskel.edges[empty[0]], dropped)
-    graph = WGraph.from_arrays(vertices, ends, colored[order])
-    return SatisfactionGraph(sigma, graph, link_graph, None, dropped)
+    ok: np.ndarray
+    graph: np.ndarray
+    dropped: np.ndarray
+    missing: list
+    pos: np.ndarray
+    vface: np.ndarray
+    lost: np.ndarray
+    eface: np.ndarray
+    ends: np.ndarray
+    mass: np.ndarray
+    colored: np.ndarray
 
 
-def ne_violated(sg, threshold, link_measure=False):
-    """The NE event on a built satisfaction graph: degenerate or dropping a
-    vertex, or expanding worse than threshold, under the coloring measure
-    and, if link_measure, under the link measure too, the two graphs solved
-    in one stack."""
-    if sg.graph is None or sg.dropped_vertices:
-        return True
-    eigs = graph_spectra((sg.graph, sg.link_graph) if link_measure else (sg.graph,))
-    return bool((np.abs(eigs[:, [1, -1]]).max(axis=1) > threshold + 1e-9).any())
+def ne_verdicts(sa, threshold, link_measure=False):
+    """The NE event of each face of sa: no coloring measure, a dropped
+    vertex, or expansion worse than threshold under the coloring measure
+    and, if link_measure, the link measure too, every graph of one vertex
+    count solved in one stack by link_spectra.  An unsatisfied face is
+    outside the pruned complex, so its event is never violated."""
+    solve = sa.graph & ~sa.dropped
+    hits = sa.ok & ~solve
+    if solve.any():
+        vlink, ends, e = sa.vface, sa.ends, slice(None)
+        if not solve.all():  # the graphs solved, renumbered
+            v, e = solve[sa.vface], solve[sa.eface]
+            vlink, ends = (np.cumsum(solve) - 1)[sa.vface[v]], (np.cumsum(v) - 1)[sa.ends[:, e]]
+        weights = sa.colored[e]
+        if link_measure:  # the link measure's graphs after the coloring measure's
+            vlink, ends = (np.concatenate([vlink, vlink + vlink[-1] + 1]),
+                           np.concatenate([ends, ends + len(vlink)], axis=1))
+            weights = np.concatenate([weights, sa.mass[e]])
+        eigs = link_spectra(vlink, ends, weights)[2]
+        lam = np.array([max(abs(ev[1]), abs(ev[-1])) for ev in eigs])
+        hits[solve] = (lam > threshold + 1e-9).reshape(-1, solve.sum()).any(axis=0)
+    return hits
 
 
 def resample(sampler, x, values, rng, budget):
@@ -230,8 +231,9 @@ def resample(sampler, x, values, rng, budget):
 class Sampler:
     """What the two samplers share.  Each subclass holds its variables and
     defines its satisfaction rule (`keys_ok` on rows keyed by `row_keys`,
-    `satisfied_mask`, `face_satisfied`), an evaluator `eval_<kind>(face, x)`
-    per event kind, `scope_of` and its own `violations` scan.
+    `satisfied_mask`), an evaluator `eval_<kind>(face, x)` per event kind,
+    `scope_of`, its own `violations` scan, and for NE its `target`
+    complex, `link_colors` into it and `ne_rule` for ne_verdicts.
 
     kind_dims gives the dimensions at which each event kind is defined,
     scan_dims those that the scan evaluates (by default the same).
@@ -243,7 +245,8 @@ class Sampler:
         self.kind_dims = kind_dims
         self.scan_dims = kind_dims if scan_dims is None else scan_dims
         self._events = None
-        self._link_tables = {}
+        self._level_tables = {}
+        self._target_links = {}
         self._scopes = {}
 
     def events(self):
@@ -254,10 +257,125 @@ class Sampler:
                 for ell in ells for s in self.X.faces(ell)))
         return self._events
 
-    def link_table(self, sigma):
-        if sigma not in self._link_tables:
-            self._link_tables[sigma] = build_link_table(self.X, sigma, self.row_keys)
-        return self._link_tables[sigma]
+    def level_table(self, ell):
+        """The LevelTable of the ell-faces, built once."""
+        if ell not in self._level_tables:
+            self._level_tables[ell] = build_level_table(self.X, ell, self.row_keys)
+        return self._level_tables[ell]
+
+    def satisfaction_arrays(self, ell, faces, x, satisfied=None):
+        """The SatArrays of the ell-faces in the slice faces under x, read off
+        the level table; edges that complete top faces read the satisfied
+        mask, computed if None.  Fiber codes come once per image and fiber
+        masses from one bincount over (face, target edge) cells in table
+        order, so each face's values are those of its graph built alone."""
+        if not 0 <= ell < self.d - 1:
+            raise BadKindForFace("satisfaction graphs exist at dimensions 0 to d-2")
+        t = self.level_table(ell)
+        lo, hi, _ = faces.indices(len(t.vstart) - 1)
+        v, e = slice(t.vstart[lo], t.vstart[hi]), slice(t.estart[lo], t.estart[hi])
+        ok, vface = self.keys_ok(x, t.face_rows[..., lo:hi, :]), t.vface[v] - lo
+        keep = (self.keys_ok(x, t.edge_rows[..., e, :]) if t.edge_rows is not None else
+                (self.satisfied_mask(x) if satisfied is None else satisfied)[t.top[e]])
+        # an unsatisfied face keeps no vertex or edge
+        keep &= (t.mass[e] > 0) & ok[t.eface[e] - lo]
+        good = self.keys_ok(x, t.vert_rows[..., v, :]) & ok[vface]
+        # the kept edges in table order, and where each sorts among them
+        kept = keep.nonzero()[0]
+        srt = t.srt[e] - e.start
+        srt = kept.searchsorted(srt[keep[srt]])
+        kface, mass, uv = t.eface[e][kept] - lo, t.mass[e][kept], t.uv[:, e][:, kept] - v.start
+        present = np.zeros(len(vface), dtype=bool)
+        present[uv] = True
+        # each image's target link, found once, the image -1 of an unsatisfied
+        # face none; a face's target edges are the cells tstart:tstart + nt,
+        # none where its image is no target face (whose links have edges)
+        images, colors = self.link_colors(ell, ok.nonzero()[0] + lo, v, x)
+        index, image = {}, np.full(len(ok), -1)
+        image[ok] = [index.setdefault(k, len(index)) for k in images]
+        links = [target_link(self.target, k, self._target_links) for k in index]
+        skels, lens = [skel for skel, _ in links] + [None], np.array([len(c) for _, c in links] + [0])
+        nt, has = lens[image], lens[image] > 0
+        # a kept edge's fiber is its colors' rank among its image's codes,
+        # image j's offset by j n^2 into one ascending run that a sentinel
+        # ends; with no image, no target is built
+        n, (a, b) = len(self.target.vertices) if index else 0, np.sort(colors[uv], axis=0)
+        codes = np.concatenate([c + j * n * n for j, (_, c) in enumerate(links)]
+                               + [[np.iinfo(np.int64).max]])
+        want = (image[kface] * n + a) * n + b
+        fiber = codes.searchsorted(want)
+        fiber = np.where(codes[fiber] == want, fiber - (lens.cumsum() - lens)[image[kface]], -1)
+        tstart, on = nt.cumsum() - nt, has[kface]
+        bad = (on & (fiber < 0)).nonzero()[0]
+        if len(bad):
+            edge = tuple(self.X.vertices[p] for p in t.pos[v][uv[:, bad[0]]].tolist())
+            raise ValueError(f"link edge {edge!r} maps to no target edge")
+        tw = np.concatenate([np.zeros(0)] + [skels[j].weights for j in image[has].tolist()])
+        colored = np.zeros(len(kept))
+        colored[on], fmass = coloring_weights(tstart[kface[on]] + fiber[on], mass[on], tw)
+        n_kept, empty = np.bincount(kface, minlength=len(ok)), fmass == 0
+        graph = has & (n_kept > 0) & ~np.bincount(
+            np.arange(len(ok)).repeat(nt), empty, len(ok)).astype(bool)
+        missing = [None] * len(ok)
+        for s in ((n_kept > 0) & ~graph).nonzero()[0].tolist():
+            skel, cell = skels[image[s]], tstart[s]
+            missing[s] = (list(index)[image[s]] if skel is None
+                          else skel.edges[np.argmax(empty[cell:cell + nt[s]])])
+        lost, pos = good & ~present, t.pos[v]
+        return SatArrays(ok, graph, np.bincount(vface, lost, len(ok)) > 0, missing,
+                         pos[present], vface[present], pos[lost], kface[srt],
+                         (present.cumsum() - 1)[uv[:, srt]], mass[srt], colored[srt])
+
+    def ne_sweep(self, ell, faces, x, satisfied=None):
+        """The NE verdicts, under ne_rule, of the ell-faces in the slice faces."""
+        return ne_verdicts(self.satisfaction_arrays(ell, faces, x, satisfied), *self.ne_rule)
+
+    def eval_ne(self, sigma, x, *, hits=None):
+        """The NE event of sigma, read off hits, verdicts on the faces of its
+        dimension, or decided for sigma alone."""
+        i = self.X.face_pos(len(sigma) - 1)[sigma]
+        if hits is None:
+            return bool(self.ne_sweep(len(sigma) - 1, slice(i, i + 1), x)[0])
+        return bool(hits[i])
+
+    def ne_violations(self, events, x, satisfied):
+        """The violated NE events among events, a sorted run of them, found
+        lazily.  Each dimension's faces are decided in runs of 1, 2, 4, ...
+        faces from the first one the scan reaches, so a scan that stops at a
+        hit decides at most about twice the faces it passed, and a clean scan
+        decides a dimension in a few stacked solves."""
+        runs = {}  # per dimension: its verdicts so far, where they stop, the next run's length
+        for kind, face in events:
+            ell = len(face) - 1
+            i = self.X.face_pos(ell)[face]
+            hits, stop, size = runs.get(ell) or (np.zeros(self.X.n_faces(ell), dtype=bool), 0, 1)
+            if i >= stop:
+                stop = i + size
+                hits[i:stop] = self.ne_sweep(ell, slice(i, stop), x, satisfied)
+                runs[ell] = hits, stop, 2 * size
+            if self.eval_ne(face, x, hits=hits):
+                yield kind, face
+
+    def satisfaction_graph(self, sigma, x, satisfied=None):
+        """The SatisfactionGraph of sigma, a satisfied face of dimension 0 to
+        d-2, under x, its two graphs built from satisfaction_arrays."""
+        sigma = tuple(sorted(sigma))
+        if not 0 < len(sigma) < self.d:
+            raise BadKindForFace("satisfaction graphs exist at dimensions 0 to d-2")
+        if not self.face_satisfied(sigma, x):
+            raise UnsatisfiedBase(f"{sigma!r} is not satisfied")
+        i = self.X.face_pos(len(sigma) - 1)[sigma]
+        sa = self.satisfaction_arrays(len(sigma) - 1, slice(i, i + 1), x, satisfied)
+        dropped = tuple(self.X.vertices[p] for p in sa.lost.tolist())
+        if not len(sa.eface):
+            return SatisfactionGraph(sigma, None, None, None, dropped)
+        vertices = tuple(self.X.vertices[p] for p in sa.pos.tolist())
+        graph = WGraph.from_arrays(vertices, sa.ends, sa.colored) if sa.graph[0] else None
+        return SatisfactionGraph(sigma, graph, WGraph.from_arrays(vertices, sa.ends, sa.mass),
+                                 sa.missing[0], dropped)
+
+    def face_satisfied(self, face, x):
+        return bool(self.rows_ok(x, self.X.positions(face)[None, :])[0])
 
     def row_keys(self, rows):
         """Rows of vertex positions as keys_ok reads them; by default themselves."""
@@ -286,16 +404,6 @@ class Sampler:
 
     def all_violations(self, x):
         return tuple(self.violations(x))
-
-    def graph_base(self, sigma, x):
-        """sigma sorted, once it is checked to carry a satisfaction graph:
-        of dimension 0 to d-2, and satisfied."""
-        sigma = tuple(sorted(sigma))
-        if not 0 < len(sigma) < self.d:
-            raise BadKindForFace("satisfaction graphs exist at dimensions 0 to d-2")
-        if not self.face_satisfied(sigma, x):
-            raise UnsatisfiedBase(f"{sigma!r} is not satisfied")
-        return sigma
 
 
 @dataclass
@@ -339,6 +447,8 @@ class Pruner(Sampler):
         self.gens = validate_genset(group, gens, require_generating=False)
         self._cayley = None  # built lazily; only NE and the measure audits need it
         self.m = len(self.gens)
+        lam = config.lambda_target
+        self.ne_rule = (lam / 2.0, False) if config.mode == "formula" else (lam, True)
 
         self.s_elems = np.array(self.gens, dtype=np.int64)
         self.inv_elems = group.inv_table[self.s_elems].astype(np.int64)
@@ -361,16 +471,19 @@ class Pruner(Sampler):
         self.top_to_tris = X.level(2).pairs
 
         self._at_levels = {}
-        self._cayley_links = {}
         # the (d-1)-faces of each top face, for EC
         self.top_to_dfaces = X.level(self.d - 1).pairs
-        self.scan_graphs = (None, {})  # the last scan's labeling and NE graphs by face
 
     @property
     def cayley(self):
         if self._cayley is None:
             self._cayley = cayley_clique_complex(self.group, self.gens, self.d)
         return self._cayley
+
+    @property
+    def target(self):
+        """The Cayley clique complex, which the satisfaction graphs color into."""
+        return self.cayley.complex
 
     # --- labeling helpers ---
 
@@ -411,8 +524,10 @@ class Pruner(Sampler):
         """Whether each top face is satisfied, from triangles(f) unless given."""
         return (self.triangles(f) if tri is None else tri)[-1][self.top_to_tris].all(axis=1)
 
-    def face_satisfied(self, face, f):
-        return bool(self.rows_ok(f, self.X.positions(face)[None, :])[0])
+    # defined on each sampler's own class, where perfbench/tracing.py finds them
+    face_satisfied = Sampler.face_satisfied
+    satisfaction_graph = Sampler.satisfaction_graph
+    eval_ne = Sampler.eval_ne
 
     # --- precomputed event tables ---
 
@@ -421,23 +536,27 @@ class Pruner(Sampler):
         vertex's share of its face's link mass, the edge positions from the
         face's vertices to it and whether each runs upward, each row's first
         histogram bin (its face's index times m^(ell+1)), and the rows'
-        offsets per face, read off the complex's link-vertex index."""
+        offsets per face, read off the complex's link-vertex index; and, for
+        link_colors, each face's edges from its first vertex to the rest."""
         if ell not in self._at_levels:
             start, verts, mass = self.X.link_vertices(ell)
             face = np.repeat(np.arange(len(start) - 1), np.diff(start))
             # each face's own pairwise .sum(), as a per-face table would take
             total = np.array([mass[a:b].sum() for a, b in zip(start, start[1:])])
-            spos, v = self.X.level(ell).rows[face], verts[:, None]
+            rows = self.X.level(ell).rows
+            spos, v = rows[face], verts[:, None]
             lo, hi = np.minimum(spos, v), np.maximum(spos, v)
             eidx = self.X.face_index(np.column_stack([lo.ravel(), hi.ravel()]))
+            own = np.stack(np.broadcast_arrays(rows[:, :1], rows[:, 1:]), axis=-1)
             self._at_levels[ell] = (mass / total[face], eidx.reshape(lo.shape),
-                                    spos < v, face * self.m ** (ell + 1), start)
+                                    spos < v, face * self.m ** (ell + 1), start,
+                                    self.X.face_index(own.reshape(-1, 2)).reshape(len(rows), ell))
         return self._at_levels[ell]
 
     def _at_table(self, sigma):
         """The link vertex measure of sigma, and per link vertex v the edge
         positions of sigma's vertices to v and whether each runs upward."""
-        vmeas, eidx, fwd, _, start = self._at_level(len(sigma) - 1)
+        vmeas, eidx, fwd, _, start, _ = self._at_level(len(sigma) - 1)
         i = self.X.face_pos(len(sigma) - 1)[sigma]
         rows = slice(start[i], start[i + 1])
         return vmeas[rows], eidx[rows], fwd[rows]
@@ -463,7 +582,7 @@ class Pruner(Sampler):
         # Chernoff bound a violation has probability at most
         # m^(l+1) exp(-0.03 m^-(l+1) (r-1)^2 k); this only becomes small
         # once k is far larger than m^(l+1)
-        vmeas, eidx, fwd, base, _ = self._at_level(ell)
+        vmeas, eidx, fwd, base, _, _ = self._at_level(ell)
         labs = f[eidx]
         bins = self.m ** (ell + 1)
         # a downward edge carries its generator's inverse
@@ -514,42 +633,16 @@ class Pruner(Sampler):
         covered = self.covered_dfaces(self.satisfied_mask(f))
         return not covered[self.X.face_pos(len(sigma) - 1)[sigma]]
 
-    def link_colors(self, sigma, f):
-        """The Cayley face of the elements on the edges from sigma[0] to the
-        rest of sigma, all upward, with the identity, and the element on the
-        edge from sigma[0] to each link vertex of sigma, upward or downward,
-        in link table order."""
-        a = {0}
-        if len(sigma) > 1:
-            spos = self.X.positions(sigma)
-            pairs = np.column_stack([np.full(len(spos) - 1, spos[0]), spos[1:]])
-            a.update(self.s_elems[f[self.X.face_index(pairs)]].tolist())
-        _, eidx, fwd = self._at_table(sigma)
-        labs = f[eidx[:, 0]]
-        return tuple(sorted(a)), np.where(fwd[:, 0], self.s_elems[labs], self.inv_elems[labs])
-
-    def satisfaction_graph(self, sigma, f, satisfied=None):
-        """Vertices and edges of the link whose union with sigma is
-        satisfied, under the coloring measure of link_colors into the
-        Cayley link and under the restricted link measure."""
-        sigma = self.graph_base(sigma, f)
-        a, colors = self.link_colors(sigma, f)
-        tskel = target_link(self.cayley.complex, a, self._cayley_links)
-        return build_satisfaction_graph(self, sigma, f, satisfied, colors, tskel, absent=a)
-
-    def eval_ne(self, sigma, f, satisfied=None, graphs=None):
-        """The NE event of sigma; the satisfaction graph it builds goes into
-        the dict graphs, if given, under sigma."""
-        try:
-            sg = self.satisfaction_graph(sigma, f, satisfied)
-        except UnsatisfiedBase:
-            return False  # an unsatisfied face is outside the pruned complex
-        if graphs is not None:
-            graphs[sigma] = sg
-        lam = self.config.lambda_target
-        if self.config.mode == "formula":
-            return ne_violated(sg, lam / 2.0)
-        return ne_violated(sg, lam, link_measure=True)
+    def link_colors(self, ell, faces, entries, f):
+        """Per face of the index array faces, the Cayley face of the identity
+        and the elements from its first vertex up to the rest; per link
+        vertex entry in entries, the element from the face's first vertex to
+        it, up or down, which is its own position among the Cayley vertices."""
+        _, eidx, fwd, _, _, own = self._at_level(ell)
+        up = self.s_elems[f[own[faces]]].tolist()
+        labs = f[eidx[entries, 0]]
+        return ([tuple(sorted({0, *r})) for r in up],
+                np.where(fwd[entries, 0], self.s_elems[labs], self.inv_elems[labs]))
 
     # --- scopes ---
 
@@ -567,7 +660,9 @@ class Pruner(Sampler):
             return tuple(np.unique(edges).tolist())
         if kind == "NE":
             allowed = np.zeros(len(self.X.vertices), dtype=bool)
-            allowed[self.link_table(face).pos] = True
+            start, verts, _ = self.X.link_vertices(len(face) - 1)
+            i = self.X.face_pos(len(face) - 1)[face]
+            allowed[verts[start[i]:start[i + 1]]] = True
             allowed[self.X.positions(face)] = True
             inside = allowed[self.X.level(1).rows].all(axis=1)
             return tuple(np.flatnonzero(inside).tolist())
@@ -589,8 +684,8 @@ class Pruner(Sampler):
         the AT sweep of each dimension and the BC sweep once each, on the
         first event that reads them.  The EC events, the (d-1)-faces in
         face order since events sort by kind (AT, BC, EC, NE), then face,
-        are one block read off the covered (d-1)-faces.  The NE events keep
-        their satisfaction graphs in scan_graphs with a copy of f."""
+        are one block read off the covered (d-1)-faces, and the NE events
+        come last, through ne_violations."""
         events = self.events()
         a = bisect.bisect_left(events, ("EC",))
         b = a + sum(self.X.n_faces(ell) for ell in self.scan_dims["EC"])
@@ -612,10 +707,7 @@ class Pruner(Sampler):
         if b > a:
             for i in np.flatnonzero(~self.covered_dfaces(satisfied)).tolist():
                 yield events[a + i]
-        self.scan_graphs = f.copy(), {}
-        for kind, face in events[b:]:
-            if self.eval_ne(face, f, satisfied, self.scan_graphs[1]):
-                yield kind, face
+        yield from self.ne_violations(events[b:], f, satisfied)
 
     def first_violated(self, f):
         return next(self.violations(f), None)
@@ -712,13 +804,12 @@ def measure_ratio_audit(pruner, Y, f, ell):
     multiplicative gap against r^(15 d), r from the pruner's config, and
     the first link vertex, else edge, attaining it if it exceeds 1.  A
     face whose graph has no edge raises Unmeasurable, and one that is no
-    face of Y fails as Y.link_skeleton does.  Under the labeling of the
-    pruner's last scan, the graphs that scan built are read, not rebuilt."""
+    face of Y fails as Y.link_skeleton does.  The satisfaction graphs of
+    the level are sliced off one call to satisfaction_arrays."""
     X = pruner.X
     bound = float(pruner.config.r) ** (15 * pruner.d)
-    satisfied = pruner.satisfied_mask(f)
-    labels, graphs = pruner.scan_graphs
-    graphs = graphs if np.array_equal(labels, f) else {}
+    sa = pruner.satisfaction_arrays(ell, slice(None), f)
+    gvs, ges = (np.searchsorted(x, np.arange(len(sa.ok) + 1)) for x in (sa.vface, sa.eface))
     yv = np.asarray(Y.vertices)
     yface = np.full(X.n_faces(ell), -1)
     if Y.dim >= ell + 2:
@@ -733,12 +824,9 @@ def measure_ratio_audit(pruner, Y, f, ell):
         vs, es = (np.searchsorted(x, np.arange(Y.n_faces(ell) + 1))
                   for x in (vlink, vlink[ends[0]]))
     at, reports = Y.vertices.__getitem__, []
-    for i, sigma in enumerate(X.faces(ell)):
-        try:
-            g = (graphs.get(sigma) or pruner.satisfaction_graph(sigma, f, satisfied)).graph
-        except UnsatisfiedBase:
-            continue
-        if g is None:
+    for i in np.flatnonzero(sa.ok).tolist():
+        sigma = X.faces(ell)[i]
+        if not sa.graph[i]:
             raise Unmeasurable(f"satisfaction graph at {sigma!r} has no edges",
                                witness=sigma)
         j = yface[i]
@@ -746,6 +834,9 @@ def measure_ratio_audit(pruner, Y, f, ell):
             Y.link_skeleton(sigma)  # raises, as sigma is no face of Y
             raise NotAFace(f"{sigma!r} is not a face of Y")
         link, edges = slice(vs[j], vs[j + 1]), ends[:, es[j]:es[j + 1]]
+        gv, ge = slice(gvs[i], gvs[i + 1]), slice(ges[i], ges[i + 1])
+        g = WGraph.from_arrays([X.vertices[p] for p in sa.pos[gv].tolist()],
+                               sa.ends[:, ge] - gv.start, sa.colored[ge])
         if not (np.array_equal(yv[verts[link]], g.vertices)
                 and np.array_equal(edges - vs[j], g.ends)):
             reports.append(RatioReport(sigma, 1.0, bound, (), False))

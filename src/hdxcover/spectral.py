@@ -65,15 +65,6 @@ def _checked_spectra(M):
     return np.clip(eigs, -1.0, 1.0)
 
 
-def graph_spectra(graphs):
-    """The eigenvalues adjacency_spectrum gives for each of graphs, of one
-    vertex count, one row per graph: each operator is built as there, and
-    all are solved in one stacked eigensolve, so each row is the graph's
-    own bit for bit."""
-    return _checked_spectra(np.stack([_symmetrized_matrix(
-        (g.n, g.n), g.ends, g.weights, np.sqrt(g.vertex_measures()), g.ends) for g in graphs]))
-
-
 def adjacency_spectrum(G):
     """Full spectrum of the normalized adjacency operator of G."""
     root = np.sqrt(G.vertex_measures())
@@ -109,10 +100,15 @@ def link_spectra(vlink, ends, mass):
     weights, vmass = link_measures(vlink, ends, mass)
     root = np.sqrt(0.5 * vmass)
     local = np.arange(len(vlink)) - np.searchsorted(vlink, vlink)
+    sizes = sorted(set(n_verts.tolist()))
+    if len(sizes) == 1:  # one stack of every graph
+        M = _symmetrized_matrix((len(n_verts), sizes[0], sizes[0]),
+                                (elink, *local[ends]), weights, root, ends)
+        return weights, vmass, list(_checked_spectra(M))
     eigs = [None] * len(n_verts)
-    for n in np.unique(n_verts).tolist():
+    for n in sizes:
         links = np.flatnonzero(n_verts == n)
-        sel = n_verts[elink] == n
+        sel = np.flatnonzero(n_verts[elink] == n)
         eu, ev = ends[:, sel]
         at = (np.searchsorted(links, elink[sel]), local[eu], local[ev])
         M = _symmetrized_matrix((len(links), n, n), at, weights[sel], root, (eu, ev))

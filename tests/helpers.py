@@ -8,6 +8,7 @@ from __future__ import annotations
 import itertools
 import math
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -780,16 +781,22 @@ def plain_eval_ac(comb, face, col):
     own link vertices."""
     if not comb.face_satisfied(face, col):
         return False
-    completions = set(comb.C.link(comb.image(face, col)).vertices)
+    completions = set(comb.C.link(plain_image(comb, face, col)).vertices)
     start, verts, _ = comb.X.link_vertices(len(face) - 1)
     i = comb.X.face_pos(len(face) - 1)[face]
     around = col[verts[start[i]:start[i + 1]]].tolist()
     return bool(completions - {comb.C.vertices[c] for c in around if c >= 0})
 
 
+def plain_image(comb, face, col):
+    """The labels of the colors of face, sorted."""
+    return tuple(sorted((comb.C.vertices[col[comb.X.vertices.index(v)]] for v in face),
+                        key=comb.C.vertices.index))
+
+
 def plain_color_satisfied(comb, face, col):
     """Reference combine rule: distinct colors whose set is a target face."""
-    img = comb.image(face, col)
+    img = plain_image(comb, face, col)
     return len(set(img)) == len(img) and comb.C.has_face(img)
 
 
@@ -803,13 +810,13 @@ def plain_c_pruning(comb, col):
     base_w = comb.X.weights[mask]
     fiber = {}
     for face, w in zip(kept, base_w):
-        img = comb.image(face, col)
+        img = plain_image(comb, face, col)
         fiber[img] = fiber.get(img, 0.0) + w
     if any(t not in fiber for t in comb.C.top_faces):
         return plain_build_complex(comb.d, kept, base_w), "restricted"
     cw = dict(zip(comb.C.top_faces, comb.C.weights))
     weights = [
-        cw[comb.image(face, col)] * w / fiber[comb.image(face, col)]
+        cw[plain_image(comb, face, col)] * w / fiber[plain_image(comb, face, col)]
         for face, w in zip(kept, base_w)
     ]
     return plain_build_complex(comb.d, kept, weights), "coloring"
@@ -846,7 +853,7 @@ def plain_color_satisfaction_graph(comb, sigma, col):
     dropped = tuple(v for v in good if v not in set(link_graph.vertices))
     pos = {v: i for i, v in enumerate(comb.X.vertices)}
     color = {v: comb.C.vertices[col[pos[v]]] for v in good}
-    tskel = comb.C.link(comb.image(sigma, col)).one_skeleton()
+    tskel = comb.C.link(plain_image(comb, sigma, col)).one_skeleton()
     fiber = {}
     for (u, v), m in edges.items():
         key = tuple(sorted((color[u], color[v])))
@@ -862,12 +869,94 @@ def plain_color_satisfaction_graph(comb, sigma, col):
     return result(WGraph(colored), link_graph, None, dropped)
 
 
+class LinkTable(NamedTuple):
+    """The link of a face, read off the top faces; no labeling involved."""
+
+    verts: tuple  # link vertices, sorted
+    pos: np.ndarray  # their positions in the complex's vertices
+    uv: np.ndarray  # (2, edges) link edge ends as positions in verts, u < v,
+    #                 edges in first-seen coface order
+    mass: np.ndarray  # per edge, its cofaces' weights summed in coface order
+    top: np.ndarray  # per edge, the first coface holding it
+    vert_rows: np.ndarray  # per vertex v, the sorted vertex positions of face + v
+    edge_rows: np.ndarray | None  # the same for face + edge; None at top faces
+    #                               both as the sampler's row_keys keys them
+
+
+def link_table(sampler, sigma):
+    """The LinkTable of the sorted face sigma, sliced off the sampler's
+    level table, with plain_build_link_table's dtypes."""
+    t, i = sampler.level_table(len(sigma) - 1), sampler.X.face_pos(len(sigma) - 1)[sigma]
+    v, e = slice(t.vstart[i], t.vstart[i + 1]), slice(t.estart[i], t.estart[i + 1])
+    return LinkTable(tuple(sampler.X.vertices[p] for p in t.pos[v].tolist()), t.pos[v],
+                     (t.uv[:, e] - v.start).astype(np.intp), t.mass[e],
+                     t.top[e].astype(np.intp), t.vert_rows[..., v, :],
+                     None if t.edge_rows is None else t.edge_rows[..., e, :])
+
+
+def plain_build_link_table(X, sigma, row_keys):
+    """Reference for a slice of Sampler.level_table, built for sigma alone:
+    the cofaces of sigma less its columns give the link vertices, and each
+    pair of their columns a link edge, in first-seen coface order."""
+    idx, spos, rows = X.link_rows(sigma)
+    a, b = np.triu_indices(rows.shape[1], 1)
+    n = len(X.vertices)
+    keys, first, inv = np.unique(
+        (rows[:, a] * n + rows[:, b]).ravel(), return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    mass = np.bincount(
+        rank[inv], weights=np.repeat(X.weights[idx], len(a)), minlength=len(keys)
+    )
+    keys = keys[order]
+    ends = np.stack([keys // n, keys % n])
+    verts = np.unique(rows)
+
+    def with_sigma(cols):
+        base = np.broadcast_to(spos, (len(cols), len(spos)))
+        return row_keys(np.sort(np.column_stack([base, cols]), axis=1))
+
+    labels = np.asarray(X.vertices)
+    return LinkTable(
+        tuple(labels[verts].tolist()),
+        verts,
+        np.searchsorted(verts, ends),
+        mass,
+        idx[first[order] // len(a)],
+        with_sigma(verts),
+        with_sigma(ends.T) if len(sigma) + 2 <= X.dim else None,
+    )
+
+
+def face_colors(sampler, sigma, x):
+    """The image of sigma and the target label of each of its link
+    vertices, in link table order, through the sampler's link_colors."""
+    ell = len(sigma) - 1
+    t, i = sampler.level_table(ell), sampler.X.face_pos(ell)[sigma]
+    (image,), colors = sampler.link_colors(
+        ell, np.array([i]), slice(t.vstart[i], t.vstart[i + 1]), x)
+    return image, np.asarray(sampler.target.vertices)[colors]
+
+
+def plain_ne_violated(sg, threshold, link_measure=False):
+    """Reference NE event on a satisfaction graph: degenerate or dropping a
+    vertex, or expanding worse than threshold by adjacency_spectrum, under
+    the coloring measure and, if link_measure, the link measure too."""
+    if sg.graph is None or sg.dropped_vertices:
+        return True
+    graphs = (sg.graph, sg.link_graph) if link_measure else (sg.graph,)
+    return any(adjacency_spectrum(g).two_sided > threshold + 1e-9 for g in graphs)
+
+
 def plain_build_satisfaction_graph(sampler, sigma, x, satisfied, colors, tskel, absent=None):
-    """Reference for pruning.build_satisfaction_graph, on the same link
-    table: the kept link edges go through an edge dict, the fiber masses
-    through a dict summed edge by edge, and both graphs through
-    WGraph.__init__."""
-    table = sampler.link_table(sigma)
+    """Reference satisfaction graph of sigma, on the sampler's link table:
+    the kept link edges go through an edge dict, the fiber masses through a
+    dict summed edge by edge in table order, and both graphs through
+    WGraph.__init__.  colors gives each link vertex's target label, and
+    tskel the target link's 1-skeleton, None for the missing face absent."""
+    table = link_table(sampler, sigma)
     if table.edge_rows is None:
         if satisfied is None:
             satisfied = sampler.satisfied_mask(x)

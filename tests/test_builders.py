@@ -23,7 +23,7 @@ from hdxcover.complexes import (
 )
 from hdxcover.covers import build_cover, push_cocycle
 from hdxcover.errors import DuplicateFace, NonPure, ZeroMeasure
-from hdxcover.graphs import WGraph, fiber_codes, label_positions
+from hdxcover.graphs import WGraph, label_positions
 from hdxcover.groups import (
     cayley_clique_complex,
     cyclic,
@@ -248,17 +248,6 @@ class TestLabelPositions:
         query = np.array([[2, 14, 0], [3, 9, 20], [-1, 5, 15]])
         want = [[labels.index(x) if x in labels else -1 for x in row] for row in query]
         assert label_positions(labels, query).tolist() == want
-
-    def test_fiber_codes_of_colors_outside_the_target(self):
-        rng = np.random.default_rng(5)
-        H = WGraph([(1, 4, 1.0), (4, 7, 2.0), (1, 7, 1.0), (7, 9, 1.0)])
-        colors = np.array([1, 4, 7, 9, 0, 5, 12, 4])
-        ends = np.array(sorted({tuple(sorted(rng.choice(8, 2, replace=False)))
-                                for _ in range(40)})).T
-        columns = {e: j for j, e in enumerate(H.edges)}
-        want = [columns.get(tuple(sorted((colors[a], colors[b]))), -1) for a, b in ends.T]
-        assert fiber_codes(H, colors, ends).tolist() == want
-        assert -1 in want and len(set(want)) > 2
 
     def test_image_index_of_colors_outside_the_target(self):
         C = build_complex(2, [(1, 3, 5), (3, 5, 7), (1, 5, 7)])

@@ -113,6 +113,31 @@ class TestPrunePipeline:
         assert cover["group"]["kind"] == "table"
         assert len(cover["faces"]) == 5 * len(outcome["y_top_faces"])
 
+    @pytest.mark.parametrize("kind", ["prune", "cover-family"])
+    def test_streamed_files_equal_their_texts(self, kind, tmp_path):
+        """Each JSON file emit_report streams holds the JSON text of its
+        payload as json.dumps gives it whole, report.json the report's
+        to_json_bytes."""
+
+        def json_text(obj):
+            return json.dumps(obj, sort_keys=True, indent=2, default=harness._jsonify) + "\n"
+
+        rep = run_experiment({"kind": kind, "params": PRUNE_SPEC["params"], "seed": 2})
+        want = {
+            "report.json": rep.to_json_bytes().decode(),
+            "spectra.csv": rep.spectra,
+            "outcome.json": json_text(rep.outcome),
+            "cover.json": json_text(rep.cover_export),
+            "lambda_series.dat": "".join(f"{i} {v!r}\n" for i, v in enumerate(rep.lambda_series)),
+            "timings.json": json_text(rep.timings),
+        }
+        assert want["report.json"] == json_text(rep.payload())
+        assert all(want.values()) and rep.cover_export["faces"]
+        written = emit_report(rep, tmp_path)
+        assert written == [str(tmp_path / name) for name in want]
+        for name, text in want.items():
+            assert (tmp_path / name).read_text() == text, name
+
 
 class TestCoverFamily:
     def test_z6_quotient_family(self):
@@ -183,7 +208,8 @@ class TestCleanPruneAudit:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        counts = {"holonomy_subgroup": 0, "face_satisfied": 0, "satisfaction_graph": 0}
+        counts = dict.fromkeys(["holonomy_subgroup", "face_satisfied", "satisfaction_graph",
+                                "satisfaction_arrays", "eval_ne"], 0)
 
         def counting(name, real):
             def wrapped(*args, **kwargs):
@@ -193,7 +219,7 @@ class TestCleanPruneAudit:
 
         monkeypatch.setattr(covers, "holonomy_subgroup", counting(
             "holonomy_subgroup", covers.holonomy_subgroup))
-        for name in ("face_satisfied", "satisfaction_graph"):
+        for name in ("face_satisfied", "satisfaction_graph", "satisfaction_arrays", "eval_ne"):
             real = getattr(pruning.Pruner, name)
             monkeypatch.setattr(pruning.Pruner, name, counting(name, real))
         return counts
@@ -206,10 +232,13 @@ class TestCleanPruneAudit:
         assert audit["detail"] == {"subgroup_order": 5} and audit["ok"]
 
     def test_each_face_checked_once(self, calls):
-        # every base face is checked by the satisfaction graph built on it,
-        # NE evaluations and the measure-ratio audit alike
+        # every base face is checked once, by the satisfaction_arrays call
+        # that reads its graph: the one scan reaching NE decides its 30
+        # vertices in runs of 1, 2, 4, 8 and 16, and the measure-ratio audit
+        # reads the level in one more call; no face is checked or built alone
         assert run_experiment(PRUNE_SPEC).status == "clean"
-        assert calls["face_satisfied"] == calls["satisfaction_graph"] > 0
+        assert calls["face_satisfied"] == calls["satisfaction_graph"] == 0
+        assert calls["eval_ne"] == 30 and calls["satisfaction_arrays"] == 5 + 1
 
     def test_no_per_face_skeletons(self, benchmark_prunes, monkeypatch):
         # the audits read Y's links by the level and the satisfied top faces
@@ -594,18 +623,18 @@ class TestPruneModes:
     )
     def test_mode_picks_events_and_ne_threshold(self, monkeypatch, mode, kinds, at_dims, ne):
         pruners, thresholds = [], set()
-        run, ne_violated = pruning.Pruner.run, pruning.ne_violated
+        run, ne_verdicts = pruning.Pruner.run, pruning.ne_verdicts
 
         def spy_run(self, rng):
             pruners.append(self)
             return run(self, rng)
 
-        def spy_ne(sg, threshold, link_measure=False):
+        def spy_ne(sa, threshold, link_measure=False):
             thresholds.add((threshold, link_measure))
-            return ne_violated(sg, threshold, link_measure)
+            return ne_verdicts(sa, threshold, link_measure)
 
         monkeypatch.setattr(pruning.Pruner, "run", spy_run)
-        monkeypatch.setattr(pruning, "ne_violated", spy_ne)
+        monkeypatch.setattr(pruning, "ne_verdicts", spy_ne)
         params = dict(PRUNE_SPEC["params"], complex={"kind": "complete", "n": 8, "dim": 2},
                       mode=mode, max_resamples=1)
         # an exhausted budget evaluates every event, NE included

@@ -27,10 +27,9 @@ from hdxcover.pruning import (
     PruneConfig,
     Pruner,
     SatisfactionGraph,
-    build_satisfaction_graph,
     face_fraction_report,
     measure_ratio_audit,
-    ne_violated,
+    ne_verdicts,
     pruned_measure,
     sample_labeling,
 )
@@ -39,7 +38,9 @@ from hdxcover.spectral import adjacency_spectrum, is_hdx
 from helpers import (
     checked,
     coboundary_labeling,
+    face_colors,
     label_dict,
+    link_table,
     plain_at_table,
     plain_directed_label,
     plain_eval_at,
@@ -252,9 +253,9 @@ class TestSatisfactionGraph:
         X = complete_complex(40, 2)
         f = sample_labeling(X, 4, 11)
         pruner = z5_pruner(X)
-        _, colors = pruner.link_colors((3,), f)
+        _, colors = face_colors(pruner, (3,), f)
         by_color = {}
-        for v, c in zip(pruner.link_table((3,)).verts, colors.tolist()):
+        for v, c in zip(link_table(pruner, (3,)).verts, colors.tolist()):
             by_color.setdefault(c, set()).add(v)
         # direct enumeration of directed labels out of vertex 3
         expected, labels = {}, label_dict(X, pruner.s_elems[f])
@@ -276,6 +277,25 @@ class TestSatisfactionGraph:
         with pytest.raises(UnsatisfiedBase):
             pruner.satisfaction_graph((0, 1, 2), arr)
 
+    def test_unsatisfied_level_is_no_ne_hit(self):
+        # all labels g_0 = 1 in Z5: every triangle fails, so no triangle is a
+        # satisfied NE base and its event is False, alone or in a run of
+        # faces; a vertex or an edge keeps no link edge, so its event is
+        # violated
+        X = complete_complex(6, 4)
+        pruner = Pruner(X, Z5, Z5_GENS, PruneConfig(0.5, max_resamples=3))
+        f = np.zeros(X.n_faces(1), dtype=np.int64)
+        assert not pruner.eval_event("NE", (0, 1, 2), f)
+        assert not pruner.ne_sweep(2, slice(None), f).any()
+        assert pruner.eval_event("NE", (0,), f)
+        ne = {face for kind, face in pruner.all_violations(f) if kind == "NE"}
+        assert ne == set(X.faces(0)) | set(X.faces(1))
+        assert pruner.run(0).status == "budget_exhausted"
+        # nor is a target built for them: Z2's Cayley complex at d = 4 is
+        # no pure complex
+        z2 = Pruner(X, cyclic(2), (1,), PruneConfig(0.5))
+        assert not z2.eval_event("NE", (0, 1, 2), f)
+
     def test_dimension_guard(self):
         X = complete_complex(5, 2)
         f = sample_labeling(X, 4, 0)
@@ -287,7 +307,7 @@ class TestSatisfactionGraph:
         X = complete_complex(12, 2)
         f = sample_labeling(X, 4, 5)
         pruner = z5_pruner(X)
-        a, colors = pruner.link_colors((7,), f)
+        a, colors = face_colors(pruner, (7,), f)
         assert a == (0,)
         assert set(colors.tolist()) <= set(Z5_GENS)
 
@@ -755,25 +775,31 @@ class TestScanPaths:
                 assert got == real(fresh, kind, face) == plain_event_scope(pruner, kind, face)
 
     def test_stacked_ne_solve(self, fixture30):
-        """ne_violated against per-graph adjacency_spectrum verdicts at
-        thresholds on and around each graph's own value, on the clean
-        labeling of fixture30 and on copies with a few labels redrawn."""
+        """ne_verdicts against per-graph adjacency_spectrum verdicts at
+        thresholds on and around each graph's own value, face by face and,
+        at the target, on the whole level at once, on the clean labeling of
+        fixture30 and on copies with a few labels redrawn."""
         X, pruner, outcome = fixture30
-        rng, verdicts = np.random.default_rng(0), set()
+        rng, verdicts, lam_t = np.random.default_rng(0), set(), pruner.config.lambda_target
         for flips in (0, 5, 40):
             f = outcome.labeling.copy()
             f[rng.choice(len(f), flips, replace=False)] = rng.integers(0, pruner.m, flips)
-            for sigma in X.faces(0):
-                sg = pruner.satisfaction_graph(sigma, f)
+            level, want = pruner.satisfaction_arrays(0, slice(None), f), []
+            for i, sigma in enumerate(X.faces(0)):
+                sa, sg = pruner.satisfaction_arrays(0, slice(i, i + 1), f), \
+                    pruner.satisfaction_graph(sigma, f)
                 if sg.graph is None or sg.dropped_vertices:
-                    assert ne_violated(sg, 1.0) and ne_violated(sg, 1.0, True)
+                    assert ne_verdicts(sa, 1.0)[0] and ne_verdicts(sa, 1.0, True)[0]
+                    want.append(True)
                     continue
                 lam = [adjacency_spectrum(g).two_sided for g in (sg.graph, sg.link_graph)]
                 for t in [x + e for x in lam for e in (-2e-9, -1e-9, 0.0, 1e-9)]:
-                    assert ne_violated(sg, t) == (lam[0] > t + 1e-9)
-                    got = ne_violated(sg, t, link_measure=True)
+                    assert ne_verdicts(sa, t)[0] == (lam[0] > t + 1e-9)
+                    got = ne_verdicts(sa, t, link_measure=True)[0]
                     assert got == any(x > t + 1e-9 for x in lam)
-                    verdicts.add(got)
+                    verdicts.add(bool(got))
+                want.append(any(x > lam_t + 1e-9 for x in lam))
+            assert ne_verdicts(level, lam_t, link_measure=True).tolist() == want
         assert verdicts == {False, True}
 
     def test_rows_without_triangles_gather_no_labels(self, monkeypatch):
@@ -782,7 +808,7 @@ class TestScanPaths:
         X = complete_complex(8, 2)
         pruner = Pruner(X, Z13, Z13_GENS, PruneConfig(0.5))
         f = np.random.default_rng(0).integers(0, pruner.m, X.n_faces(1))
-        tables = [pruner.link_table((v,)) for v in X.vertices]
+        tables = [link_table(pruner, (v,)) for v in X.vertices]
         monkeypatch.setattr(Pruner, "triangles", lambda *args: pytest.fail("gathered"))
         for v, table in zip(X.vertices, tables):
             assert pruner.keys_ok(f, table.vert_rows).tolist() == [True] * len(table.verts)
@@ -790,72 +816,67 @@ class TestScanPaths:
 
     @pytest.mark.parametrize("n, dim", [(8, 3), (7, 4)])
     def test_link_tables_keep_triangle_edges(self, monkeypatch, n, dim):
-        """At d >= 3 a cached table's rows are kept as their triangles' edge
-        positions, so building a graph from it looks no edge up."""
+        """At d >= 3 a level table's rows are kept as their triangles' edge
+        positions, so deciding a level's satisfaction graphs looks no edge up."""
         X = complete_complex(n, dim)
         pruner = Pruner(X, Z13, Z13_GENS, PruneConfig(0.5))
         f = perturbed_coboundary(X, pruner, np.random.default_rng(3), 0.1)
-        bases = [s for ell in range(dim - 1) for s in X.faces(ell)]
         want = {}
-        for sigma in bases:
-            table = pruner.link_table(sigma)
-            rows = [sigma + (v,) for v in table.verts]
-            assert pruner.keys_ok(f, table.vert_rows).tolist() == [
-                plain_face_satisfied(pruner, r, f) for r in rows]
-            want[sigma] = build_satisfaction_graph(pruner, sigma, f, None, None, None)
+        for ell in range(dim - 1):
+            for sigma in X.faces(ell):
+                table = link_table(pruner, sigma)
+                rows = [sigma + (v,) for v in table.verts]
+                assert pruner.keys_ok(f, table.vert_rows).tolist() == [
+                    plain_face_satisfied(pruner, r, f) for r in rows]
+            want[ell] = pruner.satisfaction_arrays(ell, slice(None), f)
         lookups = []
         face_index = type(X).face_index
         monkeypatch.setattr(type(X), "face_index",
                             lambda self, rows: lookups.append(1) or face_index(self, rows))
-        for sigma in bases:
-            sg = build_satisfaction_graph(pruner, sigma, f, None, None, None)
-            assert sg.dropped_vertices == want[sigma].dropped_vertices
-            assert (sg.link_graph is None) == (want[sigma].link_graph is None)
-            if sg.link_graph is not None:
-                assert sg.link_graph.edges == want[sigma].link_graph.edges
+        for ell in range(dim - 1):
+            got = pruner.satisfaction_arrays(ell, slice(None), f)
+            assert repr(got) == repr(want[ell])
+            assert 0 < got.ok.sum() and len(got.eface) > 0
         assert lookups == []
 
 
-class TestAuditReadsScanGraphs:
-    """measure_ratio_audit reads the graphs of the pruner's last scan when
-    its labeling is that scan's, and rebuilds them otherwise."""
+class TestAuditReadsLevelArrays:
+    """measure_ratio_audit reads the satisfaction graphs of a level off one
+    satisfaction_arrays call, whatever scan came before, and builds no
+    graph of its own."""
 
     @staticmethod
     def counted(monkeypatch):
-        calls, real = [], Pruner.satisfaction_graph
+        calls = {"satisfaction_graph": [], "satisfaction_arrays": []}
+        for name in calls:
+            real = getattr(Pruner, name)
 
-        def satisfaction_graph(self, sigma, f, satisfied=None):
-            calls.append(sigma)
-            return real(self, sigma, f, satisfied)
+            def spy(self, *args, name=name, real=real):
+                calls[name].append(args[0])
+                return real(self, *args)
 
-        monkeypatch.setattr(Pruner, "satisfaction_graph", satisfaction_graph)
+            monkeypatch.setattr(Pruner, name, spy)
         return calls
 
-    def test_both_branches(self, monkeypatch):
+    def test_one_call(self, monkeypatch):
         X = complete_complex(30, 2)
         pruner = z5_pruner(X)
         outcome = pruner.run(2)
         assert outcome.status == "clean"
         f, y = outcome.labeling, outcome.y
-        labels, graphs = pruner.scan_graphs
-        assert np.array_equal(labels, f) and labels is not f and len(graphs) == 30
-        want = plain_ratio_level(pruner, y, f, 0)
+        # other labels, and a fresh pruner with no scan behind it, read the
+        # level the same way, to the reference's reports
+        g = f.copy()
+        g[0] = (g[0] + 1) % pruner.m
+        y2 = pruner.f_pruning(g)[0]
+        cases = [(pruner, y, f.copy()), (pruner, y2, g), (z5_pruner(X), y, f)]
+        wants = [plain_ratio_level(*case, 0) for case in cases]
+        assert len(wants[0]) == X.n_faces(0) and wants[1] != wants[0]
         calls = self.counted(monkeypatch)
-        got = measure_ratio_audit(pruner, y, f.copy(), 0)
-        assert calls == [] and repr(got) == repr(want)
-        # the run's labels changed in place: the kept copy no longer equals
-        # them, so every graph is rebuilt
-        old = f[0]
-        f[0] = (old + 1) % pruner.m
-        try:
-            got = ratio_level_matches(pruner, pruner.f_pruning(f)[0], f, 0)
-            assert len(calls) >= X.n_faces(0)
-        finally:
-            f[0] = old
-        # a fresh pruner has no scan and rebuilds, to the same reports
-        calls.clear()
-        assert repr(measure_ratio_audit(z5_pruner(X), y, f, 0)) == repr(want)
-        assert len(calls) == X.n_faces(0)
+        for case, want in zip(cases, wants):
+            assert repr(measure_ratio_audit(*case, 0)) == repr(want)
+            assert calls == {"satisfaction_graph": [], "satisfaction_arrays": [0]}
+            calls["satisfaction_arrays"].clear()
 
 
 class TestMoserTardos:

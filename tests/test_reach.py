@@ -24,6 +24,11 @@ UNREACHED = {
     "pruning.Pruner.eval_ec": "reached through Sampler.eval_event in perfbench/selftest.py",
     "complexes.PureComplex.face_measure": "a traced span of perfbench/tracing.py",
     "graphs.WGraph.sides": "perfbench/tracing.py's bipartite_lambda hook reads the side sizes",
+    "harness.RunReport.to_json_bytes": "perfbench/worker.py compares report bytes through it",
+    # kept for library callers and the tests: the scans and audits read the
+    # satisfaction arrays, and perfbench/tracing.py wraps each sampler's copy
+    "pruning.Sampler.face_satisfied": "only tests check one face alone",
+    "pruning.Sampler.satisfaction_graph": "only tests build one face's graphs",
     # error paths and reprs
     "errors.WitnessedError.__init__": "raised only as NotACocycle, NotPure or "
                                       "Unmeasurable, on inputs no run has",
@@ -37,6 +42,9 @@ UNREACHED = {
 K30 = json.dumps({"kind": "complete", "n": 30, "dim": 2})
 K12 = json.dumps({"kind": "complete", "n": 12, "dim": 2})
 K5 = json.dumps({"kind": "complete", "n": 5, "dim": 2})
+K8, K3 = (json.dumps({"kind": "complete", "n": n, "dim": 2}) for n in (8, 3))
+K10_3, K5_3 = (json.dumps({"kind": "complete", "n": n, "dim": 3}) for n in (10, 5))
+K6_4 = json.dumps({"kind": "complete", "n": 6, "dim": 4})
 Z5 = json.dumps({"kind": "cyclic", "n": 5})
 Z5_TABLE = json.dumps({"kind": "table", "mul": [[(a + b) % 5 for b in range(5)]
                                                 for a in range(5)]})
@@ -75,8 +83,14 @@ def runs(tmp):
           "--seed", "2"], EXIT_CLEAN),
         (["prune", "--complex", K30, "--group", Z5, "--genset", "[1, 2, 3, 4]",
           "--mode", "formula", "--max-resamples", "5"], EXIT_BUDGET),
+        # resamples an NE event
+        (["prune", "--complex", K30, "--group", Z5, "--genset", "[1, 2, 3, 4]",
+          "--seed", "3"], EXIT_CLEAN),
         (["prune", "--complex", named(30, "v"), "--group", Z5, "--genset", "[1, 2, 3, 4]",
           "--seed", "2"], EXIT_CLEAN),
+        # its remaining violations sweep NE over triangles with none satisfied
+        (["prune", "--complex", K6_4, "--group", Z5, "--genset", "[1, 2, 3, 4]",
+          "--max-resamples", "3"], EXIT_BUDGET),
         (["cover-family", "--complex", K30, "--group", Z2_Z3, "--genset", "[1, 2, 3, 4, 5]",
           "--seed", "2"], EXIT_CLEAN),
         (["sparsify", "--graph", '{"kind": "complete", "n": 30}', "--trials", "3"],
@@ -85,6 +99,11 @@ def runs(tmp):
         (["combine", "--complex", named(12, "v"), "--target", named(5, "c")], EXIT_CLEAN),
         (["combine", "--complex", K12, "--target", K5, "--lambda", "0.001",
           "--max-resamples", "2"], EXIT_BUDGET),
+        # sweeps NE at dimensions 0 and 1
+        (["combine", "--complex", K10_3, "--target", K5_3], EXIT_CLEAN),
+        # exhausts its budget on NE resamples
+        (["combine", "--complex", K8, "--target", K3, "--max-resamples", "200"],
+         EXIT_BUDGET),
         (["scan-gensets", "--group", '{"kind": "symmetric", "k": 3}', "--max-size", "4"],
          EXIT_CLEAN),
         (["scan-gensets", "--group", '{"kind": "dihedral", "n": 4}', "--max-size", "4"],

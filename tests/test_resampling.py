@@ -1,25 +1,32 @@
 """The shared resampling engine against the plain references it replaced."""
+import collections
 import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from hdxcover import combine, pruning
+from hdxcover import pruning
 from hdxcover.combine import CombineConfig, Combiner
 from hdxcover.complexes import build_complex, complete_complex
+from hdxcover.covers import build_cover
 from hdxcover.errors import NotAFace
 from hdxcover.groups import cyclic, validate_genset
 from hdxcover.harness import stage_seed
-from hdxcover.pruning import PruneConfig, Pruner, build_satisfaction_graph
+from hdxcover.pruning import PruneConfig, Pruner, ne_verdicts
 from hdxcover.spectral import adjacency_spectrum, is_hdx
 
 from helpers import (
     as_array,
+    coboundary_labeling,
+    face_colors,
+    link_table,
+    plain_build_link_table,
     plain_build_satisfaction_graph,
     plain_color_satisfaction_graph,
     plain_combine_run,
     plain_eval_ac,
+    plain_ne_violated,
     plain_prune_run,
     random_complex,
     relabeled,
@@ -139,43 +146,68 @@ def assert_same_build(got, want):
             assert adjacency_spectrum(g).eigenvalues == adjacency_spectrum(w).eigenvalues
 
 
+def no_target(C, face, cache):
+    """target_link as if no face were a face of C."""
+    return None, np.zeros(0, dtype=np.int64)
+
+
+@pytest.mark.parametrize("C", [relabeled(K5), K5_HOLED, complete_complex(5, 3)])
+def test_target_link_codes_its_edges(C):
+    """target_link's edge codes over C's vertex positions, on every vertex
+    link of C, ascending in its edges' order; none for a face of no C."""
+    n, cache = len(C.vertices), {}
+    for v in C.vertices:
+        skel, codes = pruning.target_link(C, (v,), cache)
+        want = [C.vertices.index(a) * n + C.vertices.index(b) for a, b in skel.edges]
+        assert codes.tolist() == want == sorted(want)
+        assert pruning.target_link(C, (v,), cache)[1] is codes
+    skel, codes = pruning.target_link(C, (-1,), {})
+    assert skel is None and codes.dtype == np.int64 and not len(codes)
+
+
+def plain_build(sampler, sigma, x, satisfied=None, absent=False):
+    """plain_build_satisfaction_graph of sigma on the sampler's own image
+    and colors, as if the image were no target face if absent."""
+    image, colors = face_colors(sampler, sigma, x)
+    tskel = None if absent else pruning.target_link(sampler.target, image, {})[0]
+    return plain_build_satisfaction_graph(sampler, sigma, x, satisfied, colors, tskel, image)
+
+
 def compare_all_bases(X, C, seed, palette):
-    """Compare the builder with the coface walk on every satisfied face of
-    dimension 0 to d-2, under a random coloring from the first `palette`
-    target vertices, and with the dict builder too, also as if the face's
-    image were no target face (`absent`); returns the outcome kinds."""
+    """Compare the satisfaction graph of every satisfied face of dimension
+    0 to d-2, under a random coloring from the first `palette` target
+    vertices, with the coface walk and with the dict builder, also as if
+    the face's image were no target face (`absent`); returns the outcome
+    kinds."""
     comb = Combiner(X, C, CombineConfig(0.5))
     col = np.random.default_rng(seed).integers(0, palette, len(X.vertices))
+    bases = [s for ell in range(X.dim - 1) for s in X.faces(ell) if comb.face_satisfied(s, col)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pruning, "target_link", no_target)
+        absent = [comb.satisfaction_graph(sigma, col) for sigma in bases]
     kinds = set()
-    for ell in range(X.dim - 1):
-        for sigma in X.faces(ell):
-            if not comb.face_satisfied(sigma, col):
-                continue
-            tskel = pruning.target_link(C, comb.image(sigma, col), {})
-            colors = np.asarray(C.vertices)[col[comb.link_table(sigma).pos]]
-            for args in ((comb, sigma, col, None, colors, tskel),
-                         (comb, sigma, col, None, colors, None, "absent")):
-                sg = build_satisfaction_graph(*args)
-                assert_same_build(sg, plain_build_satisfaction_graph(*args))
-            if sg.missing == "absent":
-                kinds.add("absent")
-            got = comb.satisfaction_graph(sigma, col)
-            want = plain_color_satisfaction_graph(comb, sigma, col)
-            for name in ("graph", "link_graph"):
-                g, w = getattr(got, name), getattr(want, name)
-                assert (g is None) == (w is None)
-                if g is not None:
-                    assert g.vertices == w.vertices
-                    assert g.edges == w.edges
-                    assert np.array_equal(g.weights, w.weights)
-            assert got.missing == want.missing
-            assert got.dropped_vertices == want.dropped_vertices
-            if got.link_graph is None:
-                kinds.add("no edges")
-            elif got.missing is not None:
-                kinds.add("missing")
-            elif got.graph is not None:
-                kinds.add("dropped" if got.dropped_vertices else "graph")
+    for sigma, sg in zip(bases, absent):
+        assert_same_build(sg, plain_build(comb, sigma, col, absent=True))
+        if sg.missing is not None:
+            kinds.add("absent")
+        got = comb.satisfaction_graph(sigma, col)
+        assert_same_build(got, plain_build(comb, sigma, col))
+        want = plain_color_satisfaction_graph(comb, sigma, col)
+        for name in ("graph", "link_graph"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert (g is None) == (w is None)
+            if g is not None:
+                assert g.vertices == w.vertices
+                assert g.edges == w.edges
+                assert np.array_equal(g.weights, w.weights)
+        assert got.missing == want.missing
+        assert got.dropped_vertices == want.dropped_vertices
+        if got.link_graph is None:
+            kinds.add("no edges")
+        elif got.missing is not None:
+            kinds.add("missing")
+        elif got.graph is not None:
+            kinds.add("dropped" if got.dropped_vertices else "graph")
     return kinds
 
 
@@ -232,20 +264,137 @@ class TestAcSweep:
         assert 0 < sum(hits) < len(hits)
 
 
-def recorded_builds(monkeypatch, run):
-    """The arguments and result of every satisfaction graph that run()
-    builds through a Pruner or a Combiner."""
-    calls = []
+def check_level(sampler, ell, x, satisfied=None):
+    """The sampler's NE verdicts on the ell-faces, from one level sweep,
+    against plain_build_satisfaction_graph and plain_ne_violated face by
+    face, and each satisfaction graph built from the same arrays against
+    the plain builder's bit for bit; returns the verdicts."""
+    got = sampler.ne_sweep(ell, slice(None), x, satisfied)
+    want = []
+    for sigma in sampler.X.faces(ell):
+        if not sampler.face_satisfied(sigma, x):
+            want.append(False)
+            continue
+        sg = plain_build(sampler, sigma, x, satisfied)
+        assert_same_build(sampler.satisfaction_graph(sigma, x, satisfied), sg)
+        want.append(plain_ne_violated(sg, *sampler.ne_rule))
+    assert got.tolist() == want
+    return want
 
-    def record(*args, **kw):
-        args = tuple(a.copy() if isinstance(a, np.ndarray) else a for a in args)
-        calls.append((args, kw, build_satisfaction_graph(*args, **kw)))
-        return calls[-1][2]
 
-    monkeypatch.setattr(pruning, "build_satisfaction_graph", record)
-    monkeypatch.setattr(combine, "build_satisfaction_graph", record)
+class TestNeVerdicts:
+    """ne_verdicts on level sweeps of both samplers, both prune modes and
+    d = 2 and 3, against the plain builder and NE test."""
+
+    @staticmethod
+    def verdicts(X, C, seed, palette):
+        rng = np.random.default_rng(seed)
+        comb = Combiner(X, C, CombineConfig(0.5))
+        col = rng.integers(0, palette, len(X.vertices))
+        out = {"combine": [v for ell in range(X.dim - 1) for v in check_level(comb, ell, col)]}
+        # over Z_n, n the vertex count, every nonzero element generating: the
+        # coboundary of the vertex positions satisfies every face, and a link
+        # colors onto a whole Cayley link unless it misses vertices; under an
+        # odd seed a tenth of the labels is redrawn, which empties fibers
+        n = len(X.vertices)
+        zn = cyclic(n)
+        f = coboundary_labeling(X, zn, range(n)).astype(np.int64) - 1
+        flip = rng.random(len(f)) < 0.1 * (seed % 2)
+        f[flip] = rng.integers(0, n - 1, flip.sum())
+        for mode in pruning.MODES:
+            pruner = Pruner(X, zn, validate_genset(zn, range(1, n)), PruneConfig(0.9, mode=mode))
+            out[mode] = [v for ell in range(X.dim - 1) for v in check_level(pruner, ell, f)]
+        return out
+
+    @pytest.mark.parametrize("X, C, seed, palette", SAT_CASES)
+    def test_matches_plain(self, X, C, seed, palette):
+        self.verdicts(X, C, seed, palette)
+
+    def test_cases_reach_hits_and_misses(self):
+        runs = [self.verdicts(*case) for case in SAT_CASES]
+        for name in ("combine", *pruning.MODES):
+            hits = [h for out in runs for h in out[name]]
+            assert 0 < sum(hits) < len(hits), name
+
+
+def test_combine_level_with_no_satisfied_face():
+    """One color on every vertex satisfies no edge: the NE events of
+    dimension 1 are False, swept or alone, and every vertex, which keeps no
+    link edge, is violated."""
+    X = complete_complex(7, 3)
+    comb = Combiner(X, K5_3, CombineConfig(0.5))
+    col = np.zeros(len(X.vertices), dtype=np.int64)
+    assert check_level(comb, 1, col) == [False] * X.n_faces(1)
+    assert not any(comb.eval_event("NE", edge, col) for edge in X.faces(1))
+    ne = [face for kind, face in comb.all_violations(col) if kind == "NE"]
+    assert ne == list(X.faces(0))
+
+
+def cover_complex():
+    X = complete_complex(6, 2)
+    z3 = cyclic(3)
+    return build_cover(X, coboundary_labeling(X, z3, [0, 1, 2, 0, 1, 2]), z3).complex
+
+
+LEVEL_CASES = [
+    complete_complex(7, 3),
+    build_complex(2, [[f"v{a}", f"v{b}", f"v{c}"]
+                      for a, b, c in itertools.combinations(range(7), 3)]),
+    complete_complex(8, 2).restrict(np.arange(0, 56, 3)),
+    cover_complex(),
+]
+
+
+class TestLevelTable:
+    """Every slice of a level table against the link table built for its
+    face alone, bit for bit, under both samplers' row keys."""
+
+    @pytest.mark.parametrize("X", LEVEL_CASES, ids=["k7-d3", "strings", "restricted", "cover"])
+    def test_slices_match_plain(self, X):
+        samplers = [Pruner(X, Z5, Z5_GENS, PruneConfig(0.9)),
+                    Combiner(X, complete_complex(X.dim + 2, X.dim), CombineConfig(0.5))]
+        for sampler, ell in itertools.product(samplers, range(X.dim - 1)):
+            for sigma in X.faces(ell):
+                got = link_table(sampler, sigma)
+                want = plain_build_link_table(X, sigma, sampler.row_keys)
+                assert got.verts == want.verts
+                for name in got._fields[1:]:
+                    a, b = getattr(got, name), getattr(want, name)
+                    assert (a is None) == (b is None), name
+                    if a is not None:
+                        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def recorded_sweeps(monkeypatch, run):
+    """The arguments and result of every satisfaction_arrays call that
+    run() makes through a Pruner or a Combiner."""
+    calls, real = [], pruning.Sampler.satisfaction_arrays
+
+    def record(self, ell, faces, x, satisfied=None):
+        args = (self, ell, faces, x.copy(), None if satisfied is None else satisfied.copy())
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(pruning.Sampler, "satisfaction_arrays", record)
     run()
+    monkeypatch.undo()
     return calls
+
+
+def check_sweeps(calls):
+    """Each recorded sweep's NE verdicts and graphs against the plain
+    builder and NE test, face by face; returns the faces checked."""
+    checked = 0
+    for (sampler, ell, faces, x, satisfied), sa in calls:
+        verdicts = ne_verdicts(sa, *sampler.ne_rule)
+        for s, sigma in enumerate(sampler.X.faces(ell)[faces]):
+            if not sa.ok[s]:
+                continue
+            sg = plain_build(sampler, sigma, x, satisfied)
+            assert_same_build(sampler.satisfaction_graph(sigma, x, satisfied), sg)
+            assert verdicts[s] == plain_ne_violated(sg, *sampler.ne_rule)
+            checked += 1
+    return checked
 
 
 K40 = complete_complex(40, 2)
@@ -258,42 +407,49 @@ def k40_combiner():
 
 
 class TestArrayBuilder:
-    """build_satisfaction_graph against the dict builder it replaced, on
-    every satisfaction graph two full NE scans build, and by hand."""
+    """The satisfaction arrays that full NE scans decide, against the dict
+    builder, and by hand."""
 
     def test_k30_over_z6_prune(self, monkeypatch):
         z6 = cyclic(6)
         pruner = Pruner(complete_complex(30, 2), z6, validate_genset(z6, [1, 2, 3, 4, 5]),
                         PruneConfig.empirical(0.9, r=2.0))
-        calls = recorded_builds(monkeypatch, lambda: pruner.run(stage_seed(1, "prune")))
-        assert len(calls) == 390  # one per NE event the 765 resamples evaluate
-        for args, kw, got in calls:
-            assert_same_build(got, plain_build_satisfaction_graph(*args, **kw))
+        calls = recorded_sweeps(monkeypatch, lambda: pruner.run(stage_seed(1, "prune")))
+        # the 39 scans that reach an NE event decide runs of 1, 2, 4, ...
+        # vertices from vertex 0, 508 faces for the 390 events they evaluate
+        runs = collections.Counter((args[2].start, args[2].stop) for args, _ in calls)
+        assert runs == {(0, 1): 39, (1, 3): 34, (3, 7): 30, (7, 15): 22, (15, 31): 7}
+        assert check_sweeps(calls) == 508
 
     def test_k40_onto_k5_combine(self, monkeypatch):
         comb = k40_combiner()
-        calls = recorded_builds(monkeypatch, lambda: comb.run(stage_seed(0, "combine")))
-        assert len(calls) == 40
-        for args, kw, got in calls:
-            assert_same_build(got, plain_build_satisfaction_graph(*args, **kw))
+        calls = recorded_sweeps(monkeypatch, lambda: comb.run(stage_seed(0, "combine")))
+        # the clean scan decides its 40 vertices in runs of 1, 2, 4, ...
+        assert [(args[2].start, args[2].stop) for args, _ in calls] == [
+            (0, 1), (1, 3), (3, 7), (7, 15), (15, 31), (31, 63)]
+        assert check_sweeps(calls) == 40
 
-    def test_edge_to_no_target_edge_raises(self):
+    def test_edge_to_no_target_edge_raises(self, monkeypatch):
         comb = Combiner(complete_complex(9, 2), K5, CombineConfig(0.5))
         col = as_array(comb, {v: v % 5 for v in range(9)})
-        tskel = pruning.target_link(K5, (0,), {})
-        colors = np.ones(len(comb.link_table((0,)).verts), dtype=np.int64)
+        real = comb.link_colors
+
+        def one_color(*args):  # every link vertex colored 1
+            images, colors = real(*args)
+            return images, np.ones_like(colors)
+
+        monkeypatch.setattr(comb, "link_colors", one_color)
         with pytest.raises(ValueError, match="maps to no target edge"):
-            build_satisfaction_graph(comb, (0,), col, None, colors, tskel)
+            comb.satisfaction_graph((0,), col)
 
     def test_memory_is_bounded(self):
         comb = k40_combiner()
         col = as_array(comb, {v: v % 5 for v in K40.vertices})
-        args = (comb, (0,), col, comb.satisfied_mask(col), col[comb.link_table((0,)).pos],
-                pruning.target_link(K5, (0,), {}))
-        build_satisfaction_graph(*args)  # the link table is cached, as in a scan
+        satisfied = comb.satisfied_mask(col)
+        comb.satisfaction_graph((0,), col, satisfied)  # the level table is cached, as in a scan
         tracemalloc.start()
         try:
-            sg = build_satisfaction_graph(*args)
+            sg = comb.satisfaction_graph((0,), col, satisfied)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

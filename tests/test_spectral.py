@@ -131,13 +131,16 @@ class TestAdjacencySpectrum:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_stacked_solve_is_each_graphs_own(self, seed):
-        """graph_spectra on graphs sharing their ends, with other weights,
+        """link_spectra on graphs sharing their ends, with other weights,
         against each graph's own 2-D operator and solve, bit for bit."""
         rng = np.random.default_rng(seed)
         G = random_wgraph(rng, 12 + seed, p=0.5)
-        H = WGraph.from_arrays(G.vertices, G.ends, 0.1 + rng.random(G.m))
-        stacked = spectral.graph_spectra([G, H, G])
-        for g, row in zip((G, H, G), stacked):
+        raw = [G.weights, 0.1 + rng.random(G.m), G.weights]
+        graphs = [WGraph.from_arrays(G.vertices, G.ends, w) for w in raw]
+        vlink = np.repeat(np.arange(3), G.n)
+        ends = np.concatenate([G.ends + k * G.n for k in range(3)], axis=1)
+        stacked = spectral.link_spectra(vlink, ends, np.concatenate(raw))[2]
+        for g, row in zip(graphs, stacked):
             root = np.sqrt(g.vertex_measures())
             own = spectral._checked_spectra(
                 spectral._symmetrized_matrix((g.n, g.n), g.ends, g.weights, root, g.ends))
