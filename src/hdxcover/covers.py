@@ -248,14 +248,18 @@ def _level_violations(cover, k, phi, top_img):
 
 
 def _injective_on_links(inv, rest, phi):
-    """Per face, whether phi is injective on its link's vertices: the
-    (face, vertex) pairs and the (face, image) pairs are equally many."""
-    nf = int(inv.max()) + 1
-    n, nc = int(rest.max()) + 1, int(phi.max()) + 1
-    link = np.unique(inv[:, None] * n + rest)
-    face = link // n
-    n_img = np.bincount(np.unique(face * nc + phi[link % n]) // nc, minlength=nf)
-    return np.bincount(face, minlength=nf) == n_img
+    """Per face, whether phi is injective on its link's vertices: sorted,
+    no two adjacent (face, image, vertex) codes share a face and an image
+    but not a vertex."""
+    n, nc = len(phi), int(phi.max()) + 1
+    # these arrays hold every (face, link vertex) pair: all but the sort work in place
+    code = (phi * n + np.arange(n))[rest]
+    code += inv[:, None] * (nc * n)
+    code = np.sort(code, axis=None)
+    clash = code[1:] != code[:-1]
+    code //= n
+    clash &= code[1:] == code[:-1]
+    return np.bincount(code[1:][clash] // nc, minlength=int(inv.max()) + 1) == 0
 
 
 def cover_to_dict(cover):

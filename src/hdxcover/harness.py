@@ -26,7 +26,8 @@ from . import sparsify as sparsify_mod
 from .complexes import check_suitable, complete_complex, complex_from_dict
 from .errors import HdxError, InputError, Unmeasurable
 from .graphs import WGraph, complete_graph
-from .spectral import adjacency_spectrum, is_hdx, link_spectra, spectra_csv
+from .spectral import (adjacency_spectrum, is_hdx, link_measures, link_spectra,
+                       operator_entries, spectra_csv)
 
 EXIT_CLEAN = 0
 EXIT_BUDGET = 2
@@ -55,6 +56,7 @@ class RunReport:
     lambda_series: list = field(default_factory=list)
     outcome: dict | None = None
     cover_export: dict | None = None
+    failed_stage: str | None = None  # the innermost timed block an exception left
 
     def add_stage(self, name, payload):
         self.stages.append({"name": name, "result": payload})
@@ -87,10 +89,14 @@ class RunReport:
 
 @contextlib.contextmanager
 def timed(report, name):
-    """Record the wall time of the with-block as report.timings[name]."""
+    """Record the wall time of the with-block as report.timings[name], and
+    name it report.failed_stage if an exception leaves it first."""
     t0 = time.perf_counter()
     try:
         yield
+    except BaseException:
+        report.failed_stage = report.failed_stage or name
+        raise
     finally:
         report.timings[name] = time.perf_counter() - t0
 
@@ -323,14 +329,10 @@ def _prune_stages(report, params, seed):
         suit = check_suitable(X, c, config.r, eta)
     report.add_stage("suitability", suit.to_dict())
 
-    report.add_stage(
-        "cayley",
-        {
-            "group": group.name,
-            "gens": list(gens),
-            "worst_link_lambda": groups_mod.identity_star_lambda(group, gens, X.dim),
-        },
-    )
+    with timed(report, "cayley"):
+        worst = groups_mod.identity_star_lambda(group, gens, X.dim)
+    report.add_stage("cayley", {"group": group.name, "gens": list(gens),
+                                "worst_link_lambda": worst})
 
     with timed(report, "prune"):
         pruner = pruning_mod.Pruner(X, group, gens, config)
@@ -356,22 +358,44 @@ def _prune_stages(report, params, seed):
 
 
 def cover_link_gap(cover):
-    """Largest eigenvalue gap between a cover vertex's link skeleton and
-    the link skeleton of its image in the base, and the first cover vertex
-    whose link has another vertex count than its image's (its gap is not
-    taken), or None."""
-    def spectra(X):  # each vertex link's eigenvalues, in vertex order
-        return [ev for _, _, vlink, ends, mass in X.link_blocks(0)
-                for ev in link_spectra(vlink, ends, mass)[2]]
-
-    base_spec = dict(zip(cover.base.vertices, spectra(cover.base)))
+    """A bound on the largest eigenvalue gap between a cover vertex's link
+    skeleton and its image's, and the first cover vertex whose link has
+    another vertex count (no gap taken), or None.  A link that phi maps onto
+    its image's is a copy, whose gap is at most ||M~ - P M P^T||_F (Weyl)."""
+    base, tilde, nb = cover.base, cover.complex, len(cover.base.vertices)
+    codes, entries, base_spec = [], [], []  # base link edges as ascending (link, u, v) codes
+    for first, verts, vlink, ends, mass in base.link_blocks(0):
+        weights, vmass, eigs = link_spectra(vlink, ends, mass)
+        codes.append(((first + vlink[ends[0]]) * nb + verts[ends[0]]) * nb + verts[ends[1]])
+        entries.append(operator_entries(weights, np.sqrt(0.5 * vmass), ends))
+        base_spec += eigs
+    codes, entries = np.concatenate(codes), np.concatenate(entries)
+    base_verts = np.array([len(ev) for ev in base_spec])
+    base_edges = np.bincount(codes // (nb * nb), minlength=nb)
+    pos = {v: i for i, v in enumerate(base.vertices)}
+    phi = np.array([pos[cover.phi(v)] for v in tilde.vertices], dtype=np.intp)
     worst_gap, mismatch = 0.0, None
-    for vid, ev in zip(cover.complex.vertices, spectra(cover.complex)):
-        down = base_spec[cover.phi(vid)]
-        if len(ev) == len(down):
-            worst_gap = max(worst_gap, float(np.abs(ev - down).max()))
-        elif mismatch is None:
-            mismatch = vid
+    for first, verts, vlink, ends, mass in tilde.link_blocks(0):
+        weights, vmass = link_measures(vlink, ends, mass)
+        elink, centre = vlink[ends[0]], phi[first:first + vlink[-1] + 1]
+        count = functools.partial(np.bincount, minlength=len(centre))
+        key = np.sort(vlink * nb + phi[verts])  # a repeated key: phi not injective
+        pu, pv = phi[verts[ends]]
+        code = (centre[elink] * nb + np.minimum(pu, pv)) * nb + np.maximum(pu, pv)
+        at = np.searchsorted(codes, code).clip(max=len(codes) - 1)
+        copy = ((count(vlink) == base_verts[centre]) & (count(elink) == base_edges[centre])
+                & (count(key[1:][key[1:] == key[:-1]] // nb) == 0)
+                & (count(elink, weights=codes[at] != code) == 0))
+        delta = operator_entries(weights, np.sqrt(0.5 * vmass), ends) - entries[at]
+        bound = np.sqrt(2.0 * count(elink, weights=delta * delta))[copy]
+        worst_gap = max(worst_gap, float(bound.max(initial=0.0)))
+        eigs = () if copy.all() else link_spectra(vlink, ends, mass)[2]
+        for i in np.flatnonzero(~copy).tolist():
+            ev, down = eigs[i], base_spec[centre[i]]
+            if len(ev) == len(down):
+                worst_gap = max(worst_gap, float(np.abs(ev - down).max()))
+            elif mismatch is None:
+                mismatch = tilde.vertices[first + i]
     return worst_gap, mismatch
 
 
@@ -523,7 +547,8 @@ def run_combine(report, params, seed):
     C = load_complex_input(_param("combine", params, "target"))
     lam = _param("combine", params, "lambda")
     if lam is DERIVED:
-        lam = is_hdx(C, 1.0).worst_value
+        with timed(report, "target_lambda"):
+            lam = is_hdx(C, 1.0).worst_value
         lam = max(min(lam, 0.999), 1e-6)
     config = _combine_config(params, lam)
     with timed(report, "combine"):
@@ -617,10 +642,8 @@ def run_experiment(spec):
         except INPUT_ERRORS as exc:
             report.status = "input_error"
             report.exit_code = EXIT_INPUT
-            error = {"message": str(exc)}
-            if not isinstance(exc, (OSError, InputError)):
-                error["type"] = type(exc).__name__
-            report.add_stage("error", error)
+            report.add_stage("error", {"message": str(exc), "type": type(exc).__name__,
+                                       "stage": report.failed_stage or "inputs"})
     return report
 
 

@@ -33,6 +33,11 @@ class SpectralReport:
         return max(abs(self.eigenvalues[1]), abs(self.eigenvalues[-1]))
 
 
+def operator_entries(weights, root, ends):
+    """Each edge's entry 0.5 w / (sqrt(m_u) sqrt(m_v)) of D^{1/2} A D^{-1/2}."""
+    return 0.5 * weights / (root[ends[0]] * root[ends[1]])
+
+
 def _symmetrized_matrix(shape, at, weights, root, ends):
     """The operator D^{1/2} A D^{-1/2} of a graph, or a stack of them.
 
@@ -43,9 +48,7 @@ def _symmetrized_matrix(shape, at, weights, root, ends):
     """
     *stack, u, v = at
     M = np.zeros(shape)
-    val = 0.5 * weights / (root[ends[0]] * root[ends[1]])
-    M[(*stack, u, v)] = val
-    M[(*stack, v, u)] = val
+    M[(*stack, u, v)] = M[(*stack, v, u)] = operator_entries(weights, root, ends)
     return M
 
 

@@ -1,7 +1,8 @@
 import pytest
 
 from hdxcover.complexes import complete_complex
-from hdxcover.groups import cyclic, validate_genset
+from hdxcover.covers import build_cover, push_cocycle
+from hdxcover.groups import cyclic, normal_subgroups, quotient_group, validate_genset
 from hdxcover.harness import stage_seed
 from hdxcover.pruning import PruneConfig, Pruner
 
@@ -25,3 +26,16 @@ def benchmark_ys(benchmark_prunes):
     """Each benchmark's pruned Y with its labels and group."""
     return {name: (out.y, pruner.elements_on(out.y, out.labeling), pruner.group)
             for name, (pruner, out) in benchmark_prunes.items()}
+
+
+@pytest.fixture(scope="session")
+def benchmark_covers(benchmark_ys):
+    """Each benchmark Y with its full cover and its quotient covers."""
+    out = {}
+    for name, (y, labels, group) in benchmark_ys.items():
+        covers = [build_cover(y, labels, group)]
+        for sub in normal_subgroups(group):
+            q = quotient_group(group, sub)
+            covers.append(build_cover(y, push_cocycle(y, labels, group, q), q.group))
+        out[name] = (y, covers)
+    return out

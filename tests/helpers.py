@@ -527,6 +527,20 @@ def plain_cover_link_gap(cover):
     return worst_gap
 
 
+def plain_weyl_bound(cover):
+    """Reference bound of cover_link_gap on a cover whose vertex links are
+    all copies of their images': the largest ||M~ - P M P^T||_F, each
+    operator a dense sym_walk_matrix and P read off the legend."""
+    worst = 0.0
+    for vid in cover.complex.vertices:
+        up = per_face_link_skeleton(cover.complex, (vid,))
+        down = per_face_link_skeleton(cover.base, (cover.phi(vid),))
+        at = [down.vertices.index(cover.phi(u)) for u in up.vertices]
+        M = sym_walk_matrix(down)[np.ix_(at, at)]
+        worst = max(worst, float(np.linalg.norm(sym_walk_matrix(up) - M)))
+    return worst
+
+
 def plain_verify_cover(cover, tol=1e-9):
     """Reference cover audit: a dict of link weights per lifted face."""
     tilde, base = cover.complex, cover.base
@@ -581,6 +595,29 @@ def plain_verify_cover(cover, tol=1e-9):
         faces_checked=checked,
         violations=tuple(violations),
     )
+
+
+def plain_injective_on_links(inv, rest, phi):
+    """Reference _injective_on_links: per face, whether the (face, vertex)
+    pairs and the (face, image) pairs are equally many, each counted by a
+    hash np.unique."""
+    nf = int(inv.max()) + 1
+    n, nc = int(rest.max()) + 1, int(phi.max()) + 1
+    link = np.unique(inv[:, None] * n + rest)
+    face = link // n
+    n_img = np.bincount(np.unique(face * nc + phi[link % n]) // nc, minlength=nf)
+    return np.bincount(face, minlength=nf) == n_img
+
+
+def link_pair_arrays(cover, k):
+    """The arguments verify_cover passes _injective_on_links at level k:
+    each (top face, k-face) pair's face, the top face's other vertices per
+    pair, and phi as base positions, an image outside the base past them."""
+    tilde, lev = cover.complex, cover.complex.level(k)
+    pos = {v: i for i, v in enumerate(cover.base.vertices)}
+    phi = np.array([pos.setdefault(cover.phi(v), len(pos)) for v in tilde.vertices])
+    rest = tilde.top_positions()[:, lev.rest].reshape(-1, tilde.dim - k)
+    return lev.pairs.ravel(), rest, phi
 
 
 def label_dict(X, labels):

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from hdxcover.complexes import build_complex, complete_complex
 from hdxcover.covers import (
+    CoverComplex,
+    _injective_on_links,
     build_cover,
     connected_components,
     cover_components,
@@ -38,6 +40,7 @@ from helpers import (
     fiber,
     coboundary_labeling,
     label_dict,
+    link_pair_arrays,
     neighbors,
     phi_face,
     plain_build_cover,
@@ -45,8 +48,10 @@ from helpers import (
     plain_cover_to_dict,
     plain_graph_components,
     plain_holonomy_subgroup,
+    plain_injective_on_links,
     plain_is_cocycle,
     plain_push_cocycle,
+    plain_verify_cover,
     random_complex,
     relabeled,
     same_cover,
@@ -347,8 +352,6 @@ class TestVerifyCover:
         assert rep.violations == ()
 
     def test_deleted_face_fails(self):
-        from hdxcover.covers import CoverComplex
-
         g = cyclic(3)
         X = complete_complex(4, 2)
         f = coboundary_labeling(X, g, [i % 3 for i in range(4)])
@@ -388,10 +391,6 @@ class TestVerifyCover:
     )
     @pytest.mark.parametrize("case", ["annulus-Z4", "K6-Z3", "K7-d3-Z2"])
     def test_matches_reference(self, case, damage):
-        from hdxcover.covers import CoverComplex
-
-        from helpers import plain_verify_cover
-
         rng = np.random.default_rng(len(case) + len(damage))
         if case == "annulus-Z4":
             g = cyclic(4)
@@ -447,10 +446,51 @@ class TestVerifyCover:
             assert np.allclose(up.eigenvalues, down.eigenvalues, atol=1e-9)
 
 
+class TestInjectiveOnLinks:
+    """_injective_on_links' one sort against the two hash uniques of
+    plain_injective_on_links, face by face at every level k < d."""
+
+    @staticmethod
+    def assert_matches(cover):
+        for k in range(cover.complex.dim):
+            args = link_pair_arrays(cover, k)
+            assert (_injective_on_links(*args).tolist()
+                    == plain_injective_on_links(*args).tolist())
+
+    @pytest.mark.parametrize("name", ["cover-family-z6", "prune-k30"])
+    def test_benchmark_covers(self, benchmark_covers, name):
+        for cover in benchmark_covers[name][1]:
+            self.assert_matches(cover)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_random_covers(self, seed, dim):
+        rng = np.random.default_rng(seed)
+        X = random_complex(rng, 7, dim, keep=0.7)
+        for g in (cyclic(3), dihedral(3)):
+            self.assert_matches(
+                build_cover(X, coboundary_labeling(X, g, rng.integers(g.order, size=7)), g))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_folded_legend(self, dim):
+        # two vertices of one lifted top face project to one base vertex,
+        # so the links holding both are not injective
+        X = complete_complex(6, dim)
+        g = cyclic(3)
+        cover = build_cover(X, coboundary_labeling(X, g, [v % 3 for v in X.vertices]), g)
+        y, z = cover.complex.top_faces[0][1:3]
+        legend = dict(cover.legend)
+        legend[z] = (legend[y][0], legend[z][1])
+        folded = CoverComplex(cover.complex, X, g, cover.labeling, legend)
+        self.assert_matches(folded)
+        reason = "projection not injective on the link"
+        got = [f for f, why in verify_cover(folded).violations if why == reason]
+        assert got == [f for f, why in plain_verify_cover(folded).violations if why == reason]
+        assert got
+
+
 class TestComponentCovers:
     def test_each_component_covers_the_base(self):
-        from hdxcover.covers import CoverComplex
-
         g = cyclic(6)
         X, f = annulus_cocycle(g, 2)  # holonomy index 2: two components
         cover = build_cover(X, f, g)

@@ -6,10 +6,11 @@ import sys
 import numpy as np
 import pytest
 
-from hdxcover import cli, combine, covers, groups, harness, pruning
+from hdxcover import cli, combine, complexes, covers, groups, harness, pruning
 from hdxcover.cli import main
 from hdxcover.complexes import PureComplex, build_complex, check_suitable, complete_complex
 from hdxcover.covers import CoverComplex, build_cover
+from hdxcover.errors import BadParameter
 from hdxcover.groups import cyclic
 from hdxcover.harness import (
     EXIT_AUDIT,
@@ -280,7 +281,7 @@ class TestCleanPruneAudit:
 class TestTimings:
     def test_every_audit_and_stage_is_timed(self, prune_report):
         assert set(prune_report.timings) == {
-            "suitability", "prune", "total", "audit.y_is_hdx", "audit.face_fraction",
+            "suitability", "cayley", "prune", "total", "audit.y_is_hdx", "audit.face_fraction",
             "audit.build_cover", "audit.cover_components", "audit.verify_cover",
             "audit.cover_export", "audit.cover_link_spectra",
             "audit.pruned_measure_total", "audit.measure_ratio",
@@ -291,7 +292,7 @@ class TestTimings:
         params = {"complex": {"kind": "complete", "n": 12, "dim": 2},
                   "target": {"kind": "complete", "n": 5, "dim": 2}}
         rep = run_experiment({"kind": "combine", "params": params, "seed": 0})
-        assert {"combine", "audit.verify_combine", "total"} <= set(rep.timings)
+        assert {"target_lambda", "combine", "audit.verify_combine", "total"} <= set(rep.timings)
         rep = run_experiment({"kind": "scan", "params": {
             "group": {"kind": "cyclic", "n": 13}, "max_size": 4}, "seed": 0})
         assert {"scan", "audit.scan_reverification"} <= set(rep.timings)
@@ -508,6 +509,37 @@ class TestErrors:
         rep = run_experiment({"kind": "prune", "params": params, "seed": 0})
         assert rep.exit_code == EXIT_INPUT
         assert "genset" in rep.stages[-1]["result"]["message"]
+
+    @pytest.mark.parametrize("case, kind, stage", [
+        ("no genset", "InputError", "inputs"),
+        ("no complex file", "FileNotFoundError", "inputs"),
+        ("bad suitability", "BadParameter", "suitability"),
+    ])
+    def test_error_record_names_type_and_stage(self, monkeypatch, case, kind, stage):
+        params = dict(PRUNE_SPEC["params"])
+        if case == "no genset":
+            del params["genset"]
+        elif case == "no complex file":
+            params["complex"] = "/nonexistent/x.json"
+        else:
+            def refuse(*args):
+                raise BadParameter("need c > 1, r > 1, eta > 0")
+
+            monkeypatch.setattr(harness, "check_suitable", refuse)
+        rep = run_experiment({"kind": "prune", "params": params, "seed": 0})
+        assert (rep.status, rep.exit_code) == ("input_error", EXIT_INPUT)
+        error = rep.stages[-1]
+        assert error["name"] == "error"
+        assert error["result"]["type"] == kind and error["result"]["stage"] == stage
+        assert set(error["result"]) == {"message", "type", "stage"}
+
+    def test_failed_stage_is_the_innermost(self):
+        report = harness.RunReport(spec={})
+        with pytest.raises(ZeroDivisionError):
+            with harness.timed(report, "outer"), harness.timed(report, "inner"):
+                1 / 0
+        assert report.failed_stage == "inner"
+        assert set(report.timings) == {"outer", "inner"}
 
     def test_missing_group_key_is_input_error(self):
         params = dict(PRUNE_SPEC["params"], group={"kind": "cyclic"})
@@ -792,6 +824,33 @@ class TestCoverLinkSpectra:
         # vertices 0 and 1 link a path (spectrum 1, 0, -1) over a triangle's
         # (1, -1/2, -1/2)
         assert gap == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("weights, legend, mismatch", [
+        # 3 folds onto 1: the links of 0 and 2 have their images' vertex and
+        # edge counts and every edge lands on an edge, but phi is not
+        # injective on them
+        ([1.0, 3.0], {0: 0, 1: 1, 2: 2, 3: 1}, None),
+        # the link of 0 is 2-1-3, its image's 1-2-3: edge 13 lands off
+        ([1.0, 3.0], {v: v for v in range(4)}, 1),
+    ], ids=["folded", "edge_off"])
+    def test_links_that_are_no_copies_are_solved(self, weights, legend, mismatch):
+        # each such link and its image's are stars or single edges, whose
+        # spectra (1, 0, -1) and (1, -1) no weights change: its exact gap is 0
+        base = build_complex(2, [(0, 1, 2), (0, 2, 3)])
+        tops = [(0, 1, 2), (0, 2, 3)] if mismatch is None else [(0, 1, 2), (0, 1, 3)]
+        cover = CoverComplex(build_complex(2, tops, weights), base, cyclic(1),
+                             np.zeros(5, dtype=np.int64), {v: (b, 0) for v, b in legend.items()})
+        gap, found = cover_link_gap(cover)
+        assert gap <= 1e-12 and found == mismatch
+
+    def test_mismatch_past_the_first_block(self):
+        # without the tops through 33 and 34, their links miss a vertex
+        base = complete_complex(36, 2)
+        bad = build_complex(2, [t for t in base.top_faces if not {33, 34} <= set(t)])
+        cover = CoverComplex(bad, base, cyclic(1), np.zeros(base.n_faces(1), dtype=np.int64),
+                             {v: (v, 0) for v in bad.vertices})
+        assert len(bad.vertices) > complexes._LINK_BLOCK
+        assert cover_link_gap(cover)[1] == 33
 
     def test_mismatch_fails_the_audit(self, monkeypatch):
         monkeypatch.setattr(harness, "cover_link_gap", lambda cover: (0.0, 17))

@@ -16,7 +16,7 @@ from hdxcover.complexes import (
     check_suitable,
     complete_complex,
 )
-from hdxcover.covers import build_cover, push_cocycle
+from hdxcover.covers import CoverComplex, build_cover
 from hdxcover.errors import (
     BadLevel,
     BadParameter,
@@ -27,14 +27,12 @@ from hdxcover.errors import (
     NotBipartite,
     TooLargeForExact,
 )
-from hdxcover import spectral
+from hdxcover import harness, spectral
 from hdxcover.graphs import WGraph, complete_graph
 from hdxcover.groups import (
     cyclic,
     dihedral,
     identity_star_lambda,
-    normal_subgroups,
-    quotient_group,
     scan_gensets,
     symmetric_group,
 )
@@ -57,6 +55,7 @@ from helpers import (
     plain_eml_exact,
     plain_eml_sampled,
     plain_is_hdx,
+    plain_weyl_bound,
     power_iteration_spectrum,
     random_bipartite_wgraph,
     random_complex,
@@ -244,19 +243,6 @@ class TestIsHdx:
             assert row.value == pytest.approx(again.two_sided, abs=1e-12)
 
 
-@pytest.fixture(scope="module")
-def benchmark_covers(benchmark_ys):
-    """Each benchmark Y with its full cover and its quotient covers."""
-    out = {}
-    for name, (y, labels, group) in benchmark_ys.items():
-        covers = [build_cover(y, labels, group)]
-        for sub in normal_subgroups(group):
-            q = quotient_group(group, sub)
-            covers.append(build_cover(y, push_cocycle(y, labels, group, q), q.group))
-        out[name] = (y, covers)
-    return out
-
-
 def assert_level_path_matches(X, suitability=((1.1, 1.5, 0.5),)):
     """is_hdx and check_suitable equal their per-face references bit for
     bit: rows, worst face and value, witnesses and bounds."""
@@ -274,8 +260,23 @@ def assert_level_path_matches(X, suitability=((1.1, 1.5, 0.5),)):
 SUITABILITY = ((1.1, 1.5, 0.5), (1.01, 10.0, 0.99), (3.0, 1.01, 0.2), (1.5, 3.0, 0.3))
 
 
+def assert_gap_bounded(cover):
+    """cover_link_gap's Weyl bound dominates the exact gap of every link
+    and certifies the cover, with no vertex count mismatch."""
+    worst_gap, mismatch = cover_link_gap(cover)
+    assert plain_cover_link_gap(cover) <= worst_gap + 1e-12
+    assert worst_gap <= 1e-9 and mismatch is None
+
+
 def _link_sizes(X, k):
     return [per_face_link_skeleton(X, s).n for s in X.faces(k)]
+
+
+def _random_covers(rng, n, dim, groups=(cyclic(3), dihedral(3))):
+    """A random complex on n vertices and one coboundary cover of it per group."""
+    X = random_complex(rng, n, dim, keep=0.7)
+    return [build_cover(X, coboundary_labeling(X, g, rng.integers(g.order, size=n)), g)
+            for g in groups]
 
 
 class TestLevelPath:
@@ -292,7 +293,7 @@ class TestLevelPath:
         assert_level_path_matches(y, SUITABILITY)
         for cover in covers:
             assert_level_path_matches(cover.complex)
-            assert cover_link_gap(cover) == (plain_cover_link_gap(cover), None)
+            assert_gap_bounded(cover)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_dim3_uneven_weights(self, seed):
@@ -332,12 +333,8 @@ class TestLevelPath:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_covers(self, seed):
-        rng = np.random.default_rng(seed)
-        X = random_complex(rng, 7, 2 + seed % 2, keep=0.7)
-        for group in (cyclic(3), dihedral(3)):
-            f = coboundary_labeling(X, group, rng.integers(group.order, size=7))
-            cover = build_cover(X, f, group)
-            assert cover_link_gap(cover) == (plain_cover_link_gap(cover), None)
+        for cover in _random_covers(np.random.default_rng(seed), 7, 2 + seed % 2):
+            assert_gap_bounded(cover)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 3), st.integers(4, 8), st.data())
@@ -379,6 +376,46 @@ class TestLevelPath:
 
 
 # sampled alpha on a plain and a bipartite graph with string labels
+def _perturbed(cover, rng, scale):
+    """The cover with each lifted top weight moved by a relative amount of
+    at most scale: every link stays a copy of its image's, reweighted."""
+    tilde = cover.complex
+    weights = tilde.weights * (1.0 + scale * rng.uniform(-1.0, 1.0, len(tilde.weights)))
+    return CoverComplex(tilde.restrict(np.arange(len(weights)), weights), cover.base,
+                        cover.group, cover.labeling, cover.legend)
+
+
+class TestWeylBound:
+    """cover_link_gap's bound ||M~ - P M P^T||_F on covers whose links are
+    reweighted copies, against the exact gap of plain_cover_link_gap."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_perturbed_weights_fail_the_audit(self, monkeypatch, seed):
+        solved = []
+        monkeypatch.setattr(harness, "link_spectra",
+                            lambda *a: solved.append(a) or spectral.link_spectra(*a))
+        rng = np.random.default_rng(seed)
+        for cover in _random_covers(rng, 7, 2 + seed % 2):
+            cover = _perturbed(cover, rng, 1e-6)
+            solved.clear()
+            worst_gap, mismatch = cover_link_gap(cover)
+            assert len(solved) == 1  # the base's one block: no cover link is solved
+            assert worst_gap == pytest.approx(plain_weyl_bound(cover), rel=1e-6)
+            assert plain_cover_link_gap(cover) <= worst_gap + 1e-12
+            assert mismatch is None and worst_gap > 1e-9  # the audit's bound
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(5, 7), st.integers(2, 3),
+           st.sampled_from([cyclic(2), cyclic(3), dihedral(3)]), st.floats(0.0, 0.5))
+    def test_drawn_perturbations(self, seed, n, dim, group, scale):
+        rng = np.random.default_rng(seed)
+        cover = _perturbed(_random_covers(rng, n, dim, (group,))[0], rng, scale)
+        worst_gap, mismatch = cover_link_gap(cover)
+        assert mismatch is None
+        assert worst_gap == pytest.approx(plain_weyl_bound(cover), rel=1e-6, abs=1e-12)
+        assert plain_cover_link_gap(cover) <= worst_gap + 1e-12
+
+
 HASHED_LABELS_EML = """
 import numpy as np
 from hdxcover.graphs import WGraph
