@@ -493,21 +493,6 @@ def automorphism_table(group):
     return np.unique(rows, axis=0)
 
 
-def _class_combos(classes, max_size):
-    """Sets of whole inverse-pair classes with at most max_size elements,
-    by class count, then in lexicographic order of class indices."""
-    level = [((), 0)]
-    while level:
-        level = [
-            (picked + (j,), size + len(classes[j]))
-            for picked, size in level
-            for j in range(picked[-1] + 1 if picked else 0, len(classes))
-            if size + len(classes[j]) <= max_size
-        ]
-        for picked, _ in level:
-            yield tuple(sorted(e for j in picked for e in classes[j]))
-
-
 def _tie_stable(scored, eta_target):
     """Candidates from (gens, score, orbit size) triples in score order.
 
@@ -541,6 +526,26 @@ def _orbit_forms(table, block):
     return images[least.argmax(axis=0), np.arange(len(block))], len(table) // least.sum(axis=0)
 
 
+def _orbit_reps(group, table, max_size):
+    """Each orbit under table's rows of the sets of whole inverse-pair
+    classes with at most max_size elements, as its least sorted image
+    mapped to its orbit size, in dicts of up to _SCAN_BLOCK.  Level k + 1
+    is the least images of level k's sets plus a class they lack: a row
+    maps a set less a class to a level-k set, and the class to a class."""
+    level, classes = [()], _inverse_pair_classes(group)
+    while level:
+        grown = (tuple(sorted(rep + cls)) for rep in level for cls in classes
+                 if cls[0] not in rep and len(rep) + len(cls) <= max_size)
+        found = {}  # each least image and its orbit size, in first-seen order
+        while block := list(itertools.islice(grown, _SCAN_BLOCK)):
+            forms, sizes = (a.tolist() for a in _orbit_forms(table, block))
+            found.update((tuple(f[len(f) - len(e):]), n) for e, f, n in zip(block, forms, sizes))
+        reps = iter(found.items())
+        while chunk := dict(itertools.islice(reps, _SCAN_BLOCK)):
+            yield chunk
+        level = found
+
+
 def _block_masks(group, block):
     """Bool rows for a block of seed sets: the subgroup closure of each set,
     and whether each element a of the set lies in a triangle {0, a, b} of
@@ -558,6 +563,7 @@ def _block_masks(group, block):
         reach = part[:, step]
         reach &= S[rows][:, None, present]
         grown = part | reach.any(axis=2)
+        del reach  # before the next pass gathers one as large
         inside[rows] = grown
         rows = rows[(grown != part).any(axis=1)]
     in_tri = ~S
@@ -567,50 +573,40 @@ def _block_masks(group, block):
 
 
 def scan_gensets(group, d, eta_target=None, max_size=8, counts=None):
-    """Enumerate symmetric generating sets of group and score their Cayley links.
+    """Score the sets of whole inverse-pair classes of group, up to
+    max_size elements, that generate it, by their Cayley links.
 
     The score is the worst two-sided expansion over all proper links of
     the d-dimensional Cayley clique complex (the global skeleton is not
     scored), read off the star of the identity.  An automorphism relabels
-    the complex, so each orbit under automorphism_table is taken once, as
-    its least sorted image, the set scored and reported with its orbit
-    size; later members are duplicates.  Impure candidates are skipped;
-    candidates come back in _tie_stable order.  A dict passed as counts
-    gets the sets enumerated and duplicate, and the orbits not generating,
-    impure and scored.
+    the complex, so _orbit_reps gives each orbit under automorphism_table
+    once, as its least sorted image, the set scored and reported with its
+    orbit size.  Impure candidates are skipped; candidates come back in
+    _tie_stable order.  A dict passed as counts gets the sets enumerated
+    (the orbit sizes summed) and duplicate (that less the orbits), and the
+    orbits not generating, impure and scored.
 
-    Candidates go through in blocks of _SCAN_BLOCK: one gather and sort
-    (_orbit_forms) gives their least images, one fixpoint closes the new
-    ones at once, its triangle test (_block_masks) is purity at d = 2 and
-    necessary for it at d >= 3, and one star_scores call scores the sets
-    that pass it, giving NotPure for those impure at d >= 3.
+    Each block of orbits goes through one fixpoint that closes them all,
+    its triangle test (_block_masks), purity at d = 2 and necessary for
+    it at d >= 3, and one star_scores call on the sets that pass it,
+    giving NotPure for those impure at d >= 3.
     """
     _check_star_dim(d)
     tally = dict.fromkeys(("enumerated", "not_generating", "duplicate", "impure", "scored"), 0)
-    table = automorphism_table(group)
-    seen, scored = set(), []
-    combos = _class_combos(_inverse_pair_classes(group), max_size)
-    while block := list(itertools.islice(combos, _SCAN_BLOCK)):
-        forms, sizes = (a.tolist() for a in _orbit_forms(table, block))
-        fresh = {}  # each new least image and its orbit size
-        for elems, form, size in zip(block, forms, sizes):
-            form = tuple(form[len(form) - len(elems):])
-            if form not in seen:
-                fresh[form] = size
-        seen.update(fresh)
-        sets = list(fresh)
-        inside, in_triangles = _block_masks(group, sets)
+    scored = []
+    for reps in _orbit_reps(group, automorphism_table(group), max_size):
+        inside, in_triangles = _block_masks(group, list(reps))
         generates = inside.all(axis=1)
-        passing = [sets[i] for i in np.flatnonzero(generates & in_triangles)]
-        tally["enumerated"] += len(block)
-        tally["duplicate"] += len(block) - len(sets)
-        tally["not_generating"] += len(sets) - int(generates.sum())
+        passing = [s for s, ok in zip(reps, generates & in_triangles) if ok]
+        tally["enumerated"] += sum(reps.values())
+        tally["duplicate"] += sum(reps.values()) - len(reps)
+        tally["not_generating"] += len(reps) - int(generates.sum())
         tally["impure"] += int(generates.sum()) - len(passing)
         for elems, lam in zip(passing, star_scores(group, passing, d)):
             if isinstance(lam, NotPure):
                 tally["impure"] += 1
             else:
-                scored.append((elems, lam, fresh[elems]))
+                scored.append((elems, lam, reps[elems]))
     tally["scored"] = len(scored)
     if counts is not None:
         counts.update(tally)

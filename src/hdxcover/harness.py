@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -374,8 +375,8 @@ def cover_link_gap(cover):
     base_edges = np.bincount(codes // (nb * nb), minlength=nb)
     pos = {v: i for i, v in enumerate(base.vertices)}
     phi = np.array([pos[cover.phi(v)] for v in tilde.vertices], dtype=np.intp)
-    worst_gap, mismatch = 0.0, None
-    for first, verts, vlink, ends, mass in tilde.link_blocks(0):
+
+    def block_gap(first, verts, vlink, ends, mass):
         weights, vmass = link_measures(vlink, ends, mass)
         elink, centre = vlink[ends[0]], phi[first:first + vlink[-1] + 1]
         count = functools.partial(np.bincount, minlength=len(centre))
@@ -383,20 +384,22 @@ def cover_link_gap(cover):
         pu, pv = phi[verts[ends]]
         code = (centre[elink] * nb + np.minimum(pu, pv)) * nb + np.maximum(pu, pv)
         at = np.searchsorted(codes, code).clip(max=len(codes) - 1)
-        copy = ((count(vlink) == base_verts[centre]) & (count(elink) == base_edges[centre])
+        same = count(vlink) == base_verts[centre]  # else no gap is taken
+        copy = (same & (count(elink) == base_edges[centre])
                 & (count(key[1:][key[1:] == key[:-1]] // nb) == 0)
                 & (count(elink, weights=codes[at] != code) == 0))
         delta = operator_entries(weights, np.sqrt(0.5 * vmass), ends) - entries[at]
-        bound = np.sqrt(2.0 * count(elink, weights=delta * delta))[copy]
-        worst_gap = max(worst_gap, float(bound.max(initial=0.0)))
+        gap = float(np.sqrt(2.0 * count(elink, weights=delta * delta))[copy].max(initial=0.0))
         eigs = () if copy.all() else link_spectra(vlink, ends, mass)[2]
-        for i in np.flatnonzero(~copy).tolist():
-            ev, down = eigs[i], base_spec[centre[i]]
-            if len(ev) == len(down):
-                worst_gap = max(worst_gap, float(np.abs(ev - down).max()))
-            elif mismatch is None:
-                mismatch = tilde.vertices[first + i]
-    return worst_gap, mismatch
+        for i in np.flatnonzero(same & ~copy).tolist():
+            gap = max(gap, float(np.abs(eigs[i] - base_spec[centre[i]]).max()))
+        miss = np.flatnonzero(~same)[:1].tolist()
+        return gap, tilde.vertices[first + miss[0]] if miss else None
+
+    # starmap drops each block's arrays before link_blocks builds the next
+    gaps = list(itertools.starmap(block_gap, tilde.link_blocks(0)))
+    mismatch = next((miss for _, miss in gaps if miss is not None), None)
+    return max((gap for gap, _ in gaps), default=0.0), mismatch
 
 
 def _audit_clean_prune(report, pruner, outcome):

@@ -1255,8 +1255,8 @@ def plain_quotient_group(group, normal_elems):
 
 def plain_class_combos(classes, max_size):
     """Reference enumeration: every combination of classes, by count, then
-    filtered by size."""
-    for k in range(1, len(classes) + 1):
+    filtered by size.  No set of more than max_size classes fits."""
+    for k in range(1, min(len(classes), max_size) + 1):
         for picked in itertools.combinations(classes, k):
             elems = tuple(sorted(e for cls in picked for e in cls))
             if len(elems) <= max_size:
@@ -1339,7 +1339,7 @@ def plain_scan_gensets(group, d, eta_target=None, max_size=8, counts=None):
     seen = set()
     table = groups_mod.automorphism_table(group)
     classes = groups_mod._inverse_pair_classes(group)
-    for elems in groups_mod._class_combos(classes, max_size):
+    for elems in plain_class_combos(classes, max_size):
         tally["enumerated"] += 1
         orbit = plain_orbit(table, elems)
         form = min(orbit)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import tracemalloc
 
@@ -301,7 +302,7 @@ Z2_CUBE = product_group(product_group(cyclic(2), cyclic(2)), cyclic(2))
 
 
 def _scan_combos(group, max_size):
-    return list(groups._class_combos(groups._inverse_pair_classes(group), max_size))
+    return list(plain_class_combos(groups._inverse_pair_classes(group), max_size))
 
 
 class TestArrayPaths:
@@ -346,12 +347,6 @@ class TestArrayPaths:
             quotient_group(symmetric_group(5), sub)  # raises unless normal
         assert normal_subgroups(symmetric_group(5), index_cap=2) == subs[1:]
 
-    @pytest.mark.parametrize("max_size", [1, 3, 6, 8])
-    def test_enumeration_order_unchanged(self, max_size):
-        for g in (symmetric_group(4), cyclic(13), dihedral(5)):
-            classes = groups._inverse_pair_classes(g)
-            assert _scan_combos(g, max_size) == list(plain_class_combos(classes, max_size))
-
 
 TABLE_GROUPS = [
     cyclic(1), cyclic(12), cyclic(13), dihedral(5), dihedral(6), symmetric_group(4),
@@ -392,6 +387,46 @@ class TestAutomorphismTable:
             orbit = plain_orbit(table, elems)
             assert tuple(form[len(form) - len(elems):]) == min(orbit)
             assert size == len(orbit)
+
+
+S5 = symmetric_group(5)
+
+
+@functools.cache
+def _plain_orbit_reps(group, max_size):
+    """Each orbit's least member and size, from every set plain_class_combos
+    enumerates with one plain_orbit per orbit, and the count of sets."""
+    table = groups.automorphism_table(group)
+    reps, seen, enumerated = {}, set(), 0
+    for elems in plain_class_combos(groups._inverse_pair_classes(group), max_size):
+        enumerated += 1
+        if elems not in seen:
+            orbit = plain_orbit(table, elems)
+            seen |= orbit
+            reps[min(orbit)] = len(orbit)
+    return reps, enumerated
+
+
+class TestOrbitReps:
+    """The level-by-level representatives against full enumeration."""
+
+    @pytest.mark.parametrize("small_blocks", [False, True])
+    @pytest.mark.parametrize("group, max_size", [(g, 6) for g in TABLE_GROUPS] + [(S5, 4)],
+                             ids=lambda p: getattr(p, "name", p))
+    def test_reps_equal_full_enumeration(self, monkeypatch, group, max_size, small_blocks):
+        if small_blocks:
+            monkeypatch.setattr(groups, "_SCAN_BLOCK", 3)
+        table = groups.automorphism_table(group)
+        blocks = list(groups._orbit_reps(group, table, max_size))
+        assert all(0 < len(b) <= groups._SCAN_BLOCK for b in blocks)
+        got = [rep for b in blocks for rep in b.items()]
+        want, enumerated = _plain_orbit_reps(group, max_size)
+        assert len(got) == len(want) and dict(got) == want  # each orbit once, with its size
+        assert sum(size for _, size in got) == enumerated
+        # by class count
+        inv = group.inv_table
+        count = [len({min(e, inv[e]) for e in rep}) for rep, _ in got]
+        assert count == sorted(count)
 
 
 class TestStarScore:
@@ -592,6 +627,30 @@ class TestBlockScan:
         # impure at d = 3, which star_scores finds
         assert len(scored) == 16
         assert sum(isinstance(lam, NotPure) for lam in scored) == 12
+
+    @pytest.mark.parametrize("max_size, want", [
+        (4, {"enumerated": 31678, "not_generating": 170, "duplicate": 31255, "impure": 253,
+             "scored": 0}),
+        (5, {"enumerated": 219933, "not_generating": 455, "duplicate": 217583, "impure": 1888,
+             "scored": 7}),
+    ])
+    def test_s5_counts(self, max_size, want):
+        counts = {}
+        out = scan_gensets(S5, 2, max_size=max_size, counts=counts)
+        assert counts == want
+        assert len(out) == want["scored"]
+        if out:
+            assert out[0].gens == (1, 6, 7, 38, 74)
+
+    def test_s5_scan_memory_is_bounded(self):
+        scan_gensets(S5, 2, max_size=4)  # first-call caches are not the scan's
+        tracemalloc.start()
+        try:
+            scan_gensets(S5, 2, max_size=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
     def test_scan_memory_is_bounded(self):
         g = symmetric_group(4)

@@ -35,8 +35,10 @@ from hdxcover.groups import (
     identity_star_lambda,
     scan_gensets,
     symmetric_group,
+    validate_genset,
 )
-from hdxcover.harness import cover_link_gap
+from hdxcover.harness import cover_link_gap, stage_seed
+from hdxcover.pruning import PruneConfig, Pruner
 from hdxcover.spectral import (
     adjacency_spectrum,
     bipartite_lambda,
@@ -373,6 +375,24 @@ class TestLevelPath:
         finally:
             tracemalloc.stop()
         assert peak < 1.5e6
+
+    def test_memory_of_cover_link_gap(self):
+        # each block's per-edge arrays go before link_blocks builds the
+        # next: about 1.8 MB at the peak, where keeping them read 2.3 MB
+        group = cyclic(6)
+        pruner = Pruner(complete_complex(60, 2), group, validate_genset(group, [1, 2, 3, 4, 5]),
+                        PruneConfig.empirical(0.9, r=2.0))
+        out = pruner.run(stage_seed(1, "prune"))
+        cover = build_cover(out.y, pruner.elements_on(out.y, out.labeling), group)
+        want = cover_link_gap(cover)  # first-call caches are not the audit's
+        tracemalloc.start()
+        try:
+            assert cover_link_gap(cover) == want
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert want[0] <= 1e-9 and want[1] is None
+        assert peak < 2.0e6
 
 
 # sampled alpha on a plain and a bipartite graph with string labels
