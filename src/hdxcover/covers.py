@@ -8,6 +8,7 @@ which controls how many components the cover splits into.
 
 A labeling is an int array of group elements, one per edge, aligned with
 X.faces(1); the edge from u to v carries f(uv) if u < v, else its inverse.
+Base, group and labeling define the cover: they are all cover_to_dict writes.
 """
 from __future__ import annotations
 
@@ -159,8 +160,6 @@ def verify_cover(cover):
     face) pair names one top face of the face's link.
     """
     tilde, base = cover.complex, cover.base
-    surj = set(cover.phi(v) for v in tilde.vertices) == set(base.vertices)
-
     # phi as base positions; an image outside the base gets a position past them
     pos = {v: i for i, v in enumerate(base.vertices)}
     phi = np.array(
@@ -169,8 +168,9 @@ def verify_cover(cover):
     )
     # the base top under each lifted top, -1 if its image is none
     top_img = base.face_index(np.sort(phi[tilde.top_positions()], axis=1))
-    surj = surj and bool((top_img >= 0).all())
-    surj = surj and len(np.unique(top_img)) == len(base.weights)
+    # onto: no image past the base, every base vertex and top face hit
+    surj = (len(pos) == len(base.vertices) == len(np.unique(phi)) and bool((top_img >= 0).all())
+            and len(np.unique(top_img)) == len(base.weights))
 
     violations = []
     checked = 0
@@ -263,17 +263,12 @@ def _injective_on_links(inv, rest, phi):
 
 
 def cover_to_dict(cover):
-    """JSON form: base and group references plus lifted faces as pairs
-    (base vertex, element), read off build_cover's vertex ids."""
-    tilde, n_g = cover.complex, cover.group.order
-    ids = np.asarray(tilde.vertices)[tilde.top_positions()].ravel()
-    at = cover.base.vertices
-    pairs = [[at[p], g] for p, g in zip((ids // n_g).tolist(), (ids % n_g).tolist())]
+    """JSON form: base, group and cocycle, one [u, v, g] per base edge in
+    faces(1) order, g carried from u to v; build_cover rebuilds the rest."""
     return {
         "base": complex_to_dict(cover.base),
         "group": group_to_dict(cover.group),
-        "faces": list(map(list, zip(*[iter(pairs)] * (tilde.dim + 1)))),  # d + 1 per face
-        "weights": tilde.weights.tolist(),
+        "cocycle": [[u, v, g] for (u, v), g in zip(cover.base.faces(1), cover.labeling.tolist())],
     }
 
 

@@ -362,16 +362,17 @@ def cover_link_gap(cover):
     """A bound on the largest eigenvalue gap between a cover vertex's link
     skeleton and its image's, and the first cover vertex whose link has
     another vertex count (no gap taken), or None.  A link that phi maps onto
-    its image's is a copy, whose gap is at most ||M~ - P M P^T||_F (Weyl)."""
+    its image's is a copy, whose gap is at most ||M~ - P M P^T||_F (Weyl):
+    only a link that is no copy is solved, and then the base's links once."""
     base, tilde, nb = cover.base, cover.complex, len(cover.base.vertices)
-    codes, entries, base_spec = [], [], []  # base link edges as ascending (link, u, v) codes
+    codes, entries, base_verts = [], [], []  # base link edges as ascending (link, u, v) codes
     for first, verts, vlink, ends, mass in base.link_blocks(0):
-        weights, vmass, eigs = link_spectra(vlink, ends, mass)
+        weights, vmass = link_measures(vlink, ends, mass)
         codes.append(((first + vlink[ends[0]]) * nb + verts[ends[0]]) * nb + verts[ends[1]])
         entries.append(operator_entries(weights, np.sqrt(0.5 * vmass), ends))
-        base_spec += eigs
-    codes, entries = np.concatenate(codes), np.concatenate(entries)
-    base_verts = np.array([len(ev) for ev in base_spec])
+        base_verts.append(np.bincount(vlink))
+    codes, entries, base_verts = map(np.concatenate, (codes, entries, base_verts))
+    base_spec = []
     base_edges = np.bincount(codes // (nb * nb), minlength=nb)
     pos = {v: i for i, v in enumerate(base.vertices)}
     phi = np.array([pos[cover.phi(v)] for v in tilde.vertices], dtype=np.intp)
@@ -392,6 +393,8 @@ def cover_link_gap(cover):
         gap = float(np.sqrt(2.0 * count(elink, weights=delta * delta))[copy].max(initial=0.0))
         eigs = () if copy.all() else link_spectra(vlink, ends, mass)[2]
         for i in np.flatnonzero(same & ~copy).tolist():
+            if not base_spec:  # the base's links, solved for the first link that is no copy
+                base_spec.extend(e for b in base.link_blocks(0) for e in link_spectra(*b[2:])[2])
             gap = max(gap, float(np.abs(eigs[i] - base_spec[centre[i]]).max()))
         miss = np.flatnonzero(~same)[:1].tolist()
         return gap, tilde.vertices[first + miss[0]] if miss else None
@@ -472,41 +475,43 @@ def _audit_clean_prune(report, pruner, outcome):
             for ratio in pruning_mod.measure_ratio_audit(pruner, y, f, ell):
                 if not ratio.support_matches:
                     report.add_audit("measure_ratio", False, {"sigma": list(ratio.sigma)})
-                    return
+                    return cover, comp, cover_report
                 worst_ratio = max(worst_ratio, ratio.max_ratio)
         report.add_audit(
             "measure_ratio",
             worst_ratio <= bound,
             {"max_ratio": worst_ratio, "bound": bound},
         )
+    return cover, comp, cover_report
 
 
 def run_prune(report, params, seed):
-    """The prune pipeline; returns the finished report, the Pruner and the
-    outcome."""
+    """The prune pipeline; returns the finished report, the Pruner, the
+    outcome and, for a clean run, the audited cover with its
+    cover_components and verify_cover reports (else None)."""
     pruner, outcome = _prune_stages(report, params, seed)
-    if outcome.status != "clean":
-        return report.finish(), pruner, outcome
-    _audit_clean_prune(report, pruner, outcome)
-    return report.finish(), pruner, outcome
+    audited = _audit_clean_prune(report, pruner, outcome) if outcome.status == "clean" else None
+    return report.finish(), pruner, outcome, audited
 
 
 def run_cover_family(report, params, seed):
     index_cap = _count("cover-family", params, "index_cap")
-    report, pruner, outcome = run_prune(report, params, seed)
+    report, pruner, outcome, audited = run_prune(report, params, seed)
     if outcome.status != "clean":
         return report
-    group, y = pruner.group, outcome.y
-    labels = pruner.elements_on(y, outcome.labeling)
+    full = audited[0]  # the prune audit's cover of Y by all of G
     family = []
     lam = pruner.config.lambda_target
-    for sub in groups_mod.normal_subgroups(group, index_cap=index_cap):
-        quotient = groups_mod.quotient_group(group, sub)
+    for sub in groups_mod.normal_subgroups(full.group, index_cap=index_cap):
+        quotient = groups_mod.quotient_group(full.group, sub)
         with timed(report, f"cover_family.index_{quotient.group.order}"):
-            pushed = covers_mod.push_cocycle(y, labels, group, quotient)
-            cover = covers_mod.build_cover(y, pushed, quotient.group)
-            comp = covers_mod.cover_components(cover)
-            vc = covers_mod.verify_cover(cover)
+            if len(sub) == 1:  # G/1 is G's own table
+                cover, comp, vc = audited
+            else:
+                pushed = covers_mod.push_cocycle(full.base, full.labeling, full.group, quotient)
+                cover = covers_mod.build_cover(full.base, pushed, quotient.group)
+                comp = covers_mod.cover_components(cover)
+                vc = covers_mod.verify_cover(cover)
             links = is_hdx(cover.complex, lam, include_empty_face=False)
             skeleton = adjacency_spectrum(cover.complex.one_skeleton()).two_sided
         family.append(

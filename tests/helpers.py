@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from hdxcover.complexes import TOL, SuitabilityReport, build_complex, complex_to_dict
+from hdxcover.complexes import TOL, SuitabilityReport, build_complex
 from hdxcover.covers import CoverComplex, CoverReport, _elements
 from hdxcover.errors import (
     BadLevel,
@@ -317,19 +317,6 @@ def plain_connected_components(X):
         for v in comp:
             labels[v] = cid
     return len(comps), labels
-
-
-def plain_cover_to_dict(cover):
-    """Reference cover export: each lifted face's pairs read off the legend."""
-    return {
-        "base": complex_to_dict(cover.base),
-        "group": groups_mod.group_to_dict(cover.group),
-        "faces": [
-            [list(cover.legend[v]) for v in face]
-            for face in cover.complex.top_faces
-        ],
-        "weights": [float(w) for w in cover.complex.weights],
-    }
 
 
 def random_wgraph(rng, n, p=0.5, connected=True):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -22,7 +23,7 @@ from hdxcover.harness import (
     run_experiment,
     stage_seed,
 )
-from hdxcover.spectral import is_hdx
+from hdxcover.spectral import adjacency_spectrum, is_hdx, link_spectra
 
 from helpers import coboundary_labeling
 
@@ -112,7 +113,9 @@ class TestPrunePipeline:
         assert outcome["y_top_faces"]
         cover = json.loads((tmp_path / "cover.json").read_text())
         assert cover["group"]["kind"] == "table"
-        assert len(cover["faces"]) == 5 * len(outcome["y_top_faces"])
+        assert cover["base"]["faces"] == outcome["y_top_faces"]
+        y_edges = {e for t in outcome["y_top_faces"] for e in itertools.combinations(t, 2)}
+        assert len(cover["cocycle"]) == len(y_edges)
 
     @pytest.mark.parametrize("kind", ["prune", "cover-family"])
     def test_streamed_files_equal_their_texts(self, kind, tmp_path):
@@ -133,15 +136,58 @@ class TestPrunePipeline:
             "timings.json": json_text(rep.timings),
         }
         assert want["report.json"] == json_text(rep.payload())
-        assert all(want.values()) and rep.cover_export["faces"]
+        assert all(want.values()) and rep.cover_export["cocycle"]
         written = emit_report(rep, tmp_path)
         assert written == [str(tmp_path / name) for name in want]
         for name, text in want.items():
             assert (tmp_path / name).read_text() == text, name
 
 
+def k5_coboundary_run(self, rng):
+    """A clean outcome on K5 over Z5 with generators 1..4: the coboundary
+    of the potential v, whose every edge carries a generator."""
+    elems = coboundary_labeling(self.X, self.group, np.arange(5))
+    return pruning.PruneOutcome("clean", np.searchsorted(self.s_elems, elems), self.X,
+                                (), 0, (), (), self.config)
+
+
+class TestCoverFile:
+    """cover.json holds base, group and cocycle, and they rebuild the cover
+    the prune audit built."""
+
+    @pytest.mark.parametrize("case", ["ints", "strings", "dim3"])
+    def test_rebuilds_the_audited_cover(self, case, monkeypatch, tmp_path):
+        spec = json.loads(json.dumps(PRUNE_SPEC))
+        if case == "strings":
+            faces = itertools.combinations([f"v{v:02d}" for v in range(30)], 3)
+            spec["params"]["complex"] = {"dim": 2, "faces": [list(f) for f in faces]}
+        if case == "dim3":
+            spec["params"]["complex"] = {"kind": "complete", "n": 5, "dim": 3}
+            monkeypatch.setattr(pruning.Pruner, "run", k5_coboundary_run)
+        built = []
+
+        def recording(*args, _real=covers.build_cover):
+            built.append(_real(*args))
+            return built[-1]
+
+        monkeypatch.setattr(covers, "build_cover", recording)
+        rep = run_experiment(spec)
+        assert rep.stages[2]["result"]["status"] == "clean"
+        emit_report(rep, tmp_path)
+        obj = json.loads((tmp_path / "cover.json").read_text())
+        base = complexes.complex_from_dict(obj["base"])
+        assert [[u, v] for u, v, _ in obj["cocycle"]] == [list(e) for e in base.faces(1)]
+        again = build_cover(base, [g for _, _, g in obj["cocycle"]], groups.make_group(obj["group"]))
+        (cover,) = built
+        assert again.complex.dim == cover.complex.dim == spec["params"]["complex"]["dim"]
+        assert again.complex.vertices == cover.complex.vertices
+        assert again.complex.top_faces == cover.complex.top_faces
+        assert np.array_equal(again.complex.top_positions(), cover.complex.top_positions())
+        np.testing.assert_allclose(again.complex.weights, cover.complex.weights, rtol=1e-15, atol=0)
+
+
 class TestCoverFamily:
-    def test_z6_quotient_family(self):
+    def test_z6_quotient_family(self, benchmark_prunes, monkeypatch):
         spec = {
             "kind": "cover-family",
             "params": {
@@ -155,6 +201,12 @@ class TestCoverFamily:
             },
             "seed": 1,
         }
+        calls = dict.fromkeys(["build_cover", "cover_components", "verify_cover"], 0)
+        for name in calls:
+            def counting(*args, _real=getattr(covers, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(covers, name, counting)
         rep = run_experiment(spec)
         assert rep.status == "clean", rep.stages
         fam = next(s for s in rep.stages if s["name"] == "cover_family")
@@ -164,6 +216,23 @@ class TestCoverFamily:
             assert m["cover_vertices"] == 30 * m["quotient_order"]
             assert m["components"] == 1
             assert m["verified"]
+        # the audit's cover, and one per member but the trivial subgroup's
+        assert calls == dict.fromkeys(calls, len(members))
+        # which is the audit's: its record is the one a rebuilt cover gives
+        pruner, outcome = benchmark_prunes["cover-family-z6"]
+        y, group = outcome.y, pruner.group
+        quotient = groups.quotient_group(group, (0,))
+        labels = covers.push_cocycle(y, pruner.elements_on(y, outcome.labeling), group, quotient)
+        cover = build_cover(y, labels, quotient.group)
+        skeleton = adjacency_spectrum(cover.complex.one_skeleton()).two_sided
+        (member,) = [m for m in members if m["subgroup_order"] == 1]
+        assert member == {
+            "subgroup_order": 1, "quotient_order": 6, "cover_vertices": 180,
+            "components": covers.cover_components(cover).count,
+            "verified": covers.verify_cover(cover).ok,
+            "links_within_lambda": is_hdx(cover.complex, 0.9, include_empty_face=False).passes,
+            "skeleton_lambda": skeleton,
+        }
 
 
 class TestOneSamplerPerExperiment:
@@ -813,6 +882,18 @@ class TestLinkSkeletonPath:
 
 
 class TestCoverLinkSpectra:
+    @pytest.fixture
+    def solved(self, monkeypatch):
+        """The link count of each link_spectra call cover_link_gap makes."""
+        counts = []
+
+        def counting(vlink, ends, mass):
+            counts.append(int(vlink[-1]) + 1)
+            return link_spectra(vlink, ends, mass)
+
+        monkeypatch.setattr(harness, "link_spectra", counting)
+        return counts
+
     def test_link_size_mismatch_is_witnessed(self):
         # not a cover: vertex 2's link is one edge, its image's a triangle
         base = complete_complex(4, 2)
@@ -833,7 +914,8 @@ class TestCoverLinkSpectra:
         # the link of 0 is 2-1-3, its image's 1-2-3: edge 13 lands off
         ([1.0, 3.0], {v: v for v in range(4)}, 1),
     ], ids=["folded", "edge_off"])
-    def test_links_that_are_no_copies_are_solved(self, weights, legend, mismatch):
+    def test_links_that_are_no_copies_are_solved(self, weights, legend, mismatch,
+                                                  solved):
         # each such link and its image's are stars or single edges, whose
         # spectra (1, 0, -1) and (1, -1) no weights change: its exact gap is 0
         base = build_complex(2, [(0, 1, 2), (0, 2, 3)])
@@ -842,6 +924,16 @@ class TestCoverLinkSpectra:
                              np.zeros(5, dtype=np.int64), {v: (b, 0) for v, b in legend.items()})
         gap, found = cover_link_gap(cover)
         assert gap <= 1e-12 and found == mismatch
+        assert solved == [4, 4]  # the cover's one block of links, then the base's
+
+    @pytest.mark.parametrize("name", ["prune-k30", "cover-family-z6"])
+    def test_copies_solve_no_link(self, benchmark_covers, solved, name):
+        # every link of a genuine cover is a copy, so neither its links
+        # nor the base's are solved
+        for cover in benchmark_covers[name][1]:
+            gap, mismatch = cover_link_gap(cover)
+            assert gap <= 1e-9 and mismatch is None
+        assert solved == []
 
     def test_mismatch_past_the_first_block(self):
         # without the tops through 33 and 34, their links miss a vertex

@@ -126,9 +126,13 @@ class TestAdjacencySpectrum:
         X = complete_complex(6, 2)
         with pytest.raises(MisScaled, match="top eigenvalue (2|1.99)"):
             is_hdx(X, 0.9)
-        cover = build_cover(X, coboundary_labeling(X, cyclic(2), [0] * 6), cyclic(2))
+        # cover_link_gap solves the links that are no copies, here of a
+        # cover folding vertex 3 onto 1, and then their images'
+        base = build_complex(2, [(0, 1, 2), (0, 2, 3)])
+        folded = CoverComplex(base, base, cyclic(1), np.zeros(5, dtype=np.int64),
+                              {0: (0, 0), 1: (1, 0), 2: (2, 0), 3: (1, 0)})
         with pytest.raises(MisScaled, match="top eigenvalue (2|1.99)"):
-            cover_link_gap(cover)
+            cover_link_gap(folded)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_stacked_solve_is_each_graphs_own(self, seed):
@@ -419,7 +423,7 @@ class TestWeylBound:
             cover = _perturbed(cover, rng, 1e-6)
             solved.clear()
             worst_gap, mismatch = cover_link_gap(cover)
-            assert len(solved) == 1  # the base's one block: no cover link is solved
+            assert solved == []  # every link is a copy: none is solved, nor the base's
             assert worst_gap == pytest.approx(plain_weyl_bound(cover), rel=1e-6)
             assert plain_cover_link_gap(cover) <= worst_gap + 1e-12
             assert mismatch is None and worst_gap > 1e-9  # the audit's bound
