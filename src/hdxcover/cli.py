@@ -1,8 +1,8 @@
 """Command-line entry points for the experiment pipelines.
 
 Exit codes: 0 clean, 2 resampling budget exhausted, 3 audit failure,
-4 input error.  Each pipeline command's flags are its spec keys in
-`harness.PARAMS`, with dashes for underscores.
+4 input error, a bad flag as a bad spec.  Each pipeline command's flags
+are its spec keys in `harness.PARAMS`, with dashes for underscores.
 """
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ import sys
 from .complexes import check_suitable, complete_complex, save_complex, tensor_with_complete
 from .harness import (DERIVED, EXIT_AUDIT, EXIT_CLEAN, EXIT_INPUT, INPUT, INPUT_ERRORS, PARAMS,
                       emit_report, load_complex_input, load_graph_input, run_experiment)
-from .pruning import MODES
 from .spectral import adjacency_spectrum, eml_discrepancy, converse_eml_bound, is_hdx
 
 # the pipeline each pipeline command runs
@@ -26,15 +25,22 @@ def _add_param_flag(p, key, default):
     flag = "--" + key.replace("_", "-")
     if default is INPUT:
         p.add_argument(flag, dest=key, required=True)
-    elif key == "mode":
-        p.add_argument(flag, dest=key, choices=MODES, default=default)
     else:
         kind = float if default is DERIVED else type(default)
         p.add_argument(flag, dest=key, type=kind, default=default)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and so each of its subparsers, whose errors exit
+    EXIT_INPUT rather than argparse's 2, the budget-exhausted code."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(prog="hdxcover")
+    ap = _Parser(prog="hdxcover")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build-complete", help="write a complete complex JSON")
@@ -55,7 +61,7 @@ def build_parser():
     p = sub.add_parser("verify-hdx")
     p.add_argument("--complex", required=True)
     p.add_argument("--lambda", dest="lambda_", type=float, required=True)
-    p.add_argument("--mode", choices=("two_sided", "one_sided"), default="two_sided")
+    p.add_argument("--mode", default="two_sided")
 
     p = sub.add_parser("eml")
     p.add_argument("--graph", required=True)

@@ -1,7 +1,9 @@
 """Experiment orchestration: pipelines, audits, and report emission.
 
 A spec is a plain dict (usually parsed from CLI flags or a JSON file)
-naming a pipeline and its inputs.  Reports are emitted as deterministic
+naming a pipeline and its inputs.  _read_params types a spec's params by
+their PARAMS defaults; ranges are the library's to check, and any HdxError
+is bad input (exit 4).  Reports are emitted as deterministic
 JSON (stable key order, no timestamps); wall times go to a separate file
 so identical seeds reproduce identical report bytes.
 """
@@ -12,8 +14,8 @@ import functools
 import hashlib
 import itertools
 import json
-import math
 import os
+import sys
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -227,62 +229,45 @@ PARAMS = {
 }
 
 
-def _param(kind, params, key):
-    """params[key], or its PARAMS default; an input left out is bad input."""
-    value = params.get(key, PARAMS[kind][key])
-    if value is INPUT:
-        raise InputError(f"spec object is missing {key!r}")
-    return value
+_LOADERS = {"complex": load_complex_input, "target": load_complex_input,
+            "group": _load_group_input, "genset": _load_genset_input,
+            "graph": load_graph_input}
+
+
+def _read_params(kind, params):
+    """A kind spec's params, each key of PARAMS[kind] read by its default's
+    type, a key left out at that default: an INPUT loaded; an int default a
+    count, an integer >= 1; a float default a finite number, as a float, and
+    DERIVED that or null; a str default a string."""
+    if not isinstance(params, dict):
+        raise InputError("spec params must be a JSON object")
+    unknown = sorted(set(params) - set(PARAMS[kind]))
+    if unknown:
+        raise InputError(
+            f"unknown {kind} parameter(s) {unknown}; "
+            f"expected some of {sorted(PARAMS[kind])}"
+        )
+    read = {}
+    for key, default in PARAMS[kind].items():
+        value = params.get(key, default)
+        if default is INPUT:
+            value = _LOADERS[key](_field(params, key))
+        elif type(default) is int:
+            if type(value) is not int or value < 1:
+                raise InputError(f"{kind} {key} must be an integer >= 1, got {value!r}")
+        elif type(default) is str:
+            if type(value) is not str:
+                raise InputError(f"{kind} {key} must be a string, got {value!r}")
+        elif not (default is DERIVED and value is None):
+            if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+                null = " or null" if default is DERIVED else ""
+                raise InputError(f"{kind} {key} must be a finite number{null}, got {value!r}")
+            value = float(value)
+        read[key] = value
+    return read
 
 
 # --- pipelines ---
-
-
-@_spec_config
-def _count(kind, params, key):
-    """A count param, an int >= 1."""
-    value = _param(kind, params, key)
-    if type(value) is not int or value < 1:
-        raise ValueError(f"{kind} {key} must be an integer >= 1, got {value!r}")
-    return value
-
-
-@_spec_config
-def _prune_config(params):
-    get = functools.partial(_param, "prune", params)
-    mode = get("mode")
-    if mode not in pruning_mod.MODES:
-        raise InputError(f"unknown prune mode {mode!r}")
-    return pruning_mod.PruneConfig(
-        lambda_target=float(get("lambda")),
-        r=float(get("r")),
-        mode=mode,
-        max_resamples=_count("prune", params, "max_resamples"),
-    )
-
-
-@_spec_config
-def _suitability_config(params):
-    """c and eta of a prune spec, which only check_suitable reads."""
-    return float(_param("prune", params, "c")), float(_param("prune", params, "eta"))
-
-
-@_spec_config
-def _combine_config(params, lam):
-    return combine_mod.CombineConfig(
-        lambda_target=float(lam),
-        max_resamples=_count("combine", params, "max_resamples"),
-    )
-
-
-@_spec_config
-def _sparsify_config(params):
-    """The sparsify_trial arguments of a sparsify spec but the seed: the
-    trial count, and the rest read as floats."""
-    config = {key: float(_param("sparsify", params, key))
-              for key in ("p_split", "p_edge", "split_factor", "edge_threshold")}
-    config["trials"] = _count("sparsify", params, "trials")
-    return config
 
 
 def _transcript_digest(transcript):
@@ -316,18 +301,15 @@ def _sampler_record(report, name, outcome, stage, out):
 
 
 def _prune_stages(report, params, seed):
-    X = load_complex_input(_param("prune", params, "complex"))
+    X, group = params["complex"], params["group"]
     if X.dim < 2:
         raise InputError(f"prune needs a complex of dimension >= 2, got {X.dim}")
-    group = _load_group_input(_param("prune", params, "group"))
-    gens = groups_mod.validate_genset(
-        group, _load_genset_input(_param("prune", params, "genset"))
-    )
-    config = _prune_config(params)
-    c, eta = _suitability_config(params)
+    gens = groups_mod.validate_genset(group, params["genset"])
+    config = pruning_mod.PruneConfig(params["lambda"], params["r"], params["mode"],
+                                     params["max_resamples"])
 
     with timed(report, "suitability"):
-        suit = check_suitable(X, c, config.r, eta)
+        suit = check_suitable(X, params["c"], config.r, params["eta"])
     report.add_stage("suitability", suit.to_dict())
 
     with timed(report, "cayley"):
@@ -495,14 +477,13 @@ def run_prune(report, params, seed):
 
 
 def run_cover_family(report, params, seed):
-    index_cap = _count("cover-family", params, "index_cap")
     report, pruner, outcome, audited = run_prune(report, params, seed)
     if outcome.status != "clean":
         return report
     full = audited[0]  # the prune audit's cover of Y by all of G
     family = []
     lam = pruner.config.lambda_target
-    for sub in groups_mod.normal_subgroups(full.group, index_cap=index_cap):
+    for sub in groups_mod.normal_subgroups(full.group, index_cap=params["index_cap"]):
         quotient = groups_mod.quotient_group(full.group, sub)
         with timed(report, f"cover_family.index_{quotient.group.order}"):
             if len(sub) == 1:  # G/1 is G's own table
@@ -535,10 +516,8 @@ def run_cover_family(report, params, seed):
 
 
 def run_sparsify(report, params, seed):
-    G = load_graph_input(_param("sparsify", params, "graph"))
-    trial = sparsify_mod.sparsify_trial(
-        G, rng=stage_seed(seed, "sparsify"), **_sparsify_config(params)
-    )
+    G = params.pop("graph")
+    trial = sparsify_mod.sparsify_trial(G, rng=stage_seed(seed, "sparsify"), **params)
     report.add_stage("sparsify", trial.to_dict())
     report.lambda_series = sorted(trial.edge_lambdas)
     report.add_audit(
@@ -551,14 +530,12 @@ def run_sparsify(report, params, seed):
 
 
 def run_combine(report, params, seed):
-    X = load_complex_input(_param("combine", params, "complex"))
-    C = load_complex_input(_param("combine", params, "target"))
-    lam = _param("combine", params, "lambda")
+    X, C, lam = params["complex"], params["target"], params["lambda"]
     if lam is DERIVED:
         with timed(report, "target_lambda"):
             lam = is_hdx(C, 1.0).worst_value
-        lam = max(min(lam, 0.999), 1e-6)
-    config = _combine_config(params, lam)
+        lam = max(min(float(lam), 0.999), 1e-6)
+    config = combine_mod.CombineConfig(lam, params["max_resamples"])
     with timed(report, "combine"):
         outcome = combine_mod.Combiner(X, C, config).run(stage_seed(seed, "combine"))
     _sampler_record(
@@ -573,25 +550,12 @@ def run_combine(report, params, seed):
     return report.finish()
 
 
-@_spec_config
-def _scan_config(params):
-    """dim, max_size and eta of a scan spec; a bad value is bad input."""
-    dim, eta = _param("scan", params, "dim"), _param("scan", params, "eta")
-    if type(dim) is not int or dim < 2:
-        raise ValueError(f"scan dim must be an integer >= 2, got {dim!r}")
-    size = _count("scan", params, "max_size")
-    if not (eta is None or type(eta) in (int, float) and math.isfinite(eta)):
-        raise ValueError(f"scan eta must be a finite number or null, got {eta!r}")
-    return dim, size, eta
-
-
 def run_scan(report, params, seed):
-    group = _load_group_input(_param("scan", params, "group"))
-    dim, max_size, eta = _scan_config(params)
+    group, dim = params["group"], params["dim"]
     counts = {}
     with timed(report, "scan"):
         candidates = groups_mod.scan_gensets(
-            group, dim, eta_target=eta, max_size=max_size, counts=counts
+            group, dim, eta_target=params["eta"], max_size=params["max_size"], counts=counts
         )
     report.add_stage("scan", {
         "group": group.name,
@@ -624,17 +588,6 @@ PIPELINES = {
     "scan": run_scan,
 }
 
-def _check_param_keys(kind, params):
-    if not isinstance(params, dict):
-        raise InputError("spec params must be a JSON object")
-    unknown = sorted(set(params) - set(PARAMS[kind]))
-    if unknown:
-        raise InputError(
-            f"unknown {kind} parameter(s) {unknown}; "
-            f"expected some of {sorted(PARAMS[kind])}"
-        )
-
-
 def run_experiment(spec):
     """Dispatch a spec dict to its pipeline; returns a RunReport."""
     kind = spec.get("kind")
@@ -645,8 +598,7 @@ def run_experiment(spec):
     with timed(report, "total"):
         try:
             seed = report.spec["seed"] = _spec_config(int)(seed)
-            _check_param_keys(kind, params)
-            PIPELINES[kind](report, params, seed)
+            PIPELINES[kind](report, _read_params(kind, params), seed)
         except INPUT_ERRORS as exc:
             report.status = "input_error"
             report.exit_code = EXIT_INPUT

@@ -32,6 +32,7 @@ import numpy as np
 from .complexes import PureComplex
 from .errors import (
     BadKindForFace,
+    BadParameter,
     NotAFace,
     Unmeasurable,
     UnsatisfiedBase,
@@ -59,13 +60,13 @@ class PruneConfig:
 
     def __post_init__(self):
         if not (0.0 < self.lambda_target < 1.0):
-            raise ValueError("lambda_target must lie in (0, 1)")
-        if self.r <= 1.0:
-            raise ValueError("r must exceed 1")
+            raise BadParameter("lambda_target must lie in (0, 1)")
+        if not self.r > 1.0:  # nan too
+            raise BadParameter("r must exceed 1")
         if self.mode not in MODES:
-            raise ValueError(f"unknown prune mode {self.mode!r}")
+            raise BadParameter(f"unknown prune mode {self.mode!r}")
         if self.max_resamples < 1:
-            raise ValueError("max_resamples must be at least 1")
+            raise BadParameter("max_resamples must be at least 1")
 
     def at_bounds(self, ell, m):
         scale = float(m) ** (ell + 1)
@@ -421,7 +422,7 @@ class PruneOutcome:
 def sample_labeling(X, m, rng):
     """Independent uniform generator indices, one per edge of X."""
     if m < 1:
-        raise ValueError("need at least one generator")
+        raise BadParameter("need at least one generator")
     rng = np.random.default_rng(rng)
     return rng.integers(0, m, size=X.n_faces(1), dtype=np.int64)
 

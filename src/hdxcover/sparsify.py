@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import EmptyResult, EmptySide, InputError
+from .errors import BadParameter, EmptyResult, EmptySide
 from .graphs import WGraph
 from .spectral import adjacency_spectrum, bipartite_lambda
 
@@ -27,7 +27,7 @@ def split_vertex_sets(n, p, rng):
     go unread.
     """
     if not 0 < p < 0.5:
-        raise ValueError("need 0 < p < 1/2")
+        raise BadParameter("need 0 < p < 1/2")
     draws = np.random.default_rng(rng).random(2 * n).tolist()
     q = p / (1.0 - p)
     side, k = [0] * n, 0  # 1 in A, 2 in B
@@ -73,7 +73,7 @@ class SubsampleResult:
 def edge_subsample(H, p, rng):
     """Independent Bernoulli(p) edge retention, weights renormalized."""
     if not 0 < p <= 1:
-        raise ValueError("need 0 < p <= 1")
+        raise BadParameter("need 0 < p <= 1")
     rng = np.random.default_rng(rng)
     keep = np.flatnonzero(rng.random(H.m) < p)
     if not len(keep):
@@ -154,11 +154,11 @@ def sparsify_trial(
     seeds from the master stream up front.
     """
     if not 0 < p_split < 0.5:
-        raise InputError("p_split must lie in (0, 1/2)")
+        raise BadParameter("p_split must lie in (0, 1/2)")
     if not 0 < p_edge <= 1:
-        raise InputError("p_edge must lie in (0, 1]")
+        raise BadParameter("p_edge must lie in (0, 1]")
     if trials < 1:
-        raise InputError("trials must be at least 1")
+        raise BadParameter("trials must be at least 1")
     master = np.random.default_rng(rng)
     seeds = master.integers(0, 2**63 - 1, size=2 * trials)
     lam_g = adjacency_spectrum(G).two_sided

@@ -273,7 +273,7 @@ def eml_discrepancy(G, strategy="exact", samples=2000, rng=None, exact_limit=14)
         if samples < 1:
             raise BadParameter(f"sampled mixing needs samples >= 1, got {samples}")
         return _eml_sampled(G, samples, rng)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    raise BadParameter(f"unknown strategy {strategy!r}")
 
 
 def _pair_scores(cut, nu_s, nu_t):

@@ -7,11 +7,13 @@ import sys
 import numpy as np
 import pytest
 
-from hdxcover import cli, combine, complexes, covers, groups, harness, pruning
+from hdxcover import (cli, combine, complexes, covers, groups, harness, pruning, sparsify,
+                      spectral)
 from hdxcover.cli import main
 from hdxcover.complexes import PureComplex, build_complex, check_suitable, complete_complex
 from hdxcover.covers import CoverComplex, build_cover
 from hdxcover.errors import BadParameter
+from hdxcover.graphs import complete_graph
 from hdxcover.groups import cyclic
 from hdxcover.harness import (
     EXIT_AUDIT,
@@ -40,6 +42,9 @@ PRUNE_SPEC = {
     "seed": 2,
 }
 
+
+# a mistyped value for a param of each default type
+MISTYPED = {int: ["x", 2.7, True, "5"], float: ["x", True], str: [3]}
 
 # params each pipeline runs on but for the count under test
 COUNT_BASE = {
@@ -475,7 +480,13 @@ class TestScanPipeline:
         params = {"group": {"kind": "cyclic", "n": 5}, key: value}
         rep = run_experiment({"kind": "scan", "params": params, "seed": 0})
         assert rep.exit_code == EXIT_INPUT
-        assert f"scan {key} must be" in rep.stages[-1]["result"]["message"]
+        error = rep.stages[-1]["result"]
+        if (key, value, type(value)) == ("dim", 1, int):  # a count the scan refuses
+            assert error["stage"] == "scan"
+            assert "d must be at least 2 to have links to score, got 1" in error["message"]
+        else:
+            assert error["stage"] == "inputs"
+            assert f"scan {key} must be" in error["message"]
 
     def test_scan_eta_null_and_integer_pass(self):
         for eta in (None, 1):
@@ -488,7 +499,7 @@ class TestScanPipeline:
                      "--dim", "1", "--out-dir", str(tmp_path)])
         assert code == EXIT_INPUT
         report = json.loads((tmp_path / "report.json").read_text())
-        assert "scan dim must be" in report["stages"][-1]["result"]["message"]
+        assert "d must be at least 2" in report["stages"][-1]["result"]["message"]
 
 
 class TestErrors:
@@ -535,8 +546,8 @@ class TestErrors:
             ("group", {"kind": "cyclic", "n": "x"}, "invalid literal"),
             ("c", 0.5, "need c > 1, r > 1, eta > 0"),
             ("eta", 0.0, "need c > 1, r > 1, eta > 0"),
-            ("c", "x", "bad parameter: could not convert"),
-            ("eta", [1], "bad parameter: float() argument"),
+            ("c", "x", "prune c must be a finite number, got 'x'"),
+            ("eta", [1], "prune eta must be a finite number, got [1]"),
         ],
     )
     def test_bad_spec_value_is_input_error(self, key, value, text):
@@ -660,13 +671,14 @@ class TestErrors:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("p_split", "x"), ("trials", "x"), ("split_factor", "x"), ("p_edge", None)],
+        [("p_split", "x"), ("trials", "x"), ("split_factor", "x"), ("p_edge", None),
+         ("p_split", 10**400)],  # an int past the float range
     )
     def test_unreadable_sparsify_values_are_input_errors(self, key, value):
         params = {"graph": {"kind": "complete", "n": 20}, "trials": 2, key: value}
         rep = run_experiment({"kind": "sparsify", "params": params, "seed": 0})
         assert rep.exit_code == EXIT_INPUT
-        assert "bad parameter" in rep.stages[-1]["result"]["message"]
+        assert f"sparsify {key} must be" in rep.stages[-1]["result"]["message"]
 
     @pytest.mark.parametrize("value", ["x", None])
     def test_bad_seed_is_input_error(self, value):
@@ -697,6 +709,61 @@ class TestErrors:
         assert (f"{key} must be an integer >= 1, got {value!r}"
                 in rep.stages[-1]["result"]["message"])
 
+    @pytest.mark.parametrize("kind, key, value", [
+        (kind, key, value)
+        for kind, table in harness.PARAMS.items() for key, default in table.items()
+        if default is not harness.INPUT
+        for value in MISTYPED[float if default is harness.DERIVED else type(default)]
+    ])
+    def test_mistyped_value_is_input_error(self, kind, key, value):
+        params = dict(COUNT_BASE[kind], **{key: value})
+        rep = run_experiment({"kind": kind, "params": params, "seed": 0})
+        assert (rep.status, rep.exit_code) == ("input_error", EXIT_INPUT)
+        (error,) = rep.stages  # rejected before any stage ran
+        assert error["result"]["stage"] == "inputs" and set(rep.timings) == {"total"}
+        assert f"{kind} {key} must be" in error["result"]["message"]
+
+    @pytest.mark.parametrize("make, text", [
+        (lambda: pruning.PruneConfig(0.5, r=1.0), "r must exceed 1"),
+        (lambda: pruning.PruneConfig(0.5, r=float("nan")), "r must exceed 1"),
+        (lambda: combine.CombineConfig(0.5, max_resamples=0), "max_resamples must be"),
+        (lambda: pruning.sample_labeling(complete_complex(4, 2), 0, 0), "one generator"),
+        (lambda: sparsify.split_vertex_sets(5, 0.5, 0), "need 0 < p < 1/2"),
+        (lambda: sparsify.edge_subsample(complete_graph(4), 0, 0), "need 0 < p <= 1"),
+        (lambda: sparsify.sparsify_trial(complete_graph(4), 0.3, 0.5, 0, 0),
+         "trials must be"),
+        (lambda: spectral.eml_discrepancy(complete_graph(4), "bogus"),
+         "unknown strategy 'bogus'"),
+    ], ids=["PruneConfig", "PruneConfig-nan", "CombineConfig", "sample_labeling", "split_vertex_sets",
+            "edge_subsample", "sparsify_trial", "eml_discrepancy"])
+    def test_library_argument_checks_raise_bad_parameter(self, make, text):
+        with pytest.raises(BadParameter, match=text):
+            make()
+
+
+class TestParamsAsFloats:
+    """A float param given as an int runs as that float: the reports match
+    but for the spec echo, which repeats the raw value."""
+
+    @staticmethod
+    def report_bytes(spec):
+        rep = run_experiment(spec)
+        assert rep.spec == spec
+        rep.spec = None
+        return rep.to_json_bytes()
+
+    @pytest.mark.parametrize("spec, key, value", [
+        (dict(PRUNE_SPEC, params={k: v for k, v in PRUNE_SPEC["params"].items()
+                                  if k not in ("mode", "max_resamples")}), "r", 2),
+        ({"kind": "sparsify", "seed": 0,
+          "params": {"graph": {"kind": "complete", "n": 20}, "trials": 3}},
+         "split_factor", 100),
+    ], ids=["prune-r", "sparsify-split_factor"])
+    def test_int_and_float_write_the_same_report(self, spec, key, value):
+        as_int = dict(spec, params=dict(spec["params"], **{key: value}))
+        as_float = dict(spec, params=dict(spec["params"], **{key: float(value)}))
+        assert self.report_bytes(as_int) == self.report_bytes(as_float)
+
 
 class TestPruneModes:
     """A spec's prune mode against the regime the resampling loop runs."""
@@ -706,7 +773,7 @@ class TestPruneModes:
         args = cli.build_parser().parse_args(
             [command, "--complex", "x", "--group", "g", "--genset", "s"])
         params = {k: v for k, v in PRUNE_SPEC["params"].items() if k != "mode"}
-        assert args.mode == harness._prune_config(params).mode
+        assert args.mode == harness._read_params(command, params)["mode"]
 
     def test_unknown_mode_is_input_error(self):
         params = dict(PRUNE_SPEC["params"], mode="exact")
@@ -798,20 +865,15 @@ class TestParamTable:
         (spec,) = specs
         assert spec["params"] == given  # 7.0 == 7 for the float keys
 
-    def test_config_readers_take_the_table_defaults(self):
-        table = harness.PARAMS
-        config = harness._prune_config({})
-        assert (config.lambda_target, config.r, config.mode,
-                config.max_resamples) == tuple(table["prune"][key] for key in (
-                    "lambda", "r", "mode", "max_resamples"))
-        assert harness._suitability_config({}) == (table["prune"]["c"],
-                                                    table["prune"]["eta"])
-        assert harness._combine_config({}, 0.5).max_resamples \
-            == table["combine"]["max_resamples"]
-        assert harness._sparsify_config({}) == {
-            key: v for key, v in table["sparsify"].items() if key != "graph"}
-        assert harness._scan_config({}) == tuple(
-            table["scan"][key] for key in ("dim", "max_size", "eta"))
+    def test_reader_takes_the_table_defaults(self):
+        for kind, table in harness.PARAMS.items():
+            inputs = {key: v for key, v in COUNT_BASE[kind].items()
+                      if table[key] is harness.INPUT}
+            read = harness._read_params(kind, inputs)
+            assert read.keys() == table.keys()
+            for key, default in table.items():
+                if default is not harness.INPUT:
+                    assert read[key] == default and type(read[key]) is type(default)
 
     def test_check_suitable_defaults_are_the_prune_defaults(self):
         args = cli.build_parser().parse_args(["check-suitable", "--complex", "x"])
@@ -836,18 +898,19 @@ class TestStrictSpecKeys:
 
     def test_cli_specs_pass(self, tmp_path, monkeypatch):
         specs = spy_specs(monkeypatch)
-        prune = ["--complex", "x", "--group", "g", "--genset", "s"]
+        x, g = '{"kind": "complete", "n": 6, "dim": 2}', '{"kind": "cyclic", "n": 5}'
+        prune = ["--complex", x, "--group", g, "--genset", "[1, 4]"]
         for argv in (
             ["prune", *prune],
             ["cover-family", *prune],
-            ["sparsify", "--graph", "g"],
-            ["combine", "--complex", "x", "--target", "t", "--lambda", "0.5"],
-            ["scan-gensets", "--group", "g", "--eta", "0.5"],
+            ["sparsify", "--graph", '{"kind": "complete", "n": 6}'],
+            ["combine", "--complex", x, "--target", x, "--lambda", "0.5"],
+            ["scan-gensets", "--group", g, "--eta", "0.5"],
         ):
             main([*argv, "--out-dir", str(tmp_path)])
         assert len(specs) == 5
         for spec in specs:
-            harness._check_param_keys(spec["kind"], spec["params"])
+            harness._read_params(spec["kind"], spec["params"])
 
     def test_benchmark_specs_pass(self, monkeypatch):
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -857,7 +920,7 @@ class TestStrictSpecKeys:
         for name in workloads.WORKLOADS:
             for seed_set in workloads.SEED_SETS:
                 for spec in workloads.specs(name, seed_set):
-                    harness._check_param_keys(spec["kind"], spec["params"])
+                    harness._read_params(spec["kind"], spec["params"])
 
 
 class TestLinkSkeletonPath:
@@ -1060,14 +1123,45 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == "" and "lambda must be finite, got inf" in err
 
-    def test_mode_choices_are_the_prune_modes(self):
-        for command in ("prune", "cover-family"):
-            (mode,) = [a for a in subcommands()[command]._actions if a.dest == "mode"]
-            assert tuple(mode.choices) == pruning.MODES
+    def test_unknown_mode_flag_is_input_error(self, tmp_path):
+        prune = ["--complex", json.dumps(PRUNE_SPEC["params"]["complex"]),
+                 "--group", json.dumps(PRUNE_SPEC["params"]["group"]), "--genset", "[1, 4]"]
+        assert main(["prune", *prune, "--mode", "exact", "--out-dir", str(tmp_path)]) \
+            == EXIT_INPUT
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["stages"] == [{"name": "error", "result": {
+            "message": "unknown prune mode 'exact'", "type": "BadParameter",
+            "stage": "inputs"}}]
 
     def test_cover_subcommand_removed(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exit_:
             main(["cover", "--complex", "x", "--group", "g", "--genset", "s"])
+        assert exit_.value.code == EXIT_INPUT
+
+    @pytest.mark.parametrize("argv", [
+        ["sparsify", "--graph", '{"kind": "complete", "n": 10}', "--trials", "x"],
+        ["nope"],
+        ["prune", "--complex", "x", "--group", "g"],
+        ["verify-hdx", "--lambda", "0.5"],
+    ], ids=["bad type", "unknown subcommand", "missing flag", "missing complex"])
+    def test_bad_flag_exits_input(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("usage: hdxcover")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["prune", "--help"]])
+    def test_help_exits_clean(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == EXIT_CLEAN
+        assert capsys.readouterr().out.startswith("usage: hdxcover")
+
+    def test_verify_hdx_bad_mode_exit_code(self, capsys):
+        k6 = json.dumps({"kind": "complete", "n": 6, "dim": 2})
+        assert main(["verify-hdx", "--complex", k6, "--lambda", "0.5",
+                     "--mode", "bad"]) == EXIT_INPUT
+        assert "mode must be 'two_sided' or 'one_sided', got 'bad'" in capsys.readouterr().err
 
     def test_missing_input_exit_code(self, tmp_path):
         assert main(["verify-hdx", "--complex", "/nope.json",

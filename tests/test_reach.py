@@ -30,6 +30,8 @@ UNREACHED = {
     "pruning.Sampler.face_satisfied": "only tests check one face alone",
     "pruning.Sampler.satisfaction_graph": "only tests build one face's graphs",
     # error paths and reprs
+    "cli._Parser.error": "a bad flag leaves main by SystemExit, which these runs "
+                         "do not catch; test_harness.py's TestCli runs bad flags",
     "errors.WitnessedError.__init__": "raised only as NotACocycle, NotPure or "
                                       "Unmeasurable, on inputs no run has",
     "complexes.PureComplex.__repr__": "repr",

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hdxcover import sparsify
-from hdxcover.errors import EmptyResult, EmptySide, InputError
+from hdxcover.errors import BadParameter, EmptyResult, EmptySide
 from hdxcover.graphs import WGraph, complete_graph
 from hdxcover.sparsify import (
     bipartite_vertex_split,
@@ -131,7 +131,7 @@ class TestTrialReport:
         [(0, 0.5, 5), (0.5, 0.5, 5), (0.3, 0, 5), (0.3, 1.5, 5), (0.3, 0.5, 0)],
     )
     def test_bad_numbers_rejected_before_any_work(self, p_split, p_edge, trials):
-        with pytest.raises(InputError):
+        with pytest.raises(BadParameter):
             sparsify_trial(complete_graph(10), p_split, p_edge, trials, 0)
 
     def test_p_edge_one_keeps_lambda(self):
