@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import PureComplex
-from .errors import BadKindForFace, BadParameter, NotAFace, UnsatisfiedBase
+from .errors import BadKindForFace, BadParameter, NotAFace, UnsatisfiedBase, check_count
 from .graphs import coloring_weights, component_labels
 from .pruning import Sampler, face_fraction_report, resample
 from .spectral import is_hdx
@@ -30,8 +30,7 @@ class CombineConfig:
     def __post_init__(self):
         if not (0.0 < self.lambda_target < 1.0):
             raise BadParameter("lambda_target must lie in (0, 1)")
-        if self.max_resamples < 1:
-            raise BadParameter("max_resamples must be at least 1")
+        check_count("max_resamples", self.max_resamples)
 
 
 @dataclass

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules, and their one count check."""
+
+import numbers
 
 
 class HdxError(Exception):
@@ -15,6 +17,12 @@ class WitnessedError(HdxError):
 
 class BadParameter(HdxError, ValueError):
     """A numeric argument outside the range its function accepts."""
+
+
+def check_count(name, value):
+    """Raise BadParameter unless value is a count: an integer >= 1, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise BadParameter(f"{name} must be an integer >= 1, got {value!r}")
 
 
 # --- complex construction ---

@@ -460,6 +460,30 @@ def normal_subgroups(group, index_cap=None):
     ]
 
 
+def characters(group):
+    """The characters chi_j(x) = exp(2 pi i theta[j, x] / order) of an abelian
+    group as the int array theta, row 0 the trivial one; None if not abelian.
+    With H the span so far, g outside it and k the least power with g^k in H,
+    each character of H extends to <H, g> = {h g^j : j < k} by a phase w at g
+    with k w = theta(g^k) mod order: theta(g^k) / k plus any multiple of
+    order / k (k divides the order and, as H's characters extend to G, theta(g^k))."""
+    mul, n = group.mul_table, group.order
+    if not np.array_equal(mul, mul.T):
+        return None
+    theta, span = np.zeros((1, n), dtype=np.int64), np.zeros(1, dtype=np.intp)
+    while len(span) < n:
+        powers = [0, np.setdiff1d(np.arange(n), span)[0]]
+        while (g_k := mul[powers[-1], powers[1]]) not in span:
+            powers.append(g_k)
+        k = len(powers)
+        w = theta[:, g_k] // k + n // k * np.arange(k)[:, None]  # (k, characters of H)
+        elems = mul[np.ix_(span, powers)]  # h g^j
+        new = np.zeros((k, len(theta), n), dtype=np.int64)
+        new[:, :, elems] = theta[:, span, None] + np.arange(k) * w[:, :, None, None]
+        theta, span = new.reshape(-1, n) % n, elems.ravel()
+    return theta
+
+
 # --- generating-set scan ---
 
 

@@ -29,8 +29,8 @@ from . import sparsify as sparsify_mod
 from .complexes import check_suitable, complete_complex, complex_from_dict
 from .errors import HdxError, InputError, Unmeasurable
 from .graphs import WGraph, complete_graph
-from .spectral import (adjacency_spectrum, is_hdx, link_measures, link_spectra,
-                       operator_entries, spectra_csv)
+from .spectral import (TOL, SpectralReport, adjacency_spectrum, is_hdx, link_measures,
+                       link_spectra, operator_entries, spectra_csv, twisted_spectra)
 
 EXIT_CLEAN = 0
 EXIT_BUDGET = 2
@@ -340,34 +340,36 @@ def _prune_stages(report, params, seed):
     return pruner, outcome
 
 
-def cover_link_gap(cover):
-    """A bound on the largest eigenvalue gap between a cover vertex's link
-    skeleton and its image's, and the first cover vertex whose link has
-    another vertex count (no gap taken), or None.  A link that phi maps onto
-    its image's is a copy, whose gap is at most ||M~ - P M P^T||_F (Weyl):
-    only a link that is no copy is solved, and then the base's links once."""
+def cover_link_gap(cover, k=0):
+    """A bound on the largest eigenvalue gap between a cover k-face's link
+    skeleton and its image's, and the first cover k-face whose link has
+    another vertex count, or whose image is no face (no gap taken), or
+    None: a vertex at k = 0, else the face.  A link that phi maps onto its
+    image's is a copy, whose gap is at most ||M~ - P M P^T||_F (Weyl): only
+    a link that is no copy is solved, and then the base's k-face links once."""
     base, tilde, nb = cover.base, cover.complex, len(cover.base.vertices)
     codes, entries, base_verts = [], [], []  # base link edges as ascending (link, u, v) codes
-    for first, verts, vlink, ends, mass in base.link_blocks(0):
+    for first, verts, vlink, ends, mass in base.link_blocks(k):
         weights, vmass = link_measures(vlink, ends, mass)
         codes.append(((first + vlink[ends[0]]) * nb + verts[ends[0]]) * nb + verts[ends[1]])
         entries.append(operator_entries(weights, np.sqrt(0.5 * vmass), ends))
         base_verts.append(np.bincount(vlink))
     codes, entries, base_verts = map(np.concatenate, (codes, entries, base_verts))
     base_spec = []
-    base_edges = np.bincount(codes // (nb * nb), minlength=nb)
+    base_edges = np.bincount(codes // (nb * nb), minlength=len(base_verts))
     pos = {v: i for i, v in enumerate(base.vertices)}
     phi = np.array([pos[cover.phi(v)] for v in tilde.vertices], dtype=np.intp)
+    image = base.face_index(np.sort(phi[tilde.level(k).rows], axis=1))
 
     def block_gap(first, verts, vlink, ends, mass):
         weights, vmass = link_measures(vlink, ends, mass)
-        elink, centre = vlink[ends[0]], phi[first:first + vlink[-1] + 1]
+        elink, centre = vlink[ends[0]], image[first:first + vlink[-1] + 1]
         count = functools.partial(np.bincount, minlength=len(centre))
         key = np.sort(vlink * nb + phi[verts])  # a repeated key: phi not injective
         pu, pv = phi[verts[ends]]
         code = (centre[elink] * nb + np.minimum(pu, pv)) * nb + np.maximum(pu, pv)
         at = np.searchsorted(codes, code).clip(max=len(codes) - 1)
-        same = count(vlink) == base_verts[centre]  # else no gap is taken
+        same = (centre >= 0) & (count(vlink) == base_verts[centre])  # else no gap is taken
         copy = (same & (count(elink) == base_edges[centre])
                 & (count(key[1:][key[1:] == key[:-1]] // nb) == 0)
                 & (count(elink, weights=codes[at] != code) == 0))
@@ -376,15 +378,15 @@ def cover_link_gap(cover):
         eigs = () if copy.all() else link_spectra(vlink, ends, mass)[2]
         for i in np.flatnonzero(same & ~copy).tolist():
             if not base_spec:  # the base's links, solved for the first link that is no copy
-                base_spec.extend(e for b in base.link_blocks(0) for e in link_spectra(*b[2:])[2])
+                base_spec.extend(e for b in base.link_blocks(k) for e in link_spectra(*b[2:])[2])
             gap = max(gap, float(np.abs(eigs[i] - base_spec[centre[i]]).max()))
-        miss = np.flatnonzero(~same)[:1].tolist()
-        return gap, tilde.vertices[first + miss[0]] if miss else None
+        return gap, next((first + i for i in np.flatnonzero(~same)[:1].tolist()), None)
 
     # starmap drops each block's arrays before link_blocks builds the next
-    gaps = list(itertools.starmap(block_gap, tilde.link_blocks(0)))
-    mismatch = next((miss for _, miss in gaps if miss is not None), None)
-    return max((gap for gap, _ in gaps), default=0.0), mismatch
+    gaps = list(itertools.starmap(block_gap, tilde.link_blocks(k)))
+    at = next((at for _, at in gaps if at is not None), None)
+    witness = None if at is None else tilde.faces(k)[at] if k else tilde.vertices[at]
+    return max((gap for gap, _ in gaps), default=0.0), witness
 
 
 def _audit_clean_prune(report, pruner, outcome):
@@ -443,6 +445,7 @@ def _audit_clean_prune(report, pruner, outcome):
         detail["size_mismatch"] = mismatch
     report.add_audit(
         "cover_link_spectra", mismatch is None and worst_gap <= 1e-9, detail)
+    audited = cover, comp, cover_report, hdx, (worst_gap, mismatch)
 
     with _audit(report, "pruned_measure_total"):
         pm = pruning_mod.pruned_measure(pruner, y, f)
@@ -457,44 +460,71 @@ def _audit_clean_prune(report, pruner, outcome):
             for ratio in pruning_mod.measure_ratio_audit(pruner, y, f, ell):
                 if not ratio.support_matches:
                     report.add_audit("measure_ratio", False, {"sigma": list(ratio.sigma)})
-                    return cover, comp, cover_report
+                    return audited
                 worst_ratio = max(worst_ratio, ratio.max_ratio)
         report.add_audit(
             "measure_ratio",
             worst_ratio <= bound,
             {"max_ratio": worst_ratio, "bound": bound},
         )
-    return cover, comp, cover_report
+    return audited
 
 
 def run_prune(report, params, seed):
     """The prune pipeline; returns the finished report, the Pruner, the
     outcome and, for a clean run, the audited cover with its
-    cover_components and verify_cover reports (else None)."""
+    cover_components and verify_cover reports, Y's is_hdx report and the
+    cover's vertex-link cover_link_gap (else None)."""
     pruner, outcome = _prune_stages(report, params, seed)
     audited = _audit_clean_prune(report, pruner, outcome) if outcome.status == "clean" else None
     return report.finish(), pruner, outcome, audited
 
 
 def run_cover_family(report, params, seed):
+    """The prune pipeline, then Y's cover by G/N for each normal N of index
+    <= index_cap: its links bounded by Y's through cover_link_gap, and for an
+    abelian G its skeleton spectrum read off Y's operators twisted by the
+    characters trivial on N (README, "Cover families", gives the fallbacks)."""
     report, pruner, outcome, audited = run_prune(report, params, seed)
     if outcome.status != "clean":
         return report
-    full = audited[0]  # the prune audit's cover of Y by all of G
+    full, y_hdx = audited[0], audited[3]  # the prune audit's cover of Y by all of G
+    group, d, lam = full.group, full.base.dim, pruner.config.lambda_target
+    worst = [max(r.value for r in y_hdx.rows if len(r.face) == k + 1) for k in range(d - 1)]
+    with timed(report, "cover_family.characters"):
+        theta = groups_mod.characters(group)
+        if theta is not None:  # chi(f(uv)) on each edge uv of Y, a row per character
+            twist = np.exp(2j * np.pi / group.order * theta[:, full.labeling])
+            char_spectra = twisted_spectra(full.base.one_skeleton(), twist)
     family = []
-    lam = pruner.config.lambda_target
-    for sub in groups_mod.normal_subgroups(full.group, index_cap=params["index_cap"]):
-        quotient = groups_mod.quotient_group(full.group, sub)
+    for sub in groups_mod.normal_subgroups(group, index_cap=params["index_cap"]):
+        quotient = groups_mod.quotient_group(group, sub)
         with timed(report, f"cover_family.index_{quotient.group.order}"):
             if len(sub) == 1:  # G/1 is G's own table
-                cover, comp, vc = audited
+                cover, comp, vc, _, gap = audited
+                gaps = [gap]
             else:
-                pushed = covers_mod.push_cocycle(full.base, full.labeling, full.group, quotient)
+                pushed = covers_mod.push_cocycle(full.base, full.labeling, group, quotient)
                 cover = covers_mod.build_cover(full.base, pushed, quotient.group)
                 comp = covers_mod.cover_components(cover)
                 vc = covers_mod.verify_cover(cover)
-            links = is_hdx(cover.complex, lam, include_empty_face=False)
-            skeleton = adjacency_spectrum(cover.complex.one_skeleton()).two_sided
+                gaps = []
+            links = None
+            if vc.ok:
+                gaps += [cover_link_gap(cover, k) for k in range(len(gaps), d - 1)]
+                if all(miss is None for _, miss in gaps):  # Y's worst link at each level, +- gap
+                    lo, hi = (max(w + s * g for w, (g, _) in zip(worst, gaps)) for s in (-1, 1))
+                    links = True if hi <= lam + TOL else False if lo > lam + TOL else None
+            if links is None:
+                links = is_hdx(cover.complex, lam, include_empty_face=False).passes
+            # spectra whose union is the cover's: its dense one, or one per
+            # character trivial on N, the trivial character's (Y's) first
+            if theta is None:
+                kept = [adjacency_spectrum(cover.complex.one_skeleton()).eigenvalues]
+            else:
+                kept = char_spectra[(theta[:, sub] == 0).all(axis=1)]
+            skeleton = SpectralReport(tuple(np.sort(kept, axis=None)[::-1].tolist())).two_sided
+            new_lambda = float(np.abs(kept[1:]).max()) if len(kept) > 1 else None
         family.append(
             {
                 "subgroup_order": len(sub),
@@ -502,14 +532,14 @@ def run_cover_family(report, params, seed):
                 "cover_vertices": len(cover.complex.vertices),
                 "components": comp.count,
                 "verified": vc.ok,
-                "links_within_lambda": links.passes,
+                "links_within_lambda": links,
                 "skeleton_lambda": skeleton,
             }
         )
         report.add_audit(
             f"cover_family_index_{quotient.group.order}",
-            vc.ok and comp.count == 1 and links.passes,
-            {"components": comp.count, "skeleton_lambda": skeleton},
+            vc.ok and comp.count == 1 and links,
+            {"components": comp.count, "skeleton_lambda": skeleton, "new_lambda": new_lambda},
         )
     report.add_stage("cover_family", {"members": family})
     return report.finish()

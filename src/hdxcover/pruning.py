@@ -36,6 +36,7 @@ from .errors import (
     NotAFace,
     Unmeasurable,
     UnsatisfiedBase,
+    check_count,
 )
 from .graphs import WGraph, coloring_weights
 from .groups import cayley_clique_complex, validate_genset
@@ -65,8 +66,7 @@ class PruneConfig:
             raise BadParameter("r must exceed 1")
         if self.mode not in MODES:
             raise BadParameter(f"unknown prune mode {self.mode!r}")
-        if self.max_resamples < 1:
-            raise BadParameter("max_resamples must be at least 1")
+        check_count("max_resamples", self.max_resamples)
 
     def at_bounds(self, ell, m):
         scale = float(m) ** (ell + 1)

@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import BadParameter, EmptyResult, EmptySide
+from .errors import BadParameter, EmptyResult, EmptySide, check_count
 from .graphs import WGraph
 from .spectral import adjacency_spectrum, bipartite_lambda
 
@@ -157,8 +157,7 @@ def sparsify_trial(
         raise BadParameter("p_split must lie in (0, 1/2)")
     if not 0 < p_edge <= 1:
         raise BadParameter("p_edge must lie in (0, 1]")
-    if trials < 1:
-        raise BadParameter("trials must be at least 1")
+    check_count("trials", trials)
     master = np.random.default_rng(rng)
     seeds = master.integers(0, 2**63 - 1, size=2 * trials)
     lam_g = adjacency_spectrum(G).two_sided

@@ -52,17 +52,19 @@ def _symmetrized_matrix(shape, at, weights, root, ends):
     return M
 
 
-def _checked_spectra(M):
+def _checked_spectra(M, unit=...):
     """The eigenvalues of each symmetrized operator in M, descending along
     the last axis and clipped to [-1, 1].
 
-    The raw eigenvalues are checked first: the top one must be 1 and all
-    must lie in [-1, 1], both to 1e-8, or the operator is mis-scaled.
+    The raw eigenvalues are checked first: the top one of each operator
+    that unit indexes (every one by default) must be 1 and all must lie in
+    [-1, 1], both to 1e-8, or the operator is mis-scaled.
     """
     eigs = np.linalg.eigvalsh(M)[..., ::-1]
-    bad = np.abs(eigs[..., 0] - 1.0) > 1e-8
+    top = eigs[..., 0][unit]
+    bad = np.abs(top - 1.0) > 1e-8
     if bad.any():
-        raise MisScaled(f"top eigenvalue {eigs[..., 0][bad][0]} != 1")
+        raise MisScaled(f"top eigenvalue {top[bad][0]} != 1")
     if (np.abs(eigs) > 1.0 + 1e-8).any():
         raise MisScaled("eigenvalue outside [-1, 1]")
     return np.clip(eigs, -1.0, 1.0)
@@ -74,6 +76,17 @@ def adjacency_spectrum(G):
     eigs = _checked_spectra(
         _symmetrized_matrix((G.n, G.n), G.ends, G.weights, root, G.ends))
     return SpectralReport(tuple(float(e) for e in eigs))
+
+
+def twisted_spectra(G, twist):
+    """_checked_spectra of G's D^{1/2} A D^{-1/2} twisted by each row of twist:
+    edge e's entry from its lower end to its higher times twist[j, e], the
+    entry back times its conjugate.  Row 0, all ones, is checked to top at 1."""
+    u, v = G.ends
+    M = np.zeros((len(twist), G.n, G.n), dtype=complex)
+    M[:, u, v] = twist * operator_entries(G.weights, np.sqrt(G.vertex_measures()), G.ends)
+    M[:, v, u] = M[:, u, v].conj()
+    return _checked_spectra(M, unit=[0])
 
 
 def link_measures(vlink, ends, mass):

@@ -499,17 +499,17 @@ def plain_check_suitable(X, c, r, eta):
     )
 
 
-def plain_cover_link_gap(cover):
+def plain_cover_link_gap(cover, k=0):
     """Reference cover_link_gap: one skeleton and one eigensolve per base
-    vertex and per cover vertex, spectra paired by zip."""
+    k-face and per cover k-face, spectra paired by zip."""
     base_spec = {
-        v: adjacency_spectrum(per_face_link_skeleton(cover.base, (v,))).eigenvalues
-        for v in cover.base.vertices
+        s: adjacency_spectrum(per_face_link_skeleton(cover.base, s)).eigenvalues
+        for s in cover.base.faces(k)
     }
     worst_gap = 0.0
-    for vid in cover.complex.vertices:
-        ev = adjacency_spectrum(per_face_link_skeleton(cover.complex, (vid,))).eigenvalues
-        gap = max(abs(a - b) for a, b in zip(ev, base_spec[cover.phi(vid)]))
+    for s in cover.complex.faces(k):
+        ev = adjacency_spectrum(per_face_link_skeleton(cover.complex, s)).eigenvalues
+        gap = max(abs(a - b) for a, b in zip(ev, base_spec[phi_face(cover, s)]))
         worst_gap = max(worst_gap, gap)
     return worst_gap
 

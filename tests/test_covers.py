@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdxcover.complexes import build_complex, complete_complex, complex_from_dict
+from hdxcover import harness
+from hdxcover.complexes import build_complex, complete_complex, complex_from_dict, complex_to_dict
 from hdxcover.covers import (
     CoverComplex,
     _injective_on_links,
@@ -25,6 +26,7 @@ from hdxcover.graphs import component_labels
 from hdxcover.groups import (
     cyclic,
     dihedral,
+    group_to_dict,
     make_group,
     normal_subgroups,
     product_group,
@@ -32,13 +34,15 @@ from hdxcover.groups import (
     symmetric_group,
     validate_genset,
 )
-from hdxcover.harness import stage_seed
-from hdxcover.pruning import PruneConfig, Pruner
+from hdxcover.harness import run_experiment, stage_seed
+from hdxcover.pruning import PruneConfig, PruneOutcome, Pruner
+from hdxcover.spectral import adjacency_spectrum, is_hdx
 
 from helpers import (
     checked,
     fiber,
     coboundary_labeling,
+    is_abelian,
     label_dict,
     link_pair_arrays,
     neighbors,
@@ -54,6 +58,7 @@ from helpers import (
     random_complex,
     relabeled,
     same_cover,
+    sym_walk_matrix,
 )
 
 
@@ -699,3 +704,145 @@ class TestArrayCocycles:
         f = mul[group.inv_table[p[u]], mul[f, p[v]]]
         assert is_cocycle(X, f, group) == (True, None)
         assert_matches_plain(X, f, group, quotients_of(group))
+
+
+def torus_complex(a, b):
+    """The a x b grid triangulation of the torus (a, b >= 3); vertex (i, j)
+    is i * b + j."""
+    def v(i, j):
+        return i % a * b + j % b
+
+    tops = [t for i, j in itertools.product(range(a), range(b))
+            for t in ((v(i, j), v(i + 1, j), v(i + 1, j + 1)),
+                      (v(i, j), v(i, j + 1), v(i + 1, j + 1)))]
+    return build_complex(2, [tuple(sorted(t)) for t in tops])
+
+
+def torus_cocycle(X, a, b, group, alpha, beta):
+    """alpha^di beta^dj on each edge of torus_complex(a, b), (di, dj) its
+    step from its lower vertex to its higher; for commuting alpha and beta
+    a cocycle whose holonomy is generated by alpha^a and beta^b."""
+    mul, inv = group.mul_table, group.inv_table
+
+    def power(x, k):
+        return functools.reduce(lambda acc, _: mul[acc, x if k > 0 else inv[x]], range(abs(k)), 0)
+
+    steps = [((v // b - u // b + 1) % a - 1, (v % b - u % b + 1) % b - 1) for u, v in X.faces(1)]
+    return np.array([mul[power(alpha, di), power(beta, dj)] for di, dj in steps])
+
+
+def family_run(monkeypatch, Y, group, elems, lam=0.9):
+    """The cover-family report of Y with elems on its edges, put in place of
+    a prune run, and the Y the pipeline read back from its spec; checks
+    that no member solved its links densely, the audit's y_is_hdx being
+    the one is_hdx call."""
+    seen, solved = [], []
+    monkeypatch.setattr(harness, "is_hdx", lambda *a, **kw: solved.append(a) or is_hdx(*a, **kw))
+
+    def run(self, rng):
+        seen.append(self.X)
+        return PruneOutcome("clean", np.zeros(self.X.n_faces(1), dtype=np.intp), self.X,
+                            (), 0, (), (), self.config)
+
+    monkeypatch.setattr(Pruner, "run", run)
+    monkeypatch.setattr(Pruner, "elements_on", lambda self, y, f: elems)
+    params = {"complex": complex_to_dict(Y), "group": group_to_dict(group),
+              "genset": list(range(1, group.order)), "lambda": lam}
+    rep = run_experiment({"kind": "cover-family", "params": params, "seed": 0})
+    assert [a[0] for a in solved] == seen
+    return rep, seen[0]
+
+
+def dense_members(Y, group, elems, lam=0.9):
+    """Each family member's links verdict, skeleton lambda and new lambda
+    from its built cover, solved densely: the new lambda is the largest
+    |eigenvalue| of the skeleton operator off the functions constant on
+    fibers, None for the quotient by all of G."""
+    out = []
+    for sub in normal_subgroups(group, index_cap=64):
+        q = quotient_group(group, sub)
+        cover = build_cover(Y, push_cocycle(Y, elems, group, q), q.group)
+        skel = cover.complex.one_skeleton()
+        M = sym_walk_matrix(skel)
+        # lifted vertex p * |Q| + g lies over base position p
+        fiber = np.array([v // q.group.order for v in skel.vertices])
+        P = (fiber[:, None] == fiber[None, :]) / q.group.order
+        off = np.eye(len(M)) - P
+        new = np.abs(np.linalg.eigvalsh(off @ M @ off)).max() if q.group.order > 1 else None
+        out.append((is_hdx(cover.complex, lam, include_empty_face=False).passes,
+                    adjacency_spectrum(skel).two_sided, new))
+    return out
+
+
+Z2_Z3 = product_group(cyclic(2), cyclic(3))
+Z3_Z4 = product_group(cyclic(3), cyclic(4))
+
+
+class TestCoverFamilySpectra:
+    """The cover-family members' skeleton spectra from the characters of an
+    abelian G, and their link verdicts from Y's, against each built cover
+    solved densely."""
+
+    def assert_dense(self, rep, Y, group, elems):
+        (members,) = [s["result"]["members"] for s in rep.stages if s["name"] == "cover_family"]
+        audits = [a["detail"] for a in rep.audits if a["name"].startswith("cover_family_index_")]
+        want = dense_members(Y, group, elems)
+        assert len(members) == len(audits) == len(want)
+        for m, a, (links, skeleton, new) in zip(members, audits, want):
+            assert m["verified"] and m["links_within_lambda"] == links
+            assert m["skeleton_lambda"] == a["skeleton_lambda"]
+            assert m["skeleton_lambda"] == pytest.approx(skeleton, abs=1e-9)
+            if new is None or not is_abelian(group):  # characters give new_lambda
+                assert a["new_lambda"] is None
+            else:
+                assert a["new_lambda"] == pytest.approx(new, abs=1e-9)
+        return members, audits
+
+    @pytest.mark.parametrize("group, alpha, beta", [
+        (cyclic(6), 1, 2), (Z2_Z3, 3, 1), (Z3_Z4, 4, 1),
+        (product_group(cyclic(2), cyclic(4)), 4, 1),
+    ], ids=["Z6", "Z2xZ3", "Z3xZ4", "Z2xZ4"])
+    def test_torus_covers(self, monkeypatch, group, alpha, beta):
+        X = torus_complex(5, 7)
+        elems = torus_cocycle(X, 5, 7, group, alpha, beta)
+        rep, Y = family_run(monkeypatch, X, group, elems)
+        members, _ = self.assert_dense(rep, Y, group, elems)
+        assert [m["components"] for m in members] == [1] * len(members)
+        # every link of the torus is a hexagon, whose -1 fails lambda 0.9
+        assert not any(m["links_within_lambda"] for m in members)
+
+    def test_pruned_y(self, monkeypatch, benchmark_ys):
+        y, elems, group = benchmark_ys["cover-family-z6"]
+        rep, Y = family_run(monkeypatch, y, group, elems)
+        members, audits = self.assert_dense(rep, Y, group, elems)
+        assert all(m["links_within_lambda"] for m in members)
+        # Y's own skeleton lambda is the G/G member's, below the new ones
+        assert audits[-1]["skeleton_lambda"] < min(a["new_lambda"] for a in audits[:-1])
+
+    def test_identity_labeling_is_disconnected(self, monkeypatch):
+        X = torus_complex(5, 7)
+        elems = np.zeros(X.n_faces(1), dtype=np.int64)
+        rep, Y = family_run(monkeypatch, X, Z3_Z4, elems)
+        members, audits = self.assert_dense(rep, Y, Z3_Z4, elems)
+        for m, a in zip(members, audits):
+            assert m["components"] == m["quotient_order"]
+            if m["quotient_order"] > 1:
+                assert m["skeleton_lambda"] == a["new_lambda"] == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("group", [dihedral(3), symmetric_group(3)], ids=["D3", "S3"])
+    def test_non_abelian_group_is_solved_densely(self, monkeypatch, group):
+        pruner = Pruner(complete_complex(30, 2), group, validate_genset(group, range(1, 6)),
+                        PruneConfig.empirical(0.9))
+        outcome = pruner.run(stage_seed(1, "prune"))
+        elems = pruner.elements_on(outcome.y, outcome.labeling)
+
+        def no_characters(*args):
+            raise AssertionError("a non-abelian group has no character spectra")
+
+        monkeypatch.setattr(harness, "twisted_spectra", no_characters)
+        rep, Y = family_run(monkeypatch, outcome.y, group, elems)
+        members, _ = self.assert_dense(rep, Y, group, elems)
+        assert [m["quotient_order"] for m in members] == [6, 2, 1]
+        # the dense solve is today's: the same value bit for bit
+        assert [m["skeleton_lambda"] for m in members] == [s for _, s, _ in dense_members(
+            Y, group, elems)]

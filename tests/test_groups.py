@@ -389,6 +389,35 @@ class TestAutomorphismTable:
             assert size == len(orbit)
 
 
+class TestCharacters:
+    @pytest.mark.parametrize("group", [
+        g for g in TABLE_GROUPS if is_abelian(g)
+    ] + [cyclic(6), product_group(cyclic(2), cyclic(3)),
+         group_from_table(np.roll(cyclic(6).mul_table, 2, axis=(0, 1)))],
+        ids=lambda g: g.name)
+    def test_distinct_homomorphisms_to_the_circle(self, group):
+        theta = groups.characters(group)
+        n, mul = group.order, group.mul_table
+        assert theta.shape == (n, n) and (theta >= 0).all() and (theta < n).all()
+        assert len(np.unique(theta, axis=0)) == n and (theta[0] == 0).all()
+        # chi(xy) = chi(x) chi(y), in the phases and as unit complex numbers
+        assert ((theta[:, mul] - theta[:, :, None] - theta[:, None, :]) % n == 0).all()
+        chi = np.exp(2j * np.pi * theta / n)
+        assert np.allclose(chi[:, mul], chi[:, :, None] * chi[:, None, :], atol=1e-12)
+        # distinct characters are orthogonal
+        assert np.allclose(chi @ chi.conj().T, n * np.eye(n), atol=1e-9)
+
+    @pytest.mark.parametrize("n", [1, 6, 13])
+    def test_cyclic_characters_on_the_ids(self, n):
+        j = np.arange(n)
+        assert (groups.characters(cyclic(n)) == j[:, None] * j % n).all()
+
+    @pytest.mark.parametrize("group", [dihedral(3), symmetric_group(3), symmetric_group(4)],
+                             ids=lambda g: g.name)
+    def test_non_abelian_group_has_none(self, group):
+        assert groups.characters(group) is None
+
+
 S5 = symmetric_group(5)
 
 

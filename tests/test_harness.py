@@ -148,6 +148,9 @@ class TestPrunePipeline:
             assert (tmp_path / name).read_text() == text, name
 
 
+K5_DIM3 = {"kind": "complete", "n": 5, "dim": 3}
+
+
 def k5_coboundary_run(self, rng):
     """A clean outcome on K5 over Z5 with generators 1..4: the coboundary
     of the potential v, whose every edge carries a generator."""
@@ -167,7 +170,7 @@ class TestCoverFile:
             faces = itertools.combinations([f"v{v:02d}" for v in range(30)], 3)
             spec["params"]["complex"] = {"dim": 2, "faces": [list(f) for f in faces]}
         if case == "dim3":
-            spec["params"]["complex"] = {"kind": "complete", "n": 5, "dim": 3}
+            spec["params"]["complex"] = K5_DIM3
             monkeypatch.setattr(pruning.Pruner, "run", k5_coboundary_run)
         built = []
 
@@ -231,13 +234,70 @@ class TestCoverFamily:
         cover = build_cover(y, labels, quotient.group)
         skeleton = adjacency_spectrum(cover.complex.one_skeleton()).two_sided
         (member,) = [m for m in members if m["subgroup_order"] == 1]
+        # the character spectra differ from the dense solve in their last digits
+        assert member.pop("skeleton_lambda") == pytest.approx(skeleton, abs=1e-9)
         assert member == {
             "subgroup_order": 1, "quotient_order": 6, "cover_vertices": 180,
             "components": covers.cover_components(cover).count,
             "verified": covers.verify_cover(cover).ok,
             "links_within_lambda": is_hdx(cover.complex, 0.9, include_empty_face=False).passes,
-            "skeleton_lambda": skeleton,
         }
+
+    @staticmethod
+    def dense_verdicts(monkeypatch, spec):
+        """Each member's links_within_lambda, and is_hdx's on its cover."""
+        built = []
+
+        def recording(*args, _real=covers.build_cover):
+            built.append(_real(*args))
+            return built[-1]
+
+        monkeypatch.setattr(covers, "build_cover", recording)
+        rep = run_experiment(spec)
+        (fam,) = [s["result"]["members"] for s in rep.stages if s["name"] == "cover_family"]
+        lam = spec["params"]["lambda"]
+        # the audit builds the cover of the trivial subgroup's member, which comes first
+        return ([m["links_within_lambda"] for m in fam],
+                [is_hdx(c.complex, lam, include_empty_face=False).passes for c in built])
+
+    @pytest.mark.parametrize("case", ["z6", "k5_dim3"])
+    def test_undecided_bound_falls_back_to_is_hdx(self, monkeypatch, case):
+        # cover-family-z6's prune, or the crafted d = 3 outcome
+        params = dict(PRUNE_SPEC["params"], group={"kind": "cyclic", "n": 6},
+                      genset=[1, 2, 3, 4, 5], r=2.0)
+        if case == "k5_dim3":
+            params = dict(PRUNE_SPEC["params"], complex=K5_DIM3)
+            monkeypatch.setattr(pruning.Pruner, "run", k5_coboundary_run)
+        spec = dict(PRUNE_SPEC, kind="cover-family", params=params, seed=1)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return is_hdx(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "is_hdx", counting)
+        monkeypatch.setattr(harness, "cover_link_gap", lambda cover, k=0: (1.0, None))
+        got, want = self.dense_verdicts(monkeypatch, spec)
+        assert got == want
+        assert len(calls) == 1 + len(got)  # y_is_hdx, then every member
+
+    def test_d3_verdicts_are_the_dense_ones(self, monkeypatch):
+        # K5 over Z5 at d = 3: links of vertices and of edges, both bounded
+        levels = []
+
+        def recording(cover, k=0):
+            levels.append(k)
+            return cover_link_gap(cover, k)
+
+        monkeypatch.setattr(harness, "cover_link_gap", recording)
+        monkeypatch.setattr(pruning.Pruner, "run", k5_coboundary_run)
+        spec = dict(PRUNE_SPEC, kind="cover-family",
+                    params=dict(PRUNE_SPEC["params"], complex=K5_DIM3))
+        got, want = self.dense_verdicts(monkeypatch, spec)
+        assert got == want and len(got) == 2
+        # the audit's vertex links, the trivial member's edge links, then both
+        # levels of the member of Z5/Z5
+        assert levels == [0, 1, 0, 1]
 
 
 class TestOneSamplerPerExperiment:
@@ -727,6 +787,10 @@ class TestErrors:
         (lambda: pruning.PruneConfig(0.5, r=1.0), "r must exceed 1"),
         (lambda: pruning.PruneConfig(0.5, r=float("nan")), "r must exceed 1"),
         (lambda: combine.CombineConfig(0.5, max_resamples=0), "max_resamples must be"),
+        (lambda: pruning.PruneConfig(0.5, max_resamples=True), "max_resamples must be an integer"),
+        (lambda: combine.CombineConfig(0.5, max_resamples=5.0), "max_resamples must be an integer"),
+        (lambda: sparsify.sparsify_trial(complete_graph(4), 0.3, 0.5, 2.5, 0),
+         "trials must be an integer >= 1, got 2.5"),
         (lambda: pruning.sample_labeling(complete_complex(4, 2), 0, 0), "one generator"),
         (lambda: sparsify.split_vertex_sets(5, 0.5, 0), "need 0 < p < 1/2"),
         (lambda: sparsify.edge_subsample(complete_graph(4), 0, 0), "need 0 < p <= 1"),
@@ -734,8 +798,9 @@ class TestErrors:
          "trials must be"),
         (lambda: spectral.eml_discrepancy(complete_graph(4), "bogus"),
          "unknown strategy 'bogus'"),
-    ], ids=["PruneConfig", "PruneConfig-nan", "CombineConfig", "sample_labeling", "split_vertex_sets",
-            "edge_subsample", "sparsify_trial", "eml_discrepancy"])
+    ], ids=["PruneConfig", "PruneConfig-nan", "CombineConfig", "PruneConfig-bool-count",
+            "CombineConfig-float-count", "sparsify_trial-float-count", "sample_labeling",
+            "split_vertex_sets", "edge_subsample", "sparsify_trial", "eml_discrepancy"])
     def test_library_argument_checks_raise_bad_parameter(self, make, text):
         with pytest.raises(BadParameter, match=text):
             make()
@@ -1006,6 +1071,26 @@ class TestCoverLinkSpectra:
                              {v: (v, 0) for v in bad.vertices})
         assert len(bad.vertices) > complexes._LINK_BLOCK
         assert cover_link_gap(cover)[1] == 33
+
+    def test_edge_link_mismatch_is_a_face(self):
+        # without two tops through 0 and 1, the link of edge (0, 1) is one
+        # edge where its image's is a triangle; every vertex link keeps its size
+        base = complete_complex(5, 3)
+        bad = build_complex(3, base.top_faces[2:])
+        assert base.top_faces[:2] == ((0, 1, 2, 3), (0, 1, 2, 4))
+        cover = CoverComplex(bad, base, cyclic(1), np.zeros(base.n_faces(1), dtype=np.int64),
+                             {v: (v, 0) for v in bad.vertices})
+        assert cover_link_gap(cover)[1] is None
+        assert cover_link_gap(cover, 1)[1] == (0, 1)
+
+    def test_edge_whose_image_is_no_face_is_a_mismatch(self):
+        # edge (0, 4) maps onto no edge of the base; its link, like the base's
+        # last edge's, has two vertices
+        base = build_complex(3, [(0, 1, 2, 3), (1, 2, 3, 4)])
+        bad = build_complex(3, [(0, 1, 2, 4)])
+        cover = CoverComplex(bad, base, cyclic(1), np.zeros(base.n_faces(1), dtype=np.int64),
+                             {v: (v, 0) for v in bad.vertices})
+        assert cover_link_gap(cover, 1)[1] == (0, 4)
 
     def test_mismatch_fails_the_audit(self, monkeypatch):
         monkeypatch.setattr(harness, "cover_link_gap", lambda cover: (0.0, 17))

@@ -134,6 +134,19 @@ class TestAdjacencySpectrum:
         with pytest.raises(MisScaled, match="top eigenvalue (2|1.99)"):
             cover_link_gap(folded)
 
+    def test_mis_scaled_twisted_operator_raises(self):
+        G = complete_graph(5)
+        twist = np.exp(2j * np.pi / 7 * np.arange(3)[:, None] * np.arange(G.m))  # row 0 ones
+        eigs = spectral.twisted_spectra(G, twist)
+        np.testing.assert_allclose(eigs[0], adjacency_spectrum(G).eigenvalues, atol=1e-12)
+        assert (eigs[1:, 0] < 1.0 - 1e-3).all()  # a twisted operator's top need not be 1
+        # twice the untwisted operator has top eigenvalue 2
+        with pytest.raises(MisScaled, match="top eigenvalue (2|1.99)"):
+            spectral.twisted_spectra(G, 2 * twist)
+        # a twisted operator alone scaled up leaves [-1, 1]
+        with pytest.raises(MisScaled, match="eigenvalue outside"):
+            spectral.twisted_spectra(G, twist * np.array([[1], [1], [4]]))
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_stacked_solve_is_each_graphs_own(self, seed):
         """link_spectra on graphs sharing their ends, with other weights,
@@ -434,10 +447,12 @@ class TestWeylBound:
     def test_drawn_perturbations(self, seed, n, dim, group, scale):
         rng = np.random.default_rng(seed)
         cover = _perturbed(_random_covers(rng, n, dim, (group,))[0], rng, scale)
-        worst_gap, mismatch = cover_link_gap(cover)
-        assert mismatch is None
-        assert worst_gap == pytest.approx(plain_weyl_bound(cover), rel=1e-6, abs=1e-12)
-        assert plain_cover_link_gap(cover) <= worst_gap + 1e-12
+        for k in range(dim - 1):  # the links of vertices, and at d = 3 of edges
+            worst_gap, mismatch = cover_link_gap(cover, k)
+            assert mismatch is None
+            if k == 0:
+                assert worst_gap == pytest.approx(plain_weyl_bound(cover), rel=1e-6, abs=1e-12)
+            assert plain_cover_link_gap(cover, k) <= worst_gap + 1e-12
 
 
 HASHED_LABELS_EML = """
