@@ -260,7 +260,7 @@ class PureComplex:
 
     def link_skeleton(self, s):
         """The weighted 1-skeleton of link(s), read off the top faces by
-        _link_arrays; equals ``link(s).one_skeleton()`` up to the order of
+        link_arrays; equals ``link(s).one_skeleton()`` up to the order of
         summation."""
         lev, f, _, _ = self._entries(s)
         k = self.dim - lev.rows.shape[1]  # dimension of the link
@@ -273,8 +273,9 @@ class PureComplex:
             tuple(self.vertices[i] for i in verts.tolist()), ends, mass)
 
     def link_blocks(self, k):
-        """_link_arrays of the k-faces (k <= dim - 2), _LINK_BLOCK faces at
-        a time in faces(k) order, each after the index of its first face."""
+        """link_arrays of the k-faces (k <= dim - 2), _LINK_BLOCK faces at
+        a time in faces(k) order, each after the index of its first face;
+        a face's rows are its cofaces less its columns, in coface order."""
         if k > self.dim - 2:
             raise BadLevel(f"links of {k}-faces of a {self.dim}-complex have no edges")
         lev = self.level(k)
@@ -283,30 +284,12 @@ class PureComplex:
             yield lo, *self._link_arrays(lev, lo, min(lo + _LINK_BLOCK, n))
 
     def _link_arrays(self, lev, lo, hi):
-        """The link skeletons of faces lo..hi-1 of a level: each link
-        vertex's position in ``vertices``, by link and ascending; its link,
-        counted from lo; each link edge's ends, sorted, as indices into
-        those vertices; and its mass, the shares (weight over the link's
-        pairwise weight sum) of the cofaces holding it, less the face's
-        columns, over C(k + 1, 2) for a k-dimensional link."""
-        start = lev.start[lo:hi + 1].tolist()
-        e0, e1 = start[0], start[-1]
+        """link_arrays of faces lo..hi-1 of a level."""
+        e0, e1 = lev.start[lo], lev.start[hi]
         idx = lev.cof[e0:e1]
-        tops = self.top_positions()[idx[:, None], lev.rest[lev.sub[e0:e1]]]
-        face = np.repeat(np.arange(hi - lo), np.diff(start))
-        w = self.weights[idx]
-        total = np.array([w[i - e0:j - e0].sum() for i, j in zip(start, start[1:])])
-        n = len(self.vertices)
-        keys, vert = np.unique(face[:, None] * n + tops, return_inverse=True)
-        vert = vert.reshape(tops.shape)
-        a, b = np.triu_indices(tops.shape[1], 1)
-        nv = len(keys)
-        edges, at = np.unique(vert[:, a] * nv + vert[:, b], return_inverse=True)
-        mass = np.bincount(
-            at.ravel(), weights=np.repeat(w / total[face], len(a)), minlength=len(edges)
-        )
-        return (keys % n, keys // n, np.stack([edges // nv, edges % nv]),
-                mass / math.comb(tops.shape[1], 2))
+        rows = self.top_positions()[idx[:, None], lev.rest[lev.sub[e0:e1]]]
+        return link_arrays((lev.start[lo:hi + 1] - e0).tolist(), rows, self.weights[idx],
+                           len(self.vertices))
 
     def one_skeleton(self):
         """The weighted graph on X(0) and X(1)."""
@@ -324,6 +307,28 @@ class PureComplex:
             f"PureComplex(dim={self.dim}, vertices={len(self.vertices)}, "
             f"tops={len(self.weights)})"
         )
+
+
+def link_arrays(start, rows, w, n):
+    """The 1-skeletons of the links of consecutive faces, whose link top
+    faces are the increasing rows of positions below n, face f's being rows
+    start[f]:start[f + 1], with weights w: each link vertex's position, by
+    link and ascending; its link; each link edge's ends, sorted, as indices
+    into those vertices; and its mass, the shares (weight over the link's
+    pairwise weight sum) of the rows holding it, summed in row order, over
+    C(k + 1, 2) for a k-dimensional link."""
+    face = np.repeat(np.arange(len(start) - 1), np.diff(start))
+    total = np.array([w[i:j].sum() for i, j in zip(start, start[1:])])
+    keys, vert = np.unique(face[:, None] * n + rows, return_inverse=True)
+    vert = vert.reshape(rows.shape)
+    a, b = np.triu_indices(rows.shape[1], 1)
+    nv = len(keys)
+    edges, at = np.unique(vert[:, a] * nv + vert[:, b], return_inverse=True)
+    mass = np.bincount(
+        at.ravel(), weights=np.repeat(w / total[face], len(a)), minlength=len(edges)
+    )
+    return (keys % n, keys // n, np.stack([edges // nv, edges % nv]),
+            mass / math.comb(rows.shape[1], 2))
 
 
 def _from_positions(dim, labels, rows, weights=None):

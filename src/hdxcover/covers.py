@@ -130,16 +130,15 @@ class ComponentReport:
     count: int
     expected_index: int
     matches: bool
-    labels: dict
 
 
 def cover_components(cover):
     """Components of a cover, checked against the holonomy index."""
-    count, labels = connected_components(cover.complex)
+    count, _ = connected_components(cover.complex)
     base_vertex = cover.base.vertices[0]
     h = holonomy_subgroup(cover.base, cover.labeling, cover.group, base_vertex)
     index = cover.group.order // len(h)
-    return ComponentReport(count, index, count == index, labels)
+    return ComponentReport(count, index, count == index)
 
 
 @dataclass(frozen=True)

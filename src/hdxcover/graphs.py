@@ -15,8 +15,6 @@ import numpy as np
 
 from .errors import EmptyGraph, NotBipartite
 
-TOL = 1e-9
-
 
 class WGraph:
     """Undirected weighted graph, immutable after construction.

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import PureComplex, _from_positions
+from .complexes import PureComplex, _from_positions, link_arrays
 from . import spectral
 from .errors import (
     BadLevel,
@@ -312,44 +312,6 @@ def _star_cliques(group, sets, d):
     return S, owner, combos[which], impure
 
 
-def _star_links(owner, tops, n_tops, d, width):
-    """The 1-skeletons of the links of the faces {0} + c of each star, c a
-    k-subset of a clique for k <= d - 2, as PureComplex.link_skeleton
-    weighs them: per link, its set; per link edge, sorted by link and then
-    by ends, its link and its ends' column positions, and its mass."""
-    link_set, keys, share, comb = [], [], [], []
-    n_links = 0
-    for k in range(d - 1):
-        # one occurrence of each face per clique holding it, with the
-        # clique's other columns as a top face of the face's link
-        subs = list(itertools.combinations(range(d), k))
-        face = np.repeat(owner, len(subs)).reshape(-1, len(subs))
-        for j in range(k):
-            face = face * width + tops[:, [q[j] for q in subs]]
-        codes, link, cofaces = np.unique(
-            face.ravel(), return_inverse=True, return_counts=True)
-        sets = codes // width**k
-        # each coface weighs the star's 1/T, renormalized over the link's
-        # cofaces by a pairwise sum, as numpy sums them
-        tc = list(zip(n_tops[sets].tolist(), cofaces.tolist()))
-        sums = {(t, c): np.full(c, 1.0 / t).sum() for t, c in set(tc)}
-        top_share = np.array([1.0 / t / sums[t, c] for t, c in tc])
-        rest = tops[:, [[j for j in range(d) if j not in q] for q in subs]]
-        rest = rest.reshape(-1, d - k)
-        a, b = np.triu_indices(d - k, 1)
-        keys.append((((link[:, None] + n_links) * width + rest[:, a]) * width
-                     + rest[:, b]).ravel())
-        share.append(np.repeat(top_share[link], len(a)))
-        link_set.append(sets)
-        comb.append(np.full(len(codes), math.comb(d - k, 2)))
-        n_links += len(codes)
-    keys, edge = np.unique(np.concatenate(keys), return_inverse=True)
-    elink = keys // width**2
-    # each edge's coface shares summed one by one, then over C(k + 1, 2)
-    mass = np.bincount(edge, weights=np.concatenate(share)) / np.concatenate(comb)[elink]
-    return np.concatenate(link_set), elink, keys // width % width, keys % width, mass
-
-
 def star_scores(group, sets, d):
     """identity_star_lambda of each sorted symmetric set in sets, or the
     NotPure it raises, in one pass over all the sets.
@@ -357,10 +319,11 @@ def star_scores(group, sets, d):
     Left multiplication acts transitively and keeps the uniform measure,
     so every link is a translate of a link at a face through 0, and the
     star of 0 (top faces {0} + c for the d-cliques c of generators) has
-    those links up to a uniform scale.  Each link's 1-skeleton and
-    weights take the float steps of PureComplex.link_skeleton, and
-    spectral.link_spectra solves them, so the scores are theirs bit for
-    bit.
+    those links up to a uniform scale.  The link of {0} + c has a top face
+    per clique holding c, the clique less c, of weight 1/T for T cliques,
+    in clique order (its coface order in the star); complexes.link_arrays
+    weighs its skeleton as for link_skeleton, and spectral.link_spectra
+    solves it, so the scores are the star's bit for bit.
     """
     _check_star_dim(d)
     if not sets:
@@ -371,15 +334,22 @@ def star_scores(group, sets, d):
     if not len(owner):
         return out
     width = S.shape[1]
-    link_set, elink, u, v, mass = _star_links(
-        owner, tops, np.bincount(owner, minlength=len(sets)), d, width)
-
-    ends = np.stack([elink * width + u, elink * width + v])
-    verts, at = np.unique(ends, return_inverse=True)
-    _, _, eigs = spectral.link_spectra(verts // width, at.reshape(ends.shape), mass)
-    lam = np.array([max(abs(e[1]), abs(e[-1])) for e in eigs])
+    w = 1.0 / np.bincount(owner)[owner]
     worst = np.full(len(sets), -np.inf)
-    np.maximum.at(worst, link_set, lam)
+    for k in range(d - 1):
+        # each face {0} + c, c a k-subset of a clique's columns, once per
+        # clique holding it, grouped by face in clique order
+        subs = list(itertools.combinations(range(d), k))
+        face = np.repeat(owner, len(subs))
+        for j in range(k):
+            face = face * width + tops[:, [q[j] for q in subs]].ravel()
+        codes, link = np.unique(face, return_inverse=True)
+        order = np.argsort(link, kind="stable")
+        rest = tops[:, [[j for j in range(d) if j not in q] for q in subs]].reshape(-1, d - k)
+        start = np.append(0, np.cumsum(np.bincount(link))).tolist()
+        skel = link_arrays(start, rest[order], np.repeat(w, len(subs))[order], width)
+        eigs = spectral.link_spectra(*skel[1:])[2]
+        np.maximum.at(worst, codes // width**k, [max(abs(e[1]), abs(e[-1])) for e in eigs])
     for i in np.flatnonzero(keep).tolist():
         out[i] = float(worst[i])
     return out

@@ -347,7 +347,12 @@ def cover_link_gap(cover, k=0):
     None: a vertex at k = 0, else the face.  A link that phi maps onto its
     image's is a copy, whose gap is at most ||M~ - P M P^T||_F (Weyl): only
     a link that is no copy is solved, and then the base's k-face links once."""
-    base, tilde, nb = cover.base, cover.complex, len(cover.base.vertices)
+    base, tilde = cover.base, cover.complex
+    # phi as base positions, an image outside the base past them (as verify_cover)
+    pos = {v: i for i, v in enumerate(base.vertices)}
+    phi = np.array([pos.setdefault(cover.phi(v), len(pos)) for v in tilde.vertices],
+                   dtype=np.intp)
+    nb = len(pos)  # the radix of the link edge codes, past every position phi takes
     codes, entries, base_verts = [], [], []  # base link edges as ascending (link, u, v) codes
     for first, verts, vlink, ends, mass in base.link_blocks(k):
         weights, vmass = link_measures(vlink, ends, mass)
@@ -357,8 +362,6 @@ def cover_link_gap(cover, k=0):
     codes, entries, base_verts = map(np.concatenate, (codes, entries, base_verts))
     base_spec = []
     base_edges = np.bincount(codes // (nb * nb), minlength=len(base_verts))
-    pos = {v: i for i, v in enumerate(base.vertices)}
-    phi = np.array([pos[cover.phi(v)] for v in tilde.vertices], dtype=np.intp)
     image = base.face_index(np.sort(phi[tilde.level(k).rows], axis=1))
 
     def block_gap(first, verts, vlink, ends, mass):

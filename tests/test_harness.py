@@ -1092,6 +1092,17 @@ class TestCoverLinkSpectra:
                              {v: (v, 0) for v in bad.vertices})
         assert cover_link_gap(cover, 1)[1] == (0, 4)
 
+    @pytest.mark.parametrize("stray, violations", [((0,), 31), ((2, 5), 37)])
+    def test_image_outside_the_base_is_a_mismatch(self, stray, violations):
+        # the stray lifted vertices map to 105, no vertex of K6: their images
+        # are no faces, and the edge codes of the links through them must
+        # meet no other link's
+        cover = build_cover(complete_complex(6, 2), np.zeros(15, dtype=np.int64), cyclic(3))
+        cover = CoverComplex(cover.complex, cover.base, cover.group, cover.labeling,
+                             {**cover.legend, **{v: (105, 0) for v in stray}})
+        assert len(covers.verify_cover(cover).violations) == violations
+        assert cover_link_gap(cover) == (0.0, stray[0])
+
     def test_mismatch_fails_the_audit(self, monkeypatch):
         monkeypatch.setattr(harness, "cover_link_gap", lambda cover: (0.0, 17))
         rep = run_experiment(PRUNE_SPEC)
