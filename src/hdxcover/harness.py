@@ -340,13 +340,13 @@ def _prune_stages(report, params, seed):
     return pruner, outcome
 
 
-def cover_link_gap(cover, k=0):
-    """A bound on the largest eigenvalue gap between a cover k-face's link
-    skeleton and its image's, and the first cover k-face whose link has
-    another vertex count, or whose image is no face (no gap taken), or
-    None: a vertex at k = 0, else the face.  A link that phi maps onto its
-    image's is a copy, whose gap is at most ||M~ - P M P^T||_F (Weyl): only
-    a link that is no copy is solved, and then the base's k-face links once."""
+def cover_link_gap(cover):
+    """A bound on the largest eigenvalue gap between a cover vertex's link
+    skeleton and its image's, and the first cover vertex whose link has
+    another vertex count, or whose image is no vertex (no gap taken), or
+    None.  A link that phi maps onto its image's is a copy, whose gap is at
+    most ||M~ - P M P^T||_F (Weyl): only a link that is no copy is solved,
+    and then the base's vertex links once."""
     base, tilde = cover.base, cover.complex
     # phi as base positions, an image outside the base past them (as verify_cover)
     pos = {v: i for i, v in enumerate(base.vertices)}
@@ -354,7 +354,7 @@ def cover_link_gap(cover, k=0):
                    dtype=np.intp)
     nb = len(pos)  # the radix of the link edge codes, past every position phi takes
     codes, entries, base_verts = [], [], []  # base link edges as ascending (link, u, v) codes
-    for first, verts, vlink, ends, mass in base.link_blocks(k):
+    for first, verts, vlink, ends, mass in base.link_blocks(0):
         weights, vmass = link_measures(vlink, ends, mass)
         codes.append(((first + vlink[ends[0]]) * nb + verts[ends[0]]) * nb + verts[ends[1]])
         entries.append(operator_entries(weights, np.sqrt(0.5 * vmass), ends))
@@ -362,7 +362,7 @@ def cover_link_gap(cover, k=0):
     codes, entries, base_verts = map(np.concatenate, (codes, entries, base_verts))
     base_spec = []
     base_edges = np.bincount(codes // (nb * nb), minlength=len(base_verts))
-    image = base.face_index(np.sort(phi[tilde.level(k).rows], axis=1))
+    image = np.where(phi < len(base.vertices), phi, -1)  # each vertex's image, if in the base
 
     def block_gap(first, verts, vlink, ends, mass):
         weights, vmass = link_measures(vlink, ends, mass)
@@ -381,15 +381,14 @@ def cover_link_gap(cover, k=0):
         eigs = () if copy.all() else link_spectra(vlink, ends, mass)[2]
         for i in np.flatnonzero(same & ~copy).tolist():
             if not base_spec:  # the base's links, solved for the first link that is no copy
-                base_spec.extend(e for b in base.link_blocks(k) for e in link_spectra(*b[2:])[2])
+                base_spec.extend(e for b in base.link_blocks(0) for e in link_spectra(*b[2:])[2])
             gap = max(gap, float(np.abs(eigs[i] - base_spec[centre[i]]).max()))
         return gap, next((first + i for i in np.flatnonzero(~same)[:1].tolist()), None)
 
     # starmap drops each block's arrays before link_blocks builds the next
-    gaps = list(itertools.starmap(block_gap, tilde.link_blocks(k)))
+    gaps = list(itertools.starmap(block_gap, tilde.link_blocks(0)))
     at = next((at for _, at in gaps if at is not None), None)
-    witness = None if at is None else tilde.faces(k)[at] if k else tilde.vertices[at]
-    return max((gap for gap, _ in gaps), default=0.0), witness
+    return max((gap for gap, _ in gaps), default=0.0), None if at is None else tilde.vertices[at]
 
 
 def _audit_clean_prune(report, pruner, outcome):
@@ -421,10 +420,8 @@ def _audit_clean_prune(report, pruner, outcome):
         cover.complex.level(1)  # read by both audits below, so built here
     with timed(report, "audit.cover_components"):
         comp = covers_mod.cover_components(cover)
-    hol_order = group.order // comp.expected_index
-    report.add_audit(
-        "holonomy_full", hol_order == group.order, {"subgroup_order": hol_order}
-    )
+    hol_order = len(comp.holonomy)
+    report.add_audit("holonomy_full", hol_order == group.order, {"subgroup_order": hol_order})
     report.add_audit(
         "cover_connected",
         comp.count == 1 and comp.matches,
@@ -448,7 +445,7 @@ def _audit_clean_prune(report, pruner, outcome):
         detail["size_mismatch"] = mismatch
     report.add_audit(
         "cover_link_spectra", mismatch is None and worst_gap <= 1e-9, detail)
-    audited = cover, comp, cover_report, hdx, (worst_gap, mismatch)
+    audited = cover, comp, cover_report, hdx
 
     with _audit(report, "pruned_measure_total"):
         pm = pruning_mod.pruned_measure(pruner, y, f)
@@ -476,8 +473,8 @@ def _audit_clean_prune(report, pruner, outcome):
 def run_prune(report, params, seed):
     """The prune pipeline; returns the finished report, the Pruner, the
     outcome and, for a clean run, the audited cover with its
-    cover_components and verify_cover reports, Y's is_hdx report and the
-    cover's vertex-link cover_link_gap (else None)."""
+    cover_components and verify_cover reports and Y's is_hdx report (else
+    None)."""
     pruner, outcome = _prune_stages(report, params, seed)
     audited = _audit_clean_prune(report, pruner, outcome) if outcome.status == "clean" else None
     return report.finish(), pruner, outcome, audited
@@ -485,65 +482,46 @@ def run_prune(report, params, seed):
 
 def run_cover_family(report, params, seed):
     """The prune pipeline, then Y's cover by G/N for each normal N of index
-    <= index_cap: its links bounded by Y's through cover_link_gap, and for an
-    abelian G its skeleton spectrum read off Y's operators twisted by the
-    characters trivial on N (README, "Cover families", gives the fallbacks)."""
+    <= index_cap, each member read off what the prune audit checked: the
+    cover of Y by G, its holonomy subgroup and Y's links (README, "Cover
+    families"), and for an abelian G its skeleton spectrum off Y's operators
+    twisted by the characters trivial on N."""
     report, pruner, outcome, audited = run_prune(report, params, seed)
     if outcome.status != "clean":
         return report
-    full, y_hdx = audited[0], audited[3]  # the prune audit's cover of Y by all of G
-    group, d, lam = full.group, full.base.dim, pruner.config.lambda_target
-    worst = [max(r.value for r in y_hdx.rows if len(r.face) == k + 1) for k in range(d - 1)]
+    full, comp, vc, y_hdx = audited  # the prune audit's cover of Y by all of G
+    y, group, lam = full.base, full.group, pruner.config.lambda_target
+    # a cover's links are copies of their images', Y's
+    links = all(r.value <= lam + TOL for r in y_hdx.rows if 0 < len(r.face) < y.dim)
     with timed(report, "cover_family.characters"):
         theta = groups_mod.characters(group)
         if theta is not None:  # chi(f(uv)) on each edge uv of Y, a row per character
             twist = np.exp(2j * np.pi / group.order * theta[:, full.labeling])
-            char_spectra = twisted_spectra(full.base.one_skeleton(), twist)
+            char_spectra = twisted_spectra(y.one_skeleton(), twist)
     family = []
     for sub in groups_mod.normal_subgroups(group, index_cap=params["index_cap"]):
         quotient = groups_mod.quotient_group(group, sub)
-        with timed(report, f"cover_family.index_{quotient.group.order}"):
-            if len(sub) == 1:  # G/1 is G's own table
-                cover, comp, vc, _, gap = audited
-                gaps = [gap]
-            else:
-                pushed = covers_mod.push_cocycle(full.base, full.labeling, group, quotient)
-                cover = covers_mod.build_cover(full.base, pushed, quotient.group)
-                comp = covers_mod.cover_components(cover)
-                vc = covers_mod.verify_cover(cover)
-                gaps = []
-            links = None
-            if vc.ok:
-                gaps += [cover_link_gap(cover, k) for k in range(len(gaps), d - 1)]
-                if all(miss is None for _, miss in gaps):  # Y's worst link at each level, +- gap
-                    lo, hi = (max(w + s * g for w, (g, _) in zip(worst, gaps)) for s in (-1, 1))
-                    links = True if hi <= lam + TOL else False if lo > lam + TOL else None
-            if links is None:
-                links = is_hdx(cover.complex, lam, include_empty_face=False).passes
+        order = quotient.group.order
+        with timed(report, f"cover_family.index_{order}"):
+            # Y is connected, so the components number |G| / |HN|
+            components = group.order // len(np.unique(group.mul_table[np.ix_(comp.holonomy, sub)]))
             # spectra whose union is the cover's: its dense one, or one per
             # character trivial on N, the trivial character's (Y's) first
             if theta is None:
-                kept = [adjacency_spectrum(cover.complex.one_skeleton()).eigenvalues]
+                skel = covers_mod.cover_skeleton(y, quotient.projection[full.labeling],
+                                                 quotient.group)
+                kept = [adjacency_spectrum(skel).eigenvalues]
             else:
                 kept = char_spectra[(theta[:, sub] == 0).all(axis=1)]
             skeleton = SpectralReport(tuple(np.sort(kept, axis=None)[::-1].tolist())).two_sided
             new_lambda = float(np.abs(kept[1:]).max()) if len(kept) > 1 else None
-        family.append(
-            {
-                "subgroup_order": len(sub),
-                "quotient_order": quotient.group.order,
-                "cover_vertices": len(cover.complex.vertices),
-                "components": comp.count,
-                "verified": vc.ok,
-                "links_within_lambda": links,
-                "skeleton_lambda": skeleton,
-            }
-        )
-        report.add_audit(
-            f"cover_family_index_{quotient.group.order}",
-            vc.ok and comp.count == 1 and links,
-            {"components": comp.count, "skeleton_lambda": skeleton, "new_lambda": new_lambda},
-        )
+        family.append({"subgroup_order": len(sub), "quotient_order": order,
+                       "cover_vertices": len(y.vertices) * order, "components": components,
+                       "verified": vc.ok, "links_within_lambda": links,
+                       "skeleton_lambda": skeleton})
+        report.add_audit(f"cover_family_index_{order}", vc.ok and components == 1 and links,
+                         {"components": components, "skeleton_lambda": skeleton,
+                          "new_lambda": new_lambda})
     report.add_stage("cover_family", {"members": family})
     return report.finish()
 

@@ -680,19 +680,17 @@ class Pruner(Sampler):
         return y, isolated, mask
 
     def violations(self, f):
-        """The violated events in events() order, found lazily.  The
-        triangles and the satisfied top faces are computed once per scan,
-        the AT sweep of each dimension and the BC sweep once each, on the
-        first event that reads them.  The EC events, the (d-1)-faces in
+        """The violated events in events() order, found lazily.  The AT
+        sweep of each dimension, the triangles, the BC sweep and the
+        satisfied top faces are computed at most once per scan, each on the
+        first event that reads it.  The EC events, the (d-1)-faces in
         face order since events sort by kind (AT, BC, EC, NE), then face,
         are one block read off the covered (d-1)-faces, and the NE events
         come last, through ne_violations."""
         events = self.events()
         a = bisect.bisect_left(events, ("EC",))
         b = a + sum(self.X.n_faces(ell) for ell in self.scan_dims["EC"])
-        tri = self.triangles(f)
-        satisfied = self.satisfied_mask(f, tri)
-        at, bc = {}, None
+        at, tri, bc = {}, None, None
         for kind, face in events[:a]:
             if kind == "AT":
                 ell = len(face) - 1
@@ -701,10 +699,12 @@ class Pruner(Sampler):
                 hit = self.eval_at(face, f, at[ell])
             else:
                 if bc is None:
+                    tri = self.triangles(f)
                     bc = self.bc_sweep(f, tri)
                 hit = self.eval_bc(face, f, bc)
             if hit:
                 yield kind, face
+        satisfied = self.satisfied_mask(f, tri)
         if b > a:
             for i in np.flatnonzero(~self.covered_dfaces(satisfied)).tolist():
                 yield events[a + i]

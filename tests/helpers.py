@@ -13,7 +13,8 @@ from typing import NamedTuple
 import numpy as np
 
 from hdxcover.complexes import TOL, SuitabilityReport, build_complex
-from hdxcover.covers import CoverComplex, CoverReport, _elements
+from hdxcover.covers import (CoverComplex, CoverReport, _elements, build_cover,
+                             connected_components, push_cocycle, verify_cover)
 from hdxcover.errors import (
     BadLevel,
     BadMeasure,
@@ -499,15 +500,15 @@ def plain_check_suitable(X, c, r, eta):
     )
 
 
-def plain_cover_link_gap(cover, k=0):
+def plain_cover_link_gap(cover):
     """Reference cover_link_gap: one skeleton and one eigensolve per base
-    k-face and per cover k-face, spectra paired by zip."""
+    vertex and per cover vertex, spectra paired by zip."""
     base_spec = {
         s: adjacency_spectrum(per_face_link_skeleton(cover.base, s)).eigenvalues
-        for s in cover.base.faces(k)
+        for s in cover.base.faces(0)
     }
     worst_gap = 0.0
-    for s in cover.complex.faces(k):
+    for s in cover.complex.faces(0):
         ev = adjacency_spectrum(per_face_link_skeleton(cover.complex, s)).eigenvalues
         gap = max(abs(a - b) for a, b in zip(ev, base_spec[phi_face(cover, s)]))
         worst_gap = max(worst_gap, gap)
@@ -714,6 +715,28 @@ def plain_push_cocycle(X, labels, group, quotient):
         raise NotACocycle(f"input fails the triangle condition at {witness}",
                           witness=witness)
     return {e: int(quotient.projection[g]) for e, g in label_dict(X, labels).items()}
+
+
+def built_members(Y, labels, group, lam, index_cap=64):
+    """Reference cover-family members: for each normal N of index <=
+    index_cap, Y's cover by G/N built, audited and solved whole, with its
+    components counted and its links solved densely; returns the member
+    records, in run_cover_family's keys, and the covers."""
+    members, built = [], []
+    for sub in groups_mod.normal_subgroups(group, index_cap=index_cap):
+        q = groups_mod.quotient_group(group, sub)
+        cover = build_cover(Y, push_cocycle(Y, labels, group, q), q.group)
+        members.append({
+            "subgroup_order": len(sub),
+            "quotient_order": q.group.order,
+            "cover_vertices": len(cover.complex.vertices),
+            "components": connected_components(cover.complex)[0],
+            "verified": verify_cover(cover).ok,
+            "links_within_lambda": is_hdx(cover.complex, lam, include_empty_face=False).passes,
+            "skeleton_lambda": adjacency_spectrum(cover.complex.one_skeleton()).two_sided,
+        })
+        built.append(cover)
+    return members, built
 
 
 def brute_check_suitable(X, c, r):

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import operator
+import os
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hdxcover.covers import (
     build_cover,
     connected_components,
     cover_components,
+    cover_skeleton,
     cover_to_dict,
     holonomy_subgroup,
     is_cocycle,
@@ -39,6 +41,7 @@ from hdxcover.pruning import PruneConfig, PruneOutcome, Pruner
 from hdxcover.spectral import adjacency_spectrum, is_hdx
 
 from helpers import (
+    built_members,
     checked,
     fiber,
     coboundary_labeling,
@@ -754,24 +757,30 @@ def family_run(monkeypatch, Y, group, elems, lam=0.9):
 
 
 def dense_members(Y, group, elems, lam=0.9):
-    """Each family member's links verdict, skeleton lambda and new lambda
-    from its built cover, solved densely: the new lambda is the largest
-    |eigenvalue| of the skeleton operator off the functions constant on
-    fibers, None for the quotient by all of G."""
+    """Each family member's record from its built cover (built_members),
+    and its new lambda solved densely: the largest |eigenvalue| of the
+    skeleton operator off the functions constant on fibers, None for the
+    quotient by all of G."""
+    members, built = built_members(Y, elems, group, lam)
     out = []
-    for sub in normal_subgroups(group, index_cap=64):
-        q = quotient_group(group, sub)
-        cover = build_cover(Y, push_cocycle(Y, elems, group, q), q.group)
+    for member, cover in zip(members, built):
         skel = cover.complex.one_skeleton()
         M = sym_walk_matrix(skel)
+        order = cover.group.order
         # lifted vertex p * |Q| + g lies over base position p
-        fiber = np.array([v // q.group.order for v in skel.vertices])
-        P = (fiber[:, None] == fiber[None, :]) / q.group.order
+        fiber = np.array([v // order for v in skel.vertices])
+        P = (fiber[:, None] == fiber[None, :]) / order
         off = np.eye(len(M)) - P
-        new = np.abs(np.linalg.eigvalsh(off @ M @ off)).max() if q.group.order > 1 else None
-        out.append((is_hdx(cover.complex, lam, include_empty_face=False).passes,
-                    adjacency_spectrum(skel).two_sided, new))
+        new = np.abs(np.linalg.eigvalsh(off @ M @ off)).max() if order > 1 else None
+        out.append((member, new))
     return out
+
+
+def family_members(rep):
+    """A cover-family report's member table and its members' audit details."""
+    (members,) = [s["result"]["members"] for s in rep.stages if s["name"] == "cover_family"]
+    audits = [a["detail"] for a in rep.audits if a["name"].startswith("cover_family_index_")]
+    return members, audits
 
 
 Z2_Z3 = product_group(cyclic(2), cyclic(3))
@@ -784,14 +793,16 @@ class TestCoverFamilySpectra:
     solved densely."""
 
     def assert_dense(self, rep, Y, group, elems):
-        (members,) = [s["result"]["members"] for s in rep.stages if s["name"] == "cover_family"]
-        audits = [a["detail"] for a in rep.audits if a["name"].startswith("cover_family_index_")]
+        members, audits = family_members(rep)
         want = dense_members(Y, group, elems)
         assert len(members) == len(audits) == len(want)
-        for m, a, (links, skeleton, new) in zip(members, audits, want):
-            assert m["verified"] and m["links_within_lambda"] == links
+        for m, a, (ref, new) in zip(members, audits, want):
+            assert m["verified"]
+            # every field but the skeleton's is the built cover's exactly
+            assert {**m, "skeleton_lambda": None} == {**ref, "skeleton_lambda": None}
             assert m["skeleton_lambda"] == a["skeleton_lambda"]
-            assert m["skeleton_lambda"] == pytest.approx(skeleton, abs=1e-9)
+            assert m["skeleton_lambda"] == pytest.approx(ref["skeleton_lambda"], abs=1e-9)
+            assert a["components"] == m["components"]
             if new is None or not is_abelian(group):  # characters give new_lambda
                 assert a["new_lambda"] is None
             else:
@@ -810,6 +821,61 @@ class TestCoverFamilySpectra:
         assert [m["components"] for m in members] == [1] * len(members)
         # every link of the torus is a hexagon, whose -1 fails lambda 0.9
         assert not any(m["links_within_lambda"] for m in members)
+
+    @pytest.mark.parametrize("alpha, beta, components", [
+        (0, 2, [2, 1, 2, 1]), (3, 0, [3, 3, 1, 1]),
+    ], ids=["H_order_3", "H_order_2"])
+    def test_proper_holonomy(self, monkeypatch, alpha, beta, components):
+        # Z6 on the 5 x 7 torus with holonomy <5 alpha, 7 beta> = <2> or <3>:
+        # HN is G for some N and H for others, and G/N's cover has
+        # |G| / |HN| components
+        group = cyclic(6)
+        X = torus_complex(5, 7)
+        elems = torus_cocycle(X, 5, 7, group, alpha, beta)
+        rep, Y = family_run(monkeypatch, X, group, elems)
+        members, _ = self.assert_dense(rep, Y, group, elems)
+        assert [m["subgroup_order"] for m in members] == [1, 2, 3, 6]
+        assert [m["components"] for m in members] == components
+
+    @pytest.mark.parametrize("seed_set", ["default", "held-out"])
+    def test_benchmark_specs(self, monkeypatch, seed_set):
+        # the member table of every cover-family benchmark spec, against its
+        # members built from the audit's cover of Y
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
+        import workloads
+
+        specs = [spec for name in workloads.WORKLOADS
+                 for spec in workloads.specs(name, seed_set) if spec["kind"] == "cover-family"]
+        assert specs
+        for spec in specs:
+            built = []
+            monkeypatch.setattr(harness.covers_mod, "build_cover",
+                                lambda *a: built.append(build_cover(*a)) or built[-1])
+            rep = run_experiment(spec)
+            assert rep.status == "clean" and len(built) == 1  # the audit's cover only
+            full = built[0]
+            want, _ = built_members(full.base, full.labeling, full.group,
+                                    spec["params"]["lambda"])
+            members, _ = family_members(rep)
+            assert [{**m, "skeleton_lambda": None} for m in members] == [
+                {**m, "skeleton_lambda": None} for m in want]
+            for m, ref in zip(members, want):
+                assert m["skeleton_lambda"] == pytest.approx(ref["skeleton_lambda"], abs=1e-9)
+
+    def test_disconnected_y_is_bad_input(self, monkeypatch):
+        # the audit's holonomy raises on a disconnected Y before any member
+        # runs: the run is bad input, not a member table
+        tops = [t for part in (range(5), range(5, 10)) for t in itertools.combinations(part, 3)]
+        Y = build_complex(2, tops)
+        elems = np.zeros(Y.n_faces(1), dtype=np.int64)
+        rep, _ = family_run(monkeypatch, Y, cyclic(6), elems)
+        assert rep.exit_code == 4 and rep.status == "input_error"
+        assert rep.stages[-1] == {"name": "error", "result": {
+            "message": "holonomy needs a connected 1-skeleton", "type": "Disconnected",
+            "stage": "audit.cover_components"}}
+        assert not any(s["name"] == "cover_family" for s in rep.stages)
+        assert not any(k.startswith("cover_family") for k in rep.timings)
 
     def test_pruned_y(self, monkeypatch, benchmark_ys):
         y, elems, group = benchmark_ys["cover-family-z6"]
@@ -844,5 +910,33 @@ class TestCoverFamilySpectra:
         members, _ = self.assert_dense(rep, Y, group, elems)
         assert [m["quotient_order"] for m in members] == [6, 2, 1]
         # the dense solve is today's: the same value bit for bit
-        assert [m["skeleton_lambda"] for m in members] == [s for _, s, _ in dense_members(
-            Y, group, elems)]
+        assert [m["skeleton_lambda"] for m in members] == [m["skeleton_lambda"] for m, _ in
+                                                           dense_members(Y, group, elems)]
+
+
+class TestCoverSkeleton:
+    """cover_skeleton, the voltage graph on X's edges, against the built
+    cover's 1-skeleton: the same graph, weights bit for bit."""
+
+    @staticmethod
+    def assert_same(X, f, group):
+        got, want = cover_skeleton(X, f, group), build_cover(X, f, group).complex.one_skeleton()
+        assert got.vertices == want.vertices
+        assert np.array_equal(got.ends, want.ends)
+        assert np.array_equal(got.weights, want.weights)
+        assert adjacency_spectrum(got) == adjacency_spectrum(want)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_weighted_complexes(self, seed):
+        rng = np.random.default_rng(seed)
+        group = DIFF_GROUPS[seed % len(DIFF_GROUPS)]
+        X = relabeled(random_complex(rng, 8, 2 + seed % 2, keep=0.6))
+        f = coboundary_labeling(X, group, rng.integers(group.order, size=len(X.vertices)))
+        for q in quotients_of(group):
+            self.assert_same(X, q.projection[f], q.group)
+
+    @pytest.mark.parametrize("group", [dihedral(3), symmetric_group(3)], ids=["D3", "S3"])
+    def test_annulus_holonomy(self, group):
+        # a cocycle that is no coboundary: the cover has fewer components
+        X, f = annulus_cocycle(group, 1)
+        self.assert_same(X, f, group)

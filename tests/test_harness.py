@@ -27,7 +27,7 @@ from hdxcover.harness import (
 )
 from hdxcover.spectral import adjacency_spectrum, is_hdx, link_spectra
 
-from helpers import coboundary_labeling
+from helpers import built_members, coboundary_labeling
 
 PRUNE_SPEC = {
     "kind": "prune",
@@ -224,9 +224,9 @@ class TestCoverFamily:
             assert m["cover_vertices"] == 30 * m["quotient_order"]
             assert m["components"] == 1
             assert m["verified"]
-        # the audit's cover, and one per member but the trivial subgroup's
-        assert calls == dict.fromkeys(calls, len(members))
-        # which is the audit's: its record is the one a rebuilt cover gives
+        # the audit's cover only: every member is read off it
+        assert calls == dict.fromkeys(calls, 1)
+        # the trivial subgroup's record is the one a rebuilt cover gives
         pruner, outcome = benchmark_prunes["cover-family-z6"]
         y, group = outcome.y, pruner.group
         quotient = groups.quotient_group(group, (0,))
@@ -245,7 +245,8 @@ class TestCoverFamily:
 
     @staticmethod
     def dense_verdicts(monkeypatch, spec):
-        """Each member's links_within_lambda, and is_hdx's on its cover."""
+        """Each member's links_within_lambda, and the built-member
+        reference's, from the audit's cover of Y."""
         built = []
 
         def recording(*args, _real=covers.build_cover):
@@ -255,14 +256,15 @@ class TestCoverFamily:
         monkeypatch.setattr(covers, "build_cover", recording)
         rep = run_experiment(spec)
         (fam,) = [s["result"]["members"] for s in rep.stages if s["name"] == "cover_family"]
-        lam = spec["params"]["lambda"]
-        # the audit builds the cover of the trivial subgroup's member, which comes first
+        (full,) = built  # the audit's; no member builds a cover
+        want, _ = built_members(full.base, full.labeling, full.group, spec["params"]["lambda"])
         return ([m["links_within_lambda"] for m in fam],
-                [is_hdx(c.complex, lam, include_empty_face=False).passes for c in built])
+                [m["links_within_lambda"] for m in want])
 
     @pytest.mark.parametrize("case", ["z6", "k5_dim3"])
-    def test_undecided_bound_falls_back_to_is_hdx(self, monkeypatch, case):
-        # cover-family-z6's prune, or the crafted d = 3 outcome
+    def test_members_solve_no_link(self, monkeypatch, case):
+        # cover-family-z6's prune, or the crafted d = 3 outcome; the audit's
+        # gap, here made too large, is not read by the members
         params = dict(PRUNE_SPEC["params"], group={"kind": "cyclic", "n": 6},
                       genset=[1, 2, 3, 4, 5], r=2.0)
         if case == "k5_dim3":
@@ -276,18 +278,18 @@ class TestCoverFamily:
             return is_hdx(*args, **kwargs)
 
         monkeypatch.setattr(harness, "is_hdx", counting)
-        monkeypatch.setattr(harness, "cover_link_gap", lambda cover, k=0: (1.0, None))
+        monkeypatch.setattr(harness, "cover_link_gap", lambda cover: (1.0, None))
         got, want = self.dense_verdicts(monkeypatch, spec)
         assert got == want
-        assert len(calls) == 1 + len(got)  # y_is_hdx, then every member
+        assert len(calls) == 1  # y_is_hdx alone
 
     def test_d3_verdicts_are_the_dense_ones(self, monkeypatch):
-        # K5 over Z5 at d = 3: links of vertices and of edges, both bounded
-        levels = []
+        # K5 over Z5 at d = 3: links of vertices and of edges, both read off Y's
+        bounded = []
 
-        def recording(cover, k=0):
-            levels.append(k)
-            return cover_link_gap(cover, k)
+        def recording(cover):
+            bounded.append(cover)
+            return cover_link_gap(cover)
 
         monkeypatch.setattr(harness, "cover_link_gap", recording)
         monkeypatch.setattr(pruning.Pruner, "run", k5_coboundary_run)
@@ -295,9 +297,8 @@ class TestCoverFamily:
                     params=dict(PRUNE_SPEC["params"], complex=K5_DIM3))
         got, want = self.dense_verdicts(monkeypatch, spec)
         assert got == want and len(got) == 2
-        # the audit's vertex links, the trivial member's edge links, then both
-        # levels of the member of Z5/Z5
-        assert levels == [0, 1, 0, 1]
+        # the audit's vertex links alone are bounded
+        assert len(bounded) == 1
 
 
 class TestOneSamplerPerExperiment:
@@ -1081,7 +1082,8 @@ class TestCoverLinkSpectra:
         cover = CoverComplex(bad, base, cyclic(1), np.zeros(base.n_faces(1), dtype=np.int64),
                              {v: (v, 0) for v in bad.vertices})
         assert cover_link_gap(cover)[1] is None
-        assert cover_link_gap(cover, 1)[1] == (0, 1)
+        # no vertex link changes size, so verify_cover is what names the edge
+        assert ((0, 1), "link faces do not correspond") in covers.verify_cover(cover).violations
 
     def test_edge_whose_image_is_no_face_is_a_mismatch(self):
         # edge (0, 4) maps onto no edge of the base; its link, like the base's
@@ -1090,7 +1092,7 @@ class TestCoverLinkSpectra:
         bad = build_complex(3, [(0, 1, 2, 4)])
         cover = CoverComplex(bad, base, cyclic(1), np.zeros(base.n_faces(1), dtype=np.int64),
                              {v: (v, 0) for v in bad.vertices})
-        assert cover_link_gap(cover, 1)[1] == (0, 4)
+        assert ((0, 4), "image is not a face") in covers.verify_cover(cover).violations
 
     @pytest.mark.parametrize("stray, violations", [((0,), 31), ((2, 5), 37)])
     def test_image_outside_the_base_is_a_mismatch(self, stray, violations):

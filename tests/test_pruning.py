@@ -677,6 +677,32 @@ class TestSweeps:
                 assert pruner.eval_event(kind, face, f) == want[kind, face]
                 assert len(calls) == 1
 
+    def test_triangles_are_computed_on_the_first_event_that_reads_them(self, monkeypatch):
+        # a scan that stops at an AT event reads no triangle; a full scan
+        # computes the triangles and the satisfied top faces once each
+        X = self.COMPLEXES[3]
+        calls = []
+        real_tri, real_mask = Pruner.triangles, Pruner.satisfied_mask
+
+        def triangles(self, f, keys=None):
+            if keys is None:  # the NE evaluations pass tables of their own
+                calls.append("triangles")
+            return real_tri(self, f, keys)
+
+        def satisfied_mask(self, f, tri=None):
+            calls.append("satisfied_mask")
+            return real_mask(self, f, tri)
+
+        monkeypatch.setattr(Pruner, "triangles", triangles)
+        monkeypatch.setattr(Pruner, "satisfied_mask", satisfied_mask)
+        pruner = Pruner(X, Z5, Z5_GENS, PruneConfig(0.9, mode="formula"))
+        f = sample_labeling(X, pruner.m, 1)
+        calls.clear()
+        assert pruner.first_violated(f)[0] == "AT"
+        assert calls == []
+        pruner.all_violations(f)
+        assert calls == ["triangles", "satisfied_mask"]
+
 
 def s3_genset():
     """S3 generated by a 3-cycle, its inverse and a transposition (its own

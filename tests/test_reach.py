@@ -23,6 +23,8 @@ UNREACHED = {
     "pruning.Sampler.eval_event": "perfbench/selftest.py replays the loop event by event",
     "pruning.Pruner.eval_ec": "reached through Sampler.eval_event in perfbench/selftest.py",
     "complexes.PureComplex.face_measure": "a traced span of perfbench/tracing.py",
+    "covers.push_cocycle": "a traced span of perfbench/tracing.py; the cover-family "
+                           "members project the checked cocycle through the quotient map",
     "graphs.WGraph.sides": "perfbench/tracing.py's bipartite_lambda hook reads the side sizes",
     "harness.RunReport.to_json_bytes": "perfbench/worker.py compares report bytes through it",
     # kept for library callers and the tests: the scans and audits read the
@@ -53,6 +55,7 @@ Z5_TABLE = json.dumps({"kind": "table", "mul": [[(a + b) % 5 for b in range(5)]
 Z2_Z3 = json.dumps({"kind": "product", "factors": [{"kind": "cyclic", "n": 2},
                                                    {"kind": "cyclic", "n": 3}]})
 EDGES = json.dumps({"edges": [[0, 1, 1.0], [1, 2, 2.0], [2, 0, 1.0], [2, 3, 1.0]]})
+S3 = json.dumps({"kind": "symmetric", "k": 3})
 Z3_Z4 = json.dumps({"kind": "product", "factors": [{"kind": "cyclic", "n": 3},
                                                    {"kind": "cyclic", "n": 4}]})
 # every sampled pair of the path's sides has a zero mixing denominator
@@ -95,6 +98,9 @@ def runs(tmp):
           "--max-resamples", "3"], EXIT_BUDGET),
         (["cover-family", "--complex", K30, "--group", Z2_Z3, "--genset", "[1, 2, 3, 4, 5]",
           "--seed", "2"], EXIT_CLEAN),
+        # a non-abelian group: the members' skeletons are solved densely
+        (["cover-family", "--complex", K30, "--group", S3, "--genset", "[1, 2, 3, 4, 5]",
+          "--seed", "1"], EXIT_CLEAN),
         (["sparsify", "--graph", '{"kind": "complete", "n": 30}', "--trials", "3"],
          EXIT_CLEAN),
         (["combine", "--complex", K12, "--target", K5], EXIT_CLEAN),

@@ -447,12 +447,10 @@ class TestWeylBound:
     def test_drawn_perturbations(self, seed, n, dim, group, scale):
         rng = np.random.default_rng(seed)
         cover = _perturbed(_random_covers(rng, n, dim, (group,))[0], rng, scale)
-        for k in range(dim - 1):  # the links of vertices, and at d = 3 of edges
-            worst_gap, mismatch = cover_link_gap(cover, k)
-            assert mismatch is None
-            if k == 0:
-                assert worst_gap == pytest.approx(plain_weyl_bound(cover), rel=1e-6, abs=1e-12)
-            assert plain_cover_link_gap(cover, k) <= worst_gap + 1e-12
+        worst_gap, mismatch = cover_link_gap(cover)
+        assert mismatch is None
+        assert worst_gap == pytest.approx(plain_weyl_bound(cover), rel=1e-6, abs=1e-12)
+        assert plain_cover_link_gap(cover) <= worst_gap + 1e-12
 
 
 HASHED_LABELS_EML = """
