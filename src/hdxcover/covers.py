@@ -18,7 +18,7 @@ import numpy as np
 
 from .complexes import PureComplex, _from_positions, complex_to_dict
 from .errors import BadLabeling, Disconnected, NotACocycle
-from .graphs import WGraph, component_labels
+from .graphs import component_labels
 from .groups import group_to_dict, subgroup_closure
 
 TOL = 1e-9
@@ -92,26 +92,6 @@ def build_cover(X, labels, group):
     cover = _from_positions(X.dim, range(len(X.vertices) * n_g),
                             lifted.reshape(-1, X.dim + 1), np.repeat(X.weights / n_g, n_g))
     return CoverComplex(cover, X, group, labels, legend)
-
-
-def cover_skeleton(X, labels, group):
-    """build_cover(X, labels, group).complex.one_skeleton() bit for bit, as a
-    voltage graph on X's edges: edge uv lifts at each g to (u, g)(v, g f(uv)).
-    The cover sorts the lifts of X's top faces by least vertex, then g, then
-    the rest, so the lifts through a lifted edge come in X's order, and each
-    sum here is taken in the order the cover takes it in."""
-    n_g, w, lev = group.order, X.weights / group.order, X.level(1)
-    runs = np.flatnonzero(np.diff(X.top_positions()[:, 0], prepend=-1, append=-1)).tolist()
-    lifted = w[np.concatenate([np.tile(np.arange(a, b), n_g) for a, b in zip(runs, runs[1:])])]
-    share = w / lifted.sum() / (lifted / lifted.sum()).sum()
-    mass = np.bincount(lev.pairs.ravel(), weights=np.repeat(share, lev.pairs.shape[1]),
-                       minlength=len(lev.rows)) / lev.pairs.shape[1]
-    g = np.arange(n_g)
-    lo = (lev.rows[:, :1] * n_g + g).ravel()
-    hi = (lev.rows[:, 1:] * n_g + group.mul_table[g][:, labels].T).ravel()
-    at = np.lexsort((hi, lo))
-    return WGraph.from_arrays(range(len(X.vertices) * n_g), np.stack([lo[at], hi[at]]),
-                              np.repeat(mass, n_g)[at])
 
 
 def holonomy_subgroup(X, labels, group, v):

@@ -505,12 +505,13 @@ def run_cover_family(report, params, seed):
         with timed(report, f"cover_family.index_{order}"):
             # Y is connected, so the components number |G| / |HN|
             components = group.order // len(np.unique(group.mul_table[np.ix_(comp.holonomy, sub)]))
-            # spectra whose union is the cover's: its dense one, or one per
-            # character trivial on N, the trivial character's (Y's) first
+            # spectra whose union is the cover's: its dense one (the audit's
+            # cover for N = 1), or one per character trivial on N, the trivial
+            # character's (Y's) first
             if theta is None:
-                skel = covers_mod.cover_skeleton(y, quotient.projection[full.labeling],
-                                                 quotient.group)
-                kept = [adjacency_spectrum(skel).eigenvalues]
+                cover = full if len(sub) == 1 else covers_mod.build_cover(
+                    y, quotient.projection[full.labeling], quotient.group)
+                kept = [adjacency_spectrum(cover.complex.one_skeleton()).eigenvalues]
             else:
                 kept = char_spectra[(theta[:, sub] == 0).all(axis=1)]
             skeleton = SpectralReport(tuple(np.sort(kept, axis=None)[::-1].tolist())).two_sided

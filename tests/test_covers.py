@@ -16,7 +16,6 @@ from hdxcover.covers import (
     build_cover,
     connected_components,
     cover_components,
-    cover_skeleton,
     cover_to_dict,
     holonomy_subgroup,
     is_cocycle,
@@ -913,30 +912,3 @@ class TestCoverFamilySpectra:
         assert [m["skeleton_lambda"] for m in members] == [m["skeleton_lambda"] for m, _ in
                                                            dense_members(Y, group, elems)]
 
-
-class TestCoverSkeleton:
-    """cover_skeleton, the voltage graph on X's edges, against the built
-    cover's 1-skeleton: the same graph, weights bit for bit."""
-
-    @staticmethod
-    def assert_same(X, f, group):
-        got, want = cover_skeleton(X, f, group), build_cover(X, f, group).complex.one_skeleton()
-        assert got.vertices == want.vertices
-        assert np.array_equal(got.ends, want.ends)
-        assert np.array_equal(got.weights, want.weights)
-        assert adjacency_spectrum(got) == adjacency_spectrum(want)
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_random_weighted_complexes(self, seed):
-        rng = np.random.default_rng(seed)
-        group = DIFF_GROUPS[seed % len(DIFF_GROUPS)]
-        X = relabeled(random_complex(rng, 8, 2 + seed % 2, keep=0.6))
-        f = coboundary_labeling(X, group, rng.integers(group.order, size=len(X.vertices)))
-        for q in quotients_of(group):
-            self.assert_same(X, q.projection[f], q.group)
-
-    @pytest.mark.parametrize("group", [dihedral(3), symmetric_group(3)], ids=["D3", "S3"])
-    def test_annulus_holonomy(self, group):
-        # a cocycle that is no coboundary: the cover has fewer components
-        X, f = annulus_cocycle(group, 1)
-        self.assert_same(X, f, group)
