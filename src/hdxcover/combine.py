@@ -18,7 +18,7 @@ import numpy as np
 from .complexes import PureComplex
 from .errors import BadKindForFace, BadParameter, NotAFace, UnsatisfiedBase, check_count
 from .graphs import coloring_weights, component_labels
-from .pruning import Sampler, face_fraction_report, resample
+from .pruning import Sampler, face_fraction_report
 from .spectral import is_hdx
 
 
@@ -59,6 +59,7 @@ class Combiner(Sampler):
         super().__init__(X, {"AC": range(0, X.dim), "NE": range(0, X.dim - 1)})
         self.C = self.target = C
         self.config = config
+        self.values = np.arange(len(C.vertices))
         self.ne_rule = (config.lambda_target, False)
 
     # --- satisfaction ---
@@ -67,6 +68,7 @@ class Combiner(Sampler):
     face_satisfied = Sampler.face_satisfied
     satisfaction_graph = Sampler.satisfaction_graph
     eval_ne = Sampler.eval_ne
+    first_violated, run = Sampler.first_violated, Sampler.run
 
     def image_index(self, col, rows):
         """Index among C's faces of the colors of each row of vertex
@@ -142,9 +144,6 @@ class Combiner(Sampler):
                 yield kind, face
         yield from self.ne_violations(events[b:], col, self.satisfied_mask(col))
 
-    def first_violated(self, col):
-        return next(self.violations(col), None)
-
     # --- pruning ---
 
     def c_pruning(self, col):
@@ -159,24 +158,13 @@ class Combiner(Sampler):
             return self.X.restrict(kept), "restricted", mask
         return self.X.restrict(kept, weights), "coloring", mask
 
-    def run(self, rng):
-        rng = np.random.default_rng(rng)
-        m = len(self.C.vertices)
-        col = rng.integers(0, m, size=len(self.X.vertices))
-        col, transcript, remaining = resample(
-            self, col, np.arange(m), rng, self.config.max_resamples
-        )
+    def draw(self, rng):
+        return rng.integers(0, len(self.values), size=len(self.X.vertices))
+
+    def outcome(self, col, **shared):
         y, kind, _ = self.c_pruning(col)
-        return CombineOutcome(
-            status="budget_exhausted" if remaining else "clean",
-            coloring={v: self.C.vertices[c] for v, c in zip(self.X.vertices, col.tolist())},
-            y=y,
-            measure_kind=kind,
-            resamples=len(transcript),
-            transcript=transcript,
-            violations_remaining=remaining,
-            config=self.config,
-        )
+        coloring = {v: self.C.vertices[c] for v, c in zip(self.X.vertices, col.tolist())}
+        return CombineOutcome(coloring=coloring, y=y, measure_kind=kind, **shared)
 
 
 # --- verification ---

@@ -29,6 +29,7 @@ from .errors import (
     TooSmallT,
     TopFace,
     ZeroMeasure,
+    check_integer,
 )
 from .graphs import WGraph, label_positions
 
@@ -535,7 +536,7 @@ def complex_to_dict(X):
 
 def complex_from_dict(obj):
     try:
-        dim = int(obj["dim"])
+        dim = check_integer("dim", obj["dim"])
         faces = obj["faces"]
     except (KeyError, TypeError) as exc:
         raise NotAFace(f"malformed complex object: {exc}") from exc

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all modules, and their one count check."""
+"""Exception hierarchy shared by all modules, and their integer checks."""
 
 import numbers
 
@@ -23,6 +23,13 @@ def check_count(name, value):
     """Raise BadParameter unless value is a count: an integer >= 1, not a bool."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
         raise BadParameter(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def check_integer(name, value):
+    """value as an int; BadParameter unless it is an integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise BadParameter(f"invalid literal {value!r} for {name}, which must be an integer")
+    return int(value)
 
 
 # --- complex construction ---

@@ -5,6 +5,7 @@ full associativity for orders up to 256, random triples above that.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -21,6 +22,7 @@ from .errors import (
     NotSubgroup,
     NotSymmetricGenSet,
     TooLarge,
+    check_integer,
 )
 
 ORDER_CAP = 5040  # the largest group order built
@@ -157,6 +159,8 @@ def group_from_table(rows, name="table"):
 
 def make_group(spec):
     """Build a group from a JSON-style description."""
+    if not isinstance(spec, dict):
+        raise NotAGroup(f"a group is a JSON object, got {spec!r}")
     kind = spec.get("kind")
 
     def field(key):
@@ -166,17 +170,16 @@ def make_group(spec):
             raise NotAGroup(f"group of kind {kind!r} needs {key!r}") from None
 
     if kind == "cyclic":
-        return cyclic(int(field("n")))
+        return cyclic(check_integer("n", field("n")))
     if kind == "dihedral":
-        return dihedral(int(field("n")))
+        return dihedral(check_integer("n", field("n")))
     if kind == "symmetric":
-        return symmetric_group(int(field("k")))
+        return symmetric_group(check_integer("k", field("k")))
     if kind == "product":
-        factors = [make_group(s) for s in field("factors")]
-        out = factors[0]
-        for g in factors[1:]:
-            out = product_group(out, g)
-        return out
+        factors = field("factors")
+        if not isinstance(factors, (list, tuple)) or not factors:
+            raise NotAGroup(f"a product group needs a nonempty list of factors, got {factors!r}")
+        return functools.reduce(product_group, map(make_group, factors))
     if kind == "table":
         return group_from_table(field("mul"), spec.get("name", "table"))
     raise NotAGroup(f"unknown group kind {kind!r}")
@@ -541,9 +544,7 @@ def _orbit_reps(group, table, max_size):
 
 
 def _block_masks(group, block):
-    """Bool rows for a block of seed sets: the subgroup closure of each set,
-    and whether each element a of the set lies in a triangle {0, a, b} of
-    its Cayley graph, that is a^-1 b in the set for some b in the set."""
+    """Bool rows for a block of seed sets: the subgroup closure of each set."""
     mul, inv = group.mul_table, group.inv_table
     S = _padded(block, group.order)[2]
     present = np.flatnonzero(S.any(axis=0))
@@ -560,10 +561,7 @@ def _block_masks(group, block):
         del reach  # before the next pass gathers one as large
         inside[rows] = grown
         rows = rows[(grown != part).any(axis=1)]
-    in_tri = ~S
-    for a in present:
-        in_tri[:, a] |= (S & S[:, mul[inv[a]]]).any(axis=1)
-    return inside, in_tri.all(axis=1)
+    return inside
 
 
 def scan_gensets(group, d, eta_target=None, max_size=8, counts=None):
@@ -580,23 +578,20 @@ def scan_gensets(group, d, eta_target=None, max_size=8, counts=None):
     (the orbit sizes summed) and duplicate (that less the orbits), and the
     orbits not generating, impure and scored.
 
-    Each block of orbits goes through one fixpoint that closes them all,
-    its triangle test (_block_masks), purity at d = 2 and necessary for
-    it at d >= 3, and one star_scores call on the sets that pass it,
-    giving NotPure for those impure at d >= 3.
+    Each block of orbits goes through one fixpoint that closes them all
+    (_block_masks), and one star_scores call on those that generate, which
+    alone decides purity: it gives NotPure for each impure set.
     """
     _check_star_dim(d)
     tally = dict.fromkeys(("enumerated", "not_generating", "duplicate", "impure", "scored"), 0)
     scored = []
     for reps in _orbit_reps(group, automorphism_table(group), max_size):
-        inside, in_triangles = _block_masks(group, list(reps))
-        generates = inside.all(axis=1)
-        passing = [s for s, ok in zip(reps, generates & in_triangles) if ok]
+        generates = _block_masks(group, list(reps)).all(axis=1)
+        generating = [s for s, ok in zip(reps, generates) if ok]
         tally["enumerated"] += sum(reps.values())
         tally["duplicate"] += sum(reps.values()) - len(reps)
-        tally["not_generating"] += len(reps) - int(generates.sum())
-        tally["impure"] += int(generates.sum()) - len(passing)
-        for elems, lam in zip(passing, star_scores(group, passing, d)):
+        tally["not_generating"] += len(reps) - len(generating)
+        for elems, lam in zip(generating, star_scores(group, generating, d)):
             if isinstance(lam, NotPure):
                 tally["impure"] += 1
             else:

@@ -27,7 +27,7 @@ from . import groups as groups_mod
 from . import pruning as pruning_mod
 from . import sparsify as sparsify_mod
 from .complexes import check_suitable, complete_complex, complex_from_dict
-from .errors import HdxError, InputError, Unmeasurable
+from .errors import HdxError, InputError, Unmeasurable, check_integer
 from .graphs import WGraph, complete_graph
 from .spectral import (TOL, SpectralReport, adjacency_spectrum, is_hdx, link_measures,
                        link_spectra, operator_entries, spectra_csv, twisted_spectra)
@@ -170,16 +170,13 @@ def load_complex_input(obj):
     if not isinstance(obj, dict):
         raise InputError("a complex is a JSON object")
     if obj.get("kind") == "complete":
-        return complete_complex(int(_field(obj, "n")), int(_field(obj, "dim")))
+        return complete_complex(*(check_integer(k, _field(obj, k)) for k in ("n", "dim")))
     return complex_from_dict(obj)
 
 
 @_spec_config
 def _load_group_input(obj):
-    obj = _read_input(obj)
-    if not isinstance(obj, dict):
-        raise InputError("a group is a JSON object")
-    return groups_mod.make_group(obj)
+    return groups_mod.make_group(_read_input(obj))
 
 
 @_spec_config
@@ -189,7 +186,7 @@ def load_graph_input(obj):
     if not isinstance(obj, dict):
         raise InputError("a graph is a JSON object")
     if obj.get("kind") == "complete":
-        return complete_graph(int(_field(obj, "n")))
+        return complete_graph(check_integer("n", _field(obj, "n")))
     if obj.get("kind") == "edges" or "edges" in obj:
         return WGraph([tuple(e) for e in _field(obj, "edges")], obj.get("sides"))
     raise InputError(f"unrecognized graph object: {sorted(obj)}")
@@ -200,7 +197,7 @@ def _load_genset_input(obj):
     obj = _read_input(obj)
     if isinstance(obj, dict):
         obj = _field(obj, "generators")
-    return [int(x) for x in obj]
+    return [check_integer("a generator", x) for x in obj]
 
 
 # --- the spec schema ---
@@ -609,7 +606,7 @@ def run_experiment(spec):
     report = RunReport(spec={"kind": kind, "params": params, "seed": seed})
     with timed(report, "total"):
         try:
-            seed = report.spec["seed"] = _spec_config(int)(seed)
+            seed = report.spec["seed"] = _spec_config(check_integer)("seed", seed)
             PIPELINES[kind](report, _read_params(kind, params), seed)
         except INPUT_ERRORS as exc:
             report.status = "input_error"

@@ -230,11 +230,13 @@ def resample(sampler, x, values, rng, budget):
 
 
 class Sampler:
-    """What the two samplers share.  Each subclass holds its variables and
-    defines its satisfaction rule (`keys_ok` on rows keyed by `row_keys`,
-    `satisfied_mask`), an evaluator `eval_<kind>(face, x)` per event kind,
-    `scope_of`, its own `violations` scan, and for NE its `target`
-    complex, `link_colors` into it and `ne_rule` for ne_verdicts.
+    """What the two samplers share, the run loop included.  Each subclass
+    holds its variables, the `values` they take and `config`, and defines
+    `draw` and `outcome` for `run`, its satisfaction rule (`keys_ok` on
+    rows keyed by `row_keys`, `satisfied_mask`), an evaluator
+    `eval_<kind>(face, x)` per event kind, `scope_of`, its own `violations`
+    scan, and for NE its `target` complex, `link_colors` into it and
+    `ne_rule` for ne_verdicts.
 
     kind_dims gives the dimensions at which each event kind is defined,
     scan_dims those that the scan evaluates (by default the same).
@@ -406,6 +408,19 @@ class Sampler:
     def all_violations(self, x):
         return tuple(self.violations(x))
 
+    def first_violated(self, x):
+        return next(self.violations(x), None)
+
+    def run(self, rng):
+        """The Moser-Tardos run: `resample` from `draw`, and `outcome` builds
+        the result from the final state and the fields every outcome shares."""
+        rng = np.random.default_rng(rng)
+        x, transcript, left = resample(self, self.draw(rng), self.values, rng,
+                                       self.config.max_resamples)
+        return self.outcome(x, status="budget_exhausted" if left else "clean",
+                            resamples=len(transcript), transcript=transcript,
+                            violations_remaining=left, config=self.config)
+
 
 @dataclass
 class PruneOutcome:
@@ -448,6 +463,7 @@ class Pruner(Sampler):
         self.gens = validate_genset(group, gens, require_generating=False)
         self._cayley = None  # built lazily; only NE and the measure audits need it
         self.m = len(self.gens)
+        self.values = np.arange(self.m)
         lam = config.lambda_target
         self.ne_rule = (lam / 2.0, False) if config.mode == "formula" else (lam, True)
 
@@ -529,6 +545,7 @@ class Pruner(Sampler):
     face_satisfied = Sampler.face_satisfied
     satisfaction_graph = Sampler.satisfaction_graph
     eval_ne = Sampler.eval_ne
+    first_violated, run = Sampler.first_violated, Sampler.run
 
     # --- precomputed event tables ---
 
@@ -710,26 +727,12 @@ class Pruner(Sampler):
                 yield events[a + i]
         yield from self.ne_violations(events[b:], f, satisfied)
 
-    def first_violated(self, f):
-        return next(self.violations(f), None)
+    def draw(self, rng):
+        return sample_labeling(self.X, self.m, rng)
 
-    def run(self, rng):
-        rng = np.random.default_rng(rng)
-        f = sample_labeling(self.X, self.m, rng)
-        f, transcript, remaining = resample(
-            self, f, np.arange(self.m), rng, self.config.max_resamples
-        )
+    def outcome(self, f, **shared):
         y, isolated, _ = self.f_pruning(f)
-        return PruneOutcome(
-            status="budget_exhausted" if remaining else "clean",
-            labeling=f,
-            y=y,
-            isolated_vertices=isolated,
-            resamples=len(transcript),
-            transcript=transcript,
-            violations_remaining=remaining,
-            config=self.config,
-        )
+        return PruneOutcome(labeling=f, y=y, isolated_vertices=isolated, **shared)
 
 
 # --- pruned measure and audits ---

@@ -587,8 +587,7 @@ class TestStarScore:
 
 
 def _block_closures(group, sets):
-    rows, _ = groups._block_masks(group, sets)
-    return [tuple(np.flatnonzero(row).tolist()) for row in rows]
+    return [tuple(np.flatnonzero(row).tolist()) for row in groups._block_masks(group, sets)]
 
 
 CLOSURE_GROUPS = [
@@ -638,7 +637,8 @@ class TestBlockScan:
                 expected.append(True)
             except NotPure:
                 expected.append(False)
-        assert groups._block_masks(g, combos)[1].tolist() == expected
+        got = [not isinstance(lam, NotPure) for lam in star_scores(g, combos, 2)]
+        assert got == expected
         assert (len(expected), expected.count(True)) == (2964, 240)
 
     def test_s4_d3_counts(self, monkeypatch):
@@ -656,10 +656,9 @@ class TestBlockScan:
                           "impure": 196, "scored": 4}
         assert len(out) == 4
         assert sum(c.orbit_size for c in out) == 24
-        # the 16 orbits in triangles pass the array test; 12 of them are
-        # impure at d = 3, which star_scores finds
-        assert len(scored) == 16
-        assert sum(isinstance(lam, NotPure) for lam in scored) == 12
+        # star_scores sees every generating orbit and alone finds the impure
+        assert len(scored) == 200
+        assert sum(isinstance(lam, NotPure) for lam in scored) == 196
 
     @pytest.mark.parametrize("max_size, want", [
         (4, {"enumerated": 31678, "not_generating": 170, "duplicate": 31255, "impure": 253,

@@ -56,6 +56,23 @@ COUNT_BASE = {
     "scan": {"group": {"kind": "cyclic", "n": 5}},
 }
 
+# inputs rejected before any stage: a product of no factors or with a
+# factor that is no object, and integers given as floats or bools
+MALFORMED_INPUTS = [
+    ("scan", "group", {"kind": "product", "factors": []}, "NotAGroup"),
+    ("scan", "group", {"kind": "product", "factors": {}}, "NotAGroup"),
+    ("scan", "group", {"kind": "product", "factors": [{"kind": "cyclic", "n": 2}, 3]},
+     "NotAGroup"),
+    ("prune", "genset", [1.9, 4.2, 2, 3], "InputError"),
+    ("prune", "complex", {"kind": "complete", "n": 30.9, "dim": 2.5}, "InputError"),
+    ("prune", "complex", {"dim": 2.0, "faces": [[0, 1, 2], [0, 1, 3]]}, "InputError"),
+    ("scan", "group", {"kind": "cyclic", "n": 5.7}, "InputError"),
+    ("scan", "group", {"kind": "cyclic", "n": True}, "InputError"),
+    ("scan", "group", {"kind": "dihedral", "n": 4.0}, "InputError"),
+    ("scan", "group", {"kind": "symmetric", "k": 4.5}, "InputError"),
+    ("sparsify", "graph", {"kind": "complete", "n": 20.5}, "InputError"),
+]
+
 
 @pytest.fixture(scope="module")
 def prune_report():
@@ -741,13 +758,21 @@ class TestErrors:
         assert rep.exit_code == EXIT_INPUT
         assert f"sparsify {key} must be" in rep.stages[-1]["result"]["message"]
 
-    @pytest.mark.parametrize("value", ["x", None])
+    @pytest.mark.parametrize("value", ["x", None, 1.9, True])
     def test_bad_seed_is_input_error(self, value):
         params = {"graph": {"kind": "complete", "n": 20}, "trials": 2}
         rep = run_experiment({"kind": "sparsify", "params": params, "seed": value})
         assert (rep.status, rep.exit_code) == ("input_error", EXIT_INPUT)
         assert rep.stages == [rep.stages[-1]]  # rejected before any stage ran
         assert "bad parameter" in rep.stages[-1]["result"]["message"]
+
+    @pytest.mark.parametrize("kind, key, value, error", MALFORMED_INPUTS)
+    def test_malformed_input_is_input_error(self, kind, key, value, error):
+        params = dict(COUNT_BASE[kind], **{key: value})
+        rep = run_experiment({"kind": kind, "params": params, "seed": 0})
+        assert (rep.status, rep.exit_code) == ("input_error", EXIT_INPUT)
+        (record,) = rep.stages  # rejected before any stage ran
+        assert (record["result"]["type"], record["result"]["stage"]) == (error, "inputs")
 
     @pytest.mark.parametrize("value", ["x", None, 0, -3, 2.0, True])
     def test_bad_index_cap_is_input_error(self, value):
@@ -1289,6 +1314,9 @@ class TestCli:
     @pytest.mark.parametrize("obj, text", [
         ({"dim": 2, "faces": [[0, 1, 2]], "weights": "ab"}, "could not convert"),
         ({"dim": "x", "faces": [[0, 1, 2]]}, "invalid literal"),
+        ({"dim": 2.0, "faces": [[0, 1, 2]]}, "invalid literal 2.0 for dim"),
+        ({"kind": "complete", "n": 6.5, "dim": 2}, "invalid literal 6.5 for n"),
+        ({"kind": "complete", "n": 6, "dim": True}, "invalid literal True for dim"),
     ])
     def test_malformed_complex_file_exit_code(self, tmp_path, capsys, obj, text):
         path = tmp_path / "bad.json"
@@ -1297,6 +1325,16 @@ class TestCli:
             assert main(argv) == EXIT_INPUT, argv
             assert text in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind, key, value, error", MALFORMED_INPUTS)
+    def test_malformed_input_exit_code(self, tmp_path, kind, key, value, error):
+        command = {v: k for k, v in cli.PIPELINE_COMMANDS.items()}[kind]
+        argv = [command, "--out-dir", str(tmp_path)]
+        for k, v in dict(COUNT_BASE[kind], **{key: value}).items():
+            argv += ["--" + k.replace("_", "-"), v if isinstance(v, str) else json.dumps(v)]
+        assert main(argv) == EXIT_INPUT
+        result = json.loads((tmp_path / "report.json").read_text())["stages"][-1]["result"]
+        assert (result["type"], result["stage"]) == (error, "inputs")
+
     @pytest.mark.parametrize("argv, text", [
         (["check-suitable", "--complex", '{"kind": "complete", "n": 6, "dim": 2}',
           "--c", "0.5"], "need c > 1"),
@@ -1304,6 +1342,7 @@ class TestCli:
          "dimension >= 0"),
         (["eml", "--graph", '{"kind": "complete", "n": 6}', "--samples", "-3"],
          "samples >= 1"),
+        (["eml", "--graph", '{"kind": "complete", "n": 6.5}'], "invalid literal 6.5 for n"),
     ])
     def test_bad_flag_value_exit_code(self, tmp_path, monkeypatch, capsys, argv, text):
         monkeypatch.chdir(tmp_path)

@@ -34,8 +34,6 @@ UNREACHED = {
     # error paths and reprs
     "cli._Parser.error": "a bad flag leaves main by SystemExit, which these runs "
                          "do not catch; test_harness.py's TestCli runs bad flags",
-    "errors.WitnessedError.__init__": "raised only as NotACocycle, NotPure or "
-                                      "Unmeasurable, on inputs no run has",
     "complexes.PureComplex.__repr__": "repr",
     "graphs.WGraph.__repr__": "repr",
     "groups.GroupTable.__repr__": "repr",
