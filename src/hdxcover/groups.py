@@ -22,6 +22,7 @@ from .errors import (
     NotSubgroup,
     NotSymmetricGenSet,
     TooLarge,
+    check_count,
     check_integer,
 )
 
@@ -93,6 +94,7 @@ class GroupTable:
 
 
 def _check_cap(order):
+    check_count("group order", order)
     if order > ORDER_CAP:
         raise TooLarge(f"group order {order} exceeds the cap {ORDER_CAP}")
 
@@ -115,6 +117,7 @@ def dihedral(n):
 
 
 def symmetric_group(k):
+    check_count("k", k)
     order = math.factorial(k)
     _check_cap(order)
     parr = np.array(list(itertools.permutations(range(k))), dtype=np.intp)
@@ -347,7 +350,7 @@ def star_scores(group, sets, d):
         for j in range(k):
             face = face * width + tops[:, [q[j] for q in subs]].ravel()
         codes, link = np.unique(face, return_inverse=True)
-        order = np.argsort(link, kind="stable")
+        order = np.argsort(link.astype(np.min_scalar_type(len(codes))), kind="stable")
         rest = tops[:, [[j for j in range(d) if j not in q] for q in subs]].reshape(-1, d - k)
         start = np.append(0, np.cumsum(np.bincount(link))).tolist()
         skel = link_arrays(start, rest[order], np.repeat(w, len(subs))[order], width)

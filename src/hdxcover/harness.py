@@ -27,7 +27,7 @@ from . import groups as groups_mod
 from . import pruning as pruning_mod
 from . import sparsify as sparsify_mod
 from .complexes import check_suitable, complete_complex, complex_from_dict
-from .errors import HdxError, InputError, Unmeasurable, check_integer
+from .errors import HdxError, InputError, Unmeasurable, check_count, check_integer
 from .graphs import WGraph, complete_graph
 from .spectral import (TOL, SpectralReport, adjacency_spectrum, is_hdx, link_measures,
                        link_spectra, operator_entries, spectra_csv, twisted_spectra)
@@ -250,8 +250,7 @@ def _read_params(kind, params):
         if default is INPUT:
             value = _LOADERS[key](_field(params, key))
         elif type(default) is int:
-            if type(value) is not int or value < 1:
-                raise InputError(f"{kind} {key} must be an integer >= 1, got {value!r}")
+            _spec_config(check_count)(f"{kind} {key}", value)
         elif type(default) is str:
             if type(value) is not str:
                 raise InputError(f"{kind} {key} must be a string, got {value!r}")
@@ -282,11 +281,11 @@ def _sampler_record(report, name, outcome, stage, out):
         "status": outcome.status,
         "resamples": outcome.resamples,
         "transcript_digest": _transcript_digest(outcome.transcript),
-        "kept_top_faces": 0 if outcome.y is None else len(outcome.y.top_faces),
+        "kept_top_faces": 0 if outcome.y is None else len(outcome.y.weights),
         **stage,
     })
     report.outcome = {
-        "y_top_faces": [] if outcome.y is None else [list(f) for f in outcome.y.top_faces],
+        "y_top_faces": [] if outcome.y is None else outcome.y.label_rows(outcome.y.dim),
         "transcript": [[it, kind, list(face), len(scope)]
                        for it, kind, face, scope in outcome.transcript],
         "status": outcome.status,

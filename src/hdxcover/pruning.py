@@ -117,13 +117,13 @@ def build_level_table(X, ell, row_keys):
     u, v) codes of the cofaces' link edges: a face's edges keep their
     first-seen order and coface-order mass sums, so each slice is the table
     of its face built alone.  Large temporaries go early, to bound the peak."""
-    lev, n = X.level(ell), np.int64(len(X.vertices))  # every code stays int64
+    lev, n = X.level(ell), np.int64(len(X.vertices))  # codes are formed in int64
     vstart, pos, _ = X.link_vertices(ell)
     faces = len(lev.codes)
     rows = X.top_positions()[lev.cof[:, None], lev.rest[lev.sub]]
     a, b = np.triu_indices(rows.shape[1], 1)
     codes = np.repeat(np.arange(faces), np.diff(lev.start))[:, None] * n + rows[:, a]
-    codes = (codes * n + rows[:, b]).ravel()
+    codes = (codes * n + rows[:, b]).ravel().astype(np.min_scalar_type(faces * n * n))
     del rows
     keys, first, inv = np.unique(codes, return_index=True, return_inverse=True)
     del codes

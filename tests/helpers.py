@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from hdxcover.complexes import TOL, SuitabilityReport, build_complex
+from hdxcover.complexes import TOL, FaceLevel, SuitabilityReport, build_complex
 from hdxcover.covers import (CoverComplex, CoverReport, _elements, build_cover,
                              connected_components, push_cocycle, verify_cover)
 from hdxcover.errors import (
@@ -33,7 +33,7 @@ from hdxcover.errors import (
     ZeroMeasure,
 )
 from hdxcover.graphs import WGraph
-from hdxcover.pruning import PrunedMeasure, RatioReport, SatisfactionGraph
+from hdxcover.pruning import LevelTable, PrunedMeasure, RatioReport, SatisfactionGraph
 from hdxcover import groups as groups_mod
 from hdxcover.groups import cayley_clique_complex
 from hdxcover.spectral import (
@@ -382,6 +382,74 @@ def plain_cofaces(X):
             for sub in itertools.combinations(face, size):
                 cofaces.setdefault(sub, []).append(i)
     return {s: np.array(ix, dtype=np.intp) for s, ix in cofaces.items()}
+
+
+def plain_level(X, k):
+    """Reference for X.level(k), the index built on int64 keys throughout:
+    one np.unique over the codes, then a stable timsort of the faces of
+    every (top face, column subset) pair, split by // and %."""
+    T, d, n = X.top_positions(), X.dim, len(X.vertices)
+    nt = len(T)
+    subsets = list(itertools.combinations(range(d + 1), k + 1))
+    if k == -1:
+        codes, pairs = np.zeros(1, dtype=np.int64), np.zeros(nt, dtype=np.intp)
+        rows = np.empty((1, 0), dtype=np.intp)
+    else:
+        prev = plain_level(X, k - 1)
+        prefixes = list(itertools.combinations(range(d + 1), k))
+        prefix = prev.pairs[:, [prefixes.index(s[:-1]) for s in subsets]]
+        last = T[:, [s[-1] for s in subsets]]
+        codes, pairs = np.unique(
+            (prefix.astype(np.int64) * n + last).ravel(), return_inverse=True
+        )
+        rows = np.column_stack([prev.rows[codes // n], codes % n])
+    c = len(subsets)
+    order = np.argsort(pairs, kind="stable")
+    rest = [[j for j in range(d + 1) if j not in s] for s in subsets]
+    return FaceLevel(
+        rows=rows,
+        codes=codes,
+        pairs=pairs.reshape(nt, c),
+        rest=np.array(rest, dtype=np.intp).reshape(c, d - k),
+        cof=order // c,
+        sub=order % c,
+        start=np.append(0, np.cumsum(np.bincount(pairs, minlength=len(codes)))),
+    )
+
+
+def plain_level_table(X, ell, row_keys):
+    """Reference for pruning.build_level_table: the same table from one
+    np.unique over int64 (face, u, v) codes, which sorts by timsort."""
+    lev, n = X.level(ell), np.int64(len(X.vertices))
+    vstart, pos, _ = X.link_vertices(ell)
+    faces = len(lev.codes)
+    rows = X.top_positions()[lev.cof[:, None], lev.rest[lev.sub]]
+    a, b = np.triu_indices(rows.shape[1], 1)
+    codes = np.repeat(np.arange(faces), np.diff(lev.start))[:, None] * n + rows[:, a]
+    codes = (codes * n + rows[:, b]).ravel()
+    keys, first, inv = np.unique(codes, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    srt = np.empty(len(order), dtype=np.int32)
+    srt[order] = np.arange(len(order))
+    mass = np.bincount(srt[inv], np.repeat(X.weights[lev.cof], len(a)), len(keys))
+    top = lev.cof[first[order] // len(a)].astype(np.int32)
+    eface, u, v = (w.astype(np.int32) for w in np.unravel_index(keys[order], (faces, n, n)))
+    vface = np.repeat(np.arange(faces), np.diff(vstart))
+    uv = np.searchsorted(vface * n + pos, np.stack([eface * n + u, eface * n + v]))
+
+    def with_face(fs, *cols):
+        return row_keys(np.sort(np.column_stack([lev.rows[fs], *cols]), axis=1))
+
+    return LevelTable(
+        row_keys(lev.rows), vstart, pos, vface, np.searchsorted(eface, np.arange(faces + 1)),
+        eface, uv.astype(np.int32), mass, top, srt, with_face(vface, pos),
+        with_face(eface, u, v) if ell + 3 <= X.dim else None)
+
+
+def per_face_labels(X, k):
+    """faces(k) built one label tuple at a time off the level's rows."""
+    rows = X.top_positions() if k == X.dim else X.level(k).rows
+    return tuple(tuple(X.vertices[i] for i in r) for r in rows.tolist())
 
 
 def brute_face_measure(X, s):

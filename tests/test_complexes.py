@@ -25,10 +25,12 @@ from hdxcover.errors import (
     ZeroMeasure,
 )
 from hdxcover.covers import build_cover
+from hdxcover.pruning import build_level_table
 from hdxcover.groups import cayley_clique_complex, cyclic, dihedral, symmetric_group
 from hdxcover.spectral import adjacency_spectrum
 
 from helpers import (
+    assert_same_complex,
     brute_check_suitable,
     brute_face_measure,
     degree,
@@ -36,8 +38,12 @@ from helpers import (
     cycle_complex,
     has_edge,
     oriented_face_measure,
+    per_face_labels,
     per_face_link_skeleton,
+    plain_build_complex,
     plain_cofaces,
+    plain_level,
+    plain_level_table,
     plain_link_skeleton,
     random_complex,
     relabeled,
@@ -462,6 +468,88 @@ class TestFacePos:
         assert not X.has_face(longer)
         with pytest.raises(NotAFace):
             X.cofaces(longer)
+
+
+def _wide_faces():
+    """2,000 distinct triangles on 300 vertices, in random order, with
+    random weights; each vertex is used, so positions need 16 bits."""
+    rng = np.random.default_rng(23)
+    draws = (tuple(sorted(rng.choice(300, 3, replace=False).tolist())) for _ in range(2100))
+    faces = list(dict.fromkeys(draws))[:2000]
+    return faces, 0.5 + rng.random(len(faces))
+
+
+def _tuple_labelled():
+    """A tensored K5 with its vertices named by their (column, base vertex)
+    legend entries."""
+    T = tensor_with_complete(complete_complex(5, 2), 3)
+    return build_complex(2, [[T.legend[v] for v in f] for f in T.complex.top_faces])
+
+
+WIDE_FACES, WIDE_WEIGHTS = _wide_faces()
+SORT_KEY_INPUTS = FACE_POS_INPUTS + [
+    ("tuples", _tuple_labelled()),
+    ("K75", complete_complex(75, 2)),
+    ("300-vertices", build_complex(2, WIDE_FACES, WIDE_WEIGHTS)),
+]
+
+
+def _assert_same_fields(got, want):
+    for name, a, b in zip(type(want)._fields, got, want):
+        assert (a is None) == (b is None), name
+        if b is not None:
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+            assert a.tobytes() == b.tobytes(), name
+
+
+class TestSortKeys:
+    """The index builds, whose stable sorts run on the narrowest unsigned
+    dtype that holds their keys, against references that sort int64 keys:
+    string and tuple labels, d = 3, a restriction that drops vertices, a
+    cover, K75 (67,525 tops, keys past 16 bits) and 300 vertices (16-bit
+    positions)."""
+
+    @pytest.mark.parametrize(
+        "X", [x for _, x in SORT_KEY_INPUTS], ids=[i for i, _ in SORT_KEY_INPUTS]
+    )
+    def test_levels(self, X):
+        for k in range(-1, X.dim + 1):
+            _assert_same_fields(X.level(k), plain_level(X, k))
+
+    @pytest.mark.parametrize(
+        "X", [x for _, x in SORT_KEY_INPUTS], ids=[i for i, _ in SORT_KEY_INPUTS]
+    )
+    def test_level_tables(self, X):
+        for ell in range(X.dim - 1):
+            _assert_same_fields(build_level_table(X, ell, np.copy),
+                                plain_level_table(X, ell, np.copy))
+
+    @pytest.mark.parametrize(
+        "X", [x for _, x in SORT_KEY_INPUTS], ids=[i for i, _ in SORT_KEY_INPUTS]
+    )
+    def test_label_rows(self, X):
+        for k in range(-1, X.dim + 1):
+            want = per_face_labels(X, k)
+            assert X.faces(k) == want
+            rows = X.label_rows(k)
+            assert rows == [list(f) for f in want]
+            assert all(type(a) is type(b) for r, f in zip(rows, want) for a, b in zip(r, f))
+
+    def test_wide_build_matches_tuple_build(self):
+        X = SORT_KEY_INPUTS[-1][1]
+        assert len(X.vertices) == 300
+        assert_same_complex(X, plain_build_complex(2, WIDE_FACES, WIDE_WEIGHTS))
+
+    def test_wide_duplicate_names_first_offender(self):
+        # the copy of face 1500 comes first in input order, the copy of
+        # face 10 sorts first: only a stable sort names face 1500
+        faces = WIDE_FACES + [WIDE_FACES[1500], WIDE_FACES[10]]
+        assert WIDE_FACES[10] < WIDE_FACES[1500]
+        with pytest.raises(DuplicateFace) as want:
+            plain_build_complex(2, faces)
+        with pytest.raises(DuplicateFace) as got:
+            build_complex(2, faces)
+        assert str(got.value) == str(want.value) == f"face {WIDE_FACES[1500]!r} appears twice"
 
 
 class TestDegree:

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdxcover.errors import (
-    BadLevel, HdxError, NotAGroup, NotNormal, NotPure, NotSubgroup, NotSymmetricGenSet,
-    TooLarge,
+    BadLevel, BadParameter, HdxError, NotAGroup, NotNormal, NotPure, NotSubgroup,
+    NotSymmetricGenSet, TooLarge,
 )
 from hdxcover import groups
 from hdxcover.groups import (
@@ -73,6 +73,14 @@ class TestMakeGroup:
     def test_too_large(self):
         with pytest.raises(TooLarge):
             cyclic(6000)
+
+    @pytest.mark.parametrize("build, arg", [
+        (cyclic, 0), (cyclic, -2), (dihedral, 0), (dihedral, -1), (symmetric_group, 0),
+        (symmetric_group, -1),
+    ])
+    def test_order_below_one(self, build, arg):
+        with pytest.raises(BadParameter, match="must be an integer >= 1"):
+            build(arg)
 
     def test_table_roundtrip_with_relabeled_identity(self):
         base = cyclic(4)

@@ -73,6 +73,14 @@ MALFORMED_INPUTS = [
     ("sparsify", "graph", {"kind": "complete", "n": 20.5}, "InputError"),
 ]
 
+# group orders below 1, named by the range check before any table is built
+BAD_GROUP_ORDERS = [
+    ({"kind": "cyclic", "n": 0}, "group order must be an integer >= 1, got 0"),
+    ({"kind": "cyclic", "n": -2}, "group order must be an integer >= 1, got -2"),
+    ({"kind": "dihedral", "n": 0}, "group order must be an integer >= 1, got 0"),
+    ({"kind": "symmetric", "k": 0}, "k must be an integer >= 1, got 0"),
+]
+
 
 @pytest.fixture(scope="module")
 def prune_report():
@@ -774,6 +782,14 @@ class TestErrors:
         (record,) = rep.stages  # rejected before any stage ran
         assert (record["result"]["type"], record["result"]["stage"]) == (error, "inputs")
 
+    @pytest.mark.parametrize("group, text", BAD_GROUP_ORDERS)
+    def test_group_order_below_one_is_input_error(self, group, text):
+        rep = run_experiment({"kind": "scan", "params": {"group": group}, "seed": 0})
+        assert (rep.status, rep.exit_code) == ("input_error", EXIT_INPUT)
+        (record,) = rep.stages  # rejected before any stage ran
+        assert (record["result"]["type"], record["result"]["stage"]) == ("InputError", "inputs")
+        assert record["result"]["message"] == f"bad parameter: {text}"
+
     @pytest.mark.parametrize("value", ["x", None, 0, -3, 2.0, True])
     def test_bad_index_cap_is_input_error(self, value):
         params = dict(PRUNE_SPEC["params"], index_cap=value)
@@ -1334,6 +1350,13 @@ class TestCli:
         assert main(argv) == EXIT_INPUT
         result = json.loads((tmp_path / "report.json").read_text())["stages"][-1]["result"]
         assert (result["type"], result["stage"]) == (error, "inputs")
+
+    @pytest.mark.parametrize("group, text", BAD_GROUP_ORDERS)
+    def test_group_order_below_one_exit_code(self, tmp_path, group, text):
+        argv = ["scan-gensets", "--group", json.dumps(group), "--out-dir", str(tmp_path)]
+        assert main(argv) == EXIT_INPUT
+        result = json.loads((tmp_path / "report.json").read_text())["stages"][-1]["result"]
+        assert (result["type"], result["message"]) == ("InputError", f"bad parameter: {text}")
 
     @pytest.mark.parametrize("argv, text", [
         (["check-suitable", "--complex", '{"kind": "complete", "n": 6, "dim": 2}',
